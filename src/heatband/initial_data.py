@@ -396,8 +396,7 @@ class LogSineAvgPreimage(InitialDataExpr):
             raise DomainError(f"m must be positive, got {self.m!r}")
         if not math.isfinite(self.offset):
             raise DomainError(f"offset must be finite, got {self.offset!r}")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        _check_n(self.n)
 
     def _values(self, tau):
         theta = self.m * np.log1p(tau)
@@ -505,8 +504,7 @@ class SlowFromPeriodic(InitialDataExpr):
         if not isinstance(self.g, (TrapezoidWave, TrigPolynomial)):
             raise DomainError("g must be a TrapezoidWave or TrigPolynomial, "
                               f"got {type(self.g).__name__}")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        _check_n(self.n)
 
     def _values(self, tau):
         x = np.log1p(tau)
@@ -652,7 +650,7 @@ def phi_from_H(h_expr: InitialDataExpr, n: int) -> InitialDataExpr:
 
 
 def _check_n(n):
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"dimension n must be a positive integer, got {n!r}")
 
 
@@ -731,6 +729,36 @@ def _max_log_frequency(expr) -> float:
     if isinstance(expr, Sum):
         return max(_max_log_frequency(t) for t in expr.terms)
     return 0.0
+
+
+def _log_strip_bound(leaf) -> tuple[float, float] | None:
+    """(mass, omega) with |leaf(tau)| <= mass e^{omega a} for |arg tau| <= a.
+
+    Defined for the leaves analytic in log tau: log sines, their average
+    preimages, the doubly-log sine, and trig-polynomial profiles of
+    log(tau + 1); everything else (trapezoid profiles jump) returns None.
+    With L = log(tau + 1), |Im L| <= |arg tau| and |tau / (tau + 1)| <= 1, so
+    a trig factor of frequency j grows by at most cosh(j a) <= e^{omega a},
+    omega = _max_log_frequency(leaf); the doubly-log phase log log(tau + 2)
+    has |Im| <= a / log 2 = omega a.  mass is the sum of the coefficient
+    magnitudes, each derivative term weighted by its frequency.
+    """
+    if isinstance(leaf, (LogSine, LogLogSine)):
+        mass = leaf.amplitude + abs(leaf.offset)
+    elif isinstance(leaf, LogSineAvgPreimage):
+        mass = leaf.amplitude * (1.0 + leaf.m / leaf.n) + abs(leaf.offset)
+    elif (isinstance(leaf, (SlowFromPeriodic, PeriodicOfLog))
+            and isinstance(leaf.g, TrigPolynomial)):
+        # SlowFromPeriodic adds (tau / (n (tau + 1))) g'(L)
+        slope = 1.0 / leaf.n if isinstance(leaf, SlowFromPeriodic) else 0.0
+        g = leaf.g
+        mass = abs(g.const) + sum(
+            (1.0 + j * slope) * abs(c)
+            for coeffs in (g.cos_coeffs, g.sin_coeffs)
+            for j, c in enumerate(coeffs, start=1))
+    else:
+        return None
+    return mass, _max_log_frequency(leaf)
 
 
 def _periodic_radial_integral(segments, n, tau):
@@ -1192,10 +1220,21 @@ def to_json(expr: InitialDataExpr) -> dict:
     return {"schema": SCHEMA_ID, "expr": _node_to_doc(expr)}
 
 
-def from_json(doc: dict) -> InitialDataExpr:
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_ID:
+def from_json(doc) -> InitialDataExpr:
+    """Expression from an idexpr/1 document; any malformed part is a DomainError."""
+    if not isinstance(doc, dict):
+        raise DomainError(
+            f"an {SCHEMA_ID} document must be a JSON object, got {type(doc).__name__}")
+    if doc.get("schema") != SCHEMA_ID:
         raise DomainError(f"expected schema {SCHEMA_ID!r}, got {doc.get('schema')!r}")
-    return _node_from_doc(doc["expr"])
+    try:
+        return _node_from_doc(doc["expr"])
+    except DomainError:
+        raise
+    except KeyError as exc:
+        raise DomainError(f"{SCHEMA_ID} document lacks the field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"malformed {SCHEMA_ID} document: {exc}") from exc
 
 
 def dumps(expr: InitialDataExpr) -> str:
@@ -1217,6 +1256,8 @@ def _periodic_to_doc(g: PeriodicFunction) -> dict:
 
 
 def _periodic_from_doc(doc: dict) -> PeriodicFunction:
+    if not isinstance(doc, dict):
+        raise DomainError(f"periodic function must be an object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "trapezoid":
         return TrapezoidWave(doc["v_max"], doc["v_min"], doc["ramp_width"])
@@ -1234,6 +1275,8 @@ def _centers_to_doc(law: CenterLaw) -> dict:
 
 
 def _centers_from_doc(doc: dict) -> CenterLaw:
+    if not isinstance(doc, dict):
+        raise DomainError(f"center law must be an object, got {doc!r}")
     law = doc.get("law")
     if law == "geometric":
         return GeometricCenters(doc["base"])
@@ -1283,7 +1326,7 @@ def _node_from_doc(doc: dict) -> InitialDataExpr:
         return LogSine(doc["amplitude"], doc["m"], doc["offset"])
     if v == "log_sine_avg_preimage":
         return LogSineAvgPreimage(doc["amplitude"], doc["m"], doc["offset"],
-                                  int(doc["n"]))
+                                  doc["n"])
     if v == "log_log_sine":
         return LogLogSine(doc["amplitude"], doc["offset"])
     if v == "periodic_zero_mean":
@@ -1292,7 +1335,7 @@ def _node_from_doc(doc: dict) -> InitialDataExpr:
         return BumpTrain(doc["height"], doc["half_width"], doc["baseline"],
                          _centers_from_doc(doc["centers"]))
     if v == "slow_from_periodic":
-        return SlowFromPeriodic(_periodic_from_doc(doc["g"]), int(doc["n"]))
+        return SlowFromPeriodic(_periodic_from_doc(doc["g"]), doc["n"])
     if v == "periodic_of_log":
         return PeriodicOfLog(_periodic_from_doc(doc["g"]))
     if v == "sum":

@@ -13,21 +13,35 @@ with (power, coeff) depending on which weight is in play:
     DataKernel    : power = n - 1, coeff = n omega(n) / pi^(n/2)
 
 where omega(n) = pi^(n/2) / Gamma(n/2 + 1) is the unit ball volume.  Both
-weights integrate to exactly 1 (the m -> 0 limit), and sqrt(a^2 + b^2) lies
-strictly inside (0, 1) for every m > 0, which is what makes the band
-prescriptions solvable by a one-dimensional root search in m.
+weights integrate to exactly 1 (the m -> 0 limit).  DLMF 5.9.1 with mu = 2
+gives the pair in closed form,
+
+    a(m) + i b(m) = Gamma(s + i m/2) / Gamma(s),     s = (power + 1) / 2,
+
+because coeff(n) Gamma(s) / 2 = 1.  By the product formula DLMF 5.8.3,
+|Gamma(s + i y) / Gamma(s)|^2 = prod_k (1 + y^2 / (s + k)^2)^(-1), so the norm
+sqrt(a^2 + b^2) falls strictly from 1 towards 0 as m grows.  Every ratio in
+(0, 1) is therefore hit at exactly one frequency, which solve_m finds by
+bisection in log m.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import loggamma
 
-from .errors import DomainError, SearchFailure
-from .quadrature import IntegralResult, QuadratureSpec, integrate_log_oscillatory
+from .errors import ConvergenceError, DomainError, SearchFailure
+from .quadrature import (
+    MAX_OSCILLATION_FREQUENCY,
+    QuadratureSpec,
+    integrate_weighted,
+)
 
 __all__ = [
     "KernelFlavor",
@@ -39,14 +53,14 @@ __all__ = [
     "solve_m",
     "SCAN_GRID_LO",
     "SCAN_GRID_HI",
-    "SCAN_GRID_POINTS",
 ]
 
-# Root scan window for solve_m: 200 log-spaced points, then bisection on the
-# first sign-change bracket (smallest root wins when several exist).
+# Frequency bracket of solve_m: ratios outside [norm(SCAN_GRID_HI),
+# norm(SCAN_GRID_LO)] are reported as a SearchFailure.
 SCAN_GRID_LO = 1e-3
 SCAN_GRID_HI = 1e2
-SCAN_GRID_POINTS = 200
+
+_EPS = sys.float_info.epsilon
 
 
 class KernelFlavor(enum.Enum):
@@ -84,7 +98,7 @@ class MomentPair:
 
 
 def _check_dimension(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"dimension n must be a positive integer, got {n!r}")
 
 
@@ -94,36 +108,34 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def _default_spec(power: int) -> QuadratureSpec:
-    return QuadratureSpec.for_power(power)
+def _log_moment(s: float, m: float) -> complex:
+    """log(a + i b) = log Gamma(s + i m/2) - log Gamma(s), s = (power + 1)/2."""
+    return complex(loggamma(complex(s, 0.5 * m))) - math.lgamma(s)
 
 
-def kernel_moments(n: int, m: float, flavor: KernelFlavor,
-                   spec: QuadratureSpec | None = None) -> MomentPair:
-    """Moment pair (a, b) at frequency m, computed on the log axis.
+def kernel_moments(n: int, m: float, flavor: KernelFlavor) -> MomentPair:
+    """Moment pair (a, b) at frequency m, in closed form (DLMF 5.9.1).
 
-    The substitution x = log z turns the endlessly oscillating factor
-    trig(m log z) into the uniform frequency m with analytic amplitude
-    exp(-e^{2x} + (power+1) x), so the panel-per-period cap applies cleanly.
+    a + i b = Gamma(s + i m/2) / Gamma(s) with s = (power + 1)/2, evaluated
+    as exp of a difference of log Gammas; the error estimate is the
+    rounding of that exponent.  Frequencies above MAX_OSCILLATION_FREQUENCY
+    are refused with ConvergenceError, as for every oscillatory integral of
+    the package.
     """
     _check_dimension(n)
     if not (math.isfinite(m) and m > 0):
         raise DomainError(f"frequency m must be positive, got {m!r}")
-    power = flavor.power(n)
-    if spec is None:
-        spec = _default_spec(power)
-    coeff = flavor.coefficient(n)
-
-    def amplitude(x):
-        return np.exp(-np.exp(2.0 * x) + (power + 1) * x)
-
-    rc = integrate_log_oscillatory(amplitude, m, "cos", spec)
-    rs = integrate_log_oscillatory(amplitude, m, "sin", spec)
+    if m > MAX_OSCILLATION_FREQUENCY:
+        raise ConvergenceError(
+            f"m = {m} exceeds the refusal threshold {MAX_OSCILLATION_FREQUENCY}; "
+            "the moments are below double-precision noise there")
+    log_pair = _log_moment(0.5 * (flavor.power(n) + 1), m)
+    pair = cmath.exp(log_pair)
     return MomentPair(
-        a_value=coeff * rc.value,
-        b_value=coeff * rs.value,
+        a_value=pair.real,
+        b_value=pair.imag,
         m=m, n=n, flavor=flavor,
-        abs_error_est=coeff * (rc.abs_error_est + rs.abs_error_est),
+        abs_error_est=16.0 * _EPS * (1.0 + abs(log_pair)) * abs(pair),
     )
 
 
@@ -142,14 +154,11 @@ def kernel_moments_shifted(n: int, m: float, flavor: KernelFlavor, shift: float,
     if not (math.isfinite(shift) and shift >= 0):
         raise DomainError(f"shift must be nonnegative, got {shift!r}")
     if shift == 0.0:
-        return kernel_moments(n, m, flavor, spec)
+        return kernel_moments(n, m, flavor)
     power = flavor.power(n)
     if spec is None:
-        spec = _default_spec(power)
+        spec = QuadratureSpec.for_power(power)
     coeff = flavor.coefficient(n)
-
-    from .quadrature import integrate_weighted  # local to avoid cycle noise
-
     rc = integrate_weighted(lambda z: np.cos(m * np.log(z + shift)), power, spec)
     rs = integrate_weighted(lambda z: np.sin(m * np.log(z + shift)), power, spec)
     return MomentPair(
@@ -160,21 +169,22 @@ def kernel_moments_shifted(n: int, m: float, flavor: KernelFlavor, shift: float,
     )
 
 
-def moment_norm(n: int, m: float, flavor: KernelFlavor,
-                spec: QuadratureSpec | None = None) -> float:
+def moment_norm(n: int, m: float, flavor: KernelFlavor) -> float:
     """sqrt(a^2 + b^2) at frequency m; lies in (0, 1) for m > 0."""
-    return kernel_moments(n, m, flavor, spec).norm()
+    return kernel_moments(n, m, flavor).norm()
 
 
 def solve_m(n: int, ratio: float, flavor: KernelFlavor,
-            spec: QuadratureSpec | None = None,
             root_tol: float = 1e-10) -> float:
-    """Smallest m with moment_norm(n, m, flavor) = ratio, ratio in (0, 1).
+    """The m in [SCAN_GRID_LO, SCAN_GRID_HI] with moment_norm(n, m, flavor) = ratio.
 
-    Scans 200 log-spaced frequencies in [1e-3, 1e2] for the first sign
-    change, then bisects until |moment_norm(m) - ratio| <= root_tol.  The
-    open-interval requirement on ratio is structural: the norm equals 1 only
-    in the degenerate m -> 0 limit and never vanishes at finite m.
+    The norm is strictly decreasing in m (DLMF 5.8.3), so the root is
+    unique.  Bisection on log norm as a function of log m halves the
+    bracket until its width reaches rounding level (about 55 steps); the
+    result must then satisfy |moment_norm(m) - ratio| <= root_tol.  A ratio
+    outside [norm(SCAN_GRID_HI), norm(SCAN_GRID_LO)] raises SearchFailure.
+    The open-interval requirement on ratio is structural: the norm equals 1
+    only in the degenerate m -> 0 limit and never vanishes at finite m.
     """
     _check_dimension(n)
     if not (0.0 < ratio < 1.0):
@@ -183,42 +193,28 @@ def solve_m(n: int, ratio: float, flavor: KernelFlavor,
             "moment norm only attains (0, 1) at positive frequencies")
     if not (root_tol > 0):
         raise DomainError(f"root_tol must be positive, got {root_tol!r}")
+    s = 0.5 * (flavor.power(n) + 1)
+    log_ratio = math.log(ratio)
 
-    def residual(m):
-        return moment_norm(n, m, flavor, spec) - ratio
+    def excess(mu):  # log norm(e^mu) - log ratio, decreasing in mu
+        return _log_moment(s, math.exp(mu)).real - log_ratio
 
-    grid = np.geomspace(SCAN_GRID_LO, SCAN_GRID_HI, SCAN_GRID_POINTS)
-    lo = hi = None
-    r_lo = residual(grid[0])
-    if r_lo == 0.0:
-        return float(grid[0])
-    for i in range(1, len(grid)):
-        r_hi = residual(grid[i])
-        if r_hi == 0.0:
-            return float(grid[i])
-        if (r_lo > 0) != (r_hi > 0):
-            lo, hi = float(grid[i - 1]), float(grid[i])
-            break
-        r_lo = r_hi
-    if lo is None:
+    norm_lo = moment_norm(n, SCAN_GRID_LO, flavor)
+    norm_hi = moment_norm(n, SCAN_GRID_HI, flavor)
+    if not (norm_hi <= ratio <= norm_lo):
         raise SearchFailure(
-            f"no sign change of moment_norm - {ratio} on the scan grid "
-            f"[{SCAN_GRID_LO}, {SCAN_GRID_HI}] ({SCAN_GRID_POINTS} points)")
-
-    sign_lo = r_lo > 0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
-        if abs(r_mid) <= root_tol:
-            return mid
-        if (r_mid > 0) == sign_lo:
-            lo = mid
+            f"moment_norm never equals {ratio} on [{SCAN_GRID_LO}, "
+            f"{SCAN_GRID_HI}]: it spans [{norm_hi:.12g}, {norm_lo:.12g}] there")
+    lo, hi = math.log(SCAN_GRID_LO), math.log(SCAN_GRID_HI)
+    while hi - lo > 4.0 * _EPS * max(1.0, abs(lo), abs(hi)):
+        mu = 0.5 * (lo + hi)
+        if excess(mu) > 0.0:
+            lo = mu
         else:
-            hi = mid
-        if hi - lo <= 1e-16 * mid:
-            break
-    mid = 0.5 * (lo + hi)
-    if abs(residual(mid)) <= root_tol:
-        return mid
-    raise SearchFailure(
-        f"bisection stalled: residual {residual(mid):.3e} above root_tol {root_tol}")
+            hi = mu
+    m = math.exp(0.5 * (lo + hi))
+    residual = moment_norm(n, m, flavor) - ratio
+    if abs(residual) > root_tol:
+        raise SearchFailure(
+            f"root search stalled: residual {residual:.3e} above root_tol {root_tol}")
+    return m

@@ -17,7 +17,6 @@ from construction.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -43,7 +42,6 @@ from .initial_data import (
     to_json as expr_to_json,
 )
 from .kernel_moments import KernelFlavor, kernel_moments, solve_m
-from .quadrature import QuadratureSpec
 
 __all__ = [
     "AverageQuad",
@@ -72,7 +70,8 @@ TWO_PI = 2.0 * math.pi
 
 def _check_finite(**named):
     for name, value in named.items():
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        if isinstance(value, bool) or not (
+                isinstance(value, (int, float)) and math.isfinite(value)):
             raise DomainError(f"{name} must be a finite real, got {value!r}")
 
 
@@ -132,7 +131,7 @@ class PrescriptionTarget:
         if not isinstance(self.kind, (AverageQuad, DataQuad)):
             raise DomainError(
                 f"kind must be AverageQuad or DataQuad, got {type(self.kind).__name__}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise DomainError(f"dimension n must be a positive integer, got {self.n!r}")
 
 
@@ -184,10 +183,10 @@ def _checked_band(band, name) -> tuple[float, float]:
         lo, hi = band
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a (lower, upper) pair, got {band!r}")
-    lo, hi = float(lo), float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+    _check_finite(**{f"{name}[0]": lo, f"{name}[1]": hi})
+    if lo > hi:
         raise DomainError(f"{name} must be an ordered finite pair, got {band!r}")
-    return (lo, hi)
+    return (float(lo), float(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +194,7 @@ def _checked_band(band, name) -> tuple[float, float]:
 
 
 def prescribe_average(avg_lower: float, sol_lower: float, sol_upper: float,
-                      avg_upper: float, n: int,
-                      spec: QuadratureSpec | None = None) -> PrescriptionCertificate:
+                      avg_upper: float, n: int) -> PrescriptionCertificate:
     """Data whose ball average oscillates in (avg_lower, avg_upper) and whose
     origin solution oscillates in (sol_lower, sol_upper).
 
@@ -226,7 +224,7 @@ def prescribe_average(avg_lower: float, sol_lower: float, sol_upper: float,
             "bands are not constructible here")
 
     ratio = (sol_upper - sol_lower) / (avg_upper - avg_lower)
-    m_star = solve_m(n, ratio, KernelFlavor.AVERAGE, spec)
+    m_star = solve_m(n, ratio, KernelFlavor.AVERAGE)
     amplitude = (avg_upper - avg_lower) / 2.0
     offset = (avg_upper + avg_lower) / 2.0
     data = LogSineAvgPreimage(amplitude, m_star, offset, n)
@@ -246,8 +244,7 @@ def prescribe_average(avg_lower: float, sol_lower: float, sol_upper: float,
 
 
 def prescribe_data(data_lower: float, sol_lower: float, sol_upper: float,
-                   data_upper: float, n: int,
-                   spec: QuadratureSpec | None = None) -> PrescriptionCertificate:
+                   data_upper: float, n: int) -> PrescriptionCertificate:
     """Data oscillating in (data_lower, data_upper) with origin solution
     oscillating in (sol_lower, sol_upper), for any ordered quadruple.
 
@@ -276,7 +273,7 @@ def prescribe_data(data_lower: float, sol_lower: float, sol_upper: float,
     if (a + b) - (r + s) > tol:
         # solution band sits above the data band's midline: reflect through
         # zero, construct on the mirrored quadruple, and negate pointwise
-        inner = prescribe_data(-s, -b, -a, -r, n, spec)
+        inner = prescribe_data(-s, -b, -a, -r, n)
         data = negate(inner.data)
         h_band = inner.expected_H_band
         return PrescriptionCertificate(
@@ -333,7 +330,7 @@ def prescribe_data(data_lower: float, sol_lower: float, sol_upper: float,
 
     # strictly interior solution band from here on: r < a < b < s
     if abs((r + s) - (a + b)) <= tol:
-        m_star = solve_m(n, (b - a) / (s - r), KernelFlavor.DATA, spec)
+        m_star = solve_m(n, (b - a) / (s - r), KernelFlavor.DATA)
         data = LogSine((s - r) / 2.0, m_star, (s + r) / 2.0)
         return PrescriptionCertificate(
             target=target, data=data, construction_tag="data-single-mode",
@@ -346,7 +343,7 @@ def prescribe_data(data_lower: float, sol_lower: float, sol_upper: float,
     lam = a + b - r
     eps = min(a - r, lam - b) / 2.0
     delta = lam - eps
-    m_star = solve_m(n, (b - a) / (delta - (r + eps)), KernelFlavor.DATA, spec)
+    m_star = solve_m(n, (b - a) / (delta - (r + eps)), KernelFlavor.DATA)
     mode = LogSine((delta - r - eps) / 2.0, m_star, (delta + r + eps) / 2.0)
     v_max, v_min = s - delta, -eps
     wave = PeriodicZeroMean(v_max, v_min, balanced_ramp_width(v_max, v_min))
@@ -377,7 +374,7 @@ def balanced_ramp_width(v_max: float, v_min: float) -> float:
 # The asymmetric two-mode example
 
 
-def lemma_not_example(spec: QuadratureSpec | None = None) -> PrescriptionCertificate:
+def lemma_not_example() -> PrescriptionCertificate:
     """The two-mode average showing the solution band need not share the
     average band's midline.
 
@@ -392,8 +389,8 @@ def lemma_not_example(spec: QuadratureSpec | None = None) -> PrescriptionCertifi
 
     h_lo, h_hi = TrigPolynomial(0.0, (), (1.0, 1.0)).extrema()
 
-    mom1 = kernel_moments(n, 1.0, KernelFlavor.AVERAGE, spec)
-    mom2 = kernel_moments(n, 2.0, KernelFlavor.AVERAGE, spec)
+    mom1 = kernel_moments(n, 1.0, KernelFlavor.AVERAGE)
+    mom2 = kernel_moments(n, 2.0, KernelFlavor.AVERAGE)
     envelope = TrigPolynomial(0.0,
                               (mom1.b_value, mom2.b_value),
                               (mom1.a_value, mom2.a_value))
@@ -415,14 +412,7 @@ def lemma_not_example(spec: QuadratureSpec | None = None) -> PrescriptionCertifi
 # Asymptotic envelope of the origin solution
 
 
-@functools.lru_cache(maxsize=128)
-def _cached_moments(n: int, m: float, flavor: KernelFlavor,
-                    spec: QuadratureSpec | None):
-    return kernel_moments(n, m, flavor, spec)
-
-
-def envelope_u(cert: PrescriptionCertificate, t: float,
-               spec: QuadratureSpec | None = None) -> float:
+def envelope_u(cert: PrescriptionCertificate, t: float) -> float:
     """Asymptotic envelope of u(0, t) for a certificate's construction.
 
     Each log-sine mode contributes amp * [a sin(m y) + b cos(m y)] at
@@ -444,13 +434,13 @@ def envelope_u(cert: PrescriptionCertificate, t: float,
             return sign * expr.c
         if isinstance(expr, LogSineAvgPreimage):
             state["slow_seen"] = True
-            mom = _cached_moments(expr.n, expr.m, KernelFlavor.AVERAGE, spec)
+            mom = kernel_moments(expr.n, expr.m, KernelFlavor.AVERAGE)
             osc = mom.a_value * math.sin(expr.m * y) \
                 + mom.b_value * math.cos(expr.m * y)
             return sign * (expr.amplitude * osc + expr.offset)
         if isinstance(expr, LogSine):
             state["slow_seen"] = True
-            mom = _cached_moments(cert.target.n, expr.m, KernelFlavor.DATA, spec)
+            mom = kernel_moments(cert.target.n, expr.m, KernelFlavor.DATA)
             osc = mom.a_value * math.sin(expr.m * y) \
                 + mom.b_value * math.cos(expr.m * y)
             return sign * (expr.amplitude * osc + expr.offset)
@@ -509,29 +499,51 @@ def cert_to_json(cert: PrescriptionCertificate) -> dict:
     }
 
 
-def cert_from_json(doc: dict) -> PrescriptionCertificate:
-    if not isinstance(doc, dict) or doc.get("schema") != CERT_SCHEMA_ID:
+_TARGET_FIELDS = {
+    "average": (AverageQuad, ("avg_lower", "sol_lower", "sol_upper", "avg_upper")),
+    "data": (DataQuad, ("data_lower", "sol_lower", "sol_upper", "data_upper")),
+}
+
+
+def _field(doc: dict, key: str, where: str):
+    if key not in doc:
+        raise DomainError(f"{where} lacks the field {key!r}")
+    return doc[key]
+
+
+def cert_from_json(doc) -> PrescriptionCertificate:
+    """Certificate from a cert/1 document; any malformed part is a DomainError.
+
+    The structure is checked here; the target values, the dimension and the
+    bands are checked by the dataclasses they build.
+    """
+    if not isinstance(doc, dict):
+        raise DomainError(
+            f"a {CERT_SCHEMA_ID} document must be a JSON object, got {type(doc).__name__}")
+    if doc.get("schema") != CERT_SCHEMA_ID:
         raise DomainError(
             f"expected schema {CERT_SCHEMA_ID!r}, got {doc.get('schema')!r}")
-    tdoc = doc["target"]
-    if tdoc.get("kind") == "average":
-        kind = AverageQuad(tdoc["avg_lower"], tdoc["sol_lower"],
-                           tdoc["sol_upper"], tdoc["avg_upper"])
-    elif tdoc.get("kind") == "data":
-        kind = DataQuad(tdoc["data_lower"], tdoc["sol_lower"],
-                        tdoc["sol_upper"], tdoc["data_upper"])
-    else:
+    tdoc = _field(doc, "target", "certificate")
+    if not isinstance(tdoc, dict):
+        raise DomainError(f"certificate target must be an object, got {tdoc!r}")
+    if tdoc.get("kind") not in _TARGET_FIELDS:
         raise DomainError(f"unknown target kind {tdoc.get('kind')!r}")
-    target = PrescriptionTarget(kind, int(tdoc["n"]))
-    h_band = doc["expected_H_band"]
+    quad_cls, keys = _TARGET_FIELDS[tdoc["kind"]]
+    tag = _field(doc, "construction_tag", "certificate")
+    if not isinstance(tag, str):
+        raise DomainError(f"construction_tag must be a string, got {tag!r}")
+    m_used = _field(doc, "m_used", "certificate")
+    if m_used is not None:
+        _check_finite(m_used=m_used)
     return PrescriptionCertificate(
-        target=target,
-        data=expr_from_json(doc["data"]),
-        construction_tag=doc["construction_tag"],
-        m_used=doc["m_used"],
-        expected_phi_band=tuple(doc["expected_phi_band"]),
-        expected_H_band=None if h_band is None else tuple(h_band),
-        expected_u_band=tuple(doc["expected_u_band"]),
+        target=PrescriptionTarget(quad_cls(*(_field(tdoc, key, "target") for key in keys)),
+                                  _field(tdoc, "n", "target")),
+        data=expr_from_json(_field(doc, "data", "certificate")),
+        construction_tag=tag,
+        m_used=m_used,
+        expected_phi_band=_field(doc, "expected_phi_band", "certificate"),
+        expected_H_band=_field(doc, "expected_H_band", "certificate"),
+        expected_u_band=_field(doc, "expected_u_band", "certificate"),
     )
 
 

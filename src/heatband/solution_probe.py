@@ -7,11 +7,18 @@ verify_certificate runs all three measurements against a certificate's
 analytic bands, and u_offcenter_1d probes u(x, t) away from the origin in
 dimension one.
 
-Fast piecewise content (2 pi periodic waves, triangular bump trains) would
-alias under adaptive panels once sqrt(4t) is large, so those terms integrate
-segment-exactly against Gaussian power moments; beyond a segment budget the
-wave contribution is replaced by zero together with a rigorous
-integration-by-parts bound on what was dropped.
+The weighted integral is routed per part of the data.  Constants are exact
+(c times a Gaussian moment).  Parts analytic in log tau (log sines, their
+average preimages, the doubly-log sine, trig-polynomial profiles of
+log(tau + 1)) share one trapezoid sum on the x = log z axis, whose error
+decays exponentially in 1/h and is bounded through the width of the strip
+where the integrand stays analytic.  Fast piecewise content (2 pi periodic
+waves, triangular bump trains) would alias under adaptive panels once
+sqrt(4t) is large: waves integrate segment-exactly against Gaussian power
+moments, with a zero-plus-integration-by-parts bound beyond a segment
+budget, and bumps by a Gauss-Legendre rule local to each bump.  The rest
+(trapezoid profiles of log(tau + 1), which jump, and plain callables) goes
+through adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import numpy as np
 from scipy.special import erfc as _erfc
 
 from .errors import (
+    ConvergenceError,
     DomainError,
     EvaluationError,
     PartialBandError,
@@ -43,6 +51,7 @@ from .initial_data import (
     SlowFromPeriodic,
     Sum,
     TrigPolynomial,
+    _log_strip_bound,
     band_witnesses,
     eval_phi,
     numeric_H,
@@ -78,6 +87,18 @@ _X_CAP = 350.0
 # total linear segments a single exact wave integral may enumerate; beyond
 # this the integration-by-parts zero-with-bound branch takes over
 _WAVE_SEGMENT_BUDGET = 2_000_000
+
+# Gauss-Legendre rule on [0, 1] for the bump pieces, applied on z-panels no
+# wider than _BUMP_PANEL
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_NODES = 0.5 * (_GL_NODES + 1.0)
+_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+_BUMP_PANEL = 0.125
+
+# half-width a of the strip |Im x| < a around the x = log z axis on which the
+# log-axis trapezoid route bounds its integrand; the kernel
+# exp((k+1) x - e^{2x}) stays integrable up to pi/4
+_STRIP = math.pi / 8.0
 
 
 @dataclass(frozen=True)
@@ -227,9 +248,14 @@ def _bump_weighted_integral(expr: BumpTrain, k: int, root: float,
                             z_cut: float) -> tuple[float, float]:
     """(value, error bound) for the weighted integral of a bump train.
 
-    The (constant) baseline integrates in closed form over all of (0, inf);
-    each triangular bump inside the window contributes two exact linear
-    pieces.  Bumps beyond the window are covered by the Gaussian tail bound.
+    The (constant) baseline integrates in closed form over all of (0, inf).
+    Each bump inside the window is a rising and a falling linear piece of
+    z-width d = half_width / root, integrated by a fixed Gauss-Legendre rule
+    on panels at most _BUMP_PANEL wide, vectorized over the pieces.  The
+    rule works in coordinates local to each piece: at fraction s of a piece
+    the bump is height * s (rising) or height * (1 - s) (falling), so no
+    large coefficient cancels however far out the centres lie.  Bumps beyond
+    the window are covered by the Gaussian tail bound.
     """
     value = expr.baseline * gaussian_power_tail(k, 0.0)
     tau_max = z_cut * root
@@ -239,26 +265,29 @@ def _bump_weighted_integral(expr: BumpTrain, k: int, root: float,
     if centers.size == 0:
         return value, err
 
-    hw = expr.half_width
-    slope = expr.height / hw
-    for c in centers:
-        # rising piece on [c - hw, c]: height + slope (tau - c)
-        lo = max(c - hw, 0.0) / root
-        hi = min(c, tau_max) / root
-        if lo < hi:
-            value += _linear_pieces_integral(
-                k, lo, hi, expr.height - slope * c, slope * root)
-        # falling piece on [c, c + hw]: height - slope (tau - c)
-        lo = max(c, 0.0) / root
-        hi = min(c + hw, tau_max) / root
-        if lo < hi:
-            value += _linear_pieces_integral(
-                k, lo, hi, expr.height + slope * c, -slope * root)
-    return value, err
+    d = expr.half_width / root
+    z_centers = centers / root
+    starts = np.concatenate([z_centers - d, z_centers])  # rising, then falling
+    # the part [s_lo, s_hi] of each piece that lies inside [0, z_cut]
+    s_lo = np.clip(-starts / d, 0.0, 1.0)
+    s_hi = np.clip((z_cut - starts) / d, 0.0, 1.0)
+    panels = max(1, math.ceil(min(d, z_cut) / _BUMP_PANEL))
+    u = ((np.arange(panels)[:, None] + _GL_NODES) / panels).ravel()
+    w = np.tile(_GL_WEIGHTS, panels) / panels
+    s = s_lo[:, None] + (s_hi - s_lo)[:, None] * u
+    z = starts[:, None] + d * s
+    frac = np.concatenate([s[:centers.size], 1.0 - s[centers.size:]])
+    per_piece = (s_hi - s_lo) * ((z ** k * np.exp(-z * z) * frac) @ w)
+    return value + expr.height * d * float(np.sum(per_piece)), err
+
+
+def _as_sum(terms: list):
+    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
 def _split_fast_terms(expr: InitialDataExpr):
-    """Separate aliasing-prone piecewise terms from slow/smooth content."""
+    """Signed leaves (sign, leaf) of expr under Sum/Negate, as two lists:
+    slow/smooth content, then aliasing-prone piecewise terms."""
     smooth = []
     fast = []
 
@@ -271,16 +300,10 @@ def _split_fast_terms(expr: InitialDataExpr):
         elif isinstance(e, (PeriodicZeroMean, BumpTrain)):
             fast.append((sign, e))
         else:
-            smooth.append(e if sign > 0 else Negate(e))
+            smooth.append((sign, e))
 
     walk(expr, 1.0)
-    if not smooth:
-        smooth_expr = None
-    elif len(smooth) == 1:
-        smooth_expr = smooth[0]
-    else:
-        smooth_expr = Sum(tuple(smooth))
-    return smooth_expr, fast
+    return smooth, fast
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +320,62 @@ def _check_time(t):
 
 
 def _check_dim(n):
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"dimension n must be a positive integer, got {n!r}")
 
 
+def _log_trapezoid_weighted(expr, k: int, root: float, mass: float, omega: float,
+                            spec: QuadratureSpec) -> tuple[float, float]:
+    """(value, error bound) for int_0^inf z^k e^{-z^2} expr(root z) dz.
+
+    expr is a sum of leaves accepted by _log_strip_bound, whose masses sum
+    to mass and whose frequencies are at most omega.  On the x = log z axis
+    the integrand
+    f(x) = exp((k+1) x - e^{2x}) expr(root e^x) is analytic in the strip
+    |Im x| < a = _STRIP, and there the integral of |f(x + iy)| over x is at
+    most M = mass e^{omega a} M_k cos(2a)^(-(k+1)/2), with
+    M_k = int_0^inf z^k e^{-z^2} dz.
+    The trapezoid rule with step h on the whole line then errs by at most
+    2 M / (e^{2 pi a / h} - 1) (Trefethen & Weideman, SIAM Rev. 56, 2014,
+    Theorem 5.1); any h <= 2 pi a / log(2 + 4 M / abs_tol) keeps that below
+    abs_tol / 2.  Keeping only the nodes on [-40/(k+1), log z_max] adds at
+    most mass (e^{-40} / (k+1) + G_k(z_max)), G_k the Gaussian power tail.
+    The bound returned is the sum of the two.  More than max_panels nodes
+    raise ConvergenceError.
+    """
+    # log(4 M / abs_tol); mass is floored at abs_tol, which only shrinks h
+    log_ratio = (omega * _STRIP
+                 + math.log(4.0 * max(mass, spec.abs_tol) * gaussian_power_tail(k, 0.0)
+                            / spec.abs_tol)
+                 - 0.5 * (k + 1) * math.log(math.cos(2.0 * _STRIP)))
+    x_lo, x_hi = -40.0 / (k + 1), math.log(spec.z_max)
+    steps = ((x_hi - x_lo) * (log_ratio + math.log1p(2.0 * math.exp(-log_ratio)))
+             / (2.0 * math.pi * _STRIP))
+    if not steps < spec.max_panels:
+        raise ConvergenceError(
+            f"log-axis trapezoid needs {steps:.3g} nodes, exceeding "
+            f"max_panels={spec.max_panels}")
+    count = int(steps) + 2
+    h = (x_hi - x_lo) / (count - 1)
+    x = x_hi - h * np.arange(count)
+    vals = eval_phi(expr, root * np.exp(x))
+    if not np.all(np.isfinite(vals)):
+        bad = float(root * np.exp(x[~np.isfinite(vals)][0]))
+        raise EvaluationError(
+            f"initial data returned a non-finite value at tau = {bad!r}", point=bad)
+    value = h * float(np.dot(np.exp((k + 1) * x - np.exp(2.0 * x)), vals))
+    tails = mass * (math.exp(-40.0) / (k + 1) + gaussian_power_tail(k, spec.z_max))
+    return value, 0.5 * spec.abs_tol + tails
+
+
 def _weighted_value(expr, n, k: int, root: float, spec: QuadratureSpec) -> float:
-    """int_0^inf z^k e^{-z^2} expr(root z) dz with per-variant routing."""
+    """int_0^inf z^k e^{-z^2} expr(root z) dz with per-variant routing.
+
+    Constants are exact (c M_k); leaves analytic in log tau share one
+    log-axis trapezoid sum; waves and bump trains take their exact routes;
+    the rest (trapezoid profiles, which jump, and plain callables) goes
+    through adaptive quadrature.
+    """
     if not isinstance(expr, InitialDataExpr):
         if not callable(expr):
             raise DomainError(
@@ -310,10 +383,29 @@ def _weighted_value(expr, n, k: int, root: float, spec: QuadratureSpec) -> float
         return integrate_weighted(lambda z: expr(root * z), k, spec).value
 
     smooth, fast = _split_fast_terms(expr)
-    total = 0.0
-    if smooth is not None:
+    constant, mass, omega = 0.0, 0.0, 0.0
+    analytic, rest = [], []
+    for sign, leaf in smooth:
+        if isinstance(leaf, Constant):
+            constant += sign * leaf.c
+            continue
+        term = leaf if sign > 0 else Negate(leaf)
+        bound = _log_strip_bound(leaf)
+        if bound is None:
+            rest.append(term)
+        else:
+            analytic.append(term)
+            mass += bound[0]
+            omega = max(omega, bound[1])
+
+    total = constant * gaussian_power_tail(k, 0.0)
+    if analytic:
+        total += _log_trapezoid_weighted(
+            _as_sum(analytic), k, root, mass, omega, spec)[0]
+    if rest:
+        rest_expr = _as_sum(rest)
         total += integrate_weighted(
-            lambda z: eval_phi(smooth, root * z), k, spec).value
+            lambda z: eval_phi(rest_expr, root * z), k, spec).value
     for sign, term in fast:
         if isinstance(term, PeriodicZeroMean):
             val, _ = _wave_weighted_integral(term, k, root, spec.z_max)
@@ -660,7 +752,7 @@ def verify_certificate(cert: PrescriptionCertificate, n: int | None = None,
         for t in gap_times:
             u_val = u_at(t)
             max_abs_u = max(max_abs_u, abs(u_val))
-            pairs.append((float(t), abs(u_val - envelope_u(cert, t, spec))))
+            pairs.append((float(t), abs(u_val - envelope_u(cert, t))))
         gaps = tuple(pairs)
     except (UnsupportedExpression, DomainError):
         notes.append("no envelope formula for this construction; gaps omitted")

@@ -257,6 +257,58 @@ class TestVerify:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @staticmethod
+    def _string_n(doc):
+        doc["target"]["n"] = "2"
+
+    @staticmethod
+    def _bool_n(doc):
+        doc["target"]["n"] = True
+
+    @staticmethod
+    def _bool_band_end(doc):
+        doc["expected_u_band"][1] = True
+
+    @staticmethod
+    def _no_u_band(doc):
+        del doc["expected_u_band"]
+
+    @staticmethod
+    def _no_data_variant(doc):
+        del doc["data"]["expr"]["variant"]
+
+    @staticmethod
+    def _bare_cert(doc):
+        return {"schema": "cert/1", "n": 2, "data": []}
+
+    @staticmethod
+    def _list_document(doc):
+        return [doc]
+
+    @staticmethod
+    def _list_band(doc):
+        doc["expected_phi_band"] = ["-1", "1"]
+
+    @staticmethod
+    def _missing_expr_field(doc):
+        del doc["data"]["expr"]["amplitude"]
+
+    @pytest.mark.parametrize("mangle", [
+        "_bare_cert", "_list_document", "_string_n", "_bool_n", "_bool_band_end",
+        "_no_u_band", "_no_data_variant", "_list_band", "_missing_expr_field"])
+    def test_malformed_certificate_exits_two(self, tmp_path, average_cert_file,
+                                             capsys, mangle):
+        doc = json.loads(average_cert_file.read_text())
+        mangled = getattr(self, mangle)(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc if mangled is None else mangled))
+        code = run_cli(["verify", "--cert", str(bad), "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("heatband verify:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
 
 # ---------------------------------------------------------------------------
 # reproduce and shared plumbing

@@ -604,6 +604,24 @@ class TestSerialization:
         with pytest.raises(DomainError, match="variant"):
             from_json({"schema": "idexpr/1", "expr": {"variant": "mystery"}})
 
+    @pytest.mark.parametrize("doc", [
+        [],
+        {"schema": "idexpr/1"},
+        {"schema": "idexpr/1", "expr": {"variant": "constant"}},
+        {"schema": "idexpr/1", "expr": {"variant": "constant", "c": "2"}},
+        {"schema": "idexpr/1", "expr": {"variant": "sum", "terms": 3}},
+        {"schema": "idexpr/1", "expr": {"variant": "periodic_of_log", "g": []}},
+        {"schema": "idexpr/1", "expr": {"variant": "log_sine_avg_preimage",
+                                        "amplitude": 1.0, "m": 1.0,
+                                        "offset": 0.0, "n": "2"}},
+        {"schema": "idexpr/1", "expr": {"variant": "log_sine_avg_preimage",
+                                        "amplitude": 1.0, "m": 1.0,
+                                        "offset": 0.0, "n": True}},
+    ])
+    def test_malformed_documents_raise_domain_error(self, doc):
+        with pytest.raises(DomainError):
+            from_json(doc)
+
     def test_unknown_center_law_rejected(self):
         doc = to_json(BumpTrain(0.7, 0.3, 0.2, GeometricCenters()))
         doc["expr"]["centers"] = {"law": "fibonacci"}

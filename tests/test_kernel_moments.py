@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from heatband.errors import DomainError, SearchFailure
+from heatband.errors import ConvergenceError, DomainError, SearchFailure
 from heatband.kernel_moments import (
     SCAN_GRID_HI,
     SCAN_GRID_LO,
@@ -175,3 +175,92 @@ class TestSolveM:
         # norm(1e-3) is around 1 - 1e-7; a ratio above it has no bracket
         with pytest.raises(SearchFailure):
             solve_m(1, 1.0 - 1e-12, KernelFlavor.AVERAGE)
+
+
+# ---------------------------------------------------------------------------
+# Closed form against independent mpmath oracles
+
+
+def mpmath_moment_quad(p: int, m: float) -> complex:
+    """int_0^inf e^{-z^2} z^p e^{i m log z} dz / (Gamma((p+1)/2) / 2) by mpmath.quad.
+
+    Integrated on x = log z, split into pieces shorter than one period so
+    the quadrature never spans many oscillations.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        lo, hi = -50.0 / (p + 1), 3.0
+        pieces = max(8, math.ceil((hi - lo) * m / 3.0))
+        cuts = [lo + (hi - lo) * j / pieces for j in range(pieces + 1)]
+        val = mpmath.quad(
+            lambda x: mpmath.exp((p + 1) * x - mpmath.exp(2 * x) + 1j * m * x),
+            cuts, method="gauss-legendre")
+        return complex(val / (mpmath.gamma(mpmath.mpf(p + 1) / 2) / 2))
+
+
+def mpmath_moment_gamma(p: int, m: float) -> complex:
+    """Gamma(s + i m/2) / Gamma(s), s = (p+1)/2, in mpmath's own Gamma."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        s = mpmath.mpf(p + 1) / 2
+        return complex(mpmath.gamma(s + 0.5j * m) / mpmath.gamma(s))
+
+
+class TestClosedFormMoments:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("flavor", list(KernelFlavor))
+    @pytest.mark.parametrize("m", [1e-3, 0.9, 6.0])
+    def test_against_mpmath_quadrature(self, n, flavor, m):
+        want = mpmath_moment_quad(flavor.power(n), m)
+        got = kernel_moments(n, m, flavor)
+        assert got.a_value == pytest.approx(want.real, abs=1e-13)
+        assert got.b_value == pytest.approx(want.imag, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("flavor", list(KernelFlavor))
+    @pytest.mark.parametrize("m", [1e-3, 2.5, 60.0, 200.0, 500.0])
+    def test_against_mpmath_gamma(self, n, flavor, m):
+        want = mpmath_moment_gamma(flavor.power(n), m)
+        got = kernel_moments(n, m, flavor)
+        miss = abs(complex(got.a_value, got.b_value) - want)
+        assert miss <= 1e-12 * abs(want)
+        assert miss <= got.abs_error_est
+
+    @pytest.mark.parametrize("m", [500.0001, 501.0, 1e4])
+    def test_refuses_frequencies_above_500(self, m):
+        with pytest.raises(ConvergenceError):
+            kernel_moments(2, m, KernelFlavor.DATA)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("flavor", list(KernelFlavor))
+    def test_norm_strictly_decreasing(self, n, flavor):
+        norms = [moment_norm(n, float(m), flavor) for m in np.geomspace(1e-3, 1e2, 400)]
+        assert all(b < a for a, b in zip(norms, norms[1:]))
+
+
+class TestSolveMBracket:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    @pytest.mark.parametrize("flavor", list(KernelFlavor))
+    @pytest.mark.parametrize("ratio", [1e-20, 0.05, 0.5, 0.95, 0.9999])
+    def test_root_solves_the_gamma_ratio(self, n, flavor, ratio):
+        m = solve_m(n, ratio, flavor)
+        assert SCAN_GRID_LO <= m <= SCAN_GRID_HI
+        assert abs(moment_norm(n, m, flavor) - ratio) <= 1e-10
+        assert abs(mpmath_moment_gamma(flavor.power(n), m)) == pytest.approx(ratio, rel=1e-9)
+
+    @pytest.mark.parametrize("flavor", list(KernelFlavor))
+    def test_ratio_below_bracket_fails_searching(self, flavor):
+        below = 0.5 * moment_norm(2, SCAN_GRID_HI, flavor)
+        with pytest.raises(SearchFailure):
+            solve_m(2, below, flavor)
+
+    @pytest.mark.parametrize("flavor", list(KernelFlavor))
+    def test_ratio_above_bracket_fails_searching(self, flavor):
+        above = 0.5 * (1.0 + moment_norm(2, SCAN_GRID_LO, flavor))
+        with pytest.raises(SearchFailure):
+            solve_m(2, above, flavor)
+
+    def test_bracket_ends_are_roots(self):
+        for m in (SCAN_GRID_LO, SCAN_GRID_HI):
+            ratio = moment_norm(3, m, KernelFlavor.AVERAGE)
+            assert solve_m(3, ratio, KernelFlavor.AVERAGE) == pytest.approx(m, rel=1e-9)

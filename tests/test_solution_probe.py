@@ -46,14 +46,17 @@ from heatband import (
     u_origin_from_H,
     verify_certificate,
 )
+from heatband.initial_data import _log_strip_bound
 from heatband.quadrature import QuadratureSpec, gaussian_power_tail, integrate_weighted
 from heatband.solution_probe import (
     REPORT_SCHEMA_ID,
     _bump_weighted_integral,
     _gaussian_segment_integrals,
+    _log_trapezoid_weighted,
     _primitive_abs_max,
     _split_fast_terms,
     _wave_weighted_integral,
+    _weighted_value,
 )
 
 # ---------------------------------------------------------------------------
@@ -259,20 +262,21 @@ class TestSplitFastTerms:
         wave = PeriodicZeroMean(1.0, -1.0)
         bumps = BumpTrain(1.0, 0.5, 0.0, GeometricCenters(math.e))
         smooth, fast = _split_fast_terms(Sum((slow, wave, Negate(bumps))))
-        assert smooth == slow
+        assert smooth == [(1.0, slow)]
         assert fast == [(1.0, wave), (-1.0, bumps)]
 
     def test_pure_wave_has_no_smooth_part(self):
         wave = PeriodicZeroMean(1.0, -1.0)
         smooth, fast = _split_fast_terms(wave)
-        assert smooth is None
+        assert smooth == []
         assert fast == [(1.0, wave)]
 
     def test_negated_sum_distributes_sign(self):
         wave = PeriodicZeroMean(1.0, -1.0)
         smooth, fast = _split_fast_terms(Negate(Sum((Constant(3.0), wave))))
         assert fast == [(-1.0, wave)]
-        assert eval_phi(smooth, 10.0) == pytest.approx(-3.0)
+        assert sum(sign * eval_phi(leaf, 10.0) for sign, leaf in smooth) \
+            == pytest.approx(-3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +378,172 @@ class TestPeriodicAveraging:
         expr = Sum((PeriodicZeroMean(1.0, -1.0), Constant(0.7)))
         assert abs(u_origin(expr, n, 1e6) - 0.7) < 1e-2
         assert abs(numeric_H(expr, n, 1e4) - 0.7) < 1e-2
+
+
+# ---------------------------------------------------------------------------
+# Log-axis trapezoid route against mpmath
+
+
+def mpmath_weighted(phi, k: int, t: float, omega: float) -> float:
+    """int_0^inf z^k e^{-z^2} phi(sqrt(4t) z) dz by mpmath.quad on x = log z.
+
+    phi takes and returns mpmath numbers.  The x range is cut into pieces
+    shorter than a third of the period 2 pi / omega.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        root = mpmath.sqrt(4 * mpmath.mpf(t))
+        lo, hi = -50.0 / (k + 1), 3.0
+        pieces = max(8, math.ceil((hi - lo) * omega / 2.0))
+        cuts = [lo + (hi - lo) * j / pieces for j in range(pieces + 1)]
+        return float(mpmath.quad(
+            lambda x: mpmath.exp((k + 1) * x - mpmath.exp(2 * x)) * phi(root * mpmath.exp(x)),
+            cuts, method="gauss-legendre"))
+
+
+def mp_log_sine(amp, m, off):
+    def phi(tau):
+        import mpmath
+        return amp * mpmath.sin(m * mpmath.log1p(tau)) + off
+    return phi
+
+
+def mp_avg_preimage(amp, m, off, n):
+    def phi(tau):
+        import mpmath
+        theta = m * mpmath.log1p(tau)
+        return amp * (mpmath.sin(theta) + m * tau / (n * (tau + 1)) * mpmath.cos(theta)) + off
+    return phi
+
+
+def mp_log_log_sine(amp, off):
+    def phi(tau):
+        import mpmath
+        return amp * mpmath.sin(mpmath.log(mpmath.log(tau + 2))) + off
+    return phi
+
+
+def mp_negated_profile(tau):
+    """-(0.1 + 0.3 cos L + 0.2 cos 3L + 0.5 sin L), L = log(tau + 1)."""
+    import mpmath
+    x = mpmath.log1p(tau)
+    return -(0.1 + 0.3 * mpmath.cos(x) + 0.2 * mpmath.cos(3 * x) + 0.5 * mpmath.sin(x))
+
+
+def log_analytic_cases(n):
+    """(label, expression, mpmath phi, top log frequency) for dimension n."""
+    two_mode = (mp_avg_preimage(1.0, 1.0, 0.0, n), mp_avg_preimage(1.0, 2.0, 0.0, n))
+    trig = hb.TrigPolynomial(0.1, (0.3, 0.0, 0.2), (0.5,))
+    return [
+        ("log-sine", LogSine(0.8, 0.7, 0.2), mp_log_sine(0.8, 0.7, 0.2), 0.7),
+        ("preimage", LogSineAvgPreimage(0.6, 2.3, -0.1, n),
+         mp_avg_preimage(0.6, 2.3, -0.1, n), 2.3),
+        ("doubly-log", hb.LogLogSine(0.5, 0.1), mp_log_log_sine(0.5, 0.1), 1.5),
+        ("two-mode", hb.phi_from_H(Sum((LogSine(1.0, 1.0, 0.0), LogSine(1.0, 2.0, 0.0))), n),
+         lambda tau: two_mode[0](tau) + two_mode[1](tau), 2.0),
+        ("trig-profile", Negate(hb.PeriodicOfLog(trig)), mp_negated_profile, 3.0),
+    ]
+
+
+def u_coefficients(n):
+    """(k, coeff) of u_origin and of u_origin_from_H in dimension n."""
+    return {u_origin: (n - 1, 2.0 / math.gamma(n / 2.0)),
+            u_origin_from_H: (n + 1, 2.0 / math.gamma(n / 2.0 + 1.0))}
+
+
+class TestLogAxisRoute:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("route", [u_origin, u_origin_from_H])
+    @pytest.mark.parametrize("t", [1e-2, 1e6, 1e30])
+    def test_against_mpmath(self, n, route, t):
+        k, coeff = u_coefficients(n)[route]
+        for label, expr, phi, omega in log_analytic_cases(n):
+            want = coeff * mpmath_weighted(phi, k, t, omega)
+            assert route(expr, n, t) == pytest.approx(want, abs=1e-12), label
+
+    @pytest.mark.parametrize("n,route,t", [(2, u_origin, 1e6), (2, u_origin_from_H, 1e30)])
+    def test_high_frequency_against_mpmath(self, n, route, t):
+        k, coeff = u_coefficients(n)[route]
+        want = coeff * mpmath_weighted(mp_log_sine(1.0, 100.0, 0.3), k, t, 100.0)
+        assert route(LogSine(1.0, 100.0, 0.3), n, t) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("t", [1e-2, 1.0, 1e4, 1e12, 1e30])
+    def test_agrees_with_adaptive_route(self, n, t):
+        spec = QuadratureSpec()
+        root = math.sqrt(4.0 * t)
+        for route, (k, coeff) in u_coefficients(n).items():
+            for label, expr, _, _ in log_analytic_cases(n):
+                adaptive = coeff * integrate_weighted(
+                    lambda z: eval_phi(expr, root * z), k, spec).value
+                assert route(expr, n, t) == pytest.approx(adaptive, abs=1e-10), label
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_error_bound_covers_mpmath(self, k):
+        expr = LogSineAvgPreimage(0.6, 2.3, -0.1, 2)
+        spec = QuadratureSpec()
+        mass, omega = _log_strip_bound(expr)
+        value, bound = _log_trapezoid_weighted(expr, k, 2e3, mass, omega, spec)
+        want = mpmath_weighted(mp_avg_preimage(0.6, 2.3, -0.1, 2), k, 1e6, 2.3)
+        assert abs(value - want) <= bound
+        assert bound < 1e-12
+
+    def test_constant_is_exact(self):
+        for k in range(6):
+            assert _weighted_value(Constant(0.3), 1, k, 7.0, QuadratureSpec()) \
+                == 0.3 * gaussian_power_tail(k, 0.0)
+
+    def test_routing(self):
+        assert _log_strip_bound(Constant(1.0)) is None
+        assert _log_strip_bound(hb.PeriodicOfLog(hb.TrapezoidWave(1.0, -0.5, 0.4))) is None
+        assert _log_strip_bound(LogSineAvgPreimage(1.0, 2.0, -0.5, 4)) == (2.0, 2.0)
+
+    def test_non_finite_values_raise(self, monkeypatch):
+        import heatband.solution_probe as sp
+
+        monkeypatch.setattr(sp, "eval_phi", lambda expr, tau: np.full_like(tau, np.nan))
+        with pytest.raises(EvaluationError):
+            u_origin(LogSine(1.0, 1.0, 0.0), 1, 1.0)
+
+    def test_node_budget_raises(self):
+        with pytest.raises(hb.ConvergenceError):
+            u_origin(LogSine(1.0, 1e6, 0.0), 1, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Bump trains far out, against mpmath
+
+
+def mpmath_bump_u(n: int, t: float) -> float:
+    """u(0, t) of BumpTrain(1, 0.5, 0, GeometricCenters(e)) by mpmath, per bump."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        root = mpmath.sqrt(4 * mpmath.mpf(t))
+        hw = mpmath.mpf(1) / 2
+        total = mpmath.mpf(0)
+        j = 1
+        while True:
+            c = mpmath.e ** j
+            if c - hw > 12 * root:
+                break
+            for sign in (-1, 1):  # rising piece, then falling piece
+
+                def piece(s, c=c, sign=sign):
+                    z = (c + sign * (1 - s) * hw) / root
+                    return s * mpmath.exp(-z * z) * z ** (n - 1)
+                total += hw / root * mpmath.quad(piece, [0, 1])
+            j += 1
+        return float(2 / mpmath.gamma(mpmath.mpf(n) / 2) * total)
+
+
+class TestBumpTrainFarOut:
+    BUMPS = BumpTrain(1.0, 0.5, 0.0, GeometricCenters(math.e))
+
+    @pytest.mark.parametrize("t", [3.2e11, 1e21, 1e30])
+    def test_against_mpmath(self, t):
+        got = u_origin(self.BUMPS, 2, t)
+        assert 0.0 <= got <= 1.0
+        assert got == pytest.approx(mpmath_bump_u(2, t), rel=1e-10, abs=1e-300)
 
 
 # ---------------------------------------------------------------------------
