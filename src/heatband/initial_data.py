@@ -17,12 +17,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, RangeError, UnsupportedExpression
-from .quadrature import integrate_interval
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    EvaluationError,
+    RangeError,
+    UnsupportedExpression,
+)
+from .kernel_moments import check_dimension
+from .quadrature import GL_NODES, GL_WEIGHTS, integrate_interval
 
 __all__ = [
     "PeriodicFunction", "TrapezoidWave", "TrigPolynomial",
@@ -43,6 +50,7 @@ TWO_PI = 2.0 * math.pi
 # Largest double; centers or tau beyond this are not representable.
 _FLOAT_MAX = float(np.finfo(float).max)
 _LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
+_EPS = float(np.finfo(float).eps)
 
 # Bernoulli numbers B_0 .. B_10 with B_1 = -1/2, for Faulhaber sums
 # S_p(N) = sum_{q=0}^{N-1} q^p used by the exact periodic radial integral.
@@ -396,7 +404,7 @@ class LogSineAvgPreimage(InitialDataExpr):
             raise DomainError(f"m must be positive, got {self.m!r}")
         if not math.isfinite(self.offset):
             raise DomainError(f"offset must be finite, got {self.offset!r}")
-        _check_n(self.n)
+        check_dimension(self.n)
 
     def _values(self, tau):
         theta = self.m * np.log1p(tau)
@@ -504,7 +512,7 @@ class SlowFromPeriodic(InitialDataExpr):
         if not isinstance(self.g, (TrapezoidWave, TrigPolynomial)):
             raise DomainError("g must be a TrapezoidWave or TrigPolynomial, "
                               f"got {type(self.g).__name__}")
-        _check_n(self.n)
+        check_dimension(self.n)
 
     def _values(self, tau):
         x = np.log1p(tau)
@@ -604,7 +612,7 @@ def closed_H(expr: InitialDataExpr, n: int) -> InitialDataExpr | None:
     LogSineAvgPreimage averages to the matching LogSine, SlowFromPeriodic to
     its periodic profile of log(tau+1), constants to themselves.
     """
-    _check_n(n)
+    check_dimension(n)
     if isinstance(expr, Constant):
         return expr
     if isinstance(expr, LogSineAvgPreimage):
@@ -633,7 +641,7 @@ def phi_from_H(h_expr: InitialDataExpr, n: int) -> InitialDataExpr:
     phi = H + (tau/n) H'.  Supported H forms: LogSine, Constant,
     PeriodicOfLog, and sums/negations of these.
     """
-    _check_n(n)
+    check_dimension(n)
     if isinstance(h_expr, Constant):
         return h_expr
     if isinstance(h_expr, LogSine):
@@ -649,67 +657,67 @@ def phi_from_H(h_expr: InitialDataExpr, n: int) -> InitialDataExpr:
         "H forms are LogSine, Constant, PeriodicOfLog, and sums/negations")
 
 
-def _check_n(n):
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"dimension n must be a positive integer, got {n!r}")
-
-
 # ---------------------------------------------------------------------------
-# Numeric ball average
+# Leaf routes
+
+# Half-width a of the strip |Im s| < a around a log-radius axis (s = log z for
+# u(0, t), s = log(r / tau) for ball averages) inside which _log_strip_bound
+# bounds the analytic leaves; the u kernel exp((k+1) s - e^{2s}) stays
+# integrable up to pi/4.
+_STRIP = math.pi / 8.0
 
 
-def numeric_H(expr: InitialDataExpr, n: int, tau: float, tol: float = 1e-8) -> float:
-    """Ball average H(tau) = (n/tau^n) int_0^tau phi r^(n-1) dr, H(0) = phi(0).
+@dataclass(frozen=True)
+class _Leaves:
+    """The signed leaves of an expression under Sum and Negate, by route.
 
-    Piecewise-linear variants (trapezoid waves, bump trains) integrate
-    segment-exactly; adaptive panels would alias their exponentially sparse
-    or fine structure.  Smooth variants go through adaptive quadrature on
-    the x = log(r+1) axis, where log-periodic oscillation has uniform
-    frequency.
+    Every leaf is a (sign, leaf) pair.  constant is the sum of the signed
+    constants; analytic holds the leaves accepted by _log_strip_bound, with
+    their strip masses summed in mass and their top log frequency in omega;
+    fast holds the 2 pi periodic waves and the bump trains, whose fine
+    structure needs exact routes; rest holds everything else (trapezoid
+    profiles of log(tau + 1), which jump).
     """
-    _check_n(n)
-    if not (math.isfinite(tau) and tau >= 0):
-        raise DomainError(f"tau must be finite and nonnegative, got {tau!r}")
-    if not (tol > 0):
-        raise DomainError(f"tol must be positive, got {tol!r}")
-    if tau == 0.0:
-        return eval_phi(expr, 0.0)
-    return n * _scaled_radial_integral(expr, n, float(tau), tol)
+
+    constant: float
+    analytic: tuple[tuple[float, InitialDataExpr], ...]
+    mass: float
+    omega: float
+    fast: tuple[tuple[float, InitialDataExpr], ...]
+    rest: tuple[tuple[float, InitialDataExpr], ...]
 
 
-def _scaled_radial_integral(expr, n, tau, tol):
-    """(1/tau^n) int_0^tau phi(r) r^(n-1) dr, dispatched per variant."""
-    if isinstance(expr, Constant):
-        return expr.c / n
-    if isinstance(expr, Negate):
-        return -_scaled_radial_integral(expr.term, n, tau, tol)
-    if isinstance(expr, Sum):
-        return sum(_scaled_radial_integral(t, n, tau, tol) for t in expr.terms)
-    if isinstance(expr, PeriodicZeroMean):
-        return _periodic_radial_integral(expr.wave.segments(), n, tau)
-    if isinstance(expr, BumpTrain):
-        return _bump_radial_integral(expr, n, tau)
-    return _generic_radial_integral(expr, n, tau, tol)
+def _split_leaves(expr: InitialDataExpr) -> _Leaves:
+    """Walk expr once and sort its signed leaves into their routes."""
+    constant, mass, omega = 0.0, 0.0, 0.0
+    analytic, fast, rest = [], [], []
+
+    def walk(e, sign):
+        nonlocal constant, mass, omega
+        if isinstance(e, Sum):
+            for term in e.terms:
+                walk(term, sign)
+        elif isinstance(e, Negate):
+            walk(e.term, -sign)
+        elif isinstance(e, Constant):
+            constant += sign * e.c
+        elif isinstance(e, (PeriodicZeroMean, BumpTrain)):
+            fast.append((sign, e))
+        elif (bound := _log_strip_bound(e)) is not None:
+            analytic.append((sign, e))
+            mass += bound[0]
+            omega = max(omega, bound[1])
+        else:
+            rest.append((sign, e))
+
+    walk(expr, 1.0)
+    return _Leaves(constant, tuple(analytic), mass, omega, tuple(fast), tuple(rest))
 
 
-def _generic_radial_integral(expr, n, tau, tol):
-    x_hi = math.log1p(tau)
-
-    def integrand(x):
-        r = np.expm1(x)
-        u = r / tau
-        return expr._values(r) * u ** (n - 1) * (np.exp(x) / tau)
-
-    # cap panels below the oscillation period on the x = log(r+1) axis so a
-    # uniform starting grid cannot alias a log-periodic integrand
-    freq = _max_log_frequency(expr)
-    max_width = (TWO_PI / freq) / 8.0 if freq > 0 else None
-
-    eng_tol = tol / (8.0 * n)
-    result = integrate_interval(integrand, 0.0, x_hi, rel_tol=eng_tol,
-                                abs_tol=eng_tol, max_panels=400_000,
-                                max_width=max_width)
-    return result.value
+def _signed_sum(pairs) -> InitialDataExpr:
+    """One expression for (sign, leaf) pairs, evaluated in one vectorised call."""
+    terms = [leaf if sign > 0 else Negate(leaf) for sign, leaf in pairs]
+    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
 def _max_log_frequency(expr) -> float:
@@ -759,6 +767,161 @@ def _log_strip_bound(leaf) -> tuple[float, float] | None:
     else:
         return None
     return mass, _max_log_frequency(leaf)
+
+
+# ---------------------------------------------------------------------------
+# Numeric ball average
+
+# Most nodes the log-radius Gauss rule may use; a larger need raises
+# ConvergenceError.
+_H_MAX_NODES = 100_000
+
+
+def numeric_H(expr: InitialDataExpr, n: int, tau: float, tol: float = 1e-8) -> float:
+    """Ball average H(tau) = (n/tau^n) int_0^tau phi r^(n-1) dr, H(0) = phi(0).
+
+    Each signed leaf of expr takes its own route.  Constants are exact.
+    Leaves analytic in log tau (log sines, their average preimages, the
+    doubly-log sine, trig-polynomial profiles of log(tau + 1)) share one
+    fixed Gauss-Legendre sum on s = log(r / tau), where
+    H(tau) = n int_{-inf}^0 phi(tau e^s) e^{ns} ds; its window and panels
+    come from an a-priori bound that keeps the error below tol at every tau,
+    with the same nodes for every tau.  Trapezoid waves and bump trains
+    integrate segment-exactly, since adaptive panels would alias their
+    exponentially sparse or fine structure.  Trapezoid profiles of
+    log(tau + 1), which jump, go through adaptive quadrature on the
+    x = log(r + 1) axis.
+
+    tol must be a positive finite real.  Too fine a tol for the analytic
+    leaves raises ConvergenceError, a non-finite data value EvaluationError.
+    """
+    return _ball_average(expr, n, tau, tol)[0]
+
+
+def _ball_average(expr, n, tau, tol) -> tuple[float, float]:
+    """(H(tau), error bound) for numeric_H.
+
+    The bound adds the a-priori bound of the Gauss sum and the adaptive
+    engine's error estimate for trapezoid profiles; the exact routes and
+    the rounding in evaluating phi itself are not counted.
+    """
+    check_dimension(n)
+    if not (math.isfinite(tau) and tau >= 0):
+        raise DomainError(f"tau must be finite and nonnegative, got {tau!r}")
+    if isinstance(tol, bool) or not (isinstance(tol, (int, float, np.integer, np.floating))
+                                     and math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be a positive finite real, got {tol!r}")
+    if tau == 0.0:
+        return eval_phi(expr, 0.0), 0.0
+    tau, tol = float(tau), float(tol)
+
+    leaves = _split_leaves(expr)
+    value, bound = leaves.constant, 0.0
+    if leaves.analytic:
+        scale, weights, rule_bound = _log_gauss_rule(n, leaves.mass, leaves.omega, tol)
+        vals = eval_phi(_signed_sum(leaves.analytic), tau * scale)
+        if not np.all(np.isfinite(vals)):
+            bad = float(tau * scale[~np.isfinite(vals)][0])
+            raise EvaluationError(
+                f"initial data returned a non-finite value at r = {bad!r}", point=bad)
+        value += float(weights @ vals)
+        bound += rule_bound
+    for sign, leaf in leaves.fast:
+        if isinstance(leaf, PeriodicZeroMean):
+            part = _periodic_radial_integral(leaf.wave.segments(), n, tau)
+        else:
+            part = _bump_radial_integral(leaf, n, tau)
+        value += sign * n * part
+    if leaves.rest:
+        part, err = _generic_radial_integral(_signed_sum(leaves.rest), n, tau, tol)
+        value += n * part
+        bound += n * err
+    return value, bound
+
+
+@lru_cache(maxsize=64)
+def _log_gauss_rule(n: int, mass: float, omega: float, tol: float):
+    """(e^{s_i}, w_i, error bound) with H(tau) ~ sum_i w_i phi(tau e^{s_i}).
+
+    phi is a sum of analytic leaves whose strip masses sum to mass and whose
+    frequencies are at most omega, so |phi(tau e^s)| <= mass e^{omega a} for
+    |Im s| <= a = _STRIP, whatever tau.  The rule
+
+    * cuts the window at s = -D with D = log(2 mass / tol) / n, which drops
+      at most mass e^{-nD} = tol / 2 of n int phi(tau e^s) e^{ns} ds;
+    * covers [-D, 0] with P panels of width h = D / P carrying the 8-point
+      Gauss-Legendre rule.  On a panel with centre c the Bernstein ellipse
+      E_rho with (h/4)(rho - 1/rho) = a fits in the strip and reaches
+      Re s = c + sqrt(h^2/4 + a^2), so the integrand is at most
+      n mass e^{omega a + n c + n sqrt(h^2/4 + a^2)} there, and the panel
+      errs by at most h/2 * 64/15 * that * rho^-16 / (rho^2 - 1)
+      (Trefethen, Approximation Theory and Approximation Practice,
+      Theorem 19.3).  As sum_c (h/2) e^{nc} <= 1/(2n), all panels together
+      err by at most
+          E(h) = (32/15) mass e^{omega a + n sqrt(h^2/4 + a^2)} rho^-16 / (rho^2 - 1),
+      which grows with h; P is the least panel count with E(D / P) <= tol/2.
+
+    The bound returned is E(h) + mass e^{-nD} plus the rounding of the
+    weighted sum.  Nothing depends on tau, so the rule is built once per
+    (n, mass, omega, tol).  More than _H_MAX_NODES nodes raise
+    ConvergenceError.
+    """
+    order = len(GL_NODES)
+    depth = math.log(max(2.0 * mass / tol, math.e)) / n
+    target = math.log(0.5 * tol)
+
+    def log_error(panels):
+        h = depth / panels
+        rho = 2.0 * _STRIP / h + math.hypot(2.0 * _STRIP / h, 1.0)
+        return (math.log(32.0 / 15.0 * mass) + omega * _STRIP
+                + n * math.hypot(0.5 * h, _STRIP)
+                - 2 * order * math.log(rho) - math.log(rho * rho - 1.0))
+
+    def fits(panels):
+        return mass == 0.0 or log_error(panels) <= target
+
+    top = _H_MAX_NODES // order
+    if not fits(top):
+        raise ConvergenceError(
+            f"log-radius Gauss rule needs more than {_H_MAX_NODES} nodes for "
+            f"tol = {tol!r} at frequency {omega!r}")
+    lo, hi = 0, top  # fits(hi) holds; fits(lo) fails or lo = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    h = depth / hi
+    s = -depth + h * (np.arange(hi)[:, None] + GL_NODES).ravel()
+    scale = np.exp(s)
+    weights = n * h * np.tile(GL_WEIGHTS, hi) * scale ** n
+    quad = math.exp(log_error(hi)) if mass > 0.0 else 0.0
+    rounding = weights.size * _EPS * mass * float(np.sum(weights))
+    scale.flags.writeable = weights.flags.writeable = False
+    return scale, weights, quad + mass * math.exp(-n * depth) + rounding
+
+
+def _generic_radial_integral(expr, n, tau, tol) -> tuple[float, float]:
+    """(value, error estimate) of (1/tau^n) int_0^tau phi r^(n-1) dr by
+    adaptive Simpson on the x = log(r + 1) axis."""
+    x_hi = math.log1p(tau)
+
+    def integrand(x):
+        r = np.expm1(x)
+        u = r / tau
+        return expr._values(r) * u ** (n - 1) * (np.exp(x) / tau)
+
+    # cap panels below the oscillation period on the x = log(r+1) axis so a
+    # uniform starting grid cannot alias a log-periodic integrand
+    freq = _max_log_frequency(expr)
+    max_width = (TWO_PI / freq) / 8.0 if freq > 0 else None
+
+    eng_tol = tol / (8.0 * n)
+    result = integrate_interval(integrand, 0.0, x_hi, rel_tol=eng_tol,
+                                abs_tol=eng_tol, max_panels=400_000,
+                                max_width=max_width)
+    return result.value, result.abs_error_est
 
 
 def _periodic_radial_integral(segments, n, tau):

@@ -71,12 +71,12 @@ class KernelFlavor(enum.Enum):
 
     def power(self, n: int) -> int:
         """Exponent of z in the weighted integrand."""
-        _check_dimension(n)
+        check_dimension(n)
         return n + 1 if self is KernelFlavor.AVERAGE else n - 1
 
     def coefficient(self, n: int) -> float:
         """Normalizing constant making the m -> 0 moment exactly 1."""
-        _check_dimension(n)
+        check_dimension(n)
         if self is KernelFlavor.AVERAGE:
             return 2.0 * unit_ball_volume(n) / math.pi ** (n / 2.0)
         return n * unit_ball_volume(n) / math.pi ** (n / 2.0)
@@ -97,14 +97,15 @@ class MomentPair:
         return math.hypot(self.a_value, self.b_value)
 
 
-def _check_dimension(n: int) -> None:
+def check_dimension(n: int) -> None:
+    """The package's one dimension check: n must be an integer >= 1, not a bool."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"dimension n must be a positive integer, got {n!r}")
 
 
 def unit_ball_volume(n: int) -> float:
     """Volume of the unit ball in R^n: pi^(n/2) / Gamma(n/2 + 1)."""
-    _check_dimension(n)
+    check_dimension(n)
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
@@ -122,7 +123,7 @@ def kernel_moments(n: int, m: float, flavor: KernelFlavor) -> MomentPair:
     are refused with ConvergenceError, as for every oscillatory integral of
     the package.
     """
-    _check_dimension(n)
+    check_dimension(n)
     if not (math.isfinite(m) and m > 0):
         raise DomainError(f"frequency m must be positive, got {m!r}")
     if m > MAX_OSCILLATION_FREQUENCY:
@@ -148,7 +149,7 @@ def kernel_moments_shifted(n: int, m: float, flavor: KernelFlavor, shift: float,
     With a positive shift the oscillation no longer piles up at z = 0, so the
     z-axis engine applies directly.
     """
-    _check_dimension(n)
+    check_dimension(n)
     if not (math.isfinite(m) and m > 0):
         raise DomainError(f"frequency m must be positive, got {m!r}")
     if not (math.isfinite(shift) and shift >= 0):
@@ -186,7 +187,7 @@ def solve_m(n: int, ratio: float, flavor: KernelFlavor,
     The open-interval requirement on ratio is structural: the norm equals 1
     only in the degenerate m -> 0 limit and never vanishes at finite m.
     """
-    _check_dimension(n)
+    check_dimension(n)
     if not (0.0 < ratio < 1.0):
         raise DomainError(
             f"ratio must lie strictly inside (0, 1), got {ratio!r}; the "

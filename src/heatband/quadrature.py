@@ -42,6 +42,12 @@ PANELS_PER_PERIOD = 8
 # m = 500, while the panel cap would keep burning panels linearly in m.
 MAX_OSCILLATION_FREQUENCY = 500.0
 
+# 8-point Gauss-Legendre rule on [0, 1]: the fixed panel rule of the bump
+# trains in u(0, t) and of the log-radius ball averages
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+GL_NODES = 0.5 * (GL_NODES + 1.0)
+GL_WEIGHTS = 0.5 * GL_WEIGHTS
+
 # Left endpoint stand-in for the open interval (0, z_max]: integrands such as
 # cos(m log z) are undefined at exactly 0 but fine at any positive double.
 _LEFT_EDGE = 1e-300

@@ -40,7 +40,6 @@ from .errors import (
 )
 from .initial_data import (
     BumpTrain,
-    Constant,
     InitialDataExpr,
     LogLogSine,
     LogSine,
@@ -51,18 +50,26 @@ from .initial_data import (
     SlowFromPeriodic,
     Sum,
     TrigPolynomial,
-    _log_strip_bound,
+    _STRIP,
+    _signed_sum,
+    _split_leaves,
     band_witnesses,
     eval_phi,
     numeric_H,
 )
-from .kernel_moments import unit_ball_volume
+from .kernel_moments import check_dimension, unit_ball_volume
 from .prescriber import (
     PrescriptionCertificate,
     cert_to_json,
     envelope_u,
 )
-from .quadrature import QuadratureSpec, gaussian_power_tail, integrate_weighted
+from .quadrature import (
+    GL_NODES,
+    GL_WEIGHTS,
+    QuadratureSpec,
+    gaussian_power_tail,
+    integrate_weighted,
+)
 
 __all__ = [
     "OscillationBand",
@@ -88,17 +95,8 @@ _X_CAP = 350.0
 # this the integration-by-parts zero-with-bound branch takes over
 _WAVE_SEGMENT_BUDGET = 2_000_000
 
-# Gauss-Legendre rule on [0, 1] for the bump pieces, applied on z-panels no
-# wider than _BUMP_PANEL
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+# widest z-panel of the Gauss-Legendre rule on the bump pieces
 _BUMP_PANEL = 0.125
-
-# half-width a of the strip |Im x| < a around the x = log z axis on which the
-# log-axis trapezoid route bounds its integrand; the kernel
-# exp((k+1) x - e^{2x}) stays integrable up to pi/4
-_STRIP = math.pi / 8.0
 
 
 @dataclass(frozen=True)
@@ -272,38 +270,13 @@ def _bump_weighted_integral(expr: BumpTrain, k: int, root: float,
     s_lo = np.clip(-starts / d, 0.0, 1.0)
     s_hi = np.clip((z_cut - starts) / d, 0.0, 1.0)
     panels = max(1, math.ceil(min(d, z_cut) / _BUMP_PANEL))
-    u = ((np.arange(panels)[:, None] + _GL_NODES) / panels).ravel()
-    w = np.tile(_GL_WEIGHTS, panels) / panels
+    u = ((np.arange(panels)[:, None] + GL_NODES) / panels).ravel()
+    w = np.tile(GL_WEIGHTS, panels) / panels
     s = s_lo[:, None] + (s_hi - s_lo)[:, None] * u
     z = starts[:, None] + d * s
     frac = np.concatenate([s[:centers.size], 1.0 - s[centers.size:]])
     per_piece = (s_hi - s_lo) * ((z ** k * np.exp(-z * z) * frac) @ w)
     return value + expr.height * d * float(np.sum(per_piece)), err
-
-
-def _as_sum(terms: list):
-    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
-
-
-def _split_fast_terms(expr: InitialDataExpr):
-    """Signed leaves (sign, leaf) of expr under Sum/Negate, as two lists:
-    slow/smooth content, then aliasing-prone piecewise terms."""
-    smooth = []
-    fast = []
-
-    def walk(e, sign):
-        if isinstance(e, Sum):
-            for term in e.terms:
-                walk(term, sign)
-        elif isinstance(e, Negate):
-            walk(e.term, -sign)
-        elif isinstance(e, (PeriodicZeroMean, BumpTrain)):
-            fast.append((sign, e))
-        else:
-            smooth.append((sign, e))
-
-    walk(expr, 1.0)
-    return smooth, fast
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +290,6 @@ def _check_time(t):
         raise RangeError(
             f"t = {t} puts sqrt(4t) outside double precision; use the "
             "analytic band API for asymptotic statements")
-
-
-def _check_dim(n):
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"dimension n must be a positive integer, got {n!r}")
 
 
 def _log_trapezoid_weighted(expr, k: int, root: float, mass: float, omega: float,
@@ -382,31 +350,16 @@ def _weighted_value(expr, n, k: int, root: float, spec: QuadratureSpec) -> float
                 f"expr must be an InitialDataExpr or a callable, got {type(expr).__name__}")
         return integrate_weighted(lambda z: expr(root * z), k, spec).value
 
-    smooth, fast = _split_fast_terms(expr)
-    constant, mass, omega = 0.0, 0.0, 0.0
-    analytic, rest = [], []
-    for sign, leaf in smooth:
-        if isinstance(leaf, Constant):
-            constant += sign * leaf.c
-            continue
-        term = leaf if sign > 0 else Negate(leaf)
-        bound = _log_strip_bound(leaf)
-        if bound is None:
-            rest.append(term)
-        else:
-            analytic.append(term)
-            mass += bound[0]
-            omega = max(omega, bound[1])
-
-    total = constant * gaussian_power_tail(k, 0.0)
-    if analytic:
+    leaves = _split_leaves(expr)
+    total = leaves.constant * gaussian_power_tail(k, 0.0)
+    if leaves.analytic:
         total += _log_trapezoid_weighted(
-            _as_sum(analytic), k, root, mass, omega, spec)[0]
-    if rest:
-        rest_expr = _as_sum(rest)
+            _signed_sum(leaves.analytic), k, root, leaves.mass, leaves.omega, spec)[0]
+    if leaves.rest:
+        rest_expr = _signed_sum(leaves.rest)
         total += integrate_weighted(
             lambda z: eval_phi(rest_expr, root * z), k, spec).value
-    for sign, term in fast:
+    for sign, term in leaves.fast:
         if isinstance(term, PeriodicZeroMean):
             val, _ = _wave_weighted_integral(term, k, root, spec.z_max)
         else:
@@ -424,7 +377,7 @@ def u_origin(expr, n: int, t: float, spec: QuadratureSpec | None = None) -> floa
     """
     if spec is None:
         spec = QuadratureSpec()
-    _check_dim(n)
+    check_dimension(n)
     _check_time(t)
     root = math.sqrt(4.0 * t)
     coeff = n * unit_ball_volume(n) / math.pi ** (n / 2.0)
@@ -441,7 +394,7 @@ def u_origin_from_H(h_expr, n: int, t: float,
     """
     if spec is None:
         spec = QuadratureSpec()
-    _check_dim(n)
+    check_dimension(n)
     _check_time(t)
     root = math.sqrt(4.0 * t)
     coeff = 2.0 * unit_ball_volume(n) / math.pi ** (n / 2.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -9,7 +10,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heatband.errors import DomainError, RangeError, UnsupportedExpression
+from heatband.errors import (
+    ConvergenceError,
+    DomainError,
+    EvaluationError,
+    RangeError,
+    UnsupportedExpression,
+)
 from heatband.initial_data import (
     BumpTrain,
     Constant,
@@ -25,7 +32,10 @@ from heatband.initial_data import (
     Sum,
     TrapezoidWave,
     TrigPolynomial,
+    _ball_average,
     _faulhaber,
+    _generic_radial_integral,
+    _log_gauss_rule,
     analytic_band_phi,
     band_witnesses,
     closed_H,
@@ -361,6 +371,11 @@ class TestNumericH:
         with pytest.raises(DomainError):
             numeric_H(Constant(1.0), 0, 1.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf, True, False, "1e-8"])
+    def test_rejects_non_finite_or_boolean_tol(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            numeric_H(LogSine(1.0, 3.0, 0.2), 1, 1e8, tol=tol)
+
     @pytest.mark.parametrize("tau", [0.7, 3.0, 97.0, 1e5])
     def test_log_sine_matches_independent_closed_form(self, tau):
         a, m, c = 0.9, 2.6, 0.15
@@ -384,7 +399,9 @@ class TestNumericH:
         assert numeric_H(bt, n, tau) == pytest.approx(dense, abs=1e-6)
 
     def test_generic_route_vs_dense(self):
-        expr = LogLogSine(0.5, 0.5)
+        # the trapezoid profile jumps in slope, so it stays on adaptive
+        # quadrature next to the Gauss sum of the doubly-log sine
+        expr = Sum((LogLogSine(0.5, 0.5), PeriodicOfLog(TrapezoidWave(1.0, -1.0))))
         dense = dense_average_oracle(expr, 3, 50.0)
         assert numeric_H(expr, 3, 50.0, tol=1e-10) == pytest.approx(dense, abs=1e-8)
 
@@ -420,6 +437,145 @@ class TestNumericH:
         expected = logsine_average_1d(a, m, c, tau)
         got = numeric_H(LogSine(a, m, c), 1, tau, tol=1e-9)
         assert got == pytest.approx(expected, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# Ball averages of log-analytic data on the s = log(r / tau) axis
+
+
+def log_gauss_cases(n):
+    """(label, expression) for every analytic leaf kind and a sum of two."""
+    g = TrigPolynomial(0.1, (0.3, 0.0, 0.2), (0.5,))
+    preimage = LogSineAvgPreimage(0.6, 2.3, -0.1, n)
+    log_log = LogLogSine(0.5, 0.1)
+    return [
+        ("log-sine", LogSine(0.8, 0.7, 0.2)),
+        ("preimage", preimage),
+        ("doubly-log", log_log),
+        ("profile", PeriodicOfLog(g)),
+        ("slow-profile", SlowFromPeriodic(g, n)),
+        ("sum", Sum((preimage, Negate(log_log)))),
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def mp_ball_average(kind: str, n: int, tau: float) -> float:
+    """H(tau) of the log_gauss_cases(n) entry labelled kind, by mpmath.
+
+    With L = log(r + 1), the averages of e^{i mu L} and of
+    (r / (r + 1)) e^{i mu L} are Euler integrals (DLMF 15.6.1):
+        n int_0^1 t^(n-1) (1 + tau t)^(i mu) dt = 2F1(-i mu, n; n + 1; -tau),
+        n tau int_0^1 t^n (1 + tau t)^(i mu - 1) dt
+            = n tau / (n + 1) 2F1(1 - i mu, n + 1; n + 2; -tau),
+    which cover every log-periodic leaf.  The doubly-log sine has no such
+    form; it is integrated by mpmath quadrature on s = log(r / tau),
+    H = n int_{-inf}^0 phi(tau e^s) e^{ns} ds.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        t = mpmath.mpf(tau)
+
+        def plain(mu):
+            return mpmath.hyp2f1(-1j * mu, n, n + 1, -t)
+
+        def damped(mu):
+            return n * t / (n + 1) * mpmath.hyp2f1(1 - 1j * mu, n + 1, n + 2, -t)
+
+        def profile(slope):
+            # g(L) + slope (r / (r + 1)) g'(L), g = 0.1 + 0.3 cos L + 0.2 cos 3L + 0.5 sin L
+            out = 0.1
+            for j, c, s in ((1, 0.3, 0.5), (3, 0.2, 0.0)):
+                out += c * mpmath.re(plain(j)) + s * mpmath.im(plain(j))
+                out += slope * j * (s * mpmath.re(damped(j)) - c * mpmath.im(damped(j)))
+            return out
+
+        def log_log():
+            def f(s):
+                return (0.5 * mpmath.sin(mpmath.log(mpmath.log(t * mpmath.exp(s) + 2)))
+                        + 0.1) * mpmath.exp(n * s)
+            return n * mpmath.quad(f, mpmath.linspace(-70.0 / n, 0, 9))
+
+        def preimage():
+            return 0.6 * (mpmath.im(plain(2.3)) + 2.3 / n * mpmath.re(damped(2.3))) - 0.1
+
+        value = {
+            "log-sine": lambda: 0.8 * mpmath.im(plain(0.7)) + 0.2,
+            "preimage": preimage,
+            "doubly-log": log_log,
+            "profile": lambda: profile(0.0),
+            "slow-profile": lambda: profile(1.0 / n),
+            "sum": lambda: preimage() - log_log(),
+        }[kind]()
+        return float(value)
+
+
+class TestLogGaussAverage:
+    TAUS = (1e-6, 2.3, 1e4, 1e12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_against_mpmath(self, n, tau):
+        for label, expr in log_gauss_cases(n):
+            want = mp_ball_average(label, n, tau)
+            assert numeric_H(expr, n, tau, tol=1e-11) == pytest.approx(
+                want, abs=1e-10), label
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_bound_covers_observed_error(self, n, tau):
+        for label, expr in log_gauss_cases(n):
+            want = mp_ball_average(label, n, tau)
+            for tol in (1e-5, 1e-8, 1e-11):
+                value, bound = _ball_average(expr, n, tau, tol)
+                assert abs(value - want) <= bound, (label, tol)
+                # tol / 2 for the window, tol / 2 for the panels, and the
+                # rounding of a sum of at most a thousand terms
+                assert bound <= tol + 1e3 * 2.3e-16 * 3.0, (label, tol)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("tau", [2.3, 1e4, 1e8])
+    def test_agrees_with_adaptive_route(self, n, tau):
+        for label, expr in log_gauss_cases(n):
+            adaptive = n * _generic_radial_integral(expr, n, tau, 1e-12)[0]
+            for tol in (1e-6, 1e-8, 1e-10):
+                assert abs(numeric_H(expr, n, tau, tol=tol) - adaptive) <= tol, \
+                    (label, tol)
+
+    def test_one_evaluation_with_nodes_independent_of_tau(self, monkeypatch):
+        import heatband.initial_data as idata
+
+        sizes = []
+
+        def counting_eval(expr, tau):
+            sizes.append(np.size(tau))
+            return eval_phi(expr, tau)
+
+        monkeypatch.setattr(idata, "eval_phi", counting_eval)
+        expr = Sum((LogSineAvgPreimage(0.6, 2.3, -0.1, 2), Constant(0.3),
+                    Negate(LogLogSine(0.5, 0.1))))
+        for tau in (1e2, 1e12):
+            numeric_H(expr, 2, tau)
+        assert len(sizes) == 2
+        assert sizes[0] == sizes[1] > 1
+
+    def test_non_finite_values_raise(self, monkeypatch):
+        import heatband.initial_data as idata
+
+        monkeypatch.setattr(idata, "eval_phi", lambda expr, tau: np.full_like(tau, np.nan))
+        with pytest.raises(EvaluationError):
+            numeric_H(LogSine(1.0, 1.0, 0.0), 1, 10.0)
+
+    def test_node_cap_raises(self):
+        with pytest.raises(ConvergenceError):
+            numeric_H(LogSine(1.0, 1e6, 0.0), 1, 10.0)
+
+    def test_window_covers_the_tail(self):
+        # the weights integrate n e^{ns} over [-D, 0], 1 - e^{-nD}, and the
+        # tail below s = -D drops mass e^{-nD} = tol / 2
+        scale, weights, bound = _log_gauss_rule(2, 1.5, 2.0, 1e-8)
+        assert float(np.sum(weights)) == pytest.approx(1.0 - 0.5e-8 / 1.5, abs=1e-14)
+        assert 0.5e-8 < bound <= 1e-8
+        assert np.all(np.diff(scale) > 0) and 0.0 < scale[0] and scale[-1] < 1.0
 
 
 class TestFaulhaber:
