@@ -184,6 +184,8 @@ def _load_cert(path: str):
         return cert_loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"certificate file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DomainError(f"certificate file {path} nests too deeply") from exc
 
 
 def _probe_u_rows(cert, config: RunConfig) -> list[tuple]:

@@ -14,6 +14,7 @@ numerical probes always have an honest reference.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -275,6 +276,11 @@ class TrigPolynomial(PeriodicFunction):
 # Center laws for bump trains
 
 
+# Most representable centers a GeometricCenters law may have; a base closer
+# to 1 is refused before the centers are allocated.
+_MAX_CENTERS = 1_000_000
+
+
 class CenterLaw:
     """Where the bumps of a BumpTrain sit."""
 
@@ -291,11 +297,17 @@ class GeometricCenters(CenterLaw):
     def __post_init__(self):
         if not (math.isfinite(self.base) and self.base > 1.0):
             raise DomainError(f"base must exceed 1, got {self.base!r}")
+        if self._count() > _MAX_CENTERS:
+            raise DomainError(
+                f"base {self.base!r} puts {self._count():.3g} centers below the "
+                f"largest double; at most {_MAX_CENTERS} are supported")
+
+    def _count(self) -> float:
+        return math.floor(_LOG_FLOAT_MAX / math.log(self.base))
 
     @cached_property
     def _centers(self) -> np.ndarray:
-        k_max = int(math.floor(_LOG_FLOAT_MAX / math.log(self.base)))
-        ks = np.arange(1, k_max + 1, dtype=float)
+        ks = np.arange(1, self._count() + 1, dtype=float)
         with np.errstate(over="ignore"):
             cs = np.power(self.base, ks)
         return cs[np.isfinite(cs)]
@@ -345,10 +357,42 @@ class DoubleExpCenters(CenterLaw):
 
 
 class InitialDataExpr:
-    """Base class; subclasses are frozen dataclasses."""
+    """Base class; subclasses are frozen dataclasses.
+
+    Sum and Negate are the only inner nodes.  Every other subclass is a leaf
+    and carries the per-leaf rules that the module combines over the signed
+    leaves of an expression (see _signed_leaves):
+
+      band()             exact (liminf, limsup) of the leaf alone
+      sup_abs()          sup of |leaf| over [0, inf)
+      strip_bound()      (mass, omega) with |leaf(tau)| <= mass e^{omega a}
+                         for |arg tau| <= a, for leaves analytic in log tau;
+                         None for the rest
+      slow_frequency()   lowest frequency on the log(tau + 1) axis, or None
+      witnesses(lo, hi)  tau values approaching the liminf and the limsup
+      to_doc()           the idexpr/1 node
+    """
 
     def _values(self, tau: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def band(self) -> tuple[float, float]:
+        raise UnsupportedExpression(f"no band rule for {type(self).__name__}")
+
+    def sup_abs(self) -> float:
+        raise UnsupportedExpression(f"no sup bound for {type(self).__name__}")
+
+    def strip_bound(self) -> tuple[float, float] | None:
+        return None
+
+    def slow_frequency(self) -> float | None:
+        return None
+
+    def witnesses(self, tau_lo: float, tau_hi: float):
+        raise UnsupportedExpression(f"no witnesses for {type(self).__name__}")
+
+    def to_doc(self) -> dict:
+        raise DomainError(f"unserializable expression {type(self).__name__}")
 
 
 @dataclass(frozen=True)
@@ -361,6 +405,19 @@ class Constant(InitialDataExpr):
 
     def _values(self, tau):
         return np.full_like(tau, self.c)
+
+    def band(self):
+        return (self.c, self.c)
+
+    def sup_abs(self):
+        return abs(self.c)
+
+    def witnesses(self, tau_lo, tau_hi):
+        mid = 0.5 * (tau_lo + tau_hi)
+        return [mid], [mid]
+
+    def to_doc(self):
+        return {"variant": "constant", "c": self.c}
 
 
 @dataclass(frozen=True)
@@ -381,6 +438,26 @@ class LogSine(InitialDataExpr):
 
     def _values(self, tau):
         return self.amplitude * np.sin(self.m * np.log1p(tau)) + self.offset
+
+    def band(self):
+        return (self.offset - self.amplitude, self.offset + self.amplitude)
+
+    def sup_abs(self):
+        return abs(self.offset) + self.amplitude
+
+    def strip_bound(self):
+        return self.amplitude + abs(self.offset), self.m
+
+    def slow_frequency(self):
+        return float(self.m)
+
+    def witnesses(self, tau_lo, tau_hi):
+        return (_phase_taus(self.m, 1.5 * math.pi, tau_lo, tau_hi),
+                _phase_taus(self.m, 0.5 * math.pi, tau_lo, tau_hi))
+
+    def to_doc(self):
+        return {"variant": "log_sine", "amplitude": self.amplitude,
+                "m": self.m, "offset": self.offset}
 
 
 @dataclass(frozen=True)
@@ -414,6 +491,29 @@ class LogSineAvgPreimage(InitialDataExpr):
     def band_halfwidth(self) -> float:
         return self.amplitude * math.sqrt(1.0 + (self.m / self.n) ** 2)
 
+    def band(self):
+        h = self.band_halfwidth()
+        return (self.offset - h, self.offset + h)
+
+    def sup_abs(self):
+        return abs(self.offset) + self.band_halfwidth()
+
+    def strip_bound(self):
+        return self.amplitude * (1.0 + self.m / self.n) + abs(self.offset), self.m
+
+    def slow_frequency(self):
+        return float(self.m)
+
+    def witnesses(self, tau_lo, tau_hi):
+        # asymptotic extremal phase of sin th + (m/n) cos th
+        th = math.atan2(1.0, self.m / self.n)
+        return (_phase_taus(self.m, th + math.pi, tau_lo, tau_hi),
+                _phase_taus(self.m, th, tau_lo, tau_hi))
+
+    def to_doc(self):
+        return {"variant": "log_sine_avg_preimage", "amplitude": self.amplitude,
+                "m": self.m, "offset": self.offset, "n": self.n}
+
 
 @dataclass(frozen=True)
 class LogLogSine(InitialDataExpr):
@@ -430,6 +530,26 @@ class LogLogSine(InitialDataExpr):
 
     def _values(self, tau):
         return self.amplitude * np.sin(np.log(np.log(tau + 2.0))) + self.offset
+
+    def band(self):
+        return (self.offset - self.amplitude, self.offset + self.amplitude)
+
+    def sup_abs(self):
+        return abs(self.offset) + self.amplitude
+
+    def strip_bound(self):
+        # the phase log log(tau + 2) has |Im| <= a / log 2 for |arg tau| <= a
+        return self.amplitude + abs(self.offset), 1.0 / math.log(2.0)
+
+    def witnesses(self, tau_lo, tau_hi):
+        # only the first peak/trough of each parity fits in a double
+        peaks = DoubleExpCenters("peak").representable_centers()
+        troughs = DoubleExpCenters("trough").representable_centers()
+        return list(troughs), list(peaks)
+
+    def to_doc(self):
+        return {"variant": "log_log_sine", "amplitude": self.amplitude,
+                "offset": self.offset}
 
 
 @dataclass(frozen=True)
@@ -449,6 +569,22 @@ class PeriodicZeroMean(InitialDataExpr):
 
     def _values(self, tau):
         return self.wave.value(tau)
+
+    def band(self):
+        return (self.v_min, self.v_max)
+
+    def sup_abs(self):
+        return max(self.v_max, -self.v_min)
+
+    def witnesses(self, tau_lo, tau_hi):
+        arg_lo, arg_hi = self.wave.extremizer_args()
+        base = TWO_PI * np.arange(math.ceil(tau_lo / TWO_PI),
+                                  math.ceil(tau_lo / TWO_PI) + 40)
+        return list(base + arg_lo), list(base + arg_hi)
+
+    def to_doc(self):
+        return {"variant": "periodic_zero_mean", "v_max": self.v_max,
+                "v_min": self.v_min, "ramp_width": self.ramp_width}
 
 
 @dataclass(frozen=True)
@@ -494,9 +630,80 @@ class BumpTrain(InitialDataExpr):
         # half_width of any point
         return out
 
+    def band(self):
+        return (self.baseline + min(self.height, 0.0),
+                self.baseline + max(self.height, 0.0))
+
+    def sup_abs(self):
+        return max(abs(self.baseline), abs(self.baseline + self.height))
+
+    def witnesses(self, tau_lo, tau_hi):
+        cs = self.centers.representable_centers()
+        cs = cs[(cs >= tau_lo) & (cs <= tau_hi)]
+        if cs.size == 0:
+            cs = self.centers.representable_centers()[-1:]
+        gaps = np.sqrt(cs[:-1] * cs[1:]) if cs.size > 1 else cs * 7.0
+        at_bumps, away = list(cs), list(gaps)
+        if self.height > 0:
+            return away, at_bumps
+        return at_bumps, away
+
+    def to_doc(self):
+        return {"variant": "bump_train", "height": self.height,
+                "half_width": self.half_width, "baseline": self.baseline,
+                "centers": _centers_to_doc(self.centers)}
+
+
+class _ProfileOfLog(InitialDataExpr):
+    """Shared rules of the leaves built on a 2 pi periodic profile g of
+    x = log(tau + 1); subclasses give _slope (the weight of g'(x) in phi
+    over tau / (tau + 1)) and _profile_extrema."""
+
+    _slope = 0.0
+
+    def __post_init__(self):
+        if not isinstance(self.g, (TrapezoidWave, TrigPolynomial)):
+            raise DomainError("g must be a TrapezoidWave or TrigPolynomial, "
+                              f"got {type(self.g).__name__}")
+
+    def _profile_extrema(self):
+        """((min, max), (argmin, argmax)) of the asymptotic profile over one period."""
+        raise NotImplementedError
+
+    def band(self):
+        return self._profile_extrema()[0]
+
+    def strip_bound(self):
+        # with L = log(tau + 1), |Im L| <= |arg tau| and |tau / (tau + 1)| <= 1,
+        # so a trig term of frequency j grows by at most cosh(j a); a
+        # trapezoid g jumps in slope and has no strip bound
+        g = self.g
+        if not isinstance(g, TrigPolynomial):
+            return None
+        mass = abs(g.const) + sum(
+            (1.0 + j * self._slope) * abs(c)
+            for coeffs in (g.cos_coeffs, g.sin_coeffs)
+            for j, c in enumerate(coeffs, start=1))
+        return mass, float(max(len(g.cos_coeffs), len(g.sin_coeffs), 1))
+
+    def slow_frequency(self):
+        g = self.g
+        if not isinstance(g, TrigPolynomial):
+            return 1.0
+        for j, (c, s) in enumerate(itertools.zip_longest(
+                g.cos_coeffs, g.sin_coeffs, fillvalue=0.0), start=1):
+            if c != 0.0 or s != 0.0:
+                return float(j)
+        return None
+
+    def witnesses(self, tau_lo, tau_hi):
+        a_lo, a_hi = self._profile_extrema()[1]
+        return (_phase_taus(1.0, a_lo, tau_lo, tau_hi),
+                _phase_taus(1.0, a_hi, tau_lo, tau_hi))
+
 
 @dataclass(frozen=True)
-class SlowFromPeriodic(InitialDataExpr):
+class SlowFromPeriodic(_ProfileOfLog):
     """phi(tau) = (tau/n) G'(tau) + G(tau) with G = g(log(tau + 1)).
 
     By construction the ball average of phi is exactly g(log(tau + 1)), so
@@ -509,29 +716,85 @@ class SlowFromPeriodic(InitialDataExpr):
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.g, (TrapezoidWave, TrigPolynomial)):
-            raise DomainError("g must be a TrapezoidWave or TrigPolynomial, "
-                              f"got {type(self.g).__name__}")
+        super().__post_init__()
         check_dimension(self.n)
+
+    @property
+    def _slope(self):
+        return 1.0 / self.n
 
     def _values(self, tau):
         x = np.log1p(tau)
         return self.g.value(x) + (tau / (self.n * (tau + 1.0))) * self.g.derivative(x)
 
+    @cached_property
+    def _profile(self) -> TrigPolynomial | None:
+        """The asymptotic profile g + g'/n of phi for a trig-polynomial g."""
+        g = self.g
+        if not isinstance(g, TrigPolynomial):
+            return None
+        dp = g.derivative_poly()
+        j_max = max(len(g.cos_coeffs), len(g.sin_coeffs), 1)
+
+        def coeff(seq, j):
+            return seq[j] if j < len(seq) else 0.0
+
+        return TrigPolynomial(
+            g.const,
+            tuple(coeff(g.cos_coeffs, j) + coeff(dp.cos_coeffs, j) / self.n
+                  for j in range(j_max)),
+            tuple(coeff(g.sin_coeffs, j) + coeff(dp.sin_coeffs, j) / self.n
+                  for j in range(j_max)))
+
+    def _profile_extrema(self):
+        if self._profile is not None:
+            return self._profile.extrema_with_args()
+        # trapezoid: g + g'/n is linear on each open segment, so its extremes
+        # sit at one-sided segment endpoints; the arguments are nudged inward
+        # so evaluation picks the correct piece (the corner value itself
+        # belongs to the neighbor)
+        nudge = 1e-9
+        ends, inward = [], []
+        for (t0, t1, a, b) in self.g.segments():
+            for th, th_in in ((t0, t0 + nudge), (t1, t1 - nudge)):
+                ends.append(a + b * th + b / self.n)
+                inward.append((a + b * th_in + b / self.n, th_in))
+        lowest = min(inward, key=lambda pair: pair[0])
+        highest = max(inward, key=lambda pair: pair[0])
+        return (min(ends), max(ends)), (lowest[1], highest[1])
+
+    def sup_abs(self):
+        g = self.g
+        if isinstance(g, TrigPolynomial):
+            return g.abs_max() + g.derivative_poly().abs_max() / self.n
+        slopes = [abs(b) for (_t0, _t1, _a, b) in g.segments()]
+        return max(g.v_max, -g.v_min) + max(slopes) / self.n
+
+    def to_doc(self):
+        return {"variant": "slow_from_periodic", "g": _periodic_to_doc(self.g),
+                "n": self.n}
+
 
 @dataclass(frozen=True)
-class PeriodicOfLog(InitialDataExpr):
+class PeriodicOfLog(_ProfileOfLog):
     """g(log(tau + 1)) for a 2 pi periodic g: a pure slow oscillation."""
 
     g: PeriodicFunction
 
-    def __post_init__(self):
-        if not isinstance(self.g, (TrapezoidWave, TrigPolynomial)):
-            raise DomainError("g must be a TrapezoidWave or TrigPolynomial, "
-                              f"got {type(self.g).__name__}")
-
     def _values(self, tau):
         return self.g.value(np.log1p(tau))
+
+    def _profile_extrema(self):
+        if isinstance(self.g, TrigPolynomial):
+            return self.g.extrema_with_args()
+        return self.g.extrema(), self.g.extremizer_args()
+
+    def sup_abs(self):
+        lo, hi = self.g.extrema()
+        return max(abs(lo), abs(hi))
+
+    def to_doc(self):
+        return {"variant": "periodic_of_log", "g": _periodic_to_doc(self.g)}
 
 
 @dataclass(frozen=True)
@@ -552,6 +815,9 @@ class Sum(InitialDataExpr):
             out = out + t._values(tau)
         return out
 
+    def to_doc(self):
+        return {"variant": "sum", "terms": [t.to_doc() for t in self.terms]}
+
 
 @dataclass(frozen=True)
 class Negate(InitialDataExpr):
@@ -566,6 +832,9 @@ class Negate(InitialDataExpr):
     def _values(self, tau):
         return -self.term._values(tau)
 
+    def to_doc(self):
+        return {"variant": "negate", "term": self.term.to_doc()}
+
 
 def negate(expr: InitialDataExpr) -> InitialDataExpr:
     """Exact pointwise negation, unwrapping double negations."""
@@ -576,6 +845,32 @@ def negate(expr: InitialDataExpr) -> InitialDataExpr:
     if isinstance(expr, Sum):
         return Sum(tuple(negate(t) for t in expr.terms))
     return Negate(expr)
+
+
+def _signed_leaves(expr: InitialDataExpr, sign: float = 1.0,
+                   out: list | None = None) -> list[tuple[float, InitialDataExpr]]:
+    """The leaves of expr under Sum and Negate as (sign, leaf), depth first.
+
+    This is the one walk through expression structure outside negate, the
+    closed_H / phi_from_H map and the idexpr/1 codec; sign and out carry its
+    state down the recursion.  Chains of Negate unwrap in a loop, so only
+    nested sums cost stack depth.
+    """
+    if out is None:
+        out = []
+    while isinstance(expr, Negate):
+        expr, sign = expr.term, -sign
+    if isinstance(expr, Sum):
+        for term in expr.terms:
+            _signed_leaves(term, sign, out)
+    else:
+        out.append((sign, expr))
+    return out
+
+
+def _signed_band(sign: float, leaf: InitialDataExpr) -> tuple[float, float]:
+    lo, hi = leaf.band()
+    return (lo, hi) if sign > 0 else (-hi, -lo)
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +900,18 @@ def eval_phi(expr: InitialDataExpr, tau):
 # Closed-form ball averages
 
 
+def _map_leaves(expr: InitialDataExpr, rule) -> InitialDataExpr | None:
+    """expr with every leaf replaced by rule(leaf), keeping its Sum and
+    Negate nodes; None as soon as rule returns None for a leaf."""
+    if isinstance(expr, Sum):
+        terms = tuple(_map_leaves(t, rule) for t in expr.terms)
+        return None if any(t is None for t in terms) else Sum(terms)
+    if isinstance(expr, Negate):
+        inner = _map_leaves(expr.term, rule)
+        return None if inner is None else Negate(inner)
+    return rule(expr)
+
+
 def closed_H(expr: InitialDataExpr, n: int) -> InitialDataExpr | None:
     """Closed-form ball average of expr in dimension n, or None.
 
@@ -613,25 +920,17 @@ def closed_H(expr: InitialDataExpr, n: int) -> InitialDataExpr | None:
     its periodic profile of log(tau+1), constants to themselves.
     """
     check_dimension(n)
-    if isinstance(expr, Constant):
-        return expr
-    if isinstance(expr, LogSineAvgPreimage):
-        if expr.n != n:
-            return None
-        return LogSine(expr.amplitude, expr.m, expr.offset)
-    if isinstance(expr, SlowFromPeriodic):
-        if expr.n != n:
-            return None
-        return PeriodicOfLog(expr.g)
-    if isinstance(expr, Negate):
-        inner = closed_H(expr.term, n)
-        return None if inner is None else Negate(inner)
-    if isinstance(expr, Sum):
-        mapped = [closed_H(t, n) for t in expr.terms]
-        if any(m is None for m in mapped):
-            return None
-        return Sum(tuple(mapped))
-    return None
+
+    def average(leaf):
+        if isinstance(leaf, Constant):
+            return leaf
+        if isinstance(leaf, LogSineAvgPreimage) and leaf.n == n:
+            return LogSine(leaf.amplitude, leaf.m, leaf.offset)
+        if isinstance(leaf, SlowFromPeriodic) and leaf.n == n:
+            return PeriodicOfLog(leaf.g)
+        return None
+
+    return _map_leaves(expr, average)
 
 
 def phi_from_H(h_expr: InitialDataExpr, n: int) -> InitialDataExpr:
@@ -642,26 +941,26 @@ def phi_from_H(h_expr: InitialDataExpr, n: int) -> InitialDataExpr:
     PeriodicOfLog, and sums/negations of these.
     """
     check_dimension(n)
-    if isinstance(h_expr, Constant):
-        return h_expr
-    if isinstance(h_expr, LogSine):
-        return LogSineAvgPreimage(h_expr.amplitude, h_expr.m, h_expr.offset, n)
-    if isinstance(h_expr, PeriodicOfLog):
-        return SlowFromPeriodic(h_expr.g, n)
-    if isinstance(h_expr, Negate):
-        return Negate(phi_from_H(h_expr.term, n))
-    if isinstance(h_expr, Sum):
-        return Sum(tuple(phi_from_H(t, n) for t in h_expr.terms))
-    raise UnsupportedExpression(
-        f"no average preimage formula for {type(h_expr).__name__}; supported "
-        "H forms are LogSine, Constant, PeriodicOfLog, and sums/negations")
+
+    def preimage(leaf):
+        if isinstance(leaf, Constant):
+            return leaf
+        if isinstance(leaf, LogSine):
+            return LogSineAvgPreimage(leaf.amplitude, leaf.m, leaf.offset, n)
+        if isinstance(leaf, PeriodicOfLog):
+            return SlowFromPeriodic(leaf.g, n)
+        raise UnsupportedExpression(
+            f"no average preimage formula for {type(leaf).__name__}; supported "
+            "H forms are LogSine, Constant, PeriodicOfLog, and sums/negations")
+
+    return _map_leaves(h_expr, preimage)
 
 
 # ---------------------------------------------------------------------------
 # Leaf routes
 
 # Half-width a of the strip |Im s| < a around a log-radius axis (s = log z for
-# u(0, t), s = log(r / tau) for ball averages) inside which _log_strip_bound
+# u(0, t), s = log(r / tau) for ball averages) inside which strip_bound
 # bounds the analytic leaves; the u kernel exp((k+1) s - e^{2s}) stays
 # integrable up to pi/4.
 _STRIP = math.pi / 8.0
@@ -672,11 +971,11 @@ class _Leaves:
     """The signed leaves of an expression under Sum and Negate, by route.
 
     Every leaf is a (sign, leaf) pair.  constant is the sum of the signed
-    constants; analytic holds the leaves accepted by _log_strip_bound, with
-    their strip masses summed in mass and their top log frequency in omega;
-    fast holds the 2 pi periodic waves and the bump trains, whose fine
-    structure needs exact routes; rest holds everything else (trapezoid
-    profiles of log(tau + 1), which jump).
+    constants; analytic holds the leaves with a strip_bound, with their
+    strip masses summed in mass and their top log frequency in omega; fast
+    holds the 2 pi periodic waves and the bump trains, whose fine structure
+    needs exact routes; rest holds everything else (trapezoid profiles of
+    log(tau + 1), which jump).
     """
 
     constant: float
@@ -688,29 +987,20 @@ class _Leaves:
 
 
 def _split_leaves(expr: InitialDataExpr) -> _Leaves:
-    """Walk expr once and sort its signed leaves into their routes."""
+    """Sort the signed leaves of expr into their routes."""
     constant, mass, omega = 0.0, 0.0, 0.0
     analytic, fast, rest = [], [], []
-
-    def walk(e, sign):
-        nonlocal constant, mass, omega
-        if isinstance(e, Sum):
-            for term in e.terms:
-                walk(term, sign)
-        elif isinstance(e, Negate):
-            walk(e.term, -sign)
-        elif isinstance(e, Constant):
-            constant += sign * e.c
-        elif isinstance(e, (PeriodicZeroMean, BumpTrain)):
-            fast.append((sign, e))
-        elif (bound := _log_strip_bound(e)) is not None:
-            analytic.append((sign, e))
+    for sign, leaf in _signed_leaves(expr):
+        if isinstance(leaf, Constant):
+            constant += sign * leaf.c
+        elif isinstance(leaf, (PeriodicZeroMean, BumpTrain)):
+            fast.append((sign, leaf))
+        elif (bound := leaf.strip_bound()) is not None:
+            analytic.append((sign, leaf))
             mass += bound[0]
             omega = max(omega, bound[1])
         else:
-            rest.append((sign, e))
-
-    walk(expr, 1.0)
+            rest.append((sign, leaf))
     return _Leaves(constant, tuple(analytic), mass, omega, tuple(fast), tuple(rest))
 
 
@@ -718,55 +1008,6 @@ def _signed_sum(pairs) -> InitialDataExpr:
     """One expression for (sign, leaf) pairs, evaluated in one vectorised call."""
     terms = [leaf if sign > 0 else Negate(leaf) for sign, leaf in pairs]
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
-
-
-def _max_log_frequency(expr) -> float:
-    """Conservative top oscillation frequency of phi on the log(tau+1) axis."""
-    if isinstance(expr, (LogSine, LogSineAvgPreimage)):
-        return expr.m
-    if isinstance(expr, LogLogSine):
-        # d/dx log(log(tau+2)) at tau = 0 is 1/log 2, decreasing after
-        return 1.0 / math.log(2.0)
-    if isinstance(expr, (SlowFromPeriodic, PeriodicOfLog)):
-        g = expr.g
-        if isinstance(g, TrigPolynomial):
-            return float(max(len(g.cos_coeffs), len(g.sin_coeffs), 1))
-        return 1.0
-    if isinstance(expr, Negate):
-        return _max_log_frequency(expr.term)
-    if isinstance(expr, Sum):
-        return max(_max_log_frequency(t) for t in expr.terms)
-    return 0.0
-
-
-def _log_strip_bound(leaf) -> tuple[float, float] | None:
-    """(mass, omega) with |leaf(tau)| <= mass e^{omega a} for |arg tau| <= a.
-
-    Defined for the leaves analytic in log tau: log sines, their average
-    preimages, the doubly-log sine, and trig-polynomial profiles of
-    log(tau + 1); everything else (trapezoid profiles jump) returns None.
-    With L = log(tau + 1), |Im L| <= |arg tau| and |tau / (tau + 1)| <= 1, so
-    a trig factor of frequency j grows by at most cosh(j a) <= e^{omega a},
-    omega = _max_log_frequency(leaf); the doubly-log phase log log(tau + 2)
-    has |Im| <= a / log 2 = omega a.  mass is the sum of the coefficient
-    magnitudes, each derivative term weighted by its frequency.
-    """
-    if isinstance(leaf, (LogSine, LogLogSine)):
-        mass = leaf.amplitude + abs(leaf.offset)
-    elif isinstance(leaf, LogSineAvgPreimage):
-        mass = leaf.amplitude * (1.0 + leaf.m / leaf.n) + abs(leaf.offset)
-    elif (isinstance(leaf, (SlowFromPeriodic, PeriodicOfLog))
-            and isinstance(leaf.g, TrigPolynomial)):
-        # SlowFromPeriodic adds (tau / (n (tau + 1))) g'(L)
-        slope = 1.0 / leaf.n if isinstance(leaf, SlowFromPeriodic) else 0.0
-        g = leaf.g
-        mass = abs(g.const) + sum(
-            (1.0 + j * slope) * abs(c)
-            for coeffs in (g.cos_coeffs, g.sin_coeffs)
-            for j, c in enumerate(coeffs, start=1))
-    else:
-        return None
-    return mass, _max_log_frequency(leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -913,8 +1154,10 @@ def _generic_radial_integral(expr, n, tau, tol) -> tuple[float, float]:
         return expr._values(r) * u ** (n - 1) * (np.exp(x) / tau)
 
     # cap panels below the oscillation period on the x = log(r+1) axis so a
-    # uniform starting grid cannot alias a log-periodic integrand
-    freq = _max_log_frequency(expr)
+    # uniform starting grid cannot alias a log-periodic integrand; trapezoid
+    # profiles, the leaves without a strip bound, have period 2 pi there
+    leaves = _split_leaves(expr)
+    freq = max(leaves.omega, 1.0 if leaves.rest else 0.0)
     max_width = (TWO_PI / freq) / 8.0 if freq > 0 else None
 
     eng_tol = tol / (8.0 * n)
@@ -1006,154 +1249,64 @@ def _triangle_power_moment(i, s_lo, s_hi, w):
 def analytic_band_phi(expr: InitialDataExpr) -> tuple[float, float]:
     """Exact (liminf, limsup) of phi as tau -> infinity.
 
-    Sums are supported when the slow content is either a single term or a
-    set of integer-frequency log sines (whose joint asymptotic profile is a
-    trig polynomial); 2 pi periodic waves and sparse bump trains contribute
-    their own extremes on top because their phases decouple from the slow
-    phase.
+    A lone signed leaf has its own band.  In a sum the slow content is
+    either a single leaf or a set of integer-frequency log sines (whose
+    joint asymptotic profile is a trig polynomial); constants, 2 pi periodic
+    waves and sparse bump trains add their own extremes on top because
+    their phases decouple from the slow phase.  The parts are added in a
+    fixed order: constants and bump baselines, the slow part, the waves,
+    the bump heights.
     """
-    lo, hi = _band(expr)
-    return (lo, hi)
-
-
-def _band(expr) -> tuple[float, float]:
-    if isinstance(expr, Constant):
-        return (expr.c, expr.c)
-    if isinstance(expr, LogSine):
-        return (expr.offset - expr.amplitude, expr.offset + expr.amplitude)
-    if isinstance(expr, LogSineAvgPreimage):
-        h = expr.band_halfwidth()
-        return (expr.offset - h, expr.offset + h)
-    if isinstance(expr, LogLogSine):
-        return (expr.offset - expr.amplitude, expr.offset + expr.amplitude)
-    if isinstance(expr, PeriodicZeroMean):
-        return (expr.v_min, expr.v_max)
-    if isinstance(expr, PeriodicOfLog):
-        return expr.g.extrema()
-    if isinstance(expr, SlowFromPeriodic):
-        return _slow_band(expr)
-    if isinstance(expr, BumpTrain):
-        return (expr.baseline + min(expr.height, 0.0),
-                expr.baseline + max(expr.height, 0.0))
-    if isinstance(expr, Negate):
-        lo, hi = _band(expr.term)
-        return (-hi, -lo)
-    if isinstance(expr, Sum):
-        return _sum_band(expr)
-    raise UnsupportedExpression(f"no band rule for {type(expr).__name__}")
-
-
-def _slow_band(expr: SlowFromPeriodic) -> tuple[float, float]:
-    g = expr.g
-    if isinstance(g, TrigPolynomial):
-        dp = g.derivative_poly()
-        j_max = max(len(g.cos_coeffs), len(g.sin_coeffs), 1)
-        cos = [0.0] * j_max
-        sin = [0.0] * j_max
-        for j in range(1, j_max + 1):
-            gc = g.cos_coeffs[j - 1] if j <= len(g.cos_coeffs) else 0.0
-            gs = g.sin_coeffs[j - 1] if j <= len(g.sin_coeffs) else 0.0
-            dc = dp.cos_coeffs[j - 1] if j <= len(dp.cos_coeffs) else 0.0
-            ds = dp.sin_coeffs[j - 1] if j <= len(dp.sin_coeffs) else 0.0
-            cos[j - 1] = gc + dc / expr.n
-            sin[j - 1] = gs + ds / expr.n
-        return TrigPolynomial(g.const, tuple(cos), tuple(sin)).extrema()
-    # trapezoid: g + g'/n is linear on each open segment; extremes sit at
-    # (one-sided limits of) segment endpoints
-    vals = []
-    for (t0, t1, a, b) in g.segments():
-        vals.append(a + b * t0 + b / expr.n)
-        vals.append(a + b * t1 + b / expr.n)
-    return (min(vals), max(vals))
-
-
-_SLOW_TYPES = (LogSine, LogSineAvgPreimage, LogLogSine, SlowFromPeriodic,
-               PeriodicOfLog)
-
-
-def _sum_band(expr: Sum) -> tuple[float, float]:
-    const = 0.0
-    trap_lo = trap_hi = 0.0
-    bump_lo = bump_hi = 0.0
+    leaves = _signed_leaves(expr)
+    if len(leaves) == 1:
+        return _signed_band(*leaves[0])
+    level = wave_lo = wave_hi = bump_lo = bump_hi = 0.0
     slows = []
-    for t in _flatten(expr):
-        neg = False
-        if isinstance(t, Negate):
-            t, neg = t.term, True
-        if isinstance(t, Constant):
-            const += -t.c if neg else t.c
-        elif isinstance(t, PeriodicZeroMean):
-            lo, hi = (-t.v_max, -t.v_min) if neg else (t.v_min, t.v_max)
-            trap_lo += lo
-            trap_hi += hi
-        elif isinstance(t, BumpTrain):
-            h = -t.height if neg else t.height
-            const += -t.baseline if neg else t.baseline
-            bump_lo += min(h, 0.0)
-            bump_hi += max(h, 0.0)
-        elif isinstance(t, _SLOW_TYPES):
-            slows.append((t, neg))
+    for sign, leaf in leaves:
+        if isinstance(leaf, Constant):
+            level += sign * leaf.c
+        elif isinstance(leaf, BumpTrain):
+            level += sign * leaf.baseline
+            bump_lo += min(sign * leaf.height, 0.0)
+            bump_hi += max(sign * leaf.height, 0.0)
+        elif isinstance(leaf, PeriodicZeroMean):
+            lo, hi = _signed_band(sign, leaf)
+            wave_lo += lo
+            wave_hi += hi
         else:
-            raise UnsupportedExpression(
-                f"no band rule for Sum containing {type(t).__name__}")
+            slows.append((sign, leaf))
 
-    if len(slows) == 0:
-        s_lo = s_hi = 0.0
-    elif len(slows) == 1:
-        t, neg = slows[0]
-        lo, hi = _band(t)
-        s_lo, s_hi = (-hi, -lo) if neg else (lo, hi)
+    if len(slows) > 1:
+        s_lo, s_hi = _commensurate_profile(slows).extrema()
+    elif slows:
+        s_lo, s_hi = _signed_band(*slows[0])
     else:
-        s_lo, s_hi = _commensurate_band(slows)
-
-    return (const + s_lo + trap_lo + bump_lo, const + s_hi + trap_hi + bump_hi)
-
-
-def _flatten(expr: Sum):
-    for t in expr.terms:
-        if isinstance(t, Sum):
-            yield from _flatten(t)
-        else:
-            yield t
+        s_lo = s_hi = 0.0
+    return (level + s_lo + wave_lo + bump_lo, level + s_hi + wave_hi + bump_hi)
 
 
-def _commensurate_band(slows) -> tuple[float, float]:
-    """Joint band of several log sines sharing integer frequencies.
+def _commensurate_profile(slows) -> TrigPolynomial:
+    """Joint asymptotic profile of several signed log sines sharing integer
+    frequencies.
 
-    Their phases are all m_i log(tau+1), so the asymptotic profile is the
-    trig polynomial sum_i a_i [sin(m_i x) + (m_i/n_i) cos(m_i x)] and the
-    band is its range over one period.
+    Their phases are all m_i log(tau+1), so the profile is the trig
+    polynomial sum_i a_i [sin(m_i x) + (m_i/n_i) cos(m_i x)] (no cosine for
+    a plain log sine), and the band is its range over one period.
     """
-    poly = _commensurate_profile(slows)
-    if poly is None:
-        raise UnsupportedExpression(
-            "band of a multi-mode sum needs every slow term to be a log sine "
-            "with integer frequency; mixed or incommensurate slow terms have "
-            "no product-form band")
-    return poly.extrema()
-
-
-def _commensurate_profile(slows) -> TrigPolynomial | None:
     const = 0.0
     cos: dict[int, float] = {}
     sin: dict[int, float] = {}
-    for t, negd in slows:
-        sign = -1.0 if negd else 1.0
-        if isinstance(t, LogSine):
-            j = _as_integer(t.m)
-            if j is None:
-                return None
-            sin[j] = sin.get(j, 0.0) + sign * t.amplitude
-            const += sign * t.offset
-        elif isinstance(t, LogSineAvgPreimage):
-            j = _as_integer(t.m)
-            if j is None:
-                return None
-            sin[j] = sin.get(j, 0.0) + sign * t.amplitude
+    for sign, t in slows:
+        j = _as_integer(t.m) if isinstance(t, (LogSine, LogSineAvgPreimage)) else None
+        if j is None:
+            raise UnsupportedExpression(
+                "band of a multi-mode sum needs every slow term to be a log sine "
+                "with integer frequency; mixed or incommensurate slow terms have "
+                "no product-form band")
+        sin[j] = sin.get(j, 0.0) + sign * t.amplitude
+        if isinstance(t, LogSineAvgPreimage):
             cos[j] = cos.get(j, 0.0) + sign * t.amplitude * t.m / t.n
-            const += sign * t.offset
-        else:
-            return None
+        const += sign * t.offset
     j_max = max(list(cos) + list(sin))
     return TrigPolynomial(
         const,
@@ -1172,35 +1325,10 @@ def _as_integer(m: float) -> int | None:
 def sup_abs_phi(expr: InitialDataExpr) -> float:
     """Upper bound for sup |phi| over all of [0, infinity).
 
-    Exact for atomic variants; subadditive (so possibly loose) for sums.
+    Exact for a lone leaf; subadditive (so possibly loose) for sums.
     This is the M in the maximum principle |u| <= M.
     """
-    if isinstance(expr, Constant):
-        return abs(expr.c)
-    if isinstance(expr, LogSine):
-        return abs(expr.offset) + expr.amplitude
-    if isinstance(expr, LogSineAvgPreimage):
-        return abs(expr.offset) + expr.band_halfwidth()
-    if isinstance(expr, LogLogSine):
-        return abs(expr.offset) + expr.amplitude
-    if isinstance(expr, PeriodicZeroMean):
-        return max(expr.v_max, -expr.v_min)
-    if isinstance(expr, PeriodicOfLog):
-        lo, hi = expr.g.extrema()
-        return max(abs(lo), abs(hi))
-    if isinstance(expr, SlowFromPeriodic):
-        g = expr.g
-        if isinstance(g, TrigPolynomial):
-            return g.abs_max() + g.derivative_poly().abs_max() / expr.n
-        slopes = [abs(b) for (_t0, _t1, _a, b) in g.segments()]
-        return max(g.v_max, -g.v_min) + max(slopes) / expr.n
-    if isinstance(expr, BumpTrain):
-        return max(abs(expr.baseline), abs(expr.baseline + expr.height))
-    if isinstance(expr, Negate):
-        return sup_abs_phi(expr.term)
-    if isinstance(expr, Sum):
-        return sum(sup_abs_phi(t) for t in expr.terms)
-    raise UnsupportedExpression(f"no sup bound for {type(expr).__name__}")
+    return sum(leaf.sup_abs() for _, leaf in _signed_leaves(expr))
 
 
 # ---------------------------------------------------------------------------
@@ -1216,10 +1344,48 @@ def band_witnesses(expr: InitialDataExpr, tau_lo: float = 1e3,
     slow term's long extremal stretches when both occur), bump centers and
     gap midpoints for trains.  Values are clipped to representable range.
     """
-    lo_w, hi_w = _witnesses(expr, tau_lo, tau_hi)
+    leaves = _signed_leaves(expr)
+    if len(leaves) == 1:
+        lo_w, hi_w = _signed_witnesses(*leaves[0], tau_lo, tau_hi)
+    else:
+        # a sum: the witnesses of its slow content, each shifted onto the
+        # extremal plateau of every wave, plus the centers of every bump train
+        slows = [(sign, leaf) for sign, leaf in leaves
+                 if not isinstance(leaf, (Constant, PeriodicZeroMean, BumpTrain))]
+        if len(slows) > 1:
+            (_l, _h), (a_lo, a_hi) = _commensurate_profile(slows).extrema_with_args()
+            lo_w = _phase_taus(1.0, a_lo, tau_lo, tau_hi)
+            hi_w = _phase_taus(1.0, a_hi, tau_lo, tau_hi)
+        elif slows:
+            lo_w, hi_w = _signed_witnesses(*slows[0], tau_lo, tau_hi)
+        else:
+            lo_w = hi_w = np.asarray([0.5 * (tau_lo + tau_hi)])
+        lo_w, hi_w = np.asarray(lo_w, dtype=float), np.asarray(hi_w, dtype=float)
+        for sign, leaf in leaves:
+            if isinstance(leaf, PeriodicZeroMean):
+                # the slow phase is frozen over a shift of at most 2 pi in tau
+                arg_lo, arg_hi = leaf.wave.extremizer_args()
+                if sign < 0:
+                    arg_lo, arg_hi = arg_hi, arg_lo
+                lo_w = _align_phase(lo_w, arg_lo)
+                hi_w = _align_phase(hi_w, arg_hi)
+        for sign, leaf in leaves:
+            if isinstance(leaf, BumpTrain):
+                # limsup needs a bump center, which the double-exponential
+                # law places exactly at the slow term's peaks
+                cs = leaf.centers.representable_centers()
+                if sign * leaf.height > 0:
+                    hi_w = np.concatenate([hi_w, cs])
+                else:
+                    lo_w = np.concatenate([lo_w, cs])
     lo = np.asarray(sorted(set(float(t) for t in lo_w if 0 <= t < _FLOAT_MAX)))
     hi = np.asarray(sorted(set(float(t) for t in hi_w if 0 <= t < _FLOAT_MAX)))
     return lo, hi
+
+
+def _signed_witnesses(sign, leaf, tau_lo, tau_hi):
+    lo_w, hi_w = leaf.witnesses(tau_lo, tau_hi)
+    return (lo_w, hi_w) if sign > 0 else (hi_w, lo_w)
 
 
 def _phase_taus(m, phase, tau_lo, tau_hi):
@@ -1234,141 +1400,6 @@ def _phase_taus(m, phase, tau_lo, tau_hi):
     return np.expm1((phase + TWO_PI * ks) / m)
 
 
-def _witnesses(expr, tau_lo, tau_hi):
-    if isinstance(expr, Constant):
-        mid = 0.5 * (tau_lo + tau_hi)
-        return [mid], [mid]
-    if isinstance(expr, LogSine):
-        return (_phase_taus(expr.m, 1.5 * math.pi, tau_lo, tau_hi),
-                _phase_taus(expr.m, 0.5 * math.pi, tau_lo, tau_hi))
-    if isinstance(expr, LogSineAvgPreimage):
-        # asymptotic extremal phase of sin th + (m/n) cos th
-        lam = expr.m / expr.n
-        th = math.atan2(1.0, lam)
-        return (_phase_taus(expr.m, th + math.pi, tau_lo, tau_hi),
-                _phase_taus(expr.m, th, tau_lo, tau_hi))
-    if isinstance(expr, LogLogSine):
-        # only the first peak/trough of each parity fits in a double
-        peaks = DoubleExpCenters("peak").representable_centers()
-        troughs = DoubleExpCenters("trough").representable_centers()
-        return list(troughs), list(peaks)
-    if isinstance(expr, PeriodicZeroMean):
-        arg_lo, arg_hi = expr.wave.extremizer_args()
-        base = TWO_PI * np.arange(math.ceil(tau_lo / TWO_PI),
-                                  math.ceil(tau_lo / TWO_PI) + 40)
-        return list(base + arg_lo), list(base + arg_hi)
-    if isinstance(expr, SlowFromPeriodic):
-        return _slow_witnesses(expr, tau_lo, tau_hi)
-    if isinstance(expr, PeriodicOfLog):
-        g = expr.g
-        if isinstance(g, TrigPolynomial):
-            (_lo, _hi), (a_lo, a_hi) = g.extrema_with_args()
-        else:
-            a_lo, a_hi = g.extremizer_args()
-        return (_phase_taus(1.0, a_lo, tau_lo, tau_hi),
-                _phase_taus(1.0, a_hi, tau_lo, tau_hi))
-    if isinstance(expr, BumpTrain):
-        cs = expr.centers.representable_centers()
-        cs = cs[(cs >= tau_lo) & (cs <= tau_hi)]
-        if cs.size == 0:
-            cs = expr.centers.representable_centers()[-1:]
-        gaps = np.sqrt(cs[:-1] * cs[1:]) if cs.size > 1 else cs * 7.0
-        at_bumps, away = list(cs), list(gaps)
-        if expr.height > 0:
-            return away, at_bumps
-        return at_bumps, away
-    if isinstance(expr, Negate):
-        lo_w, hi_w = _witnesses(expr.term, tau_lo, tau_hi)
-        return hi_w, lo_w
-    if isinstance(expr, Sum):
-        return _sum_witnesses(expr, tau_lo, tau_hi)
-    raise UnsupportedExpression(f"no witnesses for {type(expr).__name__}")
-
-
-def _slow_witnesses(expr: SlowFromPeriodic, tau_lo, tau_hi):
-    g = expr.g
-    if isinstance(g, TrigPolynomial):
-        dp = g.derivative_poly()
-        j_max = max(len(g.cos_coeffs), len(g.sin_coeffs), 1)
-        cos = list(dp.cos_coeffs) + [0.0] * (j_max - len(dp.cos_coeffs))
-        sin = list(dp.sin_coeffs) + [0.0] * (j_max - len(dp.sin_coeffs))
-        h = TrigPolynomial(
-            g.const,
-            tuple((g.cos_coeffs[j] if j < len(g.cos_coeffs) else 0.0) + cos[j] / expr.n
-                  for j in range(j_max)),
-            tuple((g.sin_coeffs[j] if j < len(g.sin_coeffs) else 0.0) + sin[j] / expr.n
-                  for j in range(j_max)),
-        )
-        (_lo, _hi), (a_lo, a_hi) = h.extrema_with_args()
-        return (_phase_taus(1.0, a_lo, tau_lo, tau_hi),
-                _phase_taus(1.0, a_hi, tau_lo, tau_hi))
-    # trapezoid: g + g'/n is linear per segment, so its extremes sit at
-    # one-sided segment endpoints; nudge inward so evaluation picks the
-    # correct piece (the corner value itself belongs to the neighbor)
-    nudge = 1e-9
-    best_lo = best_hi = None
-    a_lo = a_hi = 0.0
-    for (t0, t1, a, b) in g.segments():
-        for th in (t0 + nudge, t1 - nudge):
-            h = a + b * th + b / expr.n
-            if best_lo is None or h < best_lo:
-                best_lo, a_lo = h, th
-            if best_hi is None or h > best_hi:
-                best_hi, a_hi = h, th
-    return (_phase_taus(1.0, a_lo, tau_lo, tau_hi),
-            _phase_taus(1.0, a_hi, tau_lo, tau_hi))
-
-
-def _sum_witnesses(expr: Sum, tau_lo, tau_hi):
-    terms = list(_flatten(expr))
-    slows = []
-    waves = []
-    bumps = []
-    for t in terms:
-        base = t.term if isinstance(t, Negate) else t
-        negd = isinstance(t, Negate)
-        if isinstance(base, _SLOW_TYPES):
-            slows.append((base, negd))
-        elif isinstance(base, PeriodicZeroMean):
-            waves.append((base, negd))
-        elif isinstance(base, BumpTrain):
-            bumps.append((base, negd))
-
-    if len(slows) > 1:
-        poly = _commensurate_profile(slows)
-        if poly is None:
-            raise UnsupportedExpression("witnesses need commensurate slow terms")
-        (_l, _h), (a_lo, a_hi) = poly.extrema_with_args()
-        lo_w = _phase_taus(1.0, a_lo, tau_lo, tau_hi)
-        hi_w = _phase_taus(1.0, a_hi, tau_lo, tau_hi)
-    elif len(slows) == 1:
-        base, negd = slows[0]
-        lo_w, hi_w = _witnesses(Negate(base) if negd else base, tau_lo, tau_hi)
-    else:
-        lo_w = hi_w = np.asarray([0.5 * (tau_lo + tau_hi)])
-
-    # align each slow witness with the periodic wave's extremal plateau: the
-    # slow phase is frozen over a shift of at most 2 pi in tau
-    for (w, negd) in waves:
-        arg_lo, arg_hi = w.wave.extremizer_args()
-        if negd:
-            arg_lo, arg_hi = arg_hi, arg_lo
-        lo_w = _align_phase(np.asarray(lo_w, dtype=float), arg_lo)
-        hi_w = _align_phase(np.asarray(hi_w, dtype=float), arg_hi)
-
-    # bump trains: limsup needs a bump center, which the double-exponential
-    # law places exactly at the slow term's peaks
-    for (b, negd) in bumps:
-        height = -b.height if negd else b.height
-        cs = b.centers.representable_centers()
-        if height > 0:
-            hi_w = np.concatenate([np.asarray(hi_w, float), cs])
-        else:
-            lo_w = np.concatenate([np.asarray(lo_w, float), cs])
-
-    return list(np.asarray(lo_w, float)), list(np.asarray(hi_w, float))
-
-
 def _align_phase(taus: np.ndarray, target_arg: float) -> np.ndarray:
     """Shift each tau forward (< 2 pi) so tau mod 2 pi equals target_arg."""
     shift = np.mod(target_arg - np.mod(taus, TWO_PI), TWO_PI)
@@ -1380,7 +1411,7 @@ def _align_phase(taus: np.ndarray, target_arg: float) -> np.ndarray:
 
 
 def to_json(expr: InitialDataExpr) -> dict:
-    return {"schema": SCHEMA_ID, "expr": _node_to_doc(expr)}
+    return {"schema": SCHEMA_ID, "expr": expr.to_doc()}
 
 
 def from_json(doc) -> InitialDataExpr:
@@ -1396,8 +1427,10 @@ def from_json(doc) -> InitialDataExpr:
         raise
     except KeyError as exc:
         raise DomainError(f"{SCHEMA_ID} document lacks the field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed {SCHEMA_ID} document: {exc}") from exc
+    except RecursionError as exc:
+        raise DomainError(f"{SCHEMA_ID} document nests too deeply") from exc
 
 
 def dumps(expr: InitialDataExpr) -> str:
@@ -1446,37 +1479,6 @@ def _centers_from_doc(doc: dict) -> CenterLaw:
     if law == "double_exp":
         return DoubleExpCenters(doc["parity"])
     raise DomainError(f"unknown center law {law!r}")
-
-
-def _node_to_doc(expr: InitialDataExpr) -> dict:
-    if isinstance(expr, Constant):
-        return {"variant": "constant", "c": expr.c}
-    if isinstance(expr, LogSine):
-        return {"variant": "log_sine", "amplitude": expr.amplitude,
-                "m": expr.m, "offset": expr.offset}
-    if isinstance(expr, LogSineAvgPreimage):
-        return {"variant": "log_sine_avg_preimage", "amplitude": expr.amplitude,
-                "m": expr.m, "offset": expr.offset, "n": expr.n}
-    if isinstance(expr, LogLogSine):
-        return {"variant": "log_log_sine", "amplitude": expr.amplitude,
-                "offset": expr.offset}
-    if isinstance(expr, PeriodicZeroMean):
-        return {"variant": "periodic_zero_mean", "v_max": expr.v_max,
-                "v_min": expr.v_min, "ramp_width": expr.ramp_width}
-    if isinstance(expr, BumpTrain):
-        return {"variant": "bump_train", "height": expr.height,
-                "half_width": expr.half_width, "baseline": expr.baseline,
-                "centers": _centers_to_doc(expr.centers)}
-    if isinstance(expr, SlowFromPeriodic):
-        return {"variant": "slow_from_periodic", "g": _periodic_to_doc(expr.g),
-                "n": expr.n}
-    if isinstance(expr, PeriodicOfLog):
-        return {"variant": "periodic_of_log", "g": _periodic_to_doc(expr.g)}
-    if isinstance(expr, Sum):
-        return {"variant": "sum", "terms": [_node_to_doc(t) for t in expr.terms]}
-    if isinstance(expr, Negate):
-        return {"variant": "negate", "term": _node_to_doc(expr.term)}
-    raise DomainError(f"unserializable expression {type(expr).__name__}")
 
 
 def _node_from_doc(doc: dict) -> InitialDataExpr:

@@ -31,10 +31,11 @@ from .initial_data import (
     LogLogSine,
     LogSine,
     LogSineAvgPreimage,
-    Negate,
     PeriodicZeroMean,
     Sum,
     TrigPolynomial,
+    _FLOAT_MAX,
+    _signed_leaves,
     analytic_band_phi,
     from_json as expr_from_json,
     negate,
@@ -69,9 +70,11 @@ TWO_PI = 2.0 * math.pi
 
 
 def _check_finite(**named):
+    # abs(value) <= _FLOAT_MAX refuses nan, infinities and integers beyond
+    # double range, on which math.isfinite would raise OverflowError
     for name, value in named.items():
         if isinstance(value, bool) or not (
-                isinstance(value, (int, float)) and math.isfinite(value)):
+                isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX):
             raise DomainError(f"{name} must be a finite real, got {value!r}")
 
 
@@ -427,44 +430,36 @@ def envelope_u(cert: PrescriptionCertificate, t: float) -> float:
         raise DomainError(f"t must be a positive finite real, got {t!r}")
     y = 0.5 * math.log(4.0 * t)
 
-    state = {"slow_seen": False, "bumps_seen": False}
-
-    def walk(expr, sign):
-        if isinstance(expr, Constant):
-            return sign * expr.c
-        if isinstance(expr, LogSineAvgPreimage):
-            state["slow_seen"] = True
-            mom = kernel_moments(expr.n, expr.m, KernelFlavor.AVERAGE)
-            osc = mom.a_value * math.sin(expr.m * y) \
-                + mom.b_value * math.cos(expr.m * y)
-            return sign * (expr.amplitude * osc + expr.offset)
-        if isinstance(expr, LogSine):
-            state["slow_seen"] = True
-            mom = kernel_moments(cert.target.n, expr.m, KernelFlavor.DATA)
-            osc = mom.a_value * math.sin(expr.m * y) \
-                + mom.b_value * math.cos(expr.m * y)
-            return sign * (expr.amplitude * osc + expr.offset)
-        if isinstance(expr, LogLogSine):
-            state["slow_seen"] = True
+    value, slow_seen, bumps_seen = 0.0, False, False
+    for sign, leaf in _signed_leaves(cert.data):
+        if isinstance(leaf, Constant):
+            part = leaf.c
+        elif isinstance(leaf, (LogSine, LogSineAvgPreimage)):
+            slow_seen = True
+            if isinstance(leaf, LogSineAvgPreimage):
+                mom = kernel_moments(leaf.n, leaf.m, KernelFlavor.AVERAGE)
+            else:
+                mom = kernel_moments(cert.target.n, leaf.m, KernelFlavor.DATA)
+            osc = mom.a_value * math.sin(leaf.m * y) + mom.b_value * math.cos(leaf.m * y)
+            part = leaf.amplitude * osc + leaf.offset
+        elif isinstance(leaf, LogLogSine):
+            slow_seen = True
             if y <= 0.0:
                 raise DomainError(
                     "the doubly-log envelope needs log sqrt(4t) > 0, "
                     f"i.e. t > 0.25; got t = {t}")
-            return sign * (expr.amplitude * math.sin(math.log(y)) + expr.offset)
-        if isinstance(expr, PeriodicZeroMean):
-            return 0.0
-        if isinstance(expr, BumpTrain):
-            state["bumps_seen"] = True
-            return sign * expr.baseline
-        if isinstance(expr, Negate):
-            return walk(expr.term, -sign)
-        if isinstance(expr, Sum):
-            return sum(walk(term, sign) for term in expr.terms)
-        raise UnsupportedExpression(
-            f"no envelope contribution rule for {type(expr).__name__}")
+            part = leaf.amplitude * math.sin(math.log(y)) + leaf.offset
+        elif isinstance(leaf, PeriodicZeroMean):
+            continue
+        elif isinstance(leaf, BumpTrain):
+            bumps_seen = True
+            part = leaf.baseline
+        else:
+            raise UnsupportedExpression(
+                f"no envelope contribution rule for {type(leaf).__name__}")
+        value += sign * part
 
-    value = walk(cert.data, 1.0)
-    if state["bumps_seen"] and not state["slow_seen"]:
+    if bumps_seen and not slow_seen:
         raise UnsupportedExpression(
             "certificate's oscillating content is bump trains alone; their "
             "origin-solution spikes have no closed envelope formula")
@@ -526,9 +521,10 @@ def cert_from_json(doc) -> PrescriptionCertificate:
     tdoc = _field(doc, "target", "certificate")
     if not isinstance(tdoc, dict):
         raise DomainError(f"certificate target must be an object, got {tdoc!r}")
-    if tdoc.get("kind") not in _TARGET_FIELDS:
-        raise DomainError(f"unknown target kind {tdoc.get('kind')!r}")
-    quad_cls, keys = _TARGET_FIELDS[tdoc["kind"]]
+    kind = tdoc.get("kind")
+    if not isinstance(kind, str) or kind not in _TARGET_FIELDS:
+        raise DomainError(f"unknown target kind {kind!r}")
+    quad_cls, keys = _TARGET_FIELDS[kind]
     tag = _field(doc, "construction_tag", "certificate")
     if not isinstance(tag, str):
         raise DomainError(f"construction_tag must be a string, got {tag!r}")

@@ -132,14 +132,22 @@ def gaussian_power_tail(k: int, z_cut: float) -> float:
 
 
 class _Counter:
-    __slots__ = ("n",)
+    __slots__ = ("n", "f_max")
 
     def __init__(self):
         self.n = 0
+        self.f_max = 0.0
 
 
-def _checked_eval(g: Callable, x: np.ndarray, counter: _Counter) -> np.ndarray:
-    vals = np.asarray(g(x), dtype=float)
+def _checked_eval(f: Callable, x: np.ndarray, counter: _Counter,
+                  weight: Callable | None) -> np.ndarray:
+    """f at the points x, times weight(x) when a weight is given.
+
+    The one finite-value check of the engine: a non-finite f value raises
+    EvaluationError naming its point.  counter tallies the evaluations and
+    the largest |f| seen, which bounds the unsampled tail.
+    """
+    vals = np.asarray(f(x), dtype=float)
     if vals.shape != x.shape:
         vals = np.broadcast_to(vals, x.shape).astype(float)
     counter.n += x.size
@@ -147,17 +155,21 @@ def _checked_eval(g: Callable, x: np.ndarray, counter: _Counter) -> np.ndarray:
         bad = float(x[~np.isfinite(vals)].flat[0])
         raise EvaluationError(
             f"integrand returned a non-finite value at point {bad!r}", point=bad)
-    return vals
+    if vals.size:
+        counter.f_max = max(counter.f_max, float(np.max(np.abs(vals))))
+    return vals if weight is None else vals * weight(x)
 
 
-def _adaptive_simpson(g: Callable, a: float, b: float, *, rel_tol: float,
+def _adaptive_simpson(f: Callable, a: float, b: float, *, rel_tol: float,
                       abs_tol: float, max_panels: int,
-                      max_width: float | None = None) -> tuple[float, float, int]:
-    """Batched adaptive Simpson with Richardson acceptance on [a, b].
+                      max_width: float | None = None,
+                      weight: Callable | None = None) -> tuple[float, float, _Counter]:
+    """Batched adaptive Simpson with Richardson acceptance on [a, b] for the
+    integrand f(x) weight(x) (f alone without a weight).
 
     Relative tolerance is applied against an L1 estimate of the integrand so
     that oscillatory cancellation does not force unbounded refinement.
-    Returns (value, error_estimate, evaluations).
+    Returns (value, error_estimate, counter of evaluations and max |f|).
     """
     if not b > a:
         raise DomainError(f"empty integration interval [{a}, {b}]")
@@ -176,7 +188,7 @@ def _adaptive_simpson(g: Callable, a: float, b: float, *, rel_tol: float,
     widths = np.diff(edges)
     # 5-point stencil per panel: endpoints, midpoint, quarter points.
     stencil = lefts[:, None] + widths[:, None] * np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    f = _checked_eval(g, stencil.ravel(), counter).reshape(n0, 5)
+    fv = _checked_eval(f, stencil.ravel(), counter, weight).reshape(n0, 5)
 
     value = 0.0
     err_total = 0.0
@@ -185,15 +197,15 @@ def _adaptive_simpson(g: Callable, a: float, b: float, *, rel_tol: float,
 
     while lefts.size:
         h = widths
-        s1 = h / 6.0 * (f[:, 0] + 4.0 * f[:, 2] + f[:, 4])
-        s2 = h / 12.0 * (f[:, 0] + 4.0 * f[:, 1] + 2.0 * f[:, 2]
-                         + 4.0 * f[:, 3] + f[:, 4])
+        s1 = h / 6.0 * (fv[:, 0] + 4.0 * fv[:, 2] + fv[:, 4])
+        s2 = h / 12.0 * (fv[:, 0] + 4.0 * fv[:, 1] + 2.0 * fv[:, 2]
+                         + 4.0 * fv[:, 3] + fv[:, 4])
         err = (s2 - s1) / 15.0
         if tol is None:
-            l1 = float(np.sum(h / 12.0 * (np.abs(f[:, 0]) + 4.0 * np.abs(f[:, 1])
-                                          + 2.0 * np.abs(f[:, 2])
-                                          + 4.0 * np.abs(f[:, 3])
-                                          + np.abs(f[:, 4]))))
+            l1 = float(np.sum(h / 12.0 * (np.abs(fv[:, 0]) + 4.0 * np.abs(fv[:, 1])
+                                          + 2.0 * np.abs(fv[:, 2])
+                                          + 4.0 * np.abs(fv[:, 3])
+                                          + np.abs(fv[:, 4]))))
             tol = max(abs_tol, rel_tol * l1)
 
         unsplittable = (lefts + 0.25 * h) <= lefts
@@ -213,18 +225,18 @@ def _adaptive_simpson(g: Callable, a: float, b: float, *, rel_tol: float,
                 best_value=best, error_estimate=est)
         panels_processed += n_children
 
-        rl, rh, rf = lefts[reject], h[reject], f[reject]
+        rl, rh, rf = lefts[reject], h[reject], fv[reject]
         # children reuse the parent's endpoint/quarter/mid values
         new_pts = rl[:, None] + rh[:, None] * np.array([0.125, 0.375, 0.625, 0.875])
-        nf = _checked_eval(g, new_pts.ravel(), counter).reshape(-1, 4)
+        nf = _checked_eval(f, new_pts.ravel(), counter, weight).reshape(-1, 4)
         half = 0.5 * rh
         lefts = np.concatenate([rl, rl + half])
         widths = np.concatenate([half, half])
         f_lo = np.column_stack([rf[:, 0], nf[:, 0], rf[:, 1], nf[:, 1], rf[:, 2]])
         f_hi = np.column_stack([rf[:, 2], nf[:, 2], rf[:, 3], nf[:, 3], rf[:, 4]])
-        f = np.vstack([f_lo, f_hi])
+        fv = np.vstack([f_lo, f_hi])
 
-    return value, err_total, counter.n
+    return value, err_total, counter
 
 
 def integrate_weighted(f: Callable, k: int, spec: QuadratureSpec | None = None) -> IntegralResult:
@@ -243,28 +255,12 @@ def integrate_weighted(f: Callable, k: int, spec: QuadratureSpec | None = None) 
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise DomainError(f"weight power k must be a nonnegative integer, got {k!r}")
 
-    f_max = _Counter()  # reuse as a float box
-    f_max.n = 0.0
-
-    def integrand(z):
-        fv = np.asarray(f(z), dtype=float)
-        if fv.shape != z.shape:
-            fv = np.broadcast_to(fv, z.shape).astype(float)
-        if not np.all(np.isfinite(fv)):
-            bad = float(z[~np.isfinite(fv)].flat[0])
-            raise EvaluationError(
-                f"f returned a non-finite value at z = {bad!r}", point=bad)
-        m = float(np.max(np.abs(fv))) if fv.size else 0.0
-        if m > f_max.n:
-            f_max.n = m
-        return np.exp(-z * z) * z ** k * fv
-
-    value, err, evals = _adaptive_simpson(
-        integrand, _LEFT_EDGE, spec.z_max, rel_tol=spec.rel_tol,
-        abs_tol=spec.abs_tol, max_panels=spec.max_panels)
-    tail = f_max.n * gaussian_power_tail(k, spec.z_max)
-    left_edge = f_max.n * _LEFT_EDGE ** (k + 1) / (k + 1)
-    return IntegralResult(value, err + tail + left_edge, evals)
+    value, err, counter = _adaptive_simpson(
+        f, _LEFT_EDGE, spec.z_max, rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
+        max_panels=spec.max_panels, weight=lambda z: np.exp(-z * z) * z ** k)
+    tail = counter.f_max * gaussian_power_tail(k, spec.z_max)
+    left_edge = counter.f_max * _LEFT_EDGE ** (k + 1) / (k + 1)
+    return IntegralResult(value, err + tail + left_edge, counter.n)
 
 
 def integrate_log_oscillatory(F: Callable, m: float, trig,
@@ -292,25 +288,12 @@ def integrate_log_oscillatory(F: Callable, m: float, trig,
     if spec.x_min >= x_hi:
         raise DomainError(f"x_min = {spec.x_min} must lie below log z_max = {x_hi}")
 
-    counter_box = _Counter()
-    counter_box.n = 0.0
-
-    def integrand(x):
-        fv = np.asarray(F(x), dtype=float)
-        if fv.shape != x.shape:
-            fv = np.broadcast_to(fv, x.shape).astype(float)
-        if not np.all(np.isfinite(fv)):
-            bad = float(x[~np.isfinite(fv)].flat[0])
-            raise EvaluationError(
-                f"F returned a non-finite value at x = {bad!r}", point=bad)
-        return fv * trig_fn(m * x)
-
     cap = (2.0 * math.pi / m) / PANELS_PER_PERIOD
-    value, err, evals = _adaptive_simpson(
-        integrand, spec.x_min, x_hi, rel_tol=spec.rel_tol,
-        abs_tol=spec.abs_tol, max_panels=spec.max_panels, max_width=cap)
+    value, err, counter = _adaptive_simpson(
+        F, spec.x_min, x_hi, rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
+        max_panels=spec.max_panels, max_width=cap, weight=lambda x: trig_fn(m * x))
     # the precondition grants that both unseen tails are below abs_tol
-    return IntegralResult(value, err + spec.abs_tol, evals)
+    return IntegralResult(value, err + spec.abs_tol, counter.n)
 
 
 def _normalize_trig(trig):
@@ -331,18 +314,7 @@ def integrate_interval(f: Callable, a: float, b: float, *,
     such as ball averages.  f receives a float array and must return one of
     the same shape.
     """
-
-    def integrand(x):
-        fv = np.asarray(f(x), dtype=float)
-        if fv.shape != x.shape:
-            fv = np.broadcast_to(fv, x.shape).astype(float)
-        if not np.all(np.isfinite(fv)):
-            bad = float(x[~np.isfinite(fv)].flat[0])
-            raise EvaluationError(
-                f"f returned a non-finite value at x = {bad!r}", point=bad)
-        return fv
-
-    value, err, evals = _adaptive_simpson(
-        integrand, a, b, rel_tol=rel_tol, abs_tol=abs_tol,
-        max_panels=max_panels, max_width=max_width)
-    return IntegralResult(value, err, evals)
+    value, err, counter = _adaptive_simpson(
+        f, a, b, rel_tol=rel_tol, abs_tol=abs_tol, max_panels=max_panels,
+        max_width=max_width)
+    return IntegralResult(value, err, counter.n)

@@ -42,15 +42,9 @@ from .initial_data import (
     BumpTrain,
     InitialDataExpr,
     LogLogSine,
-    LogSine,
-    LogSineAvgPreimage,
-    Negate,
-    PeriodicOfLog,
     PeriodicZeroMean,
-    SlowFromPeriodic,
-    Sum,
-    TrigPolynomial,
     _STRIP,
+    _signed_leaves,
     _signed_sum,
     _split_leaves,
     band_witnesses,
@@ -296,7 +290,7 @@ def _log_trapezoid_weighted(expr, k: int, root: float, mass: float, omega: float
                             spec: QuadratureSpec) -> tuple[float, float]:
     """(value, error bound) for int_0^inf z^k e^{-z^2} expr(root z) dz.
 
-    expr is a sum of leaves accepted by _log_strip_bound, whose masses sum
+    expr is a sum of leaves with a strip_bound, whose masses sum
     to mass and whose frequencies are at most omega.  On the x = log z axis
     the integrand
     f(x) = exp((k+1) x - e^{2x}) expr(root e^x) is analytic in the strip
@@ -336,7 +330,7 @@ def _log_trapezoid_weighted(expr, k: int, root: float, mass: float, omega: float
     return value, 0.5 * spec.abs_tol + tails
 
 
-def _weighted_value(expr, n, k: int, root: float, spec: QuadratureSpec) -> float:
+def _weighted_value(expr, k: int, root: float, spec: QuadratureSpec) -> float:
     """int_0^inf z^k e^{-z^2} expr(root z) dz with per-variant routing.
 
     Constants are exact (c M_k); leaves analytic in log tau share one
@@ -381,7 +375,7 @@ def u_origin(expr, n: int, t: float, spec: QuadratureSpec | None = None) -> floa
     _check_time(t)
     root = math.sqrt(4.0 * t)
     coeff = n * unit_ball_volume(n) / math.pi ** (n / 2.0)
-    return coeff * _weighted_value(expr, n, n - 1, root, spec)
+    return coeff * _weighted_value(expr, n - 1, root, spec)
 
 
 def u_origin_from_H(h_expr, n: int, t: float,
@@ -398,7 +392,7 @@ def u_origin_from_H(h_expr, n: int, t: float,
     _check_time(t)
     root = math.sqrt(4.0 * t)
     coeff = 2.0 * unit_ball_volume(n) / math.pi ** (n / 2.0)
-    return coeff * _weighted_value(h_expr, n, n + 1, root, spec)
+    return coeff * _weighted_value(h_expr, n + 1, root, spec)
 
 
 def u_offcenter_1d(expr, x: float, t: float,
@@ -460,8 +454,7 @@ def _golden_extremum(f, a: float, b: float, find_max: bool,
     return sign * best
 
 
-def band_estimate(evaluator, m_hint, t_anchor: float = 1e6,
-                  spec: QuadratureSpec | None = None, *,
+def band_estimate(evaluator, m_hint, t_anchor: float = 1e6, *,
                   points_per_period: int = 64,
                   min_periods: float = 3.0) -> OscillationBand:
     """Oscillation band of evaluator(t) over a log-time window.
@@ -473,7 +466,6 @@ def band_estimate(evaluator, m_hint, t_anchor: float = 1e6,
     double precision runs out long before 3 such periods, so that mode
     always raises PartialBandError carrying the covered sub-band.
     """
-    del spec  # probing happens through evaluator; kept for signature parity
     if not callable(evaluator):
         raise DomainError("evaluator must be callable")
     if points_per_period < 64:
@@ -551,46 +543,22 @@ def band_estimate(evaluator, m_hint, t_anchor: float = 1e6,
 # Certificate verification
 
 
-@dataclass(frozen=True)
-class _Content:
-    slow_ms: tuple[float, ...]
-    has_loglog: bool
-    has_wave: bool
-    has_bumps: bool
+def _slow_content(expr) -> tuple[float | None, bool]:
+    """(lowest log frequency of the slow leaves or None, whether a
+    doubly-log sine is present): what the sweeps of verify need."""
+    freqs, loglog = [], False
+    for _sign, leaf in _signed_leaves(expr):
+        if (freq := leaf.slow_frequency()) is not None:
+            freqs.append(freq)
+        loglog = loglog or isinstance(leaf, LogLogSine)
+    return (min(freqs) if freqs else None), loglog
 
 
-def _scan_content(expr) -> _Content:
-    ms = set()
-    flags = {"loglog": False, "wave": False, "bumps": False}
-
-    def walk(e):
-        if isinstance(e, Sum):
-            for term in e.terms:
-                walk(term)
-        elif isinstance(e, Negate):
-            walk(e.term)
-        elif isinstance(e, (LogSine, LogSineAvgPreimage)):
-            ms.add(float(e.m))
-        elif isinstance(e, LogLogSine):
-            flags["loglog"] = True
-        elif isinstance(e, PeriodicZeroMean):
-            flags["wave"] = True
-        elif isinstance(e, BumpTrain):
-            flags["bumps"] = True
-        elif isinstance(e, (SlowFromPeriodic, PeriodicOfLog)):
-            g = e.g
-            if isinstance(g, TrigPolynomial):
-                for j in range(1, max(len(g.cos_coeffs), len(g.sin_coeffs)) + 1):
-                    c = g.cos_coeffs[j - 1] if j <= len(g.cos_coeffs) else 0.0
-                    s = g.sin_coeffs[j - 1] if j <= len(g.sin_coeffs) else 0.0
-                    if c != 0.0 or s != 0.0:
-                        ms.add(float(j))
-            else:
-                ms.add(1.0)
-
-    walk(expr)
-    return _Content(tuple(sorted(ms)), flags["loglog"], flags["wave"],
-                    flags["bumps"])
+def _slow_taus(m: float) -> np.ndarray:
+    """tau grid of 3 periods of frequency m on the log(tau + 1) axis from
+    tau ~ 1e4, 64 points a period."""
+    x = np.linspace(math.log(1e4), math.log(1e4) + 3.0 * TWO_PI / m, int(64 * 3) + 1)
+    return np.expm1(x)
 
 
 def _witness_taus(expr) -> np.ndarray:
@@ -598,14 +566,11 @@ def _witness_taus(expr) -> np.ndarray:
     return np.concatenate([lo_w, hi_w]) if lo_w.size + hi_w.size else np.array([1.0])
 
 
-def _measure_phi_band(expr, content: _Content) -> OscillationBand:
+def _measure_phi_band(expr, slow_m: float | None, loglog: bool) -> OscillationBand:
     taus = [_witness_taus(expr), np.geomspace(1e2, 1e12, 513)]
-    if content.slow_ms:
-        m = min(content.slow_ms)
-        x = np.linspace(math.log(1e4), math.log(1e4) + 3.0 * TWO_PI / m,
-                        int(64 * 3) + 1)
-        taus.append(np.expm1(x))
-    if content.has_loglog:
+    if slow_m is not None:
+        taus.append(_slow_taus(slow_m))
+    if loglog:
         ys = np.linspace(1.0, 5.2, 129)
         taus.append(np.exp(np.exp(ys)) - 2.0)
     tau = np.unique(np.concatenate(taus))
@@ -617,18 +582,15 @@ def _measure_phi_band(expr, content: _Content) -> OscillationBand:
         points_per_period=64, periods_covered=3.0)
 
 
-def _measure_H_band(expr, n: int, content: _Content,
+def _measure_H_band(expr, n: int, slow_m: float | None, loglog: bool,
                     spec: QuadratureSpec) -> OscillationBand:
-    if content.has_loglog:
+    if loglog:
         # both extremizers of the doubly-log phase fit below tau ~ 1e79
         ys = np.linspace(1.2, 5.2, 129)
         taus = np.exp(np.exp(ys)) - 2.0
         covered = 3.0  # extremizer-pinned window, see OscillationBand note
-    elif content.slow_ms:
-        m = min(content.slow_ms)
-        x = np.linspace(math.log(1e4), math.log(1e4) + 3.0 * TWO_PI / m,
-                        int(64 * 3) + 1)
-        taus = np.expm1(x)
+    elif slow_m is not None:
+        taus = _slow_taus(slow_m)
         covered = 3.0
     else:
         taus = np.geomspace(1e4, 1e8, 129)
@@ -668,11 +630,11 @@ def verify_certificate(cert: PrescriptionCertificate, n: int | None = None,
     if not (math.isfinite(tol_band) and tol_band > 0):
         raise DomainError(f"tol_band must be positive, got {tol_band!r}")
 
-    content = _scan_content(cert.data)
+    slow_m, loglog = _slow_content(cert.data)
     notes: list[str] = []
 
-    phi_band = _measure_phi_band(cert.data, content)
-    h_band = _measure_H_band(cert.data, n, content, spec)
+    phi_band = _measure_phi_band(cert.data, slow_m, loglog)
+    h_band = _measure_H_band(cert.data, n, slow_m, loglog, spec)
 
     def u_at(t):
         return u_origin(cert.data, n, t, spec)
@@ -680,7 +642,7 @@ def verify_certificate(cert: PrescriptionCertificate, n: int | None = None,
     sweep_kwargs = dict(points_per_period=points_per_period,
                         min_periods=min_periods)
     u_partial = False
-    if content.has_loglog:
+    if loglog:
         try:
             u_band = band_estimate(u_at, "log-log", t_anchor, **sweep_kwargs)
         except PartialBandError as err:
@@ -691,8 +653,8 @@ def verify_certificate(cert: PrescriptionCertificate, n: int | None = None,
                 f"{min_periods:g} doubly-log periods before the "
                 "double-precision cap; endpoint match relaxed to containment")
     else:
-        if content.slow_ms:
-            m_hint = min(content.slow_ms)
+        if slow_m is not None:
+            m_hint = slow_m
         else:
             m_hint = 1.0
             notes.append("envelope is constant; sweep frequency 1.0 is nominal")

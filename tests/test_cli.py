@@ -7,6 +7,7 @@ repeated runs with the same arguments.
 
 from __future__ import annotations
 
+import copy
 import importlib
 import json
 import math
@@ -15,10 +16,32 @@ import subprocess
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heatband.cli as cli
-from heatband import ConvergenceError, DomainError, cert_loads, prescribe_average
+from heatband import (
+    BumpTrain,
+    ConvergenceError,
+    DomainError,
+    GeometricCenters,
+    LogLogSine,
+    LogSine,
+    Negate,
+    PeriodicOfLog,
+    SlowFromPeriodic,
+    Sum,
+    TrapezoidWave,
+    TrigPolynomial,
+    cert_from_json,
+    cert_loads,
+    cert_to_json,
+    lemma_not_example,
+    prescribe_average,
+    prescribe_data,
+)
 from heatband.cli import RunConfig
+from heatband.initial_data import from_json, to_json
 
 
 def run_cli(args):
@@ -293,9 +316,22 @@ class TestVerify:
     def _missing_expr_field(doc):
         del doc["data"]["expr"]["amplitude"]
 
+    @staticmethod
+    def _list_target_kind(doc):
+        doc["target"]["kind"] = []
+
+    @staticmethod
+    def _huge_int_band_end(doc):
+        doc["expected_u_band"][0] = -10**400
+
+    @staticmethod
+    def _huge_int_amplitude(doc):
+        doc["data"]["expr"]["amplitude"] = 10**400
+
     @pytest.mark.parametrize("mangle", [
         "_bare_cert", "_list_document", "_string_n", "_bool_n", "_bool_band_end",
-        "_no_u_band", "_no_data_variant", "_list_band", "_missing_expr_field"])
+        "_no_u_band", "_no_data_variant", "_list_band", "_missing_expr_field",
+        "_list_target_kind", "_huge_int_band_end", "_huge_int_amplitude"])
     def test_malformed_certificate_exits_two(self, tmp_path, average_cert_file,
                                              capsys, mangle):
         doc = json.loads(average_cert_file.read_text())
@@ -308,6 +344,134 @@ class TestVerify:
         assert err.startswith("heatband verify:")
         assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# Loader fuzzing: a mutated cert/1 or idexpr/1 document either loads or is
+# refused with DomainError, and verify exits 2 on every refused certificate
+
+
+def _every_variant():
+    """One expression holding every idexpr/1 variant."""
+    return Sum((
+        prescribe_average(-1.0, -0.3, 0.3, 1.0, 2).data,
+        Negate(LogSine(0.5, 2.0, 0.1)),
+        LogLogSine(0.5, 0.2),
+        prescribe_data(-1.0, -0.5, 0.3, 2.0, 1).data,
+        BumpTrain(0.7, 0.3, 0.2, GeometricCenters(2.0)),
+        prescribe_data(0.0, 0.0, 1.0, 2.0, 1).data,
+        SlowFromPeriodic(TrigPolynomial(0.5, (0.2,), (0.85, 0.1)), 3),
+        SlowFromPeriodic(TrapezoidWave(1.0, -1.0), 2),
+        PeriodicOfLog(TrapezoidWave(1.0, -0.5, 0.4)),
+    ))
+
+
+_EXPR_SEEDS = [to_json(_every_variant())]
+_CERT_SEEDS = [cert_to_json(c) for c in (
+    prescribe_average(-1.0, -0.3, 0.3, 1.0, 2),
+    prescribe_data(-2.0, -0.3, 0.5, 1.0, 1),
+    prescribe_data(-2.0, -1.0, 0.0, 0.0, 3),
+    prescribe_data(-1.0, 0.0, 0.0, 0.0, 1),
+    lemma_not_example(),
+)]
+_CERT_SEEDS.append(dict(_CERT_SEEDS[0], data=_EXPR_SEEDS[0]))
+
+# small JSON values only, so that no draw can ask for a large allocation;
+# integers beyond double range are drawn on purpose
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=6) | st.sampled_from([10**400, -10**400]))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+_DROP = object()
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, prefix + (i,))
+
+
+@st.composite
+def _mutated(draw, seeds):
+    """A seed document with one or two values dropped or replaced, mostly by
+    JSON scalars and sometimes by small containers."""
+    doc = copy.deepcopy(draw(st.sampled_from(seeds)))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = draw(st.sampled_from((_DROP, _SCALARS, _SCALARS, _JSON)))
+        if value is not _DROP:
+            value = draw(value)
+        if not path:
+            doc = {} if value is _DROP else value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+def _refused(loader, doc) -> bool:
+    try:
+        loader(doc)
+    except DomainError:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_mutated(_EXPR_SEEDS))
+def test_mutated_idexpr_loads_or_raises_domain_error(doc):
+    _refused(from_json, doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_mutated(_CERT_SEEDS))
+def test_mutated_certificate_loads_or_raises_domain_error(doc):
+    _refused(cert_from_json, doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_mutated(_CERT_SEEDS))
+def test_verify_exits_two_on_every_refused_certificate(tmp_path_factory, doc):
+    if not _refused(cert_from_json, doc):
+        return  # a loadable certificate would run a whole verification
+    out = tmp_path_factory.getbasetemp()
+    path = out / "fuzzed_cert.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["verify", "--cert", str(path), "--out-dir", str(out)]) == 2
+
+
+def _deep_certificate(tmp_path, depth):
+    """A valid certificate whose data sits under depth negations, written
+    as text (json.dumps itself would recurse too deeply)."""
+    doc = cert_to_json(prescribe_average(-1.0, -0.3, 0.3, 1.0, 2))
+    leaf = json.dumps(doc["data"]["expr"])
+    doc["data"] = "@DATA@"
+    expr = '{"variant": "negate", "term": ' * depth + leaf + "}" * depth
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc).replace(
+        '"@DATA@"', '{"schema": "idexpr/1", "expr": ' + expr + "}"))
+    return path
+
+
+@pytest.mark.parametrize("command", ["verify", "probe"])
+def test_deeply_nested_certificate_exits_two(tmp_path, capsys, command):
+    path = _deep_certificate(tmp_path, 6000)
+    assert run_cli([command, "--cert", str(path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"heatband {command}:") and "deeply" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

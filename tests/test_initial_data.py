@@ -36,6 +36,9 @@ from heatband.initial_data import (
     _faulhaber,
     _generic_radial_integral,
     _log_gauss_rule,
+    _signed_leaves,
+    _signed_sum,
+    _split_leaves,
     analytic_band_phi,
     band_witnesses,
     closed_H,
@@ -205,6 +208,17 @@ class TestValidation:
     def test_rejected(self, bad):
         with pytest.raises(DomainError):
             bad()
+
+    def test_geometric_base_near_one_refused_before_allocating(self):
+        # floor(log(DBL_MAX) / log(base)) centers: about 7.1e11 here, which
+        # would be 5.7 TB of doubles
+        with pytest.raises(DomainError, match="centers"):
+            GeometricCenters(1.0 + 1e-9)
+        with pytest.raises(DomainError, match="centers"):
+            from_json({"schema": "idexpr/1", "expr": {
+                "variant": "bump_train", "height": 1.0, "half_width": 1e-12,
+                "baseline": 0.0, "centers": {"law": "geometric", "base": 1.0001}}})
+        GeometricCenters(1.001)  # about 7.1e5 centers, below the 1e6 cap
 
     def test_bump_overlap_threshold(self):
         # geometric base 2: consecutive gaps are c, 2c, ...; the smallest is
@@ -682,6 +696,85 @@ class TestAnalyticBands:
         assert lo == pytest.approx(-1.0 - slope / 2.0, abs=1e-12)
 
 
+class TestSignedLeaves:
+    """Every rule combines the signed leaves, however the tree nests them."""
+
+    NESTED = Sum((LogSine(1.0, 2.0),
+                  Negate(Sum((Constant(0.25), PeriodicZeroMean(1.0, -1.0))))))
+
+    def test_walk_is_depth_first_with_signs(self):
+        wave = PeriodicZeroMean(1.0, -1.0)
+        assert _signed_leaves(self.NESTED) == [
+            (1.0, LogSine(1.0, 2.0)), (-1.0, Constant(0.25)), (-1.0, wave)]
+        assert _signed_leaves(Negate(Negate(wave))) == [(1.0, wave)]
+
+    def test_nested_negated_sum_has_the_flat_band(self):
+        assert analytic_band_phi(self.NESTED) == (-2.25, 1.75)
+
+    def test_nested_wave_still_aligns_the_slow_witnesses(self):
+        lo_w, hi_w = band_witnesses(self.NESTED, 1e6, 1e12)
+        # each witness is shifted onto the plateau where the negated wave
+        # takes the matching extreme, so phi reaches both band ends there
+        lo, hi = analytic_band_phi(self.NESTED)
+        assert float(eval_phi(self.NESTED, hi_w).max()) >= hi - 1e-3
+        assert float(eval_phi(self.NESTED, lo_w).min()) <= lo + 1e-3
+
+    def test_deep_negation_chain_does_not_recurse(self):
+        expr = Constant(0.5)
+        for _ in range(5000):
+            expr = Negate(expr)
+        assert _signed_leaves(expr) == [(1.0, Constant(0.5))]
+
+
+_LEAVES = st.sampled_from([
+    Constant(0.25), Constant(-1.0), Constant(0.0),
+    LogSine(1.0, 2.0, 0.5), LogSine(0.5, 1.0),
+    LogSineAvgPreimage(0.6, 1.0, -0.1, 2), LogSineAvgPreimage(0.3, 3.0, 0.0, 1),
+    LogLogSine(0.5, 0.5),
+    PeriodicZeroMean(1.0, -1.0), PeriodicZeroMean(1.35, -0.35),
+    BumpTrain(0.7, 0.3, 0.2, GeometricCenters()),
+    BumpTrain(-0.8, 1.0, 0.0, DoubleExpCenters("peak")),
+    PeriodicOfLog(TrigPolynomial(0.1, (0.5,), (0.0, 0.3))),
+    SlowFromPeriodic(TrapezoidWave(1.0, -1.0), 2),
+])
+
+_TREES = st.recursive(
+    _LEAVES,
+    lambda inner: st.builds(Negate, inner)
+    | st.lists(inner, min_size=1, max_size=3).map(lambda ts: Sum(tuple(ts))),
+    max_leaves=4)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the error it raised."""
+    try:
+        return fn(*args)
+    except UnsupportedExpression as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_TREES)
+def test_nested_trees_match_their_flat_signed_form(tree):
+    leaves = _signed_leaves(tree)
+    assume(len(leaves) <= 4)
+    flat = _signed_sum(leaves)
+    assert _outcome(analytic_band_phi, tree) == _outcome(analytic_band_phi, flat)
+    assert sup_abs_phi(tree) == sup_abs_phi(flat)
+    assert _split_leaves(tree) == _split_leaves(flat)
+    nested_w = _outcome(band_witnesses, tree, 1e3, 1e12)
+    flat_w = _outcome(band_witnesses, flat, 1e3, 1e12)
+    if isinstance(nested_w, tuple):
+        assert all(np.array_equal(a, b) for a, b in zip(nested_w, flat_w))
+    else:
+        assert nested_w == flat_w
+    for n in (1, 2):
+        h_tree, h_flat = closed_H(tree, n), closed_H(flat, n)
+        assert (h_tree is None) == (h_flat is None)
+        if h_tree is not None:
+            assert _signed_sum(_signed_leaves(h_tree)) == h_flat
+
+
 class TestBandWitnesses:
     @pytest.mark.parametrize("expr", [
         LogSine(0.85, 3.7, 0.2),
@@ -773,10 +866,18 @@ class TestSerialization:
         {"schema": "idexpr/1", "expr": {"variant": "log_sine_avg_preimage",
                                         "amplitude": 1.0, "m": 1.0,
                                         "offset": 0.0, "n": True}},
+        {"schema": "idexpr/1", "expr": {"variant": "constant", "c": 10**400}},
     ])
     def test_malformed_documents_raise_domain_error(self, doc):
         with pytest.raises(DomainError):
             from_json(doc)
+
+    def test_deep_nesting_is_a_domain_error(self):
+        node = {"variant": "constant", "c": 1.0}
+        for _ in range(6000):
+            node = {"variant": "negate", "term": node}
+        with pytest.raises(DomainError, match="deeply"):
+            from_json({"schema": "idexpr/1", "expr": node})
 
     def test_unknown_center_law_rejected(self):
         doc = to_json(BumpTrain(0.7, 0.3, 0.2, GeometricCenters()))
