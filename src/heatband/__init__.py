@@ -40,10 +40,10 @@ from .initial_data import (
     sup_abs_phi,
 )
 from .kernel_moments import (
+    MAX_DIMENSION,
     KernelFlavor,
     MomentPair,
     kernel_moments,
-    kernel_moments_shifted,
     moment_norm,
     solve_m,
     unit_ball_volume,

@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedExpression,
 )
 from .initial_data import closed_H, eval_phi, numeric_H
-from .kernel_moments import KernelFlavor, kernel_moments
+from .kernel_moments import KernelFlavor, check_dimension, kernel_moments
 from .prescriber import (
     cert_dumps,
     cert_loads,
@@ -86,8 +86,7 @@ class RunConfig:
             raise DomainError(f"unknown command {self.command!r}")
         if self.average_quad is not None and self.data_quad is not None:
             raise DomainError("give either an average target or a data target, not both")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        check_dimension(self.n)
         for quad in (self.average_quad, self.data_quad):
             if quad is not None and not all(math.isfinite(v) for v in quad):
                 raise DomainError(f"target values must be finite, got {quad}")

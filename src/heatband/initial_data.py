@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedExpression,
 )
 from .kernel_moments import check_dimension
-from .quadrature import GL_NODES, GL_WEIGHTS, integrate_interval
+from .quadrature import GL_NODES, GL_WEIGHTS
 
 __all__ = [
     "PeriodicFunction", "TrapezoidWave", "TrigPolynomial",
@@ -59,13 +59,15 @@ _BERNOULLI = (1.0, -0.5, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0,
               0.0, -1.0 / 30.0, 0.0, 5.0 / 66.0)
 
 
-def _faulhaber(p: int, n_terms: float) -> float:
-    """sum_{q=0}^{N-1} q^p for integer p >= 0 and (possibly huge) integer N."""
+def _faulhaber(p: int, n_terms: float, scale: float = 1.0) -> float:
+    """scale^(p+1) sum_{q=0}^{N-1} q^p for integer p >= 0 and (possibly huge)
+    integer N; with scale near 1/N every power stays in range."""
     if p + 1 >= len(_BERNOULLI):
         raise DomainError(f"Faulhaber sums implemented up to p = {len(_BERNOULLI) - 2}")
     total = 0.0
     for j in range(p + 1):
-        total += math.comb(p + 1, j) * _BERNOULLI[j] * n_terms ** (p + 1 - j)
+        total += (math.comb(p + 1, j) * _BERNOULLI[j]
+                  * (n_terms * scale) ** (p + 1 - j) * scale ** j)
     return total / (p + 1)
 
 
@@ -368,6 +370,9 @@ class InitialDataExpr:
       strip_bound()      (mass, omega) with |leaf(tau)| <= mass e^{omega a}
                          for |arg tau| <= a, for leaves analytic in log tau;
                          None for the rest
+      _piece_bound()     (mass, phases) for leaves linear in L = log(tau + 1)
+                         between corners theta + 2 pi q, theta in phases
+                         (see _split_gauss); None for the rest
       slow_frequency()   lowest frequency on the log(tau + 1) axis, or None
       witnesses(lo, hi)  tau values approaching the liminf and the limsup
       to_doc()           the idexpr/1 node
@@ -383,6 +388,9 @@ class InitialDataExpr:
         raise UnsupportedExpression(f"no sup bound for {type(self).__name__}")
 
     def strip_bound(self) -> tuple[float, float] | None:
+        return None
+
+    def _piece_bound(self) -> tuple[float, tuple[float, ...]] | None:
         return None
 
     def slow_frequency(self) -> float | None:
@@ -686,6 +694,18 @@ class _ProfileOfLog(InitialDataExpr):
             for j, c in enumerate(coeffs, start=1))
         return mass, float(max(len(g.cos_coeffs), len(g.sin_coeffs), 1))
 
+    def _piece_bound(self):
+        # a trapezoid g is linear in L between corners; over the ellipse of
+        # a Gauss panel inside |Im s| <= a, |Im L| <= a and Re L overshoots
+        # the panel's piece by at most a - log cos a, so the piece's formula,
+        # continued, stays below sup|phi| + max|g'| (2a - log cos a)
+        g = self.g
+        if not isinstance(g, TrapezoidWave):
+            return None
+        steep = max(abs(b) for (_t0, _t1, _a, b) in g.segments())
+        return (self.sup_abs() + steep * (2.0 * _STRIP - math.log(math.cos(_STRIP))),
+                tuple(sorted(set(g.breakpoints[:-1]))))
+
     def slow_frequency(self):
         g = self.g
         if not isinstance(g, TrigPolynomial):
@@ -974,8 +994,9 @@ class _Leaves:
     constants; analytic holds the leaves with a strip_bound, with their
     strip masses summed in mass and their top log frequency in omega; fast
     holds the 2 pi periodic waves and the bump trains, whose fine structure
-    needs exact routes; rest holds everything else (trapezoid profiles of
-    log(tau + 1), which jump).
+    needs exact routes; kinked holds the leaves with a _piece_bound
+    (trapezoid profiles of log(tau + 1)), which the Gauss routes split at
+    their corners.
     """
 
     constant: float
@@ -983,13 +1004,14 @@ class _Leaves:
     mass: float
     omega: float
     fast: tuple[tuple[float, InitialDataExpr], ...]
-    rest: tuple[tuple[float, InitialDataExpr], ...]
+    kinked: tuple[tuple[float, InitialDataExpr], ...]
 
 
 def _split_leaves(expr: InitialDataExpr) -> _Leaves:
-    """Sort the signed leaves of expr into their routes."""
+    """Sort the signed leaves of expr into their routes; a leaf with none
+    raises UnsupportedExpression."""
     constant, mass, omega = 0.0, 0.0, 0.0
-    analytic, fast, rest = [], [], []
+    analytic, fast, kinked = [], [], []
     for sign, leaf in _signed_leaves(expr):
         if isinstance(leaf, Constant):
             constant += sign * leaf.c
@@ -999,9 +1021,39 @@ def _split_leaves(expr: InitialDataExpr) -> _Leaves:
             analytic.append((sign, leaf))
             mass += bound[0]
             omega = max(omega, bound[1])
+        elif leaf._piece_bound() is not None:
+            kinked.append((sign, leaf))
         else:
-            rest.append((sign, leaf))
-    return _Leaves(constant, tuple(analytic), mass, omega, tuple(fast), tuple(rest))
+            raise UnsupportedExpression(
+                f"no integration route for {type(leaf).__name__}")
+    return _Leaves(constant, tuple(analytic), mass, omega, tuple(fast), tuple(kinked))
+
+
+def _kink_bound(pairs) -> tuple[float, tuple[float, ...]]:
+    """Summed piece mass and sorted corner phases of the kinked leaves in pairs."""
+    bounds = [leaf._piece_bound() for _sign, leaf in pairs]
+    return sum(b[0] for b in bounds), tuple(sorted({p for b in bounds for p in b[1]}))
+
+
+def _split_gauss(lo: float, h: float, panels: int, radius: float, phases):
+    """(s_i, w_i, near) of the 8-node Gauss-Legendre rule on `panels` panels
+    of width h from s = lo, s = log(r / radius), each panel split where
+    L = log(r + 1) crosses a corner theta + 2 pi q, theta in phases.  near
+    marks the nodes whose L lies within rounding of a corner, where
+    evaluation may take the neighbouring piece's formula.
+    """
+    edges = lo + h * np.arange(panels + 1)
+    ell_lo, ell_hi = np.log1p(radius * np.exp(edges[[0, -1]]))
+    q = np.arange(math.floor(ell_lo / TWO_PI), math.floor(ell_hi / TWO_PI) + 1)
+    corners = (TWO_PI * q[:, None] + np.asarray(phases)).ravel()
+    corners = corners[(corners > ell_lo) & (corners < ell_hi)]
+    # s = log(e^L - 1) - log radius, without overflow at large L
+    edges = np.union1d(edges, corners + np.log(-np.expm1(-corners)) - math.log(radius))
+    widths = np.diff(edges)
+    nodes = (edges[:-1, None] + widths[:, None] * GL_NODES).ravel()
+    ell = np.log1p(radius * np.exp(nodes))
+    gap = np.abs(ell[:, None] - corners).min(axis=1, initial=np.inf)
+    return nodes, (widths[:, None] * GL_WEIGHTS).ravel(), gap <= 16.0 * _EPS * (ell + 1.0)
 
 
 def _signed_sum(pairs) -> InitialDataExpr:
@@ -1022,16 +1074,15 @@ def numeric_H(expr: InitialDataExpr, n: int, tau: float, tol: float = 1e-8) -> f
     """Ball average H(tau) = (n/tau^n) int_0^tau phi r^(n-1) dr, H(0) = phi(0).
 
     Each signed leaf of expr takes its own route.  Constants are exact.
-    Leaves analytic in log tau (log sines, their average preimages, the
-    doubly-log sine, trig-polynomial profiles of log(tau + 1)) share one
+    Profiles of log tau (log sines, their average preimages, the doubly-log
+    sine, trig-polynomial and trapezoid profiles of log(tau + 1)) share one
     fixed Gauss-Legendre sum on s = log(r / tau), where
     H(tau) = n int_{-inf}^0 phi(tau e^s) e^{ns} ds; its window and panels
     come from an a-priori bound that keeps the error below tol at every tau,
-    with the same nodes for every tau.  Trapezoid waves and bump trains
-    integrate segment-exactly, since adaptive panels would alias their
-    exponentially sparse or fine structure.  Trapezoid profiles of
-    log(tau + 1), which jump, go through adaptive quadrature on the
-    x = log(r + 1) axis.
+    with the same nodes for every tau, split at the corners of trapezoid
+    profiles, which are linear in log(r + 1) between.  Waves and bump trains
+    integrate segment-exactly, since fixed panels would alias their
+    exponentially sparse or fine structure.
 
     tol must be a positive finite real.  Too fine a tol for the analytic
     leaves raises ConvergenceError, a non-finite data value EvaluationError.
@@ -1042,9 +1093,10 @@ def numeric_H(expr: InitialDataExpr, n: int, tau: float, tol: float = 1e-8) -> f
 def _ball_average(expr, n, tau, tol) -> tuple[float, float]:
     """(H(tau), error bound) for numeric_H.
 
-    The bound adds the a-priori bound of the Gauss sum and the adaptive
-    engine's error estimate for trapezoid profiles; the exact routes and
-    the rounding in evaluating phi itself are not counted.
+    The bound is the a-priori bound of the Gauss sum, with 2 mass |w_i| for
+    each node that rounding may evaluate on the wrong side of a corner; the
+    exact routes and the rest of the rounding in evaluating phi itself are
+    not counted.
     """
     check_dimension(n)
     if not (math.isfinite(tau) and tau >= 0):
@@ -1058,9 +1110,19 @@ def _ball_average(expr, n, tau, tol) -> tuple[float, float]:
 
     leaves = _split_leaves(expr)
     value, bound = leaves.constant, 0.0
-    if leaves.analytic:
+    if leaves.kinked:  # the layout for the summed mass, split at the corners
+        kink_mass, phases = _kink_bound(leaves.kinked)
+        mass = leaves.mass + kink_mass
+        depth, panels, rule_bound = _log_gauss_panels(n, mass, leaves.omega, tol)
+        s, w, near = _split_gauss(-depth, depth / panels, panels, tau, phases)
+        scale = np.exp(s)
+        weights = n * w * scale ** n
+        rule_bound += (weights.size * _EPS * mass * float(np.sum(weights))
+                       + 2.0 * kink_mass * float(np.sum(weights[near])))
+    elif leaves.analytic:
         scale, weights, rule_bound = _log_gauss_rule(n, leaves.mass, leaves.omega, tol)
-        vals = eval_phi(_signed_sum(leaves.analytic), tau * scale)
+    if leaves.analytic or leaves.kinked:
+        vals = eval_phi(_signed_sum(leaves.analytic + leaves.kinked), tau * scale)
         if not np.all(np.isfinite(vals)):
             bad = float(tau * scale[~np.isfinite(vals)][0])
             raise EvaluationError(
@@ -1073,20 +1135,17 @@ def _ball_average(expr, n, tau, tol) -> tuple[float, float]:
         else:
             part = _bump_radial_integral(leaf, n, tau)
         value += sign * n * part
-    if leaves.rest:
-        part, err = _generic_radial_integral(_signed_sum(leaves.rest), n, tau, tol)
-        value += n * part
-        bound += n * err
     return value, bound
 
 
 @lru_cache(maxsize=64)
-def _log_gauss_rule(n: int, mass: float, omega: float, tol: float):
-    """(e^{s_i}, w_i, error bound) with H(tau) ~ sum_i w_i phi(tau e^{s_i}).
+def _log_gauss_panels(n: int, mass: float, omega: float, tol: float):
+    """(D, P, error bound) of the Gauss rule of H(tau) on s = log(r / tau).
 
-    phi is a sum of analytic leaves whose strip masses sum to mass and whose
+    phi is a sum of leaves whose strip masses sum to mass and whose
     frequencies are at most omega, so |phi(tau e^s)| <= mass e^{omega a} for
-    |Im s| <= a = _STRIP, whatever tau.  The rule
+    |Im s| <= a = _STRIP, whatever tau (piece by piece for kinked leaves,
+    see _piece_bound).  The rule
 
     * cuts the window at s = -D with D = log(2 mass / tol) / n, which drops
       at most mass e^{-nD} = tol / 2 of n int phi(tau e^s) e^{ns} ds;
@@ -1102,10 +1161,10 @@ def _log_gauss_rule(n: int, mass: float, omega: float, tol: float):
           E(h) = (32/15) mass e^{omega a + n sqrt(h^2/4 + a^2)} rho^-16 / (rho^2 - 1),
       which grows with h; P is the least panel count with E(D / P) <= tol/2.
 
-    The bound returned is E(h) + mass e^{-nD} plus the rounding of the
-    weighted sum.  Nothing depends on tau, so the rule is built once per
-    (n, mass, omega, tol).  More than _H_MAX_NODES nodes raise
-    ConvergenceError.
+    The bound returned is E(h) + mass e^{-nD}; panels split at corners keep
+    it, being narrower, as e^{ns} is convex.  Nothing depends on tau, so the
+    layout is found once per (n, mass, omega, tol).  More than _H_MAX_NODES
+    nodes raise ConvergenceError.
     """
     order = len(GL_NODES)
     depth = math.log(max(2.0 * mass / tol, math.e)) / n
@@ -1133,38 +1192,23 @@ def _log_gauss_rule(n: int, mass: float, omega: float, tol: float):
             hi = mid
         else:
             lo = mid
-    h = depth / hi
-    s = -depth + h * (np.arange(hi)[:, None] + GL_NODES).ravel()
-    scale = np.exp(s)
-    weights = n * h * np.tile(GL_WEIGHTS, hi) * scale ** n
     quad = math.exp(log_error(hi)) if mass > 0.0 else 0.0
+    return depth, hi, quad + mass * math.exp(-n * depth)
+
+
+@lru_cache(maxsize=64)
+def _log_gauss_rule(n: int, mass: float, omega: float, tol: float):
+    """(e^{s_i}, w_i, error bound) with H(tau) ~ sum_i w_i phi(tau e^{s_i})
+    for analytic leaves: the panels of _log_gauss_panels, the same for every
+    tau, and their bound plus the rounding of the weighted sum."""
+    depth, panels, bound = _log_gauss_panels(n, mass, omega, tol)
+    h = depth / panels
+    s = -depth + h * (np.arange(panels)[:, None] + GL_NODES).ravel()
+    scale = np.exp(s)
+    weights = n * h * np.tile(GL_WEIGHTS, panels) * scale ** n
     rounding = weights.size * _EPS * mass * float(np.sum(weights))
     scale.flags.writeable = weights.flags.writeable = False
-    return scale, weights, quad + mass * math.exp(-n * depth) + rounding
-
-
-def _generic_radial_integral(expr, n, tau, tol) -> tuple[float, float]:
-    """(value, error estimate) of (1/tau^n) int_0^tau phi r^(n-1) dr by
-    adaptive Simpson on the x = log(r + 1) axis."""
-    x_hi = math.log1p(tau)
-
-    def integrand(x):
-        r = np.expm1(x)
-        u = r / tau
-        return expr._values(r) * u ** (n - 1) * (np.exp(x) / tau)
-
-    # cap panels below the oscillation period on the x = log(r+1) axis so a
-    # uniform starting grid cannot alias a log-periodic integrand; trapezoid
-    # profiles, the leaves without a strip bound, have period 2 pi there
-    leaves = _split_leaves(expr)
-    freq = max(leaves.omega, 1.0 if leaves.rest else 0.0)
-    max_width = (TWO_PI / freq) / 8.0 if freq > 0 else None
-
-    eng_tol = tol / (8.0 * n)
-    result = integrate_interval(integrand, 0.0, x_hi, rel_tol=eng_tol,
-                                abs_tol=eng_tol, max_panels=400_000,
-                                max_width=max_width)
-    return result.value, result.abs_error_est
+    return scale, weights, bound + rounding
 
 
 def _periodic_radial_integral(segments, n, tau):
@@ -1173,11 +1217,14 @@ def _periodic_radial_integral(segments, n, tau):
 
     Per full period q: int wave(y) (y + qT)^(n-1) dy expands binomially into
     period moments M_j = int_0^T wave(y) y^j dy, and the powers of q sum in
-    closed form (Faulhaber), so the cost is O(n^2) regardless of tau.
+    closed form (Faulhaber), so the cost is O(n^2) regardless of tau.  Only
+    the ratios T / tau and q T / tau are raised to powers, so no power of
+    tau overflows.
     """
     T = TWO_PI
     n_full = math.floor(tau / T)
     rem = tau - n_full * T
+    y = T / tau
 
     def seg_moment(j, upto):
         tot = 0.0
@@ -1192,54 +1239,51 @@ def _periodic_radial_integral(segments, n, tau):
     m_full = [seg_moment(j, T) for j in range(n)]
     m_part = [seg_moment(j, rem) for j in range(n)]
 
+    # term j over tau^n: (M_j / T^(j+1)) y^j (y^(p+1) S_p(N)) for the full
+    # periods and (M_j / T^(j+1)) y^(j+1) (N y)^p for the rest, p = n - 1 - j
     total = 0.0
     for j in range(n):
         binom = math.comb(n - 1, j)
+        p = n - 1 - j
         if n_full > 0:
-            p = n - 1 - j
-            total += binom * m_full[j] * T ** p * _faulhaber(p, float(n_full))
-        total += binom * m_part[j] * (n_full * T) ** (n - 1 - j)
-    return total / tau ** n
+            total += binom * (m_full[j] / T ** (j + 1)) * y ** j \
+                * _faulhaber(p, float(n_full), y)
+        total += binom * (m_part[j] / T ** (j + 1)) * y ** (j + 1) * (n_full * y) ** p
+    return total
 
 
 def _bump_radial_integral(expr: BumpTrain, n, tau):
-    """Exact (1/tau^n) int_0^tau (baseline + bumps)(r) r^(n-1) dr."""
-    total = expr.baseline / n
-    w = expr.half_width
-    for c in expr.centers.representable_centers():
-        if c - w >= tau:
-            break
-        s_lo = max(-w, -c)
-        s_hi = min(w, tau - c)
-        if s_hi <= s_lo:
-            continue
-        # int (1 - |s|/w) (c + s)^(n-1) ds, expanded in powers of s/tau
-        contrib = 0.0
-        for i in range(n):
-            piece = _triangle_power_moment(i, s_lo, s_hi, w)
-            contrib += math.comb(n - 1, i) * (c / tau) ** (n - 1 - i) \
-                * piece / tau ** (i + 1)
-        total += expr.height * contrib
-    return total
+    """Exact (1/tau^n) int_0^tau (baseline + bumps)(r) r^(n-1) dr: with
+    x = r / tau, a bump piece times x^(n-1) is a polynomial of degree
+    n <= 15, which the Gauss rule of _bump_pieces integrates exactly."""
+    return expr.baseline / n + _bump_pieces(expr, tau, 1.0, lambda x: x ** (n - 1))
 
 
-def _triangle_power_moment(i, s_lo, s_hi, w):
-    """int_{s_lo}^{s_hi} (1 - |s|/w) s^i ds, exact."""
+def _bump_pieces(train: BumpTrain, scale: float, cut: float, kernel,
+                 panels: int = 1) -> float:
+    """int_0^cut (train - baseline)(scale x) kernel(x) dx.
 
-    def upper(s):  # antiderivative of (1 - s/w) s^i for s >= 0
-        return s ** (i + 1) / (i + 1) - s ** (i + 2) / ((i + 2) * w)
-
-    def lower(s):  # antiderivative of (1 + s/w) s^i for s <= 0
-        return s ** (i + 1) / (i + 1) + s ** (i + 2) / ((i + 2) * w)
-
-    total = 0.0
-    if s_lo < 0:
-        hi = min(s_hi, 0.0)
-        total += lower(hi) - lower(s_lo)
-    if s_hi > 0:
-        lo = max(s_lo, 0.0)
-        total += upper(s_hi) - upper(lo)
-    return total
+    Each bump is a rising and a falling linear piece of x-width
+    d = half_width / scale, integrated by the 8-node Gauss-Legendre rule on
+    `panels` panels, vectorised over the pieces.  The rule works in
+    coordinates local to each piece: at fraction s of a piece the bump is
+    height s (rising) or height (1 - s) (falling), so no large coefficient
+    cancels however far out the centres lie.
+    """
+    centers = train.centers.representable_centers()
+    centers = centers[centers <= cut * scale + train.half_width]
+    d = train.half_width / scale
+    z_centers = centers / scale
+    starts = np.concatenate([z_centers - d, z_centers])  # rising, then falling
+    # the part [s_lo, s_hi] of each piece that lies inside [0, cut]
+    s_lo = np.clip(-starts / d, 0.0, 1.0)
+    s_hi = np.clip((cut - starts) / d, 0.0, 1.0)
+    u = ((np.arange(panels)[:, None] + GL_NODES) / panels).ravel()
+    w = np.tile(GL_WEIGHTS, panels) / panels
+    s = s_lo[:, None] + (s_hi - s_lo)[:, None] * u
+    frac = np.concatenate([s[:centers.size], 1.0 - s[centers.size:]])
+    per_piece = (s_hi - s_lo) * ((kernel(starts[:, None] + d * s) * frac) @ w)
+    return train.height * d * float(np.sum(per_piece))
 
 
 # ---------------------------------------------------------------------------

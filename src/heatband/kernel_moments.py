@@ -37,23 +37,25 @@ import numpy as np
 from scipy.special import loggamma
 
 from .errors import ConvergenceError, DomainError, SearchFailure
-from .quadrature import (
-    MAX_OSCILLATION_FREQUENCY,
-    QuadratureSpec,
-    integrate_weighted,
-)
+from .quadrature import MAX_OSCILLATION_FREQUENCY
 
 __all__ = [
     "KernelFlavor",
     "MomentPair",
     "unit_ball_volume",
     "kernel_moments",
-    "kernel_moments_shifted",
     "moment_norm",
     "solve_m",
     "SCAN_GRID_LO",
     "SCAN_GRID_HI",
+    "MAX_DIMENSION",
 ]
+
+# Largest dimension every route of the package holds in: the Faulhaber sums
+# of the exact wave ball average stop at n = 10, the fixed z_max = 12 cut of
+# the u kernel z^(n-1) e^(-z^2) reaches rounding level near n = 120, and
+# unit_ball_volume overflows from n = 342 on.
+MAX_DIMENSION = 10
 
 # Frequency bracket of solve_m: ratios outside [norm(SCAN_GRID_HI),
 # norm(SCAN_GRID_LO)] are reported as a SearchFailure.
@@ -98,9 +100,12 @@ class MomentPair:
 
 
 def check_dimension(n: int) -> None:
-    """The package's one dimension check: n must be an integer >= 1, not a bool."""
+    """The package's one dimension check: n must be an integer, not a bool,
+    with 1 <= n <= MAX_DIMENSION."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"dimension n must be a positive integer, got {n!r}")
+    if n > MAX_DIMENSION:
+        raise DomainError(f"dimension n must be at most {MAX_DIMENSION}")
 
 
 def unit_ball_volume(n: int) -> float:
@@ -137,36 +142,6 @@ def kernel_moments(n: int, m: float, flavor: KernelFlavor) -> MomentPair:
         b_value=pair.imag,
         m=m, n=n, flavor=flavor,
         abs_error_est=16.0 * _EPS * (1.0 + abs(log_pair)) * abs(pair),
-    )
-
-
-def kernel_moments_shifted(n: int, m: float, flavor: KernelFlavor, shift: float,
-                           spec: QuadratureSpec | None = None) -> MomentPair:
-    """Finite-time moment pair with trig(m log(z + shift)), shift >= 0.
-
-    shift = 1/sqrt(4t) captures the finite-t solution of log-periodic data
-    exactly; shift = 0 reduces to kernel_moments (the t -> infinity limit).
-    With a positive shift the oscillation no longer piles up at z = 0, so the
-    z-axis engine applies directly.
-    """
-    check_dimension(n)
-    if not (math.isfinite(m) and m > 0):
-        raise DomainError(f"frequency m must be positive, got {m!r}")
-    if not (math.isfinite(shift) and shift >= 0):
-        raise DomainError(f"shift must be nonnegative, got {shift!r}")
-    if shift == 0.0:
-        return kernel_moments(n, m, flavor)
-    power = flavor.power(n)
-    if spec is None:
-        spec = QuadratureSpec.for_power(power)
-    coeff = flavor.coefficient(n)
-    rc = integrate_weighted(lambda z: np.cos(m * np.log(z + shift)), power, spec)
-    rs = integrate_weighted(lambda z: np.sin(m * np.log(z + shift)), power, spec)
-    return MomentPair(
-        a_value=coeff * rc.value,
-        b_value=coeff * rs.value,
-        m=m, n=n, flavor=flavor,
-        abs_error_est=coeff * (rc.abs_error_est + rs.abs_error_est),
     )
 
 

@@ -42,7 +42,7 @@ from .initial_data import (
     phi_from_H,
     to_json as expr_to_json,
 )
-from .kernel_moments import KernelFlavor, kernel_moments, solve_m
+from .kernel_moments import KernelFlavor, check_dimension, kernel_moments, solve_m
 
 __all__ = [
     "AverageQuad",
@@ -134,8 +134,9 @@ class PrescriptionTarget:
         if not isinstance(self.kind, (AverageQuad, DataQuad)):
             raise DomainError(
                 f"kind must be AverageQuad or DataQuad, got {type(self.kind).__name__}")
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int):  # cert/1 serializes n as a JSON integer
             raise DomainError(f"dimension n must be a positive integer, got {self.n!r}")
+        check_dimension(self.n)
 
 
 @dataclass(frozen=True)

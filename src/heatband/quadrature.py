@@ -1,25 +1,25 @@
-"""Adaptive quadrature for Gaussian-weighted and log-axis oscillatory integrals.
-
-Two entry points:
+"""Adaptive quadrature for plain callables, and exact Gaussian moments.
 
   integrate_weighted(f, k, spec)        ~  int_0^inf exp(-z^2) z^k f(z) dz
-  integrate_log_oscillatory(F, m, trig, spec)
-                                        ~  int_{x_min}^{log z_max} F(x) trig(m x) dx
 
-Both run the same batched adaptive Simpson core with per-panel Richardson
-error estimates.  Integrands that oscillate without bound as z -> 0+ must go
-through the log-axis entry point; the panel width cap there guarantees at
-least 8 panels per oscillation period.  The semi-infinite tail beyond z_max
-is bounded analytically, never sampled.
+serves the plain callables of u_origin and the off-centre probe; every
+expression leaf of the package integrates by a fixed rule with an a-priori
+bound instead.  integrate_log_oscillatory (on the log axis, at least 8
+panels per period) and integrate_interval run the same batched adaptive
+Simpson core with per-panel Richardson error estimates but have no caller
+in the package.  The semi-infinite tail beyond z_max is bounded
+analytically, never sampled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from scipy.special import erfc as _erfc
 
 from .errors import ConvergenceError, DomainError, EvaluationError
 
@@ -108,27 +108,31 @@ class IntegralResult:
             raise DomainError("evaluations must be at least 1")
 
 
-def gaussian_power_tail(k: int, z_cut: float) -> float:
-    """Exact value of int_{z_cut}^inf z^k exp(-z^2) dz for integer k >= 0.
+def _gaussian_moments(k_max: int, lo, hi=None) -> list:
+    """[I_0, ..., I_kmax] with I_j = int_lo^hi z^j exp(-z^2) dz.
 
-    Upward recurrence G(k) = ((k-1)/2) G(k-2) + z_cut^(k-1) exp(-z_cut^2)/2,
-    all terms positive, so it is stable.
+    lo and hi are scalars or equal-shape arrays, 0 <= lo <= hi; hi = None
+    stands for infinity.  The upward recurrence
+    I_j = ((j-1)/2) I_{j-2} + (lo^{j-1} e^{-lo^2} - hi^{j-1} e^{-hi^2}) / 2
+    adds positive terms only, so it is stable.
     """
+    e_lo = np.exp(-lo * lo)
+    hi, e_hi, erfc_hi = (0.0, 0.0, 0.0) if hi is None else (hi, np.exp(-hi * hi), _erfc(hi))
+    out = [0.5 * math.sqrt(math.pi) * (_erfc(lo) - erfc_hi)]
+    if k_max >= 1:
+        out.append(0.5 * (e_lo - e_hi))
+    for j in range(2, k_max + 1):
+        out.append(0.5 * (j - 1) * out[j - 2]
+                   + 0.5 * (lo ** (j - 1) * e_lo - hi ** (j - 1) * e_hi))
+    return out
+
+
+@lru_cache(maxsize=256)
+def gaussian_power_tail(k: int, z_cut: float) -> float:
+    """Exact value of int_{z_cut}^inf z^k exp(-z^2) dz for integer k >= 0."""
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    e = math.exp(-z_cut * z_cut)
-    g_even = 0.5 * math.sqrt(math.pi) * math.erfc(z_cut)  # G(0)
-    g_odd = 0.5 * e                                        # G(1)
-    if k == 0:
-        return g_even
-    if k == 1:
-        return g_odd
-    g_prev, parity = (g_even, 0) if k % 2 == 0 else (g_odd, 1)
-    g = g_prev
-    for j in range(parity + 2, k + 1, 2):
-        g = 0.5 * (j - 1) * g_prev + 0.5 * z_cut ** (j - 1) * e
-        g_prev = g
-    return g
+    return float(_gaussian_moments(k, float(z_cut))[k])
 
 
 class _Counter:

@@ -12,13 +12,14 @@ The weighted integral is routed per part of the data.  Constants are exact
 average preimages, the doubly-log sine, trig-polynomial profiles of
 log(tau + 1)) share one trapezoid sum on the x = log z axis, whose error
 decays exponentially in 1/h and is bounded through the width of the strip
-where the integrand stays analytic.  Fast piecewise content (2 pi periodic
-waves, triangular bump trains) would alias under adaptive panels once
-sqrt(4t) is large: waves integrate segment-exactly against Gaussian power
-moments, with a zero-plus-integration-by-parts bound beyond a segment
-budget, and bumps by a Gauss-Legendre rule local to each bump.  The rest
-(trapezoid profiles of log(tau + 1), which jump, and plain callables) goes
-through adaptive quadrature.
+where the integrand stays analytic.  Trapezoid profiles of log(tau + 1),
+analytic only between their corners, take a composite Gauss-Legendre rule
+on the same axis with its panels split at the corners.  Fast piecewise
+content (2 pi periodic waves, triangular bump trains) would alias under
+fixed panels once sqrt(4t) is large: waves integrate segment-exactly
+against Gaussian power moments, with a zero-plus-integration-by-parts bound
+beyond a segment budget, and bumps by a Gauss-Legendre rule local to each
+bump.  Only plain callables go through adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc as _erfc
 
 from .errors import (
     ConvergenceError,
@@ -43,24 +43,28 @@ from .initial_data import (
     InitialDataExpr,
     LogLogSine,
     PeriodicZeroMean,
+    _EPS,
     _STRIP,
+    _bump_pieces,
+    _kink_bound,
+    _log_gauss_panels,
     _signed_leaves,
     _signed_sum,
+    _split_gauss,
     _split_leaves,
     band_witnesses,
     eval_phi,
     numeric_H,
 )
-from .kernel_moments import check_dimension, unit_ball_volume
+from .kernel_moments import KernelFlavor
 from .prescriber import (
     PrescriptionCertificate,
     cert_to_json,
     envelope_u,
 )
 from .quadrature import (
-    GL_NODES,
-    GL_WEIGHTS,
     QuadratureSpec,
+    _gaussian_moments,
     gaussian_power_tail,
     integrate_weighted,
 )
@@ -154,33 +158,6 @@ class VerificationReport:
 # Exact Gaussian segment moments
 
 
-def _gaussian_segment_integrals(k_max: int, lo: np.ndarray, hi: np.ndarray):
-    """I_j = int_lo^hi z^j exp(-z^2) dz for j = 0..k_max, vectorized.
-
-    Upward recurrence I_j = ((j-1)/2) I_{j-2}
-                          + (lo^{j-1} e^{-lo^2} - hi^{j-1} e^{-hi^2}) / 2,
-    seeded by the erfc difference (j = 0) and the exponential difference
-    (j = 1); every term is positive, so the recurrence is stable.
-    """
-    e_lo = np.exp(-lo * lo)
-    e_hi = np.exp(-hi * hi)
-    out = [0.5 * math.sqrt(math.pi) * (_erfc(lo) - _erfc(hi))]
-    if k_max >= 1:
-        out.append(0.5 * (e_lo - e_hi))
-    for j in range(2, k_max + 1):
-        out.append(0.5 * (j - 1) * out[j - 2]
-                   + 0.5 * (lo ** (j - 1) * e_lo - hi ** (j - 1) * e_hi))
-    return out
-
-
-def _linear_pieces_integral(k: int, lo, hi, c0, c1):
-    """Sum over pieces of int_lo^hi z^k e^{-z^2} (c0 + c1 z) dz, exact."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    moments = _gaussian_segment_integrals(k + 1, lo, hi)
-    return float(np.sum(c0 * moments[k] + c1 * moments[k + 1]))
-
-
 def _primitive_abs_max(trap) -> float:
     """max over one period of |int_0^theta wave|, for the drop bound."""
     acc = 0.0
@@ -231,8 +208,8 @@ def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, root: float,
             continue
         # value = a + b (tau - start) = (a - b start) + (b root) z
         c0 = a - b * starts[keep]
-        total += _linear_pieces_integral(k, lo_tau[keep] / root,
-                                         hi_tau[keep] / root, c0, b * root)
+        moments = _gaussian_moments(k + 1, lo_tau[keep] / root, hi_tau[keep] / root)
+        total += float(np.sum(c0 * moments[k] + b * root * moments[k + 1]))
     return total, tail
 
 
@@ -240,37 +217,15 @@ def _bump_weighted_integral(expr: BumpTrain, k: int, root: float,
                             z_cut: float) -> tuple[float, float]:
     """(value, error bound) for the weighted integral of a bump train.
 
-    The (constant) baseline integrates in closed form over all of (0, inf).
-    Each bump inside the window is a rising and a falling linear piece of
-    z-width d = half_width / root, integrated by a fixed Gauss-Legendre rule
-    on panels at most _BUMP_PANEL wide, vectorized over the pieces.  The
-    rule works in coordinates local to each piece: at fraction s of a piece
-    the bump is height * s (rising) or height * (1 - s) (falling), so no
-    large coefficient cancels however far out the centres lie.  Bumps beyond
-    the window are covered by the Gaussian tail bound.
+    The (constant) baseline integrates in closed form over all of (0, inf),
+    the bumps inside the window by _bump_pieces on panels at most
+    _BUMP_PANEL wide; bumps beyond it are covered by the Gaussian tail bound.
     """
     value = expr.baseline * gaussian_power_tail(k, 0.0)
-    tau_max = z_cut * root
-    centers = expr.centers.representable_centers()
-    centers = centers[centers <= tau_max + expr.half_width]
     err = (abs(expr.baseline) + abs(expr.height)) * gaussian_power_tail(k, z_cut)
-    if centers.size == 0:
-        return value, err
-
-    d = expr.half_width / root
-    z_centers = centers / root
-    starts = np.concatenate([z_centers - d, z_centers])  # rising, then falling
-    # the part [s_lo, s_hi] of each piece that lies inside [0, z_cut]
-    s_lo = np.clip(-starts / d, 0.0, 1.0)
-    s_hi = np.clip((z_cut - starts) / d, 0.0, 1.0)
-    panels = max(1, math.ceil(min(d, z_cut) / _BUMP_PANEL))
-    u = ((np.arange(panels)[:, None] + GL_NODES) / panels).ravel()
-    w = np.tile(GL_WEIGHTS, panels) / panels
-    s = s_lo[:, None] + (s_hi - s_lo)[:, None] * u
-    z = starts[:, None] + d * s
-    frac = np.concatenate([s[:centers.size], 1.0 - s[centers.size:]])
-    per_piece = (s_hi - s_lo) * ((z ** k * np.exp(-z * z) * frac) @ w)
-    return value + expr.height * d * float(np.sum(per_piece)), err
+    panels = max(1, math.ceil(min(expr.half_width / root, z_cut) / _BUMP_PANEL))
+    return value + _bump_pieces(expr, root, z_cut, lambda z: z ** k * np.exp(-z * z),
+                                panels), err
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +285,36 @@ def _log_trapezoid_weighted(expr, k: int, root: float, mass: float, omega: float
     return value, 0.5 * spec.abs_tol + tails
 
 
+def _kinked_weighted(pairs, k: int, root: float,
+                     spec: QuadratureSpec) -> tuple[float, float]:
+    """(value, error bound) for int_0^inf z^k e^{-z^2} expr(root z) dz, expr
+    the signed sum of the kinked leaves in pairs (trapezoid profiles).
+
+    On s = log(z / z_max) the kernel z^(k+1) e^{-z^2} is at most
+    z_max^(k+1) e^{(k+1) Re s} for |Im s| <= _STRIP, so the layout of
+    _log_gauss_panels for n = k + 1 and mass z_max^(k+1) mass / (k + 1),
+    split at the corners, errs by at most abs_tol / 2.  The bound adds the
+    cut at z_max, mass G_k(z_max), the rounding of the terms (summed exactly
+    by math.fsum) and 2 mass |w_i| per node near a corner.
+    """
+    mass, phases = _kink_bound(pairs)
+    depth, panels, bound = _log_gauss_panels(
+        k + 1, mass * spec.z_max ** (k + 1) / (k + 1), 0.0, 0.5 * spec.abs_tol)
+    s, w, near = _split_gauss(-depth, depth / panels, panels, root * spec.z_max, phases)
+    z = spec.z_max * np.exp(s)
+    weights = w * z ** (k + 1) * np.exp(-z * z)
+    terms = weights * eval_phi(_signed_sum(pairs), root * z)
+    rounding = 4.0 * _EPS * float(np.dot(np.abs(terms), 2.0 + k + z * z))
+    return math.fsum(terms), (bound + mass * gaussian_power_tail(k, spec.z_max) + rounding
+                              + 2.0 * mass * float(np.sum(weights[near])))
+
+
 def _weighted_value(expr, k: int, root: float, spec: QuadratureSpec) -> float:
     """int_0^inf z^k e^{-z^2} expr(root z) dz with per-variant routing.
 
     Constants are exact (c M_k); leaves analytic in log tau share one
-    log-axis trapezoid sum; waves and bump trains take their exact routes;
-    the rest (trapezoid profiles, which jump, and plain callables) goes
+    log-axis trapezoid sum; trapezoid profiles take the split Gauss rule;
+    waves and bump trains take their exact routes; only plain callables go
     through adaptive quadrature.
     """
     if not isinstance(expr, InitialDataExpr):
@@ -349,10 +328,8 @@ def _weighted_value(expr, k: int, root: float, spec: QuadratureSpec) -> float:
     if leaves.analytic:
         total += _log_trapezoid_weighted(
             _signed_sum(leaves.analytic), k, root, leaves.mass, leaves.omega, spec)[0]
-    if leaves.rest:
-        rest_expr = _signed_sum(leaves.rest)
-        total += integrate_weighted(
-            lambda z: eval_phi(rest_expr, root * z), k, spec).value
+    if leaves.kinked:
+        total += _kinked_weighted(leaves.kinked, k, root, spec)[0]
     for sign, term in leaves.fast:
         if isinstance(term, PeriodicZeroMean):
             val, _ = _wave_weighted_integral(term, k, root, spec.z_max)
@@ -369,13 +346,7 @@ def u_origin(expr, n: int, t: float, spec: QuadratureSpec | None = None) -> floa
     Piecewise-fast terms (waves, bump trains) integrate segment-exactly; at
     extreme t the wave term is dropped with a rigorous O(1/sqrt(t)) bound.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    check_dimension(n)
-    _check_time(t)
-    root = math.sqrt(4.0 * t)
-    coeff = n * unit_ball_volume(n) / math.pi ** (n / 2.0)
-    return coeff * _weighted_value(expr, n - 1, root, spec)
+    return _u_at_origin(expr, n, t, spec, KernelFlavor.DATA)
 
 
 def u_origin_from_H(h_expr, n: int, t: float,
@@ -386,13 +357,15 @@ def u_origin_from_H(h_expr, n: int, t: float,
     data and must agree with u_origin(phi_from_H(H, n), n, t) within the
     combined quadrature tolerances.
     """
+    return _u_at_origin(h_expr, n, t, spec, KernelFlavor.AVERAGE)
+
+
+def _u_at_origin(expr, n, t, spec, flavor: KernelFlavor) -> float:
+    coeff = flavor.coefficient(n)  # checks n
+    _check_time(t)
     if spec is None:
         spec = QuadratureSpec()
-    check_dimension(n)
-    _check_time(t)
-    root = math.sqrt(4.0 * t)
-    coeff = 2.0 * unit_ball_volume(n) / math.pi ** (n / 2.0)
-    return coeff * _weighted_value(h_expr, n + 1, root, spec)
+    return coeff * _weighted_value(expr, flavor.power(n), math.sqrt(4.0 * t), spec)
 
 
 def u_offcenter_1d(expr, x: float, t: float,

@@ -73,6 +73,8 @@ class TestRunConfig:
             RunConfig(command="prescribe", n=0)
         with pytest.raises(DomainError):
             RunConfig(command="prescribe", n=1.5)
+        with pytest.raises(DomainError):
+            RunConfig(command="prescribe", n=11)
 
     def test_rejects_non_finite_target(self):
         with pytest.raises(DomainError):
@@ -137,6 +139,14 @@ class TestPrescribe:
                         "--data", "-2", "-0.3", "0.3", "1"])
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("n", ["11", "400"])
+    def test_dimension_above_ceiling_exits_two(self, tmp_path, capsys, n):
+        code = run_cli(["prescribe", "--average", "-1", "-0.3", "0.3", "1",
+                        "--n", n, "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "at most 10" in capsys.readouterr().err
+        assert not (tmp_path / "cert.json").exists()
 
     def test_missing_target_rejected(self, capsys):
         assert run_cli(["prescribe", "--n", "2"]) == 2
@@ -269,6 +279,19 @@ class TestVerify:
         assert "violate" in capsys.readouterr().err
         assert json.loads(report_path.read_text())["chain_ok"] is False
 
+    def test_bumps_far_out_write_a_report(self, tmp_path, capsys):
+        # the H window of this data-slow-plus-bumps certificate reaches
+        # tau ~ 5.3e78, where tau^n leaves double range; exit 1 is the
+        # bump inside that window (see the n = 3 strict xfail)
+        cert = tmp_path / "cert.json"
+        report = tmp_path / "report.json"
+        assert run_cli(["prescribe", "--data", "-0.3", "-0.3", "0.3", "2",
+                        "--n", "4", "--out", str(cert)]) == 0
+        code = run_cli(["verify", "--cert", str(cert), "--out", str(report)])
+        assert code in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads(report.read_text())["measured_H_band"]["grid_hi"] > 1e78
+
     def test_convergence_failure_exits_three(self, tmp_path, average_cert_file,
                                              capsys, monkeypatch):
         def explode(*args, **kwargs):
@@ -328,10 +351,19 @@ class TestVerify:
     def _huge_int_amplitude(doc):
         doc["data"]["expr"]["amplitude"] = 10**400
 
+    @staticmethod
+    def _huge_int_n(doc):
+        doc["target"]["n"] = 10**400
+
+    @staticmethod
+    def _n_above_ceiling(doc):
+        doc["target"]["n"] = 11
+
     @pytest.mark.parametrize("mangle", [
         "_bare_cert", "_list_document", "_string_n", "_bool_n", "_bool_band_end",
         "_no_u_band", "_no_data_variant", "_list_band", "_missing_expr_field",
-        "_list_target_kind", "_huge_int_band_end", "_huge_int_amplitude"])
+        "_list_target_kind", "_huge_int_band_end", "_huge_int_amplitude",
+        "_huge_int_n", "_n_above_ceiling"])
     def test_malformed_certificate_exits_two(self, tmp_path, average_cert_file,
                                              capsys, mangle):
         doc = json.loads(average_cert_file.read_text())

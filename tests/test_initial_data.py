@@ -33,9 +33,10 @@ from heatband.initial_data import (
     TrapezoidWave,
     TrigPolynomial,
     _ball_average,
+    _bump_radial_integral,
     _faulhaber,
-    _generic_radial_integral,
     _log_gauss_rule,
+    _periodic_radial_integral,
     _signed_leaves,
     _signed_sum,
     _split_leaves,
@@ -526,7 +527,7 @@ def mp_ball_average(kind: str, n: int, tau: float) -> float:
 class TestLogGaussAverage:
     TAUS = (1e-6, 2.3, 1e4, 1e12)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
     @pytest.mark.parametrize("tau", TAUS)
     def test_against_mpmath(self, n, tau):
         for label, expr in log_gauss_cases(n):
@@ -550,9 +551,9 @@ class TestLogGaussAverage:
     @pytest.mark.parametrize("tau", [2.3, 1e4, 1e8])
     def test_agrees_with_adaptive_route(self, n, tau):
         for label, expr in log_gauss_cases(n):
-            adaptive = n * _generic_radial_integral(expr, n, tau, 1e-12)[0]
+            want = mp_ball_average(label, n, tau)
             for tol in (1e-6, 1e-8, 1e-10):
-                assert abs(numeric_H(expr, n, tau, tol=tol) - adaptive) <= tol, \
+                assert abs(numeric_H(expr, n, tau, tol=tol) - want) <= tol, \
                     (label, tol)
 
     def test_one_evaluation_with_nodes_independent_of_tau(self, monkeypatch):
@@ -590,6 +591,80 @@ class TestLogGaussAverage:
         assert float(np.sum(weights)) == pytest.approx(1.0 - 0.5e-8 / 1.5, abs=1e-14)
         assert 0.5e-8 < bound <= 1e-8
         assert np.all(np.diff(scale) > 0) and 0.0 < scale[0] and scale[-1] < 1.0
+
+
+def mp_wave_radial(segments, n: int, tau: float) -> float:
+    """(1/tau^n) int_0^tau wave(r) r^(n-1) dr in 60-digit arithmetic.
+
+    The wave has the float period 2 pi of TrapezoidWave.  Each segment's
+    integral over period q is a polynomial in q, summed over the N full
+    periods by mpmath's Bernoulli polynomials; the partial period follows.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        period, tau = mpmath.mpf(TWO_PI), mpmath.mpf(tau)
+        full = mpmath.floor(tau / period)
+        rem = tau - full * period
+        total = mpmath.mpf(0)
+        for (t0, t1, a, b) in segments:
+
+            def moment(i, lo, hi):  # int_lo^hi (a + b y) y^i dy
+                return (a * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
+                        + b * (hi ** (i + 2) - lo ** (i + 2)) / (i + 2))
+            t0, t1 = mpmath.mpf(t0), mpmath.mpf(t1)
+            for i in range(n):
+                p = n - 1 - i
+                power_sum = (mpmath.bernpoly(p + 1, full) - mpmath.bernpoly(p + 1, 0)) / (p + 1)
+                total += math.comb(n - 1, i) * moment(i, t0, t1) * period ** p * power_sum
+                if min(t1, rem) > t0:
+                    total += (math.comb(n - 1, i) * moment(i, t0, min(t1, rem))
+                              * (full * period) ** p)
+        return float(total / tau ** n)
+
+
+def mp_bump_radial(train: BumpTrain, n: int, tau: float) -> float:
+    """(1/tau^n) int_0^tau train(r) r^(n-1) dr, each bump by mpmath.quad in
+    the offset s = r - c from its centre, with r^(n-1) / tau^n formed as
+    ((c + s) / tau)^(n-1) / tau in 30-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        w, tau_mp = mpmath.mpf(train.half_width), mpmath.mpf(tau)
+        total = mpmath.mpf(0)
+        for c in train.centers.representable_centers():
+            if c - train.half_width >= tau:
+                break
+            c = mpmath.mpf(c)
+            lo, hi = max(-w, -c), min(w, tau_mp - c)
+            cuts = [lo, mpmath.mpf(0), hi] if lo < 0 < hi else [lo, hi]
+            total += mpmath.quad(
+                lambda s: (1 - abs(s) / w) * ((c + s) / tau_mp) ** (n - 1) / tau_mp, cuts)
+        return float(train.baseline / n + train.height * total)
+
+
+class TestExactRoutesFarOut:
+    """The exact wave and bump ball averages at tau far beyond tau^n's range:
+    the H windows of data-mode-plus-wave and data-slow-plus-bumps
+    certificates reach 8.5e169 and 5.3e78."""
+
+    WAVES = (PeriodicZeroMean(0.0105, -0.0005, 0.13089969389957531),
+             PeriodicZeroMean(1.0, -1.0))
+    BUMPS = (BumpTrain(1.7, 1.0, 0.0, DoubleExpCenters("peak")),
+             BumpTrain(1.0, 0.5, 0.2, GeometricCenters(1e6)))
+
+    @pytest.mark.parametrize("tau", [37.0, 1e6, 8.5e169, 1e300])
+    def test_wave_against_mpmath(self, tau):
+        for wave in self.WAVES:
+            segments = wave.wave.segments()
+            for n in range(1, 11):
+                assert _periodic_radial_integral(segments, n, tau) == pytest.approx(
+                    mp_wave_radial(segments, n, tau), abs=1e-14), (wave, n)
+
+    @pytest.mark.parametrize("tau", [121.0, 1e4, 5.3e78, 1e300])
+    def test_bumps_against_mpmath(self, tau):
+        for train in self.BUMPS:
+            for n in range(1, 11):
+                assert _bump_radial_integral(train, n, tau) == pytest.approx(
+                    mp_bump_radial(train, n, tau), abs=1e-14), (train, n)
 
 
 class TestFaulhaber:

@@ -15,11 +15,11 @@ import pytest
 
 from heatband.errors import ConvergenceError, DomainError, SearchFailure
 from heatband.kernel_moments import (
+    MAX_DIMENSION,
     SCAN_GRID_HI,
     SCAN_GRID_LO,
     KernelFlavor,
     kernel_moments,
-    kernel_moments_shifted,
     moment_norm,
     solve_m,
     unit_ball_volume,
@@ -41,10 +41,15 @@ class TestUnitBallVolume:
     def test_closed_forms(self, n, vol):
         assert unit_ball_volume(n) == pytest.approx(vol, rel=1e-14)
 
-    @pytest.mark.parametrize("n", [0, -1, 1.5])
+    @pytest.mark.parametrize("n", [0, -1, 1.5, MAX_DIMENSION + 1, 342, 10**400])
     def test_rejects_bad_dimension(self, n):
         with pytest.raises(DomainError):
             unit_ball_volume(n)
+
+    def test_ceiling_is_accepted(self):
+        # pi^5 / 5! for n = 10
+        assert unit_ball_volume(MAX_DIMENSION) == pytest.approx(math.pi ** 5 / 120.0,
+                                                                rel=1e-14)
 
 
 class TestNormalization:
@@ -112,30 +117,6 @@ class TestMomentNorm:
     def test_rejects_nonpositive_m(self):
         with pytest.raises(DomainError):
             moment_norm(1, 0.0, KernelFlavor.AVERAGE)
-
-
-class TestShiftedMoments:
-    def test_zero_shift_reduces_exactly(self):
-        assert (kernel_moments_shifted(1, 1.0, KernelFlavor.AVERAGE, 0.0)
-                == kernel_moments(1, 1.0, KernelFlavor.AVERAGE))
-
-    def test_tiny_shift_near_limit(self):
-        p0 = kernel_moments(1, 1.0, KernelFlavor.AVERAGE)
-        p = kernel_moments_shifted(1, 1.0, KernelFlavor.AVERAGE, 1e-6)
-        assert p.a_value == pytest.approx(p0.a_value, abs=1e-3)
-        assert p.b_value == pytest.approx(p0.b_value, abs=1e-3)
-
-    def test_shift_sequence_approaches_limit(self):
-        """a(shift) approaches the unshifted a monotonically in the gap size."""
-        a_inf = kernel_moments(2, 1.5, KernelFlavor.AVERAGE).a_value
-        gaps = [abs(kernel_moments_shifted(2, 1.5, KernelFlavor.AVERAGE, s).a_value - a_inf)
-                for s in (1.0, 0.1, 0.01)]
-        assert gaps[1] < gaps[0]
-        assert gaps[2] < gaps[1]
-
-    def test_rejects_negative_shift(self):
-        with pytest.raises(DomainError):
-            kernel_moments_shifted(1, 1.0, KernelFlavor.AVERAGE, -0.1)
 
 
 def dense_scan_oracle(n, ratio, flavor):

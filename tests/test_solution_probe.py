@@ -46,12 +46,18 @@ from heatband import (
     u_origin_from_H,
     verify_certificate,
 )
-from heatband.initial_data import _split_leaves
-from heatband.quadrature import QuadratureSpec, gaussian_power_tail, integrate_weighted
+from heatband.initial_data import _ball_average, _split_gauss, _split_leaves
+from heatband.quadrature import (
+    GL_WEIGHTS,
+    QuadratureSpec,
+    _gaussian_moments,
+    gaussian_power_tail,
+    integrate_weighted,
+)
 from heatband.solution_probe import (
     REPORT_SCHEMA_ID,
     _bump_weighted_integral,
-    _gaussian_segment_integrals,
+    _kinked_weighted,
     _log_trapezoid_weighted,
     _primitive_abs_max,
     _wave_weighted_integral,
@@ -63,8 +69,13 @@ from heatband.solution_probe import (
 
 
 def tail_difference_oracle(k: int, lo: float, hi: float) -> float:
-    """int_lo^hi z^k e^{-z^2} dz as a difference of independent tail values."""
-    return gaussian_power_tail(k, lo) - gaussian_power_tail(k, hi)
+    """int_lo^hi z^k e^{-z^2} dz as a difference of two tails, each
+    Gamma((k+1)/2) Q((k+1)/2, z^2) / 2 with SciPy's regularized upper
+    incomplete gamma function Q, independent of the package's recurrence."""
+    from scipy.special import gamma, gammaincc
+
+    a = 0.5 * (k + 1)
+    return 0.5 * gamma(a) * (gammaincc(a, lo * lo) - gammaincc(a, hi * hi))
 
 
 def primitive_mean_oracle(trap) -> float:
@@ -126,13 +137,13 @@ class TestGaussianSegmentIntegrals:
     @pytest.mark.parametrize("k", range(9))
     @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (0.5, 2.5), (3.0, 12.0)])
     def test_matches_tail_difference(self, k, lo, hi):
-        moments = _gaussian_segment_integrals(k, np.array([lo]), np.array([hi]))
+        moments = _gaussian_moments(k, np.array([lo]), np.array([hi]))
         got = float(moments[k][0])
         want = tail_difference_oracle(k, lo, hi)
         assert got == pytest.approx(want, rel=1e-11, abs=1e-300)
 
     def test_deep_tail_stability(self):
-        moments = _gaussian_segment_integrals(8, np.array([8.0]), np.array([10.0]))
+        moments = _gaussian_moments(8, np.array([8.0]), np.array([10.0]))
         got = float(moments[8][0])
         want = tail_difference_oracle(8, 8.0, 10.0)
         assert want > 0
@@ -141,7 +152,7 @@ class TestGaussianSegmentIntegrals:
     def test_vectorized_shapes(self):
         lo = np.linspace(0.0, 4.0, 5)
         hi = lo + 0.7
-        moments = _gaussian_segment_integrals(3, lo, hi)
+        moments = _gaussian_moments(3, lo, hi)
         assert len(moments) == 4
         for arr in moments[1:]:
             assert np.shape(arr) == (5,)
@@ -157,7 +168,7 @@ class TestGaussianSegmentIntegrals:
     @settings(max_examples=60, deadline=None)
     def test_identity_property(self, k, base, width):
         hi = base + width
-        moments = _gaussian_segment_integrals(k, np.array([base]), np.array([hi]))
+        moments = _gaussian_moments(k, np.array([base]), np.array([hi]))
         got = float(moments[k][0])
         want = tail_difference_oracle(k, base, hi)
         # narrow segments cancel in the oracle subtraction, so the floor is
@@ -264,12 +275,12 @@ class TestSplitFastTerms:
         assert leaves.analytic == ((1.0, slow),)
         assert (leaves.mass, leaves.omega) == (1.5, 2.0)
         assert leaves.fast == ((1.0, wave), (-1.0, bumps))
-        assert leaves.constant == 0.0 and leaves.rest == ()
+        assert leaves.constant == 0.0 and leaves.kinked == ()
 
     def test_pure_wave_has_no_smooth_part(self):
         wave = PeriodicZeroMean(1.0, -1.0)
         leaves = _split_leaves(wave)
-        assert leaves.analytic == () and leaves.rest == ()
+        assert leaves.analytic == () and leaves.kinked == ()
         assert leaves.fast == ((1.0, wave),)
 
     def test_negated_sum_distributes_sign(self):
@@ -278,7 +289,7 @@ class TestSplitFastTerms:
         leaves = _split_leaves(Negate(Sum((Constant(3.0), wave, profile))))
         assert leaves.fast == ((-1.0, wave),)
         assert leaves.constant == -3.0
-        assert leaves.rest == ((-1.0, profile),)
+        assert leaves.kinked == ((-1.0, profile),)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +465,7 @@ def u_coefficients(n):
 
 
 class TestLogAxisRoute:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
     @pytest.mark.parametrize("route", [u_origin, u_origin_from_H])
     @pytest.mark.parametrize("t", [1e-2, 1e6, 1e30])
     def test_against_mpmath(self, n, route, t):
@@ -510,6 +521,122 @@ class TestLogAxisRoute:
     def test_node_budget_raises(self):
         with pytest.raises(hb.ConvergenceError):
             u_origin(LogSine(1.0, 1e6, 0.0), 1, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Trapezoid profiles of log(tau + 1): split Gauss rules against mpmath
+
+
+TRAPEZOID = hb.TrapezoidWave(1.0, -0.5, 0.4)
+
+
+def trapezoid_cases(n):
+    """(label, leaf, weight of r / (r + 1) g'(L) in phi) for dimension n."""
+    return [("profile", hb.PeriodicOfLog(TRAPEZOID), 0.0),
+            ("slow-profile", hb.SlowFromPeriodic(TRAPEZOID, n), 1.0 / n)]
+
+
+def mp_split_profile(slope, radius, weight, s_hi):
+    """int_{-inf}^{s_hi} weight(s) psi(radius e^s) ds by mpmath, cut at corners.
+
+    psi = g(L) + slope (r / (r + 1)) g'(L) with L = log(r + 1) and g the
+    trapezoid TRAPEZOID.  The s axis is cut wherever L crosses a corner
+    theta + 2 pi q of g, and on each piece psi is written out from that
+    piece's linear formula, so mpmath integrates analytic functions only.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        radius = mpmath.mpf(radius)
+        ell_hi = mpmath.log1p(radius * mpmath.exp(s_hi))
+        period = mpmath.mpf(2.0 * math.pi)  # the float period the wave uses
+        segments = TRAPEZOID.segments()
+        corners = sorted(period * q + seg[0]
+                         for q in range(int(ell_hi / period) + 1) for seg in segments
+                         if 0 < period * q + seg[0] < ell_hi)
+        cuts = ([-mpmath.inf] + [mpmath.log(mpmath.expm1(c) / radius) for c in corners]
+                + [mpmath.mpf(s_hi)])
+        ells = [mpmath.mpf(0)] + corners + [ell_hi]
+        total = mpmath.mpf(0)
+        for i in range(len(cuts) - 1):
+            mid = (ells[i] + ells[i + 1]) / 2
+            q = mpmath.floor(mid / period)
+            t0, _t1, a, b = next(seg for seg in segments
+                                 if seg[0] <= mid - period * q <= seg[1])
+
+            def f(s, q=q, a=a, b=b):
+                r = radius * mpmath.exp(s)
+                ell = mpmath.log1p(r)
+                return weight(s) * (a + b * (ell - period * q) + slope * b * r / (r + 1))
+            total += mpmath.quad(f, [cuts[i], cuts[i + 1]])
+        return float(total)
+
+
+class TestTrapezoidProfiles:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("t", [1.0, 1e3, 1e9, 1e20])
+    def test_u_against_mpmath(self, n, t):
+        import mpmath
+
+        spec = QuadratureSpec()
+        k, coeff = n - 1, 2.0 / math.gamma(n / 2.0)
+        root = math.sqrt(4.0 * t)
+        for label, leaf, slope in trapezoid_cases(n):
+            want = coeff * mp_split_profile(
+                slope, root, lambda x: mpmath.exp((k + 1) * x - mpmath.exp(2 * x)), 4)
+            value, bound = _kinked_weighted(((1.0, leaf),), k, root, spec)
+            assert bound <= spec.abs_tol, label
+            assert abs(coeff * value - want) <= coeff * bound, label
+            assert abs(u_origin(leaf, n, t) - want) <= coeff * bound, label
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("tau", [2.3, 1e4, 1e8, 1e12])
+    def test_ball_average_against_mpmath(self, n, tau):
+        import mpmath
+
+        for label, leaf, slope in trapezoid_cases(n):
+            want = mp_split_profile(slope, tau, lambda s: n * mpmath.exp(n * s), 0)
+            for tol in (1e-5, 1e-8, 1e-11):
+                value, bound = _ball_average(leaf, n, tau, tol)
+                assert abs(value - want) <= bound, (label, tol)
+                # tol / 2 for the window, tol / 2 for the panels, and the
+                # rounding of a sum of at most two thousand terms
+                assert bound <= tol + 2e3 * 2.3e-16 * 6.0, (label, tol)
+
+    def test_mixed_with_analytic_leaves(self):
+        slow = LogSine(0.8, 0.7, 0.2)
+        profile = hb.PeriodicOfLog(TRAPEZOID)
+        mixed = Sum((slow, Negate(profile)))
+        for t in (1e3, 1e12):
+            assert u_origin(mixed, 2, t) == pytest.approx(
+                u_origin(slow, 2, t) - u_origin(profile, 2, t), abs=1e-12)
+        for tau in (2.3, 1e6):
+            assert numeric_H(mixed, 2, tau, tol=1e-10) == pytest.approx(
+                numeric_H(slow, 2, tau, tol=1e-10) - numeric_H(profile, 2, tau, tol=1e-10),
+                abs=3e-10)
+
+    @pytest.mark.parametrize("radius", [2.3, 1e4, 1e12])
+    def test_panels_split_at_every_corner(self, radius):
+        phases = hb.PeriodicOfLog(TRAPEZOID)._piece_bound()[1]
+        nodes, weights, near = _split_gauss(-20.0, 0.5, 44, radius, phases)
+        ell = np.log1p(radius * np.exp(nodes))
+        # index of the piece each node lies on, counted along the L axis
+        piece = (np.searchsorted(phases, np.mod(ell, 2.0 * math.pi), side="right")
+                 + len(phases) * np.floor(ell / (2.0 * math.pi)))
+        per_panel = piece.reshape(-1, len(GL_WEIGHTS))
+        assert np.all(per_panel == per_panel[:, :1])
+        assert np.unique(piece).size >= 5
+        assert float(np.sum(weights)) == pytest.approx(22.0, rel=1e-14)
+        assert not near.any()
+
+    def test_unroutable_leaf_is_refused(self):
+        class Opaque(hb.InitialDataExpr):
+            def _values(self, tau):
+                return np.ones_like(tau)
+
+        with pytest.raises(hb.UnsupportedExpression):
+            u_origin(Opaque(), 1, 1.0)
+        with pytest.raises(hb.UnsupportedExpression):
+            numeric_H(Opaque(), 1, 1.0)
 
 
 # ---------------------------------------------------------------------------
