@@ -29,8 +29,15 @@ from .errors import (
     RangeError,
     UnsupportedExpression,
 )
-from .kernel_moments import check_dimension
-from .quadrature import GL_NODES, GL_WEIGHTS
+from .kernel_moments import check_dimension, check_finite
+from .quadrature import (
+    GL_NODES,
+    GL_WEIGHTS,
+    QuadratureSpec,
+    _gaussian_moments,
+    gaussian_power_tail,
+    integrate_weighted,
+)
 
 __all__ = [
     "PeriodicFunction", "TrapezoidWave", "TrigPolynomial",
@@ -110,9 +117,10 @@ class TrapezoidWave(PeriodicFunction):
     ramp_width: float = math.pi / 8.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.v_max) and self.v_max > 0):
+        check_finite(v_max=self.v_max, v_min=self.v_min, ramp_width=self.ramp_width)
+        if not self.v_max > 0:
             raise DomainError(f"v_max must be positive, got {self.v_max!r}")
-        if not (math.isfinite(self.v_min) and self.v_min < 0):
+        if not self.v_min < 0:
             raise DomainError(f"v_min must be negative, got {self.v_min!r}")
         if not (0.0 < self.ramp_width < math.pi / 4.0):
             raise DomainError(
@@ -187,11 +195,11 @@ class TrigPolynomial(PeriodicFunction):
     sin_coeffs: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
-        object.__setattr__(self, "sin_coeffs", tuple(float(s) for s in self.sin_coeffs))
-        for c in (self.const, *self.cos_coeffs, *self.sin_coeffs):
-            if not math.isfinite(c):
-                raise DomainError("trig polynomial coefficients must be finite")
+        cos, sin = tuple(self.cos_coeffs), tuple(self.sin_coeffs)
+        for c in (self.const, *cos, *sin):
+            check_finite(**{"trig polynomial coefficient": c})
+        object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in cos))
+        object.__setattr__(self, "sin_coeffs", tuple(float(s) for s in sin))
 
     def value(self, theta):
         th = np.asarray(theta, dtype=float)
@@ -297,7 +305,8 @@ class GeometricCenters(CenterLaw):
     base: float = math.e
 
     def __post_init__(self):
-        if not (math.isfinite(self.base) and self.base > 1.0):
+        check_finite(base=self.base)
+        if not self.base > 1.0:
             raise DomainError(f"base must exceed 1, got {self.base!r}")
         if self._count() > _MAX_CENTERS:
             raise DomainError(
@@ -408,8 +417,7 @@ class Constant(InitialDataExpr):
     c: float
 
     def __post_init__(self):
-        if not math.isfinite(self.c):
-            raise DomainError(f"constant must be finite, got {self.c!r}")
+        check_finite(c=self.c)
 
     def _values(self, tau):
         return np.full_like(tau, self.c)
@@ -437,12 +445,11 @@ class LogSine(InitialDataExpr):
     offset: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.amplitude) and self.amplitude > 0):
+        check_finite(amplitude=self.amplitude, m=self.m, offset=self.offset)
+        if not self.amplitude > 0:
             raise DomainError(f"amplitude must be positive, got {self.amplitude!r}")
-        if not (math.isfinite(self.m) and self.m > 0):
+        if not self.m > 0:
             raise DomainError(f"m must be positive, got {self.m!r}")
-        if not math.isfinite(self.offset):
-            raise DomainError(f"offset must be finite, got {self.offset!r}")
 
     def _values(self, tau):
         return self.amplitude * np.sin(self.m * np.log1p(tau)) + self.offset
@@ -483,12 +490,11 @@ class LogSineAvgPreimage(InitialDataExpr):
     n: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.amplitude) and self.amplitude > 0):
+        check_finite(amplitude=self.amplitude, m=self.m, offset=self.offset)
+        if not self.amplitude > 0:
             raise DomainError(f"amplitude must be positive, got {self.amplitude!r}")
-        if not (math.isfinite(self.m) and self.m > 0):
+        if not self.m > 0:
             raise DomainError(f"m must be positive, got {self.m!r}")
-        if not math.isfinite(self.offset):
-            raise DomainError(f"offset must be finite, got {self.offset!r}")
         check_dimension(self.n)
 
     def _values(self, tau):
@@ -531,10 +537,9 @@ class LogLogSine(InitialDataExpr):
     offset: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.amplitude) and self.amplitude > 0):
+        check_finite(amplitude=self.amplitude, offset=self.offset)
+        if not self.amplitude > 0:
             raise DomainError(f"amplitude must be positive, got {self.amplitude!r}")
-        if not math.isfinite(self.offset):
-            raise DomainError(f"offset must be finite, got {self.offset!r}")
 
     def _values(self, tau):
         return self.amplitude * np.sin(np.log(np.log(tau + 2.0))) + self.offset
@@ -609,12 +614,11 @@ class BumpTrain(InitialDataExpr):
     centers: CenterLaw
 
     def __post_init__(self):
-        if not (math.isfinite(self.height) and self.height != 0):
-            raise DomainError(f"height must be finite and nonzero, got {self.height!r}")
-        if not (math.isfinite(self.half_width) and self.half_width > 0):
+        check_finite(height=self.height, half_width=self.half_width, baseline=self.baseline)
+        if self.height == 0:
+            raise DomainError("height must be nonzero")
+        if not self.half_width > 0:
             raise DomainError(f"half_width must be positive, got {self.half_width!r}")
-        if not math.isfinite(self.baseline):
-            raise DomainError(f"baseline must be finite, got {self.baseline!r}")
         cs = self.centers.representable_centers()
         if cs.size > 1 and not np.all(np.diff(cs) > 2.0 * self.half_width):
             raise DomainError("bump supports overlap: consecutive centers must "
@@ -978,12 +982,36 @@ def phi_from_H(h_expr: InitialDataExpr, n: int) -> InitialDataExpr:
 
 # ---------------------------------------------------------------------------
 # Leaf routes
+#
+# Both integrals of the data, u(0, t) against the heat kernel (_weighted_value)
+# and the ball average H(tau) (_ball_average), are routed per signed leaf.
+# Constants are exact.  Leaves analytic in log tau (log sines, their average
+# preimages, the doubly-log sine, trig-polynomial profiles of log(tau + 1))
+# share one fixed sum on a log-radius axis, with an a-priori bound through the
+# strip where the integrand stays analytic: a trapezoid sum on x = log z for
+# u, a Gauss-Legendre sum on s = log(r / tau) for H.  Trapezoid profiles of
+# log(tau + 1), analytic only between their corners, take the Gauss layout
+# split at the corners, for either kernel.  2 pi periodic waves and bump
+# trains would alias under fixed panels, so they integrate segment by segment
+# or bump by bump.  Each fixed rule is a cached read-only layout, the same
+# nodes at every t or tau.  Only plain callables go through adaptive quadrature.
 
 # Half-width a of the strip |Im s| < a around a log-radius axis (s = log z for
 # u(0, t), s = log(r / tau) for ball averages) inside which strip_bound
 # bounds the analytic leaves; the u kernel exp((k+1) s - e^{2s}) stays
 # integrable up to pi/4.
 _STRIP = math.pi / 8.0
+
+# Most nodes the log-radius Gauss rule may use; a larger need raises
+# ConvergenceError.
+_H_MAX_NODES = 100_000
+
+# total linear segments a single exact wave integral may enumerate; beyond
+# this the integration-by-parts zero-with-bound branch takes over
+_WAVE_SEGMENT_BUDGET = 2_000_000
+
+# widest z-panel of the Gauss-Legendre rule on the bump pieces
+_BUMP_PANEL = 0.125
 
 
 @dataclass(frozen=True)
@@ -996,7 +1024,8 @@ class _Leaves:
     holds the 2 pi periodic waves and the bump trains, whose fine structure
     needs exact routes; kinked holds the leaves with a _piece_bound
     (trapezoid profiles of log(tau + 1)), which the Gauss routes split at
-    their corners.
+    their corners, with their piece masses summed in kink_mass and their
+    corner phases, sorted, in phases.
     """
 
     constant: float
@@ -1005,13 +1034,15 @@ class _Leaves:
     omega: float
     fast: tuple[tuple[float, InitialDataExpr], ...]
     kinked: tuple[tuple[float, InitialDataExpr], ...]
+    kink_mass: float
+    phases: tuple[float, ...]
 
 
 def _split_leaves(expr: InitialDataExpr) -> _Leaves:
     """Sort the signed leaves of expr into their routes; a leaf with none
     raises UnsupportedExpression."""
-    constant, mass, omega = 0.0, 0.0, 0.0
-    analytic, fast, kinked = [], [], []
+    constant, mass, omega, kink_mass = 0.0, 0.0, 0.0, 0.0
+    analytic, fast, kinked, phases = [], [], [], set()
     for sign, leaf in _signed_leaves(expr):
         if isinstance(leaf, Constant):
             constant += sign * leaf.c
@@ -1021,18 +1052,31 @@ def _split_leaves(expr: InitialDataExpr) -> _Leaves:
             analytic.append((sign, leaf))
             mass += bound[0]
             omega = max(omega, bound[1])
-        elif leaf._piece_bound() is not None:
+        elif (pieces := leaf._piece_bound()) is not None:
             kinked.append((sign, leaf))
+            kink_mass += pieces[0]
+            phases.update(pieces[1])
         else:
             raise UnsupportedExpression(
                 f"no integration route for {type(leaf).__name__}")
-    return _Leaves(constant, tuple(analytic), mass, omega, tuple(fast), tuple(kinked))
+    return _Leaves(constant, tuple(analytic), mass, omega, tuple(fast), tuple(kinked),
+                   kink_mass, tuple(sorted(phases)))
 
 
-def _kink_bound(pairs) -> tuple[float, tuple[float, ...]]:
-    """Summed piece mass and sorted corner phases of the kinked leaves in pairs."""
-    bounds = [leaf._piece_bound() for _sign, leaf in pairs]
-    return sum(b[0] for b in bounds), tuple(sorted({p for b in bounds for p in b[1]}))
+def _signed_sum(pairs) -> InitialDataExpr:
+    """One expression for (sign, leaf) pairs, evaluated in one vectorised call."""
+    terms = [leaf if sign > 0 else Negate(leaf) for sign, leaf in pairs]
+    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+
+
+def _phi_on(expr: InitialDataExpr, radius: float, scale: np.ndarray) -> np.ndarray:
+    """phi at tau = radius * scale; a non-finite value raises EvaluationError."""
+    vals = eval_phi(expr, radius * scale)
+    if not np.all(np.isfinite(vals)):
+        bad = float(radius * scale[~np.isfinite(vals)][0])
+        raise EvaluationError(
+            f"initial data returned a non-finite value at tau = {bad!r}", point=bad)
+    return vals
 
 
 def _split_gauss(lo: float, h: float, panels: int, radius: float, phases):
@@ -1056,86 +1100,25 @@ def _split_gauss(lo: float, h: float, panels: int, radius: float, phases):
     return nodes, (widths[:, None] * GL_WEIGHTS).ravel(), gap <= 16.0 * _EPS * (ell + 1.0)
 
 
-def _signed_sum(pairs) -> InitialDataExpr:
-    """One expression for (sign, leaf) pairs, evaluated in one vectorised call."""
-    terms = [leaf if sign > 0 else Negate(leaf) for sign, leaf in pairs]
-    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+def _split_gauss_sum(pairs, leaves: _Leaves, radius: float, layout,
+                     kernel) -> tuple[float, float]:
+    """(value, error bound) for int_{-D}^0 K(s) phi(radius e^s) ds, phi the
+    signed sum of pairs, by the Gauss layout (D, P, bound) of
+    _log_gauss_panels split at the corners of leaves.kinked.
 
-
-# ---------------------------------------------------------------------------
-# Numeric ball average
-
-# Most nodes the log-radius Gauss rule may use; a larger need raises
-# ConvergenceError.
-_H_MAX_NODES = 100_000
-
-
-def numeric_H(expr: InitialDataExpr, n: int, tau: float, tol: float = 1e-8) -> float:
-    """Ball average H(tau) = (n/tau^n) int_0^tau phi r^(n-1) dr, H(0) = phi(0).
-
-    Each signed leaf of expr takes its own route.  Constants are exact.
-    Profiles of log tau (log sines, their average preimages, the doubly-log
-    sine, trig-polynomial and trapezoid profiles of log(tau + 1)) share one
-    fixed Gauss-Legendre sum on s = log(r / tau), where
-    H(tau) = n int_{-inf}^0 phi(tau e^s) e^{ns} ds; its window and panels
-    come from an a-priori bound that keeps the error below tol at every tau,
-    with the same nodes for every tau, split at the corners of trapezoid
-    profiles, which are linear in log(r + 1) between.  Waves and bump trains
-    integrate segment-exactly, since fixed panels would alias their
-    exponentially sparse or fine structure.
-
-    tol must be a positive finite real.  Too fine a tol for the analytic
-    leaves raises ConvergenceError, a non-finite data value EvaluationError.
+    kernel(s) gives K at the nodes and factors c_i with K_i right to 4 c_i eps
+    relative.  The terms are summed exactly by math.fsum; the bound adds to
+    the layout's their rounding, 4 eps sum_i c_i |term_i|, and
+    2 kink_mass w_i K_i for each node near a corner.
     """
-    return _ball_average(expr, n, tau, tol)[0]
-
-
-def _ball_average(expr, n, tau, tol) -> tuple[float, float]:
-    """(H(tau), error bound) for numeric_H.
-
-    The bound is the a-priori bound of the Gauss sum, with 2 mass |w_i| for
-    each node that rounding may evaluate on the wrong side of a corner; the
-    exact routes and the rest of the rounding in evaluating phi itself are
-    not counted.
-    """
-    check_dimension(n)
-    if not (math.isfinite(tau) and tau >= 0):
-        raise DomainError(f"tau must be finite and nonnegative, got {tau!r}")
-    if isinstance(tol, bool) or not (isinstance(tol, (int, float, np.integer, np.floating))
-                                     and math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be a positive finite real, got {tol!r}")
-    if tau == 0.0:
-        return eval_phi(expr, 0.0), 0.0
-    tau, tol = float(tau), float(tol)
-
-    leaves = _split_leaves(expr)
-    value, bound = leaves.constant, 0.0
-    if leaves.kinked:  # the layout for the summed mass, split at the corners
-        kink_mass, phases = _kink_bound(leaves.kinked)
-        mass = leaves.mass + kink_mass
-        depth, panels, rule_bound = _log_gauss_panels(n, mass, leaves.omega, tol)
-        s, w, near = _split_gauss(-depth, depth / panels, panels, tau, phases)
-        scale = np.exp(s)
-        weights = n * w * scale ** n
-        rule_bound += (weights.size * _EPS * mass * float(np.sum(weights))
-                       + 2.0 * kink_mass * float(np.sum(weights[near])))
-    elif leaves.analytic:
-        scale, weights, rule_bound = _log_gauss_rule(n, leaves.mass, leaves.omega, tol)
-    if leaves.analytic or leaves.kinked:
-        vals = eval_phi(_signed_sum(leaves.analytic + leaves.kinked), tau * scale)
-        if not np.all(np.isfinite(vals)):
-            bad = float(tau * scale[~np.isfinite(vals)][0])
-            raise EvaluationError(
-                f"initial data returned a non-finite value at r = {bad!r}", point=bad)
-        value += float(weights @ vals)
-        bound += rule_bound
-    for sign, leaf in leaves.fast:
-        if isinstance(leaf, PeriodicZeroMean):
-            part = _periodic_radial_integral(leaf.wave.segments(), n, tau)
-        else:
-            part = _bump_radial_integral(leaf, n, tau)
-        value += sign * n * part
-    return value, bound
+    depth, panels, bound = layout
+    s, w, near = _split_gauss(-depth, depth / panels, panels, radius, leaves.phases)
+    k_vals, cond = kernel(s)
+    weights = w * k_vals
+    terms = weights * _phi_on(_signed_sum(pairs), radius, np.exp(s))
+    rounding = 4.0 * _EPS * float(np.sum(np.abs(terms) * cond))
+    return math.fsum(terms), (bound + rounding
+                              + 2.0 * leaves.kink_mass * float(np.sum(weights[near])))
 
 
 @lru_cache(maxsize=64)
@@ -1211,6 +1194,158 @@ def _log_gauss_rule(n: int, mass: float, omega: float, tol: float):
     return scale, weights, bound + rounding
 
 
+@lru_cache(maxsize=64)
+def _log_trapezoid_rule(k: int, mass: float, omega: float, spec: QuadratureSpec):
+    """(e^{x_j}, w_j, h, error bound) with w_j = e^{(k+1) x_j - e^{2 x_j}} and
+    int_0^inf z^k e^{-z^2} phi(root z) dz ~ h sum_j w_j phi(root e^{x_j})
+    for analytic leaves, on nodes x_j = log z_max - h j, j = 0 .. J - 1, the
+    same for every root.
+
+    phi is a sum of leaves whose strip masses sum to mass and whose
+    frequencies are at most omega.  On the x = log z axis the integrand
+    f(x) = exp((k+1) x - e^{2x}) phi(root e^x) is analytic in the strip
+    |Im x| < a = _STRIP, and there the integral of |f(x + iy)| over x is at
+    most M = mass e^{omega a} M_k cos(2a)^(-(k+1)/2), with
+    M_k = int_0^inf z^k e^{-z^2} dz.
+    The trapezoid rule with step h on the whole line then errs by at most
+    2 M / (e^{2 pi a / h} - 1) (Trefethen & Weideman, SIAM Rev. 56, 2014,
+    Theorem 5.1); any h <= h_max = 2 pi a / log(2 + 4 M / abs_tol) keeps that
+    below abs_tol / 2.  The rule takes h = L / (floor(L / h_max) + 1), J - 1
+    steps over [-40/(k+1), log z_max] of length L.  Keeping only those nodes
+    adds at most mass (e^{-40} / (k+1) + G_k(z_max)), G_k the Gaussian power
+    tail.  The bound returned is the sum of the two.  More than max_panels
+    nodes raise ConvergenceError.
+    """
+    # log(4 M / abs_tol); mass is floored at abs_tol, which only shrinks h
+    log_ratio = (omega * _STRIP
+                 + math.log(4.0 * max(mass, spec.abs_tol) * gaussian_power_tail(k, 0.0)
+                            / spec.abs_tol)
+                 - 0.5 * (k + 1) * math.log(math.cos(2.0 * _STRIP)))
+    x_lo, x_hi = -40.0 / (k + 1), math.log(spec.z_max)
+    steps = ((x_hi - x_lo) * (log_ratio + math.log1p(2.0 * math.exp(-log_ratio)))
+             / (2.0 * math.pi * _STRIP))
+    if not steps < spec.max_panels:
+        raise ConvergenceError(
+            f"log-axis trapezoid needs {steps:.3g} nodes, exceeding "
+            f"max_panels={spec.max_panels}")
+    count = int(steps) + 2
+    h = (x_hi - x_lo) / (count - 1)
+    x = x_hi - h * np.arange(count)
+    scale, kernel = np.exp(x), np.exp((k + 1) * x - np.exp(2.0 * x))
+    scale.flags.writeable = kernel.flags.writeable = False
+    tails = mass * (math.exp(-40.0) / (k + 1) + gaussian_power_tail(k, spec.z_max))
+    return scale, kernel, h, 0.5 * spec.abs_tol + tails
+
+
+# ---------------------------------------------------------------------------
+# The two integrals: ball average and u(0, t)
+
+
+def numeric_H(expr: InitialDataExpr, n: int, tau: float, tol: float = 1e-8) -> float:
+    """Ball average H(tau) = (n/tau^n) int_0^tau phi r^(n-1) dr, H(0) = phi(0).
+
+    Each signed leaf of expr takes its route (see Leaf routes): profiles of
+    log tau one fixed Gauss-Legendre sum on s = log(r / tau), where
+    H(tau) = n int_{-inf}^0 phi(tau e^s) e^{ns} ds, whose a-priori bound keeps
+    the error below tol at every tau; waves and bump trains exact sums.
+
+    tol must be a positive finite real.  Too fine a tol for the analytic
+    leaves raises ConvergenceError, a non-finite data value EvaluationError.
+    """
+    return _ball_average(expr, n, tau, tol)[0]
+
+
+def _ball_average(expr, n, tau, tol) -> tuple[float, float]:
+    """(H(tau), error bound) for numeric_H.
+
+    The bound is the a-priori bound of the Gauss sum, with 2 mass |w_i| for
+    each node that rounding may evaluate on the wrong side of a corner; the
+    exact routes and the rest of the rounding in evaluating phi itself are
+    not counted.
+    """
+    check_dimension(n)
+    check_finite(tau=tau, tol=tol)
+    if not tau >= 0:
+        raise DomainError(f"tau must be finite and nonnegative, got {tau!r}")
+    if not tol > 0:
+        raise DomainError(f"tol must be a positive finite real, got {tol!r}")
+    if tau == 0.0:
+        return eval_phi(expr, 0.0), 0.0
+    tau, tol = float(tau), float(tol)
+
+    leaves = _split_leaves(expr)
+    value, bound = leaves.constant, 0.0
+    if leaves.kinked:  # the layout for the summed mass, split at the corners
+        part, part_bound = _split_gauss_sum(
+            leaves.analytic + leaves.kinked, leaves, tau,
+            _log_gauss_panels(n, leaves.mass + leaves.kink_mass, leaves.omega, tol),
+            lambda s: (n * np.exp(s) ** n, 2.0 + n))
+        value += part
+        bound += part_bound
+    elif leaves.analytic:
+        scale, weights, rule_bound = _log_gauss_rule(n, leaves.mass, leaves.omega, tol)
+        value += float(weights @ _phi_on(_signed_sum(leaves.analytic), tau, scale))
+        bound += rule_bound
+    for sign, leaf in leaves.fast:
+        if isinstance(leaf, PeriodicZeroMean):
+            part = _periodic_radial_integral(leaf.wave.segments(), n, tau)
+        else:
+            part = _bump_radial_integral(leaf, n, tau)
+        value += sign * n * part
+    return value, bound
+
+
+def _weighted_value(expr, k: int, root: float, spec: QuadratureSpec) -> tuple[float, float]:
+    """(value, error bound) for int_0^inf z^k e^{-z^2} expr(root z) dz.
+
+    A plain callable goes through adaptive quadrature; an expression is
+    routed per signed leaf (see Leaf routes), and the bound adds the bounds
+    of its routes (the wave route's does not yet cover the cancellation of
+    its segment sums at large root).
+    """
+    if not isinstance(expr, InitialDataExpr):
+        if not callable(expr):
+            raise DomainError(
+                f"expr must be an InitialDataExpr or a callable, got {type(expr).__name__}")
+        result = integrate_weighted(lambda z: expr(root * z), k, spec)
+        return result.value, result.abs_error_est
+
+    leaves = _split_leaves(expr)
+    value, bound = leaves.constant * gaussian_power_tail(k, 0.0), 0.0
+    if leaves.analytic:
+        scale, weights, h, rule_bound = _log_trapezoid_rule(k, leaves.mass, leaves.omega, spec)
+        value += h * float(np.dot(weights, _phi_on(_signed_sum(leaves.analytic), root, scale)))
+        bound += rule_bound
+    if leaves.kinked:
+        # on s = log(z / z_max) the kernel z^(k+1) e^{-z^2} is at most
+        # z_max^(k+1) e^{(k+1) Re s} for |Im s| <= _STRIP, so the layout for
+        # n = k + 1, mass z_max^(k+1) kink_mass / (k + 1) and tol abs_tol / 2
+        # applies; the cut at z_max adds kink_mass G_k(z_max)
+        z_max = spec.z_max
+
+        def kernel(s):
+            z = z_max * np.exp(s)
+            return z ** (k + 1) * np.exp(-z * z), 2.0 + k + z * z
+
+        part, part_bound = _split_gauss_sum(
+            leaves.kinked, leaves, root * z_max,
+            _log_gauss_panels(k + 1, leaves.kink_mass * z_max ** (k + 1) / (k + 1),
+                              0.0, 0.5 * spec.abs_tol), kernel)
+        value += part
+        bound += part_bound + leaves.kink_mass * gaussian_power_tail(k, z_max)
+    for sign, leaf in leaves.fast:
+        route = (_wave_weighted_integral if isinstance(leaf, PeriodicZeroMean)
+                 else _bump_weighted_integral)
+        part, part_bound = route(leaf, k, root, spec.z_max)
+        value += sign * part
+        bound += part_bound
+    return value, bound
+
+
+# ---------------------------------------------------------------------------
+# Exact routes of waves and bump trains
+
+
 def _periodic_radial_integral(segments, n, tau):
     """Exact (1/tau^n) int_0^tau wave(r) r^(n-1) dr for a piecewise-linear
     2 pi periodic wave given by segments (theta0, theta1, a, b).
@@ -1284,6 +1419,76 @@ def _bump_pieces(train: BumpTrain, scale: float, cut: float, kernel,
     frac = np.concatenate([s[:centers.size], 1.0 - s[centers.size:]])
     per_piece = (s_hi - s_lo) * ((kernel(starts[:, None] + d * s) * frac) @ w)
     return train.height * d * float(np.sum(per_piece))
+
+
+def _primitive_abs_max(trap) -> float:
+    """max over one period of |int_0^theta wave|, for the drop bound."""
+    acc = 0.0
+    peak = 0.0
+    for (t0, t1, a, b) in trap.segments():
+        crits = [t1]
+        if b != 0.0:
+            vertex = -a / b
+            if t0 < vertex < t1:
+                crits.append(vertex)
+        for th in crits:
+            cand = acc + a * (th - t0) + 0.5 * b * (th * th - t0 * t0)
+            peak = max(peak, abs(cand))
+        acc += a * (t1 - t0) + 0.5 * b * (t1 * t1 - t0 * t0)
+    return peak
+
+
+def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, root: float,
+                            z_cut: float) -> tuple[float, float]:
+    """(value, error bound) for int_0^inf z^k e^{-z^2} wave(root z) dz.
+
+    Enumerates the wave's linear segments exactly up to z_cut; when the
+    segment count would blow the budget, returns 0 with the
+    integration-by-parts bound max|W| / root * (2 M_{k+1} + k M_{k-1}),
+    W the wave's running integral and M_j the full Gaussian moments.
+    """
+    trap = expr.wave
+    segs = trap.segments()
+    tau_max = z_cut * root
+    n_periods = int(math.floor(tau_max / TWO_PI)) + 1
+    wave_sup = max(abs(expr.v_min), abs(expr.v_max))
+    tail = wave_sup * gaussian_power_tail(k, z_cut)
+
+    if n_periods * len(segs) > _WAVE_SEGMENT_BUDGET:
+        w_max = _primitive_abs_max(trap)
+        bound = 2.0 * gaussian_power_tail(k + 1, 0.0)
+        if k > 0:
+            bound += k * gaussian_power_tail(k - 1, 0.0)
+        return 0.0, (w_max / root) * bound + tail
+
+    starts = TWO_PI * np.arange(n_periods, dtype=float)
+    total = 0.0
+    for (t0, t1, a, b) in segs:
+        lo_tau = starts + t0
+        hi_tau = np.minimum(starts + t1, tau_max)
+        keep = lo_tau < hi_tau
+        if not np.any(keep):
+            continue
+        # value = a + b (tau - start) = (a - b start) + (b root) z
+        c0 = a - b * starts[keep]
+        moments = _gaussian_moments(k + 1, lo_tau[keep] / root, hi_tau[keep] / root)
+        total += float(np.sum(c0 * moments[k] + b * root * moments[k + 1]))
+    return total, tail
+
+
+def _bump_weighted_integral(expr: BumpTrain, k: int, root: float,
+                            z_cut: float) -> tuple[float, float]:
+    """(value, error bound) for the weighted integral of a bump train.
+
+    The (constant) baseline integrates in closed form over all of (0, inf),
+    the bumps inside the window by _bump_pieces on panels at most
+    _BUMP_PANEL wide; bumps beyond it are covered by the Gaussian tail bound.
+    """
+    value = expr.baseline * gaussian_power_tail(k, 0.0)
+    err = (abs(expr.baseline) + abs(expr.height)) * gaussian_power_tail(k, z_cut)
+    panels = max(1, math.ceil(min(expr.half_width / root, z_cut) / _BUMP_PANEL))
+    return value + _bump_pieces(expr, root, z_cut, lambda z: z ** k * np.exp(-z * z),
+                                panels), err
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import loggamma
 
-from .errors import ConvergenceError, DomainError, SearchFailure
+from .errors import ConvergenceError, DomainError, RangeError, SearchFailure
 from .quadrature import MAX_OSCILLATION_FREQUENCY
 
 __all__ = [
@@ -63,6 +63,14 @@ SCAN_GRID_LO = 1e-3
 SCAN_GRID_HI = 1e2
 
 _EPS = sys.float_info.epsilon
+_FLOAT_MAX = sys.float_info.max
+
+# The u sweep of verify (solution_probe.band_estimate at its defaults) runs
+# on x = log sqrt(4t) from t = _SWEEP_T_ANCHOR up to _X_CAP, past which t
+# stops being a double (exp(700) ~ 1e304), and must cover _SWEEP_PERIODS
+# periods 2 pi / m; constructions refuse m below _M_FLOOR, about 0.0551.
+_X_CAP, _SWEEP_T_ANCHOR, _SWEEP_PERIODS = 350.0, 1e6, 3.0
+_M_FLOOR = _SWEEP_PERIODS * 2.0 * math.pi / (_X_CAP - 0.5 * math.log(4.0 * _SWEEP_T_ANCHOR))
 
 
 class KernelFlavor(enum.Enum):
@@ -108,6 +116,28 @@ def check_dimension(n: int) -> None:
         raise DomainError(f"dimension n must be at most {MAX_DIMENSION}")
 
 
+def check_finite(**named) -> None:
+    """The package's one check of real parameters: each value must be a
+    Python or NumPy real, not a bool, and finite as a double, which refuses
+    nan, the infinities and integers beyond double range."""
+    for name, value in named.items():
+        if isinstance(value, bool) or not (
+                isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX
+                or isinstance(value, (np.integer, np.floating)) and math.isfinite(value)):
+            raise DomainError(f"{name} must be a finite real, got {value!r}")
+
+
+def check_time(t) -> None:
+    """t must be a positive finite real with sqrt(4t) a double."""
+    check_finite(t=t)
+    if not t > 0:
+        raise DomainError(f"t must be a positive finite real, got {t!r}")
+    if 4.0 * t > 1e308:
+        raise RangeError(
+            f"t = {t} puts sqrt(4t) outside double precision; use the "
+            "analytic band API for asymptotic statements")
+
+
 def unit_ball_volume(n: int) -> float:
     """Volume of the unit ball in R^n: pi^(n/2) / Gamma(n/2 + 1)."""
     check_dimension(n)
@@ -129,7 +159,8 @@ def kernel_moments(n: int, m: float, flavor: KernelFlavor) -> MomentPair:
     the package.
     """
     check_dimension(n)
-    if not (math.isfinite(m) and m > 0):
+    check_finite(m=m)
+    if not m > 0:
         raise DomainError(f"frequency m must be positive, got {m!r}")
     if m > MAX_OSCILLATION_FREQUENCY:
         raise ConvergenceError(

@@ -34,7 +34,6 @@ from .initial_data import (
     PeriodicZeroMean,
     Sum,
     TrigPolynomial,
-    _FLOAT_MAX,
     _signed_leaves,
     analytic_band_phi,
     from_json as expr_from_json,
@@ -42,7 +41,18 @@ from .initial_data import (
     phi_from_H,
     to_json as expr_to_json,
 )
-from .kernel_moments import KernelFlavor, check_dimension, kernel_moments, solve_m
+from .kernel_moments import (
+    KernelFlavor,
+    _M_FLOOR,
+    _SWEEP_PERIODS,
+    _SWEEP_T_ANCHOR,
+    _X_CAP,
+    check_dimension,
+    check_finite,
+    check_time,
+    kernel_moments,
+    solve_m,
+)
 
 __all__ = [
     "AverageQuad",
@@ -69,13 +79,15 @@ _EQ_TOL = 1e-12
 TWO_PI = 2.0 * math.pi
 
 
-def _check_finite(**named):
-    # abs(value) <= _FLOAT_MAX refuses nan, infinities and integers beyond
-    # double range, on which math.isfinite would raise OverflowError
-    for name, value in named.items():
-        if isinstance(value, bool) or not (
-                isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX):
-            raise DomainError(f"{name} must be a finite real, got {value!r}")
+def _sweepable_m(n: int, ratio: float, flavor: KernelFlavor) -> float:
+    """solve_m, refusing a frequency too low for the u sweep of verify."""
+    m = solve_m(n, ratio, flavor)
+    if m < _M_FLOOR:
+        raise DomainError(
+            f"mode frequency {m:.4g} is below {_M_FLOOR:.4g}: the u sweep of verify "
+            f"(log sqrt(4t) from t = {_SWEEP_T_ANCHOR:g} up to {_X_CAP:g}) cannot "
+            f"cover {_SWEEP_PERIODS:g} of its periods")
+    return m
 
 
 def _scale(*values) -> float:
@@ -93,8 +105,8 @@ class AverageQuad:
     avg_upper: float
 
     def __post_init__(self):
-        _check_finite(avg_lower=self.avg_lower, sol_lower=self.sol_lower,
-                      sol_upper=self.sol_upper, avg_upper=self.avg_upper)
+        check_finite(avg_lower=self.avg_lower, sol_lower=self.sol_lower,
+                     sol_upper=self.sol_upper, avg_upper=self.avg_upper)
         if not (self.avg_lower < self.sol_lower < self.sol_upper < self.avg_upper):
             raise DomainError(
                 "average-side prescription needs strictly increasing values "
@@ -114,8 +126,8 @@ class DataQuad:
     data_upper: float
 
     def __post_init__(self):
-        _check_finite(data_lower=self.data_lower, sol_lower=self.sol_lower,
-                      sol_upper=self.sol_upper, data_upper=self.data_upper)
+        check_finite(data_lower=self.data_lower, sol_lower=self.sol_lower,
+                     sol_upper=self.sol_upper, data_upper=self.data_upper)
         if not (self.data_lower <= self.sol_lower <= self.sol_upper
                 <= self.data_upper):
             raise DomainError(
@@ -187,7 +199,7 @@ def _checked_band(band, name) -> tuple[float, float]:
         lo, hi = band
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a (lower, upper) pair, got {band!r}")
-    _check_finite(**{f"{name}[0]": lo, f"{name}[1]": hi})
+    check_finite(**{f"{name}[0]": lo, f"{name}[1]": hi})
     if lo > hi:
         raise DomainError(f"{name} must be an ordered finite pair, got {band!r}")
     return (float(lo), float(hi))
@@ -208,8 +220,8 @@ def prescribe_average(avg_lower: float, sol_lower: float, sol_upper: float,
     out of this construction's reach (see lemma_not_example for the one
     asymmetric instance with computed, not prescribed, values).
     """
-    _check_finite(avg_lower=avg_lower, sol_lower=sol_lower,
-                  sol_upper=sol_upper, avg_upper=avg_upper)
+    check_finite(avg_lower=avg_lower, sol_lower=sol_lower,
+                 sol_upper=sol_upper, avg_upper=avg_upper)
     if avg_lower == sol_lower or avg_upper == sol_upper:
         raise DomainError(
             "the full-width case avg_lower = sol_lower (oscillation surviving "
@@ -228,7 +240,7 @@ def prescribe_average(avg_lower: float, sol_lower: float, sol_upper: float,
             "bands are not constructible here")
 
     ratio = (sol_upper - sol_lower) / (avg_upper - avg_lower)
-    m_star = solve_m(n, ratio, KernelFlavor.AVERAGE)
+    m_star = _sweepable_m(n, ratio, KernelFlavor.AVERAGE)
     amplitude = (avg_upper - avg_lower) / 2.0
     offset = (avg_upper + avg_lower) / 2.0
     data = LogSineAvgPreimage(amplitude, m_star, offset, n)
@@ -258,7 +270,7 @@ def prescribe_data(data_lower: float, sol_lower: float, sol_upper: float,
     through zero, constructing, and negating the result.
     """
     r, a, b, s = data_lower, sol_lower, sol_upper, data_upper
-    _check_finite(data_lower=r, sol_lower=a, sol_upper=b, data_upper=s)
+    check_finite(data_lower=r, sol_lower=a, sol_upper=b, data_upper=s)
     target = PrescriptionTarget(DataQuad(r, a, b, s), n)  # validates ordering
 
     scale = _scale(r, a, b, s)
@@ -334,7 +346,7 @@ def prescribe_data(data_lower: float, sol_lower: float, sol_upper: float,
 
     # strictly interior solution band from here on: r < a < b < s
     if abs((r + s) - (a + b)) <= tol:
-        m_star = solve_m(n, (b - a) / (s - r), KernelFlavor.DATA)
+        m_star = _sweepable_m(n, (b - a) / (s - r), KernelFlavor.DATA)
         data = LogSine((s - r) / 2.0, m_star, (s + r) / 2.0)
         return PrescriptionCertificate(
             target=target, data=data, construction_tag="data-single-mode",
@@ -347,7 +359,7 @@ def prescribe_data(data_lower: float, sol_lower: float, sol_upper: float,
     lam = a + b - r
     eps = min(a - r, lam - b) / 2.0
     delta = lam - eps
-    m_star = solve_m(n, (b - a) / (delta - (r + eps)), KernelFlavor.DATA)
+    m_star = _sweepable_m(n, (b - a) / (delta - (r + eps)), KernelFlavor.DATA)
     mode = LogSine((delta - r - eps) / 2.0, m_star, (delta + r + eps) / 2.0)
     v_max, v_min = s - delta, -eps
     wave = PeriodicZeroMean(v_max, v_min, balanced_ramp_width(v_max, v_min))
@@ -427,8 +439,7 @@ def envelope_u(cert: PrescriptionCertificate, t: float) -> float:
     contribute only their baseline, and a certificate whose oscillating
     content is bumps alone has no envelope formula.
     """
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0):
-        raise DomainError(f"t must be a positive finite real, got {t!r}")
+    check_time(t)
     y = 0.5 * math.log(4.0 * t)
 
     value, slow_seen, bumps_seen = 0.0, False, False
@@ -531,7 +542,7 @@ def cert_from_json(doc) -> PrescriptionCertificate:
         raise DomainError(f"construction_tag must be a string, got {tag!r}")
     m_used = _field(doc, "m_used", "certificate")
     if m_used is not None:
-        _check_finite(m_used=m_used)
+        check_finite(m_used=m_used)
     return PrescriptionCertificate(
         target=PrescriptionTarget(quad_cls(*(_field(tdoc, key, "target") for key in keys)),
                                   _field(tdoc, "n", "target")),

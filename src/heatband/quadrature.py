@@ -55,11 +55,15 @@ _LEFT_EDGE = 1e-300
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error targets and truncation window for the adaptive engine.
+    """Error targets and truncation window of the u(0, t) integrals.
 
-    x_min defaults to -40 so that every amplitude exp((k+1) x) supported by
-    the kernel-moment integrals (k >= 0) is below 1e-17 at the cut; use
-    for_power to tighten the window for a known weight power.
+    abs_tol, z_max and max_panels drive both the fixed rules of the
+    expression leaves (the log-axis trapezoid sum, the split Gauss sum, the
+    exact wave and bump routes) and the adaptive engine of plain callables;
+    rel_tol and x_min only the adaptive engine.  x_min defaults to -40 so
+    that every amplitude exp((k+1) x) supported by the kernel-moment
+    integrals (k >= 0) is below 1e-17 at the cut; use for_power to tighten
+    the window for a known weight power.
     """
 
     rel_tol: float = 1e-11

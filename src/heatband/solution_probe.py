@@ -5,21 +5,8 @@ phi(sqrt(4t) z); u_origin_from_H does the same through the ball average.
 band_estimate sweeps log-spaced time grids to estimate oscillation bands,
 verify_certificate runs all three measurements against a certificate's
 analytic bands, and u_offcenter_1d probes u(x, t) away from the origin in
-dimension one.
-
-The weighted integral is routed per part of the data.  Constants are exact
-(c times a Gaussian moment).  Parts analytic in log tau (log sines, their
-average preimages, the doubly-log sine, trig-polynomial profiles of
-log(tau + 1)) share one trapezoid sum on the x = log z axis, whose error
-decays exponentially in 1/h and is bounded through the width of the strip
-where the integrand stays analytic.  Trapezoid profiles of log(tau + 1),
-analytic only between their corners, take a composite Gauss-Legendre rule
-on the same axis with its panels split at the corners.  Fast piecewise
-content (2 pi periodic waves, triangular bump trains) would alias under
-fixed panels once sqrt(4t) is large: waves integrate segment-exactly
-against Gaussian power moments, with a zero-plus-integration-by-parts bound
-beyond a segment budget, and bumps by a Gauss-Legendre rule local to each
-bump.  Only plain callables go through adaptive quadrature.
+dimension one.  The weighted integral is routed per leaf of the data in
+initial_data (see its Leaf routes).
 """
 
 from __future__ import annotations
@@ -31,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConvergenceError,
     DomainError,
     EvaluationError,
     PartialBandError,
@@ -39,35 +25,28 @@ from .errors import (
     UnsupportedExpression,
 )
 from .initial_data import (
-    BumpTrain,
     InitialDataExpr,
     LogLogSine,
-    PeriodicZeroMean,
-    _EPS,
-    _STRIP,
-    _bump_pieces,
-    _kink_bound,
-    _log_gauss_panels,
     _signed_leaves,
-    _signed_sum,
-    _split_gauss,
-    _split_leaves,
+    _weighted_value,
     band_witnesses,
     eval_phi,
     numeric_H,
 )
-from .kernel_moments import KernelFlavor
+from .kernel_moments import (
+    KernelFlavor,
+    _SWEEP_PERIODS,
+    _SWEEP_T_ANCHOR,
+    _X_CAP,
+    check_finite,
+    check_time,
+)
 from .prescriber import (
     PrescriptionCertificate,
     cert_to_json,
     envelope_u,
 )
-from .quadrature import (
-    QuadratureSpec,
-    _gaussian_moments,
-    gaussian_power_tail,
-    integrate_weighted,
-)
+from .quadrature import QuadratureSpec, integrate_weighted
 
 __all__ = [
     "OscillationBand",
@@ -85,16 +64,6 @@ __all__ = [
 REPORT_SCHEMA_ID = "report/1"
 
 TWO_PI = 2.0 * math.pi
-
-# log sqrt(4t) beyond which t itself stops being a double (exp(700) ~ 1e304)
-_X_CAP = 350.0
-
-# total linear segments a single exact wave integral may enumerate; beyond
-# this the integration-by-parts zero-with-bound branch takes over
-_WAVE_SEGMENT_BUDGET = 2_000_000
-
-# widest z-panel of the Gauss-Legendre rule on the bump pieces
-_BUMP_PANEL = 0.125
 
 
 @dataclass(frozen=True)
@@ -155,188 +124,7 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Exact Gaussian segment moments
-
-
-def _primitive_abs_max(trap) -> float:
-    """max over one period of |int_0^theta wave|, for the drop bound."""
-    acc = 0.0
-    peak = 0.0
-    for (t0, t1, a, b) in trap.segments():
-        crits = [t1]
-        if b != 0.0:
-            vertex = -a / b
-            if t0 < vertex < t1:
-                crits.append(vertex)
-        for th in crits:
-            cand = acc + a * (th - t0) + 0.5 * b * (th * th - t0 * t0)
-            peak = max(peak, abs(cand))
-        acc += a * (t1 - t0) + 0.5 * b * (t1 * t1 - t0 * t0)
-    return peak
-
-
-def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, root: float,
-                            z_cut: float) -> tuple[float, float]:
-    """(value, error bound) for int_0^inf z^k e^{-z^2} wave(root z) dz.
-
-    Enumerates the wave's linear segments exactly up to z_cut; when the
-    segment count would blow the budget, returns 0 with the
-    integration-by-parts bound max|W| / root * (2 M_{k+1} + k M_{k-1}),
-    W the wave's running integral and M_j the full Gaussian moments.
-    """
-    trap = expr.wave
-    segs = trap.segments()
-    tau_max = z_cut * root
-    n_periods = int(math.floor(tau_max / TWO_PI)) + 1
-    wave_sup = max(abs(expr.v_min), abs(expr.v_max))
-    tail = wave_sup * gaussian_power_tail(k, z_cut)
-
-    if n_periods * len(segs) > _WAVE_SEGMENT_BUDGET:
-        w_max = _primitive_abs_max(trap)
-        bound = 2.0 * gaussian_power_tail(k + 1, 0.0)
-        if k > 0:
-            bound += k * gaussian_power_tail(k - 1, 0.0)
-        return 0.0, (w_max / root) * bound + tail
-
-    starts = TWO_PI * np.arange(n_periods, dtype=float)
-    total = 0.0
-    for (t0, t1, a, b) in segs:
-        lo_tau = starts + t0
-        hi_tau = np.minimum(starts + t1, tau_max)
-        keep = lo_tau < hi_tau
-        if not np.any(keep):
-            continue
-        # value = a + b (tau - start) = (a - b start) + (b root) z
-        c0 = a - b * starts[keep]
-        moments = _gaussian_moments(k + 1, lo_tau[keep] / root, hi_tau[keep] / root)
-        total += float(np.sum(c0 * moments[k] + b * root * moments[k + 1]))
-    return total, tail
-
-
-def _bump_weighted_integral(expr: BumpTrain, k: int, root: float,
-                            z_cut: float) -> tuple[float, float]:
-    """(value, error bound) for the weighted integral of a bump train.
-
-    The (constant) baseline integrates in closed form over all of (0, inf),
-    the bumps inside the window by _bump_pieces on panels at most
-    _BUMP_PANEL wide; bumps beyond it are covered by the Gaussian tail bound.
-    """
-    value = expr.baseline * gaussian_power_tail(k, 0.0)
-    err = (abs(expr.baseline) + abs(expr.height)) * gaussian_power_tail(k, z_cut)
-    panels = max(1, math.ceil(min(expr.half_width / root, z_cut) / _BUMP_PANEL))
-    return value + _bump_pieces(expr, root, z_cut, lambda z: z ** k * np.exp(-z * z),
-                                panels), err
-
-
-# ---------------------------------------------------------------------------
 # Solution values
-
-
-def _check_time(t):
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0):
-        raise DomainError(f"t must be a positive finite real, got {t!r}")
-    if 4.0 * t > 1e308:
-        raise RangeError(
-            f"t = {t} puts sqrt(4t) outside double precision; use the "
-            "analytic band API for asymptotic statements")
-
-
-def _log_trapezoid_weighted(expr, k: int, root: float, mass: float, omega: float,
-                            spec: QuadratureSpec) -> tuple[float, float]:
-    """(value, error bound) for int_0^inf z^k e^{-z^2} expr(root z) dz.
-
-    expr is a sum of leaves with a strip_bound, whose masses sum
-    to mass and whose frequencies are at most omega.  On the x = log z axis
-    the integrand
-    f(x) = exp((k+1) x - e^{2x}) expr(root e^x) is analytic in the strip
-    |Im x| < a = _STRIP, and there the integral of |f(x + iy)| over x is at
-    most M = mass e^{omega a} M_k cos(2a)^(-(k+1)/2), with
-    M_k = int_0^inf z^k e^{-z^2} dz.
-    The trapezoid rule with step h on the whole line then errs by at most
-    2 M / (e^{2 pi a / h} - 1) (Trefethen & Weideman, SIAM Rev. 56, 2014,
-    Theorem 5.1); any h <= 2 pi a / log(2 + 4 M / abs_tol) keeps that below
-    abs_tol / 2.  Keeping only the nodes on [-40/(k+1), log z_max] adds at
-    most mass (e^{-40} / (k+1) + G_k(z_max)), G_k the Gaussian power tail.
-    The bound returned is the sum of the two.  More than max_panels nodes
-    raise ConvergenceError.
-    """
-    # log(4 M / abs_tol); mass is floored at abs_tol, which only shrinks h
-    log_ratio = (omega * _STRIP
-                 + math.log(4.0 * max(mass, spec.abs_tol) * gaussian_power_tail(k, 0.0)
-                            / spec.abs_tol)
-                 - 0.5 * (k + 1) * math.log(math.cos(2.0 * _STRIP)))
-    x_lo, x_hi = -40.0 / (k + 1), math.log(spec.z_max)
-    steps = ((x_hi - x_lo) * (log_ratio + math.log1p(2.0 * math.exp(-log_ratio)))
-             / (2.0 * math.pi * _STRIP))
-    if not steps < spec.max_panels:
-        raise ConvergenceError(
-            f"log-axis trapezoid needs {steps:.3g} nodes, exceeding "
-            f"max_panels={spec.max_panels}")
-    count = int(steps) + 2
-    h = (x_hi - x_lo) / (count - 1)
-    x = x_hi - h * np.arange(count)
-    vals = eval_phi(expr, root * np.exp(x))
-    if not np.all(np.isfinite(vals)):
-        bad = float(root * np.exp(x[~np.isfinite(vals)][0]))
-        raise EvaluationError(
-            f"initial data returned a non-finite value at tau = {bad!r}", point=bad)
-    value = h * float(np.dot(np.exp((k + 1) * x - np.exp(2.0 * x)), vals))
-    tails = mass * (math.exp(-40.0) / (k + 1) + gaussian_power_tail(k, spec.z_max))
-    return value, 0.5 * spec.abs_tol + tails
-
-
-def _kinked_weighted(pairs, k: int, root: float,
-                     spec: QuadratureSpec) -> tuple[float, float]:
-    """(value, error bound) for int_0^inf z^k e^{-z^2} expr(root z) dz, expr
-    the signed sum of the kinked leaves in pairs (trapezoid profiles).
-
-    On s = log(z / z_max) the kernel z^(k+1) e^{-z^2} is at most
-    z_max^(k+1) e^{(k+1) Re s} for |Im s| <= _STRIP, so the layout of
-    _log_gauss_panels for n = k + 1 and mass z_max^(k+1) mass / (k + 1),
-    split at the corners, errs by at most abs_tol / 2.  The bound adds the
-    cut at z_max, mass G_k(z_max), the rounding of the terms (summed exactly
-    by math.fsum) and 2 mass |w_i| per node near a corner.
-    """
-    mass, phases = _kink_bound(pairs)
-    depth, panels, bound = _log_gauss_panels(
-        k + 1, mass * spec.z_max ** (k + 1) / (k + 1), 0.0, 0.5 * spec.abs_tol)
-    s, w, near = _split_gauss(-depth, depth / panels, panels, root * spec.z_max, phases)
-    z = spec.z_max * np.exp(s)
-    weights = w * z ** (k + 1) * np.exp(-z * z)
-    terms = weights * eval_phi(_signed_sum(pairs), root * z)
-    rounding = 4.0 * _EPS * float(np.dot(np.abs(terms), 2.0 + k + z * z))
-    return math.fsum(terms), (bound + mass * gaussian_power_tail(k, spec.z_max) + rounding
-                              + 2.0 * mass * float(np.sum(weights[near])))
-
-
-def _weighted_value(expr, k: int, root: float, spec: QuadratureSpec) -> float:
-    """int_0^inf z^k e^{-z^2} expr(root z) dz with per-variant routing.
-
-    Constants are exact (c M_k); leaves analytic in log tau share one
-    log-axis trapezoid sum; trapezoid profiles take the split Gauss rule;
-    waves and bump trains take their exact routes; only plain callables go
-    through adaptive quadrature.
-    """
-    if not isinstance(expr, InitialDataExpr):
-        if not callable(expr):
-            raise DomainError(
-                f"expr must be an InitialDataExpr or a callable, got {type(expr).__name__}")
-        return integrate_weighted(lambda z: expr(root * z), k, spec).value
-
-    leaves = _split_leaves(expr)
-    total = leaves.constant * gaussian_power_tail(k, 0.0)
-    if leaves.analytic:
-        total += _log_trapezoid_weighted(
-            _signed_sum(leaves.analytic), k, root, leaves.mass, leaves.omega, spec)[0]
-    if leaves.kinked:
-        total += _kinked_weighted(leaves.kinked, k, root, spec)[0]
-    for sign, term in leaves.fast:
-        if isinstance(term, PeriodicZeroMean):
-            val, _ = _wave_weighted_integral(term, k, root, spec.z_max)
-        else:
-            val, _ = _bump_weighted_integral(term, k, root, spec.z_max)
-        total += sign * val
-    return total
 
 
 def u_origin(expr, n: int, t: float, spec: QuadratureSpec | None = None) -> float:
@@ -362,10 +150,10 @@ def u_origin_from_H(h_expr, n: int, t: float,
 
 def _u_at_origin(expr, n, t, spec, flavor: KernelFlavor) -> float:
     coeff = flavor.coefficient(n)  # checks n
-    _check_time(t)
+    check_time(t)
     if spec is None:
         spec = QuadratureSpec()
-    return coeff * _weighted_value(expr, flavor.power(n), math.sqrt(4.0 * t), spec)
+    return coeff * _weighted_value(expr, flavor.power(n), math.sqrt(4.0 * t), spec)[0]
 
 
 def u_offcenter_1d(expr, x: float, t: float,
@@ -379,9 +167,8 @@ def u_offcenter_1d(expr, x: float, t: float,
     """
     if spec is None:
         spec = QuadratureSpec()
-    _check_time(t)
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"x must be a finite real, got {x!r}")
+    check_time(t)
+    check_finite(x=x)
     root = math.sqrt(4.0 * t)
     if abs(x) + root * spec.z_max > 1e308:
         raise RangeError(
@@ -427,9 +214,9 @@ def _golden_extremum(f, a: float, b: float, find_max: bool,
     return sign * best
 
 
-def band_estimate(evaluator, m_hint, t_anchor: float = 1e6, *,
+def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
                   points_per_period: int = 64,
-                  min_periods: float = 3.0) -> OscillationBand:
+                  min_periods: float = _SWEEP_PERIODS) -> OscillationBand:
     """Oscillation band of evaluator(t) over a log-time window.
 
     For a numeric m_hint the grid is uniform in x = log sqrt(4t) with
@@ -446,7 +233,7 @@ def band_estimate(evaluator, m_hint, t_anchor: float = 1e6, *,
             f"points_per_period must be at least 64, got {points_per_period}")
     if min_periods < 3.0:
         raise DomainError(f"min_periods must be at least 3, got {min_periods}")
-    _check_time(t_anchor)
+    check_time(t_anchor)
     x0 = 0.5 * math.log(4.0 * t_anchor)
 
     if isinstance(m_hint, str):
@@ -462,8 +249,9 @@ def band_estimate(evaluator, m_hint, t_anchor: float = 1e6, *,
         npts = max(int(math.ceil(points_per_period * covered)) + 1, 9)
         xs = np.exp(np.linspace(y0, y1, npts))
     else:
+        check_finite(m_hint=m_hint)
         m = float(m_hint)
-        if not (math.isfinite(m) and m > 0):
+        if not m > 0:
             raise DomainError(f"m_hint must be positive, got {m_hint!r}")
         if x0 <= 0.0:
             raise DomainError(
@@ -579,10 +367,10 @@ def _measure_H_band(expr, n: int, slow_m: float | None, loglog: bool,
 def verify_certificate(cert: PrescriptionCertificate, n: int | None = None,
                        spec: QuadratureSpec | None = None,
                        tol_band: float = 0.02, *,
-                       t_anchor: float = 1e6,
+                       t_anchor: float = _SWEEP_T_ANCHOR,
                        gap_times: tuple[float, ...] = (1e2, 1e4, 1e8, 1e16),
                        points_per_period: int = 64,
-                       min_periods: float = 3.0,
+                       min_periods: float = _SWEEP_PERIODS,
                        ) -> VerificationReport:
     """Measure phi, H, and u bands for a certificate and compare.
 
@@ -600,7 +388,8 @@ def verify_certificate(cert: PrescriptionCertificate, n: int | None = None,
         raise DomainError(
             f"dimension mismatch: certificate was built for n = {cert.target.n}, "
             f"got n = {n}")
-    if not (math.isfinite(tol_band) and tol_band > 0):
+    check_finite(tol_band=tol_band)
+    if not tol_band > 0:
         raise DomainError(f"tol_band must be positive, got {tol_band!r}")
 
     slow_m, loglog = _slow_content(cert.data)

@@ -148,6 +148,15 @@ class TestPrescribe:
         assert "at most 10" in capsys.readouterr().err
         assert not (tmp_path / "cert.json").exists()
 
+    def test_mode_below_the_sweep_floor_exits_two(self, tmp_path, capsys):
+        # m = 0.049: verify's u sweep would cover 2.69 of its 3 periods
+        code = run_cli(["prescribe", "--data", "-1", "-0.999", "0.999", "1.01",
+                        "--n", "2", "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "u sweep of verify" in err and "Traceback" not in err
+        assert not (tmp_path / "cert.json").exists()
+
     def test_missing_target_rejected(self, capsys):
         assert run_cli(["prescribe", "--n", "2"]) == 2
         capsys.readouterr()
@@ -352,6 +361,10 @@ class TestVerify:
         doc["data"]["expr"]["amplitude"] = 10**400
 
     @staticmethod
+    def _bool_amplitude(doc):
+        doc["data"]["expr"]["amplitude"] = True
+
+    @staticmethod
     def _huge_int_n(doc):
         doc["target"]["n"] = 10**400
 
@@ -363,7 +376,7 @@ class TestVerify:
         "_bare_cert", "_list_document", "_string_n", "_bool_n", "_bool_band_end",
         "_no_u_band", "_no_data_variant", "_list_band", "_missing_expr_field",
         "_list_target_kind", "_huge_int_band_end", "_huge_int_amplitude",
-        "_huge_int_n", "_n_above_ceiling"])
+        "_bool_amplitude", "_huge_int_n", "_n_above_ceiling"])
     def test_malformed_certificate_exits_two(self, tmp_path, average_cert_file,
                                              capsys, mangle):
         doc = json.loads(average_cert_file.read_text())

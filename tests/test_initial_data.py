@@ -183,6 +183,10 @@ class TestTrigPolynomial:
             TrigPolynomial(math.inf)
         with pytest.raises(DomainError):
             TrigPolynomial(0.0, (math.nan,))
+        with pytest.raises(DomainError):
+            TrigPolynomial(0.0, (), (True,))
+        with pytest.raises(DomainError):
+            TrigPolynomial(0.0, ("2",))
 
 
 class TestValidation:
@@ -192,14 +196,20 @@ class TestValidation:
         lambda: LogSine(-1.0, 1.0),
         lambda: LogSine(1.0, 0.0),
         lambda: LogSine(1.0, 1.0, math.nan),
+        lambda: LogSine(True, 1.0),
+        lambda: LogSine(10**400, 1),
         lambda: LogSineAvgPreimage(1.0, 1.0, 0.0, 0),
         lambda: LogSineAvgPreimage(1.0, 1.0, 0.0, 2.5),
         lambda: LogLogSine(-0.5),
+        lambda: LogLogSine(1.0, False),
+        lambda: Constant(True),
+        lambda: PeriodicZeroMean(True, -1.0),
         lambda: BumpTrain(0.0, 0.3, 0.0, GeometricCenters()),
         lambda: BumpTrain(1.0, -0.3, 0.0, GeometricCenters()),
         lambda: BumpTrain(1.0, 2.0, 0.0, GeometricCenters(1.5)),
         lambda: GeometricCenters(1.0),
         lambda: GeometricCenters(0.5),
+        lambda: GeometricCenters(10**400),
         lambda: DoubleExpCenters("sideways"),
         lambda: Sum(()),
         lambda: Sum((1.0, 2.0)),
@@ -385,6 +395,10 @@ class TestNumericH:
             numeric_H(Constant(1.0), 1, 1.0, tol=0.0)
         with pytest.raises(DomainError):
             numeric_H(Constant(1.0), 0, 1.0)
+        with pytest.raises(DomainError):
+            numeric_H(LogSine(1.0, 1.0), 2, True)
+        with pytest.raises(DomainError):
+            numeric_H(LogSine(1.0, 1.0), 2, 10**400)
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf, True, False, "1e-8"])
     def test_rejects_non_finite_or_boolean_tol(self, tol):
@@ -942,6 +956,15 @@ class TestSerialization:
                                         "amplitude": 1.0, "m": 1.0,
                                         "offset": 0.0, "n": True}},
         {"schema": "idexpr/1", "expr": {"variant": "constant", "c": 10**400}},
+        {"schema": "idexpr/1", "expr": {"variant": "log_sine", "amplitude": True,
+                                        "m": 1.0, "offset": 0.0}},
+        {"schema": "idexpr/1", "expr": {"variant": "log_sine", "amplitude": 10**400,
+                                        "m": 1.0, "offset": 0.0}},
+        {"schema": "idexpr/1", "expr": {"variant": "periodic_of_log", "g": {
+            "kind": "trig_poly", "const": 0.0, "cos": ["2"], "sin": []}}},
+        {"schema": "idexpr/1", "expr": {"variant": "bump_train", "height": 1.0,
+                                        "half_width": True, "baseline": 0.0,
+                                        "centers": {"law": "geometric", "base": 3.0}}},
     ])
     def test_malformed_documents_raise_domain_error(self, doc):
         with pytest.raises(DomainError):

@@ -24,6 +24,7 @@ from heatband import (
     PeriodicZeroMean,
     PrescriptionCertificate,
     PrescriptionTarget,
+    RangeError,
     Sum,
     UnsupportedExpression,
     analytic_band_phi,
@@ -66,6 +67,17 @@ def envelope_extremes_oracle(amplitude, a_val, b_val, offset):
 
 def quad_scale(*vals):
     return max(1.0, *(abs(v) for v in vals))
+
+
+def prescribe_data_or_floor(r, a, b, s, n):
+    """prescribe_data, or None where it refuses a mode frequency below the
+    floor of verify's u sweep; any other refusal fails the test."""
+    try:
+        return prescribe_data(r, a, b, s, n)
+    except DomainError as exc:
+        if "cannot cover 3 of its periods" not in str(exc):
+            raise
+        return None
 
 
 ordered_quads = st.tuples(
@@ -340,7 +352,9 @@ class TestPrescribeDataDispatch:
     @settings(max_examples=60, deadline=None)
     def test_interior_band_invariants(self, quad, n):
         r, a, b, s = quad
-        cert = prescribe_data(r, a, b, s, n)
+        cert = prescribe_data_or_floor(r, a, b, s, n)
+        if cert is None:
+            return
         scale = quad_scale(r, a, b, s)
         lo, hi = cert.expected_phi_band
         assert lo == pytest.approx(r, abs=1e-9 * scale)
@@ -373,7 +387,9 @@ class TestPrescribeDataDispatch:
     @settings(max_examples=30, deadline=None)
     def test_data_stays_inside_band_pointwise(self, quad, n):
         r, a, b, s = quad
-        cert = prescribe_data(r, a, b, s, n)
+        cert = prescribe_data_or_floor(r, a, b, s, n)
+        if cert is None:
+            return
         scale = quad_scale(r, a, b, s)
         tau = np.geomspace(1e-2, 1e10, 600)
         vals = eval_phi(cert.data, tau)
@@ -544,6 +560,12 @@ class TestEnvelopeU:
             envelope_u(cert, 0.0)
         with pytest.raises(DomainError):
             envelope_u(cert, math.inf)
+        with pytest.raises(DomainError):
+            envelope_u(cert, True)
+        with pytest.raises(DomainError):
+            envelope_u(cert, 10**400)
+        with pytest.raises(RangeError):
+            envelope_u(cert, 1e308)
 
     def test_lemma_envelope_band(self):
         cert = lemma_not_example()

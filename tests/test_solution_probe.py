@@ -46,7 +46,15 @@ from heatband import (
     u_origin_from_H,
     verify_certificate,
 )
-from heatband.initial_data import _ball_average, _split_gauss, _split_leaves
+from heatband.initial_data import (
+    _ball_average,
+    _bump_weighted_integral,
+    _primitive_abs_max,
+    _split_gauss,
+    _split_leaves,
+    _wave_weighted_integral,
+    _weighted_value,
+)
 from heatband.quadrature import (
     GL_WEIGHTS,
     QuadratureSpec,
@@ -54,15 +62,7 @@ from heatband.quadrature import (
     gaussian_power_tail,
     integrate_weighted,
 )
-from heatband.solution_probe import (
-    REPORT_SCHEMA_ID,
-    _bump_weighted_integral,
-    _kinked_weighted,
-    _log_trapezoid_weighted,
-    _primitive_abs_max,
-    _wave_weighted_integral,
-    _weighted_value,
-)
+from heatband.solution_probe import REPORT_SCHEMA_ID
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -326,6 +326,10 @@ class TestUOrigin:
             u_origin(Constant(1.0), 1, math.inf)
         with pytest.raises(RangeError):
             u_origin(Constant(1.0), 1, 1e308)
+        with pytest.raises(DomainError):
+            u_origin(LogSine(1.0, 1.0), 2, True)
+        with pytest.raises(DomainError):
+            u_origin(LogSine(1.0, 1.0), 2, 10**400)
 
     def test_rejects_bad_dimension_and_expr(self):
         with pytest.raises(DomainError):
@@ -495,15 +499,14 @@ class TestLogAxisRoute:
     def test_error_bound_covers_mpmath(self, k):
         expr = LogSineAvgPreimage(0.6, 2.3, -0.1, 2)
         spec = QuadratureSpec()
-        mass, omega = expr.strip_bound()
-        value, bound = _log_trapezoid_weighted(expr, k, 2e3, mass, omega, spec)
+        value, bound = _weighted_value(expr, k, 2e3, spec)
         want = mpmath_weighted(mp_avg_preimage(0.6, 2.3, -0.1, 2), k, 1e6, 2.3)
         assert abs(value - want) <= bound
         assert bound < 1e-12
 
     def test_constant_is_exact(self):
         for k in range(6):
-            assert _weighted_value(Constant(0.3), k, 7.0, QuadratureSpec()) \
+            assert _weighted_value(Constant(0.3), k, 7.0, QuadratureSpec())[0] \
                 == 0.3 * gaussian_power_tail(k, 0.0)
 
     def test_routing(self):
@@ -512,15 +515,44 @@ class TestLogAxisRoute:
         assert LogSineAvgPreimage(1.0, 2.0, -0.5, 4).strip_bound() == (2.0, 2.0)
 
     def test_non_finite_values_raise(self, monkeypatch):
-        import heatband.solution_probe as sp
+        import heatband.initial_data as idata
 
-        monkeypatch.setattr(sp, "eval_phi", lambda expr, tau: np.full_like(tau, np.nan))
+        monkeypatch.setattr(idata, "eval_phi", lambda expr, tau: np.full_like(tau, np.nan))
         with pytest.raises(EvaluationError):
             u_origin(LogSine(1.0, 1.0, 0.0), 1, 1.0)
 
     def test_node_budget_raises(self):
         with pytest.raises(hb.ConvergenceError):
             u_origin(LogSine(1.0, 1e6, 0.0), 1, 1.0)
+
+    @pytest.mark.parametrize("n,t", [(1, 1e-2), (2, 1e6), (3, 1e30)])
+    def test_is_the_documented_sum_to_the_last_bit(self, n, t):
+        # nodes x_j = log z_max - h j on [-40/(k+1), log z_max], with the
+        # step count floor(L log(2 + 4M/abs_tol) / (2 pi a)) + 1
+        leaf = LogSineAvgPreimage(0.6, 2.3, -0.1, n)
+        spec, k, a = QuadratureSpec(), n - 1, math.pi / 8.0
+        mass, omega = leaf.strip_bound()
+        big_m = (mass * math.exp(omega * a) * gaussian_power_tail(k, 0.0)
+                 * math.cos(2.0 * a) ** (-(k + 1) / 2.0))
+        x_lo, x_hi = -40.0 / (k + 1), math.log(spec.z_max)
+        count = int((x_hi - x_lo) * math.log(2.0 + 4.0 * big_m / spec.abs_tol)
+                    / (2.0 * math.pi * a)) + 2
+        h = (x_hi - x_lo) / (count - 1)
+        x = x_hi - h * np.arange(count)
+        phi = eval_phi(leaf, math.sqrt(4.0 * t) * np.exp(x))
+        want = KernelFlavor.DATA.coefficient(n) * (
+            h * float(np.dot(np.exp((k + 1) * x - np.exp(2.0 * x)), phi)))
+        assert u_origin(leaf, n, t) == want
+
+    def test_one_sweep_builds_the_layout_once(self):
+        from heatband.initial_data import _log_trapezoid_rule
+
+        _log_trapezoid_rule.cache_clear()
+        cert = prescribe_average(-1.0, -0.3, 0.3, 1.0, n=2)
+        band_estimate(lambda t: u_origin(cert.data, 2, t), cert.m_used)
+        info = _log_trapezoid_rule.cache_info()
+        assert info.misses == 1
+        assert info.hits > 200
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +615,7 @@ class TestTrapezoidProfiles:
         for label, leaf, slope in trapezoid_cases(n):
             want = coeff * mp_split_profile(
                 slope, root, lambda x: mpmath.exp((k + 1) * x - mpmath.exp(2 * x)), 4)
-            value, bound = _kinked_weighted(((1.0, leaf),), k, root, spec)
+            value, bound = _weighted_value(leaf, k, root, spec)
             assert bound <= spec.abs_tol, label
             assert abs(coeff * value - want) <= coeff * bound, label
             assert abs(u_origin(leaf, n, t) - want) <= coeff * bound, label
@@ -676,6 +708,22 @@ class TestBumpTrainFarOut:
 
 
 # ---------------------------------------------------------------------------
+# Layering
+
+
+def test_solution_probe_imports_only_the_router_from_initial_data():
+    import ast
+    import pathlib
+
+    source = pathlib.Path(hb.solution_probe.__file__).read_text()
+    private = {alias.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[-1] == "initial_data"
+               for alias in node.names if alias.name.startswith("_")}
+    assert private <= {"_weighted_value", "_signed_leaves"}
+
+
+# ---------------------------------------------------------------------------
 # Off-center values in dimension one
 
 
@@ -765,6 +813,15 @@ class TestBandEstimate:
         assert band.periods_covered == pytest.approx(0.6096, abs=1e-3)
         assert band.lower_est == pytest.approx(-1.0, abs=1e-6)
         assert 0.88 < band.upper_est < 0.92
+
+    def test_default_window_holds_three_periods_from_the_floor_up(self):
+        # the constructions refuse mode frequencies below _M_FLOOR
+        from heatband.kernel_moments import _M_FLOOR
+
+        band = band_estimate(lambda t: 0.0, _M_FLOOR * (1.0 + 1e-9))
+        assert band.periods_covered >= 3.0 - 1e-12
+        with pytest.raises(PartialBandError):
+            band_estimate(lambda t: 0.0, _M_FLOOR * (1.0 - 1e-6))
 
     def test_rejects_coarse_sampling(self):
         with pytest.raises(DomainError):
