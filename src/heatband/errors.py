@@ -1,10 +1,20 @@
-"""Exception hierarchy for heatband.
+"""Exception hierarchy for heatband, and its one check of real parameters.
 
 Every error raised on purpose by this package derives from HeatbandError,
 so callers can catch the package's failures without swallowing bugs.
+check_finite sits here, below every other module, so that each of them,
+quadrature included, can refuse a malformed real with DomainError, and
+_json_real writes the NumPy reals it admits into the JSON artifacts.
 """
 
 from __future__ import annotations
+
+import math
+import sys
+
+import numpy as np
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class HeatbandError(Exception):
@@ -79,3 +89,25 @@ class PartialBandError(HeatbandError):
     def __init__(self, message: str, band):
         super().__init__(message)
         self.band = band
+
+
+def check_finite(**named) -> None:
+    """The package's one check of real parameters: each value must be a
+    Python or NumPy real, not a bool, and finite as a double, which refuses
+    nan, the infinities and integers beyond double range."""
+    for name, value in named.items():
+        if isinstance(value, bool) or not (
+                isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX
+                or isinstance(value, (np.integer, np.floating)) and math.isfinite(value)):
+            raise DomainError(f"{name} must be a finite real, got {value!r}")
+
+
+def _json_real(value):
+    """json.dumps default: the Python int or float of a NumPy real, which
+    check_finite admits; any other object stays unserializable.  Python
+    numbers never reach it, so their bytes do not depend on it."""
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -18,9 +18,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.special import zeta
 
 from .errors import (
     ConvergenceError,
@@ -28,13 +30,14 @@ from .errors import (
     EvaluationError,
     RangeError,
     UnsupportedExpression,
+    _json_real,
+    check_finite,
 )
-from .kernel_moments import check_dimension, check_finite
+from .kernel_moments import check_dimension
 from .quadrature import (
     GL_NODES,
     GL_WEIGHTS,
     QuadratureSpec,
-    _gaussian_moments,
     gaussian_power_tail,
     integrate_weighted,
 )
@@ -992,9 +995,13 @@ def phi_from_H(h_expr: InitialDataExpr, n: int) -> InitialDataExpr:
 # u, a Gauss-Legendre sum on s = log(r / tau) for H.  Trapezoid profiles of
 # log(tau + 1), analytic only between their corners, take the Gauss layout
 # split at the corners, for either kernel.  2 pi periodic waves and bump
-# trains would alias under fixed panels, so they integrate segment by segment
-# or bump by bump.  Each fixed rule is a cached read-only layout, the same
-# nodes at every t or tau.  Only plain callables go through adaptive quadrature.
+# trains would alias under fixed panels.  A wave's ball average is an exact
+# sum over its periods; its u(0, t) integral is a cached integration-by-parts
+# series whose remainder bound picks the number of terms, so its cost does
+# not grow with t, with a Gauss rule on each linear piece below the root at
+# which the series cannot reach abs_tol.  Bump trains integrate bump by bump.
+# Each fixed rule is a cached read-only layout, the same nodes at every t or
+# tau.  Only plain callables go through adaptive quadrature.
 
 # Half-width a of the strip |Im s| < a around a log-radius axis (s = log z for
 # u(0, t), s = log(r / tau) for ball averages) inside which strip_bound
@@ -1006,12 +1013,16 @@ _STRIP = math.pi / 8.0
 # ConvergenceError.
 _H_MAX_NODES = 100_000
 
-# total linear segments a single exact wave integral may enumerate; beyond
-# this the integration-by-parts zero-with-bound branch takes over
-_WAVE_SEGMENT_BUDGET = 2_000_000
+# Most terms of the integration-by-parts series of a wave; where they cannot
+# reach abs_tol / 2 (root below about 15 to 30, the more the larger k), the
+# wave route integrates the wave piece by piece instead.
+_IBP_TERMS = 60
+_IBP_ORDERS = np.arange(1, _IBP_TERMS + 1)
 
-# widest z-panel of the Gauss-Legendre rule on the bump pieces
-_BUMP_PANEL = 0.125
+# widest z-panel of the Gauss-Legendre rule on the bump and wave pieces, and
+# the half-height of the Bernstein ellipse about each wave panel in its bound
+_PIECE_PANEL = 0.125
+_PANEL_ELLIPSE = 0.5
 
 
 @dataclass(frozen=True)
@@ -1300,8 +1311,7 @@ def _weighted_value(expr, k: int, root: float, spec: QuadratureSpec) -> tuple[fl
 
     A plain callable goes through adaptive quadrature; an expression is
     routed per signed leaf (see Leaf routes), and the bound adds the bounds
-    of its routes (the wave route's does not yet cover the cancellation of
-    its segment sums at large root).
+    of its routes.
     """
     if not isinstance(expr, InitialDataExpr):
         if not callable(expr):
@@ -1334,9 +1344,11 @@ def _weighted_value(expr, k: int, root: float, spec: QuadratureSpec) -> tuple[fl
         value += part
         bound += part_bound + leaves.kink_mass * gaussian_power_tail(k, z_max)
     for sign, leaf in leaves.fast:
-        route = (_wave_weighted_integral if isinstance(leaf, PeriodicZeroMean)
-                 else _bump_weighted_integral)
-        part, part_bound = route(leaf, k, root, spec.z_max)
+        if isinstance(leaf, PeriodicZeroMean):
+            part, part_bound = _wave_weighted_integral(leaf, k, root, spec.z_max,
+                                                       spec.abs_tol, spec.max_panels)
+        else:
+            part, part_bound = _bump_weighted_integral(leaf, k, root, spec.z_max)
         value += sign * part
         bound += part_bound
     return value, bound
@@ -1421,59 +1433,181 @@ def _bump_pieces(train: BumpTrain, scale: float, cut: float, kernel,
     return train.height * d * float(np.sum(per_piece))
 
 
-def _primitive_abs_max(trap) -> float:
-    """max over one period of |int_0^theta wave|, for the drop bound."""
-    acc = 0.0
-    peak = 0.0
-    for (t0, t1, a, b) in trap.segments():
-        crits = [t1]
-        if b != 0.0:
-            vertex = -a / b
-            if t0 < vertex < t1:
-                crits.append(vertex)
-        for th in crits:
-            cand = acc + a * (th - t0) + 0.5 * b * (th * th - t0 * t0)
-            peak = max(peak, abs(cand))
-        acc += a * (t1 - t0) + 0.5 * b * (t1 * t1 - t0 * t0)
-    return peak
+@lru_cache(maxsize=64)
+def _wave_primitives(trap: TrapezoidWave):
+    """(mean, W, W_err, jump) of a trapezoid wave w for the series of
+    _wave_weighted_integral.
 
+    mean is the mean of w over its period T = TWO_PI, exact from the knots
+    (zero up to the rounding of the plateau lengths).  w - mean is linear
+    between its corners theta_i, where its slope jumps by ds_i, and
+    jump = sum_i |ds_i|.  Its zero-mean primitives, W_j' = W_{j-1} with
+    W_0 = w - mean, follow from the Fourier series of
+    w'' = sum_i ds_i delta(theta - theta_i):
 
-def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, root: float,
-                            z_cut: float) -> tuple[float, float]:
-    """(value, error bound) for int_0^inf z^k e^{-z^2} wave(root z) dz.
+        W_j(theta) = -(1/T) sum_i ds_i beta_{j+2}(frac((theta - theta_i) / T)),
+        beta_n(x) = T^n B_n(x) / n!,
 
-    Enumerates the wave's linear segments exactly up to z_cut; when the
-    segment count would blow the budget, returns 0 with the
-    integration-by-parts bound max|W| / root * (2 M_{k+1} + k M_{k-1}),
-    W the wave's running integral and M_j the full Gaussian moments.
+    B_n the Bernoulli polynomial, so that sup |W_j| <= zeta(j+2) jump / pi.
+    W[j-1] = W_j(0) for j = 1 .. _IBP_TERMS.  About x = 1/2,
+    beta_n(x) = sum_r b_{n-r} y^r / r! with y = T (x - 1/2), which is
+    T/2 - theta_i at theta = 0, and b_m = 2 (-1)^(m/2) eta(m) for even m
+    (eta the Dirichlet eta function, b_0 = 1; exact for period 2 pi, within
+    m eps / 4 for T), 0 for odd m.  Every term is at most 2 pi^r / r!, so
+    the sum is stable at every degree, where the monomial form of B_n is
+    not.  W_err[j-1] bounds the rounding of W[j-1].
     """
-    trap = expr.wave
-    segs = trap.segments()
+    bp, kv = trap.breakpoints, trap.knot_values
+    # (theta_i, width, v_i, rise) of each piece, exact, so that the mean, the
+    # jumps and the y below are each rounded once
+    pieces = [(Fraction(bp[i]), Fraction(bp[i + 1]) - Fraction(bp[i]),
+               Fraction(kv[i]), Fraction(kv[i + 1]) - Fraction(kv[i]))
+              for i in range(len(bp) - 1) if bp[i + 1] > bp[i]]
+    mean = float(sum(d * (2 * v + r) for _t, d, v, r in pieces) / (2 * Fraction(TWO_PI)))
+    slopes = [r / d for _t, d, _v, r in pieces]
+    ds = np.array([float(slopes[i] - slopes[i - 1]) for i in range(len(slopes))])
+    y = np.array([float(Fraction(TWO_PI) / 2 - t) for t, _d, _v, _r in pieces])
+    orders = np.arange(_IBP_TERMS + 3)
+    powers = np.cumprod(np.vstack([np.ones_like(y), y / orders[1:, None]]), axis=0)
+    moments = powers @ ds                       # m_r = sum_i ds_i y_i^r / r!
+    sizes = np.abs(powers) @ np.abs(ds)
+    b = np.zeros(orders.size)
+    b[0] = 1.0
+    even = orders[2::2]
+    b[even] = 2.0 * (-1.0) ** (even // 2) * (1.0 - 0.5 ** (even - 1.0)) * zeta(even)
+    w0, w_err = np.empty(_IBP_TERMS), np.empty(_IBP_TERMS)
+    for n in range(3, orders.size):
+        flip = b[n::-1]
+        w0[n - 3] = -float(flip @ moments[:n + 1]) / TWO_PI
+        w_err[n - 3] = _EPS * float(
+            np.abs(flip) @ ((3 * orders[:n + 1] + n + 20) * sizes[:n + 1])) / TWO_PI
+    return mean, w0, w_err, float(np.sum(np.abs(ds)))
+
+
+@lru_cache(maxsize=64)
+def _gauss_derivatives(k: int):
+    """(c, log_norms) for f(z) = z^k e^{-z^2}: c[j-1] = (-1)^j f^(j-1)(0)
+    and log_norms[P-1] = log(zeta(P+2) N_P / pi), for j, P = 1 .. _IBP_TERMS,
+    with N_P >= ||f^(P)||_1 on (0, inf).
+
+    f = sum_m (-1)^m z^(k+2m) / m!, so f^(j)(0) = j! (-1)^m / m! for j = k + 2m
+    and 0 otherwise.  f^(P) = p_P(z) e^{-z^2} with p_0 = z^k and
+    p_{P+1} = p_P' - 2 z p_P, whose integer coefficients a_i are kept exact,
+    and N_P = sum_i |a_i| Gamma((i+1)/2) / 2.
+    """
+    coeffs = np.zeros(_IBP_TERMS)
+    for j in range(k, _IBP_TERMS, 2):
+        m = (j - k) // 2
+        coeffs[j] = (-1) ** (m + j + 1) * (math.factorial(j) // math.factorial(m))
+    poly = [0] * k + [1]
+    norms = []
+    for _ in range(_IBP_TERMS):
+        nxt = [0] * (len(poly) + 1)
+        for i, a in enumerate(poly):
+            if i:
+                nxt[i - 1] += i * a
+            nxt[i + 1] -= 2 * a
+        poly = nxt
+        norms.append(sum(abs(a) * math.gamma(0.5 * (i + 1)) for i, a in enumerate(poly) if a))
+    return coeffs, np.log(0.5 * np.array(norms) * zeta(_IBP_ORDERS + 2.0) / math.pi)
+
+
+def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, root: float, z_cut: float,
+                            abs_tol: float = QuadratureSpec.abs_tol,
+                            max_nodes: int = QuadratureSpec.max_panels) -> tuple[float, float]:
+    """(value, error bound) for int_0^inf f(z) w(root z) dz, f(z) = z^k e^{-z^2}
+    and w the wave of expr.
+
+    Integrating by parts P times against the zero-mean primitives W_j of
+    w - mean (see _wave_primitives) gives
+
+        mean M_k + sum_{j=1}^{P} (-1)^j f^(j-1)(0) W_j(0) / root^j + r_P,
+        |r_P| <= sup|W_P| ||f^(P)||_1 / root^P,
+
+    M_k = int_0^inf f, with every table cached per wave and per k
+    (Iserles & Norsett, Proc. R. Soc. A 461, 2005).  The route takes the
+    least P <= _IBP_TERMS whose bound on r_P is at most abs_tol / 2, at a
+    cost that does not depend on root, and returns that bound plus the
+    rounding of the terms, which are summed exactly by math.fsum.  Where
+    no P reaches abs_tol / 2, _wave_pieces integrates the wave piece by
+    piece up to z_cut instead.
+    """
+    mean, w0, w_err, jump = _wave_primitives(expr.wave)
+    coeffs, log_norms = _gauss_derivatives(k)
+    log_rem = log_norms + math.log(jump) - _IBP_ORDERS * math.log(root)
+    fits = np.flatnonzero(log_rem <= math.log(0.5 * abs_tol))
+    if fits.size == 0:
+        return _wave_pieces(expr, k, root, z_cut, max_nodes)
+    p = int(fits[0]) + 1
+    scaled = coeffs[:p] * root ** -_IBP_ORDERS[:p].astype(float)
+    terms = np.append(scaled * w0[:p], mean * gaussian_power_tail(k, 0.0))
+    rounding = float(np.abs(scaled) @ w_err[:p]) + 8.0 * _EPS * float(np.sum(np.abs(terms)))
+    return math.fsum(terms), math.exp(log_rem[p - 1]) + rounding
+
+
+def _wave_pieces(expr: PeriodicZeroMean, k: int, root: float, z_cut: float,
+                 max_nodes: int) -> tuple[float, float]:
+    """(value, error bound) for int_0^inf z^k e^{-z^2} w(root z) dz by the
+    8-node Gauss-Legendre rule on the linear pieces of the wave w up to
+    z = z_cut.
+
+    A piece starts at tau_0 = theta_i + T q and has width
+    d = theta_{i+1} - theta_i, over which w runs from v_i to v_{i+1}; at
+    fraction s of it w = v_i + (v_{i+1} - v_i) s, in coordinates local to
+    the piece, so no large coefficient cancels (see _bump_pieces).  Every
+    piece takes the same number of panels, at most _PIECE_PANEL wide in z.
+    The bound adds
+    * the rule's error, panel by panel.  For a panel of width h and centre
+      c, the Bernstein ellipse E_rho of half-height b = _PANEL_ELLIPSE,
+      (h/4)(rho - 1/rho) = b, reaches a = sqrt(h^2/4 + b^2) along the axis,
+      where the integrand is at most
+      (sup|w| + |w'| root (a - h/2 + b)) hypot(c + a, b)^k e^{b^2 - max(0, c - a)^2},
+      and the panel errs by at most h/2 * 64/15 * that * rho^-16 / (rho^2 - 1)
+      (Trefethen, ATAP, Theorem 19.3);
+    * the rounding, eps (|w| (5 |k - 2 z^2| + z^2 + 6) + 6 sup|w|) times
+      each node's weight w_i z^k e^{-z^2}: a node off by 5 eps z moves
+      z^k e^{-z^2} by 5 eps |k - 2 z^2| of itself, and the terms are summed
+      exactly by math.fsum;
+    * sup|w| G_k(z_cut) for the cut.
+    More than max_nodes nodes raise ConvergenceError.
+    """
+    bp, kv = expr.wave.breakpoints, expr.wave.knot_values
+    width, rise = np.diff(bp), np.diff(kv)
+    live = width > 0
+    theta, v0 = np.asarray(bp[:-1])[live], np.asarray(kv[:-1])[live]
+    width, rise = width[live], rise[live]
+    sup = max(abs(v) for v in kv)
     tau_max = z_cut * root
-    n_periods = int(math.floor(tau_max / TWO_PI)) + 1
-    wave_sup = max(abs(expr.v_min), abs(expr.v_max))
-    tail = wave_sup * gaussian_power_tail(k, z_cut)
+    periods = math.floor(tau_max / TWO_PI) + 1
+    panels = max(1, math.ceil(min(float(width.max()), tau_max) / (root * _PIECE_PANEL)))
+    if periods * theta.size * panels * GL_NODES.size > max_nodes:
+        raise ConvergenceError(
+            f"wave pieces need {periods * theta.size * panels * GL_NODES.size:.3g} "
+            f"nodes at root = {root!r}, exceeding {max_nodes}")
+    tau0 = (TWO_PI * np.arange(periods)[:, None] + theta).ravel()
+    inside = tau0 < tau_max
+    tau0 = tau0[inside]
+    width, v0, rise = (np.tile(a, periods)[inside] for a in (width, v0, rise))
+    frac = np.minimum(1.0, (tau_max - tau0) / width)   # the part inside the window
+    u = (np.arange(panels)[:, None] + GL_NODES).ravel() / panels
+    s = frac[:, None] * u
+    z = (tau0[:, None] + width[:, None] * s) / root
+    vals = v0[:, None] + rise[:, None] * s
+    weights = (width * frac / root)[:, None] * (np.tile(GL_WEIGHTS, panels) / panels) \
+        * z ** k * np.exp(-z * z)
+    value = math.fsum((weights * vals).ravel())
+    rounding = _EPS * float(np.sum(
+        weights * (np.abs(vals) * (5.0 * np.abs(k - 2.0 * z * z) + z * z + 6.0) + 6.0 * sup)))
 
-    if n_periods * len(segs) > _WAVE_SEGMENT_BUDGET:
-        w_max = _primitive_abs_max(trap)
-        bound = 2.0 * gaussian_power_tail(k + 1, 0.0)
-        if k > 0:
-            bound += k * gaussian_power_tail(k - 1, 0.0)
-        return 0.0, (w_max / root) * bound + tail
-
-    starts = TWO_PI * np.arange(n_periods, dtype=float)
-    total = 0.0
-    for (t0, t1, a, b) in segs:
-        lo_tau = starts + t0
-        hi_tau = np.minimum(starts + t1, tau_max)
-        keep = lo_tau < hi_tau
-        if not np.any(keep):
-            continue
-        # value = a + b (tau - start) = (a - b start) + (b root) z
-        c0 = a - b * starts[keep]
-        moments = _gaussian_moments(k + 1, lo_tau[keep] / root, hi_tau[keep] / root)
-        total += float(np.sum(c0 * moments[k] + b * root * moments[k + 1]))
-    return total, tail
+    h = width * frac / (root * panels)
+    rho = 2.0 * _PANEL_ELLIPSE / h + np.hypot(2.0 * _PANEL_ELLIPSE / h, 1.0)
+    a = np.hypot(0.5 * h, _PANEL_ELLIPSE)
+    centre = (tau0[:, None] + (width * frac)[:, None] * ((np.arange(panels) + 0.5) / panels)) / root
+    reach = (sup + np.abs(rise / width) * root * (a - 0.5 * h + _PANEL_ELLIPSE))[:, None] \
+        * np.hypot(centre + a[:, None], _PANEL_ELLIPSE) ** k \
+        * np.exp(_PANEL_ELLIPSE ** 2 - np.maximum(0.0, centre - a[:, None]) ** 2)
+    rule = float(np.sum((32.0 / 15.0 * h * rho ** -16.0 / (rho * rho - 1.0))[:, None] * reach))
+    return value, rule + rounding + sup * gaussian_power_tail(k, z_cut)
 
 
 def _bump_weighted_integral(expr: BumpTrain, k: int, root: float,
@@ -1482,11 +1616,11 @@ def _bump_weighted_integral(expr: BumpTrain, k: int, root: float,
 
     The (constant) baseline integrates in closed form over all of (0, inf),
     the bumps inside the window by _bump_pieces on panels at most
-    _BUMP_PANEL wide; bumps beyond it are covered by the Gaussian tail bound.
+    _PIECE_PANEL wide; bumps beyond it are covered by the Gaussian tail bound.
     """
     value = expr.baseline * gaussian_power_tail(k, 0.0)
     err = (abs(expr.baseline) + abs(expr.height)) * gaussian_power_tail(k, z_cut)
-    panels = max(1, math.ceil(min(expr.half_width / root, z_cut) / _BUMP_PANEL))
+    panels = max(1, math.ceil(min(expr.half_width / root, z_cut) / _PIECE_PANEL))
     return value + _bump_pieces(expr, root, z_cut, lambda z: z ** k * np.exp(-z * z),
                                 panels), err
 
@@ -1683,7 +1817,7 @@ def from_json(doc) -> InitialDataExpr:
 
 
 def dumps(expr: InitialDataExpr) -> str:
-    return json.dumps(to_json(expr), sort_keys=True)
+    return json.dumps(to_json(expr), sort_keys=True, default=_json_real)
 
 
 def loads(text: str) -> InitialDataExpr:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import loggamma
 
-from .errors import ConvergenceError, DomainError, RangeError, SearchFailure
+from .errors import ConvergenceError, DomainError, RangeError, SearchFailure, check_finite
 from .quadrature import MAX_OSCILLATION_FREQUENCY
 
 __all__ = [
@@ -63,7 +63,6 @@ SCAN_GRID_LO = 1e-3
 SCAN_GRID_HI = 1e2
 
 _EPS = sys.float_info.epsilon
-_FLOAT_MAX = sys.float_info.max
 
 # The u sweep of verify (solution_probe.band_estimate at its defaults) runs
 # on x = log sqrt(4t) from t = _SWEEP_T_ANCHOR up to _X_CAP, past which t
@@ -114,17 +113,6 @@ def check_dimension(n: int) -> None:
         raise DomainError(f"dimension n must be a positive integer, got {n!r}")
     if n > MAX_DIMENSION:
         raise DomainError(f"dimension n must be at most {MAX_DIMENSION}")
-
-
-def check_finite(**named) -> None:
-    """The package's one check of real parameters: each value must be a
-    Python or NumPy real, not a bool, and finite as a double, which refuses
-    nan, the infinities and integers beyond double range."""
-    for name, value in named.items():
-        if isinstance(value, bool) or not (
-                isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX
-                or isinstance(value, (np.integer, np.floating)) and math.isfinite(value)):
-            raise DomainError(f"{name} must be a finite real, got {value!r}")
 
 
 def check_time(t) -> None:

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, UnsupportedExpression
+from .errors import DomainError, UnsupportedExpression, _json_real, check_finite
 from .initial_data import (
     BumpTrain,
     Constant,
@@ -48,7 +48,6 @@ from .kernel_moments import (
     _SWEEP_T_ANCHOR,
     _X_CAP,
     check_dimension,
-    check_finite,
     check_time,
     kernel_moments,
     solve_m,
@@ -556,7 +555,7 @@ def cert_from_json(doc) -> PrescriptionCertificate:
 
 
 def cert_dumps(cert: PrescriptionCertificate) -> str:
-    return json.dumps(cert_to_json(cert), sort_keys=True)
+    return json.dumps(cert_to_json(cert), sort_keys=True, default=_json_real)
 
 
 def cert_loads(text: str) -> PrescriptionCertificate:

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import erfc as _erfc
 
-from .errors import ConvergenceError, DomainError, EvaluationError
+from .errors import ConvergenceError, DomainError, EvaluationError, check_finite
 
 __all__ = [
     "QuadratureSpec",
@@ -59,8 +59,11 @@ class QuadratureSpec:
 
     abs_tol, z_max and max_panels drive both the fixed rules of the
     expression leaves (the log-axis trapezoid sum, the split Gauss sum, the
-    exact wave and bump routes) and the adaptive engine of plain callables;
-    rel_tol and x_min only the adaptive engine.  x_min defaults to -40 so
+    bump route and the wave route's Gauss rule on its pieces) and the
+    adaptive engine of plain callables; rel_tol and x_min only the adaptive
+    engine.  Where the wave route's integration-by-parts series reaches
+    abs_tol / 2, which it does from a root of about 15 to 30 on, it runs to
+    infinity and neither z_max nor max_panels enters.  x_min defaults to -40 so
     that every amplitude exp((k+1) x) supported by the kernel-moment
     integrals (k >= 0) is below 1e-17 at the cut; use for_power to tighten
     the window for a known weight power.
@@ -73,14 +76,18 @@ class QuadratureSpec:
     max_panels: int = 200_000
 
     def __post_init__(self):
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+        check_finite(rel_tol=self.rel_tol, abs_tol=self.abs_tol, z_max=self.z_max,
+                     x_min=self.x_min)
+        if not self.rel_tol > 0:
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
+        if not self.abs_tol > 0:
             raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if not (math.isfinite(self.z_max) and self.z_max > 1):
+        if not self.z_max > 1:
             raise DomainError(f"z_max must exceed 1, got {self.z_max}")
-        if not (math.isfinite(self.x_min) and self.x_min < 0):
+        if not self.x_min < 0:
             raise DomainError(f"x_min must be negative, got {self.x_min}")
+        if isinstance(self.max_panels, bool) or not isinstance(self.max_panels, (int, np.integer)):
+            raise DomainError(f"max_panels must be an integer, got {self.max_panels!r}")
         if self.max_panels < 16:
             raise DomainError(f"max_panels must be at least 16, got {self.max_panels}")
 

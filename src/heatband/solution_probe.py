@@ -23,6 +23,8 @@ from .errors import (
     PartialBandError,
     RangeError,
     UnsupportedExpression,
+    _json_real,
+    check_finite,
 )
 from .initial_data import (
     InitialDataExpr,
@@ -38,7 +40,6 @@ from .kernel_moments import (
     _SWEEP_PERIODS,
     _SWEEP_T_ANCHOR,
     _X_CAP,
-    check_finite,
     check_time,
 )
 from .prescriber import (
@@ -62,6 +63,10 @@ __all__ = [
 ]
 
 REPORT_SCHEMA_ID = "report/1"
+
+# the spec of calls that pass none: frozen, so one instance serves them all,
+# and each u_origin call skips validating a fresh one
+_DEFAULT_SPEC = QuadratureSpec()
 
 TWO_PI = 2.0 * math.pi
 
@@ -131,8 +136,9 @@ def u_origin(expr, n: int, t: float, spec: QuadratureSpec | None = None) -> floa
     """u(0, t) = (n omega_n / pi^{n/2}) int_0^inf e^{-z^2} z^{n-1} phi(sqrt(4t) z) dz.
 
     expr may be an InitialDataExpr or a plain vectorized callable of tau.
-    Piecewise-fast terms (waves, bump trains) integrate segment-exactly; at
-    extreme t the wave term is dropped with a rigorous O(1/sqrt(t)) bound.
+    Each leaf takes its route in initial_data (see its Leaf routes): a wave
+    an integration-by-parts series in 1/sqrt(4t), whose cost does not grow
+    with t, bump trains a Gauss rule on each bump.
     """
     return _u_at_origin(expr, n, t, spec, KernelFlavor.DATA)
 
@@ -152,7 +158,7 @@ def _u_at_origin(expr, n, t, spec, flavor: KernelFlavor) -> float:
     coeff = flavor.coefficient(n)  # checks n
     check_time(t)
     if spec is None:
-        spec = QuadratureSpec()
+        spec = _DEFAULT_SPEC
     return coeff * _weighted_value(expr, flavor.power(n), math.sqrt(4.0 * t), spec)[0]
 
 
@@ -163,10 +169,10 @@ def u_offcenter_1d(expr, x: float, t: float,
     Splits the two-sided integral into the two half-lines,
     u(x, t) = pi^{-1/2} int_0^inf e^{-z^2} [phi(|x + s z|) + phi(|x - s z|)] dz
     with s = sqrt(4t).  Intended for slow (log-scale) data; fast periodic
-    content would need the segment-exact route that u_origin applies.
+    content would need the wave route that u_origin applies.
     """
     if spec is None:
-        spec = QuadratureSpec()
+        spec = _DEFAULT_SPEC
     check_time(t)
     check_finite(x=x)
     root = math.sqrt(4.0 * t)
@@ -381,7 +387,7 @@ def verify_certificate(cert: PrescriptionCertificate, n: int | None = None,
     precision) plus per-time envelope gaps as the convergence signal.
     """
     if spec is None:
-        spec = QuadratureSpec()
+        spec = _DEFAULT_SPEC
     if n is None:
         n = cert.target.n
     if n != cert.target.n:
@@ -505,4 +511,4 @@ def report_to_json(report: VerificationReport) -> dict:
 
 
 def report_dumps(report: VerificationReport) -> str:
-    return json.dumps(report_to_json(report), sort_keys=True)
+    return json.dumps(report_to_json(report), sort_keys=True, default=_json_real)

@@ -932,6 +932,20 @@ class TestSerialization:
         expr = Sum((LogSine(0.6, 1.97, 0.1), Constant(0.2)))
         assert dumps(expr) == dumps(loads(dumps(expr)))
 
+    @pytest.mark.parametrize("expr", [
+        LogSine(np.float32(1.0), 1.0),
+        LogSine(np.float32(0.85), np.float64(3.7), np.int64(0)),
+        BumpTrain(np.int32(1), 0.5, 0.0, GeometricCenters(np.float16(3.0))),
+    ])
+    def test_numpy_reals_round_trip(self, expr):
+        assert loads(dumps(expr)) == expr
+
+    def test_python_float_bytes_are_unchanged(self):
+        assert dumps(Sum((LogSine(0.6, 1.97, 0.1), Constant(1)))) == (
+            '{"expr": {"terms": [{"amplitude": 0.6, "m": 1.97, "offset": 0.1, '
+            '"variant": "log_sine"}, {"c": 1, "variant": "constant"}], "variant": "sum"}, '
+            '"schema": "idexpr/1"}')
+
     def test_schema_is_checked(self):
         doc = to_json(Constant(1.0))
         doc["schema"] = "idexpr/0"

@@ -636,3 +636,10 @@ class TestCertSerialization:
     def test_dumps_is_deterministic(self):
         cert = lemma_not_example()
         assert cert_dumps(cert) == cert_dumps(cert)
+
+    def test_numpy_reals_round_trip(self):
+        cert = prescribe_data(np.int64(-1), -0.3, 0.3, 1, 2)
+        text = cert_dumps(cert)
+        assert cert_loads(text) == cert
+        # the same bytes as for the Python number
+        assert text == cert_dumps(prescribe_data(-1, -0.3, 0.3, 1, 2))

@@ -174,6 +174,10 @@ class TestSpecValidation:
         {"z_max": 1.0},
         {"x_min": 0.0},
         {"max_panels": 15},
+        {"abs_tol": True},
+        {"max_panels": 1e300},
+        {"max_panels": 16.5},
+        {"z_max": 10**400},
     ])
     def test_invalid_spec_fields(self, kwargs):
         with pytest.raises(DomainError):

@@ -9,6 +9,7 @@ for cosine data.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -21,6 +22,7 @@ import heatband as hb
 from heatband import (
     BumpTrain,
     Constant,
+    ConvergenceError,
     DomainError,
     EvaluationError,
     GeometricCenters,
@@ -49,12 +51,13 @@ from heatband import (
 from heatband.initial_data import (
     _ball_average,
     _bump_weighted_integral,
-    _primitive_abs_max,
     _split_gauss,
     _split_leaves,
+    _wave_primitives,
     _wave_weighted_integral,
     _weighted_value,
 )
+from heatband.prescriber import balanced_ramp_width
 from heatband.quadrature import (
     GL_WEIGHTS,
     QuadratureSpec,
@@ -93,7 +96,91 @@ def primitive_mean_oracle(trap) -> float:
     return float(trapezoid(running, thetas) / (2.0 * math.pi))
 
 
+def primitives_dense_oracle(trap, count: int, points: int = 200_001):
+    """(thetas, rows) with rows[j-1] = W_j on a uniform grid of one period,
+    W_j the zero-mean j-th primitive of the wave minus its mean: repeated
+    cumulative trapezoid sums, each shifted to mean zero.  Written against
+    the raw wave values only, so it shares nothing with the Bernoulli form
+    of the route."""
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    thetas = np.linspace(0.0, 2.0 * math.pi, points)
+    dth = thetas[1] - thetas[0]
+    level = np.asarray(trap.value(thetas), dtype=float)
+    rows = []
+    for _ in range(count + 1):
+        level = level - trapezoid(level, thetas) / (2.0 * math.pi)
+        rows.append(level)
+        level = np.concatenate(([0.0], np.cumsum(0.5 * (level[1:] + level[:-1]) * dth)))
+    return thetas, np.asarray(rows[1:])
+
+
+def mp_wave_weighted(wave, root: float, series: bool = False) -> dict:
+    """{k: int_0^inf z^k e^{-z^2} w(root z) dz} for k in WAVE_POWERS, in
+    40-digit arithmetic, w the float wave: linear between its float knots,
+    with the float period T = 2 pi.
+
+    Up to root 200 (and whenever series is false) piece by piece to z = 9.5,
+    where the rest is below 1e-29, each piece by its exact Gaussian moments.
+    Beyond it (or when series is true) by 40 terms of the integration-by-parts
+    series mean M_k + sum_j (-1)^j f^(j-1)(0) W_j(0) / root^j, with
+    W_j(0) = -T^(j+1) / (j+2)! sum_i ds_i B_{j+2}(frac(-theta_i / T)) from
+    mpmath's Bernoulli polynomials; its remainder is below 1e-40 there.
+    """
+    return _mp_wave_weighted(wave, float(root), series or root > 200.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_wave_weighted(wave, root, series):
+    mpmath = pytest.importorskip("mpmath")
+    trap = wave.wave
+    with mpmath.workdps(40):
+        bp = [mpmath.mpf(b) for b in trap.breakpoints]
+        kv = [mpmath.mpf(v) for v in trap.knot_values]
+        period, big = mpmath.mpf(2.0 * math.pi), mpmath.mpf(root)
+        top = max(WAVE_POWERS) + 1
+        pieces = [i for i in range(len(bp) - 1) if bp[i + 1] > bp[i]]
+        if series:
+            mean = sum((kv[i] + kv[i + 1]) * (bp[i + 1] - bp[i]) for i in pieces) / (2 * period)
+            slopes = [(kv[i + 1] - kv[i]) / (bp[i + 1] - bp[i]) for i in pieces]
+            jumps = [(bp[i], slopes[n] - slopes[n - 1]) for n, i in enumerate(pieces)]
+            out = {}
+            for k in WAVE_POWERS:
+                total = mean * mpmath.gamma(mpmath.mpf(k + 1) / 2) / 2
+                for j in range(1, 41):
+                    d = j - 1 - k
+                    if d < 0 or d % 2:
+                        continue
+                    deriv = mpmath.factorial(j - 1) * (-1) ** (d // 2) / mpmath.factorial(d // 2)
+                    w_j = -period ** (j + 1) / mpmath.factorial(j + 2) * sum(
+                        ds * mpmath.bernpoly(j + 2, mpmath.frac(-theta / period))
+                        for theta, ds in jumps)
+                    total += (-1) ** j * deriv * w_j / big ** j
+                out[k] = total
+            return out
+        totals = [mpmath.mpf(0)] * top
+        half_pi = mpmath.sqrt(mpmath.pi) / 2
+        for q in range(int(9.5 * root / (2.0 * math.pi)) + 1):
+            for i in pieces:
+                t0, t1 = q * period + bp[i], q * period + bp[i + 1]
+                lo, hi = t0 / big, t1 / big
+                slope = (kv[i + 1] - kv[i]) / (bp[i + 1] - bp[i])
+                c0, c1 = kv[i] - slope * t0, slope * big  # w = c0 + c1 z
+                e_lo, e_hi = mpmath.exp(-lo * lo), mpmath.exp(-hi * hi)
+                moments = [half_pi * (mpmath.erf(hi) - mpmath.erf(lo)), (e_lo - e_hi) / 2]
+                for j in range(2, top + 1):
+                    moments.append((j - 1) * moments[j - 2] / 2
+                                   + (lo ** (j - 1) * e_lo - hi ** (j - 1) * e_hi) / 2)
+                for k in range(top):
+                    totals[k] += c0 * moments[k] + c1 * moments[k + 1]
+        return {k: totals[k] for k in WAVE_POWERS}
+
+
 STANDARD_WAVE = PeriodicZeroMean(1.0, -1.0)
+LOPSIDED_WAVE = PeriodicZeroMean(2.0, -0.5, 0.3)
+# the standard, the lopsided and the wave of prescribe_data(-1, 0, 0, 2, n)
+TEST_WAVES = (STANDARD_WAVE, LOPSIDED_WAVE,
+              PeriodicZeroMean(2.0, -1.0, balanced_ramp_width(2.0, -1.0)))
+WAVE_POWERS = (0, 1, 2, 4, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -205,39 +292,79 @@ class TestWaveWeightedIntegral:
         exact, _ = _wave_weighted_integral(STANDARD_WAVE, 0, root, 12.0)
         assert exact == pytest.approx(w_mean / root, rel=2e-3)
 
-    def test_budget_branch_returns_zero_with_bound(self):
-        root = 2e5  # past the segment budget for z_cut = 12
-        value, bound = _wave_weighted_integral(STANDARD_WAVE, 0, root, 12.0)
-        assert value == 0.0
-        assert 0 < bound < 1e-4
-        # the bound must cover the parts prediction of the dropped value
-        w_mean = primitive_mean_oracle(STANDARD_WAVE.wave)
-        assert bound > w_mean / root
+    @pytest.mark.parametrize("wave", [STANDARD_WAVE, LOPSIDED_WAVE], ids=["standard", "lopsided"])
+    def test_primitives_against_dense_scan(self, wave):
+        # W_1 .. W_P at 0 and their a-priori sup bound zeta(j+2) jump / pi
+        from scipy.special import zeta
 
-    def test_budget_bound_shrinks_with_root(self):
-        _, b1 = _wave_weighted_integral(STANDARD_WAVE, 0, 2e5, 12.0)
-        _, b2 = _wave_weighted_integral(STANDARD_WAVE, 0, 2e6, 12.0)
-        assert b2 < b1
+        _mean, w0, _err, jump = _wave_primitives(wave.wave)
+        thetas, dense = primitives_dense_oracle(wave.wave, w0.size)
+        at_zero = dense[:, 0]
+        assert w0 == pytest.approx(at_zero, abs=1e-8)
+        bound = zeta(np.arange(1, w0.size + 1) + 2.0) * jump / math.pi
+        assert np.all(np.max(np.abs(dense), axis=1) <= bound + 1e-8)
 
-    def test_primitive_abs_max_against_dense_scan(self):
-        trap = STANDARD_WAVE.wave
-        thetas = np.linspace(0.0, 2.0 * math.pi, 400_001)
-        vals = np.asarray(trap.value(thetas))
-        dth = thetas[1] - thetas[0]
-        running = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * dth)))
-        dense = float(np.max(np.abs(running)))
-        assert _primitive_abs_max(trap) == pytest.approx(dense, rel=1e-6)
+    @pytest.mark.parametrize("root", [2.0, 10.0, 20.0, 60.0, 200.0, 2e4, 2e8])
+    @pytest.mark.parametrize("wave", TEST_WAVES, ids=["standard", "lopsided", "wave-plus-constant"])
+    def test_against_mpmath(self, wave, root):
+        # |error| <= bound <= abs_tol; at k = 11 the piecewise route, which
+        # serves root <= 20 there, rounds terms of total size near
+        # M_11 = 60, and its honest bound reaches about 5e-13
+        abs_tol = QuadratureSpec().abs_tol
+        reference = mp_wave_weighted(wave, root)
+        for k in WAVE_POWERS:
+            value, bound = _wave_weighted_integral(wave, k, root, 12.0)
+            assert abs(value - float(reference[k])) <= bound, (k, value, bound)
+            assert bound <= (abs_tol if k < 11 or root > 20.0 else 1e-12), (k, bound)
 
-    def test_primitive_abs_max_lopsided_wave(self):
-        lopsided = PeriodicZeroMean(2.0, -0.5, 0.3)
-        thetas = np.linspace(0.0, 2.0 * math.pi, 400_001)
-        vals = np.asarray(lopsided.wave.value(thetas))
-        dth = thetas[1] - thetas[0]
-        running = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * dth)))
-        dense = float(np.max(np.abs(running)))
-        assert _primitive_abs_max(lopsided.wave) == pytest.approx(dense, rel=1e-6)
+    def test_cancellation_at_root_200_is_inside_the_bound(self):
+        # the segment sums of the old route erred here by 5.1e-13 while
+        # returning a bound of about 1e-62
+        value, bound = _wave_weighted_integral(STANDARD_WAVE, 4, 200.0, 12.0)
+        error = abs(value - float(mp_wave_weighted(STANDARD_WAVE, 200.0)[4]))
+        assert error <= bound <= QuadratureSpec().abs_tol
+
+    @pytest.mark.parametrize("t", [1e2, 1e4, 1e6, 1e8, 1e10])
+    def test_wave_plus_constant_wave_in_dimension_three(self, t):
+        # the wave of prescribe_data(-1, 0, 0, 2, n=3), k = n - 1; the old
+        # route read -1.18e-10 at t = 1e8, against -3.8e-13 on the t^(-3/2) trend
+        wave = TEST_WAVES[2]
+        root = math.sqrt(4.0 * t)
+        value, bound = _wave_weighted_integral(wave, 2, root, 12.0)
+        assert abs(value - float(mp_wave_weighted(wave, root)[2])) <= bound
+        assert bound <= QuadratureSpec().abs_tol
+
+    def test_mpmath_references_agree(self):
+        # the piecewise and the series reference, independent of each other
+        pieces = mp_wave_weighted(LOPSIDED_WAVE, 60.0)
+        series = mp_wave_weighted(LOPSIDED_WAVE, 60.0, series=True)
+        for k in WAVE_POWERS:
+            assert abs(pieces[k] - series[k]) < 1e-30
+
+    @pytest.mark.parametrize("k", [0, 11])
+    def test_series_enumerates_no_piece(self, k, monkeypatch):
+        import heatband.initial_data as initial_data
+
+        calls = []
+        pieces = initial_data._wave_pieces
+
+        def counted(*args):
+            calls.append(args)
+            return pieces(*args)
+
+        monkeypatch.setattr(initial_data, "_wave_pieces", counted)
+        for root in (60.0, 200.0, 2e4, 2e8, 2e150):
+            _wave_weighted_integral(STANDARD_WAVE, k, root, 12.0)
+        assert calls == []
+        _wave_weighted_integral(STANDARD_WAVE, k, 2.0, 12.0)
+        assert len(calls) == 1
+
+    def test_too_fine_tolerance_raises_instead_of_allocating(self):
+        spec = QuadratureSpec(abs_tol=1e-300)
+        assert _wave_weighted_integral(STANDARD_WAVE, 0, 2.0, spec.z_max, spec.abs_tol,
+                                       spec.max_panels)[1] > spec.abs_tol
+        with pytest.raises(ConvergenceError):
+            u_origin(STANDARD_WAVE, 1, 1e8, spec)
 
 
 class TestBumpWeightedIntegral:
@@ -915,6 +1042,18 @@ class TestVerifyCertificate:
         assert rep.chain_ok
         assert rep.envelope_gaps is None
         assert any("omitted" in note for note in rep.notes)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("quad,tag", [
+        ((-1.0, 0.0, 0.0, 2.0), "data-wave-plus-constant"),
+        ((-2.0, 0.0, 0.0, 1.0), "data-wave-plus-constant-reflected"),
+        ((-1.0, -0.5, 0.3, 2.0), "data-mode-plus-wave"),
+        ((-2.0, -0.3, 0.5, 1.0), "data-mode-plus-wave-reflected"),
+    ])
+    def test_wave_certificates_verify(self, quad, tag, n):
+        cert = prescribe_data(*quad, n=n)
+        assert cert.construction_tag == tag
+        assert verify_certificate(cert).chain_ok
 
     def test_dimension_mismatch_rejected(self):
         cert = prescribe_average(-1.0, -0.3, 0.3, 1.0, n=2)
