@@ -7,6 +7,11 @@ Four subcommands cover the workflow end to end:
   verify      measure the bands of a stored certificate and judge the chain
   reproduce   recompute the reference constants of the two-mode example
 
+The front-end holds no validator of its own.  argparse checks the
+subcommand, the types and the choices; every value then goes to the library,
+whose checks refuse it with DomainError.  The one exception is the probe
+grid, which no library function takes, and _log_grid checks it.
+
 Artifacts are deterministic: fixed grids, floats in shortest round-trip
 decimal, JSON with sorted keys.  Exit status 0 means success, 1 a failed
 verification, 2 an argument or input problem, 3 a numerical convergence
@@ -20,7 +25,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,9 +37,10 @@ from .errors import (
     RangeError,
     SearchFailure,
     UnsupportedExpression,
+    check_finite,
 )
 from .initial_data import closed_H, eval_phi, numeric_H
-from .kernel_moments import KernelFlavor, check_dimension, kernel_moments
+from .kernel_moments import KernelFlavor, kernel_moments
 from .prescriber import (
     cert_dumps,
     cert_loads,
@@ -47,8 +52,6 @@ from .prescriber import (
 from .solution_probe import report_dumps, u_origin, verify_certificate
 
 OUT_DIR_ENV = "HEATBAND_OUT_DIR"
-
-_COMMANDS = ("prescribe", "probe", "verify", "reproduce")
 
 # reference values for the two-mode example constants, printed by reproduce
 REFERENCE_CONSTANTS = (
@@ -62,49 +65,6 @@ REFERENCE_CONSTANTS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated description of one CLI invocation."""
-
-    command: str
-    n: int = 1
-    average_quad: tuple[float, float, float, float] | None = None
-    data_quad: tuple[float, float, float, float] | None = None
-    cert_path: str | None = None
-    tol_band: float = 0.02
-    t_anchor: float = 1e6
-    points_per_period: int = 64
-    periods: float = 3.0
-    t_range: tuple[float, float, int] = (1e2, 1e10, 33)
-    tau_range: tuple[float, float, int] = (1e2, 1e10, 33)
-    out_path: str | None = None
-    out_dir: str = "."
-    fmt: str = "csv"
-
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise DomainError(f"unknown command {self.command!r}")
-        if self.average_quad is not None and self.data_quad is not None:
-            raise DomainError("give either an average target or a data target, not both")
-        check_dimension(self.n)
-        for quad in (self.average_quad, self.data_quad):
-            if quad is not None and not all(math.isfinite(v) for v in quad):
-                raise DomainError(f"target values must be finite, got {quad}")
-        for name, value in (("tol_band", self.tol_band),
-                            ("t_anchor", self.t_anchor),
-                            ("periods", self.periods)):
-            if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be a positive finite real, got {value!r}")
-        for rng_name, rng in (("t-range", self.t_range), ("tau-range", self.tau_range)):
-            lo, hi, count = rng
-            if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi):
-                raise DomainError(f"{rng_name} bounds must be ordered positive reals, got {rng}")
-            if int(count) < 2:
-                raise DomainError(f"{rng_name} needs at least 2 points, got {count}")
-        if self.fmt not in ("csv", "json"):
-            raise DomainError(f"format must be csv or json, got {self.fmt!r}")
-
-
 def _fmt(x: float) -> str:
     """Shortest decimal that round-trips to the same double."""
     return repr(float(x))
@@ -115,16 +75,16 @@ def _table(x: float) -> str:
     return f"{x:.9f}"
 
 
-def _out_dir(explicit: str | None) -> str:
-    if explicit is not None:
-        return explicit
+def _out_dir(ns: argparse.Namespace) -> str:
+    if ns.out_dir is not None:
+        return ns.out_dir
     return os.environ.get(OUT_DIR_ENV, ".")
 
 
-def _resolve_out(config: RunConfig, default_name: str) -> str:
-    if config.out_path is not None:
-        return config.out_path
-    return os.path.join(config.out_dir, default_name)
+def _out_path(ns: argparse.Namespace, default_name: str) -> str:
+    if ns.out is not None:
+        return ns.out
+    return os.path.join(_out_dir(ns), default_name)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -153,14 +113,12 @@ def _print_chain(cert) -> None:
     print("chain " + " <= ".join(_table(v) for v in chain))
 
 
-def _cmd_prescribe(config: RunConfig) -> int:
-    if config.average_quad is not None:
-        cert = prescribe_average(*config.average_quad, n=config.n)
-    elif config.data_quad is not None:
-        cert = prescribe_data(*config.data_quad, n=config.n)
+def _cmd_prescribe(ns: argparse.Namespace) -> int:
+    if ns.average is not None:
+        cert = prescribe_average(*ns.average, n=ns.n)
     else:
-        raise DomainError("prescribe needs --average P A B Q or --data R A B S")
-    path = _resolve_out(config, "cert.json")
+        cert = prescribe_data(*ns.data, n=ns.n)
+    path = _out_path(ns, "cert.json")
     _write_text(path, cert_dumps(cert) + "\n")
     print(f"construction {cert.construction_tag}"
           + (f", mode frequency {_fmt(cert.m_used)}" if cert.m_used is not None else ""))
@@ -187,10 +145,20 @@ def _load_cert(path: str):
         raise DomainError(f"certificate file {path} nests too deeply") from exc
 
 
-def _probe_u_rows(cert, config: RunConfig) -> list[tuple]:
-    lo, hi, count = config.t_range
+def _log_grid(name: str, lo: float, hi: float, count: float) -> np.ndarray:
+    """The log-spaced probe grid of --t-range or --tau-range: finite
+    bounds 0 < lo <= hi and at least 2 points."""
+    check_finite(**{f"{name} start": lo, f"{name} end": hi, f"{name} count": count})
+    if not 0 < lo <= hi or int(count) < 2:
+        raise DomainError(
+            f"{name} needs bounds 0 < lo <= hi and at least 2 points, got "
+            f"({lo!r}, {hi!r}, {count!r})")
+    return np.geomspace(lo, hi, int(count))
+
+
+def _probe_u_rows(cert, ts: np.ndarray) -> list[tuple]:
     rows = []
-    for t in np.geomspace(lo, hi, int(count)):
+    for t in ts:
         t = float(t)
         u = u_origin(cert.data, cert.target.n, t)
         try:
@@ -203,11 +171,10 @@ def _probe_u_rows(cert, config: RunConfig) -> list[tuple]:
     return rows
 
 
-def _probe_phi_rows(cert, config: RunConfig) -> list[tuple]:
-    lo, hi, count = config.tau_range
+def _probe_phi_rows(cert, taus: np.ndarray) -> list[tuple]:
     h_expr = closed_H(cert.data, cert.target.n)
     rows = []
-    for tau in np.geomspace(lo, hi, int(count)):
+    for tau in taus:
         tau = float(tau)
         phi = float(eval_phi(cert.data, tau))
         h_num = numeric_H(cert.data, cert.target.n, tau)
@@ -228,15 +195,16 @@ def _json_text(columns: Sequence[str], rows: list[tuple]) -> str:
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
-def _cmd_probe(config: RunConfig) -> int:
-    if config.cert_path is None:
-        raise DomainError("probe needs --cert FILE")
-    cert = _load_cert(config.cert_path)
-    u_rows = _probe_u_rows(cert, config)
-    phi_rows = _probe_phi_rows(cert, config)
-    ext = config.fmt
-    u_path = os.path.join(config.out_dir, f"probe_u.{ext}")
-    phi_path = os.path.join(config.out_dir, f"probe_phi.{ext}")
+def _cmd_probe(ns: argparse.Namespace) -> int:
+    ts = _log_grid("t-range", *ns.t_range)
+    taus = _log_grid("tau-range", *ns.tau_range)
+    cert = _load_cert(ns.cert)
+    u_rows = _probe_u_rows(cert, ts)
+    phi_rows = _probe_phi_rows(cert, taus)
+    ext = ns.format
+    out_dir = _out_dir(ns)
+    u_path = os.path.join(out_dir, f"probe_u.{ext}")
+    phi_path = os.path.join(out_dir, f"probe_phi.{ext}")
     u_columns = ("t", "log_sqrt4t", "u_origin", "envelope", "abs_gap")
     phi_columns = ("tau", "phi", "H_numeric", "H_closed")
     if ext == "csv":
@@ -254,18 +222,16 @@ def _cmd_probe(config: RunConfig) -> int:
 # verify
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    if config.cert_path is None:
-        raise DomainError("verify needs --cert FILE")
-    cert = _load_cert(config.cert_path)
+def _cmd_verify(ns: argparse.Namespace) -> int:
+    cert = _load_cert(ns.cert)
     report = verify_certificate(
         cert,
-        tol_band=config.tol_band,
-        t_anchor=config.t_anchor,
-        points_per_period=config.points_per_period,
-        min_periods=config.periods,
+        tol_band=ns.tol_band,
+        t_anchor=ns.t_anchor,
+        points_per_period=ns.points_per_period,
+        min_periods=ns.periods,
     )
-    path = _resolve_out(config, "report.json")
+    path = _out_path(ns, "report.json")
     _write_text(path, report_dumps(report) + "\n")
 
     def line(label, measured, expected):
@@ -311,8 +277,8 @@ def _reproduce_values() -> dict[str, float]:
     }
 
 
-def _cmd_reproduce(config: RunConfig) -> int:
-    del config
+def _cmd_reproduce(ns: argparse.Namespace) -> int:
+    del ns
     computed = _reproduce_values()
     name_w = max(len(name) for name, _ in REFERENCE_CONSTANTS)
     print(f"{'constant':<{name_w}}  {'computed':>14}  {'reference':>14}  {'abs diff':>12}")
@@ -347,6 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--n", type=int, default=1, help="space dimension (default 1)")
     pre.add_argument("--out", help="certificate path (default OUT_DIR/cert.json)")
     pre.add_argument("--out-dir", help="output directory (default $HEATBAND_OUT_DIR or .)")
+    pre.set_defaults(run=_cmd_prescribe)
 
     probe = sub.add_parser(
         "probe",
@@ -363,6 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="artifact format (default csv)")
     probe.add_argument("--out-dir", help="output directory (default $HEATBAND_OUT_DIR or .)")
+    probe.set_defaults(run=_cmd_probe)
 
     ver = sub.add_parser(
         "verify",
@@ -378,47 +346,14 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="sweep length in periods (default 3)")
     ver.add_argument("--out", help="report path (default OUT_DIR/report.json)")
     ver.add_argument("--out-dir", help="output directory (default $HEATBAND_OUT_DIR or .)")
+    ver.set_defaults(run=_cmd_verify)
 
     sub.add_parser(
         "reproduce",
-        help="recompute the reference constants of the two-mode example")
+        help="recompute the reference constants of the two-mode example",
+    ).set_defaults(run=_cmd_reproduce)
 
     return parser
-
-
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    kwargs: dict = {"command": ns.command}
-    if ns.command == "prescribe":
-        if ns.average is not None:
-            kwargs["average_quad"] = tuple(ns.average)
-        if ns.data is not None:
-            kwargs["data_quad"] = tuple(ns.data)
-        kwargs["n"] = ns.n
-        kwargs["out_path"] = ns.out
-        kwargs["out_dir"] = _out_dir(ns.out_dir)
-    elif ns.command == "probe":
-        kwargs["cert_path"] = ns.cert
-        kwargs["t_range"] = (ns.t_range[0], ns.t_range[1], int(ns.t_range[2]))
-        kwargs["tau_range"] = (ns.tau_range[0], ns.tau_range[1], int(ns.tau_range[2]))
-        kwargs["fmt"] = ns.format
-        kwargs["out_dir"] = _out_dir(ns.out_dir)
-    elif ns.command == "verify":
-        kwargs["cert_path"] = ns.cert
-        kwargs["tol_band"] = ns.tol_band
-        kwargs["t_anchor"] = ns.t_anchor
-        kwargs["points_per_period"] = ns.points_per_period
-        kwargs["periods"] = ns.periods
-        kwargs["out_path"] = ns.out
-        kwargs["out_dir"] = _out_dir(ns.out_dir)
-    return RunConfig(**kwargs)
-
-
-_DISPATCH = {
-    "prescribe": _cmd_prescribe,
-    "probe": _cmd_probe,
-    "verify": _cmd_verify,
-    "reproduce": _cmd_reproduce,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -429,8 +364,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse already printed its message; fold --help into success
         return 0 if exc.code in (0, None) else 2
     try:
-        config = _config_from_args(ns)
-        return _DISPATCH[config.command](config)
+        return ns.run(ns)
     except (DomainError, RangeError, UnsupportedExpression, SearchFailure) as exc:
         print(f"heatband {ns.command}: {exc}", file=sys.stderr)
         return 2

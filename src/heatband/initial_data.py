@@ -1403,12 +1403,43 @@ def _bump_radial_integral(expr: BumpTrain, n, tau):
     """Exact (1/tau^n) int_0^tau (baseline + bumps)(r) r^(n-1) dr: with
     x = r / tau, a bump piece times x^(n-1) is a polynomial of degree
     n <= 15, which the Gauss rule of _bump_pieces integrates exactly."""
-    return expr.baseline / n + _bump_pieces(expr, tau, 1.0, lambda x: x ** (n - 1))
+    return expr.baseline / n + _bump_pieces(expr, tau, 1.0, lambda x: x ** (n - 1))[0]
+
+
+@lru_cache(maxsize=64)
+def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the 8-node Gauss-Legendre rule on `panels` equal
+    panels of [0, 1], read-only."""
+    nodes = (np.arange(panels)[:, None] + GL_NODES).ravel() / panels
+    weights = np.tile(GL_WEIGHTS, panels) / panels
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _panel_rule_bound(h, sup, slope, kernel_reach):
+    """Error bound of the 8-node Gauss-Legendre rule on a panel of z-width h
+    for v(z) f(z), v linear on the panel with |v| <= sup there and
+    |v'| <= slope, where kernel_reach(a) bounds |f| on the panel's Bernstein
+    ellipse.
+
+    The ellipse E_rho of half-height b = _PANEL_ELLIPSE,
+    (h/4)(rho - 1/rho) = b, reaches a = sqrt(h^2/4 + b^2) along the axis,
+    where |v| <= sup + slope (a - h/2 + b), and the panel errs by at most
+    h/2 * 64/15 * max|v f| * rho^-16 / (rho^2 - 1) (Trefethen, ATAP,
+    Theorem 19.3); 1/rho = h / (2b + hypot(2b, h)) keeps an empty panel,
+    h = 0, at 0.  Up to h = 1/8 the bound grows with h: rho^-18 ~ (h/2b)^18
+    outweighs the fall of a - h/2.  h, sup and slope may be floats or
+    arrays; kernel_reach takes and returns the same.
+    """
+    r = h / (2.0 * _PANEL_ELLIPSE + (4.0 * _PANEL_ELLIPSE ** 2 + h * h) ** 0.5)
+    a = (0.25 * h * h + _PANEL_ELLIPSE ** 2) ** 0.5
+    return 32.0 / 15.0 * h * r ** 18 / (1.0 - r * r) \
+        * (sup + slope * (a - 0.5 * h + _PANEL_ELLIPSE)) * kernel_reach(a)
 
 
 def _bump_pieces(train: BumpTrain, scale: float, cut: float, kernel,
-                 panels: int = 1) -> float:
-    """int_0^cut (train - baseline)(scale x) kernel(x) dx.
+                 panels: int = 1) -> tuple[float, int]:
+    """(int_0^cut (train - baseline)(scale x) kernel(x) dx, number of pieces).
 
     Each bump is a rising and a falling linear piece of x-width
     d = half_width / scale, integrated by the 8-node Gauss-Legendre rule on
@@ -1418,19 +1449,18 @@ def _bump_pieces(train: BumpTrain, scale: float, cut: float, kernel,
     cancels however far out the centres lie.
     """
     centers = train.centers.representable_centers()
-    centers = centers[centers <= cut * scale + train.half_width]
+    centers = centers[:np.searchsorted(centers, cut * scale + train.half_width, "right")]
     d = train.half_width / scale
     z_centers = centers / scale
     starts = np.concatenate([z_centers - d, z_centers])  # rising, then falling
     # the part [s_lo, s_hi] of each piece that lies inside [0, cut]
-    s_lo = np.clip(-starts / d, 0.0, 1.0)
-    s_hi = np.clip((cut - starts) / d, 0.0, 1.0)
-    u = ((np.arange(panels)[:, None] + GL_NODES) / panels).ravel()
-    w = np.tile(GL_WEIGHTS, panels) / panels
+    s_lo = np.minimum(np.maximum(-starts / d, 0.0), 1.0)
+    s_hi = np.minimum(np.maximum((cut - starts) / d, 0.0), 1.0)
+    u, w = _panel_rule(panels)
     s = s_lo[:, None] + (s_hi - s_lo)[:, None] * u
     frac = np.concatenate([s[:centers.size], 1.0 - s[centers.size:]])
     per_piece = (s_hi - s_lo) * ((kernel(starts[:, None] + d * s) * frac) @ w)
-    return train.height * d * float(np.sum(per_piece))
+    return train.height * d * float(per_piece.sum()), starts.size
 
 
 @lru_cache(maxsize=64)
@@ -1557,13 +1587,9 @@ def _wave_pieces(expr: PeriodicZeroMean, k: int, root: float, z_cut: float,
     the piece, so no large coefficient cancels (see _bump_pieces).  Every
     piece takes the same number of panels, at most _PIECE_PANEL wide in z.
     The bound adds
-    * the rule's error, panel by panel.  For a panel of width h and centre
-      c, the Bernstein ellipse E_rho of half-height b = _PANEL_ELLIPSE,
-      (h/4)(rho - 1/rho) = b, reaches a = sqrt(h^2/4 + b^2) along the axis,
-      where the integrand is at most
-      (sup|w| + |w'| root (a - h/2 + b)) hypot(c + a, b)^k e^{b^2 - max(0, c - a)^2},
-      and the panel errs by at most h/2 * 64/15 * that * rho^-16 / (rho^2 - 1)
-      (Trefethen, ATAP, Theorem 19.3);
+    * the rule's error, panel by panel (_panel_rule_bound), with
+      |z^k e^{-z^2}| <= hypot(c + a, b)^k e^{b^2 - max(0, c - a)^2} on the
+      ellipse about a panel of centre c;
     * the rounding, eps (|w| (5 |k - 2 z^2| + z^2 + 6) + 6 sup|w|) times
       each node's weight w_i z^k e^{-z^2}: a node off by 5 eps z moves
       z^k e^{-z^2} by 5 eps |k - 2 z^2| of itself, and the terms are summed
@@ -1589,40 +1615,75 @@ def _wave_pieces(expr: PeriodicZeroMean, k: int, root: float, z_cut: float,
     tau0 = tau0[inside]
     width, v0, rise = (np.tile(a, periods)[inside] for a in (width, v0, rise))
     frac = np.minimum(1.0, (tau_max - tau0) / width)   # the part inside the window
-    u = (np.arange(panels)[:, None] + GL_NODES).ravel() / panels
+    u, w = _panel_rule(panels)
     s = frac[:, None] * u
     z = (tau0[:, None] + width[:, None] * s) / root
     vals = v0[:, None] + rise[:, None] * s
-    weights = (width * frac / root)[:, None] * (np.tile(GL_WEIGHTS, panels) / panels) \
-        * z ** k * np.exp(-z * z)
+    weights = (width * frac / root)[:, None] * w * z ** k * np.exp(-z * z)
     value = math.fsum((weights * vals).ravel())
     rounding = _EPS * float(np.sum(
         weights * (np.abs(vals) * (5.0 * np.abs(k - 2.0 * z * z) + z * z + 6.0) + 6.0 * sup)))
-
-    h = width * frac / (root * panels)
-    rho = 2.0 * _PANEL_ELLIPSE / h + np.hypot(2.0 * _PANEL_ELLIPSE / h, 1.0)
-    a = np.hypot(0.5 * h, _PANEL_ELLIPSE)
     centre = (tau0[:, None] + (width * frac)[:, None] * ((np.arange(panels) + 0.5) / panels)) / root
-    reach = (sup + np.abs(rise / width) * root * (a - 0.5 * h + _PANEL_ELLIPSE))[:, None] \
-        * np.hypot(centre + a[:, None], _PANEL_ELLIPSE) ** k \
-        * np.exp(_PANEL_ELLIPSE ** 2 - np.maximum(0.0, centre - a[:, None]) ** 2)
-    rule = float(np.sum((32.0 / 15.0 * h * rho ** -16.0 / (rho * rho - 1.0))[:, None] * reach))
+
+    def reach(a):
+        # |z^k e^{-z^2}| on the ellipse about each panel
+        return np.hypot(centre + a, _PANEL_ELLIPSE) ** k \
+            * np.exp(_PANEL_ELLIPSE ** 2 - np.maximum(0.0, centre - a) ** 2)
+
+    rule = float(np.sum(_panel_rule_bound((width * frac / (root * panels))[:, None], sup,
+                                          (np.abs(rise / width) * root)[:, None], reach)))
     return value, rule + rounding + sup * gaussian_power_tail(k, z_cut)
+
+
+def _gauss_sup(j: int) -> float:
+    """max over z >= 0 of z^j e^{-z^2}, (j/2)^(j/2) e^(-j/2)."""
+    return (0.5 * j) ** (0.5 * j) * math.exp(-0.5 * j)
+
+
+def _gauss_reach(k: int, a: float) -> float:
+    """Bound of |z^k e^{-z^2}| on every ellipse of half-height
+    b = _PANEL_ELLIPSE that reaches a along the axis about a centre c >= 0:
+    there |z| <= c + a + b and Re z^2 >= max(0, c - a)^2 - b^2, and with
+    A = 2a + b, y = max(0, c - a), (y + A)^k e^{-y^2} peaks at
+    y = (sqrt(A^2 + 2k) - A) / 2."""
+    big = 2.0 * a + _PANEL_ELLIPSE
+    y = 0.5 * (math.sqrt(big * big + 2.0 * k) - big)
+    return (y + big) ** k * math.exp(_PANEL_ELLIPSE ** 2 - y * y)
 
 
 def _bump_weighted_integral(expr: BumpTrain, k: int, root: float,
                             z_cut: float) -> tuple[float, float]:
-    """(value, error bound) for the weighted integral of a bump train.
+    """(value, error bound) for int_0^inf z^k e^{-z^2} expr(root z) dz.
 
     The (constant) baseline integrates in closed form over all of (0, inf),
-    the bumps inside the window by _bump_pieces on panels at most
-    _PIECE_PANEL wide; bumps beyond it are covered by the Gaussian tail bound.
+    as baseline M_k, the bumps inside the window by _bump_pieces on panels
+    at most _PIECE_PANEL wide.  With d = half_width / root, n pieces and
+    S_j = max z^j e^{-z^2}, the bound adds
+    * the rule's error: n * panels times _panel_rule_bound of the widest
+      panel, with |v| <= |height|, |v'| <= |height| / d and _gauss_reach;
+    * the rounding.  A node lands within 8 eps (z + d) of its place, which
+      moves z^k e^{-z^2} by at most 8 eps ((k + d^2 + 3 z^2) z^k e^{-z^2}
+      + k d S_{k-1}); its evaluation errs by (z^2 + 5) eps of itself, and
+      the bump shape and the clipped piece ends by 8 eps S_k per unit of
+      weight.  With z^(k+2) e^{-z^2} <= S_(k+2), the nodes add
+      eps |height| d n (25 S_{k+2} + 8 k d S_{k-1} + 8 S_k) and
+      (8k + 8 d^2 + 6) eps of the bump sum; the sums and products add
+      (8 panels + n + 6) eps of it, and baseline M_k, within (k + 2) eps,
+      (k + 4) eps of itself with the last sum;
+    * (|baseline| + |height|) G_k(z_cut) for the bumps beyond the window.
     """
-    value = expr.baseline * gaussian_power_tail(k, 0.0)
-    err = (abs(expr.baseline) + abs(expr.height)) * gaussian_power_tail(k, z_cut)
+    base = expr.baseline * gaussian_power_tail(k, 0.0)
     panels = max(1, math.ceil(min(expr.half_width / root, z_cut) / _PIECE_PANEL))
-    return value + _bump_pieces(expr, root, z_cut, lambda z: z ** k * np.exp(-z * z),
-                                panels), err
+    bumps, n = _bump_pieces(expr, root, z_cut, lambda z: z ** k * np.exp(-z * z), panels)
+    d = expr.half_width / root
+    size = abs(expr.height)
+    rule = n * panels * _panel_rule_bound(min(d, z_cut) / panels, size, size / d,
+                                          lambda a: _gauss_reach(k, a))
+    spread = 25.0 * _gauss_sup(k + 2) + 8.0 * (k * d * _gauss_sup(max(k - 1, 0)) + _gauss_sup(k))
+    rounding = _EPS * ((k + 4) * abs(base) + size * d * n * spread
+                       + (8 * k + 8.0 * d * d + 8 * panels + n + 12) * abs(bumps))
+    return base + bumps, rule + rounding \
+        + (abs(expr.baseline) + size) * gaussian_power_tail(k, z_cut)
 
 
 # ---------------------------------------------------------------------------

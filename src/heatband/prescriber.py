@@ -145,8 +145,6 @@ class PrescriptionTarget:
         if not isinstance(self.kind, (AverageQuad, DataQuad)):
             raise DomainError(
                 f"kind must be AverageQuad or DataQuad, got {type(self.kind).__name__}")
-        if not isinstance(self.n, int):  # cert/1 serializes n as a JSON integer
-            raise DomainError(f"dimension n must be a positive integer, got {self.n!r}")
         check_dimension(self.n)
 
 
@@ -168,6 +166,8 @@ class PrescriptionCertificate:
     expected_u_band: tuple[float, float]
 
     def __post_init__(self):
+        if self.m_used is not None:
+            check_finite(m_used=self.m_used)
         object.__setattr__(self, "expected_phi_band",
                            _checked_band(self.expected_phi_band, "expected_phi_band"))
         object.__setattr__(self, "expected_u_band",
@@ -269,8 +269,7 @@ def prescribe_data(data_lower: float, sol_lower: float, sol_upper: float,
     through zero, constructing, and negating the result.
     """
     r, a, b, s = data_lower, sol_lower, sol_upper, data_upper
-    check_finite(data_lower=r, sol_lower=a, sol_upper=b, data_upper=s)
-    target = PrescriptionTarget(DataQuad(r, a, b, s), n)  # validates ordering
+    target = PrescriptionTarget(DataQuad(r, a, b, s), n)  # validates values and ordering
 
     scale = _scale(r, a, b, s)
     tol = _EQ_TOL * scale
@@ -520,8 +519,8 @@ def _field(doc: dict, key: str, where: str):
 def cert_from_json(doc) -> PrescriptionCertificate:
     """Certificate from a cert/1 document; any malformed part is a DomainError.
 
-    The structure is checked here; the target values, the dimension and the
-    bands are checked by the dataclasses they build.
+    The structure is checked here; the target values, the dimension, m_used
+    and the bands are checked by the dataclasses they build.
     """
     if not isinstance(doc, dict):
         raise DomainError(
@@ -539,15 +538,12 @@ def cert_from_json(doc) -> PrescriptionCertificate:
     tag = _field(doc, "construction_tag", "certificate")
     if not isinstance(tag, str):
         raise DomainError(f"construction_tag must be a string, got {tag!r}")
-    m_used = _field(doc, "m_used", "certificate")
-    if m_used is not None:
-        check_finite(m_used=m_used)
     return PrescriptionCertificate(
         target=PrescriptionTarget(quad_cls(*(_field(tdoc, key, "target") for key in keys)),
                                   _field(tdoc, "n", "target")),
         data=expr_from_json(_field(doc, "data", "certificate")),
         construction_tag=tag,
-        m_used=m_used,
+        m_used=_field(doc, "m_used", "certificate"),
         expected_phi_band=_field(doc, "expected_phi_band", "certificate"),
         expected_H_band=_field(doc, "expected_H_band", "certificate"),
         expected_u_band=_field(doc, "expected_u_band", "certificate"),

@@ -234,9 +234,12 @@ def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
     """
     if not callable(evaluator):
         raise DomainError("evaluator must be callable")
-    if points_per_period < 64:
+    if (isinstance(points_per_period, bool)
+            or not isinstance(points_per_period, (int, np.integer))
+            or points_per_period < 64):
         raise DomainError(
-            f"points_per_period must be at least 64, got {points_per_period}")
+            f"points_per_period must be an integer of at least 64, got {points_per_period!r}")
+    check_finite(min_periods=min_periods)
     if min_periods < 3.0:
         raise DomainError(f"min_periods must be at least 3, got {min_periods}")
     check_time(t_anchor)
@@ -370,7 +373,7 @@ def _measure_H_band(expr, n: int, slow_m: float | None, loglog: bool,
         points_per_period=64, periods_covered=covered)
 
 
-def verify_certificate(cert: PrescriptionCertificate, n: int | None = None,
+def verify_certificate(cert: PrescriptionCertificate,
                        spec: QuadratureSpec | None = None,
                        tol_band: float = 0.02, *,
                        t_anchor: float = _SWEEP_T_ANCHOR,
@@ -388,15 +391,12 @@ def verify_certificate(cert: PrescriptionCertificate, n: int | None = None,
     """
     if spec is None:
         spec = _DEFAULT_SPEC
-    if n is None:
-        n = cert.target.n
-    if n != cert.target.n:
-        raise DomainError(
-            f"dimension mismatch: certificate was built for n = {cert.target.n}, "
-            f"got n = {n}")
+    n = cert.target.n
     check_finite(tol_band=tol_band)
     if not tol_band > 0:
         raise DomainError(f"tol_band must be positive, got {tol_band!r}")
+    for t in gap_times:
+        check_time(t)
 
     slow_m, loglog = _slow_content(cert.data)
     notes: list[str] = []
@@ -429,16 +429,17 @@ def verify_certificate(cert: PrescriptionCertificate, n: int | None = None,
         u_band = band_estimate(u_at, m_hint, t_anchor, **sweep_kwargs)
 
     max_abs_u = max(abs(u_band.lower_est), abs(u_band.upper_est))
-    gaps = None
-    try:
-        pairs = []
-        for t in gap_times:
-            u_val = u_at(t)
-            max_abs_u = max(max_abs_u, abs(u_val))
-            pairs.append((float(t), abs(u_val - envelope_u(cert, t))))
-        gaps = tuple(pairs)
-    except (UnsupportedExpression, DomainError):
-        notes.append("no envelope formula for this construction; gaps omitted")
+    gaps = []
+    for t in gap_times:
+        u_val = u_at(t)
+        max_abs_u = max(max_abs_u, abs(u_val))
+        try:
+            env = envelope_u(cert, t)
+        except (UnsupportedExpression, DomainError):
+            notes.append("no envelope formula for this construction; gaps omitted")
+            gaps = None
+            break
+        gaps.append((float(t), abs(u_val - env)))
 
     def endpoints_match(band: OscillationBand, expected) -> bool:
         return (abs(band.lower_est - expected[0]) <= tol_band
@@ -469,7 +470,7 @@ def verify_certificate(cert: PrescriptionCertificate, n: int | None = None,
         chain_ok=bool(ok),
         tol_band=tol_band,
         u_partial=u_partial,
-        envelope_gaps=gaps,
+        envelope_gaps=None if gaps is None else tuple(gaps),
         notes=tuple(notes),
         quad_rel_tol=spec.rel_tol,
         quad_abs_tol=spec.abs_tol,

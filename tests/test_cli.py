@@ -33,6 +33,7 @@ from heatband import (
     Sum,
     TrapezoidWave,
     TrigPolynomial,
+    cert_dumps,
     cert_from_json,
     cert_loads,
     cert_to_json,
@@ -40,7 +41,6 @@ from heatband import (
     prescribe_average,
     prescribe_data,
 )
-from heatband.cli import RunConfig
 from heatband.initial_data import from_json, to_json
 
 
@@ -49,51 +49,54 @@ def run_cli(args):
 
 
 # ---------------------------------------------------------------------------
-# RunConfig validation
+# Refused arguments: argparse checks types and choices, the library the values
 
 
-class TestRunConfig:
-    def test_minimal_config_accepted(self):
-        config = RunConfig(command="reproduce")
-        assert config.command == "reproduce"
-        assert config.tol_band == 0.02
+_AVERAGE = ["--average", "-1", "-0.3", "0.3", "1"]
 
-    def test_rejects_unknown_command(self):
-        with pytest.raises(DomainError):
-            RunConfig(command="analyse")
 
-    def test_rejects_two_targets(self):
-        with pytest.raises(DomainError):
-            RunConfig(command="prescribe",
-                      average_quad=(-1.0, -0.3, 0.3, 1.0),
-                      data_quad=(-1.0, -0.3, 0.3, 1.0))
+@pytest.mark.parametrize("args,says", [
+    (["analyse"], "invalid choice"),
+    (["prescribe", *_AVERAGE, "--n", "0"], "positive integer"),
+    (["prescribe", *_AVERAGE, "--n", "1.5"], "invalid int"),
+    (["prescribe", *_AVERAGE, "--n", "11"], "at most 10"),
+    (["prescribe", "--average", "-1", "nan", "0.3", "1"], "sol_lower"),
+    (["probe", "--cert", "{cert}", "--t-range", "-1", "1e4", "9"], "t-range"),
+    (["probe", "--cert", "{cert}", "--tau-range", "1e2", "1e4", "1"], "tau-range"),
+    (["probe", "--cert", "{cert}", "--format", "xml"], "invalid choice"),
+    (["verify", "--cert", "{cert}", "--tol-band", "0"], "tol_band"),
+    (["verify", "--cert", "{cert}", "--periods", "nan"], "min_periods"),
+    (["verify", "--cert", "{cert}", "--periods", "inf"], "min_periods"),
+    (["verify", "--cert", "{cert}", "--periods", "2"], "min_periods"),
+    (["verify", "--cert", "{cert}", "--t-anchor", "nan"], "finite real"),
+    (["verify", "--cert", "{cert}", "--t-anchor", "1e-9"], "t_anchor"),
+])
+def test_refused_arguments_exit_two_and_write_nothing(tmp_path, capsys, args, says):
+    cert = tmp_path / "cert.json"
+    cert.write_text(cert_dumps(prescribe_average(-1.0, -0.3, 0.3, 1.0, n=2)) + "\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [a.replace("{cert}", str(cert)) for a in args]
+    if argv[0] != "analyse":
+        argv += ["--out-dir", str(out)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert says in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
 
-    def test_rejects_bad_dimension(self):
-        with pytest.raises(DomainError):
-            RunConfig(command="prescribe", n=0)
-        with pytest.raises(DomainError):
-            RunConfig(command="prescribe", n=1.5)
-        with pytest.raises(DomainError):
-            RunConfig(command="prescribe", n=11)
 
-    def test_rejects_non_finite_target(self):
-        with pytest.raises(DomainError):
-            RunConfig(command="prescribe",
-                      average_quad=(-1.0, math.nan, 0.3, 1.0))
+def test_cli_holds_no_validator_of_its_own():
+    # values are checked by the library; a dataclass or a math.isfinite
+    # call here would be a second validator
+    import ast
 
-    def test_rejects_bad_grid(self):
-        with pytest.raises(DomainError):
-            RunConfig(command="probe", t_range=(-1.0, 1e4, 9))
-        with pytest.raises(DomainError):
-            RunConfig(command="probe", tau_range=(1e2, 1e4, 1))
-
-    def test_rejects_bad_format(self):
-        with pytest.raises(DomainError):
-            RunConfig(command="probe", fmt="xml")
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(DomainError):
-            RunConfig(command="verify", tol_band=0.0)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    dataclasses = [node.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef)
+                   and any("dataclass" in ast.unparse(dec) for dec in node.decorator_list)]
+    isfinite = [ast.unparse(node) for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("isfinite")]
+    assert dataclasses == [] and isfinite == []
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,15 @@ class TestPrescriptionTypes:
                 m_used=None, expected_phi_band=(0.0, 3.0),
                 expected_H_band=(2.5, 2.6), expected_u_band=(1.0, 2.0))
 
+    @pytest.mark.parametrize("m_used", [math.nan, math.inf, True, "1.0"])
+    def test_certificate_rejects_non_finite_mode_frequency(self, m_used):
+        target = PrescriptionTarget(DataQuad(0.0, 1.0, 2.0, 3.0), 1)
+        with pytest.raises(DomainError):
+            PrescriptionCertificate(
+                target=target, data=Constant(1.0), construction_tag="x",
+                m_used=m_used, expected_phi_band=(0.0, 3.0),
+                expected_H_band=None, expected_u_band=(1.0, 2.0))
+
     def test_certificate_rejects_disordered_band(self):
         target = PrescriptionTarget(DataQuad(0.0, 1.0, 2.0, 3.0), 1)
         with pytest.raises(DomainError):
@@ -642,4 +651,10 @@ class TestCertSerialization:
         text = cert_dumps(cert)
         assert cert_loads(text) == cert
         # the same bytes as for the Python number
+        assert text == cert_dumps(prescribe_data(-1, -0.3, 0.3, 1, 2))
+
+    def test_numpy_dimension_gives_the_same_bytes(self):
+        # check_dimension alone decides, and it admits NumPy integers, as do
+        # the leaves and the JSON writers
+        text = cert_dumps(prescribe_data(-1, -0.3, 0.3, 1, np.int64(2)))
         assert text == cert_dumps(prescribe_data(-1, -0.3, 0.3, 1, 2))

@@ -24,6 +24,7 @@ from heatband import (
     Constant,
     ConvergenceError,
     DomainError,
+    DoubleExpCenters,
     EvaluationError,
     GeometricCenters,
     KernelFlavor,
@@ -367,8 +368,40 @@ class TestWaveWeightedIntegral:
             u_origin(STANDARD_WAVE, 1, 1e8, spec)
 
 
+def mp_bump_weighted(train, k: int, root: float):
+    """int_0^inf z^k e^{-z^2} train(root z) dz by 40-digit mpmath, piece by
+    piece in local coordinates, over every bump below z = 40."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        big, hw = mpmath.mpf(root), mpmath.mpf(train.half_width)
+        total = mpmath.mpf(train.baseline) * mpmath.gamma(mpmath.mpf(k + 1) / 2) / 2
+        for c in train.centers.representable_centers():
+            c = mpmath.mpf(float(c))
+            if c - hw > 40 * big:
+                break
+            for sign in (-1, 1):  # rising piece, then falling piece
+
+                def piece(s, c=c, sign=sign):
+                    z = max((c + sign * (1 - s) * hw) / big, 0)
+                    return s * mpmath.exp(-z * z) * z ** k
+                total += mpmath.mpf(train.height) * hw / big * mpmath.quad(piece, [0, 1])
+        return total
+
+
 class TestBumpWeightedIntegral:
     BUMPS = BumpTrain(1.0, 0.5, 0.2, GeometricCenters(math.e))
+
+    @pytest.mark.parametrize("root", [0.5, 2.0, 7.0, 30.0, 1e3, 1e6])
+    @pytest.mark.parametrize("train", [
+        BUMPS, BumpTrain(-0.7, 1.0, 0.3, DoubleExpCenters("peak"))], ids=["geometric", "peak"])
+    def test_against_mpmath(self, train, root):
+        # the Gaussian tail alone, about 1e-64 at root 2 and k = 0, does not
+        # cover the 2.8e-17 that the rule's rounding errs by there
+        abs_tol = QuadratureSpec().abs_tol
+        for k in (0, 1, 2):
+            value, bound = _bump_weighted_integral(train, k, root, 12.0)
+            error = abs(value - float(mp_bump_weighted(train, k, root)))
+            assert error <= bound <= abs_tol, (k, error, bound)
 
     @pytest.mark.parametrize("k", [0, 2])
     @pytest.mark.parametrize("root", [2.0, 50.0])
@@ -805,23 +838,9 @@ class TestTrapezoidProfiles:
 def mpmath_bump_u(n: int, t: float) -> float:
     """u(0, t) of BumpTrain(1, 0.5, 0, GeometricCenters(e)) by mpmath, per bump."""
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        root = mpmath.sqrt(4 * mpmath.mpf(t))
-        hw = mpmath.mpf(1) / 2
-        total = mpmath.mpf(0)
-        j = 1
-        while True:
-            c = mpmath.e ** j
-            if c - hw > 12 * root:
-                break
-            for sign in (-1, 1):  # rising piece, then falling piece
-
-                def piece(s, c=c, sign=sign):
-                    z = (c + sign * (1 - s) * hw) / root
-                    return s * mpmath.exp(-z * z) * z ** (n - 1)
-                total += hw / root * mpmath.quad(piece, [0, 1])
-            j += 1
-        return float(2 / mpmath.gamma(mpmath.mpf(n) / 2) * total)
+    train = BumpTrain(1.0, 0.5, 0.0, GeometricCenters(math.e))
+    weighted = mp_bump_weighted(train, n - 1, math.sqrt(4.0 * t))
+    return float(2 / mpmath.gamma(mpmath.mpf(n) / 2) * weighted)
 
 
 class TestBumpTrainFarOut:
@@ -950,11 +969,16 @@ class TestBandEstimate:
         with pytest.raises(PartialBandError):
             band_estimate(lambda t: 0.0, _M_FLOOR * (1.0 - 1e-6))
 
-    def test_rejects_coarse_sampling(self):
+    @pytest.mark.parametrize("kwargs", [
+        {"points_per_period": 32},
+        {"points_per_period": 64.5},
+        {"min_periods": 2.0},
+        {"min_periods": math.nan},
+        {"min_periods": math.inf},
+    ])
+    def test_rejects_coarse_sampling(self, kwargs):
         with pytest.raises(DomainError):
-            band_estimate(lambda t: 0.0, 1.0, 1e6, points_per_period=32)
-        with pytest.raises(DomainError):
-            band_estimate(lambda t: 0.0, 1.0, 1e6, min_periods=2.0)
+            band_estimate(lambda t: 0.0, 1.0, 1e6, **kwargs)
 
     def test_rejects_bad_hints(self):
         with pytest.raises(DomainError):
@@ -1055,15 +1079,18 @@ class TestVerifyCertificate:
         assert cert.construction_tag == tag
         assert verify_certificate(cert).chain_ok
 
-    def test_dimension_mismatch_rejected(self):
+    @pytest.mark.parametrize("kwargs", [
+        {"tol_band": 0.0},
+        {"min_periods": math.nan},
+        # refused before any sweep, not reported as a missing envelope formula
+        {"gap_times": (math.nan,)},
+        {"gap_times": (-1.0,)},
+        {"gap_times": (1e2, math.inf)},
+    ])
+    def test_bad_arguments_rejected(self, kwargs):
         cert = prescribe_average(-1.0, -0.3, 0.3, 1.0, n=2)
         with pytest.raises(DomainError):
-            verify_certificate(cert, n=3)
-
-    def test_bad_tolerance_rejected(self):
-        cert = prescribe_average(-1.0, -0.3, 0.3, 1.0, n=2)
-        with pytest.raises(DomainError):
-            verify_certificate(cert, tol_band=0.0)
+            verify_certificate(cert, **kwargs)
 
     def test_quadrature_settings_recorded(self, average_report):
         spec = QuadratureSpec()
