@@ -147,20 +147,20 @@ def _load_cert(path: str):
 
 def _log_grid(name: str, lo: float, hi: float, count: float) -> np.ndarray:
     """The log-spaced probe grid of --t-range or --tau-range: finite
-    bounds 0 < lo <= hi and at least 2 points."""
+    bounds 0 < lo <= hi and a whole number of at least 2 points."""
     check_finite(**{f"{name} start": lo, f"{name} end": hi, f"{name} count": count})
-    if not 0 < lo <= hi or int(count) < 2:
+    if not 0 < lo <= hi or count < 2 or count != int(count):
         raise DomainError(
-            f"{name} needs bounds 0 < lo <= hi and at least 2 points, got "
-            f"({lo!r}, {hi!r}, {count!r})")
+            f"{name} needs bounds 0 < lo <= hi and a whole number of at least 2 "
+            f"points, got ({lo!r}, {hi!r}, {count!r})")
     return np.geomspace(lo, hi, int(count))
 
 
 def _probe_u_rows(cert, ts: np.ndarray) -> list[tuple]:
+    """One row per time; u(0, t) of the whole grid is one call."""
+    us = u_origin(cert.data, cert.target.n, ts).tolist()
     rows = []
-    for t in ts:
-        t = float(t)
-        u = u_origin(cert.data, cert.target.n, t)
+    for t, u in zip(ts.tolist(), us):
         try:
             env = envelope_u(cert, t)
             gap = abs(u - env)
@@ -172,15 +172,11 @@ def _probe_u_rows(cert, ts: np.ndarray) -> list[tuple]:
 
 
 def _probe_phi_rows(cert, taus: np.ndarray) -> list[tuple]:
+    """One row per radius; each column of the grid is one call."""
     h_expr = closed_H(cert.data, cert.target.n)
-    rows = []
-    for tau in taus:
-        tau = float(tau)
-        phi = float(eval_phi(cert.data, tau))
-        h_num = numeric_H(cert.data, cert.target.n, tau)
-        h_cl = None if h_expr is None else float(eval_phi(h_expr, tau))
-        rows.append((tau, phi, h_num, h_cl))
-    return rows
+    closed = [None] * taus.size if h_expr is None else eval_phi(h_expr, taus).tolist()
+    return list(zip(taus.tolist(), eval_phi(cert.data, taus).tolist(),
+                    numeric_H(cert.data, cert.target.n, taus).tolist(), closed))
 
 
 def _csv_text(header: str, rows: list[tuple]) -> str:

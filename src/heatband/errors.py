@@ -1,10 +1,11 @@
-"""Exception hierarchy for heatband, and its one check of real parameters.
+"""Exception hierarchy for heatband, and its one check of reals and of integers.
 
 Every error raised on purpose by this package derives from HeatbandError,
 so callers can catch the package's failures without swallowing bugs.
-check_finite sits here, below every other module, so that each of them,
-quadrature included, can refuse a malformed real with DomainError, and
-_json_real writes the NumPy reals it admits into the JSON artifacts.
+check_finite and check_integer sit here, below every other module, so that
+each of them, quadrature included, can refuse a malformed number with
+DomainError, and _json_real writes the NumPy reals it admits into the JSON
+artifacts.
 """
 
 from __future__ import annotations
@@ -100,6 +101,33 @@ def check_finite(**named) -> None:
                 isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX
                 or isinstance(value, (np.integer, np.floating)) and math.isfinite(value)):
             raise DomainError(f"{name} must be a finite real, got {value!r}")
+
+
+def check_integer(**named) -> None:
+    """The package's one check of integer parameters: each value must be a
+    Python or NumPy integer, not a bool.  Ranges stay with the callers."""
+    for name, value in named.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def _points(values, check) -> tuple[np.ndarray, tuple[int, ...] | None]:
+    """(values as a flat float array, their shape or None for one value).
+    check must accept an interval of reals: it sees one value before any
+    conversion (so an integer beyond double range is refused, not
+    overflowed), an array of reals by its least and greatest element, which
+    a nan or an infinity becomes, and raises what it raises for that value."""
+    if not isinstance(values, (np.ndarray, list, tuple)):
+        check(values)
+        return np.array([float(values)]), None
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"points must be finite reals, got an array of {arr.dtype}")
+    flat = arr.astype(float).ravel()
+    if flat.size:
+        check(float(flat.min()))
+        check(float(flat.max()))
+    return flat, arr.shape or None
 
 
 def _json_real(value):

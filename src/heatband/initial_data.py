@@ -31,6 +31,7 @@ from .errors import (
     RangeError,
     UnsupportedExpression,
     _json_real,
+    _points,
     check_finite,
 )
 from .kernel_moments import check_dimension
@@ -1001,13 +1002,18 @@ def phi_from_H(h_expr: InitialDataExpr, n: int) -> InitialDataExpr:
 # not grow with t, with a Gauss rule on each linear piece below the root at
 # which the series cannot reach abs_tol.  Bump trains integrate bump by bump.
 # Each fixed rule is a cached read-only layout, the same nodes at every t or
-# tau.  Only plain callables go through adaptive quadrature.
+# tau, so a batch of points is one evaluation of phi on the outer product of
+# radii and nodes and one matrix-vector product; kinked leaves, waves and bump
+# trains loop over the points.  Only plain callables take adaptive quadrature.
 
 # Half-width a of the strip |Im s| < a around a log-radius axis (s = log z for
 # u(0, t), s = log(r / tau) for ball averages) inside which strip_bound
 # bounds the analytic leaves; the u kernel exp((k+1) s - e^{2s}) stays
 # integrable up to pi/4.
 _STRIP = math.pi / 8.0
+
+# Most values of phi in one block of rows of a batch's outer product
+_BLOCK = 1 << 20
 
 # Most nodes the log-radius Gauss rule may use; a larger need raises
 # ConvergenceError.
@@ -1080,14 +1086,26 @@ def _signed_sum(pairs) -> InitialDataExpr:
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
-def _phi_on(expr: InitialDataExpr, radius: float, scale: np.ndarray) -> np.ndarray:
-    """phi at tau = radius * scale; a non-finite value raises EvaluationError."""
-    vals = eval_phi(expr, radius * scale)
+def _phi_on(expr: InitialDataExpr, radii, scale: np.ndarray) -> np.ndarray:
+    """phi at tau = radii * scale, an outer product for a 1-D array of
+    radii; a non-finite value raises EvaluationError."""
+    tau = np.multiply.outer(radii, scale)
+    vals = eval_phi(expr, tau)
     if not np.all(np.isfinite(vals)):
-        bad = float(radius * scale[~np.isfinite(vals)][0])
+        bad = float(tau[~np.isfinite(vals)][0])
         raise EvaluationError(
             f"initial data returned a non-finite value at tau = {bad!r}", point=bad)
     return vals
+
+
+def _fixed_sums(pairs, radii, scale, weights) -> np.ndarray:
+    """sum_j weights_j phi(radii_i scale_j) for each radius, phi the signed
+    sum of pairs, in blocks of rows of at most _BLOCK values."""
+    expr, rows = _signed_sum(pairs), max(1, _BLOCK // scale.size)
+    out = np.empty(radii.size)
+    for i in range(0, radii.size, rows):
+        out[i:i + rows] = np.dot(_phi_on(expr, radii[i:i + rows], scale), weights)
+    return out
 
 
 def _split_gauss(lo: float, h: float, panels: int, radius: float, phases):
@@ -1252,22 +1270,33 @@ def _log_trapezoid_rule(k: int, mass: float, omega: float, spec: QuadratureSpec)
 # The two integrals: ball average and u(0, t)
 
 
-def numeric_H(expr: InitialDataExpr, n: int, tau: float, tol: float = 1e-8) -> float:
+def numeric_H(expr: InitialDataExpr, n: int, tau, tol: float = 1e-8):
     """Ball average H(tau) = (n/tau^n) int_0^tau phi r^(n-1) dr, H(0) = phi(0).
 
-    Each signed leaf of expr takes its route (see Leaf routes): profiles of
-    log tau one fixed Gauss-Legendre sum on s = log(r / tau), where
+    tau is a radius (giving a float) or an array of radii (giving an array
+    of its shape); a bad radius anywhere raises DomainError.  Each signed
+    leaf of expr takes its route (see Leaf routes): profiles of log tau one
+    fixed Gauss-Legendre sum on s = log(r / tau), where
     H(tau) = n int_{-inf}^0 phi(tau e^s) e^{ns} ds, whose a-priori bound keeps
     the error below tol at every tau; waves and bump trains exact sums.
 
     tol must be a positive finite real.  Too fine a tol for the analytic
     leaves raises ConvergenceError, a non-finite data value EvaluationError.
     """
-    return _ball_average(expr, n, tau, tol)[0]
+    taus, shape = _points(tau, _check_radius)
+    values = _ball_average(expr, n, taus, tol)[0]
+    return float(values[0]) if shape is None else values.reshape(shape)
 
 
-def _ball_average(expr, n, tau, tol) -> tuple[float, float]:
-    """(H(tau), error bound) for numeric_H.
+def _check_radius(tau) -> None:
+    check_finite(tau=tau)
+    if not tau >= 0:
+        raise DomainError(f"tau must be finite and nonnegative, got {tau!r}")
+
+
+def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
+    """(H, error bound) at each radius of the 1-D array taus, which
+    numeric_H has checked.
 
     The bound is the a-priori bound of the Gauss sum, with 2 mass |w_i| for
     each node that rounding may evaluate on the wrong side of a corner; the
@@ -1275,56 +1304,63 @@ def _ball_average(expr, n, tau, tol) -> tuple[float, float]:
     not counted.
     """
     check_dimension(n)
-    check_finite(tau=tau, tol=tol)
-    if not tau >= 0:
-        raise DomainError(f"tau must be finite and nonnegative, got {tau!r}")
+    check_finite(tol=tol)
     if not tol > 0:
         raise DomainError(f"tol must be a positive finite real, got {tol!r}")
-    if tau == 0.0:
-        return eval_phi(expr, 0.0), 0.0
-    tau, tol = float(tau), float(tol)
+    taus, tol = np.asarray(taus, dtype=float).reshape(-1), float(tol)
+    values, bounds, live = np.zeros(taus.size), np.zeros(taus.size), taus > 0.0
+    if not live.all():
+        values[~live] = eval_phi(expr, 0.0)
+    if not live.any():
+        return values, bounds
+    taus = taus[live]
 
     leaves = _split_leaves(expr)
-    value, bound = leaves.constant, 0.0
+    value, bound = np.full(taus.size, leaves.constant), np.zeros(taus.size)
     if leaves.kinked:  # the layout for the summed mass, split at the corners
-        part, part_bound = _split_gauss_sum(
-            leaves.analytic + leaves.kinked, leaves, tau,
-            _log_gauss_panels(n, leaves.mass + leaves.kink_mass, leaves.omega, tol),
-            lambda s: (n * np.exp(s) ** n, 2.0 + n))
-        value += part
-        bound += part_bound
+        layout = _log_gauss_panels(n, leaves.mass + leaves.kink_mass, leaves.omega, tol)
+        parts = np.array([_split_gauss_sum(leaves.analytic + leaves.kinked, leaves, tau, layout,
+                                           lambda s: (n * np.exp(s) ** n, 2.0 + n))
+                          for tau in taus.tolist()])
+        value += parts[:, 0]
+        bound += parts[:, 1]
     elif leaves.analytic:
         scale, weights, rule_bound = _log_gauss_rule(n, leaves.mass, leaves.omega, tol)
-        value += float(weights @ _phi_on(_signed_sum(leaves.analytic), tau, scale))
+        value += _fixed_sums(leaves.analytic, taus, scale, weights)
         bound += rule_bound
     for sign, leaf in leaves.fast:
         if isinstance(leaf, PeriodicZeroMean):
-            part = _periodic_radial_integral(leaf.wave.segments(), n, tau)
+            parts = [_periodic_radial_integral(leaf.wave.segments(), n, tau)
+                     for tau in taus.tolist()]
         else:
-            part = _bump_radial_integral(leaf, n, tau)
-        value += sign * n * part
-    return value, bound
+            parts = [_bump_radial_integral(leaf, n, tau) for tau in taus.tolist()]
+        value += sign * n * np.array(parts)
+    values[live], bounds[live] = value, bound
+    return values, bounds
 
 
-def _weighted_value(expr, k: int, root: float, spec: QuadratureSpec) -> tuple[float, float]:
-    """(value, error bound) for int_0^inf z^k e^{-z^2} expr(root z) dz.
+def _weighted_value(expr, k: int, roots, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(values, error bounds) of int_0^inf z^k e^{-z^2} expr(root z) dz at
+    each root of the 1-D array roots.
 
-    A plain callable goes through adaptive quadrature; an expression is
-    routed per signed leaf (see Leaf routes), and the bound adds the bounds
-    of its routes.
+    A plain callable goes through adaptive quadrature, root by root; an
+    expression is routed per signed leaf (see Leaf routes), split once for
+    all roots, and the bound adds the bounds of its routes.
     """
+    roots = np.asarray(roots, dtype=float).reshape(-1)
     if not isinstance(expr, InitialDataExpr):
         if not callable(expr):
             raise DomainError(
                 f"expr must be an InitialDataExpr or a callable, got {type(expr).__name__}")
-        result = integrate_weighted(lambda z: expr(root * z), k, spec)
-        return result.value, result.abs_error_est
+        results = [integrate_weighted(lambda z: expr(root * z), k, spec)
+                   for root in roots.tolist()]
+        return np.array([(r.value, r.abs_error_est) for r in results]).reshape(-1, 2).T
 
-    leaves = _split_leaves(expr)
-    value, bound = leaves.constant * gaussian_power_tail(k, 0.0), 0.0
+    leaves, bound = _split_leaves(expr), np.zeros(roots.size)
+    value = np.full(roots.size, leaves.constant * gaussian_power_tail(k, 0.0))
     if leaves.analytic:
         scale, weights, h, rule_bound = _log_trapezoid_rule(k, leaves.mass, leaves.omega, spec)
-        value += h * float(np.dot(weights, _phi_on(_signed_sum(leaves.analytic), root, scale)))
+        value += h * _fixed_sums(leaves.analytic, roots, scale, weights)
         bound += rule_bound
     if leaves.kinked:
         # on s = log(z / z_max) the kernel z^(k+1) e^{-z^2} is at most
@@ -1337,20 +1373,21 @@ def _weighted_value(expr, k: int, root: float, spec: QuadratureSpec) -> tuple[fl
             z = z_max * np.exp(s)
             return z ** (k + 1) * np.exp(-z * z), 2.0 + k + z * z
 
-        part, part_bound = _split_gauss_sum(
-            leaves.kinked, leaves, root * z_max,
-            _log_gauss_panels(k + 1, leaves.kink_mass * z_max ** (k + 1) / (k + 1),
-                              0.0, 0.5 * spec.abs_tol), kernel)
-        value += part
-        bound += part_bound + leaves.kink_mass * gaussian_power_tail(k, z_max)
+        layout = _log_gauss_panels(k + 1, leaves.kink_mass * z_max ** (k + 1) / (k + 1),
+                                   0.0, 0.5 * spec.abs_tol)
+        for i, root in enumerate(roots.tolist()):
+            part, part_bound = _split_gauss_sum(leaves.kinked, leaves, root * z_max, layout, kernel)
+            value[i] += part
+            bound[i] += part_bound + leaves.kink_mass * gaussian_power_tail(k, z_max)
     for sign, leaf in leaves.fast:
-        if isinstance(leaf, PeriodicZeroMean):
-            part, part_bound = _wave_weighted_integral(leaf, k, root, spec.z_max,
-                                                       spec.abs_tol, spec.max_panels)
-        else:
-            part, part_bound = _bump_weighted_integral(leaf, k, root, spec.z_max)
-        value += sign * part
-        bound += part_bound
+        for i, root in enumerate(roots.tolist()):
+            if isinstance(leaf, PeriodicZeroMean):
+                part, part_bound = _wave_weighted_integral(leaf, k, root, spec.z_max,
+                                                           spec.abs_tol, spec.max_panels)
+            else:
+                part, part_bound = _bump_weighted_integral(leaf, k, root, spec.z_max)
+            value[i] += sign * part
+            bound[i] += part_bound
     return value, bound
 
 

@@ -33,10 +33,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import loggamma
 
-from .errors import ConvergenceError, DomainError, RangeError, SearchFailure, check_finite
+from .errors import (ConvergenceError, DomainError, RangeError, SearchFailure, check_finite,
+                     check_integer)
 from .quadrature import MAX_OSCILLATION_FREQUENCY
 
 __all__ = [
@@ -109,7 +109,8 @@ class MomentPair:
 def check_dimension(n: int) -> None:
     """The package's one dimension check: n must be an integer, not a bool,
     with 1 <= n <= MAX_DIMENSION."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    check_integer(**{"dimension n": n})
+    if n < 1:
         raise DomainError(f"dimension n must be a positive integer, got {n!r}")
     if n > MAX_DIMENSION:
         raise DomainError(f"dimension n must be at most {MAX_DIMENSION}")

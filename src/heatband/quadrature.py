@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import erfc as _erfc
 
-from .errors import ConvergenceError, DomainError, EvaluationError, check_finite
+from .errors import ConvergenceError, DomainError, EvaluationError, check_finite, check_integer
 
 __all__ = [
     "QuadratureSpec",
@@ -86,8 +86,7 @@ class QuadratureSpec:
             raise DomainError(f"z_max must exceed 1, got {self.z_max}")
         if not self.x_min < 0:
             raise DomainError(f"x_min must be negative, got {self.x_min}")
-        if isinstance(self.max_panels, bool) or not isinstance(self.max_panels, (int, np.integer)):
-            raise DomainError(f"max_panels must be an integer, got {self.max_panels!r}")
+        check_integer(max_panels=self.max_panels)
         if self.max_panels < 16:
             raise DomainError(f"max_panels must be at least 16, got {self.max_panels}")
 

@@ -6,7 +6,7 @@ band_estimate sweeps log-spaced time grids to estimate oscillation bands,
 verify_certificate runs all three measurements against a certificate's
 analytic bands, and u_offcenter_1d probes u(x, t) away from the origin in
 dimension one.  The weighted integral is routed per leaf of the data in
-initial_data (see its Leaf routes).
+initial_data (see its Leaf routes); every sweep hands it a whole grid at once.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from .errors import (
     RangeError,
     UnsupportedExpression,
     _json_real,
+    _points,
     check_finite,
+    check_integer,
 )
 from .initial_data import (
     InitialDataExpr,
@@ -132,10 +134,13 @@ class VerificationReport:
 # Solution values
 
 
-def u_origin(expr, n: int, t: float, spec: QuadratureSpec | None = None) -> float:
+def u_origin(expr, n: int, t, spec: QuadratureSpec | None = None):
     """u(0, t) = (n omega_n / pi^{n/2}) int_0^inf e^{-z^2} z^{n-1} phi(sqrt(4t) z) dz.
 
-    expr may be an InitialDataExpr or a plain vectorized callable of tau.
+    t is a time (giving a float) or an array of times (giving an array of
+    its shape, in one call); a bad time anywhere raises what check_time
+    raises for it.  expr may be an InitialDataExpr or a plain vectorized
+    callable of tau.
     Each leaf takes its route in initial_data (see its Leaf routes): a wave
     an integration-by-parts series in 1/sqrt(4t), whose cost does not grow
     with t, bump trains a Gauss rule on each bump.
@@ -143,23 +148,23 @@ def u_origin(expr, n: int, t: float, spec: QuadratureSpec | None = None) -> floa
     return _u_at_origin(expr, n, t, spec, KernelFlavor.DATA)
 
 
-def u_origin_from_H(h_expr, n: int, t: float,
-                    spec: QuadratureSpec | None = None) -> float:
+def u_origin_from_H(h_expr, n: int, t, spec: QuadratureSpec | None = None):
     """u(0, t) = (2 omega_n / pi^{n/2}) int_0^inf e^{-z^2} z^{n+1} H(sqrt(4t) z) dz.
 
     The dual route to u_origin: it consumes the ball average instead of the
     data and must agree with u_origin(phi_from_H(H, n), n, t) within the
-    combined quadrature tolerances.
+    combined quadrature tolerances.  t is a time or an array, as for u_origin.
     """
     return _u_at_origin(h_expr, n, t, spec, KernelFlavor.AVERAGE)
 
 
-def _u_at_origin(expr, n, t, spec, flavor: KernelFlavor) -> float:
+def _u_at_origin(expr, n, t, spec, flavor: KernelFlavor):
     coeff = flavor.coefficient(n)  # checks n
-    check_time(t)
+    ts, shape = _points(t, check_time)
     if spec is None:
         spec = _DEFAULT_SPEC
-    return coeff * _weighted_value(expr, flavor.power(n), math.sqrt(4.0 * t), spec)[0]
+    values = coeff * _weighted_value(expr, flavor.power(n), np.sqrt(4.0 * ts), spec)[0]
+    return float(values[0]) if shape is None else values.reshape(shape)
 
 
 def u_offcenter_1d(expr, x: float, t: float,
@@ -198,45 +203,26 @@ def u_offcenter_1d(expr, x: float, t: float,
 # Band estimation
 
 
-def _golden_extremum(f, a: float, b: float, find_max: bool,
-                     iters: int = 48) -> float:
-    """Extremal value of f on [a, b] by golden-section search."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    sign = -1.0 if find_max else 1.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = sign * f(c)
-    fd = sign * f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = sign * f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = sign * f(d)
-    best = min(fc, fd)
-    return sign * best
-
-
 def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
                   points_per_period: int = 64,
                   min_periods: float = _SWEEP_PERIODS) -> OscillationBand:
     """Oscillation band of evaluator(t) over a log-time window.
 
-    For a numeric m_hint the grid is uniform in x = log sqrt(4t) with
-    points_per_period samples per period 2 pi / m_hint, spanning min_periods
-    periods from t_anchor, followed by golden-section refinement around the
-    grid extrema.  m_hint = "log-log" sweeps y = log log sqrt(4t) instead;
-    double precision runs out long before 3 such periods, so that mode
-    always raises PartialBandError carrying the covered sub-band.
+    evaluator receives a 1-D float array of times and returns its values
+    there, an array of that shape (a scalar broadcasts).  For a numeric
+    m_hint the grid, one evaluator call, is uniform in x = log sqrt(4t)
+    with points_per_period samples per period 2 pi / m_hint, spanning
+    min_periods periods from t_anchor.  Golden-section searches about the
+    lowest and the highest grid value refine both ends in lockstep, one
+    two-point call per step, 50 calls in all.  m_hint = "log-log" sweeps
+    y = log log sqrt(4t) instead; double precision runs out long before 3
+    such periods, so that mode always raises PartialBandError carrying the
+    covered sub-band.  A non-finite value raises EvaluationError.
     """
     if not callable(evaluator):
         raise DomainError("evaluator must be callable")
-    if (isinstance(points_per_period, bool)
-            or not isinstance(points_per_period, (int, np.integer))
-            or points_per_period < 64):
+    check_integer(points_per_period=points_per_period)
+    if points_per_period < 64:
         raise DomainError(
             f"points_per_period must be an integer of at least 64, got {points_per_period!r}")
     check_finite(min_periods=min_periods)
@@ -272,28 +258,35 @@ def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
         xs = np.linspace(x0, x1, npts)
 
     def at_x(x):
-        return float(evaluator(math.exp(2.0 * x) / 4.0))
+        # the evaluator at t = e^{2x} / 4, in one call for the array x
+        t = np.exp(2.0 * x) / 4.0
+        vals = np.broadcast_to(np.asarray(evaluator(t), dtype=float), t.shape)
+        if not np.all(np.isfinite(vals)):
+            bad = float(x[~np.isfinite(vals)][0])
+            raise EvaluationError(
+                f"evaluator returned a non-finite value at t = {math.exp(2 * bad) / 4.0}",
+                point=bad)
+        return vals
 
-    vals = np.array([at_x(x) for x in xs])
-    if not np.all(np.isfinite(vals)):
-        bad = float(xs[~np.isfinite(vals)][0])
-        raise EvaluationError(
-            f"evaluator returned a non-finite value at t = {math.exp(2 * bad) / 4.0}",
-            point=bad)
-
-    i_lo = int(np.argmin(vals))
-    i_hi = int(np.argmax(vals))
-    lower = float(vals[i_lo])
-    upper = float(vals[i_hi])
-    for idx, find_max in ((i_lo, False), (i_hi, True)):
-        a = float(xs[max(idx - 1, 0)])
-        b = float(xs[min(idx + 1, len(xs) - 1)])
-        if a < b:
-            refined = _golden_extremum(at_x, a, b, find_max)
-            if find_max:
-                upper = max(upper, refined)
-            else:
-                lower = min(lower, refined)
+    vals = at_x(xs)
+    # brackets about the grid minimum (sign 1) and maximum (sign -1), each
+    # searched for the least of sign * f with the golden points c < d
+    inv_phi, sign = (math.sqrt(5.0) - 1.0) / 2.0, np.array([1.0, -1.0])
+    idx = np.array([np.argmin(vals), np.argmax(vals)])
+    a, b = xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx + 1, xs.size - 1)]
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = np.split(np.tile(sign, 2) * at_x(np.concatenate([c, d])), 2)
+    for _ in range(48):
+        left = fc < fd  # keep [a, d], else [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        new = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
+        f_new = sign * at_x(new)
+        c, d = np.where(left, new, kept), np.where(left, kept, new)
+        fc, fd = np.where(left, f_new, f_kept), np.where(left, f_kept, f_new)
+    refined = sign * np.minimum(fc, fd)
+    lower = min(float(vals.min()), float(refined[0]))
+    upper = max(float(vals.max()), float(refined[1]))
 
     band = OscillationBand(
         lower_est=lower, upper_est=upper,
@@ -365,8 +358,7 @@ def _measure_H_band(expr, n: int, slow_m: float | None, loglog: bool,
     else:
         taus = np.geomspace(1e4, 1e8, 129)
         covered = 3.0  # content averages to a constant; window nominal
-    h_tol = min(1e-6, spec.abs_tol * 1e6)
-    vals = np.array([numeric_H(expr, n, float(t), tol=h_tol) for t in taus])
+    vals = numeric_H(expr, n, taus, tol=min(1e-6, spec.abs_tol * 1e6))
     return OscillationBand(
         lower_est=float(np.min(vals)), upper_est=float(np.max(vals)),
         grid_lo=float(taus[0]), grid_hi=float(taus[-1]),
@@ -387,7 +379,8 @@ def verify_certificate(cert: PrescriptionCertificate,
     grids; H through numeric ball averages on a log-tau grid; u through
     band_estimate driven by u_origin.  Certificates with doubly-log content
     get a partial u band (the sweep cannot cover 3 periods in double
-    precision) plus per-time envelope gaps as the convergence signal.
+    precision) plus per-time envelope gaps as the convergence signal; a note
+    names each gap time where the envelope is undefined (bumps alone: none).
     """
     if spec is None:
         spec = _DEFAULT_SPEC
@@ -428,18 +421,23 @@ def verify_certificate(cert: PrescriptionCertificate,
             notes.append("envelope is constant; sweep frequency 1.0 is nominal")
         u_band = band_estimate(u_at, m_hint, t_anchor, **sweep_kwargs)
 
-    max_abs_u = max(abs(u_band.lower_est), abs(u_band.upper_est))
-    gaps = []
-    for t in gap_times:
-        u_val = u_at(t)
-        max_abs_u = max(max_abs_u, abs(u_val))
+    u_gaps = u_at(np.array(gap_times, dtype=float)).tolist()
+    max_abs_u = max([abs(u_band.lower_est), abs(u_band.upper_est)]
+                    + [abs(u_val) for u_val in u_gaps])
+    gaps, refused = [], []
+    for t, u_val in zip(gap_times, u_gaps):
         try:
             env = envelope_u(cert, t)
-        except (UnsupportedExpression, DomainError):
+        except UnsupportedExpression:
             notes.append("no envelope formula for this construction; gaps omitted")
             gaps = None
             break
+        except DomainError:
+            refused.append(repr(float(t)))
+            continue
         gaps.append((float(t), abs(u_val - env)))
+    if refused:
+        notes.append(f"no envelope at t = {', '.join(refused)}; those gaps omitted")
 
     def endpoints_match(band: OscillationBand, expected) -> bool:
         return (abs(band.lower_est - expected[0]) <= tol_band

@@ -63,6 +63,8 @@ _AVERAGE = ["--average", "-1", "-0.3", "0.3", "1"]
     (["prescribe", "--average", "-1", "nan", "0.3", "1"], "sol_lower"),
     (["probe", "--cert", "{cert}", "--t-range", "-1", "1e4", "9"], "t-range"),
     (["probe", "--cert", "{cert}", "--tau-range", "1e2", "1e4", "1"], "tau-range"),
+    (["probe", "--cert", "{cert}", "--t-range", "1e2", "1e4", "2.9"], "t-range"),
+    (["probe", "--cert", "{cert}", "--tau-range", "1e2", "1e4", "2.5"], "tau-range"),
     (["probe", "--cert", "{cert}", "--format", "xml"], "invalid choice"),
     (["verify", "--cert", "{cert}", "--tol-band", "0"], "tol_band"),
     (["verify", "--cert", "{cert}", "--periods", "nan"], "min_periods"),

@@ -709,10 +709,17 @@ class TestLogAxisRoute:
 
         _log_trapezoid_rule.cache_clear()
         cert = prescribe_average(-1.0, -0.3, 0.3, 1.0, n=2)
-        band_estimate(lambda t: u_origin(cert.data, 2, t), cert.m_used)
+        calls = []
+
+        def evaluator(t):
+            calls.append(t.size)
+            return u_origin(cert.data, 2, t)
+
+        band_estimate(evaluator, cert.m_used)
         info = _log_trapezoid_rule.cache_info()
         assert info.misses == 1
-        assert info.hits > 200
+        # every later call of the sweep reads the cached layout
+        assert info.hits == len(calls) - 1 > 0
 
 
 # ---------------------------------------------------------------------------
@@ -869,6 +876,136 @@ def test_solution_probe_imports_only_the_router_from_initial_data():
     assert private <= {"_weighted_value", "_signed_leaves"}
 
 
+def test_probe_and_cli_call_the_integrals_once_per_grid():
+    # a whole sweep or table is one call of u_origin, numeric_H or eval_phi,
+    # never one call per point inside a loop or a comprehension
+    import ast
+    import pathlib
+
+    import heatband.cli
+
+    batched = {"u_origin", "numeric_H", "eval_phi"}
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+             ast.DictComp, ast.GeneratorExp)
+    found = []
+    for module in (hb.solution_probe, heatband.cli):
+        tree = ast.parse(pathlib.Path(module.__file__).read_text())
+        for loop in (node for node in ast.walk(tree) if isinstance(node, loops)):
+            for node in ast.walk(loop):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if isinstance(node, ast.Call) and name in batched:
+                    found.append(f"{module.__name__}:{node.lineno} {name}")
+    assert found == []
+
+
+# ---------------------------------------------------------------------------
+# Batched points: an array of times or radii is the scalar calls at once
+
+
+def _batched_cases(n):
+    """(label, expr) covering every route of u(0, t) and H(tau)."""
+    return [
+        ("constant", Constant(0.7)),
+        ("analytic", Sum((LogSineAvgPreimage(0.6, 2.3, -0.1, n), LogSine(0.3, 1.0, 0.2)))),
+        ("kinked", hb.PeriodicOfLog(hb.TrapezoidWave(1.0, -0.5, 0.4))),
+        ("wave", Sum((PeriodicZeroMean(1.0, -1.0), Constant(0.2)))),
+        ("bumps", BumpTrain(1.0, 0.5, 0.2, GeometricCenters(math.e))),
+        ("mixed", Sum((LogSine(0.8, 0.7, 0.2), Negate(PeriodicZeroMean(2.0, -0.5, 0.3))))),
+    ]
+
+
+# t = 1e-2 and 1 put the wave's root below the series' reach (the route by
+# pieces), 1e3 and up above it (the series)
+BATCH_TIMES = np.array([1e-2, 1.0, 10.0, 1e3, 1e8, 1e20])
+BATCH_RADII = np.array([0.0, 0.5, 2.3, 1e4, 1e8, 1e12])
+
+
+def _agree(batched, scalars, size):
+    # the analytic rows differ from the one-row sums by the order of
+    # summation only: within 4 eps sum_i |term_i| <= 4 eps sup|phi|
+    assert np.all(np.abs(batched - scalars) <= 4.0 * 2.3e-16 * size + 1e-16)
+
+
+class TestBatchedPoints:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("route", [u_origin, u_origin_from_H])
+    def test_u_array_is_the_scalar_calls(self, n, route):
+        cases = _batched_cases(n) + [("callable", lambda tau: 1.0 / (1.0 + np.log1p(tau)))]
+        for label, expr in cases:
+            got = route(expr, n, BATCH_TIMES)
+            want = np.array([route(expr, n, float(t)) for t in BATCH_TIMES])
+            size = 1.0 if label == "callable" else hb.sup_abs_phi(expr)
+            assert got.shape == BATCH_TIMES.shape, label
+            _agree(got, want, size)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_H_array_is_the_scalar_calls(self, n):
+        for label, expr in _batched_cases(n):
+            got = numeric_H(expr, n, BATCH_RADII)
+            want = np.array([numeric_H(expr, n, float(tau)) for tau in BATCH_RADII])
+            assert got.shape == BATCH_RADII.shape, label
+            assert got[0] == eval_phi(expr, 0.0), label
+            _agree(got, want, hb.sup_abs_phi(expr))
+
+    def test_shape_in_shape_out(self):
+        expr = _batched_cases(2)[-1][1]
+        grid = BATCH_TIMES.reshape(2, 3)
+        assert u_origin(expr, 2, grid).shape == (2, 3)
+        assert numeric_H(expr, 2, BATCH_RADII.reshape(3, 2)).shape == (3, 2)
+        assert u_origin(expr, 2, [1e3]).shape == (1,)
+        assert u_origin(expr, 2, np.empty(0)).shape == (0,)
+        for point in (np.array(1e3), np.float64(1e3), 1000):
+            assert type(u_origin(expr, 2, point)) is float
+            assert type(u_origin_from_H(expr, 2, point)) is float
+            assert type(numeric_H(expr, 2, point)) is float
+        assert u_origin(expr, 2, np.array(1e3)) == u_origin(expr, 2, 1e3)
+
+    @pytest.mark.parametrize("times,error", [
+        (np.array([1.0, 0.0]), DomainError),
+        (np.array([1.0, -2.0]), DomainError),
+        (np.array([1.0, math.inf]), DomainError),
+        (np.array([math.nan, 1.0]), DomainError),
+        (np.array([1.0, 1e308]), RangeError),
+        (np.array([True, False]), DomainError),
+        ([1.0, 10**400], DomainError),
+        (np.array(["1.0"]), DomainError),
+    ])
+    def test_bad_time_in_an_array_is_refused_as_alone(self, times, error):
+        with pytest.raises(error):
+            u_origin(LogSine(1.0, 1.0), 2, times)
+
+    @pytest.mark.parametrize("radii", [
+        np.array([1.0, -1.0]), np.array([math.inf, 1.0]), np.array([1.0, math.nan]),
+        [1.0, 10**400], np.array([True]),
+    ])
+    def test_bad_radius_in_an_array_is_refused(self, radii):
+        with pytest.raises(DomainError):
+            numeric_H(LogSine(1.0, 1.0), 2, radii)
+
+    def test_non_finite_value_names_its_radius(self, monkeypatch):
+        import heatband.initial_data as idata
+
+        real_eval = idata.eval_phi
+
+        def broken(expr, tau):
+            vals = real_eval(expr, tau)
+            return np.where(tau == tau.ravel()[-1], np.nan, vals)
+
+        monkeypatch.setattr(idata, "eval_phi", broken)
+        with pytest.raises(EvaluationError) as err:
+            numeric_H(LogSine(1.0, 1.0, 0.0), 1, np.array([10.0, 20.0]))
+        assert err.value.point == 20.0 * idata._log_gauss_rule(1, 1.0, 1.0, 1e-8)[0][-1]
+
+    def test_row_blocks_give_the_same_sums(self, monkeypatch):
+        import heatband.initial_data as idata
+
+        expr = _batched_cases(2)[1][1]
+        whole = u_origin(expr, 2, BATCH_TIMES)
+        monkeypatch.setattr(idata, "_BLOCK", 1)
+        _agree(u_origin(expr, 2, BATCH_TIMES), whole, hb.sup_abs_phi(expr))
+
+
 # ---------------------------------------------------------------------------
 # Off-center values in dimension one
 
@@ -929,8 +1066,8 @@ class TestBandEstimate:
         off = 0.05
 
         def envelope(t):
-            y = 0.5 * math.log(4.0 * t)
-            return a * math.sin(2.0 * y) + b * math.cos(2.0 * y) + off
+            y = 0.5 * np.log(4.0 * t)
+            return a * np.sin(2.0 * y) + b * np.cos(2.0 * y) + off
 
         band = band_estimate(envelope, 2.0, 1e6)
         half = math.hypot(a, b)
@@ -951,7 +1088,7 @@ class TestBandEstimate:
 
     def test_doubly_log_sweep_reports_partial_band(self):
         def slow(t):
-            return math.sin(math.log(0.5 * math.log(4.0 * t)))
+            return np.sin(np.log(0.5 * np.log(4.0 * t)))
 
         with pytest.raises(PartialBandError) as err:
             band_estimate(slow, "log-log", 1e6)
@@ -998,11 +1135,26 @@ class TestBandEstimate:
 
     def test_non_finite_evaluator_raises(self):
         def broken(t):
-            return math.nan if t > 1e7 else 0.0
+            return np.where(t > 1e7, np.nan, 0.0)
 
         with pytest.raises(EvaluationError) as err:
             band_estimate(broken, 1.0, 1e6)
         assert err.value.point is not None
+
+    def test_sweep_is_one_grid_call_and_two_point_golden_steps(self):
+        # one call for the grid, one for the four starting golden points,
+        # one two-point call for each of the 48 lockstep steps
+        sizes = []
+
+        def envelope(t):
+            sizes.append(t.shape)
+            return np.sin(np.log(4.0 * t))
+
+        band = band_estimate(envelope, 2.0)
+        assert len(sizes) <= 50
+        assert sizes == [(193,), (4,)] + [(2,)] * 48
+        assert band.lower_est == pytest.approx(-1.0, abs=1e-12)
+        assert band.upper_est == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1066,6 +1218,17 @@ class TestVerifyCertificate:
         assert rep.chain_ok
         assert rep.envelope_gaps is None
         assert any("omitted" in note for note in rep.notes)
+
+    def test_refused_gap_time_drops_only_its_own_gap(self):
+        # the doubly-log envelope needs t > 0.25; t = 1e4 keeps its gap
+        cert = prescribe_data(0.0, 0.0, 1.0, 1.0, n=2)
+        rep = verify_certificate(cert, gap_times=(0.1, 1e4))
+        assert [t for t, _gap in rep.envelope_gaps] == [1e4]
+        gap = abs(u_origin(cert.data, 2, 1e4) - hb.envelope_u(cert, 1e4))
+        assert rep.envelope_gaps[0][1] == pytest.approx(gap, abs=1e-15)
+        assert [note for note in rep.notes if "t = 0.1" in note] == [
+            "no envelope at t = 0.1; those gaps omitted"]
+        assert not any("formula" in note for note in rep.notes)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("quad,tag", [
