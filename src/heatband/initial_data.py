@@ -64,24 +64,6 @@ _FLOAT_MAX = float(np.finfo(float).max)
 _LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
 _EPS = float(np.finfo(float).eps)
 
-# Bernoulli numbers B_0 .. B_10 with B_1 = -1/2, for Faulhaber sums
-# S_p(N) = sum_{q=0}^{N-1} q^p used by the exact periodic radial integral.
-_BERNOULLI = (1.0, -0.5, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0,
-              0.0, -1.0 / 30.0, 0.0, 5.0 / 66.0)
-
-
-def _faulhaber(p: int, n_terms: float, scale: float = 1.0) -> float:
-    """scale^(p+1) sum_{q=0}^{N-1} q^p for integer p >= 0 and (possibly huge)
-    integer N; with scale near 1/N every power stays in range."""
-    if p + 1 >= len(_BERNOULLI):
-        raise DomainError(f"Faulhaber sums implemented up to p = {len(_BERNOULLI) - 2}")
-    total = 0.0
-    for j in range(p + 1):
-        total += (math.comb(p + 1, j) * _BERNOULLI[j]
-                  * (n_terms * scale) ** (p + 1 - j) * scale ** j)
-    return total / (p + 1)
-
-
 # ---------------------------------------------------------------------------
 # 2 pi periodic building blocks
 
@@ -996,15 +978,16 @@ def phi_from_H(h_expr: InitialDataExpr, n: int) -> InitialDataExpr:
 # u, a Gauss-Legendre sum on s = log(r / tau) for H.  Trapezoid profiles of
 # log(tau + 1), analytic only between their corners, take the Gauss layout
 # split at the corners, for either kernel.  2 pi periodic waves and bump
-# trains would alias under fixed panels.  A wave's ball average is an exact
-# sum over its periods; its u(0, t) integral is a cached integration-by-parts
-# series whose remainder bound picks the number of terms, so its cost does
-# not grow with t, with a Gauss rule on each linear piece below the root at
-# which the series cannot reach abs_tol.  Bump trains integrate bump by bump.
-# Each fixed rule is a cached read-only layout, the same nodes at every t or
-# tau, so a batch of points is one evaluation of phi on the outer product of
-# radii and nodes and one matrix-vector product; kinked leaves, waves and bump
-# trains loop over the points.  Only plain callables take adaptive quadrature.
+# trains would alias under fixed panels.  Both integrals of a wave integrate
+# by parts against the primitives of one cached model: H ends after n steps,
+# one array expression over all tau >= 2 pi, and u is a series whose
+# remainder bound picks its length, so no cost grows with tau or t; a Gauss
+# rule on each linear piece serves tau < 2 pi and small roots.  Bump trains
+# integrate bump by bump.  Each fixed rule is a cached read-only layout, the
+# same nodes at every t or tau, so a batch of points is one evaluation of phi
+# on the outer product of radii and nodes and one matrix-vector product;
+# kinked leaves, bump trains and the wave's u series loop over the points.
+# Only plain callables take adaptive quadrature.
 
 # Half-width a of the strip |Im s| < a around a log-radius axis (s = log z for
 # u(0, t), s = log(r / tau) for ball averages) inside which strip_bound
@@ -1298,10 +1281,10 @@ def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
     """(H, error bound) at each radius of the 1-D array taus, which
     numeric_H has checked.
 
-    The bound is the a-priori bound of the Gauss sum, with 2 mass |w_i| for
-    each node that rounding may evaluate on the wrong side of a corner; the
-    exact routes and the rest of the rounding in evaluating phi itself are
-    not counted.
+    The bound adds the a-priori bound of the Gauss sum, with 2 mass |w_i|
+    for each node that rounding may evaluate on the wrong side of a corner,
+    and the bounds of the wave and bump routes; the rest of the rounding in
+    evaluating phi itself is not counted.
     """
     check_dimension(n)
     check_finite(tol=tol)
@@ -1330,11 +1313,11 @@ def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
         bound += rule_bound
     for sign, leaf in leaves.fast:
         if isinstance(leaf, PeriodicZeroMean):
-            parts = [_periodic_radial_integral(leaf.wave.segments(), n, tau)
-                     for tau in taus.tolist()]
+            part, part_bound = _wave_radial_integral(leaf, n, taus)
         else:
-            parts = [_bump_radial_integral(leaf, n, tau) for tau in taus.tolist()]
-        value += sign * n * np.array(parts)
+            part, part_bound = np.array([_bump_radial_integral(leaf, n, t) for t in taus]).T
+        value += sign * n * part
+        bound += n * part_bound
     values[live], bounds[live] = value, bound
     return values, bounds
 
@@ -1395,52 +1378,17 @@ def _weighted_value(expr, k: int, roots, spec: QuadratureSpec) -> tuple[np.ndarr
 # Exact routes of waves and bump trains
 
 
-def _periodic_radial_integral(segments, n, tau):
-    """Exact (1/tau^n) int_0^tau wave(r) r^(n-1) dr for a piecewise-linear
-    2 pi periodic wave given by segments (theta0, theta1, a, b).
-
-    Per full period q: int wave(y) (y + qT)^(n-1) dy expands binomially into
-    period moments M_j = int_0^T wave(y) y^j dy, and the powers of q sum in
-    closed form (Faulhaber), so the cost is O(n^2) regardless of tau.  Only
-    the ratios T / tau and q T / tau are raised to powers, so no power of
-    tau overflows.
+def _bump_radial_integral(expr: BumpTrain, n, tau) -> tuple[float, float]:
+    """(value, error bound) for (1/tau^n) int_0^tau (baseline + bumps)(r) r^(n-1) dr:
+    with x = r / tau, a bump piece times x^k, k = n - 1, is a polynomial of
+    degree n <= 15, which the Gauss rule of _bump_pieces integrates exactly.
+    The bound is the rounding, as in _bump_weighted_integral with x^k <= 1,
+    |(x^k)'| <= k and each piece covering at most min(d, 1), d = half_width / tau.
     """
-    T = TWO_PI
-    n_full = math.floor(tau / T)
-    rem = tau - n_full * T
-    y = T / tau
-
-    def seg_moment(j, upto):
-        tot = 0.0
-        for (y0, y1, a, b) in segments:
-            if y0 >= upto:
-                break
-            y2 = min(y1, upto)
-            tot += a * (y2 ** (j + 1) - y0 ** (j + 1)) / (j + 1) \
-                + b * (y2 ** (j + 2) - y0 ** (j + 2)) / (j + 2)
-        return tot
-
-    m_full = [seg_moment(j, T) for j in range(n)]
-    m_part = [seg_moment(j, rem) for j in range(n)]
-
-    # term j over tau^n: (M_j / T^(j+1)) y^j (y^(p+1) S_p(N)) for the full
-    # periods and (M_j / T^(j+1)) y^(j+1) (N y)^p for the rest, p = n - 1 - j
-    total = 0.0
-    for j in range(n):
-        binom = math.comb(n - 1, j)
-        p = n - 1 - j
-        if n_full > 0:
-            total += binom * (m_full[j] / T ** (j + 1)) * y ** j \
-                * _faulhaber(p, float(n_full), y)
-        total += binom * (m_part[j] / T ** (j + 1)) * y ** (j + 1) * (n_full * y) ** p
-    return total
-
-
-def _bump_radial_integral(expr: BumpTrain, n, tau):
-    """Exact (1/tau^n) int_0^tau (baseline + bumps)(r) r^(n-1) dr: with
-    x = r / tau, a bump piece times x^(n-1) is a polynomial of degree
-    n <= 15, which the Gauss rule of _bump_pieces integrates exactly."""
-    return expr.baseline / n + _bump_pieces(expr, tau, 1.0, lambda x: x ** (n - 1))[0]
+    k, base, d = n - 1, expr.baseline / n, expr.half_width / tau
+    bumps, pieces = _bump_pieces(expr, tau, 1.0, lambda x: x ** k)
+    return base + bumps, _EPS * ((8 * k + pieces + 15) * abs(bumps) + 2.0 * abs(base)
+                                 + abs(expr.height) * min(d, 1.0) * pieces * (8.0 * k * d + 8.0))
 
 
 @lru_cache(maxsize=64)
@@ -1502,53 +1450,61 @@ def _bump_pieces(train: BumpTrain, scale: float, cut: float, kernel,
 
 @lru_cache(maxsize=64)
 def _wave_primitives(trap: TrapezoidWave):
-    """(mean, W, W_err, jump) of a trapezoid wave w for the series of
-    _wave_weighted_integral.
-
-    mean is the mean of w over its period T = TWO_PI, exact from the knots
-    (zero up to the rounding of the plateau lengths).  w - mean is linear
-    between its corners theta_i, where its slope jumps by ds_i, and
-    jump = sum_i |ds_i|.  Its zero-mean primitives, W_j' = W_{j-1} with
-    W_0 = w - mean, follow from the Fourier series of
-    w'' = sum_i ds_i delta(theta - theta_i):
+    """(mean, jump, at, at_zero), the model of a trapezoid wave w in both
+    kernels' integration-by-parts routes.  mean is the mean of w over its
+    period T = TWO_PI, exact from the knots (zero up to the rounding of the
+    plateau lengths).  w - mean is linear between its corners theta_i, where
+    its slope jumps by ds_i, and jump = sum_i |ds_i|.  Its zero-mean
+    primitives, W_j' = W_{j-1} with W_0 = w - mean, follow from the Fourier
+    series of w'' = sum_i ds_i delta(theta - theta_i):
 
         W_j(theta) = -(1/T) sum_i ds_i beta_{j+2}(frac((theta - theta_i) / T)),
         beta_n(x) = T^n B_n(x) / n!,
 
     B_n the Bernoulli polynomial, so that sup |W_j| <= zeta(j+2) jump / pi.
-    W[j-1] = W_j(0) for j = 1 .. _IBP_TERMS.  About x = 1/2,
-    beta_n(x) = sum_r b_{n-r} y^r / r! with y = T (x - 1/2), which is
-    T/2 - theta_i at theta = 0, and b_m = 2 (-1)^(m/2) eta(m) for even m
-    (eta the Dirichlet eta function, b_0 = 1; exact for period 2 pi, within
-    m eps / 4 for T), 0 for odd m.  Every term is at most 2 pi^r / r!, so
-    the sum is stable at every degree, where the monomial form of B_n is
-    not.  W_err[j-1] bounds the rounding of W[j-1].
+    About x = 1/2, beta_n(x) = sum_r b_{n-r} y^r / r! with
+    y = T (x - 1/2) = T/2 - ((theta_i - theta) mod T), and
+    b_m = 2 (-1)^(m/2) eta(m) for even m (eta the Dirichlet eta function,
+    b_0 = 1; exact for period 2 pi, within m eps / 4 for T), 0 for odd m.
+    Every term is at most 2 pi^r / r!, so the sum is stable at every
+    degree, where the monomial form of B_n is not.  at(theta, count) gives
+    W[i, j-1] = W_j(theta_i) within W_err[i, j-1], j <= count <= _IBP_TERMS,
+    theta in [0, T), and at_zero is at(0, _IBP_TERMS).  T W_err_j / eps is
+    sum_r s_r |b_{j+2-r}| (3r + j + 22), s_r = sum_i |ds_i| |y_i|^r / r!,
+    for the sum, and 2 T zeta(j+1) jump = T^2 sup|W_{j-1}| for y, whose two
+    steps err by eps/2 T each.
     """
     bp, kv = trap.breakpoints, trap.knot_values
-    # (theta_i, width, v_i, rise) of each piece, exact, so that the mean, the
-    # jumps and the y below are each rounded once
+    # (theta_i, width, v_i, rise) of each piece, exact, so that the mean and
+    # the jumps are each rounded once
     pieces = [(Fraction(bp[i]), Fraction(bp[i + 1]) - Fraction(bp[i]),
                Fraction(kv[i]), Fraction(kv[i + 1]) - Fraction(kv[i]))
               for i in range(len(bp) - 1) if bp[i + 1] > bp[i]]
     mean = float(sum(d * (2 * v + r) for _t, d, v, r in pieces) / (2 * Fraction(TWO_PI)))
     slopes = [r / d for _t, d, _v, r in pieces]
     ds = np.array([float(slopes[i] - slopes[i - 1]) for i in range(len(slopes))])
-    y = np.array([float(Fraction(TWO_PI) / 2 - t) for t, _d, _v, _r in pieces])
+    corners, jump = np.array([float(t) for t, _d, _v, _r in pieces]), float(np.sum(np.abs(ds)))
     orders = np.arange(_IBP_TERMS + 3)
-    powers = np.cumprod(np.vstack([np.ones_like(y), y / orders[1:, None]]), axis=0)
-    moments = powers @ ds                       # m_r = sum_i ds_i y_i^r / r!
-    sizes = np.abs(powers) @ np.abs(ds)
     b = np.zeros(orders.size)
     b[0] = 1.0
     even = orders[2::2]
     b[even] = 2.0 * (-1.0) ** (even // 2) * (1.0 - 0.5 ** (even - 1.0)) * zeta(even)
-    w0, w_err = np.empty(_IBP_TERMS), np.empty(_IBP_TERMS)
-    for n in range(3, orders.size):
-        flip = b[n::-1]
-        w0[n - 3] = -float(flip @ moments[:n + 1]) / TWO_PI
-        w_err[n - 3] = _EPS * float(
-            np.abs(flip) @ ((3 * orders[:n + 1] + n + 20) * sizes[:n + 1])) / TWO_PI
-    return mean, w0, w_err, float(np.sum(np.abs(ds)))
+    gap = orders[3:] - orders[:, None]      # j + 2 - r, row r, column j - 1
+    weights = np.abs(b)[np.maximum(gap, 0)] * (gap >= 0) * (3 * orders[:, None] + orders[3:] + 20)
+    weights[0] += 2.0 * TWO_PI * zeta(orders[2:-1])     # y, as s_0 = jump
+
+    def at(theta, count):
+        y = 0.5 * TWO_PI - np.mod(corners - theta[:, None], TWO_PI)
+        powers = np.cumprod(np.concatenate(
+            [np.ones((1,) + y.shape), y / orders[1:count + 3, None, None]]), axis=0)
+        powers = powers.reshape(-1, ds.size)    # row (r, phase): y_i^r / r!
+        moments = (powers @ ds).reshape(count + 3, -1)      # m_r = sum_i ds_i y_i^r / r!
+        sizes = (np.abs(powers) @ np.abs(ds)).reshape(count + 3, -1)
+        w = np.array([b[j + 2::-1] @ moments[:j + 3] for j in range(1, count + 1)]).T
+        return w / -TWO_PI, _EPS / TWO_PI * (sizes.T @ weights[:count + 3, :count])
+
+    w0, w0_err = at(np.zeros(1), _IBP_TERMS)
+    return mean, jump, at, (w0[0], w0_err[0])
 
 
 @lru_cache(maxsize=64)
@@ -1599,7 +1555,7 @@ def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, root: float, z_cut: 
     no P reaches abs_tol / 2, _wave_pieces integrates the wave piece by
     piece up to z_cut instead.
     """
-    mean, w0, w_err, jump = _wave_primitives(expr.wave)
+    mean, jump, _at, (w0, w_err) = _wave_primitives(expr.wave)
     coeffs, log_norms = _gauss_derivatives(k)
     log_rem = log_norms + math.log(jump) - _IBP_ORDERS * math.log(root)
     fits = np.flatnonzero(log_rem <= math.log(0.5 * abs_tol))
@@ -1612,18 +1568,43 @@ def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, root: float, z_cut: 
     return math.fsum(terms), math.exp(log_rem[p - 1]) + rounding
 
 
+def _wave_layout(wave: TrapezoidWave, root: float, z_cut: float, panels: int,
+                 max_nodes: int = QuadratureSpec.max_panels):
+    """(start, span, slope, z, vals) in z = tau / root of the linear pieces of
+    wave inside [0, root z_cut]: start, covered length and |w'| of each, and
+    the 8-node Gauss-Legendre nodes on `panels` panels of it with the wave
+    there, v_i + (v_{i+1} - v_i) s at fraction s of the piece, local to it
+    (see _bump_pieces).  More than max_nodes nodes raise ConvergenceError."""
+    bp, kv = wave.breakpoints, wave.knot_values
+    width, rise = np.diff(bp), np.diff(kv)
+    live = width > 0
+    theta, v0 = np.asarray(bp[:-1])[live], np.asarray(kv[:-1])[live]
+    width, rise = width[live], rise[live]
+    tau_max = z_cut * root
+    periods = math.floor(tau_max / TWO_PI) + 1
+    if periods * theta.size * panels * GL_NODES.size > max_nodes:
+        raise ConvergenceError(
+            f"wave pieces need {periods * theta.size * panels * GL_NODES.size:.3g} "
+            f"nodes at root = {root!r}, exceeding {max_nodes}")
+    tau0 = (TWO_PI * np.arange(periods)[:, None] + theta).ravel()
+    inside = tau0 < tau_max
+    tau0 = tau0[inside]
+    width, v0, rise = (np.tile(a, periods)[inside] for a in (width, v0, rise))
+    frac = np.minimum(1.0, (tau_max - tau0) / width)   # the part inside the window
+    s = frac[:, None] * _panel_rule(panels)[0]
+    z = (tau0[:, None] + width[:, None] * s) / root
+    vals = v0[:, None] + rise[:, None] * s
+    return tau0 / root, width * frac / root, np.abs(rise / width) * root, z, vals
+
+
 def _wave_pieces(expr: PeriodicZeroMean, k: int, root: float, z_cut: float,
                  max_nodes: int) -> tuple[float, float]:
     """(value, error bound) for int_0^inf z^k e^{-z^2} w(root z) dz by the
     8-node Gauss-Legendre rule on the linear pieces of the wave w up to
-    z = z_cut.
+    z = z_cut (_wave_layout).
 
-    A piece starts at tau_0 = theta_i + T q and has width
-    d = theta_{i+1} - theta_i, over which w runs from v_i to v_{i+1}; at
-    fraction s of it w = v_i + (v_{i+1} - v_i) s, in coordinates local to
-    the piece, so no large coefficient cancels (see _bump_pieces).  Every
-    piece takes the same number of panels, at most _PIECE_PANEL wide in z.
-    The bound adds
+    Every piece takes the same number of panels, at most _PIECE_PANEL wide
+    in z.  The bound adds
     * the rule's error, panel by panel (_panel_rule_bound), with
       |z^k e^{-z^2}| <= hypot(c + a, b)^k e^{b^2 - max(0, c - a)^2} on the
       ellipse about a panel of centre c;
@@ -1634,42 +1615,60 @@ def _wave_pieces(expr: PeriodicZeroMean, k: int, root: float, z_cut: float,
     * sup|w| G_k(z_cut) for the cut.
     More than max_nodes nodes raise ConvergenceError.
     """
-    bp, kv = expr.wave.breakpoints, expr.wave.knot_values
-    width, rise = np.diff(bp), np.diff(kv)
-    live = width > 0
-    theta, v0 = np.asarray(bp[:-1])[live], np.asarray(kv[:-1])[live]
-    width, rise = width[live], rise[live]
-    sup = max(abs(v) for v in kv)
-    tau_max = z_cut * root
-    periods = math.floor(tau_max / TWO_PI) + 1
-    panels = max(1, math.ceil(min(float(width.max()), tau_max) / (root * _PIECE_PANEL)))
-    if periods * theta.size * panels * GL_NODES.size > max_nodes:
-        raise ConvergenceError(
-            f"wave pieces need {periods * theta.size * panels * GL_NODES.size:.3g} "
-            f"nodes at root = {root!r}, exceeding {max_nodes}")
-    tau0 = (TWO_PI * np.arange(periods)[:, None] + theta).ravel()
-    inside = tau0 < tau_max
-    tau0 = tau0[inside]
-    width, v0, rise = (np.tile(a, periods)[inside] for a in (width, v0, rise))
-    frac = np.minimum(1.0, (tau_max - tau0) / width)   # the part inside the window
-    u, w = _panel_rule(panels)
-    s = frac[:, None] * u
-    z = (tau0[:, None] + width[:, None] * s) / root
-    vals = v0[:, None] + rise[:, None] * s
-    weights = (width * frac / root)[:, None] * w * z ** k * np.exp(-z * z)
+    bp = expr.wave.breakpoints
+    sup = max(abs(v) for v in expr.wave.knot_values)
+    panels = max(1, math.ceil(min(max(np.diff(bp)), z_cut * root) / (root * _PIECE_PANEL)))
+    start, span, slope, z, vals = _wave_layout(expr.wave, root, z_cut, panels, max_nodes)
+    weights = span[:, None] * _panel_rule(panels)[1] * z ** k * np.exp(-z * z)
     value = math.fsum((weights * vals).ravel())
     rounding = _EPS * float(np.sum(
         weights * (np.abs(vals) * (5.0 * np.abs(k - 2.0 * z * z) + z * z + 6.0) + 6.0 * sup)))
-    centre = (tau0[:, None] + (width * frac)[:, None] * ((np.arange(panels) + 0.5) / panels)) / root
+    centre = start[:, None] + span[:, None] * ((np.arange(panels) + 0.5) / panels)
 
     def reach(a):
         # |z^k e^{-z^2}| on the ellipse about each panel
         return np.hypot(centre + a, _PANEL_ELLIPSE) ** k \
             * np.exp(_PANEL_ELLIPSE ** 2 - np.maximum(0.0, centre - a) ** 2)
 
-    rule = float(np.sum(_panel_rule_bound((width * frac / (root * panels))[:, None], sup,
-                                          (np.abs(rise / width) * root)[:, None], reach)))
+    rule = float(np.sum(_panel_rule_bound((span / panels)[:, None], sup, slope[:, None], reach)))
     return value, rule + rounding + sup * gaussian_power_tail(k, z_cut)
+
+
+def _wave_radial_integral(expr: PeriodicZeroMean, n: int, taus: np.ndarray):
+    """(values, error bounds) of (1/tau^n) int_0^tau w(r) r^(n-1) dr at each
+    radius of the 1-D array taus > 0, w the wave of expr.
+
+    As (r^(n-1))^(n) = 0, n integrations by parts against the primitives W_j
+    of w - mean (_wave_primitives) end exactly, theta = tau mod T exact:
+
+        mean / n + sum_{j=1}^{n} (-1)^(j-1) (n-1)!/(n-j)! W_j(theta) / tau^j
+                 - (-1)^(n-1) (n-1)! W_n(0) / tau^n,
+
+    for tau >= T one array expression with powers (1/tau)^j, bounded by the
+    rounding of each W_j times its weight and (n + 3) eps sum |terms|.  Below
+    T the terms cancel, and the Gauss rule of _wave_layout, exact for degree
+    n <= 15, takes the pieces on x = r / tau; a node within 2 eps x of its
+    place moves x^(n-1) by (2n - 1) eps, weight and value err by 5 eps and
+    5 eps sup|w|, and the clipped end adds 2 eps sup|w|.
+    """
+    mean, _jump, at, (w0, w0_err) = _wave_primitives(expr.wave)
+    values, bounds, far = np.empty(taus.size), np.empty(taus.size), taus >= TWO_PI
+    coeffs = np.array([(-1) ** j * math.perm(n - 1, j) for j in range(n)], dtype=float)
+    w, w_err = at(np.mod(taus[far], TWO_PI), n)
+    powers = (1.0 / taus[far])[:, None] ** np.arange(1, n + 1)
+    last = math.factorial(n - 1) * powers[:, -1]
+    terms = np.column_stack([coeffs * w * powers, (-1) ** n * w0[n - 1] * last])
+    values[far] = terms.sum(axis=1) + mean / n
+    bounds[far] = ((np.abs(coeffs) * w_err * powers).sum(axis=1) + w0_err[n - 1] * last
+                   + (n + 3) * _EPS * (np.abs(terms).sum(axis=1) + abs(mean / n)))
+    sup = max(abs(v) for v in expr.wave.knot_values)
+    for i in np.flatnonzero(~far):
+        _start, span, _slope, x, vals = _wave_layout(expr.wave, float(taus[i]), 1.0, 1)
+        weights = span[:, None] * _panel_rule(1)[1] * x ** (n - 1)
+        values[i] = math.fsum((weights * vals).ravel())
+        bounds[i] = _EPS * (float(np.sum(weights * ((2 * n + 4) * np.abs(vals) + 5.0 * sup)))
+                            + 2.0 * sup)
+    return values, bounds
 
 
 def _gauss_sup(j: int) -> float:

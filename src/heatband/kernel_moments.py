@@ -51,10 +51,10 @@ __all__ = [
     "MAX_DIMENSION",
 ]
 
-# Largest dimension every route of the package holds in: the Faulhaber sums
-# of the exact wave ball average stop at n = 10, the fixed z_max = 12 cut of
-# the u kernel z^(n-1) e^(-z^2) reaches rounding level near n = 120, and
-# unit_ball_volume overflows from n = 342 on.
+# Largest dimension every route of the package is tested in: the Gauss rule
+# on the linear pieces of wave and bump ball averages is exact up to n = 15,
+# the fixed z_max = 12 cut of the u kernel z^(n-1) e^(-z^2) reaches rounding
+# level near n = 120, and unit_ball_volume overflows from n = 342 on.
 MAX_DIMENSION = 10
 
 # Frequency bracket of solve_m: ratios outside [norm(SCAN_GRID_HI),

@@ -34,12 +34,11 @@ from heatband.initial_data import (
     TrigPolynomial,
     _ball_average,
     _bump_radial_integral,
-    _faulhaber,
     _log_gauss_rule,
-    _periodic_radial_integral,
     _signed_leaves,
     _signed_sum,
     _split_leaves,
+    _wave_radial_integral,
     analytic_band_phi,
     band_witnesses,
     closed_H,
@@ -607,12 +606,13 @@ class TestLogGaussAverage:
         assert np.all(np.diff(scale) > 0) and 0.0 < scale[0] and scale[-1] < 1.0
 
 
-def mp_wave_radial(segments, n: int, tau: float) -> float:
+def mp_wave_radial(trap: TrapezoidWave, n: int, tau: float) -> float:
     """(1/tau^n) int_0^tau wave(r) r^(n-1) dr in 60-digit arithmetic.
 
-    The wave has the float period 2 pi of TrapezoidWave.  Each segment's
-    integral over period q is a polynomial in q, summed over the N full
-    periods by mpmath's Bernoulli polynomials; the partial period follows.
+    The wave is the float wave: linear between its float knots, with the
+    float period 2 pi of TrapezoidWave.  Each linear piece's integral over
+    period q is a polynomial in q, summed over the N full periods by
+    mpmath's Bernoulli polynomials; the partial period follows.
     """
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
@@ -620,12 +620,17 @@ def mp_wave_radial(segments, n: int, tau: float) -> float:
         full = mpmath.floor(tau / period)
         rem = tau - full * period
         total = mpmath.mpf(0)
-        for (t0, t1, a, b) in segments:
+        knots = [(mpmath.mpf(t), mpmath.mpf(v))
+                 for t, v in zip(trap.breakpoints, trap.knot_values)]
+        for (t0, v0), (t1, v1) in zip(knots, knots[1:]):
+            if t1 == t0:
+                continue
+            b = (v1 - v0) / (t1 - t0)
+            a = v0 - b * t0
 
             def moment(i, lo, hi):  # int_lo^hi (a + b y) y^i dy
                 return (a * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
                         + b * (hi ** (i + 2) - lo ** (i + 2)) / (i + 2))
-            t0, t1 = mpmath.mpf(t0), mpmath.mpf(t1)
             for i in range(n):
                 p = n - 1 - i
                 power_sum = (mpmath.bernpoly(p + 1, full) - mpmath.bernpoly(p + 1, 0)) / (p + 1)
@@ -639,7 +644,9 @@ def mp_wave_radial(segments, n: int, tau: float) -> float:
 def mp_bump_radial(train: BumpTrain, n: int, tau: float) -> float:
     """(1/tau^n) int_0^tau train(r) r^(n-1) dr, each bump by mpmath.quad in
     the offset s = r - c from its centre, with r^(n-1) / tau^n formed as
-    ((c + s) / tau)^(n-1) / tau in 30-digit arithmetic."""
+    ((c + s) / c)^(n-1) times (c / tau)^(n-1) / tau in 30-digit arithmetic,
+    so that the integrand quad sees is near 1 however far out tau lies
+    (its stopping test is absolute)."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         w, tau_mp = mpmath.mpf(train.half_width), mpmath.mpf(tau)
@@ -650,8 +657,8 @@ def mp_bump_radial(train: BumpTrain, n: int, tau: float) -> float:
             c = mpmath.mpf(c)
             lo, hi = max(-w, -c), min(w, tau_mp - c)
             cuts = [lo, mpmath.mpf(0), hi] if lo < 0 < hi else [lo, hi]
-            total += mpmath.quad(
-                lambda s: (1 - abs(s) / w) * ((c + s) / tau_mp) ** (n - 1) / tau_mp, cuts)
+            total += mpmath.quad(lambda s: (1 - abs(s) / w) * ((c + s) / c) ** (n - 1), cuts) \
+                * (c / tau_mp) ** (n - 1) / tau_mp
         return float(train.baseline / n + train.height * total)
 
 
@@ -665,33 +672,36 @@ class TestExactRoutesFarOut:
     BUMPS = (BumpTrain(1.7, 1.0, 0.0, DoubleExpCenters("peak")),
              BumpTrain(1.0, 0.5, 0.2, GeometricCenters(1e6)))
 
-    @pytest.mark.parametrize("tau", [37.0, 1e6, 8.5e169, 1e300])
-    def test_wave_against_mpmath(self, tau):
+    @pytest.mark.parametrize("tau", [1e-6, 0.3, 1.0, 6.28, TWO_PI, 6.3,
+                                     37.0, 1e6, 8.5e169, 1e300])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_wave_against_mpmath(self, n, tau):
+        # |error| <= bound; the bound reaches 1e-14 only from about tau = 20
+        # on the integration-by-parts side: just above 2 pi it carries the
+        # rounding bounds of W_1 .. W_n, 1e-14 to 3e-13 each, at weights
+        # (n-1)!/(n-j)! / tau^j of order 1 (up to 1.6e-13 for n = 10)
         for wave in self.WAVES:
-            segments = wave.wave.segments()
-            for n in range(1, 11):
-                assert _periodic_radial_integral(segments, n, tau) == pytest.approx(
-                    mp_wave_radial(segments, n, tau), abs=1e-14), (wave, n)
+            value, bound = _wave_radial_integral(wave, n, np.array([tau]))
+            error = abs(float(value[0]) - mp_wave_radial(wave.wave, n, tau))
+            assert error <= min(float(bound[0]), 1e-14), (wave, error, bound)
+            assert bound[0] <= (1e-12 if TWO_PI <= tau < 37.0 else 1e-14), (wave, bound)
+
+    def test_wave_batch_matches_single_radii(self):
+        # both sides of 2 pi in one array give the values of single calls
+        taus = np.array([0.3, 1e3, 6.0, TWO_PI, 1e300])
+        for n in (1, 4, 10):
+            values, bounds = _wave_radial_integral(self.WAVES[1], n, taus)
+            for tau, value, bound in zip(taus, values, bounds):
+                single = _wave_radial_integral(self.WAVES[1], n, np.array([tau]))
+                assert (value, bound) == (single[0][0], single[1][0])
 
     @pytest.mark.parametrize("tau", [121.0, 1e4, 5.3e78, 1e300])
     def test_bumps_against_mpmath(self, tau):
         for train in self.BUMPS:
             for n in range(1, 11):
-                assert _bump_radial_integral(train, n, tau) == pytest.approx(
-                    mp_bump_radial(train, n, tau), abs=1e-14), (train, n)
-
-
-class TestFaulhaber:
-    @pytest.mark.parametrize("p", range(10))
-    @pytest.mark.parametrize("n_terms", [1, 2, 3, 10, 97])
-    def test_matches_brute_sum(self, p, n_terms):
-        brute = float(sum(q**p for q in range(n_terms)))
-        got = _faulhaber(p, float(n_terms))
-        assert got == pytest.approx(brute, rel=1e-12, abs=1e-9)
-
-    def test_rejects_unsupported_power(self):
-        with pytest.raises(DomainError):
-            _faulhaber(10, 5.0)
+                value, bound = _bump_radial_integral(train, n, tau)
+                error = abs(value - mp_bump_radial(train, n, tau))
+                assert error <= bound <= 1e-14, (train, n, error, bound)
 
 
 class TestAnalyticBands:

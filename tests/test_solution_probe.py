@@ -295,13 +295,16 @@ class TestWaveWeightedIntegral:
 
     @pytest.mark.parametrize("wave", [STANDARD_WAVE, LOPSIDED_WAVE], ids=["standard", "lopsided"])
     def test_primitives_against_dense_scan(self, wave):
-        # W_1 .. W_P at 0 and their a-priori sup bound zeta(j+2) jump / pi
+        # W_1 .. W_P at 0 and at every phase of the scan, and their
+        # a-priori sup bound zeta(j+2) jump / pi
         from scipy.special import zeta
 
-        _mean, w0, _err, jump = _wave_primitives(wave.wave)
+        _mean, jump, at, (w0, _err) = _wave_primitives(wave.wave)
         thetas, dense = primitives_dense_oracle(wave.wave, w0.size)
-        at_zero = dense[:, 0]
-        assert w0 == pytest.approx(at_zero, abs=1e-8)
+        assert w0 == pytest.approx(dense[:, 0], abs=1e-8)
+        for lo in range(0, thetas.size, 10_000):
+            got = at(thetas[lo:lo + 10_000], w0.size)[0]
+            assert np.max(np.abs(got - dense[:, lo:lo + 10_000].T)) <= 1e-8, lo
         bound = zeta(np.arange(1, w0.size + 1) + 2.0) * jump / math.pi
         assert np.all(np.max(np.abs(dense), axis=1) <= bound + 1e-8)
 
