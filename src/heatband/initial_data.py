@@ -224,29 +224,29 @@ class TrigPolynomial(PeriodicFunction):
         return TrigPolynomial(0.0, tuple(cos), tuple(sin))
 
     def _critical_points(self) -> np.ndarray:
-        """Zeros of the derivative over [0, 2 pi), bisected to ~1e-15."""
+        """Zeros of the derivative over [0, 2 pi), bisected to ~1e-15.
+
+        A cell of the 4096-cell grid gives its left end when the derivative
+        vanishes there, and otherwise, when its ends differ in sign (a zero
+        right end counting as negative), the midpoint of its bracket after
+        60 bisections; all such cells are bisected together.  A midpoint
+        where the derivative vanishes closes its bracket.
+        """
         grid = np.linspace(0.0, TWO_PI, 4097)
         dv = self.derivative(grid)
-        roots = []
-        for i in range(len(grid) - 1):
-            a, b, fa, fb = grid[i], grid[i + 1], dv[i], dv[i + 1]
-            if fa == 0.0:
-                roots.append(a)
-                continue
-            if (fa > 0) == (fb > 0):
-                continue
-            for _ in range(60):
-                mid = 0.5 * (a + b)
-                fm = float(self.derivative(mid))
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if (fm > 0) == (fa > 0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            roots.append(0.5 * (a + b))
-        return np.asarray(roots)
+        left, right = dv[:-1], dv[1:]
+        exact = left == 0.0
+        cells = ~exact & ((left > 0) != (right > 0))
+        a, b, rising = grid[:-1][cells], grid[1:][cells], left[cells] > 0
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            fm = self.derivative(mid)
+            same = (fm > 0) == rising
+            a = np.where(same | (fm == 0.0), mid, a)
+            b = np.where(~same | (fm == 0.0), mid, b)
+        roots = grid[:-1].copy()
+        roots[cells] = 0.5 * (a + b)
+        return roots[exact | cells]
 
     def extrema(self) -> tuple[float, float]:
         lo, hi = self.extrema_with_args()[0]
@@ -986,7 +986,8 @@ def phi_from_H(h_expr: InitialDataExpr, n: int) -> InitialDataExpr:
 # integrate bump by bump.  Each fixed rule is a cached read-only layout, the
 # same nodes at every t or tau, so a batch of points is one evaluation of phi
 # on the outer product of radii and nodes and one matrix-vector product;
-# kinked leaves, bump trains and the wave's u series loop over the points.
+# the wave's u series is one array expression over the points, and kinked
+# leaves and bump trains loop over them.
 # Only plain callables take adaptive quadrature.
 
 # Half-width a of the strip |Im s| < a around a log-radius axis (s = log z for
@@ -1363,12 +1364,14 @@ def _weighted_value(expr, k: int, roots, spec: QuadratureSpec) -> tuple[np.ndarr
             value[i] += part
             bound[i] += part_bound + leaves.kink_mass * gaussian_power_tail(k, z_max)
     for sign, leaf in leaves.fast:
+        if isinstance(leaf, PeriodicZeroMean):
+            part, part_bound = _wave_weighted_integral(leaf, k, roots, spec.z_max,
+                                                       spec.abs_tol, spec.max_panels)
+            value += sign * part
+            bound += part_bound
+            continue
         for i, root in enumerate(roots.tolist()):
-            if isinstance(leaf, PeriodicZeroMean):
-                part, part_bound = _wave_weighted_integral(leaf, k, root, spec.z_max,
-                                                           spec.abs_tol, spec.max_panels)
-            else:
-                part, part_bound = _bump_weighted_integral(leaf, k, root, spec.z_max)
+            part, part_bound = _bump_weighted_integral(leaf, k, root, spec.z_max)
             value[i] += sign * part
             bound[i] += part_bound
     return value, bound
@@ -1535,11 +1538,11 @@ def _gauss_derivatives(k: int):
     return coeffs, np.log(0.5 * np.array(norms) * zeta(_IBP_ORDERS + 2.0) / math.pi)
 
 
-def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, root: float, z_cut: float,
+def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, roots, z_cut: float,
                             abs_tol: float = QuadratureSpec.abs_tol,
-                            max_nodes: int = QuadratureSpec.max_panels) -> tuple[float, float]:
-    """(value, error bound) for int_0^inf f(z) w(root z) dz, f(z) = z^k e^{-z^2}
-    and w the wave of expr.
+                            max_nodes: int = QuadratureSpec.max_panels):
+    """(values, error bounds) of int_0^inf f(z) w(root z) dz, f(z) = z^k e^{-z^2}
+    and w the wave of expr, at each root of the 1-D array roots.
 
     Integrating by parts P times against the zero-mean primitives W_j of
     w - mean (see _wave_primitives) gives
@@ -1548,24 +1551,38 @@ def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, root: float, z_cut: 
         |r_P| <= sup|W_P| ||f^(P)||_1 / root^P,
 
     M_k = int_0^inf f, with every table cached per wave and per k
-    (Iserles & Norsett, Proc. R. Soc. A 461, 2005).  The route takes the
-    least P <= _IBP_TERMS whose bound on r_P is at most abs_tol / 2, at a
-    cost that does not depend on root, and returns that bound plus the
-    rounding of the terms, which are summed exactly by math.fsum.  Where
-    no P reaches abs_tol / 2, _wave_pieces integrates the wave piece by
-    piece up to z_cut instead.
+    (Iserles & Norsett, Proc. R. Soc. A 461, 2005).  The route takes, per
+    root, the least P <= _IBP_TERMS whose bound on r_P is at most
+    abs_tol / 2, at a cost that does not depend on root, and returns that
+    bound plus the rounding of the terms, which are summed exactly by
+    math.fsum.  The remainder table and the terms of every root are one
+    array expression.  Where no P reaches abs_tol / 2, _wave_pieces
+    integrates the wave piece by piece up to z_cut instead.
     """
     mean, jump, _at, (w0, w_err) = _wave_primitives(expr.wave)
     coeffs, log_norms = _gauss_derivatives(k)
-    log_rem = log_norms + math.log(jump) - _IBP_ORDERS * math.log(root)
-    fits = np.flatnonzero(log_rem <= math.log(0.5 * abs_tol))
-    if fits.size == 0:
-        return _wave_pieces(expr, k, root, z_cut, max_nodes)
-    p = int(fits[0]) + 1
-    scaled = coeffs[:p] * root ** -_IBP_ORDERS[:p].astype(float)
-    terms = np.append(scaled * w0[:p], mean * gaussian_power_tail(k, 0.0))
-    rounding = float(np.abs(scaled) @ w_err[:p]) + 8.0 * _EPS * float(np.sum(np.abs(terms)))
-    return math.fsum(terms), math.exp(log_rem[p - 1]) + rounding
+    # math.log per root: np.log may round differently in the last bit, and
+    # a count P on the threshold would move
+    log_root = np.array([math.log(root) for root in roots.tolist()])
+    log_rem = (log_norms + math.log(jump)) - _IBP_ORDERS * log_root[:, None]
+    fits = log_rem <= math.log(0.5 * abs_tol)
+    series = fits.any(axis=1)
+    counts = np.where(series, fits.argmax(axis=1) + 1, 0)
+    # powers only for the series roots: a small root would overflow root^-60
+    scaled = np.zeros(log_rem.shape)
+    scaled[series] = coeffs * roots[series, None] ** -_IBP_ORDERS.astype(float)
+    scaled[_IBP_ORDERS > counts[:, None]] = 0.0
+    terms = scaled * w0
+    mean_term = mean * gaussian_power_tail(k, 0.0)
+    rounding = np.abs(scaled) @ w_err + 8.0 * _EPS * (np.abs(terms).sum(axis=1) + abs(mean_term))
+    values, bounds = np.empty(roots.size), np.empty(roots.size)
+    for i, (root, p) in enumerate(zip(roots.tolist(), counts.tolist())):
+        if p:
+            values[i] = math.fsum([*terms[i, :p].tolist(), mean_term])
+            bounds[i] = math.exp(log_rem[i, p - 1]) + rounding[i]
+        else:
+            values[i], bounds[i] = _wave_pieces(expr, k, root, z_cut, max_nodes)
+    return values, bounds
 
 
 def _wave_layout(wave: TrapezoidWave, root: float, z_cut: float, panels: int,

@@ -203,6 +203,79 @@ def u_offcenter_1d(expr, x: float, t: float,
 # Band estimation
 
 
+# A band_estimate sweep refines each band end by at most 48 steps; an end
+# stops once its bracket is no wider than 48 golden-section steps would leave
+# it (0.618^48 of the grid bracket), or once its samples agree to rounding.
+_REFINE_STEPS = 48
+_GOLDEN_SHRINK = ((math.sqrt(5.0) - 1.0) / 2.0) ** _REFINE_STEPS
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_EPS = float(np.finfo(float).eps)
+
+
+class _BrentEnd:
+    """Brent's search for the least of sign * f about the grid extremum
+    (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5).
+
+    The bracket [a, c] holds the best sample x; w and v are the second best
+    and the one before it, and every bracket end is a sample (the grid
+    neighbours of x at first).  A step goes to the vertex of the parabola
+    through x, w and v when that lies strictly inside (a, c).  A vertex
+    closer to x than the x-tolerance (sqrt(eps) times the grid bracket)
+    gives a step of the x-tolerance into the larger side instead: Brent's
+    least step, which puts a sample within rounding of the best on that
+    side.  Any other step is a golden-section step into the larger side.
+    """
+
+    def __init__(self, xs, vals, sign: float):
+        fs = sign * vals
+        i = int(np.argmin(fs))
+        lo, hi = max(i - 1, 0), min(i + 1, xs.size - 1)
+        self.sign = sign
+        self.a, self.fa = float(xs[lo]), float(fs[lo])
+        self.c, self.fc = float(xs[hi]), float(fs[hi])
+        self.x, self.fx = float(xs[i]), float(fs[i])
+        self.w, self.fw, self.v, self.fv = self.a, self.fa, self.c, self.fc
+        self.width = (self.c - self.a) * _GOLDEN_SHRINK
+        self.tol = (self.c - self.a) * math.sqrt(_EPS)
+
+    def done(self) -> bool:
+        # outer samples within rounding of the best carry no parabola
+        flat = 8.0 * _EPS * max(1.0, abs(self.fx))
+        return (self.c - self.a <= self.width
+                or max(self.fa, self.fc) - self.fx <= flat)
+
+    def trial(self) -> float:
+        x, w, v, fx = self.x, self.w, self.v, self.fx
+        far = self.a if x - self.a > self.c - x else self.c
+        r, q = (x - w) * (fx - self.fv), (x - v) * (fx - self.fw)
+        if r != q:
+            u = x + ((x - v) * q - (x - w) * r) / (2.0 * (r - q))
+            if self.a < u < self.c:
+                if abs(u - x) > self.tol:
+                    return u
+                if abs(far - x) > self.tol:
+                    return x + math.copysign(self.tol, far - x)
+        return x + _GOLDEN * (far - x)
+
+    def update(self, u: float, fu: float) -> None:
+        if fu <= self.fx:
+            if u < self.x:
+                self.c, self.fc = self.x, self.fx
+            else:
+                self.a, self.fa = self.x, self.fx
+            self.v, self.fv, self.w, self.fw = self.w, self.fw, self.x, self.fx
+            self.x, self.fx = u, fu
+            return
+        if u < self.x:
+            self.a, self.fa = u, fu
+        else:
+            self.c, self.fc = u, fu
+        if fu <= self.fw or self.w == self.x:
+            self.v, self.fv, self.w, self.fw = self.w, self.fw, u, fu
+        elif fu <= self.fv or self.v == self.x or self.v == self.w:
+            self.v, self.fv = u, fu
+
+
 def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
                   points_per_period: int = 64,
                   min_periods: float = _SWEEP_PERIODS) -> OscillationBand:
@@ -212,12 +285,17 @@ def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
     there, an array of that shape (a scalar broadcasts).  For a numeric
     m_hint the grid, one evaluator call, is uniform in x = log sqrt(4t)
     with points_per_period samples per period 2 pi / m_hint, spanning
-    min_periods periods from t_anchor.  Golden-section searches about the
-    lowest and the highest grid value refine both ends in lockstep, one
-    two-point call per step, 50 calls in all.  m_hint = "log-log" sweeps
-    y = log log sqrt(4t) instead; double precision runs out long before 3
-    such periods, so that mode always raises PartialBandError carrying the
-    covered sub-band.  A non-finite value raises EvaluationError.
+    min_periods periods from t_anchor.  Brent searches (parabolic steps
+    safeguarded by golden-section steps, see _BrentEnd) about the lowest and
+    the highest grid value refine both ends in lockstep, one call of at most
+    two points per step.  An end stops once its bracket is as narrow as 48
+    golden-section steps would leave it or its samples agree to rounding,
+    after 48 steps at most, so a sweep makes at most 49 calls.  Each end is
+    the least or greatest of the grid and every refinement sample.
+    m_hint = "log-log" sweeps y = log log sqrt(4t) instead; double
+    precision runs out long before 3 such periods, so that mode always
+    raises PartialBandError carrying the covered sub-band.  A non-finite
+    value raises EvaluationError.
     """
     if not callable(evaluator):
         raise DomainError("evaluator must be callable")
@@ -269,24 +347,21 @@ def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
         return vals
 
     vals = at_x(xs)
-    # brackets about the grid minimum (sign 1) and maximum (sign -1), each
-    # searched for the least of sign * f with the golden points c < d
-    inv_phi, sign = (math.sqrt(5.0) - 1.0) / 2.0, np.array([1.0, -1.0])
-    idx = np.array([np.argmin(vals), np.argmax(vals)])
-    a, b = xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx + 1, xs.size - 1)]
-    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-    fc, fd = np.split(np.tile(sign, 2) * at_x(np.concatenate([c, d])), 2)
-    for _ in range(48):
-        left = fc < fd  # keep [a, d], else [c, b]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
-        new = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
-        f_new = sign * at_x(new)
-        c, d = np.where(left, new, kept), np.where(left, kept, new)
-        fc, fd = np.where(left, f_new, f_kept), np.where(left, f_kept, f_new)
-    refined = sign * np.minimum(fc, fd)
-    lower = min(float(vals.min()), float(refined[0]))
-    upper = max(float(vals.max()), float(refined[1]))
+    # Brent searches for the least of sign * f about the grid minimum (sign 1)
+    # and maximum (sign -1), in lockstep: one call a step for the trial
+    # points of the ends still open
+    ends = [_BrentEnd(xs, vals, sign) for sign in (1.0, -1.0)]
+    samples = [vals]
+    for _ in range(_REFINE_STEPS):
+        open_ends = [end for end in ends if not end.done()]
+        if not open_ends:
+            break
+        trials = np.array([end.trial() for end in open_ends])
+        samples.append(at_x(trials))
+        for end, u, fu in zip(open_ends, trials, samples[-1]):
+            end.update(float(u), float(end.sign * fu))
+    samples = np.concatenate(samples)
+    lower, upper = float(samples.min()), float(samples.max())
 
     band = OscillationBand(
         lower_est=lower, upper_est=upper,

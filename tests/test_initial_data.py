@@ -172,6 +172,49 @@ class TestTrigPolynomial:
         assert np.allclose(dp.value(theta), fd, atol=1e-8)
         assert np.allclose(poly.derivative(theta), fd, atol=1e-8)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_critical_points_are_the_scalar_bisection(self, seed):
+        # the cell-by-cell bisection that the batched one replaced, same
+        # midpoints and comparisons; the polynomials with a zero derivative
+        # on grid points take its exact branch
+        def scalar_bisection(poly):
+            grid = np.linspace(0.0, TWO_PI, 4097)
+            dv = poly.derivative(grid)
+            roots = []
+            for i in range(len(grid) - 1):
+                a, b, fa, fb = grid[i], grid[i + 1], dv[i], dv[i + 1]
+                if fa == 0.0:
+                    roots.append(a)
+                    continue
+                if (fa > 0) == (fb > 0):
+                    continue
+                for _ in range(60):
+                    mid = 0.5 * (a + b)
+                    fm = float(poly.derivative(mid))
+                    if fm == 0.0:
+                        a = b = mid
+                        break
+                    if (fm > 0) == (fa > 0):
+                        a, fa = mid, fm
+                    else:
+                        b = mid
+                roots.append(0.5 * (a + b))
+            return np.asarray(roots)
+
+        rng = np.random.default_rng(seed)
+        polys = [TrigPolynomial(0.0, (1.0,)), TrigPolynomial(0.0, (0.0, 1.0), (0.0, 0.5)),
+                 TrigPolynomial(0.2)]
+        for _ in range(12):
+            size = int(rng.integers(1, 6))
+            polys.append(TrigPolynomial(
+                float(rng.normal()),
+                tuple(rng.normal(size=size) * (rng.random(size) < 0.7)),
+                tuple(rng.normal(size=size) * (rng.random(size) < 0.7))))
+        for poly in polys:
+            want = scalar_bisection(poly)
+            got = poly._critical_points()
+            assert got.shape == want.shape and np.array_equal(got, want), poly
+
     def test_constant_polynomial(self):
         poly = TrigPolynomial(0.7)
         assert poly.extrema() == (0.7, 0.7)

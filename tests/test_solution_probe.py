@@ -268,12 +268,18 @@ class TestGaussianSegmentIntegrals:
 # Exact wave route
 
 
+def wave_at_root(wave, k, root, *args):
+    """(value, bound) of the wave route at one root."""
+    values, bounds = _wave_weighted_integral(wave, k, np.array([root]), *args)
+    return float(values[0]), float(bounds[0])
+
+
 class TestWaveWeightedIntegral:
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("root", [2.0, 20.0])
     def test_agrees_with_adaptive_quadrature(self, k, root):
         spec = QuadratureSpec()
-        exact, err = _wave_weighted_integral(STANDARD_WAVE, k, root, spec.z_max)
+        exact, err = wave_at_root(STANDARD_WAVE, k, root, spec.z_max)
         adaptive = integrate_weighted(
             lambda z: eval_phi(STANDARD_WAVE, root * z), k, spec).value
         assert exact == pytest.approx(adaptive, abs=1e-10)
@@ -282,7 +288,7 @@ class TestWaveWeightedIntegral:
     def test_symmetric_wave_odd_moment_vanishes(self):
         # For k = 1 the weight z e^{-z^2} varies slowly across each period
         # at moderate root, so the zero-mean wave nearly cancels.
-        exact, _ = _wave_weighted_integral(STANDARD_WAVE, 1, 20.0, 12.0)
+        exact, _ = wave_at_root(STANDARD_WAVE, 1, 20.0, 12.0)
         assert abs(exact) < 1e-10
 
     @pytest.mark.parametrize("root", [2e3, 2e4])
@@ -290,7 +296,7 @@ class TestWaveWeightedIntegral:
         # Integration by parts gives mean(W) / root + O(root^-2) for k = 0,
         # W the running integral of the wave.
         w_mean = primitive_mean_oracle(STANDARD_WAVE.wave)
-        exact, _ = _wave_weighted_integral(STANDARD_WAVE, 0, root, 12.0)
+        exact, _ = wave_at_root(STANDARD_WAVE, 0, root, 12.0)
         assert exact == pytest.approx(w_mean / root, rel=2e-3)
 
     @pytest.mark.parametrize("wave", [STANDARD_WAVE, LOPSIDED_WAVE], ids=["standard", "lopsided"])
@@ -317,14 +323,14 @@ class TestWaveWeightedIntegral:
         abs_tol = QuadratureSpec().abs_tol
         reference = mp_wave_weighted(wave, root)
         for k in WAVE_POWERS:
-            value, bound = _wave_weighted_integral(wave, k, root, 12.0)
+            value, bound = wave_at_root(wave, k, root, 12.0)
             assert abs(value - float(reference[k])) <= bound, (k, value, bound)
             assert bound <= (abs_tol if k < 11 or root > 20.0 else 1e-12), (k, bound)
 
     def test_cancellation_at_root_200_is_inside_the_bound(self):
         # the segment sums of the old route erred here by 5.1e-13 while
         # returning a bound of about 1e-62
-        value, bound = _wave_weighted_integral(STANDARD_WAVE, 4, 200.0, 12.0)
+        value, bound = wave_at_root(STANDARD_WAVE, 4, 200.0, 12.0)
         error = abs(value - float(mp_wave_weighted(STANDARD_WAVE, 200.0)[4]))
         assert error <= bound <= QuadratureSpec().abs_tol
 
@@ -334,7 +340,7 @@ class TestWaveWeightedIntegral:
         # route read -1.18e-10 at t = 1e8, against -3.8e-13 on the t^(-3/2) trend
         wave = TEST_WAVES[2]
         root = math.sqrt(4.0 * t)
-        value, bound = _wave_weighted_integral(wave, 2, root, 12.0)
+        value, bound = wave_at_root(wave, 2, root, 12.0)
         assert abs(value - float(mp_wave_weighted(wave, root)[2])) <= bound
         assert bound <= QuadratureSpec().abs_tol
 
@@ -358,14 +364,14 @@ class TestWaveWeightedIntegral:
 
         monkeypatch.setattr(initial_data, "_wave_pieces", counted)
         for root in (60.0, 200.0, 2e4, 2e8, 2e150):
-            _wave_weighted_integral(STANDARD_WAVE, k, root, 12.0)
+            wave_at_root(STANDARD_WAVE, k, root, 12.0)
         assert calls == []
-        _wave_weighted_integral(STANDARD_WAVE, k, 2.0, 12.0)
+        wave_at_root(STANDARD_WAVE, k, 2.0, 12.0)
         assert len(calls) == 1
 
     def test_too_fine_tolerance_raises_instead_of_allocating(self):
         spec = QuadratureSpec(abs_tol=1e-300)
-        assert _wave_weighted_integral(STANDARD_WAVE, 0, 2.0, spec.z_max, spec.abs_tol,
+        assert wave_at_root(STANDARD_WAVE, 0, 2.0, spec.z_max, spec.abs_tol,
                                        spec.max_panels)[1] > spec.abs_tol
         with pytest.raises(ConvergenceError):
             u_origin(STANDARD_WAVE, 1, 1e8, spec)
@@ -941,6 +947,10 @@ class TestBatchedPoints:
             size = 1.0 if label == "callable" else hb.sup_abs_phi(expr)
             assert got.shape == BATCH_TIMES.shape, label
             _agree(got, want, size)
+            if label == "wave":
+                # the wave series of all roots is the one-root series, term
+                # for term, and math.fsum sums each root's terms exactly
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_H_array_is_the_scalar_calls(self, n):
@@ -1144,9 +1154,9 @@ class TestBandEstimate:
             band_estimate(broken, 1.0, 1e6)
         assert err.value.point is not None
 
-    def test_sweep_is_one_grid_call_and_two_point_golden_steps(self):
-        # one call for the grid, one for the four starting golden points,
-        # one two-point call for each of the 48 lockstep steps
+    def test_sweep_is_one_grid_call_then_brent_steps(self):
+        # one call for the grid, then one call of at most two points (one
+        # trial point per open band end) for each refinement step
         sizes = []
 
         def envelope(t):
@@ -1154,10 +1164,111 @@ class TestBandEstimate:
             return np.sin(np.log(4.0 * t))
 
         band = band_estimate(envelope, 2.0)
-        assert len(sizes) <= 50
-        assert sizes == [(193,), (4,)] + [(2,)] * 48
-        assert band.lower_est == pytest.approx(-1.0, abs=1e-12)
-        assert band.upper_est == pytest.approx(1.0, abs=1e-12)
+        assert sizes[0] == (193,)
+        assert all(size in ((1,), (2,)) for size in sizes[1:]), sizes
+        assert len(sizes) <= 20
+        assert band.lower_est == pytest.approx(-1.0, abs=1e-14)
+        assert band.upper_est == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("amp,m,phase,off", [
+        (1.0, 1.0, 0.05, 0.0), (0.37, 2.0, -0.43, 0.25), (2.5, 0.7, 2.9, -1.5),
+        (1e-3, 1.3, 3.5, 0.4),
+    ])
+    def test_off_grid_extremum(self, amp, m, phase, off):
+        # the phase at both window edges keeps them far from the extremes,
+        # which fall between grid points, 0.35-0.49 of a cell off
+        x0 = 0.5 * math.log(4e6)
+
+        def wave(t):
+            return amp * np.sin(m * (0.5 * np.log(4.0 * t) - x0) + phase) + off
+
+        band = band_estimate(wave, m, 1e6)
+        assert band.lower_est == pytest.approx(off - amp, abs=1e-14)
+        assert band.upper_est == pytest.approx(off + amp, abs=1e-14)
+
+    def test_extremum_at_the_window_edge_is_the_edge_sample(self):
+        calls = []
+
+        def rising(t):
+            calls.append((t, np.log(t) ** 2))
+            return calls[-1][1]
+
+        band = band_estimate(rising, 1.0, 1e6)
+        grid_values = calls[0][1]
+        assert band.lower_est == grid_values[0]
+        assert band.upper_est == grid_values[-1]
+        assert len(calls) <= 50
+
+    @pytest.mark.parametrize("noise", [0.0, 2.2e-16, 1e-13])
+    def test_flat_and_noisy_evaluators_stay_in_the_window(self, noise):
+        # rounding-level noise: the ends stop on flat samples or on width,
+        # within the cap, and never leave the window
+        times = []
+
+        def flat(t):
+            times.append(t)
+            return 0.42 + noise * np.sin(1e9 * np.log(t))
+
+        band = band_estimate(flat, 1.0, 1e6)
+        grid = times[0]
+        trials = np.concatenate(times[1:]) if len(times) > 1 else np.empty(0)
+        assert len(times) <= 50
+        assert np.all((trials >= grid[0]) & (trials <= grid[-1]))
+        assert 0.42 - noise <= band.lower_est <= band.upper_est <= 0.42 + noise
+        if noise == 0.0:
+            assert len(times) == 1
+
+    @pytest.mark.parametrize("which", ["lemma", "average", "data", "wave"])
+    def test_ends_match_a_golden_section_reference(self, which):
+        certs = {
+            "lemma": (hb.lemma_not_example, 1),
+            "average": (lambda: prescribe_average(-1.0, -0.3, 0.3, 1.0, n=2), 2),
+            "data": (lambda: prescribe_data(-1.0, -0.3, 0.3, 1.0, n=1), 1),
+            "wave": (lambda: prescribe_data(-1.0, -0.5, 0.3, 2.0, n=3), 3),
+        }
+        make, n = certs[which]
+        cert = make()
+        m_hint = hb.solution_probe._slow_content(cert.data)[0]
+
+        def u_at(t):
+            return u_origin(cert.data, n, t)
+
+        band = verify_certificate(cert).measured_u_band
+        lower, upper = golden_band_reference(u_at, m_hint)
+        assert band.lower_est == pytest.approx(lower, abs=1e-14)
+        assert band.upper_est == pytest.approx(upper, abs=1e-14)
+
+
+def golden_band_reference(evaluator, m, t_anchor=1e6, points_per_period=64, periods=3.0):
+    """Band ends by the earlier sweep: the grid of band_estimate, then 48
+    golden-section steps about the lowest and the highest grid value."""
+    x0 = 0.5 * math.log(4.0 * t_anchor)
+    period = 2.0 * math.pi / m
+    x1 = x0 + periods * period
+    covered = (x1 - x0) / period
+    xs = np.linspace(x0, x1, max(int(math.ceil(points_per_period * covered)) + 1, 9))
+
+    def at_x(x):
+        return np.asarray(evaluator(np.exp(2.0 * x) / 4.0), dtype=float)
+
+    vals = at_x(xs)
+    ends = []
+    for sign, i in ((1.0, int(np.argmin(vals))), (-1.0, int(np.argmax(vals)))):
+        a, b = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+        c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+        fc, fd = sign * at_x(np.array([c, d]))
+        for _ in range(48):
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - inv_phi * (b - a)
+                fc = sign * at_x(np.array([c]))[0]
+            else:
+                a, c, fc = c, d, fd
+                d = a + inv_phi * (b - a)
+                fd = sign * at_x(np.array([d]))[0]
+        ends.append(sign * min(fc, fd))
+    return min(float(vals.min()), ends[0]), max(float(vals.max()), ends[1])
 
 
 # ---------------------------------------------------------------------------
