@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -370,7 +370,6 @@ class InitialDataExpr:
                          (see _split_gauss); None for the rest
       slow_frequency()   lowest frequency on the log(tau + 1) axis, or None
       witnesses(lo, hi)  tau values approaching the liminf and the limsup
-      to_doc()           the idexpr/1 node
     """
 
     def _values(self, tau: np.ndarray) -> np.ndarray:
@@ -394,9 +393,6 @@ class InitialDataExpr:
     def witnesses(self, tau_lo: float, tau_hi: float):
         raise UnsupportedExpression(f"no witnesses for {type(self).__name__}")
 
-    def to_doc(self) -> dict:
-        raise DomainError(f"unserializable expression {type(self).__name__}")
-
 
 @dataclass(frozen=True)
 class Constant(InitialDataExpr):
@@ -417,9 +413,6 @@ class Constant(InitialDataExpr):
     def witnesses(self, tau_lo, tau_hi):
         mid = 0.5 * (tau_lo + tau_hi)
         return [mid], [mid]
-
-    def to_doc(self):
-        return {"variant": "constant", "c": self.c}
 
 
 @dataclass(frozen=True)
@@ -455,10 +448,6 @@ class LogSine(InitialDataExpr):
     def witnesses(self, tau_lo, tau_hi):
         return (_phase_taus(self.m, 1.5 * math.pi, tau_lo, tau_hi),
                 _phase_taus(self.m, 0.5 * math.pi, tau_lo, tau_hi))
-
-    def to_doc(self):
-        return {"variant": "log_sine", "amplitude": self.amplitude,
-                "m": self.m, "offset": self.offset}
 
 
 @dataclass(frozen=True)
@@ -510,10 +499,6 @@ class LogSineAvgPreimage(InitialDataExpr):
         return (_phase_taus(self.m, th + math.pi, tau_lo, tau_hi),
                 _phase_taus(self.m, th, tau_lo, tau_hi))
 
-    def to_doc(self):
-        return {"variant": "log_sine_avg_preimage", "amplitude": self.amplitude,
-                "m": self.m, "offset": self.offset, "n": self.n}
-
 
 @dataclass(frozen=True)
 class LogLogSine(InitialDataExpr):
@@ -546,10 +531,6 @@ class LogLogSine(InitialDataExpr):
         troughs = DoubleExpCenters("trough").representable_centers()
         return list(troughs), list(peaks)
 
-    def to_doc(self):
-        return {"variant": "log_log_sine", "amplitude": self.amplitude,
-                "offset": self.offset}
-
 
 @dataclass(frozen=True)
 class PeriodicZeroMean(InitialDataExpr):
@@ -581,10 +562,6 @@ class PeriodicZeroMean(InitialDataExpr):
                                   math.ceil(tau_lo / TWO_PI) + 40)
         return list(base + arg_lo), list(base + arg_hi)
 
-    def to_doc(self):
-        return {"variant": "periodic_zero_mean", "v_max": self.v_max,
-                "v_min": self.v_min, "ramp_width": self.ramp_width}
-
 
 @dataclass(frozen=True)
 class BumpTrain(InitialDataExpr):
@@ -605,6 +582,8 @@ class BumpTrain(InitialDataExpr):
             raise DomainError("height must be nonzero")
         if not self.half_width > 0:
             raise DomainError(f"half_width must be positive, got {self.half_width!r}")
+        if not isinstance(self.centers, CenterLaw):
+            raise DomainError(f"centers must be a CenterLaw, got {self.centers!r}")
         cs = self.centers.representable_centers()
         if cs.size > 1 and not np.all(np.diff(cs) > 2.0 * self.half_width):
             raise DomainError("bump supports overlap: consecutive centers must "
@@ -645,11 +624,6 @@ class BumpTrain(InitialDataExpr):
         if self.height > 0:
             return away, at_bumps
         return at_bumps, away
-
-    def to_doc(self):
-        return {"variant": "bump_train", "height": self.height,
-                "half_width": self.half_width, "baseline": self.baseline,
-                "centers": _centers_to_doc(self.centers)}
 
 
 class _ProfileOfLog(InitialDataExpr):
@@ -780,10 +754,6 @@ class SlowFromPeriodic(_ProfileOfLog):
         slopes = [abs(b) for (_t0, _t1, _a, b) in g.segments()]
         return max(g.v_max, -g.v_min) + max(slopes) / self.n
 
-    def to_doc(self):
-        return {"variant": "slow_from_periodic", "g": _periodic_to_doc(self.g),
-                "n": self.n}
-
 
 @dataclass(frozen=True)
 class PeriodicOfLog(_ProfileOfLog):
@@ -802,9 +772,6 @@ class PeriodicOfLog(_ProfileOfLog):
     def sup_abs(self):
         lo, hi = self.g.extrema()
         return max(abs(lo), abs(hi))
-
-    def to_doc(self):
-        return {"variant": "periodic_of_log", "g": _periodic_to_doc(self.g)}
 
 
 @dataclass(frozen=True)
@@ -825,9 +792,6 @@ class Sum(InitialDataExpr):
             out = out + t._values(tau)
         return out
 
-    def to_doc(self):
-        return {"variant": "sum", "terms": [t.to_doc() for t in self.terms]}
-
 
 @dataclass(frozen=True)
 class Negate(InitialDataExpr):
@@ -841,9 +805,6 @@ class Negate(InitialDataExpr):
 
     def _values(self, tau):
         return -self.term._values(tau)
-
-    def to_doc(self):
-        return {"variant": "negate", "term": self.term.to_doc()}
 
 
 def negate(expr: InitialDataExpr) -> InitialDataExpr:
@@ -1905,10 +1866,36 @@ def _align_phase(taus: np.ndarray, target_arg: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Serialization (schema idexpr/1)
+#
+# A node is an object that holds its class's tag and one key per dataclass
+# field, named after the field except for _DOC_KEYS.  A tuple is an array;
+# the fields in _NESTED hold nodes, and arrays of nodes.
+
+
+_TAGS = {
+    Constant: ("variant", "constant"),
+    LogSine: ("variant", "log_sine"),
+    LogSineAvgPreimage: ("variant", "log_sine_avg_preimage"),
+    LogLogSine: ("variant", "log_log_sine"),
+    PeriodicZeroMean: ("variant", "periodic_zero_mean"),
+    BumpTrain: ("variant", "bump_train"),
+    SlowFromPeriodic: ("variant", "slow_from_periodic"),
+    PeriodicOfLog: ("variant", "periodic_of_log"),
+    Sum: ("variant", "sum"),
+    Negate: ("variant", "negate"),
+    TrapezoidWave: ("kind", "trapezoid"),
+    TrigPolynomial: ("kind", "trig_poly"),
+    GeometricCenters: ("law", "geometric"),
+    DoubleExpCenters: ("law", "double_exp"),
+}
+_CLASSES = {tag: cls for cls, tag in _TAGS.items()}
+_DOC_KEYS = {"cos_coeffs": "cos", "sin_coeffs": "sin"}
+# the fields that hold nodes, with the tag key of the nodes they hold
+_NESTED = {"terms": "variant", "term": "variant", "g": "kind", "centers": "law"}
 
 
 def to_json(expr: InitialDataExpr) -> dict:
-    return {"schema": SCHEMA_ID, "expr": expr.to_doc()}
+    return {"schema": SCHEMA_ID, "expr": _to_doc(expr)}
 
 
 def from_json(doc) -> InitialDataExpr:
@@ -1919,7 +1906,7 @@ def from_json(doc) -> InitialDataExpr:
     if doc.get("schema") != SCHEMA_ID:
         raise DomainError(f"expected schema {SCHEMA_ID!r}, got {doc.get('schema')!r}")
     try:
-        return _node_from_doc(doc["expr"])
+        return _from_doc(doc["expr"], "variant")
     except DomainError:
         raise
     except KeyError as exc:
@@ -1938,70 +1925,38 @@ def loads(text: str) -> InitialDataExpr:
     return from_json(json.loads(text))
 
 
-def _periodic_to_doc(g: PeriodicFunction) -> dict:
-    if isinstance(g, TrapezoidWave):
-        return {"kind": "trapezoid", "v_max": g.v_max, "v_min": g.v_min,
-                "ramp_width": g.ramp_width}
-    if isinstance(g, TrigPolynomial):
-        return {"kind": "trig_poly", "const": g.const,
-                "cos": list(g.cos_coeffs), "sin": list(g.sin_coeffs)}
-    raise DomainError(f"unserializable periodic function {type(g).__name__}")
+def _to_doc(node) -> dict:
+    """The idexpr/1 node of an expression, a periodic function or a center law."""
+    if type(node) not in _TAGS:
+        raise DomainError(f"unserializable {type(node).__name__}")
+    key, name = _TAGS[type(node)]
+    doc = {key: name}
+    # a plain loop, so that a nesting level costs as many frames as _from_doc
+    # spends on it: one, and two for a Sum
+    for f in fields(node):
+        value = getattr(node, f.name)
+        if f.name in _NESTED:
+            value = ([_to_doc(t) for t in value] if isinstance(value, tuple)
+                     else _to_doc(value))
+        elif isinstance(value, tuple):
+            value = list(value)
+        doc[_DOC_KEYS.get(f.name, f.name)] = value
+    return doc
 
 
-def _periodic_from_doc(doc: dict) -> PeriodicFunction:
+def _from_doc(doc, key: str):
+    """The node of an idexpr/1 object whose tag sits under key."""
     if not isinstance(doc, dict):
-        raise DomainError(f"periodic function must be an object, got {doc!r}")
-    kind = doc.get("kind")
-    if kind == "trapezoid":
-        return TrapezoidWave(doc["v_max"], doc["v_min"], doc["ramp_width"])
-    if kind == "trig_poly":
-        return TrigPolynomial(doc["const"], tuple(doc["cos"]), tuple(doc["sin"]))
-    raise DomainError(f"unknown periodic function kind {kind!r}")
-
-
-def _centers_to_doc(law: CenterLaw) -> dict:
-    if isinstance(law, GeometricCenters):
-        return {"law": "geometric", "base": law.base}
-    if isinstance(law, DoubleExpCenters):
-        return {"law": "double_exp", "parity": law.parity}
-    raise DomainError(f"unserializable center law {type(law).__name__}")
-
-
-def _centers_from_doc(doc: dict) -> CenterLaw:
-    if not isinstance(doc, dict):
-        raise DomainError(f"center law must be an object, got {doc!r}")
-    law = doc.get("law")
-    if law == "geometric":
-        return GeometricCenters(doc["base"])
-    if law == "double_exp":
-        return DoubleExpCenters(doc["parity"])
-    raise DomainError(f"unknown center law {law!r}")
-
-
-def _node_from_doc(doc: dict) -> InitialDataExpr:
-    if not isinstance(doc, dict):
-        raise DomainError(f"expression node must be an object, got {doc!r}")
-    v = doc.get("variant")
-    if v == "constant":
-        return Constant(doc["c"])
-    if v == "log_sine":
-        return LogSine(doc["amplitude"], doc["m"], doc["offset"])
-    if v == "log_sine_avg_preimage":
-        return LogSineAvgPreimage(doc["amplitude"], doc["m"], doc["offset"],
-                                  doc["n"])
-    if v == "log_log_sine":
-        return LogLogSine(doc["amplitude"], doc["offset"])
-    if v == "periodic_zero_mean":
-        return PeriodicZeroMean(doc["v_max"], doc["v_min"], doc["ramp_width"])
-    if v == "bump_train":
-        return BumpTrain(doc["height"], doc["half_width"], doc["baseline"],
-                         _centers_from_doc(doc["centers"]))
-    if v == "slow_from_periodic":
-        return SlowFromPeriodic(_periodic_from_doc(doc["g"]), doc["n"])
-    if v == "periodic_of_log":
-        return PeriodicOfLog(_periodic_from_doc(doc["g"]))
-    if v == "sum":
-        return Sum(tuple(_node_from_doc(t) for t in doc["terms"]))
-    if v == "negate":
-        return Negate(_node_from_doc(doc["term"]))
-    raise DomainError(f"unknown expression variant {v!r}")
+        raise DomainError(f"an {SCHEMA_ID} node must be an object, got {doc!r}")
+    cls = _CLASSES.get((key, doc.get(key)))
+    if cls is None:
+        raise DomainError(f"unknown {key} {doc.get(key)!r}")
+    args = {}
+    for f in fields(cls):
+        value = doc[_DOC_KEYS.get(f.name, f.name)]
+        if f.name in _NESTED:
+            inner = _NESTED[f.name]
+            value = (tuple(_from_doc(t, inner) for t in value) if isinstance(value, list)
+                     else _from_doc(value, inner))
+        args[f.name] = value
+    return cls(**args)

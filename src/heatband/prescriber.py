@@ -480,17 +480,18 @@ def envelope_u(cert: PrescriptionCertificate, t: float) -> float:
 # Certificate serialization (schema cert/1)
 
 
+_TARGET_FIELDS = {
+    "average": (AverageQuad, ("avg_lower", "sol_lower", "sol_upper", "avg_upper")),
+    "data": (DataQuad, ("data_lower", "sol_lower", "sol_upper", "data_upper")),
+}
+
+
 def cert_to_json(cert: PrescriptionCertificate) -> dict:
-    kind = cert.target.kind
-    if isinstance(kind, AverageQuad):
-        target_doc = {"kind": "average", "avg_lower": kind.avg_lower,
-                      "sol_lower": kind.sol_lower, "sol_upper": kind.sol_upper,
-                      "avg_upper": kind.avg_upper}
-    else:
-        target_doc = {"kind": "data", "data_lower": kind.data_lower,
-                      "sol_lower": kind.sol_lower, "sol_upper": kind.sol_upper,
-                      "data_upper": kind.data_upper}
-    target_doc["n"] = cert.target.n
+    quad = cert.target.kind
+    kind, keys = next((kind, keys) for kind, (cls, keys) in _TARGET_FIELDS.items()
+                      if isinstance(quad, cls))
+    target_doc = {"kind": kind, "n": cert.target.n}
+    target_doc.update((key, getattr(quad, key)) for key in keys)
     return {
         "schema": CERT_SCHEMA_ID,
         "target": target_doc,
@@ -502,12 +503,6 @@ def cert_to_json(cert: PrescriptionCertificate) -> dict:
                             else list(cert.expected_H_band)),
         "expected_u_band": list(cert.expected_u_band),
     }
-
-
-_TARGET_FIELDS = {
-    "average": (AverageQuad, ("avg_lower", "sol_lower", "sol_upper", "avg_upper")),
-    "data": (DataQuad, ("data_lower", "sol_lower", "sol_upper", "data_upper")),
-}
 
 
 def _field(doc: dict, key: str, where: str):

@@ -118,31 +118,22 @@ class IntegralResult:
             raise DomainError("evaluations must be at least 1")
 
 
-def _gaussian_moments(k_max: int, lo, hi=None) -> list:
-    """[I_0, ..., I_kmax] with I_j = int_lo^hi z^j exp(-z^2) dz.
-
-    lo and hi are scalars or equal-shape arrays, 0 <= lo <= hi; hi = None
-    stands for infinity.  The upward recurrence
-    I_j = ((j-1)/2) I_{j-2} + (lo^{j-1} e^{-lo^2} - hi^{j-1} e^{-hi^2}) / 2
-    adds positive terms only, so it is stable.
-    """
-    e_lo = np.exp(-lo * lo)
-    hi, e_hi, erfc_hi = (0.0, 0.0, 0.0) if hi is None else (hi, np.exp(-hi * hi), _erfc(hi))
-    out = [0.5 * math.sqrt(math.pi) * (_erfc(lo) - erfc_hi)]
-    if k_max >= 1:
-        out.append(0.5 * (e_lo - e_hi))
-    for j in range(2, k_max + 1):
-        out.append(0.5 * (j - 1) * out[j - 2]
-                   + 0.5 * (lo ** (j - 1) * e_lo - hi ** (j - 1) * e_hi))
-    return out
-
-
 @lru_cache(maxsize=256)
 def gaussian_power_tail(k: int, z_cut: float) -> float:
-    """Exact value of int_{z_cut}^inf z^k exp(-z^2) dz for integer k >= 0."""
+    """Exact value of int_{z_cut}^inf z^k exp(-z^2) dz for integer k >= 0.
+
+    From I_0 = sqrt(pi) erfc(z_cut) / 2 and I_1 = exp(-z_cut^2) / 2, the
+    upward recurrence I_j = ((j-1)/2) I_{j-2} + z_cut^{j-1} exp(-z_cut^2) / 2
+    adds positive terms only, so it is stable.
+    """
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    return float(_gaussian_moments(k, float(z_cut))[k])
+    lo = float(z_cut)
+    e_lo = np.exp(-lo * lo)
+    out = [0.5 * math.sqrt(math.pi) * _erfc(lo), 0.5 * e_lo]
+    for j in range(2, k + 1):
+        out.append(0.5 * (j - 1) * out[j - 2] + 0.5 * (lo ** (j - 1) * e_lo))
+    return float(out[k])
 
 
 class _Counter:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -330,8 +330,9 @@ def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
             raise DomainError(
                 f"t_anchor = {t_anchor} is too small; need log sqrt(4t) > 0")
         period = TWO_PI / m
-        x1 = min(x0 + min_periods * period, _X_CAP)
-        covered = (x1 - x0) / period
+        x1, covered = x0 + min_periods * period, float(min_periods)
+        if x1 > _X_CAP:
+            x1, covered = _X_CAP, (_X_CAP - x0) / period
         npts = max(int(math.ceil(points_per_period * covered)) + 1, 9)
         xs = np.linspace(x0, x1, npts)
 
@@ -554,24 +555,13 @@ def verify_certificate(cert: PrescriptionCertificate,
 # Report serialization (schema report/1)
 
 
-def _band_to_json(band: OscillationBand) -> dict:
-    return {
-        "lower_est": band.lower_est,
-        "upper_est": band.upper_est,
-        "grid_lo": band.grid_lo,
-        "grid_hi": band.grid_hi,
-        "points_per_period": band.points_per_period,
-        "periods_covered": band.periods_covered,
-    }
-
-
 def report_to_json(report: VerificationReport) -> dict:
     return {
         "schema": REPORT_SCHEMA_ID,
         "cert": cert_to_json(report.cert),
-        "measured_u_band": _band_to_json(report.measured_u_band),
-        "measured_H_band": _band_to_json(report.measured_H_band),
-        "measured_phi_band": _band_to_json(report.measured_phi_band),
+        "measured_u_band": asdict(report.measured_u_band),
+        "measured_H_band": asdict(report.measured_H_band),
+        "measured_phi_band": asdict(report.measured_phi_band),
         "max_abs_u": report.max_abs_u,
         "chain_ok": report.chain_ok,
         "tol_band": report.tol_band,

@@ -397,8 +397,9 @@ class TestVerify:
 
 
 # ---------------------------------------------------------------------------
-# Loader fuzzing: a mutated cert/1 or idexpr/1 document either loads or is
-# refused with DomainError, and verify exits 2 on every refused certificate
+# Loader fuzzing: a mutated cert/1 or idexpr/1 document either loads (and an
+# idexpr/1 one writes back) or is refused with DomainError, and verify exits 2
+# on every refused certificate
 
 
 def _every_variant():
@@ -482,7 +483,10 @@ def _refused(loader, doc) -> bool:
 @settings(max_examples=300, deadline=None)
 @given(doc=_mutated(_EXPR_SEEDS))
 def test_mutated_idexpr_loads_or_raises_domain_error(doc):
-    _refused(from_json, doc)
+    if not _refused(from_json, doc):
+        # what loads writes back
+        expr = from_json(doc)
+        assert from_json(to_json(expr)) == expr
 
 
 @settings(max_examples=300, deadline=None)

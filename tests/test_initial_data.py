@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
@@ -1032,6 +1033,16 @@ class TestSerialization:
         {"schema": "idexpr/1", "expr": {"variant": "bump_train", "height": 1.0,
                                         "half_width": True, "baseline": 0.0,
                                         "centers": {"law": "geometric", "base": 3.0}}},
+        # an array where one node belongs
+        {"schema": "idexpr/1", "expr": {"variant": "bump_train", "height": 1.0,
+                                        "half_width": 0.5, "baseline": 0.0,
+                                        "centers": [{"law": "geometric", "base": 3.0}]}},
+        {"schema": "idexpr/1", "expr": {"variant": "periodic_of_log", "g": [
+            {"kind": "trapezoid", "v_max": 1.0, "v_min": -1.0, "ramp_width": 0.5}]}},
+        {"schema": "idexpr/1", "expr": {"variant": "negate", "term": [
+            {"variant": "constant", "c": 1.0}]}},
+        {"schema": "idexpr/1", "expr": {"variant": "sum", "terms": {
+            "variant": "constant", "c": 1.0}}},
     ])
     def test_malformed_documents_raise_domain_error(self, doc):
         with pytest.raises(DomainError):
@@ -1049,3 +1060,87 @@ class TestSerialization:
         doc["expr"]["centers"] = {"law": "fibonacci"}
         with pytest.raises(DomainError, match="law"):
             from_json(doc)
+
+    def test_idexpr_bytes_are_pinned(self):
+        # literal parameters only, so the bytes hold on every platform
+        expr = Sum((
+            Constant(0.25),
+            LogSine(0.5, 1.5, 0.125),
+            LogSineAvgPreimage(0.75, 2.0, -0.25, 3),
+            LogLogSine(0.5, 0.5),
+            PeriodicZeroMean(1.5, -0.5, 0.25),
+            BumpTrain(0.5, 0.25, 0.0, GeometricCenters(3.0)),
+            Negate(BumpTrain(-0.75, 1.0, 0.5, DoubleExpCenters("trough"))),
+            SlowFromPeriodic(TrigPolynomial(0.5, (0.25, 0.0), (0.125, -0.5)), 2),
+            PeriodicOfLog(TrapezoidWave(1.0, -1.0, 0.5)),
+        ))
+        assert dumps(expr) == (
+            '{"expr": {"terms": ['
+            '{"c": 0.25, "variant": "constant"}, '
+            '{"amplitude": 0.5, "m": 1.5, "offset": 0.125, "variant": "log_sine"}, '
+            '{"amplitude": 0.75, "m": 2.0, "n": 3, "offset": -0.25, '
+            '"variant": "log_sine_avg_preimage"}, '
+            '{"amplitude": 0.5, "offset": 0.5, "variant": "log_log_sine"}, '
+            '{"ramp_width": 0.25, "v_max": 1.5, "v_min": -0.5, '
+            '"variant": "periodic_zero_mean"}, '
+            '{"baseline": 0.0, "centers": {"base": 3.0, "law": "geometric"}, '
+            '"half_width": 0.25, "height": 0.5, "variant": "bump_train"}, '
+            '{"term": {"baseline": 0.5, "centers": {"law": "double_exp", '
+            '"parity": "trough"}, "half_width": 1.0, "height": -0.75, '
+            '"variant": "bump_train"}, "variant": "negate"}, '
+            '{"g": {"const": 0.5, "cos": [0.25, 0.0], "kind": "trig_poly", '
+            '"sin": [0.125, -0.5]}, "n": 2, "variant": "slow_from_periodic"}, '
+            '{"g": {"kind": "trapezoid", "ramp_width": 0.5, "v_max": 1.0, '
+            '"v_min": -1.0}, "variant": "periodic_of_log"}'
+            '], "variant": "sum"}, "schema": "idexpr/1"}')
+        assert loads(dumps(expr)) == expr
+
+    def test_every_concrete_class_has_a_tag(self):
+        from heatband.initial_data import (
+            _TAGS, CenterLaw, InitialDataExpr, PeriodicFunction)
+
+        def concrete(base):
+            for cls in base.__subclasses__():
+                if cls.__module__ == "heatband.initial_data" and dataclasses.is_dataclass(cls):
+                    yield cls
+                yield from concrete(cls)
+
+        classes = {cls for base in (InitialDataExpr, PeriodicFunction, CenterLaw)
+                   for cls in concrete(base)}
+        assert len(classes) == 14
+        assert classes == set(_TAGS)
+
+    def test_an_untagged_subclass_is_refused(self):
+        class Stray(Constant):
+            pass
+
+        with pytest.raises(DomainError, match="unserializable Stray"):
+            to_json(Stray(1.0))
+
+    @pytest.mark.parametrize("wrap,inner", [
+        (lambda node: {"variant": "negate", "term": node}, lambda doc: doc["term"]),
+        (lambda node: {"variant": "sum", "terms": [node]}, lambda doc: doc["terms"][0]),
+    ], ids=["negate", "sum"])
+    def test_the_deepest_accepted_document_writes_back(self, wrap, inner):
+        def document(depth):
+            node = {"variant": "constant", "c": 1.0}
+            for _ in range(depth):
+                node = wrap(node)
+            return {"schema": "idexpr/1", "expr": node}
+
+        lo, hi = 0, 4096  # from_json accepts depth lo and refuses depth hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                from_json(document(mid))
+                lo = mid
+            except DomainError:
+                hi = mid
+        assert lo > 400
+        doc = document(lo)
+        out, node = to_json(from_json(doc))["expr"], doc["expr"]
+        # walked in a loop: comparing the two trees whole would recurse
+        for _ in range(lo):
+            assert out.keys() == node.keys()
+            out, node = inner(out), inner(node)
+        assert out == node

@@ -204,6 +204,17 @@ class TestGaussianPowerTail:
         # int_2^inf z^3 e^{-z^2} dz = (z^2+1)/2 e^{-z^2} at z=2
         assert gaussian_power_tail(k, 2.0) == pytest.approx(closed, rel=1e-14)
 
+    @pytest.mark.parametrize("k", range(9))
+    @pytest.mark.parametrize("z_cut", [0.0, 0.5, 3.0, 8.0])
+    def test_matches_the_incomplete_gamma_function(self, k, z_cut):
+        # Gamma((k+1)/2) Q((k+1)/2, z_cut^2) / 2 with SciPy's regularized
+        # upper incomplete gamma Q, independent of the recurrence
+        from scipy.special import gamma, gammaincc
+
+        a = 0.5 * (k + 1)
+        want = 0.5 * gamma(a) * gammaincc(a, z_cut * z_cut)
+        assert gaussian_power_tail(k, z_cut) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
     def test_complements_to_full_moment(self):
         # int_0^inf z^4 e^{-z^2} = 3 sqrt(pi) / 8
         full = 3 * math.sqrt(math.pi) / 8

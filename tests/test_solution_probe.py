@@ -1,10 +1,9 @@
 """Tests for heat solution probing: point values, bands, verification.
 
-Oracles come first.  Segment moments are checked against the tail-integral
-identity, the exact wave and bump routes against adaptive quadrature where
-both converge and against an integration-by-parts prediction where only the
-exact route survives, and point solutions against the classical closed form
-for cosine data.
+Oracles come first.  The exact wave and bump routes are checked against
+adaptive quadrature where both converge and against an integration-by-parts
+prediction where only the exact route survives, and point solutions against
+the classical closed form for cosine data.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from heatband.prescriber import balanced_ramp_width
 from heatband.quadrature import (
     GL_WEIGHTS,
     QuadratureSpec,
-    _gaussian_moments,
     gaussian_power_tail,
     integrate_weighted,
 )
@@ -70,16 +68,6 @@ from heatband.solution_probe import REPORT_SCHEMA_ID
 
 # ---------------------------------------------------------------------------
 # Oracles
-
-
-def tail_difference_oracle(k: int, lo: float, hi: float) -> float:
-    """int_lo^hi z^k e^{-z^2} dz as a difference of two tails, each
-    Gamma((k+1)/2) Q((k+1)/2, z^2) / 2 with SciPy's regularized upper
-    incomplete gamma function Q, independent of the package's recurrence."""
-    from scipy.special import gamma, gammaincc
-
-    a = 0.5 * (k + 1)
-    return 0.5 * gamma(a) * (gammaincc(a, lo * lo) - gammaincc(a, hi * hi))
 
 
 def primitive_mean_oracle(trap) -> float:
@@ -215,53 +203,6 @@ class TestOscillationBand:
             OscillationBand(0.0, 1.0, 10.0, 1e6, 0, 3.0)
         with pytest.raises(DomainError):
             OscillationBand(0.0, 1.0, 10.0, 1e6, 64, -1.0)
-
-
-# ---------------------------------------------------------------------------
-# Exact Gaussian segment moments
-
-
-class TestGaussianSegmentIntegrals:
-    @pytest.mark.parametrize("k", range(9))
-    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (0.5, 2.5), (3.0, 12.0)])
-    def test_matches_tail_difference(self, k, lo, hi):
-        moments = _gaussian_moments(k, np.array([lo]), np.array([hi]))
-        got = float(moments[k][0])
-        want = tail_difference_oracle(k, lo, hi)
-        assert got == pytest.approx(want, rel=1e-11, abs=1e-300)
-
-    def test_deep_tail_stability(self):
-        moments = _gaussian_moments(8, np.array([8.0]), np.array([10.0]))
-        got = float(moments[8][0])
-        want = tail_difference_oracle(8, 8.0, 10.0)
-        assert want > 0
-        assert got == pytest.approx(want, rel=1e-10)
-
-    def test_vectorized_shapes(self):
-        lo = np.linspace(0.0, 4.0, 5)
-        hi = lo + 0.7
-        moments = _gaussian_moments(3, lo, hi)
-        assert len(moments) == 4
-        for arr in moments[1:]:
-            assert np.shape(arr) == (5,)
-        for i in range(5):
-            assert float(moments[2][i]) == pytest.approx(
-                tail_difference_oracle(2, float(lo[i]), float(hi[i])), rel=1e-11)
-
-    @given(
-        k=st.integers(min_value=0, max_value=8),
-        base=st.floats(min_value=0.0, max_value=9.0),
-        width=st.floats(min_value=1e-6, max_value=4.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_identity_property(self, k, base, width):
-        hi = base + width
-        moments = _gaussian_moments(k, np.array([base]), np.array([hi]))
-        got = float(moments[k][0])
-        want = tail_difference_oracle(k, base, hi)
-        # narrow segments cancel in the oracle subtraction, so the floor is
-        # machine noise relative to the O(1) tail values, not to the result
-        assert got == pytest.approx(want, rel=1e-7, abs=2e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -1088,6 +1029,24 @@ class TestBandEstimate:
         assert band.upper_est == pytest.approx(off + half, abs=1e-9)
         assert band.periods_covered == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("m", [1.5, 4.5])
+    def test_uncapped_window_holds_the_periods_exactly(self, m):
+        # (x1 - x0) / period rounds to 3.0000000000000004 for these m; the
+        # grid still takes 64 * 3 + 1 points and records 3 periods
+        grids = []
+
+        def wave(t):
+            grids.append(t)
+            return np.sin(m * 0.5 * np.log(4.0 * t))
+
+        band = band_estimate(wave, m, 1e6)
+        assert grids[0].size == 193
+        assert band.periods_covered == 3.0
+
+    def test_average_certificate_sweeps_three_periods(self):
+        report = verify_certificate(prescribe_average(-1.0, -0.3, 0.3, 1.0, n=2))
+        assert report.measured_u_band.periods_covered == 3.0
+
     def test_constant_evaluator_degenerates(self):
         band = band_estimate(lambda t: 0.42, 1.0, 1e6)
         assert band.lower_est == pytest.approx(0.42, abs=1e-12)
@@ -1245,8 +1204,7 @@ def golden_band_reference(evaluator, m, t_anchor=1e6, points_per_period=64, peri
     x0 = 0.5 * math.log(4.0 * t_anchor)
     period = 2.0 * math.pi / m
     x1 = x0 + periods * period
-    covered = (x1 - x0) / period
-    xs = np.linspace(x0, x1, max(int(math.ceil(points_per_period * covered)) + 1, 9))
+    xs = np.linspace(x0, x1, max(int(math.ceil(points_per_period * periods)) + 1, 9))
 
     def at_x(x):
         return np.asarray(evaluator(np.exp(2.0 * x) / 4.0), dtype=float)

@@ -1,0 +1,61 @@
+"""Source hygiene of the package, read with ast: no import goes unused and
+no private module-level function or class goes unreferenced, so that a
+deletion cannot leave dead imports or helpers behind."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import heatband
+
+PACKAGE = Path(heatband.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text()) for path in MODULES}
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names listed in the module's __all__."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Every name the module reads, and every attribute it reads by name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+# the package's __init__ imports only to re-export
+@pytest.mark.parametrize("name", sorted(set(TREES) - {"__init__.py"}))
+def test_every_import_is_used_or_exported(name):
+    tree = TREES[name]
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    unused = imported - _referenced(tree) - _exported(tree)
+    assert not unused, f"{name} imports {sorted(unused)} without using them"
+
+
+def test_every_private_helper_is_referenced():
+    referenced = set().union(*(_referenced(tree) for tree in TREES.values()))
+    unreferenced = [
+        f"{name}: {node.name}"
+        for name, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and node.name not in referenced]
+    assert not unreferenced, f"unreferenced private helpers: {unreferenced}"
