@@ -34,8 +34,6 @@ from .errors import (
     DomainError,
     EvaluationError,
     HeatbandError,
-    RangeError,
-    SearchFailure,
     UnsupportedExpression,
     check_finite,
 )
@@ -361,16 +359,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return ns.run(ns)
-    except (DomainError, RangeError, UnsupportedExpression, SearchFailure) as exc:
-        print(f"heatband {ns.command}: {exc}", file=sys.stderr)
-        return 2
     except (ConvergenceError, EvaluationError) as exc:
         print(f"heatband {ns.command}: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except HeatbandError as exc:
-        print(f"heatband {ns.command}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (HeatbandError, OSError) as exc:
         print(f"heatband {ns.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,7 @@ negations of these).  Keeping the family closed-form means the ball average
     H(tau) = (n / tau^n) * int_0^tau phi(r) r^(n-1) dr,      H(0) = phi(0)
 
 and the exact asymptotic band (liminf, limsup) of phi are either available
-symbolically or computable by a dedicated exact/adaptive integrator, so the
+symbolically or computable by fixed rules with a-priori error bounds, so the
 numerical probes always have an honest reference.
 """
 
@@ -34,7 +34,7 @@ from .errors import (
     _points,
     check_finite,
 )
-from .kernel_moments import check_dimension
+from .kernel_moments import KernelFlavor, check_dimension, kernel_moments
 from .quadrature import (
     GL_NODES,
     GL_WEIGHTS,
@@ -370,6 +370,7 @@ class InitialDataExpr:
                          (see _split_gauss); None for the rest
       slow_frequency()   lowest frequency on the log(tau + 1) axis, or None
       witnesses(lo, hi)  tau values approaching the liminf and the limsup
+      limit_u(y, n)      limit of u(0, t) in dimension n at y = log sqrt(4t)
     """
 
     def _values(self, tau: np.ndarray) -> np.ndarray:
@@ -393,6 +394,9 @@ class InitialDataExpr:
     def witnesses(self, tau_lo: float, tau_hi: float):
         raise UnsupportedExpression(f"no witnesses for {type(self).__name__}")
 
+    def limit_u(self, y: float, n: int) -> float:
+        raise UnsupportedExpression(f"no limit rule for {type(self).__name__}")
+
 
 @dataclass(frozen=True)
 class Constant(InitialDataExpr):
@@ -413,6 +417,9 @@ class Constant(InitialDataExpr):
     def witnesses(self, tau_lo, tau_hi):
         mid = 0.5 * (tau_lo + tau_hi)
         return [mid], [mid]
+
+    def limit_u(self, y, n):
+        return self.c
 
 
 @dataclass(frozen=True)
@@ -448,6 +455,22 @@ class LogSine(InitialDataExpr):
     def witnesses(self, tau_lo, tau_hi):
         return (_phase_taus(self.m, 1.5 * math.pi, tau_lo, tau_hi),
                 _phase_taus(self.m, 0.5 * math.pi, tau_lo, tau_hi))
+
+    def limit_u(self, y, n):
+        return _mode_limit(self.amplitude, self.m, self.offset, 0.0, y, n)
+
+
+def _mode_limit(amplitude, m, offset, q, y, n) -> float:
+    """Limit of u(0, t) for amplitude [sin(m log tau) + q cos(m log tau)] + offset:
+    amplitude (a' sin(m y) + b' cos(m y)) + offset, a' + i b' = (a + i b)(1 + i q)."""
+    a, b = _data_moments(n, m)
+    return amplitude * ((a - q * b) * math.sin(m * y) + (b + q * a) * math.cos(m * y)) + offset
+
+
+@lru_cache(maxsize=64, typed=True)  # a probe asks for the same pair at every t
+def _data_moments(n: int, m: float) -> tuple[float, float]:
+    mom = kernel_moments(n, m, KernelFlavor.DATA)
+    return mom.a_value, mom.b_value
 
 
 @dataclass(frozen=True)
@@ -499,6 +522,10 @@ class LogSineAvgPreimage(InitialDataExpr):
         return (_phase_taus(self.m, th + math.pi, tau_lo, tau_hi),
                 _phase_taus(self.m, th, tau_lo, tau_hi))
 
+    def limit_u(self, y, n):
+        # the weight m tau / (n (tau + 1)) of the cosine tends to m / n
+        return _mode_limit(self.amplitude, self.m, self.offset, self.m / self.n, y, n)
+
 
 @dataclass(frozen=True)
 class LogLogSine(InitialDataExpr):
@@ -531,6 +558,12 @@ class LogLogSine(InitialDataExpr):
         troughs = DoubleExpCenters("trough").representable_centers()
         return list(troughs), list(peaks)
 
+    def limit_u(self, y, n):
+        if y <= 0.0:
+            raise DomainError("the doubly-log envelope needs log sqrt(4t) > 0, i.e. "
+                              f"t > 0.25; got log sqrt(4t) = {y}")
+        return self.amplitude * math.sin(math.log(y)) + self.offset
+
 
 @dataclass(frozen=True)
 class PeriodicZeroMean(InitialDataExpr):
@@ -561,6 +594,9 @@ class PeriodicZeroMean(InitialDataExpr):
         base = TWO_PI * np.arange(math.ceil(tau_lo / TWO_PI),
                                   math.ceil(tau_lo / TWO_PI) + 40)
         return list(base + arg_lo), list(base + arg_hi)
+
+    def limit_u(self, y, n):
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -624,6 +660,10 @@ class BumpTrain(InitialDataExpr):
         if self.height > 0:
             return away, at_bumps
         return at_bumps, away
+
+    def limit_u(self, y, n):
+        # the bumps' spikes have no closed limit; envelope_u refuses bumps alone
+        return self.baseline
 
 
 class _ProfileOfLog(InitialDataExpr):
@@ -824,10 +864,13 @@ def _signed_leaves(expr: InitialDataExpr, sign: float = 1.0,
 
     This is the one walk through expression structure outside negate, the
     closed_H / phi_from_H map and the idexpr/1 codec; sign and out carry its
-    state down the recursion.  Chains of Negate unwrap in a loop, so only
-    nested sums cost stack depth.
+    state down the recursion, and only the root is checked, as Sum and Negate
+    check their children.  Chains of Negate unwrap in a loop, so only nested
+    sums cost stack depth.
     """
     if out is None:
+        if not isinstance(expr, InitialDataExpr):
+            raise DomainError(f"expr must be an InitialDataExpr, got {type(expr).__name__}")
         out = []
     while isinstance(expr, Negate):
         expr, sign = expr.term, -sign
@@ -854,6 +897,8 @@ def eval_phi(expr: InitialDataExpr, tau):
     Non-finite tau is rejected with a range error: bands at tau -> infinity
     come from analytic_band_phi, never from evaluating at a fake infinity.
     """
+    if not isinstance(expr, InitialDataExpr):
+        raise DomainError(f"expr must be an InitialDataExpr, got {type(expr).__name__}")
     arr = np.asarray(tau, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise RangeError(

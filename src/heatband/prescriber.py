@@ -204,6 +204,16 @@ def _checked_band(band, name) -> tuple[float, float]:
     return (float(lo), float(hi))
 
 
+def _certificate(target: PrescriptionTarget, tag: str, data: InitialDataExpr,
+                 h_band: tuple[float, float] | None,
+                 m_used: float | None = None) -> PrescriptionCertificate:
+    """A construction's certificate: the analytic data band, the target's solution band."""
+    return PrescriptionCertificate(
+        target=target, data=data, construction_tag=tag, m_used=m_used,
+        expected_phi_band=analytic_band_phi(data), expected_H_band=h_band,
+        expected_u_band=(target.kind.sol_lower, target.kind.sol_upper))
+
+
 # ---------------------------------------------------------------------------
 # Average-side prescription
 
@@ -240,18 +250,9 @@ def prescribe_average(avg_lower: float, sol_lower: float, sol_upper: float,
 
     ratio = (sol_upper - sol_lower) / (avg_upper - avg_lower)
     m_star = _sweepable_m(n, ratio, KernelFlavor.AVERAGE)
-    amplitude = (avg_upper - avg_lower) / 2.0
-    offset = (avg_upper + avg_lower) / 2.0
-    data = LogSineAvgPreimage(amplitude, m_star, offset, n)
-    return PrescriptionCertificate(
-        target=target,
-        data=data,
-        construction_tag="average-single-mode",
-        m_used=m_star,
-        expected_phi_band=analytic_band_phi(data),
-        expected_H_band=(avg_lower, avg_upper),
-        expected_u_band=(sol_lower, sol_upper),
-    )
+    data = LogSineAvgPreimage((avg_upper - avg_lower) / 2.0, m_star,
+                              (avg_upper + avg_lower) / 2.0, n)
+    return _certificate(target, "average-single-mode", data, (avg_lower, avg_upper), m_star)
 
 
 # ---------------------------------------------------------------------------
@@ -278,45 +279,27 @@ def prescribe_data(data_lower: float, sol_lower: float, sol_upper: float,
         return abs(x - y) <= tol
 
     if close(r, a) and close(a, b) and close(b, s):
-        data = Constant(a)
-        return PrescriptionCertificate(
-            target=target, data=data, construction_tag="data-constant",
-            m_used=None, expected_phi_band=analytic_band_phi(data),
-            expected_H_band=(a, a), expected_u_band=(a, b))
+        return _certificate(target, "data-constant", Constant(a), (a, a))
 
     if (a + b) - (r + s) > tol:
         # solution band sits above the data band's midline: reflect through
         # zero, construct on the mirrored quadruple, and negate pointwise
         inner = prescribe_data(-s, -b, -a, -r, n)
-        data = negate(inner.data)
         h_band = inner.expected_H_band
-        return PrescriptionCertificate(
-            target=target,
-            data=data,
-            construction_tag=inner.construction_tag + "-reflected",
-            m_used=inner.m_used,
-            expected_phi_band=analytic_band_phi(data),
-            expected_H_band=None if h_band is None else (-h_band[1], -h_band[0]),
-            expected_u_band=(a, b),
-        )
+        return _certificate(target, inner.construction_tag + "-reflected", negate(inner.data),
+                            None if h_band is None else (-h_band[1], -h_band[0]), inner.m_used)
 
     if close(r, a) and close(b, s):
         # both ends touch: slow oscillation passes through averaging untouched
-        data = LogLogSine((b - a) / 2.0, (b + a) / 2.0)
-        return PrescriptionCertificate(
-            target=target, data=data, construction_tag="data-slow-oscillation",
-            m_used=None, expected_phi_band=analytic_band_phi(data),
-            expected_H_band=(a, b), expected_u_band=(a, b))
+        return _certificate(target, "data-slow-oscillation",
+                            LogLogSine((b - a) / 2.0, (b + a) / 2.0), (a, b))
 
     if close(r, a) and close(a, b):
         # solution pinned at the bottom: sparse upward bumps leave the
         # average (hence the solution) at the baseline
         data = BumpTrain(height=s - a, half_width=0.5, baseline=a,
                          centers=GeometricCenters(math.e))
-        return PrescriptionCertificate(
-            target=target, data=data, construction_tag="data-sparse-bumps",
-            m_used=None, expected_phi_band=analytic_band_phi(data),
-            expected_H_band=(a, a), expected_u_band=(a, b))
+        return _certificate(target, "data-sparse-bumps", data, (a, a))
 
     if close(r, a):
         # bottom end touches: slow oscillation realizes (a, b), and bumps
@@ -325,31 +308,20 @@ def prescribe_data(data_lower: float, sol_lower: float, sol_upper: float,
         slow = LogLogSine((b - a) / 2.0, (b + a) / 2.0)
         bumps = BumpTrain(height=s - b, half_width=1.0, baseline=0.0,
                           centers=DoubleExpCenters("peak"))
-        data = Sum((slow, bumps))
-        return PrescriptionCertificate(
-            target=target, data=data, construction_tag="data-slow-plus-bumps",
-            m_used=None, expected_phi_band=analytic_band_phi(data),
-            expected_H_band=(a, b), expected_u_band=(a, b))
+        return _certificate(target, "data-slow-plus-bumps", Sum((slow, bumps)), (a, b))
 
     if close(a, b):
         # solution band collapses to a point: a zero-mean fast wave spans
         # (r, s) around that point and averages away entirely
         v_max, v_min = s - a, r - a
         wave = PeriodicZeroMean(v_max, v_min, balanced_ramp_width(v_max, v_min))
-        data = Sum((wave, Constant(a)))
-        return PrescriptionCertificate(
-            target=target, data=data, construction_tag="data-wave-plus-constant",
-            m_used=None, expected_phi_band=analytic_band_phi(data),
-            expected_H_band=(a, a), expected_u_band=(a, b))
+        return _certificate(target, "data-wave-plus-constant", Sum((wave, Constant(a))), (a, a))
 
     # strictly interior solution band from here on: r < a < b < s
     if abs((r + s) - (a + b)) <= tol:
         m_star = _sweepable_m(n, (b - a) / (s - r), KernelFlavor.DATA)
-        data = LogSine((s - r) / 2.0, m_star, (s + r) / 2.0)
-        return PrescriptionCertificate(
-            target=target, data=data, construction_tag="data-single-mode",
-            m_used=m_star, expected_phi_band=analytic_band_phi(data),
-            expected_H_band=None, expected_u_band=(a, b))
+        return _certificate(target, "data-single-mode",
+                            LogSine((s - r) / 2.0, m_star, (s + r) / 2.0), None, m_star)
 
     # midline surplus on the data side: shrink the mode to a symmetric
     # sub-quadruple (r + eps, a, b, delta) and add a zero-mean wave
@@ -361,11 +333,7 @@ def prescribe_data(data_lower: float, sol_lower: float, sol_upper: float,
     mode = LogSine((delta - r - eps) / 2.0, m_star, (delta + r + eps) / 2.0)
     v_max, v_min = s - delta, -eps
     wave = PeriodicZeroMean(v_max, v_min, balanced_ramp_width(v_max, v_min))
-    data = Sum((mode, wave))
-    return PrescriptionCertificate(
-        target=target, data=data, construction_tag="data-mode-plus-wave",
-        m_used=m_star, expected_phi_band=analytic_band_phi(data),
-        expected_H_band=None, expected_u_band=(a, b))
+    return _certificate(target, "data-mode-plus-wave", Sum((mode, wave)), None, m_star)
 
 
 def balanced_ramp_width(v_max: float, v_min: float) -> float:
@@ -411,15 +379,7 @@ def lemma_not_example() -> PrescriptionCertificate:
     u_lo, u_hi = envelope.extrema()
 
     target = PrescriptionTarget(AverageQuad(h_lo, u_lo, u_hi, h_hi), n)
-    return PrescriptionCertificate(
-        target=target,
-        data=data,
-        construction_tag="average-two-mode-example",
-        m_used=None,
-        expected_phi_band=analytic_band_phi(data),
-        expected_H_band=(h_lo, h_hi),
-        expected_u_band=(u_lo, u_hi),
-    )
+    return _certificate(target, "average-two-mode-example", data, (h_lo, h_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -429,45 +389,19 @@ def lemma_not_example() -> PrescriptionCertificate:
 def envelope_u(cert: PrescriptionCertificate, t: float) -> float:
     """Asymptotic envelope of u(0, t) for a certificate's construction.
 
-    Each log-sine mode contributes amp * [a sin(m y) + b cos(m y)] at
-    y = log sqrt(4t), with (a, b) the kernel moments of the flavor matching
-    how the mode enters (average-side preimages use the average kernel,
-    direct data modes the data kernel).  The doubly-log mode contributes
-    amp * sin(log log sqrt(4t)).  Zero-mean waves average away; bump trains
-    contribute only their baseline, and a certificate whose oscillating
-    content is bumps alone has no envelope formula.
+    The sum over the signed leaves of each leaf's limit rule limit_u at
+    y = log sqrt(4t) in the certificate's dimension.  A certificate whose
+    oscillating content is bump trains alone has no envelope formula.
     """
     check_time(t)
-    y = 0.5 * math.log(4.0 * t)
-
+    y, n = 0.5 * math.log(4.0 * t), cert.target.n
     value, slow_seen, bumps_seen = 0.0, False, False
     for sign, leaf in _signed_leaves(cert.data):
-        if isinstance(leaf, Constant):
-            part = leaf.c
-        elif isinstance(leaf, (LogSine, LogSineAvgPreimage)):
-            slow_seen = True
-            if isinstance(leaf, LogSineAvgPreimage):
-                mom = kernel_moments(leaf.n, leaf.m, KernelFlavor.AVERAGE)
-            else:
-                mom = kernel_moments(cert.target.n, leaf.m, KernelFlavor.DATA)
-            osc = mom.a_value * math.sin(leaf.m * y) + mom.b_value * math.cos(leaf.m * y)
-            part = leaf.amplitude * osc + leaf.offset
-        elif isinstance(leaf, LogLogSine):
-            slow_seen = True
-            if y <= 0.0:
-                raise DomainError(
-                    "the doubly-log envelope needs log sqrt(4t) > 0, "
-                    f"i.e. t > 0.25; got t = {t}")
-            part = leaf.amplitude * math.sin(math.log(y)) + leaf.offset
-        elif isinstance(leaf, PeriodicZeroMean):
-            continue
-        elif isinstance(leaf, BumpTrain):
+        value += sign * leaf.limit_u(y, n)
+        if isinstance(leaf, BumpTrain):
             bumps_seen = True
-            part = leaf.baseline
-        else:
-            raise UnsupportedExpression(
-                f"no envelope contribution rule for {type(leaf).__name__}")
-        value += sign * part
+        elif not isinstance(leaf, (Constant, PeriodicZeroMean)):
+            slow_seen = True
 
     if bumps_seen and not slow_seen:
         raise UnsupportedExpression(

@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc as _erfc
 
 from .errors import ConvergenceError, DomainError, EvaluationError, check_finite, check_integer
 
@@ -130,7 +129,7 @@ def gaussian_power_tail(k: int, z_cut: float) -> float:
         raise DomainError(f"k must be >= 0, got {k}")
     lo = float(z_cut)
     e_lo = np.exp(-lo * lo)
-    out = [0.5 * math.sqrt(math.pi) * _erfc(lo), 0.5 * e_lo]
+    out = [0.5 * math.sqrt(math.pi) * math.erfc(lo), 0.5 * e_lo]
     for j in range(2, k + 1):
         out.append(0.5 * (j - 1) * out[j - 2] + 0.5 * (lo ** (j - 1) * e_lo))
     return float(out[k])

@@ -53,6 +53,7 @@ from heatband.initial_data import (
     sup_abs_phi,
     to_json,
 )
+from heatband.kernel_moments import KernelFlavor, kernel_moments
 
 # np.trapezoid is the NumPy 2.0 name of np.trapz; NumPy 2.4 removed np.trapz.
 trapezoid_rule = getattr(np, "trapezoid", None) or np.trapz
@@ -839,6 +840,47 @@ class TestAnalyticBands:
         assert lo == pytest.approx(-1.0 - slope / 2.0, abs=1e-12)
 
 
+class TestLimitU:
+    """The per-leaf limit of u(0, t), at y = log sqrt(4t)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_preimage_of_its_own_dimension_takes_the_average_kernel(self, n):
+        leaf = LogSineAvgPreimage(0.7, 2.5, 0.3, n)
+        mom = kernel_moments(n, 2.5, KernelFlavor.AVERAGE)
+        for y in (0.5, 7.0, 40.0):
+            expected = 0.7 * (mom.a_value * math.sin(2.5 * y)
+                              + mom.b_value * math.cos(2.5 * y)) + 0.3
+            assert leaf.limit_u(y, n) == pytest.approx(expected, abs=1e-14)
+
+    def test_log_sine_takes_the_data_kernel(self):
+        mom = kernel_moments(3, 1.5, KernelFlavor.DATA)
+        y = 11.0
+        expected = 0.4 * (mom.a_value * math.sin(1.5 * y)
+                          + mom.b_value * math.cos(1.5 * y)) - 0.2
+        assert LogSine(0.4, 1.5, -0.2).limit_u(y, 3) == expected
+
+    def test_cached_moments_still_check_the_dimension(self):
+        leaf = LogSine(0.4, 1.5)
+        leaf.limit_u(1.0, 1)
+        with pytest.raises(DomainError):
+            leaf.limit_u(1.0, True)
+
+    def test_flat_leaves(self):
+        assert Constant(0.25).limit_u(3.0, 2) == 0.25
+        assert PeriodicZeroMean(1.0, -1.0).limit_u(3.0, 2) == 0.0
+        assert BumpTrain(0.7, 0.3, 0.2, GeometricCenters()).limit_u(3.0, 2) == 0.2
+
+    def test_doubly_log_sine_needs_positive_y(self):
+        assert LogLogSine(0.5, 0.1).limit_u(math.e, 1) == pytest.approx(
+            0.5 * math.sin(1.0) + 0.1)
+        with pytest.raises(DomainError):
+            LogLogSine(0.5, 0.1).limit_u(0.0, 1)
+
+    def test_other_leaves_have_no_rule(self):
+        with pytest.raises(UnsupportedExpression):
+            PeriodicOfLog(TrigPolynomial(0.0, (), (1.0,))).limit_u(3.0, 1)
+
+
 class TestSignedLeaves:
     """Every rule combines the signed leaves, however the tree nests them."""
 
@@ -861,6 +903,17 @@ class TestSignedLeaves:
         lo, hi = analytic_band_phi(self.NESTED)
         assert float(eval_phi(self.NESTED, hi_w).max()) >= hi - 1e-3
         assert float(eval_phi(self.NESTED, lo_w).min()) <= lo + 1e-3
+
+    @pytest.mark.parametrize("call", [
+        lambda: numeric_H(np.cos, 1, 1.0),
+        lambda: eval_phi(np.cos, 1.0),
+        lambda: analytic_band_phi(np.cos),
+        lambda: band_witnesses(np.cos),
+        lambda: sup_abs_phi(np.cos),
+    ])
+    def test_a_plain_callable_is_refused(self, call):
+        with pytest.raises(DomainError, match="InitialDataExpr"):
+            call()
 
     def test_deep_negation_chain_does_not_recurse(self):
         expr = Constant(0.5)

@@ -40,6 +40,7 @@ from heatband import (
     moment_norm,
     prescribe_average,
     prescribe_data,
+    u_origin,
 )
 
 # ---------------------------------------------------------------------------
@@ -576,6 +577,19 @@ class TestEnvelopeU:
         with pytest.raises(RangeError):
             envelope_u(cert, 1e308)
 
+    def test_preimage_built_for_another_dimension(self):
+        # a hand-written certificate may hold an average preimage built for
+        # n = 1 under an n = 3 target; its limit takes the n = 3 data kernel
+        data = LogSineAvgPreimage(1.0, 1.0, 0.0, 1)
+        lo, hi = analytic_band_phi(data)
+        cert = PrescriptionCertificate(
+            PrescriptionTarget(DataQuad(lo, -0.5, 0.5, hi), 3), data,
+            "hand-written", None, (lo, hi), None, (-0.5, 0.5))
+        gaps = [abs(u_origin(data, 3, t) - envelope_u(cert, t))
+                for t in (1e8, 1e12, 1e16)]
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[2] < 1e-9
+
     def test_lemma_envelope_band(self):
         cert = lemma_not_example()
         mom1 = kernel_moments(1, 1.0, KernelFlavor.AVERAGE)
@@ -658,3 +672,98 @@ class TestCertSerialization:
         # the leaves and the JSON writers
         text = cert_dumps(prescribe_data(-1, -0.3, 0.3, 1, np.int64(2)))
         assert text == cert_dumps(prescribe_data(-1, -0.3, 0.3, 1, 2))
+
+
+# The cert/1 bytes of every construction that solves no frequency, in n = 2:
+# they need neither solve_m nor SciPy, so they hold on every platform.
+PINNED_CERTS = {
+    (1.0, 1.0, 1.0, 1.0): (
+        '{"construction_tag": "data-constant", "data": {"expr": {"c": 1.0, '
+        '"variant": "constant"}, "schema": "idexpr/1"}, "expected_H_band": [1.0, '
+        '1.0], "expected_phi_band": [1.0, 1.0], "expected_u_band": [1.0, 1.0], '
+        '"m_used": null, "schema": "cert/1", "target": {"data_lower": 1.0, '
+        '"data_upper": 1.0, "kind": "data", "n": 2, "sol_lower": 1.0, '
+        '"sol_upper": 1.0}}'
+    ),
+    (0.0, 0.0, 1.0, 1.0): (
+        '{"construction_tag": "data-slow-oscillation", '
+        '"data": {"expr": {"amplitude": 0.5, "offset": 0.5, '
+        '"variant": "log_log_sine"}, "schema": "idexpr/1"}, '
+        '"expected_H_band": [0.0, 1.0], "expected_phi_band": [0.0, 1.0], '
+        '"expected_u_band": [0.0, 1.0], "m_used": null, "schema": "cert/1", '
+        '"target": {"data_lower": 0.0, "data_upper": 1.0, "kind": "data", "n": 2, '
+        '"sol_lower": 0.0, "sol_upper": 1.0}}'
+    ),
+    (1.0, 1.0, 1.0, 3.0): (
+        '{"construction_tag": "data-sparse-bumps", '
+        '"data": {"expr": {"baseline": 1.0, "centers": {"base": 2.718281828459045, '
+        '"law": "geometric"}, "half_width": 0.5, "height": 2.0, '
+        '"variant": "bump_train"}, "schema": "idexpr/1"}, "expected_H_band": [1.0, '
+        '1.0], "expected_phi_band": [1.0, 3.0], "expected_u_band": [1.0, 1.0], '
+        '"m_used": null, "schema": "cert/1", "target": {"data_lower": 1.0, '
+        '"data_upper": 3.0, "kind": "data", "n": 2, "sol_lower": 1.0, '
+        '"sol_upper": 1.0}}'
+    ),
+    (0.0, 0.0, 1.0, 2.0): (
+        '{"construction_tag": "data-slow-plus-bumps", '
+        '"data": {"expr": {"terms": [{"amplitude": 0.5, "offset": 0.5, '
+        '"variant": "log_log_sine"}, {"baseline": 0.0, '
+        '"centers": {"law": "double_exp", "parity": "peak"}, "half_width": 1.0, '
+        '"height": 1.0, "variant": "bump_train"}], "variant": "sum"}, '
+        '"schema": "idexpr/1"}, "expected_H_band": [0.0, 1.0], '
+        '"expected_phi_band": [0.0, 2.0], "expected_u_band": [0.0, 1.0], '
+        '"m_used": null, "schema": "cert/1", "target": {"data_lower": 0.0, '
+        '"data_upper": 2.0, "kind": "data", "n": 2, "sol_lower": 0.0, '
+        '"sol_upper": 1.0}}'
+    ),
+    (0.0, 1.0, 1.0, 3.0): (
+        '{"construction_tag": "data-wave-plus-constant", '
+        '"data": {"expr": {"terms": [{"ramp_width": 0.39269908169872414, '
+        '"v_max": 2.0, "v_min": -1.0, "variant": "periodic_zero_mean"}, {"c": 1.0, '
+        '"variant": "constant"}], "variant": "sum"}, "schema": "idexpr/1"}, '
+        '"expected_H_band": [1.0, 1.0], "expected_phi_band": [0.0, 3.0], '
+        '"expected_u_band": [1.0, 1.0], "m_used": null, "schema": "cert/1", '
+        '"target": {"data_lower": 0.0, "data_upper": 3.0, "kind": "data", "n": 2, '
+        '"sol_lower": 1.0, "sol_upper": 1.0}}'
+    ),
+    (0.0, 1.0, 1.0, 1.0): (
+        '{"construction_tag": "data-sparse-bumps-reflected", '
+        '"data": {"expr": {"term": {"baseline": -1.0, '
+        '"centers": {"base": 2.718281828459045, "law": "geometric"}, '
+        '"half_width": 0.5, "height": 1.0, "variant": "bump_train"}, '
+        '"variant": "negate"}, "schema": "idexpr/1"}, "expected_H_band": [1.0, '
+        '1.0], "expected_phi_band": [-0.0, 1.0], "expected_u_band": [1.0, 1.0], '
+        '"m_used": null, "schema": "cert/1", "target": {"data_lower": 0.0, '
+        '"data_upper": 1.0, "kind": "data", "n": 2, "sol_lower": 1.0, '
+        '"sol_upper": 1.0}}'
+    ),
+    (0.0, 1.0, 2.0, 2.0): (
+        '{"construction_tag": "data-slow-plus-bumps-reflected", '
+        '"data": {"expr": {"terms": [{"term": {"amplitude": 0.5, "offset": -1.5, '
+        '"variant": "log_log_sine"}, "variant": "negate"}, '
+        '{"term": {"baseline": 0.0, "centers": {"law": "double_exp", '
+        '"parity": "peak"}, "half_width": 1.0, "height": 1.0, '
+        '"variant": "bump_train"}, "variant": "negate"}], "variant": "sum"}, '
+        '"schema": "idexpr/1"}, "expected_H_band": [1.0, 2.0], '
+        '"expected_phi_band": [0.0, 2.0], "expected_u_band": [1.0, 2.0], '
+        '"m_used": null, "schema": "cert/1", "target": {"data_lower": 0.0, '
+        '"data_upper": 2.0, "kind": "data", "n": 2, "sol_lower": 1.0, '
+        '"sol_upper": 2.0}}'
+    ),
+    (0.0, 2.0, 2.0, 3.0): (
+        '{"construction_tag": "data-wave-plus-constant-reflected", '
+        '"data": {"expr": {"terms": [{"term": {"ramp_width": 0.39269908169872414, '
+        '"v_max": 2.0, "v_min": -1.0, "variant": "periodic_zero_mean"}, '
+        '"variant": "negate"}, {"c": 2.0, "variant": "constant"}], '
+        '"variant": "sum"}, "schema": "idexpr/1"}, "expected_H_band": [2.0, 2.0], '
+        '"expected_phi_band": [0.0, 3.0], "expected_u_band": [2.0, 2.0], '
+        '"m_used": null, "schema": "cert/1", "target": {"data_lower": 0.0, '
+        '"data_upper": 3.0, "kind": "data", "n": 2, "sol_lower": 2.0, '
+        '"sol_upper": 2.0}}'
+    ),
+}
+
+
+@pytest.mark.parametrize("quad", list(PINNED_CERTS))
+def test_frequency_free_certificates_keep_their_bytes(quad):
+    assert cert_dumps(prescribe_data(*quad, 2)) == PINNED_CERTS[quad]
