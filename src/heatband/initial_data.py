@@ -363,8 +363,8 @@ class InitialDataExpr:
       band()             exact (liminf, limsup) of the leaf alone
       sup_abs()          sup of |leaf| over [0, inf)
       strip_bound()      (mass, omega) with |leaf(tau)| <= mass e^{omega a}
-                         for |arg tau| <= a, for leaves analytic in log tau;
-                         None for the rest
+                         for |arg tau| <= a, for every a < pi/2, for leaves
+                         analytic in log tau; None for the rest
       _piece_bound()     (mass, phases) for leaves linear in L = log(tau + 1)
                          between corners theta + 2 pi q, theta in phases
                          (see _split_gauss); None for the rest
@@ -996,10 +996,9 @@ def phi_from_H(h_expr: InitialDataExpr, n: int) -> InitialDataExpr:
 # leaves and bump trains loop over them.
 # Only plain callables take adaptive quadrature.
 
-# Half-width a of the strip |Im s| < a around a log-radius axis (s = log z for
-# u(0, t), s = log(r / tau) for ball averages) inside which strip_bound
-# bounds the analytic leaves; the u kernel exp((k+1) s - e^{2s}) stays
-# integrable up to pi/4.
+# Half-width a of the strip |Im s| < a around a log-radius axis inside which
+# _piece_bound bounds the kinked leaves.  The rules of the analytic leaves
+# pick their own a, since strip_bound holds for every a < pi/2.
 _STRIP = math.pi / 8.0
 
 # Most values of phi in one block of rows of a batch's outer product
@@ -1141,53 +1140,63 @@ def _split_gauss_sum(pairs, leaves: _Leaves, radius: float, layout,
 
 
 @lru_cache(maxsize=64)
-def _log_gauss_panels(n: int, mass: float, omega: float, tol: float):
+def _log_gauss_panels(n: int, mass: float, omega: float, tol: float, free: bool = False):
     """(D, P, error bound) of the Gauss rule of H(tau) on s = log(r / tau).
 
     phi is a sum of leaves whose strip masses sum to mass and whose
     frequencies are at most omega, so |phi(tau e^s)| <= mass e^{omega a} for
-    |Im s| <= a = _STRIP, whatever tau (piece by piece for kinked leaves,
-    see _piece_bound).  The rule
+    |Im s| < a, whatever tau: for a = _STRIP piece by piece for kinked
+    leaves (see _piece_bound), and, with free set, for any a <= pi/2 for
+    analytic leaves.  The rule
 
     * cuts the window at s = -D with D = log(2 mass / tol) / n, which drops
       at most mass e^{-nD} = tol / 2 of n int phi(tau e^s) e^{ns} ds;
     * covers [-D, 0] with P panels of width h = D / P carrying the 8-point
       Gauss-Legendre rule.  On a panel with centre c the Bernstein ellipse
       E_rho with (h/4)(rho - 1/rho) = a fits in the strip and reaches
-      Re s = c + sqrt(h^2/4 + a^2), so the integrand is at most
-      n mass e^{omega a + n c + n sqrt(h^2/4 + a^2)} there, and the panel
-      errs by at most h/2 * 64/15 * that * rho^-16 / (rho^2 - 1)
-      (Trefethen, Approximation Theory and Approximation Practice,
-      Theorem 19.3).  As sum_c (h/2) e^{nc} <= 1/(2n), all panels together
-      err by at most
-          E(h) = (32/15) mass e^{omega a + n sqrt(h^2/4 + a^2)} rho^-16 / (rho^2 - 1),
-      which grows with h; P is the least panel count with E(D / P) <= tol/2.
+      Re s = c + r, r = sqrt(h^2/4 + a^2), so the integrand is at most
+      n mass e^{omega a + n c + n r} there, and the panel errs by at most
+      h/2 * 64/15 * that * rho^-16 / (rho^2 - 1) (Trefethen, Approximation
+      Theory and Approximation Practice, Theorem 19.3).  As
+      sum_c (h/2) e^{nc} <= 1/(2n), all panels together err by at most
+          E(h, a) = (32/15) mass e^{omega a + n r} rho^-16 / (rho^2 - 1),
+      which grows with h.  With free set, a is the minimiser over (0, pi/2]
+      of log E, which is convex in a with derivative omega + (n a - 17) / r
+      - 1 / a, by 12 bisections of its sign change; P is the least panel
+      count with E(D / P, a) <= tol/2.
 
-    The bound returned is E(h) + mass e^{-nD}; panels split at corners keep
-    it, being narrower, as e^{ns} is convex.  Nothing depends on tau, so the
-    layout is found once per (n, mass, omega, tol).  More than _H_MAX_NODES
-    nodes raise ConvergenceError.
+    The bound returned is E(h, a) + mass e^{-nD}; panels split at corners
+    keep it, being narrower, as e^{ns} is convex.  Nothing depends on tau,
+    so the layout is found once per (n, mass, omega, tol).  More than
+    _H_MAX_NODES nodes raise ConvergenceError.
     """
     order = len(GL_NODES)
     depth = math.log(max(2.0 * mass / tol, math.e)) / n
     target = math.log(0.5 * tol)
 
     def log_error(panels):
-        h = depth / panels
-        rho = 2.0 * _STRIP / h + math.hypot(2.0 * _STRIP / h, 1.0)
-        return (math.log(32.0 / 15.0 * mass) + omega * _STRIP
-                + n * math.hypot(0.5 * h, _STRIP)
+        h, a = depth / panels, _STRIP
+        if free:
+            lo, a = 0.0, 0.5 * math.pi
+            for _ in range(12):
+                mid = 0.5 * (lo + a)
+                rising = omega + (n * mid - 2 * order - 1) / math.hypot(0.5 * h, mid) > 1.0 / mid
+                lo, a = (lo, mid) if rising else (mid, a)
+        rho = 2.0 * a / h + math.hypot(2.0 * a / h, 1.0)
+        return (math.log(32.0 / 15.0 * mass) + omega * a + n * math.hypot(0.5 * h, a)
                 - 2 * order * math.log(rho) - math.log(rho * rho - 1.0))
 
     def fits(panels):
         return mass == 0.0 or log_error(panels) <= target
 
-    top = _H_MAX_NODES // order
-    if not fits(top):
-        raise ConvergenceError(
-            f"log-radius Gauss rule needs more than {_H_MAX_NODES} nodes for "
-            f"tol = {tol!r} at frequency {omega!r}")
-    lo, hi = 0, top  # fits(hi) holds; fits(lo) fails or lo = 0
+    top, hi = _H_MAX_NODES // order, 1
+    while not fits(hi):  # double the count, then bisect
+        if hi == top:
+            raise ConvergenceError(
+                f"log-radius Gauss rule needs more than {_H_MAX_NODES} nodes for "
+                f"tol = {tol!r} at frequency {omega!r}")
+        hi = min(2 * hi, top)
+    lo = hi // 2  # fits(hi) holds; fits(lo) fails or lo = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if fits(mid):
@@ -1201,9 +1210,10 @@ def _log_gauss_panels(n: int, mass: float, omega: float, tol: float):
 @lru_cache(maxsize=64)
 def _log_gauss_rule(n: int, mass: float, omega: float, tol: float):
     """(e^{s_i}, w_i, error bound) with H(tau) ~ sum_i w_i phi(tau e^{s_i})
-    for analytic leaves: the panels of _log_gauss_panels, the same for every
-    tau, and their bound plus the rounding of the weighted sum."""
-    depth, panels, bound = _log_gauss_panels(n, mass, omega, tol)
+    for analytic leaves: the panels of _log_gauss_panels in the strip that
+    needs fewest, the same for every tau, and their bound plus the rounding
+    of the weighted sum."""
+    depth, panels, bound = _log_gauss_panels(n, mass, omega, tol, True)
     h = depth / panels
     s = -depth + h * (np.arange(panels)[:, None] + GL_NODES).ravel()
     scale = np.exp(s)
@@ -1223,26 +1233,34 @@ def _log_trapezoid_rule(k: int, mass: float, omega: float, spec: QuadratureSpec)
     phi is a sum of leaves whose strip masses sum to mass and whose
     frequencies are at most omega.  On the x = log z axis the integrand
     f(x) = exp((k+1) x - e^{2x}) phi(root e^x) is analytic in the strip
-    |Im x| < a = _STRIP, and there the integral of |f(x + iy)| over x is at
-    most M = mass e^{omega a} M_k cos(2a)^(-(k+1)/2), with
+    |Im x| < a for any a < pi/4, and there the integral of |f(x + iy)| over
+    x is at most M = mass e^{omega a} M_k cos(2a)^(-(k+1)/2), with
     M_k = int_0^inf z^k e^{-z^2} dz.
     The trapezoid rule with step h on the whole line then errs by at most
     2 M / (e^{2 pi a / h} - 1) (Trefethen & Weideman, SIAM Rev. 56, 2014,
     Theorem 5.1); any h <= h_max = 2 pi a / log(2 + 4 M / abs_tol) keeps that
-    below abs_tol / 2.  The rule takes h = L / (floor(L / h_max) + 1), J - 1
-    steps over [-40/(k+1), log z_max] of length L.  Keeping only those nodes
-    adds at most mass (e^{-40} / (k+1) + G_k(z_max)), G_k the Gaussian power
-    tail.  The bound returned is the sum of the two.  More than max_panels
-    nodes raise ConvergenceError.
+    below abs_tol / 2.  Up to the 2, log(4 M / abs_tol) / a is least where
+    (k+1) (a tan 2a + log(cos 2a) / 2) = log(4 mass M_k / abs_tol), whose
+    left side grows from 0 to infinity on (0, pi/4); a is the lower end of
+    its bracket after 24 bisections.  The rule takes
+    h = L / (floor(L / h_max) + 1), J - 1 steps over [-40/(k+1), log z_max]
+    of length L.  Keeping only those nodes adds at most
+    mass (e^{-40} / (k+1) + G_k(z_max)), G_k the Gaussian power tail.  The
+    bound returned is the sum of the two.  More than max_panels nodes raise
+    ConvergenceError.
     """
-    # log(4 M / abs_tol); mass is floored at abs_tol, which only shrinks h
-    log_ratio = (omega * _STRIP
-                 + math.log(4.0 * max(mass, spec.abs_tol) * gaussian_power_tail(k, 0.0)
-                            / spec.abs_tol)
-                 - 0.5 * (k + 1) * math.log(math.cos(2.0 * _STRIP)))
+    # log(4 mass M_k / abs_tol); mass is floored at abs_tol, which only shrinks h
+    log_mass = math.log(4.0 * max(mass, spec.abs_tol) * gaussian_power_tail(k, 0.0)
+                        / spec.abs_tol)
+    lo, hi = 0.0, 0.25 * math.pi
+    for _ in range(24):
+        a = 0.5 * (lo + hi)
+        below = (k + 1) * (a * math.tan(2.0 * a) + 0.5 * math.log(math.cos(2.0 * a))) < log_mass
+        lo, hi = (a, hi) if below else (lo, a)
+    log_ratio = omega * lo + log_mass - 0.5 * (k + 1) * math.log(math.cos(2.0 * lo))
     x_lo, x_hi = -40.0 / (k + 1), math.log(spec.z_max)
     steps = ((x_hi - x_lo) * (log_ratio + math.log1p(2.0 * math.exp(-log_ratio)))
-             / (2.0 * math.pi * _STRIP))
+             / (2.0 * math.pi * lo))
     if not steps < spec.max_panels:
         raise ConvergenceError(
             f"log-axis trapezoid needs {steps:.3g} nodes, exceeding "

@@ -207,10 +207,13 @@ def _checked_band(band, name) -> tuple[float, float]:
 def _certificate(target: PrescriptionTarget, tag: str, data: InitialDataExpr,
                  h_band: tuple[float, float] | None,
                  m_used: float | None = None) -> PrescriptionCertificate:
-    """A construction's certificate: the analytic data band, the target's solution band."""
+    """A construction's certificate: the analytic data band, the target's
+    solution band.  + 0.0 turns a negative zero, an accident of the float
+    order (e.g. -(baseline + height) = -0.0), into 0.0 in the cert/1 bytes."""
     return PrescriptionCertificate(
         target=target, data=data, construction_tag=tag, m_used=m_used,
-        expected_phi_band=analytic_band_phi(data), expected_H_band=h_band,
+        expected_phi_band=tuple(end + 0.0 for end in analytic_band_phi(data)),
+        expected_H_band=h_band,
         expected_u_band=(target.kind.sol_lower, target.kind.sol_upper))
 
 

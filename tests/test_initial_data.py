@@ -35,6 +35,7 @@ from heatband.initial_data import (
     TrigPolynomial,
     _ball_average,
     _bump_radial_integral,
+    _log_gauss_panels,
     _log_gauss_rule,
     _signed_leaves,
     _signed_sum,
@@ -649,6 +650,67 @@ class TestLogGaussAverage:
         assert float(np.sum(weights)) == pytest.approx(1.0 - 0.5e-8 / 1.5, abs=1e-14)
         assert 0.5e-8 < bound <= 1e-8
         assert np.all(np.diff(scale) > 0) and 0.0 < scale[0] and scale[-1] < 1.0
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("omega", [0.06, 1.7, 20.0])
+    def test_rule_on_exact_phi_is_within_its_bound(self, n, omega):
+        # phi in 30 digits at the rule's own nodes, so that only the rule
+        # errs; the average of sin(omega L) is Im 2F1(-i omega, n; n + 1; -tau)
+        mpmath = pytest.importorskip("mpmath")
+        leaf, tau = LogSine(0.7, omega, 0.2), 1e4
+        with mpmath.workdps(30):
+            want = 0.7 * mpmath.im(mpmath.hyp2f1(-1j * omega, n, n + 1, -mpmath.mpf(tau))) + 0.2
+            for tol in (1e-8, 1e-4):
+                scale, weights, bound = _log_gauss_rule(n, *leaf.strip_bound(), tol)
+                got = mpmath.fsum(
+                    w * (0.7 * mpmath.sin(omega * mpmath.log1p(mpmath.mpf(r))) + 0.2)
+                    for w, r in zip(weights.tolist(), (tau * scale).tolist()))
+                assert abs(got - want) <= bound, tol
+
+    def test_wide_strip_needs_few_nodes(self):
+        # data-single-mode, n = 1; the strip pi/8 took 272 nodes
+        assert _log_gauss_rule(1, 0.612, 1.354, 1e-8)[0].size <= 120
+
+    def test_an_analytic_rule_adds_one_panel_layout(self):
+        # the strip is chosen inside one call, so it cannot evict the
+        # cached layouts of kinked leaves
+        _log_gauss_panels.cache_clear()
+        _log_gauss_rule.__wrapped__(3, 0.7, 2.5, 1e-9)
+        assert _log_gauss_panels.cache_info().currsize == 1
+
+
+class TestStripBound:
+    """|phi(rho e^{iy})| <= mass e^{omega |y|} for |y| < pi/2, the contract of
+    strip_bound on which both fixed rules of the analytic leaves rest."""
+
+    G = TrigPolynomial(0.1, (0.3, 0.0, 0.2), (0.5,))
+    Y = np.linspace(-0.49 * math.pi, 0.49 * math.pi, 99)
+    TAU = np.multiply.outer(np.logspace(-3.0, 12.0, 61), np.exp(1j * Y))
+
+    def complex_profile(self, slope):
+        """g(L) + slope (tau / (tau + 1)) g'(L) at TAU in complex arithmetic,
+        L = log(tau + 1); TrigPolynomial.value casts to float."""
+        ell, g, ratio = np.log1p(self.TAU), self.G, slope * self.TAU / (self.TAU + 1.0)
+        out = np.full_like(self.TAU, g.const)
+        for j, c in enumerate(g.cos_coeffs, start=1):
+            out += c * (np.cos(j * ell) - ratio * j * np.sin(j * ell))
+        for j, c in enumerate(g.sin_coeffs, start=1):
+            out += c * (np.sin(j * ell) + ratio * j * np.cos(j * ell))
+        return out
+
+    @pytest.mark.parametrize("leaf", [
+        LogSine(0.8, 0.7, 0.2), LogSine(1.0, 20.0, -0.5),
+        LogSineAvgPreimage(0.6, 2.3, -0.1, 1), LogSineAvgPreimage(1.0, 5.0, 0.3, 3),
+        LogLogSine(0.5, 0.1), LogLogSine(1.0, -2.0),
+        PeriodicOfLog(G), SlowFromPeriodic(G, 1), SlowFromPeriodic(G, 4),
+    ], ids=repr)
+    def test_holds_on_the_strip(self, leaf):
+        mass, omega = leaf.strip_bound()
+        if isinstance(leaf, (PeriodicOfLog, SlowFromPeriodic)):
+            values = self.complex_profile(leaf._slope)
+        else:
+            values = leaf._values(self.TAU)
+        assert np.all(np.abs(values) <= mass * np.exp(omega * np.abs(self.Y)) * (1.0 + 1e-12))
 
 
 def mp_wave_radial(trap: TrapezoidWave, n: int, tau: float) -> float:

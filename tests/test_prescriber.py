@@ -732,7 +732,7 @@ PINNED_CERTS = {
         '"centers": {"base": 2.718281828459045, "law": "geometric"}, '
         '"half_width": 0.5, "height": 1.0, "variant": "bump_train"}, '
         '"variant": "negate"}, "schema": "idexpr/1"}, "expected_H_band": [1.0, '
-        '1.0], "expected_phi_band": [-0.0, 1.0], "expected_u_band": [1.0, 1.0], '
+        '1.0], "expected_phi_band": [0.0, 1.0], "expected_u_band": [1.0, 1.0], '
         '"m_used": null, "schema": "cert/1", "target": {"data_lower": 0.0, '
         '"data_upper": 1.0, "kind": "data", "n": 2, "sol_lower": 1.0, '
         '"sol_upper": 1.0}}'
