@@ -977,23 +977,26 @@ def phi_from_H(h_expr: InitialDataExpr, n: int) -> InitialDataExpr:
 #
 # Both integrals of the data, u(0, t) against the heat kernel (_weighted_value)
 # and the ball average H(tau) (_ball_average), are routed per signed leaf.
-# Constants are exact.  Leaves analytic in log tau (log sines, their average
+# Constants are closed forms.  Leaves analytic in log tau (log sines, their average
 # preimages, the doubly-log sine, trig-polynomial profiles of log(tau + 1))
 # share one fixed sum on a log-radius axis, with an a-priori bound through the
 # strip where the integrand stays analytic: a trapezoid sum on x = log z for
 # u, a Gauss-Legendre sum on s = log(r / tau) for H.  Trapezoid profiles of
 # log(tau + 1), analytic only between their corners, take the Gauss layout
 # split at the corners, for either kernel.  2 pi periodic waves and bump
-# trains would alias under fixed panels.  Both integrals of a wave integrate
-# by parts against the primitives of one cached model: H ends after n steps,
-# one array expression over all tau >= 2 pi, and u is a series whose
-# remainder bound picks its length, so no cost grows with tau or t; a Gauss
-# rule on each linear piece serves tau < 2 pi and small roots.  Bump trains
-# integrate bump by bump.  Each fixed rule is a cached read-only layout, the
-# same nodes at every t or tau, so a batch of points is one evaluation of phi
-# on the outer product of radii and nodes and one matrix-vector product;
-# the wave's u series is one array expression over the points, and kinked
-# leaves and bump trains loop over them.
+# trains would alias under fixed panels; both are linear in tau piece by
+# piece, a bump train above its baseline, which joins the constants.  One
+# Gauss rule on those pieces, in coordinates local to each, serves both
+# kernels: every bump train, and a wave below four periods in H and at roots
+# too small for its series in u.  Elsewhere a wave integrates by parts
+# against the primitives of one cached model: H ends after n steps, one
+# array expression over the radii, and u is a series whose remainder bound
+# picks its length, so no cost grows with tau or t.  Each fixed rule is a
+# cached read-only layout, the same nodes at every t or tau, so a batch of
+# points is one evaluation of phi on the outer product of radii and nodes and
+# one matrix-vector product; the wave's series are array expressions over the
+# points, the piece rule one layout a block of points, and kinked leaves loop
+# over them.
 # Only plain callables take adaptive quadrature.
 
 # Half-width a of the strip |Im s| < a around a log-radius axis inside which
@@ -1014,8 +1017,12 @@ _H_MAX_NODES = 100_000
 _IBP_TERMS = 60
 _IBP_ORDERS = np.arange(1, _IBP_TERMS + 1)
 
-# widest z-panel of the Gauss-Legendre rule on the bump and wave pieces, and
-# the half-height of the Bernstein ellipse about each wave panel in its bound
+# Least radius, four periods, of the integration-by-parts ball average of a
+# wave; nearer 2 pi the Gauss rule on its pieces has the tighter bound.
+_WAVE_SERIES_FROM = 4.0 * TWO_PI
+
+# Widest z-panel of the Gauss-Legendre rule on linear pieces in u, and the
+# half-height of the Bernstein ellipse about each panel in its bound
 _PIECE_PANEL = 0.125
 _PANEL_ELLIPSE = 0.5
 
@@ -1025,13 +1032,14 @@ class _Leaves:
     """The signed leaves of an expression under Sum and Negate, by route.
 
     Every leaf is a (sign, leaf) pair.  constant is the sum of the signed
-    constants; analytic holds the leaves with a strip_bound, with their
-    strip masses summed in mass and their top log frequency in omega; fast
-    holds the 2 pi periodic waves and the bump trains, whose fine structure
-    needs exact routes; kinked holds the leaves with a _piece_bound
-    (trapezoid profiles of log(tau + 1)), which the Gauss routes split at
-    their corners, with their piece masses summed in kink_mass and their
-    corner phases, sorted, in phases.
+    constants and bump-train baselines; analytic holds the leaves with a
+    strip_bound, with their strip masses summed in mass and their top log
+    frequency in omega; fast holds the 2 pi periodic waves and the bump
+    trains above their baselines, linear piece by piece (_linear_pieces);
+    kinked holds the leaves with a _piece_bound (trapezoid profiles of
+    log(tau + 1)), which the Gauss routes split at their corners, with their
+    piece masses summed in kink_mass and their corner phases, sorted, in
+    phases.
     """
 
     constant: float
@@ -1053,6 +1061,7 @@ def _split_leaves(expr: InitialDataExpr) -> _Leaves:
         if isinstance(leaf, Constant):
             constant += sign * leaf.c
         elif isinstance(leaf, (PeriodicZeroMean, BumpTrain)):
+            constant += sign * getattr(leaf, "baseline", 0.0)  # a wave has none
             fast.append((sign, leaf))
         elif (bound := leaf.strip_bound()) is not None:
             analytic.append((sign, leaf))
@@ -1286,7 +1295,9 @@ def numeric_H(expr: InitialDataExpr, n: int, tau, tol: float = 1e-8):
     leaf of expr takes its route (see Leaf routes): profiles of log tau one
     fixed Gauss-Legendre sum on s = log(r / tau), where
     H(tau) = n int_{-inf}^0 phi(tau e^s) e^{ns} ds, whose a-priori bound keeps
-    the error below tol at every tau; waves and bump trains exact sums.
+    the error below tol at every tau; a wave from four periods on its
+    integration-by-parts sum, and bump trains and nearer waves a Gauss rule
+    on each linear piece, exact for the kernel r^(n-1).
 
     tol must be a positive finite real.  Too fine a tol for the analytic
     leaves raises ConvergenceError, a non-finite data value EvaluationError.
@@ -1340,7 +1351,8 @@ def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
         if isinstance(leaf, PeriodicZeroMean):
             part, part_bound = _wave_radial_integral(leaf, n, taus)
         else:
-            part, part_bound = np.array([_bump_radial_integral(leaf, n, t) for t in taus]).T
+            pieces, sup, _steep = _linear_pieces(leaf, taus.max())
+            part, part_bound = _pieces_radial(pieces, sup, n, taus)
         value += sign * n * part
         bound += n * part_bound
     values[live], bounds[live] = value, bound
@@ -1364,8 +1376,10 @@ def _weighted_value(expr, k: int, roots, spec: QuadratureSpec) -> tuple[np.ndarr
                    for root in roots.tolist()]
         return np.array([(r.value, r.abs_error_est) for r in results]).reshape(-1, 2).T
 
-    leaves, bound = _split_leaves(expr), np.zeros(roots.size)
+    # the constants and bump baselines c: c M_k, M_k within (k + 2) eps
+    leaves = _split_leaves(expr)
     value = np.full(roots.size, leaves.constant * gaussian_power_tail(k, 0.0))
+    bound = (k + 4) * _EPS * np.abs(value)
     if leaves.analytic:
         scale, weights, h, rule_bound = _log_trapezoid_rule(k, leaves.mass, leaves.omega, spec)
         value += h * _fixed_sums(leaves.analytic, roots, scale, weights)
@@ -1391,31 +1405,17 @@ def _weighted_value(expr, k: int, roots, spec: QuadratureSpec) -> tuple[np.ndarr
         if isinstance(leaf, PeriodicZeroMean):
             part, part_bound = _wave_weighted_integral(leaf, k, roots, spec.z_max,
                                                        spec.abs_tol, spec.max_panels)
-            value += sign * part
-            bound += part_bound
-            continue
-        for i, root in enumerate(roots.tolist()):
-            part, part_bound = _bump_weighted_integral(leaf, k, root, spec.z_max)
-            value[i] += sign * part
-            bound[i] += part_bound
+        else:
+            part, part_bound = _pieces_weighted(
+                *_linear_pieces(leaf, spec.z_max * roots.max(initial=0.0)), k, roots, spec.z_max)
+        value += sign * part
+        bound += part_bound
     return value, bound
 
 
 # ---------------------------------------------------------------------------
-# Exact routes of waves and bump trains
-
-
-def _bump_radial_integral(expr: BumpTrain, n, tau) -> tuple[float, float]:
-    """(value, error bound) for (1/tau^n) int_0^tau (baseline + bumps)(r) r^(n-1) dr:
-    with x = r / tau, a bump piece times x^k, k = n - 1, is a polynomial of
-    degree n <= 15, which the Gauss rule of _bump_pieces integrates exactly.
-    The bound is the rounding, as in _bump_weighted_integral with x^k <= 1,
-    |(x^k)'| <= k and each piece covering at most min(d, 1), d = half_width / tau.
-    """
-    k, base, d = n - 1, expr.baseline / n, expr.half_width / tau
-    bumps, pieces = _bump_pieces(expr, tau, 1.0, lambda x: x ** k)
-    return base + bumps, _EPS * ((8 * k + pieces + 15) * abs(bumps) + 2.0 * abs(base)
-                                 + abs(expr.height) * min(d, 1.0) * pieces * (8.0 * k * d + 8.0))
+# Waves and bump trains: one Gauss rule on their linear pieces, and the
+# wave's integration-by-parts sums
 
 
 @lru_cache(maxsize=64)
@@ -1449,30 +1449,137 @@ def _panel_rule_bound(h, sup, slope, kernel_reach):
         * (sup + slope * (a - 0.5 * h + _PANEL_ELLIPSE)) * kernel_reach(a)
 
 
-def _bump_pieces(train: BumpTrain, scale: float, cut: float, kernel,
-                 panels: int = 1) -> tuple[float, int]:
-    """(int_0^cut (train - baseline)(scale x) kernel(x) dx, number of pieces).
+def _linear_pieces(leaf, tau_max: float):
+    """(pieces, sup, steep) for a bump train above its baseline or a wave:
+    pieces has rows start, width, v, rise, one column for each linear piece
+    in tau that starts below tau_max (and a few beyond), sorted by start,
+    with the leaf v + rise s at fraction s of the piece; sup bounds
+    |v + rise s| and steep |rise| / width on every piece of the leaf.  A
+    bump train repeats a rising and a falling piece at each representable
+    centre, a wave its pieces at each period."""
+    if isinstance(leaf, BumpTrain):
+        half, height = leaf.half_width, leaf.height
+        block = np.array([[-half, 0.0], [half, half], [0.0, height], [height, -height]])
+        offsets = leaf.centers.representable_centers()
+        offsets = offsets[:np.searchsorted(offsets, tau_max + half)]
+    else:
+        bp, kv = np.asarray(leaf.wave.breakpoints), np.asarray(leaf.wave.knot_values)
+        block = np.array([bp[:-1], np.diff(bp), kv[:-1], np.diff(kv)])[:, np.diff(bp) > 0]
+        offsets = TWO_PI * np.arange(math.floor(tau_max / TWO_PI) + 1)
+    pieces = np.empty((4, offsets.size, block.shape[1]))
+    pieces[:] = block[:, None]
+    pieces[0] += offsets[:, None]
+    _start, width, v, rise = block.tolist()
+    return (pieces.reshape(4, -1), max(max(abs(a), abs(a + b)) for a, b in zip(v, rise)),
+            max(abs(b) / w for b, w in zip(rise, width)))
 
-    Each bump is a rising and a falling linear piece of x-width
-    d = half_width / scale, integrated by the 8-node Gauss-Legendre rule on
-    `panels` panels, vectorised over the pieces.  The rule works in
-    coordinates local to each piece: at fraction s of a piece the bump is
-    height s (rising) or height (1 - s) (falling), so no large coefficient
-    cancels however far out the centres lie.
-    """
-    centers = train.centers.representable_centers()
-    centers = centers[:np.searchsorted(centers, cut * scale + train.half_width, "right")]
-    d = train.half_width / scale
-    z_centers = centers / scale
-    starts = np.concatenate([z_centers - d, z_centers])  # rising, then falling
-    # the part [s_lo, s_hi] of each piece that lies inside [0, cut]
-    s_lo = np.minimum(np.maximum(-starts / d, 0.0), 1.0)
-    s_hi = np.minimum(np.maximum((cut - starts) / d, 0.0), 1.0)
+
+def _piece_layout(pieces, scales, cut: float, panels: int):
+    """(x, weights, vals, lo, span) of the 8-node Gauss-Legendre rule on
+    `panels` equal panels of each linear piece of _linear_pieces clipped to
+    [0, cut scale], in x = tau / scale, at each scale of the 1-D array scales:
+    shape (scales, pieces, nodes a piece), and lo and span, in tau, per piece.
+
+    A piece that starts below cut scale keeps its part from lo = max(start, 0)
+    of length span = min(width, start + width, cut scale - start, cut scale):
+    width itself inside the window, and one rounding from the clipped length
+    otherwise.  Its nodes lie at (lo + span u_j) / scale, sums of nonnegative
+    terms, within 3 eps of their place relative, and vals holds the leaf
+    there, v + rise s, with the fraction s = (lo - start) / width +
+    (span / width) u_j of the piece within 3 eps: local coordinates, so no
+    large coefficient cancels however far out a piece lies.  A piece beyond
+    a window keeps no part of it: span and weights 0, nodes at x = cut."""
+    tau_max = cut * scales[:, None]
+    start, width, v, rise = pieces[:, :np.searchsorted(pieces[0], tau_max.max(initial=0.0))]
+    lo = np.minimum(np.maximum(start, 0.0), tau_max)
+    span = np.maximum(np.minimum(np.minimum(width, start + width),
+                                 np.minimum(tau_max - start, tau_max)), 0.0)
     u, w = _panel_rule(panels)
-    s = s_lo[:, None] + (s_hi - s_lo)[:, None] * u
-    frac = np.concatenate([s[:centers.size], 1.0 - s[centers.size:]])
-    per_piece = (s_hi - s_lo) * ((kernel(starts[:, None] + d * s) * frac) @ w)
-    return train.height * d * float(per_piece.sum()), starts.size
+    s = (np.maximum(lo - start, 0.0) / width)[..., None] + (span / width)[..., None] * u
+    scale = scales[:, None, None]
+    return ((lo[..., None] + span[..., None] * u) / scale, span[..., None] / scale * w,
+            v[:, None] + rise[:, None] * s, lo, span)
+
+
+def _row_sums(terms: np.ndarray, extra: np.ndarray | None = None) -> list[float]:
+    """Sum of each row of terms, shape (rows, pieces, nodes a piece): the 8
+    terms of each panel added pairwise, within 1.5 eps of their absolute sum,
+    and the panel sums, with the row of extra, exactly by math.fsum, so no
+    row depends on the others or on the pieces beyond its window."""
+    for _ in range(3):
+        terms = terms[..., 0::2] + terms[..., 1::2]
+    rows = terms.reshape(terms.shape[0], -1)
+    if extra is not None:
+        rows = np.concatenate([rows, extra.reshape(rows.shape[0], -1)], axis=1)
+    return [math.fsum(row) for row in rows.tolist()]
+
+
+def _piece_panels(widest: float, root: float, z_cut: float) -> int:
+    """Panels a piece of the u route takes, each at most _PIECE_PANEL wide in z."""
+    return max(1, math.ceil(min(widest, z_cut * root) / (root * _PIECE_PANEL)))
+
+
+def _pieces_weighted(pieces, sup: float, steep: float, k: int, roots: np.ndarray,
+                     z_cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """(values, error bounds) of int_0^inf z^k e^{-z^2} v(root z) dz at each
+    root of the 1-D array roots, v the linear pieces of _linear_pieces, by the
+    Gauss rule of _piece_layout up to z = z_cut on _piece_panels panels a
+    piece, one layout for the roots of one panel count, in blocks of at most
+    about _BLOCK nodes, and the terms summed by _row_sums.  The bound adds
+    * the rule's error, panel by panel (_panel_rule_bound), with |v'| <= steep
+      and |z^k e^{-z^2}| <= hypot(c + a, b)^k e^{b^2 - max(0, c - a)^2} on
+      the ellipse about a panel of centre c;
+    * the rounding, eps (|v| (5 |k - 2 z^2| + z^2 + 8) + 6 sup) times
+      each node's weight w_i z^k e^{-z^2}: a node off by 5 eps z moves
+      z^k e^{-z^2} by 5 eps |k - 2 z^2| of itself;
+    * sup G_k(z_cut) for the cut.
+    """
+    values, bounds = np.empty(roots.size), np.empty(roots.size)
+    widest = float(pieces[1].max(initial=0.0))
+    counts = np.array([_piece_panels(widest, root, z_cut) for root in roots.tolist()])
+    for panels in set(counts.tolist()):
+        todo = np.flatnonzero(counts == panels)
+        step = max(1, _BLOCK // max(1, pieces.shape[1] * panels * GL_NODES.size))
+        for rows in np.split(todo, range(step, todo.size, step)):
+            z, weights, vals, lo, span = _piece_layout(pieces, roots[rows], z_cut, panels)
+            root = roots[rows][:, None, None]
+            zz = z * z
+            weights = weights * z ** k * np.exp(-zz)
+            centre = (lo[..., None] + span[..., None] * ((np.arange(panels) + 0.5) / panels)) / root
+
+            def reach(a):
+                # |z^k e^{-z^2}| on the ellipse about each panel
+                return np.hypot(centre + a, _PANEL_ELLIPSE) ** k \
+                    * np.exp(_PANEL_ELLIPSE ** 2 - np.maximum(0.0, centre - a) ** 2)
+
+            values[rows] = _row_sums(weights * vals)
+            bounds[rows] = _row_sums(
+                _EPS * weights * (np.abs(vals) * (5.0 * np.abs(k - 2.0 * zz) + zz + 8.0) + 6.0 * sup),
+                _panel_rule_bound((span / (root[..., 0] * panels))[..., None], sup, steep * root,
+                                  reach))
+    return values, bounds + sup * gaussian_power_tail(k, z_cut)
+
+
+def _pieces_radial(pieces, sup: float, n: int, taus: np.ndarray):
+    """(values, error bounds) of (1/tau^n) int_0^tau v(r) r^(n-1) dr at each
+    radius of the 1-D array taus > 0, v the linear pieces of _linear_pieces,
+    by the Gauss rule of _piece_layout on x = r / tau, one panel a piece,
+    exact for v x^(n-1) of degree n <= 15, one layout a block of radii of at
+    most about _BLOCK nodes, and the terms summed by _row_sums.
+
+    A node within 3 eps x of its place moves x^(n-1) by (3n - 2) eps, the
+    weight errs by 2 eps, the value by 4 eps sup, the products by eps and
+    the sum by 1.5 eps, so the bound is eps ((3n + 6) |v| + 5 sup) times each
+    node's weight w_i x_i^(n-1), and 2 eps sup for the clipped ends.
+    """
+    values, bounds = np.empty(taus.size), np.empty(taus.size)
+    step = max(1, _BLOCK // max(1, pieces.shape[1] * GL_NODES.size))
+    for rows in np.split(np.arange(taus.size), range(step, taus.size, step)):
+        x, weights, vals, _lo, _span = _piece_layout(pieces, taus[rows], 1.0, 1)
+        weights = weights * x ** (n - 1)
+        values[rows] = _row_sums(weights * vals)
+        bounds[rows] = _row_sums(_EPS * weights * ((3 * n + 6) * np.abs(vals) + 5.0 * sup))
+    return values, bounds + 2.0 * _EPS * sup
 
 
 @lru_cache(maxsize=64)
@@ -1580,8 +1687,9 @@ def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, roots, z_cut: float,
     abs_tol / 2, at a cost that does not depend on root, and returns that
     bound plus the rounding of the terms, which are summed exactly by
     math.fsum.  The remainder table and the terms of every root are one
-    array expression.  Where no P reaches abs_tol / 2, _wave_pieces
-    integrates the wave piece by piece up to z_cut instead.
+    array expression.  Where no P reaches abs_tol / 2, the Gauss rule on the
+    wave's pieces up to z_cut serves instead (_pieces_weighted); more than
+    max_nodes nodes there raise ConvergenceError.
     """
     mean, jump, _at, (w0, w_err) = _wave_primitives(expr.wave)
     coeffs, log_norms = _gauss_derivatives(k)
@@ -1600,79 +1708,23 @@ def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, roots, z_cut: float,
     mean_term = mean * gaussian_power_tail(k, 0.0)
     rounding = np.abs(scaled) @ w_err + 8.0 * _EPS * (np.abs(terms).sum(axis=1) + abs(mean_term))
     values, bounds = np.empty(roots.size), np.empty(roots.size)
-    for i, (root, p) in enumerate(zip(roots.tolist(), counts.tolist())):
+    for i, p in enumerate(counts.tolist()):
         if p:
             values[i] = math.fsum([*terms[i, :p].tolist(), mean_term])
             bounds[i] = math.exp(log_rem[i, p - 1]) + rounding[i]
-        else:
-            values[i], bounds[i] = _wave_pieces(expr, k, root, z_cut, max_nodes)
+    near = roots[~series]
+    if near.size:
+        # the node guard, before the pieces, whose count grows with root
+        widest = float(np.max(np.diff(expr.wave.breakpoints)))
+        for root in near.tolist():
+            nodes = (len(expr.wave.segments()) * (math.floor(z_cut * root / TWO_PI) + 1)
+                     * _piece_panels(widest, root, z_cut) * GL_NODES.size)
+            if nodes > max_nodes:
+                raise ConvergenceError(f"wave pieces need {nodes:.3g} nodes at "
+                                       f"root = {root!r}, exceeding {max_nodes}")
+        values[~series], bounds[~series] = _pieces_weighted(
+            *_linear_pieces(expr, z_cut * near.max()), k, near, z_cut)
     return values, bounds
-
-
-def _wave_layout(wave: TrapezoidWave, root: float, z_cut: float, panels: int,
-                 max_nodes: int = QuadratureSpec.max_panels):
-    """(start, span, slope, z, vals) in z = tau / root of the linear pieces of
-    wave inside [0, root z_cut]: start, covered length and |w'| of each, and
-    the 8-node Gauss-Legendre nodes on `panels` panels of it with the wave
-    there, v_i + (v_{i+1} - v_i) s at fraction s of the piece, local to it
-    (see _bump_pieces).  More than max_nodes nodes raise ConvergenceError."""
-    bp, kv = wave.breakpoints, wave.knot_values
-    width, rise = np.diff(bp), np.diff(kv)
-    live = width > 0
-    theta, v0 = np.asarray(bp[:-1])[live], np.asarray(kv[:-1])[live]
-    width, rise = width[live], rise[live]
-    tau_max = z_cut * root
-    periods = math.floor(tau_max / TWO_PI) + 1
-    if periods * theta.size * panels * GL_NODES.size > max_nodes:
-        raise ConvergenceError(
-            f"wave pieces need {periods * theta.size * panels * GL_NODES.size:.3g} "
-            f"nodes at root = {root!r}, exceeding {max_nodes}")
-    tau0 = (TWO_PI * np.arange(periods)[:, None] + theta).ravel()
-    inside = tau0 < tau_max
-    tau0 = tau0[inside]
-    width, v0, rise = (np.tile(a, periods)[inside] for a in (width, v0, rise))
-    frac = np.minimum(1.0, (tau_max - tau0) / width)   # the part inside the window
-    s = frac[:, None] * _panel_rule(panels)[0]
-    z = (tau0[:, None] + width[:, None] * s) / root
-    vals = v0[:, None] + rise[:, None] * s
-    return tau0 / root, width * frac / root, np.abs(rise / width) * root, z, vals
-
-
-def _wave_pieces(expr: PeriodicZeroMean, k: int, root: float, z_cut: float,
-                 max_nodes: int) -> tuple[float, float]:
-    """(value, error bound) for int_0^inf z^k e^{-z^2} w(root z) dz by the
-    8-node Gauss-Legendre rule on the linear pieces of the wave w up to
-    z = z_cut (_wave_layout).
-
-    Every piece takes the same number of panels, at most _PIECE_PANEL wide
-    in z.  The bound adds
-    * the rule's error, panel by panel (_panel_rule_bound), with
-      |z^k e^{-z^2}| <= hypot(c + a, b)^k e^{b^2 - max(0, c - a)^2} on the
-      ellipse about a panel of centre c;
-    * the rounding, eps (|w| (5 |k - 2 z^2| + z^2 + 6) + 6 sup|w|) times
-      each node's weight w_i z^k e^{-z^2}: a node off by 5 eps z moves
-      z^k e^{-z^2} by 5 eps |k - 2 z^2| of itself, and the terms are summed
-      exactly by math.fsum;
-    * sup|w| G_k(z_cut) for the cut.
-    More than max_nodes nodes raise ConvergenceError.
-    """
-    bp = expr.wave.breakpoints
-    sup = max(abs(v) for v in expr.wave.knot_values)
-    panels = max(1, math.ceil(min(max(np.diff(bp)), z_cut * root) / (root * _PIECE_PANEL)))
-    start, span, slope, z, vals = _wave_layout(expr.wave, root, z_cut, panels, max_nodes)
-    weights = span[:, None] * _panel_rule(panels)[1] * z ** k * np.exp(-z * z)
-    value = math.fsum((weights * vals).ravel())
-    rounding = _EPS * float(np.sum(
-        weights * (np.abs(vals) * (5.0 * np.abs(k - 2.0 * z * z) + z * z + 6.0) + 6.0 * sup)))
-    centre = start[:, None] + span[:, None] * ((np.arange(panels) + 0.5) / panels)
-
-    def reach(a):
-        # |z^k e^{-z^2}| on the ellipse about each panel
-        return np.hypot(centre + a, _PANEL_ELLIPSE) ** k \
-            * np.exp(_PANEL_ELLIPSE ** 2 - np.maximum(0.0, centre - a) ** 2)
-
-    rule = float(np.sum(_panel_rule_bound((span / panels)[:, None], sup, slope[:, None], reach)))
-    return value, rule + rounding + sup * gaussian_power_tail(k, z_cut)
 
 
 def _wave_radial_integral(expr: PeriodicZeroMean, n: int, taus: np.ndarray):
@@ -1685,15 +1737,14 @@ def _wave_radial_integral(expr: PeriodicZeroMean, n: int, taus: np.ndarray):
         mean / n + sum_{j=1}^{n} (-1)^(j-1) (n-1)!/(n-j)! W_j(theta) / tau^j
                  - (-1)^(n-1) (n-1)! W_n(0) / tau^n,
 
-    for tau >= T one array expression with powers (1/tau)^j, bounded by the
-    rounding of each W_j times its weight and (n + 3) eps sum |terms|.  Below
-    T the terms cancel, and the Gauss rule of _wave_layout, exact for degree
-    n <= 15, takes the pieces on x = r / tau; a node within 2 eps x of its
-    place moves x^(n-1) by (2n - 1) eps, weight and value err by 5 eps and
-    5 eps sup|w|, and the clipped end adds 2 eps sup|w|.
+    from tau = _WAVE_SERIES_FROM on one array expression with powers
+    (1/tau)^j, bounded by the rounding of each W_j times its weight and
+    (n + 3) eps sum |terms|.  Below it the terms cancel and their weights
+    are near 1, and the Gauss rule on the pieces serves (_pieces_radial).
     """
     mean, _jump, at, (w0, w0_err) = _wave_primitives(expr.wave)
-    values, bounds, far = np.empty(taus.size), np.empty(taus.size), taus >= TWO_PI
+    values, bounds = np.empty(taus.size), np.empty(taus.size)
+    far = taus >= _WAVE_SERIES_FROM
     coeffs = np.array([(-1) ** j * math.perm(n - 1, j) for j in range(n)], dtype=float)
     w, w_err = at(np.mod(taus[far], TWO_PI), n)
     powers = (1.0 / taus[far])[:, None] ** np.arange(1, n + 1)
@@ -1702,65 +1753,11 @@ def _wave_radial_integral(expr: PeriodicZeroMean, n: int, taus: np.ndarray):
     values[far] = terms.sum(axis=1) + mean / n
     bounds[far] = ((np.abs(coeffs) * w_err * powers).sum(axis=1) + w0_err[n - 1] * last
                    + (n + 3) * _EPS * (np.abs(terms).sum(axis=1) + abs(mean / n)))
-    sup = max(abs(v) for v in expr.wave.knot_values)
-    for i in np.flatnonzero(~far):
-        _start, span, _slope, x, vals = _wave_layout(expr.wave, float(taus[i]), 1.0, 1)
-        weights = span[:, None] * _panel_rule(1)[1] * x ** (n - 1)
-        values[i] = math.fsum((weights * vals).ravel())
-        bounds[i] = _EPS * (float(np.sum(weights * ((2 * n + 4) * np.abs(vals) + 5.0 * sup)))
-                            + 2.0 * sup)
+    if not far.all():
+        near = taus[~far]
+        pieces, sup, _steep = _linear_pieces(expr, near.max())
+        values[~far], bounds[~far] = _pieces_radial(pieces, sup, n, near)
     return values, bounds
-
-
-def _gauss_sup(j: int) -> float:
-    """max over z >= 0 of z^j e^{-z^2}, (j/2)^(j/2) e^(-j/2)."""
-    return (0.5 * j) ** (0.5 * j) * math.exp(-0.5 * j)
-
-
-def _gauss_reach(k: int, a: float) -> float:
-    """Bound of |z^k e^{-z^2}| on every ellipse of half-height
-    b = _PANEL_ELLIPSE that reaches a along the axis about a centre c >= 0:
-    there |z| <= c + a + b and Re z^2 >= max(0, c - a)^2 - b^2, and with
-    A = 2a + b, y = max(0, c - a), (y + A)^k e^{-y^2} peaks at
-    y = (sqrt(A^2 + 2k) - A) / 2."""
-    big = 2.0 * a + _PANEL_ELLIPSE
-    y = 0.5 * (math.sqrt(big * big + 2.0 * k) - big)
-    return (y + big) ** k * math.exp(_PANEL_ELLIPSE ** 2 - y * y)
-
-
-def _bump_weighted_integral(expr: BumpTrain, k: int, root: float,
-                            z_cut: float) -> tuple[float, float]:
-    """(value, error bound) for int_0^inf z^k e^{-z^2} expr(root z) dz.
-
-    The (constant) baseline integrates in closed form over all of (0, inf),
-    as baseline M_k, the bumps inside the window by _bump_pieces on panels
-    at most _PIECE_PANEL wide.  With d = half_width / root, n pieces and
-    S_j = max z^j e^{-z^2}, the bound adds
-    * the rule's error: n * panels times _panel_rule_bound of the widest
-      panel, with |v| <= |height|, |v'| <= |height| / d and _gauss_reach;
-    * the rounding.  A node lands within 8 eps (z + d) of its place, which
-      moves z^k e^{-z^2} by at most 8 eps ((k + d^2 + 3 z^2) z^k e^{-z^2}
-      + k d S_{k-1}); its evaluation errs by (z^2 + 5) eps of itself, and
-      the bump shape and the clipped piece ends by 8 eps S_k per unit of
-      weight.  With z^(k+2) e^{-z^2} <= S_(k+2), the nodes add
-      eps |height| d n (25 S_{k+2} + 8 k d S_{k-1} + 8 S_k) and
-      (8k + 8 d^2 + 6) eps of the bump sum; the sums and products add
-      (8 panels + n + 6) eps of it, and baseline M_k, within (k + 2) eps,
-      (k + 4) eps of itself with the last sum;
-    * (|baseline| + |height|) G_k(z_cut) for the bumps beyond the window.
-    """
-    base = expr.baseline * gaussian_power_tail(k, 0.0)
-    panels = max(1, math.ceil(min(expr.half_width / root, z_cut) / _PIECE_PANEL))
-    bumps, n = _bump_pieces(expr, root, z_cut, lambda z: z ** k * np.exp(-z * z), panels)
-    d = expr.half_width / root
-    size = abs(expr.height)
-    rule = n * panels * _panel_rule_bound(min(d, z_cut) / panels, size, size / d,
-                                          lambda a: _gauss_reach(k, a))
-    spread = 25.0 * _gauss_sup(k + 2) + 8.0 * (k * d * _gauss_sup(max(k - 1, 0)) + _gauss_sup(k))
-    rounding = _EPS * ((k + 4) * abs(base) + size * d * n * spread
-                       + (8 * k + 8.0 * d * d + 8 * panels + n + 12) * abs(bumps))
-    return base + bumps, rule + rounding \
-        + (abs(expr.baseline) + size) * gaussian_power_tail(k, z_cut)
 
 
 # ---------------------------------------------------------------------------

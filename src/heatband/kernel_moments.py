@@ -147,7 +147,7 @@ def kernel_moments(n: int, m: float, flavor: KernelFlavor) -> MomentPair:
     are refused with ConvergenceError, as for every oscillatory integral of
     the package.
     """
-    check_dimension(n)
+    power = flavor.power(n)  # checks n
     check_finite(m=m)
     if not m > 0:
         raise DomainError(f"frequency m must be positive, got {m!r}")
@@ -155,7 +155,7 @@ def kernel_moments(n: int, m: float, flavor: KernelFlavor) -> MomentPair:
         raise ConvergenceError(
             f"m = {m} exceeds the refusal threshold {MAX_OSCILLATION_FREQUENCY}; "
             "the moments are below double-precision noise there")
-    log_pair = _log_moment(0.5 * (flavor.power(n) + 1), m)
+    log_pair = _log_moment(0.5 * (power + 1), m)
     pair = cmath.exp(log_pair)
     return MomentPair(
         a_value=pair.real,

@@ -41,8 +41,8 @@ PANELS_PER_PERIOD = 8
 # m = 500, while the panel cap would keep burning panels linearly in m.
 MAX_OSCILLATION_FREQUENCY = 500.0
 
-# 8-point Gauss-Legendre rule on [0, 1]: the fixed panel rule of the bump
-# trains in u(0, t) and of the log-radius ball averages
+# 8-point Gauss-Legendre rule on [0, 1]: the fixed panel rule of the linear
+# pieces of bump trains and waves and of the log-radius ball averages
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 GL_NODES = 0.5 * (GL_NODES + 1.0)
 GL_WEIGHTS = 0.5 * GL_WEIGHTS
@@ -57,8 +57,8 @@ class QuadratureSpec:
     """Error targets and truncation window of the u(0, t) integrals.
 
     abs_tol, z_max and max_panels drive both the fixed rules of the
-    expression leaves (the log-axis trapezoid sum, the split Gauss sum, the
-    bump route and the wave route's Gauss rule on its pieces) and the
+    expression leaves (the log-axis trapezoid sum, the split Gauss sum and
+    the Gauss rule on the linear pieces of bump trains and waves) and the
     adaptive engine of plain callables; rel_tol and x_min only the adaptive
     engine.  Where the wave route's integration-by-parts series reaches
     abs_tol / 2, which it does from a root of about 15 to 30 on, it runs to

@@ -143,7 +143,7 @@ def u_origin(expr, n: int, t, spec: QuadratureSpec | None = None):
     callable of tau.
     Each leaf takes its route in initial_data (see its Leaf routes): a wave
     an integration-by-parts series in 1/sqrt(4t), whose cost does not grow
-    with t, bump trains a Gauss rule on each bump.
+    with t, bump trains and waves at small t a Gauss rule on each piece.
     """
     return _u_at_origin(expr, n, t, spec, KernelFlavor.DATA)
 

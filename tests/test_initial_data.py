@@ -34,9 +34,10 @@ from heatband.initial_data import (
     TrapezoidWave,
     TrigPolynomial,
     _ball_average,
-    _bump_radial_integral,
+    _linear_pieces,
     _log_gauss_panels,
     _log_gauss_rule,
+    _pieces_radial,
     _signed_leaves,
     _signed_sum,
     _split_leaves,
@@ -749,7 +750,8 @@ def mp_wave_radial(trap: TrapezoidWave, n: int, tau: float) -> float:
 
 
 def mp_bump_radial(train: BumpTrain, n: int, tau: float) -> float:
-    """(1/tau^n) int_0^tau train(r) r^(n-1) dr, each bump by mpmath.quad in
+    """(1/tau^n) int_0^tau (train - baseline)(r) r^(n-1) dr, the bumps alone,
+    whose baseline joins the constants; each bump by mpmath.quad in
     the offset s = r - c from its centre, with r^(n-1) / tau^n formed as
     ((c + s) / c)^(n-1) times (c / tau)^(n-1) / tau in 30-digit arithmetic,
     so that the integrand quad sees is near 1 however far out tau lies
@@ -766,7 +768,14 @@ def mp_bump_radial(train: BumpTrain, n: int, tau: float) -> float:
             cuts = [lo, mpmath.mpf(0), hi] if lo < 0 < hi else [lo, hi]
             total += mpmath.quad(lambda s: (1 - abs(s) / w) * ((c + s) / c) ** (n - 1), cuts) \
                 * (c / tau_mp) ** (n - 1) / tau_mp
-        return float(train.baseline / n + train.height * total)
+        return float(train.height * total)
+
+
+def bump_radial(train: BumpTrain, n: int, tau: float) -> tuple[float, float]:
+    """(value, bound) of the piece route for the bumps of train at one radius."""
+    pieces, sup, _steep = _linear_pieces(train, tau)
+    values, bounds = _pieces_radial(pieces, sup, n, np.array([tau]))
+    return float(values[0]), float(bounds[0])
 
 
 class TestExactRoutesFarOut:
@@ -777,24 +786,26 @@ class TestExactRoutesFarOut:
     WAVES = (PeriodicZeroMean(0.0105, -0.0005, 0.13089969389957531),
              PeriodicZeroMean(1.0, -1.0))
     BUMPS = (BumpTrain(1.7, 1.0, 0.0, DoubleExpCenters("peak")),
-             BumpTrain(1.0, 0.5, 0.2, GeometricCenters(1e6)))
+             BumpTrain(1.0, 0.5, 0.2, GeometricCenters(1e6)),
+             # wider than its first centre: the rising piece reaches below 0
+             BumpTrain(1.0, 40.0, 0.0, GeometricCenters(10.0)))
 
     @pytest.mark.parametrize("tau", [1e-6, 0.3, 1.0, 6.28, TWO_PI, 6.3,
                                      37.0, 1e6, 8.5e169, 1e300])
     @pytest.mark.parametrize("n", range(1, 11))
     def test_wave_against_mpmath(self, n, tau):
-        # |error| <= bound; the bound reaches 1e-14 only from about tau = 20
-        # on the integration-by-parts side: just above 2 pi it carries the
-        # rounding bounds of W_1 .. W_n, 1e-14 to 3e-13 each, at weights
-        # (n-1)!/(n-j)! / tau^j of order 1 (up to 1.6e-13 for n = 10)
+        # |error| <= bound <= 1e-14 on both sides of the switch at four
+        # periods: nearer 2 pi the integration-by-parts sum would carry the
+        # rounding bounds of W_1 .. W_n at weights (n-1)!/(n-j)! / tau^j of
+        # order 1 (up to 3.2e-13 for n = 10), and the pieces serve
         for wave in self.WAVES:
             value, bound = _wave_radial_integral(wave, n, np.array([tau]))
             error = abs(float(value[0]) - mp_wave_radial(wave.wave, n, tau))
             assert error <= min(float(bound[0]), 1e-14), (wave, error, bound)
-            assert bound[0] <= (1e-12 if TWO_PI <= tau < 37.0 else 1e-14), (wave, bound)
+            assert bound[0] <= 1e-14, (wave, bound)
 
     def test_wave_batch_matches_single_radii(self):
-        # both sides of 2 pi in one array give the values of single calls
+        # both sides of the switch in one array give the values of single calls
         taus = np.array([0.3, 1e3, 6.0, TWO_PI, 1e300])
         for n in (1, 4, 10):
             values, bounds = _wave_radial_integral(self.WAVES[1], n, taus)
@@ -802,11 +813,11 @@ class TestExactRoutesFarOut:
                 single = _wave_radial_integral(self.WAVES[1], n, np.array([tau]))
                 assert (value, bound) == (single[0][0], single[1][0])
 
-    @pytest.mark.parametrize("tau", [121.0, 1e4, 5.3e78, 1e300])
+    @pytest.mark.parametrize("tau", [5.0, 121.0, 1e4, 5.3e78, 1e300])
     def test_bumps_against_mpmath(self, tau):
         for train in self.BUMPS:
             for n in range(1, 11):
-                value, bound = _bump_radial_integral(train, n, tau)
+                value, bound = bump_radial(train, n, tau)
                 error = abs(value - mp_bump_radial(train, n, tau))
                 assert error <= bound <= 1e-14, (train, n, error, bound)
 

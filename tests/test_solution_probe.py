@@ -50,7 +50,8 @@ from heatband import (
 )
 from heatband.initial_data import (
     _ball_average,
-    _bump_weighted_integral,
+    _linear_pieces,
+    _pieces_weighted,
     _split_gauss,
     _split_leaves,
     _wave_primitives,
@@ -297,13 +298,13 @@ class TestWaveWeightedIntegral:
         import heatband.initial_data as initial_data
 
         calls = []
-        pieces = initial_data._wave_pieces
+        pieces = initial_data._pieces_weighted
 
         def counted(*args):
             calls.append(args)
             return pieces(*args)
 
-        monkeypatch.setattr(initial_data, "_wave_pieces", counted)
+        monkeypatch.setattr(initial_data, "_pieces_weighted", counted)
         for root in (60.0, 200.0, 2e4, 2e8, 2e150):
             wave_at_root(STANDARD_WAVE, k, root, 12.0)
         assert calls == []
@@ -319,23 +320,32 @@ class TestWaveWeightedIntegral:
 
 
 def mp_bump_weighted(train, k: int, root: float):
-    """int_0^inf z^k e^{-z^2} train(root z) dz by 40-digit mpmath, piece by
-    piece in local coordinates, over every bump below z = 40."""
+    """int_0^inf z^k e^{-z^2} (train - baseline)(root z) dz, the bumps alone,
+    whose baseline joins the constants, by 40-digit mpmath, piece by piece in
+    local coordinates, over every bump below z = 40.  A rising piece that
+    starts below 0 counts from 0 on: its fraction s runs from 1 - c / hw."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         big, hw = mpmath.mpf(root), mpmath.mpf(train.half_width)
-        total = mpmath.mpf(train.baseline) * mpmath.gamma(mpmath.mpf(k + 1) / 2) / 2
+        total = mpmath.mpf(0)
         for c in train.centers.representable_centers():
             c = mpmath.mpf(float(c))
             if c - hw > 40 * big:
                 break
             for sign in (-1, 1):  # rising piece, then falling piece
+                s_lo = max(1 - c / hw, 0) if sign < 0 else 0
 
                 def piece(s, c=c, sign=sign):
-                    z = max((c + sign * (1 - s) * hw) / big, 0)
+                    z = (c + sign * (1 - s) * hw) / big
                     return s * mpmath.exp(-z * z) * z ** k
-                total += mpmath.mpf(train.height) * hw / big * mpmath.quad(piece, [0, 1])
+                total += mpmath.mpf(train.height) * hw / big * mpmath.quad(piece, [s_lo, 1])
         return total
+
+
+def bump_at_root(train, k: int, root: float, z_cut: float) -> tuple[float, float]:
+    """(value, bound) of the piece route for the bumps of train at one root."""
+    values, bounds = _pieces_weighted(*_linear_pieces(train, z_cut * root), k, np.array([root]), z_cut)
+    return float(values[0]), float(bounds[0])
 
 
 class TestBumpWeightedIntegral:
@@ -343,13 +353,16 @@ class TestBumpWeightedIntegral:
 
     @pytest.mark.parametrize("root", [0.5, 2.0, 7.0, 30.0, 1e3, 1e6])
     @pytest.mark.parametrize("train", [
-        BUMPS, BumpTrain(-0.7, 1.0, 0.3, DoubleExpCenters("peak"))], ids=["geometric", "peak"])
+        BUMPS, BumpTrain(-0.7, 1.0, 0.3, DoubleExpCenters("peak")),
+        BumpTrain(1.0, 40.0, 0.0, GeometricCenters(10.0))], ids=["geometric", "peak", "wide"])
     def test_against_mpmath(self, train, root):
         # the Gaussian tail alone, about 1e-64 at root 2 and k = 0, does not
-        # cover the 2.8e-17 that the rule's rounding errs by there
+        # cover the 2.8e-17 that the rule's rounding errs by there; the wide
+        # bump reaches below tau = 0, and its bound must not grow with
+        # half_width / root while its error does not
         abs_tol = QuadratureSpec().abs_tol
         for k in (0, 1, 2):
-            value, bound = _bump_weighted_integral(train, k, root, 12.0)
+            value, bound = bump_at_root(train, k, root, 12.0)
             error = abs(value - float(mp_bump_weighted(train, k, root)))
             assert error <= bound <= abs_tol, (k, error, bound)
 
@@ -357,21 +370,21 @@ class TestBumpWeightedIntegral:
     @pytest.mark.parametrize("root", [2.0, 50.0])
     def test_agrees_with_adaptive_quadrature(self, k, root):
         spec = QuadratureSpec()
-        exact, err = _bump_weighted_integral(self.BUMPS, k, root, spec.z_max)
+        exact, err = (float(a[0]) for a in _weighted_value(self.BUMPS, k, np.array([root]), spec))
         adaptive = integrate_weighted(
             lambda z: eval_phi(self.BUMPS, root * z), k, spec).value
         assert exact == pytest.approx(adaptive, abs=1e-12)
         assert err >= 0
 
     def test_window_below_first_center_gives_baseline_only(self):
-        exact, _ = _bump_weighted_integral(self.BUMPS, 0, 0.1, 12.0)
+        exact = float(_weighted_value(self.BUMPS, 0, np.array([0.1]), QuadratureSpec())[0][0])
         assert exact == pytest.approx(0.2 * gaussian_power_tail(0, 0.0), rel=1e-12)
 
     def test_downward_bumps_lower_the_integral(self):
         up = BumpTrain(1.0, 0.5, 0.0, GeometricCenters(math.e))
         down = BumpTrain(-1.0, 0.5, 0.0, GeometricCenters(math.e))
-        v_up, _ = _bump_weighted_integral(up, 0, 5.0, 12.0)
-        v_down, _ = _bump_weighted_integral(down, 0, 5.0, 12.0)
+        v_up, _ = bump_at_root(up, 0, 5.0, 12.0)
+        v_down, _ = bump_at_root(down, 0, 5.0, 12.0)
         assert v_up > 0
         assert v_down == pytest.approx(-v_up, rel=1e-12)
 

@@ -1,6 +1,7 @@
-"""Source hygiene of the package, read with ast: no import goes unused and
-no private module-level function or class goes unreferenced, so that a
-deletion cannot leave dead imports or helpers behind."""
+"""Source hygiene of the package, read with ast: no import goes unused, no
+private module-level function or class goes unreferenced and no private
+module-level constant goes unread, so that a deletion cannot leave dead
+imports, helpers or constants behind."""
 
 from __future__ import annotations
 
@@ -59,3 +60,28 @@ def test_every_private_helper_is_referenced():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and node.name.startswith("_") and node.name not in referenced]
     assert not unreferenced, f"unreferenced private helpers: {unreferenced}"
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Every name the module loads, and every attribute it reads by name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_private_constant_is_read():
+    read = set().union(*(_read(tree) for tree in TREES.values()))
+    unread = [
+        f"{name}: {target.id}"
+        for name, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for target in ast.walk(target)
+        if isinstance(target, ast.Name) and target.id.startswith("_")
+        and not target.id.startswith("__") and target.id not in read]
+    assert not unread, f"unread private constants: {unread}"
