@@ -292,6 +292,9 @@ def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
     golden-section steps would leave it or its samples agree to rounding,
     after 48 steps at most, so a sweep makes at most 49 calls.  Each end is
     the least or greatest of the grid and every refinement sample.
+    verify_certificate's evaluator (_OriginSweep) takes the grid call as the
+    grid itself, x0, the far end and the count, so that the analytic leaves
+    of its data take one correlation on a lattice that all grid points share.
     m_hint = "log-log" sweeps y = log log sqrt(4t) instead; double
     precision runs out long before 3 such periods, so that mode always
     raises PartialBandError carrying the covered sub-band.  A non-finite
@@ -320,7 +323,7 @@ def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
         y1 = min(y0 + min_periods * TWO_PI, math.log(_X_CAP))
         covered = (y1 - y0) / TWO_PI
         npts = max(int(math.ceil(points_per_period * covered)) + 1, 9)
-        xs = np.exp(np.linspace(y0, y1, npts))
+        xs, grid = np.exp(np.linspace(y0, y1, npts)), None
     else:
         check_finite(m_hint=m_hint)
         m = float(m_hint)
@@ -333,13 +336,11 @@ def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
         x1, covered = x0 + min_periods * period, float(min_periods)
         if x1 > _X_CAP:
             x1, covered = _X_CAP, (_X_CAP - x0) / period
-        npts = max(int(math.ceil(points_per_period * covered)) + 1, 9)
-        xs = np.linspace(x0, x1, npts)
+        grid = (x0, x1, max(int(math.ceil(points_per_period * covered)) + 1, 9))
+        xs = np.linspace(*grid)
 
-    def at_x(x):
-        # the evaluator at t = e^{2x} / 4, in one call for the array x
-        t = np.exp(2.0 * x) / 4.0
-        vals = np.broadcast_to(np.asarray(evaluator(t), dtype=float), t.shape)
+    def checked(x, vals):
+        vals = np.broadcast_to(np.asarray(vals, dtype=float), x.shape)
         if not np.all(np.isfinite(vals)):
             bad = float(x[~np.isfinite(vals)][0])
             raise EvaluationError(
@@ -347,7 +348,14 @@ def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
                 point=bad)
         return vals
 
-    vals = at_x(xs)
+    def at_x(x):
+        # the evaluator at t = e^{2x} / 4, in one call for the array x
+        return checked(x, evaluator(np.exp(2.0 * x) / 4.0))
+
+    if grid is not None and isinstance(evaluator, _OriginSweep):
+        vals = checked(xs, evaluator.on_log_grid(*grid))
+    else:
+        vals = at_x(xs)
     # Brent searches for the least of sign * f about the grid minimum (sign 1)
     # and maximum (sign -1), in lockstep: one call a step for the trial
     # points of the ends still open
@@ -380,6 +388,28 @@ def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
 
 # ---------------------------------------------------------------------------
 # Certificate verification
+
+
+@dataclass(frozen=True)
+class _OriginSweep:
+    """u(0, t) of one data expression, the evaluator of verify's sweep.
+
+    Called on an array of times it is u_origin there.  band_estimate hands
+    on_log_grid its own grid x = np.linspace(x0, x1, count) in
+    x = log sqrt(4t), which the router integrates as one lattice.
+    """
+
+    expr: InitialDataExpr
+    n: int
+    spec: QuadratureSpec
+
+    def __call__(self, t):
+        return u_origin(self.expr, self.n, t, self.spec)
+
+    def on_log_grid(self, x0: float, x1: float, count: int) -> np.ndarray:
+        flavor = KernelFlavor.DATA
+        return flavor.coefficient(self.n) * _weighted_value(
+            self.expr, flavor.power(self.n), None, self.spec, log_grid=(x0, x1, count))[0]
 
 
 def _slow_content(expr) -> tuple[float | None, bool]:
@@ -473,9 +503,7 @@ def verify_certificate(cert: PrescriptionCertificate,
     phi_band = _measure_phi_band(cert.data, slow_m, loglog)
     h_band = _measure_H_band(cert.data, n, slow_m, loglog, spec)
 
-    def u_at(t):
-        return u_origin(cert.data, n, t, spec)
-
+    u_at = _OriginSweep(cert.data, n, spec)
     sweep_kwargs = dict(points_per_period=points_per_period,
                         min_periods=min_periods)
     u_partial = False

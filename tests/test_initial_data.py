@@ -219,6 +219,47 @@ class TestTrigPolynomial:
             got = poly._critical_points()
             assert got.shape == want.shape and np.array_equal(got, want), poly
 
+    def test_early_stop_keeps_the_roots_of_all_60_steps(self, monkeypatch):
+        # the batched loop before it stopped once every bracket had collapsed
+        def full_bisection(poly):
+            grid = np.linspace(0.0, TWO_PI, 4097)
+            dv = poly.derivative(grid)
+            left, right = dv[:-1], dv[1:]
+            exact = left == 0.0
+            cells = ~exact & ((left > 0) != (right > 0))
+            a, b, rising = grid[:-1][cells], grid[1:][cells], left[cells] > 0
+            for _ in range(60):
+                mid = 0.5 * (a + b)
+                fm = poly.derivative(mid)
+                same = (fm > 0) == rising
+                a = np.where(same | (fm == 0.0), mid, a)
+                b = np.where(~same | (fm == 0.0), mid, b)
+            roots = grid[:-1].copy()
+            roots[cells] = 0.5 * (a + b)
+            return roots[exact | cells]
+
+        polys = [TrigPolynomial(0.0, (), (1.0, 1.0)),
+                 TrigPolynomial(0.3, (0.4, -0.2, 0.05), (0.9, 0.0, 0.3)),
+                 TrigPolynomial(0.1, (0.5, 0.2), (0.7,)),
+                 TrigPolynomial(0.5, (0.2,), (0.85, 0.1)),
+                 TrigPolynomial(0.1, (0.3, 0.0, 0.2), (0.5,)),
+                 TrigPolynomial(0.0, (1.0,)), TrigPolynomial(0.0, (0.0, 1.0), (0.0, 0.5)),
+                 TrigPolynomial(0.2)]
+        derivative, steps = TrigPolynomial.derivative, []
+
+        def counted(self, theta):
+            steps.append(1)
+            return derivative(self, theta)
+
+        for poly in polys:
+            want = full_bisection(poly)
+            steps.clear()
+            monkeypatch.setattr(TrigPolynomial, "derivative", counted)
+            got = poly._critical_points()
+            monkeypatch.setattr(TrigPolynomial, "derivative", derivative)
+            assert got.shape == want.shape and np.array_equal(got, want), poly
+            assert len(steps) - 1 < 60, poly  # the grid, then the bisections
+
     def test_constant_polynomial(self):
         poly = TrigPolynomial(0.7)
         assert poly.extrema() == (0.7, 0.7)

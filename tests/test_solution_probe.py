@@ -740,6 +740,141 @@ class TestLogAxisRoute:
 
 
 # ---------------------------------------------------------------------------
+# The lattice of a log grid: band_estimate's grid call in verify
+
+
+SWEEP_X0 = 0.5 * math.log(4e6)  # x = log sqrt(4t) at the sweep anchor t = 1e6
+
+
+def trapezoid_step(expr, k, spec=QuadratureSpec()):
+    from heatband.initial_data import _log_trapezoid_rule
+
+    leaves = _split_leaves(expr)
+    return _log_trapezoid_rule(k, leaves.mass, leaves.omega, spec)[2]
+
+
+def lattice_and_batch(expr, k, grid, spec=QuadratureSpec()):
+    """((values, bounds) on the lattice, (values, bounds) of the batch route)
+    at the roots e^x, x = np.linspace(*grid)."""
+    return (_weighted_value(expr, k, None, spec, log_grid=grid),
+            _weighted_value(expr, k, np.exp(np.linspace(*grid)), spec))
+
+
+def lattice_grids(expr, k, count=25):
+    """A grid finer than the rule's step h (q = 1, p = 2) and one coarser
+    (step 0.6 > h, q > 1), both from the sweep anchor."""
+    h = trapezoid_step(expr, k)
+    assert 0.6 > h
+    return [(SWEEP_X0, SWEEP_X0 + 0.4 * h * (count - 1), count),
+            (SWEEP_X0, SWEEP_X0 + 0.6 * (count - 1), count)]
+
+
+class TestLatticeRoute:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_agrees_with_the_batch_route(self, n):
+        # weighted units (u = coeff * value); phi rounds by about
+        # mass omega sigma eps at log radius sigma, which neither bound counts
+        k, eps = n - 1, float(np.finfo(float).eps)
+        for label, expr, _, omega in log_analytic_cases(n):
+            for grid in lattice_grids(expr, k, count=193):
+                (lat, lat_bound), (batch, batch_bound) = lattice_and_batch(expr, k, grid)
+                sigma = grid[1] + math.log(QuadratureSpec().z_max)
+                rounding = 16.0 * eps * _split_leaves(expr).mass * (1.0 + omega * sigma)
+                assert lat.shape == (193,)
+                assert np.all(np.abs(lat - batch) <= lat_bound + batch_bound + rounding), label
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_error_bound_covers_mpmath(self, n):
+        k = n - 1
+        for label, expr, phi, omega in log_analytic_cases(n):
+            for grid in lattice_grids(expr, k):
+                values, bounds = _weighted_value(expr, k, None, QuadratureSpec(), log_grid=grid)
+                xs = np.linspace(*grid)
+                for i in (0, grid[2] // 2, grid[2] - 1):
+                    want = mpmath_weighted(phi, k, math.exp(2.0 * xs[i]) / 4.0, omega)
+                    assert abs(values[i] - want) <= bounds[i], (label, i)
+
+    def test_non_finite_phi_names_its_tau(self, monkeypatch):
+        import heatband.initial_data as idata
+
+        real, seen, cut = idata.eval_phi, [], 1e5
+
+        def poisoned(expr, tau):
+            seen.append(np.array(tau, dtype=float))
+            vals = np.array(real(expr, tau), dtype=float)
+            vals[seen[-1] > cut] = np.nan
+            return vals
+
+        monkeypatch.setattr(idata, "eval_phi", poisoned)
+        with pytest.raises(EvaluationError) as err:
+            _weighted_value(LogSine(1.0, 1.0, 0.0), 0, None, QuadratureSpec(),
+                            log_grid=(SWEEP_X0, SWEEP_X0 + 3.0, 13))
+        lattice = seen[-1]
+        assert lattice.ndim == 1 and np.all(np.diff(lattice) > 0)
+        bad = float(lattice[lattice > cut][0])
+        assert err.value.point == bad
+        assert repr(bad) in str(err.value)
+
+    def test_one_value_blocks_give_the_same_sums(self, monkeypatch):
+        # one row a block changes the order of summation only
+        import heatband.initial_data as idata
+
+        expr, grid = LogSineAvgPreimage(0.6, 2.3, -0.1, 2), (SWEEP_X0, SWEEP_X0 + 9.0, 31)
+        want = _weighted_value(expr, 1, None, QuadratureSpec(), log_grid=grid)
+        monkeypatch.setattr(idata, "_BLOCK", 1)
+        got = _weighted_value(expr, 1, None, QuadratureSpec(), log_grid=grid)
+        _agree(got[0], want[0], hb.sup_abs_phi(expr))
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_grids_of_one_and_two_points(self, count):
+        expr = LogSine(0.8, 0.7, 0.2)
+        (lat, lat_bound), (batch, batch_bound) = lattice_and_batch(
+            expr, 0, (SWEEP_X0, SWEEP_X0 + 1.0, count))
+        assert lat.shape == batch.shape == (count,)
+        assert np.all(np.abs(lat - batch) <= lat_bound + batch_bound)
+
+    def test_other_leaves_take_their_routes_at_the_same_roots(self, monkeypatch):
+        # with the log sine's sums set to zero, what is left is the constant,
+        # the wave (pieces at small roots, its series further out) and the
+        # bump train, which must be the batch route's to the last bit
+        import heatband.initial_data as idata
+
+        expr = Sum((LogSine(0.5, 0.7, 0.1), PeriodicZeroMean(1.0, -0.5, 0.3),
+                    BumpTrain(0.7, 0.5, 0.1, GeometricCenters(3.0)), Constant(0.2)))
+        grid = (1.0, 8.0, 57)
+        monkeypatch.setattr(idata, "_lattice_sums", lambda *args: np.zeros(args[-1][2]))
+        monkeypatch.setattr(idata, "_fixed_sums", lambda _pairs, radii, *_: np.zeros(radii.size))
+        monkeypatch.setattr(idata, "_log_trapezoid_rule", lambda *args: (None, None, 1.0, 0.0))
+        (lat, lat_bound), (batch, batch_bound) = lattice_and_batch(expr, 0, grid)
+        assert np.array_equal(lat, batch) and np.array_equal(lat_bound, batch_bound)
+        assert np.any(lat != 0.2 * gaussian_power_tail(0, 0.0))
+
+    def test_verify_sweep_builds_the_layout_once(self, monkeypatch):
+        # the grid call reads the rule once, on the lattice, and not through
+        # u_origin; every refinement call after it reads the cached rule
+        import heatband.solution_probe as probe
+        from heatband.initial_data import _log_trapezoid_rule
+
+        cert = prescribe_average(-1.0, -0.3, 0.3, 1.0, n=2)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2].size)
+            return u_origin(*args)
+
+        monkeypatch.setattr(probe, "u_origin", counted)
+        _log_trapezoid_rule.cache_clear()
+        band = band_estimate(probe._OriginSweep(cert.data, 2, QuadratureSpec()), cert.m_used)
+        info = _log_trapezoid_rule.cache_info()
+        assert info.misses == 1
+        assert info.hits == len(calls) > 0 and max(calls) <= 2
+        plain = band_estimate(lambda t: u_origin(cert.data, 2, t), cert.m_used)
+        assert band.lower_est == pytest.approx(plain.lower_est, abs=1e-14)
+        assert band.upper_est == pytest.approx(plain.upper_est, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
 # Trapezoid profiles of log(tau + 1): split Gauss rules against mpmath
 
 
