@@ -4,8 +4,8 @@ Every error raised on purpose by this package derives from HeatbandError,
 so callers can catch the package's failures without swallowing bugs.
 check_finite and check_integer sit here, below every other module, so that
 each of them, quadrature included, can refuse a malformed number with
-DomainError, and _json_real writes the NumPy reals it admits into the JSON
-artifacts.
+DomainError, _finite refuses a non-finite evaluation with EvaluationError,
+and _json_real writes the NumPy reals it admits into the JSON artifacts.
 """
 
 from __future__ import annotations
@@ -109,6 +109,17 @@ def check_integer(**named) -> None:
     for name, value in named.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def _finite(values: np.ndarray, points: np.ndarray, source: str, name: str) -> np.ndarray:
+    """values, the values of source at points (arrays of one shape), when all
+    are finite: the package's one refusal of a non-finite evaluation, which
+    raises EvaluationError at the first point whose value is not finite."""
+    if not np.all(np.isfinite(values)):
+        point = float(points[~np.isfinite(values)].flat[0])
+        raise EvaluationError(
+            f"{source} returned a non-finite value at {name} = {point!r}", point=point)
+    return values
 
 
 def _points(values, check) -> tuple[np.ndarray, tuple[int, ...] | None]:

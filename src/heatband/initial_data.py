@@ -28,9 +28,9 @@ from scipy.special import zeta
 from .errors import (
     ConvergenceError,
     DomainError,
-    EvaluationError,
     RangeError,
     UnsupportedExpression,
+    _finite,
     _json_real,
     _points,
     check_finite,
@@ -982,12 +982,15 @@ def phi_from_H(h_expr: InitialDataExpr, n: int) -> InitialDataExpr:
 # Leaf routes
 #
 # Both integrals of the data, u(0, t) against the heat kernel (_weighted_value)
-# and the ball average H(tau) (_ball_average), are routed per signed leaf.
-# Constants are closed forms.  Leaves analytic in log tau (log sines, their average
-# preimages, the doubly-log sine, trig-polynomial profiles of log(tau + 1))
-# share one fixed sum on a log-radius axis, with an a-priori bound through the
-# strip where the integrand stays analytic: a trapezoid sum on x = log z for
-# u, a Gauss-Legendre sum on s = log(r / tau) for H.  Trapezoid profiles of
+# and the ball average H(tau) (_ball_average), are routed per signed leaf by
+# its kind, which _split_leaves alone decides (see _Leaves); the bands and
+# witnesses of a sum and verify's sweeps read the same split, and each route
+# adds its leaves in leaf order, waves before bumps.  Constants are closed
+# forms.  Leaves analytic in log tau (log sines, their average preimages, the
+# doubly-log sine, trig-polynomial profiles of log(tau + 1)) share one fixed
+# sum on a log-radius axis, with an a-priori bound through the strip where
+# the integrand stays analytic: a trapezoid sum on x = log z for u, a
+# Gauss-Legendre sum on s = log(r / tau) for H.  Trapezoid profiles of
 # log(tau + 1), analytic only between their corners, take the Gauss layout
 # split at the corners, for either kernel.  2 pi periodic waves and bump
 # trains would alias under fixed panels; both are linear in tau piece by
@@ -1037,24 +1040,26 @@ _PANEL_ELLIPSE = 0.5
 
 @dataclass(frozen=True)
 class _Leaves:
-    """The signed leaves of an expression under Sum and Negate, by route.
+    """The signed leaves of an expression under Sum and Negate by kind, each
+    kind in leaf order: the one place that decides a leaf's kind.
 
     Every leaf is a (sign, leaf) pair.  constant is the sum of the signed
     constants and bump-train baselines; analytic holds the leaves with a
     strip_bound, with their strip masses summed in mass and their top log
-    frequency in omega; fast holds the 2 pi periodic waves and the bump
-    trains above their baselines, linear piece by piece (_linear_pieces);
-    kinked holds the leaves with a _piece_bound (trapezoid profiles of
-    log(tau + 1)), which the Gauss routes split at their corners, with their
-    piece masses summed in kink_mass and their corner phases, sorted, in
-    phases.
+    frequency in omega; waves holds the 2 pi periodic waves and bumps the
+    bump trains above their baselines, both linear piece by piece
+    (_linear_pieces); kinked holds the leaves with a _piece_bound (trapezoid
+    profiles of log(tau + 1)), which the Gauss routes split at their
+    corners, with their piece masses summed in kink_mass and their corner
+    phases, sorted, in phases.  analytic + kinked are the slow leaves.
     """
 
     constant: float
     analytic: tuple[tuple[float, InitialDataExpr], ...]
     mass: float
     omega: float
-    fast: tuple[tuple[float, InitialDataExpr], ...]
+    waves: tuple[tuple[float, InitialDataExpr], ...]
+    bumps: tuple[tuple[float, InitialDataExpr], ...]
     kinked: tuple[tuple[float, InitialDataExpr], ...]
     kink_mass: float
     phases: tuple[float, ...]
@@ -1064,13 +1069,15 @@ def _split_leaves(expr: InitialDataExpr) -> _Leaves:
     """Sort the signed leaves of expr into their routes; a leaf with none
     raises UnsupportedExpression."""
     constant, mass, omega, kink_mass = 0.0, 0.0, 0.0, 0.0
-    analytic, fast, kinked, phases = [], [], [], set()
+    analytic, waves, bumps, kinked, phases = [], [], [], [], set()
     for sign, leaf in _signed_leaves(expr):
         if isinstance(leaf, Constant):
             constant += sign * leaf.c
-        elif isinstance(leaf, (PeriodicZeroMean, BumpTrain)):
-            constant += sign * getattr(leaf, "baseline", 0.0)  # a wave has none
-            fast.append((sign, leaf))
+        elif isinstance(leaf, PeriodicZeroMean):
+            waves.append((sign, leaf))
+        elif isinstance(leaf, BumpTrain):
+            constant += sign * leaf.baseline
+            bumps.append((sign, leaf))
         elif (bound := leaf.strip_bound()) is not None:
             analytic.append((sign, leaf))
             mass += bound[0]
@@ -1082,8 +1089,8 @@ def _split_leaves(expr: InitialDataExpr) -> _Leaves:
         else:
             raise UnsupportedExpression(
                 f"no integration route for {type(leaf).__name__}")
-    return _Leaves(constant, tuple(analytic), mass, omega, tuple(fast), tuple(kinked),
-                   kink_mass, tuple(sorted(phases)))
+    return _Leaves(constant, tuple(analytic), mass, omega, tuple(waves), tuple(bumps),
+                   tuple(kinked), kink_mass, tuple(sorted(phases)))
 
 
 def _signed_sum(pairs) -> InitialDataExpr:
@@ -1094,12 +1101,7 @@ def _signed_sum(pairs) -> InitialDataExpr:
 
 def _phi_on(expr: InitialDataExpr, tau: np.ndarray) -> np.ndarray:
     """phi at the radii tau; a non-finite value raises EvaluationError."""
-    vals = eval_phi(expr, tau)
-    if not np.all(np.isfinite(vals)):
-        bad = float(tau[~np.isfinite(vals)][0])
-        raise EvaluationError(
-            f"initial data returned a non-finite value at tau = {bad!r}", point=bad)
-    return vals
+    return _finite(eval_phi(expr, tau), tau, "initial data", "tau")
 
 
 def _fixed_sums(pairs, radii, scale, weights) -> np.ndarray:
@@ -1388,12 +1390,12 @@ def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
         scale, weights, rule_bound = _log_gauss_rule(n, leaves.mass, leaves.omega, tol)
         value += _fixed_sums(leaves.analytic, taus, scale, weights)
         bound += rule_bound
-    for sign, leaf in leaves.fast:
-        if isinstance(leaf, PeriodicZeroMean):
-            part, part_bound = _wave_radial_integral(leaf, n, taus)
-        else:
-            pieces, sup, _steep = _linear_pieces(leaf, taus.max())
-            part, part_bound = _pieces_radial(pieces, sup, n, taus)
+    for sign, leaf in leaves.waves:
+        part, part_bound = _wave_radial_integral(leaf, n, taus)
+        value += sign * n * part
+        bound += n * part_bound
+    for sign, leaf in leaves.bumps:
+        part, part_bound = _pieces_radial(*_linear_pieces(leaf, taus.max())[:2], n, taus)
         value += sign * n * part
         bound += n * part_bound
     values[live], bounds[live] = value, bound
@@ -1452,13 +1454,14 @@ def _weighted_value(expr, k: int, roots, spec: QuadratureSpec,
             part, part_bound = _split_gauss_sum(leaves.kinked, leaves, root * z_max, layout, kernel)
             value[i] += part
             bound[i] += part_bound + leaves.kink_mass * gaussian_power_tail(k, z_max)
-    for sign, leaf in leaves.fast:
-        if isinstance(leaf, PeriodicZeroMean):
-            part, part_bound = _wave_weighted_integral(leaf, k, roots, spec.z_max,
-                                                       spec.abs_tol, spec.max_panels)
-        else:
-            part, part_bound = _pieces_weighted(
-                *_linear_pieces(leaf, spec.z_max * roots.max(initial=0.0)), k, roots, spec.z_max)
+    for sign, leaf in leaves.waves:
+        part, part_bound = _wave_weighted_integral(leaf, k, roots, spec.z_max,
+                                                   spec.abs_tol, spec.max_panels)
+        value += sign * part
+        bound += part_bound
+    for sign, leaf in leaves.bumps:
+        part, part_bound = _pieces_weighted(
+            *_linear_pieces(leaf, spec.z_max * roots.max(initial=0.0)), k, roots, spec.z_max)
         value += sign * part
         bound += part_bound
     return value, bound
@@ -1829,22 +1832,16 @@ def analytic_band_phi(expr: InitialDataExpr) -> tuple[float, float]:
     leaves = _signed_leaves(expr)
     if len(leaves) == 1:
         return _signed_band(*leaves[0])
-    level = wave_lo = wave_hi = bump_lo = bump_hi = 0.0
-    slows = []
-    for sign, leaf in leaves:
-        if isinstance(leaf, Constant):
-            level += sign * leaf.c
-        elif isinstance(leaf, BumpTrain):
-            level += sign * leaf.baseline
-            bump_lo += min(sign * leaf.height, 0.0)
-            bump_hi += max(sign * leaf.height, 0.0)
-        elif isinstance(leaf, PeriodicZeroMean):
-            lo, hi = _signed_band(sign, leaf)
-            wave_lo += lo
-            wave_hi += hi
-        else:
-            slows.append((sign, leaf))
-
+    split = _split_leaves(expr)
+    level, slows = split.constant, split.analytic + split.kinked
+    wave_lo = wave_hi = bump_lo = bump_hi = 0.0
+    for sign, leaf in split.waves:
+        lo, hi = _signed_band(sign, leaf)
+        wave_lo += lo
+        wave_hi += hi
+    for sign, leaf in split.bumps:
+        bump_lo += min(sign * leaf.height, 0.0)
+        bump_hi += max(sign * leaf.height, 0.0)
     if len(slows) > 1:
         s_lo, s_hi = _commensurate_profile(slows).extrema()
     elif slows:
@@ -1919,8 +1916,8 @@ def band_witnesses(expr: InitialDataExpr, tau_lo: float = 1e3,
     else:
         # a sum: the witnesses of its slow content, each shifted onto the
         # extremal plateau of every wave, plus the centers of every bump train
-        slows = [(sign, leaf) for sign, leaf in leaves
-                 if not isinstance(leaf, (Constant, PeriodicZeroMean, BumpTrain))]
+        split = _split_leaves(expr)
+        slows = split.analytic + split.kinked
         if len(slows) > 1:
             (_l, _h), (a_lo, a_hi) = _commensurate_profile(slows).extrema_with_args()
             lo_w = _phase_taus(1.0, a_lo, tau_lo, tau_hi)
@@ -1930,23 +1927,21 @@ def band_witnesses(expr: InitialDataExpr, tau_lo: float = 1e3,
         else:
             lo_w = hi_w = np.asarray([0.5 * (tau_lo + tau_hi)])
         lo_w, hi_w = np.asarray(lo_w, dtype=float), np.asarray(hi_w, dtype=float)
-        for sign, leaf in leaves:
-            if isinstance(leaf, PeriodicZeroMean):
-                # the slow phase is frozen over a shift of at most 2 pi in tau
-                arg_lo, arg_hi = leaf.wave.extremizer_args()
-                if sign < 0:
-                    arg_lo, arg_hi = arg_hi, arg_lo
-                lo_w = _align_phase(lo_w, arg_lo)
-                hi_w = _align_phase(hi_w, arg_hi)
-        for sign, leaf in leaves:
-            if isinstance(leaf, BumpTrain):
-                # limsup needs a bump center, which the double-exponential
-                # law places exactly at the slow term's peaks
-                cs = leaf.centers.representable_centers()
-                if sign * leaf.height > 0:
-                    hi_w = np.concatenate([hi_w, cs])
-                else:
-                    lo_w = np.concatenate([lo_w, cs])
+        for sign, leaf in split.waves:
+            # the slow phase is frozen over a shift of at most 2 pi in tau
+            arg_lo, arg_hi = leaf.wave.extremizer_args()
+            if sign < 0:
+                arg_lo, arg_hi = arg_hi, arg_lo
+            lo_w = _align_phase(lo_w, arg_lo)
+            hi_w = _align_phase(hi_w, arg_hi)
+        for sign, leaf in split.bumps:
+            # limsup needs a bump center, which the double-exponential
+            # law places exactly at the slow term's peaks
+            cs = leaf.centers.representable_centers()
+            if sign * leaf.height > 0:
+                hi_w = np.concatenate([hi_w, cs])
+            else:
+                lo_w = np.concatenate([lo_w, cs])
     lo = np.asarray(sorted(set(float(t) for t in lo_w if 0 <= t < _FLOAT_MAX)))
     hi = np.asarray(sorted(set(float(t) for t in hi_w if 0 <= t < _FLOAT_MAX)))
     return lo, hi

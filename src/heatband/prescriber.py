@@ -398,6 +398,8 @@ def envelope_u(cert: PrescriptionCertificate, t: float) -> float:
     """
     check_time(t)
     y, n = 0.5 * math.log(4.0 * t), cert.target.n
+    # the one reader of leaf kinds besides initial_data._split_leaves: it
+    # runs once per probe row, and the split costs more than this loop
     value, slow_seen, bumps_seen = 0.0, False, False
     for sign, leaf in _signed_leaves(cert.data):
         value += sign * leaf.limit_u(y, n)

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, EvaluationError, check_finite, check_integer
+from .errors import ConvergenceError, DomainError, _finite, check_finite, check_integer
 
 __all__ = [
     "QuadratureSpec",
@@ -147,18 +147,15 @@ def _checked_eval(f: Callable, x: np.ndarray, counter: _Counter,
                   weight: Callable | None) -> np.ndarray:
     """f at the points x, times weight(x) when a weight is given.
 
-    The one finite-value check of the engine: a non-finite f value raises
-    EvaluationError naming its point.  counter tallies the evaluations and
-    the largest |f| seen, which bounds the unsampled tail.
+    A non-finite f value raises EvaluationError naming its point (see
+    errors._finite).  counter tallies the evaluations and the largest |f|
+    seen, which bounds the unsampled tail.
     """
     vals = np.asarray(f(x), dtype=float)
     if vals.shape != x.shape:
         vals = np.broadcast_to(vals, x.shape).astype(float)
     counter.n += x.size
-    if not np.all(np.isfinite(vals)):
-        bad = float(x[~np.isfinite(vals)].flat[0])
-        raise EvaluationError(
-            f"integrand returned a non-finite value at point {bad!r}", point=bad)
+    _finite(vals, x, "integrand", "x")
     if vals.size:
         counter.f_max = max(counter.f_max, float(np.max(np.abs(vals))))
     return vals if weight is None else vals * weight(x)

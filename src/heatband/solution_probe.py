@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    EvaluationError,
     PartialBandError,
     RangeError,
     UnsupportedExpression,
+    _finite,
     _json_real,
     _points,
     check_finite,
@@ -31,7 +31,7 @@ from .errors import (
 from .initial_data import (
     InitialDataExpr,
     LogLogSine,
-    _signed_leaves,
+    _split_leaves,
     _weighted_value,
     band_witnesses,
     eval_phi,
@@ -339,23 +339,15 @@ def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
         grid = (x0, x1, max(int(math.ceil(points_per_period * covered)) + 1, 9))
         xs = np.linspace(*grid)
 
-    def checked(x, vals):
-        vals = np.broadcast_to(np.asarray(vals, dtype=float), x.shape)
-        if not np.all(np.isfinite(vals)):
-            bad = float(x[~np.isfinite(vals)][0])
-            raise EvaluationError(
-                f"evaluator returned a non-finite value at t = {math.exp(2 * bad) / 4.0}",
-                point=bad)
-        return vals
+    def at_x(x, log_grid=None):
+        # the evaluator at t = e^{2x} / 4, in one call for the array x; with
+        # log_grid, verify's sweep on x = np.linspace(*log_grid) as one grid
+        t = np.exp(2.0 * x) / 4.0
+        vals = evaluator(t) if log_grid is None else evaluator.on_log_grid(*log_grid)
+        return _finite(np.broadcast_to(np.asarray(vals, dtype=float), t.shape), t,
+                       "evaluator", "t")
 
-    def at_x(x):
-        # the evaluator at t = e^{2x} / 4, in one call for the array x
-        return checked(x, evaluator(np.exp(2.0 * x) / 4.0))
-
-    if grid is not None and isinstance(evaluator, _OriginSweep):
-        vals = checked(xs, evaluator.on_log_grid(*grid))
-    else:
-        vals = at_x(xs)
+    vals = at_x(xs, grid if isinstance(evaluator, _OriginSweep) else None)
     # Brent searches for the least of sign * f about the grid minimum (sign 1)
     # and maximum (sign -1), in lockstep: one call a step for the trial
     # points of the ends still open
@@ -415,8 +407,8 @@ class _OriginSweep:
 def _slow_content(expr) -> tuple[float | None, bool]:
     """(lowest log frequency of the slow leaves or None, whether a
     doubly-log sine is present): what the sweeps of verify need."""
-    freqs, loglog = [], False
-    for _sign, leaf in _signed_leaves(expr):
+    split, freqs, loglog = _split_leaves(expr), [], False
+    for _sign, leaf in split.analytic + split.kinked:
         if (freq := leaf.slow_frequency()) is not None:
             freqs.append(freq)
         loglog = loglog or isinstance(leaf, LogLogSine)

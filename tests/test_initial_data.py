@@ -56,6 +56,7 @@ from heatband.initial_data import (
     to_json,
 )
 from heatband.kernel_moments import KernelFlavor, kernel_moments
+from heatband.prescriber import prescribe_data
 
 # np.trapezoid is the NumPy 2.0 name of np.trapz; NumPy 2.4 removed np.trapz.
 trapezoid_rule = getattr(np, "trapezoid", None) or np.trapz
@@ -844,6 +845,18 @@ class TestExactRoutesFarOut:
             error = abs(float(value[0]) - mp_wave_radial(wave.wave, n, tau))
             assert error <= min(float(bound[0]), 1e-14), (wave, error, bound)
             assert bound[0] <= 1e-14, (wave, bound)
+
+    @pytest.mark.parametrize("tau", [8.0 * math.pi, 26.0, 31.0, 40.0, 47.5, 59.0, 60.0])
+    def test_amplitude_two_waves_within_their_bound(self, tau):
+        # from four periods to about 60 the series bound of a wave of
+        # amplitude 2 passes 1e-14 (the rounding bounds of W_j scale with its
+        # jump), so only error <= bound is asserted: the bound is real
+        for n in range(1, 11):
+            wave_plus_constant = prescribe_data(-1.0, 0.0, 0.0, 2.0, n).data
+            for wave in (PeriodicZeroMean(2.0, -0.5, 0.3), wave_plus_constant.terms[0]):
+                value, bound = _wave_radial_integral(wave, n, np.array([tau]))
+                error = abs(float(value[0]) - mp_wave_radial(wave.wave, n, tau))
+                assert error <= float(bound[0]), (wave, n, error, bound)
 
     def test_wave_batch_matches_single_radii(self):
         # both sides of the switch in one array give the values of single calls
