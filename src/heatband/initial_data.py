@@ -140,13 +140,20 @@ class TrapezoidWave(PeriodicFunction):
         th = np.mod(theta, TWO_PI)
         return np.interp(th, self.breakpoints, self.knot_values)
 
+    @cached_property
+    def pieces(self) -> tuple[tuple[float, float, float, float], ...]:
+        """The linear pieces of one period as (start, width, start value,
+        rise), the wave v + rise s at fraction s of the piece; an empty
+        plateau has no piece."""
+        bp, kv = self.breakpoints, self.knot_values
+        return tuple((bp[i], bp[i + 1] - bp[i], kv[i], kv[i + 1] - kv[i])
+                     for i in range(len(bp) - 1) if bp[i + 1] > bp[i])
+
     def derivative(self, theta):
         th = np.mod(np.asarray(theta, dtype=float), TWO_PI)
-        bp = np.asarray(self.breakpoints)
-        kv = np.asarray(self.knot_values)
-        slopes = np.diff(kv) / np.diff(bp)
-        idx = np.clip(np.searchsorted(bp, th, side="right") - 1, 0, len(slopes) - 1)
-        return slopes[idx]
+        start, width, _v, rise = np.array(self.pieces).T
+        idx = np.clip(np.searchsorted(start, th, side="right") - 1, 0, start.size - 1)
+        return (rise / width)[idx]
 
     def mean(self) -> float:
         return 0.0
@@ -158,19 +165,6 @@ class TrapezoidWave(PeriodicFunction):
         """Phase of the min plateau center and of the max plateau center."""
         bp = self.breakpoints
         return (0.5 * (bp[4] + bp[5]), 0.5 * (bp[1] + bp[2]))
-
-    def segments(self) -> tuple[tuple[float, float, float, float], ...]:
-        """Linear pieces as (theta0, theta1, a, b) with value = a + b theta."""
-        bp = self.breakpoints
-        kv = self.knot_values
-        out = []
-        for i in range(len(bp) - 1):
-            if bp[i + 1] == bp[i]:
-                continue
-            b = (kv[i + 1] - kv[i]) / (bp[i + 1] - bp[i])
-            a = kv[i] - b * bp[i]
-            out.append((bp[i], bp[i + 1], a, b))
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -673,23 +667,69 @@ class BumpTrain(InitialDataExpr):
 
 
 class _ProfileOfLog(InitialDataExpr):
-    """Shared rules of the leaves built on a 2 pi periodic profile g of
-    x = log(tau + 1); subclasses give _slope (the weight of g'(x) in phi
-    over tau / (tau + 1)) and _profile_extrema."""
+    """Shared rules of the leaves phi = g(x) + (tau / (tau + 1)) g'(x) / _n
+    on a 2 pi periodic profile g of x = log(tau + 1): _n is the dimension n
+    of SlowFromPeriodic and inf for PeriodicOfLog, and _slope = 1 / _n.  The
+    asymptotic profile g + g'/_n gives the band and the witnesses; it divides
+    by _n, as phi does, since d (1/n) may round apart from d / n."""
 
-    _slope = 0.0
+    _n = math.inf
 
     def __post_init__(self):
         if not isinstance(self.g, (TrapezoidWave, TrigPolynomial)):
             raise DomainError("g must be a TrapezoidWave or TrigPolynomial, "
                               f"got {type(self.g).__name__}")
 
+    @property
+    def _slope(self):
+        return 1.0 / self._n
+
+    @cached_property
+    def _profile(self) -> TrigPolynomial | None:
+        """The asymptotic profile g + g'/n of phi for a trig-polynomial g."""
+        g = self.g
+        if not isinstance(g, TrigPolynomial):
+            return None
+        dp = g.derivative_poly()
+
+        def lean(coeffs, slopes):
+            return tuple(c + d / self._n for c, d in
+                         itertools.zip_longest(coeffs, slopes, fillvalue=0.0))
+
+        return TrigPolynomial(g.const, lean(g.cos_coeffs, dp.cos_coeffs),
+                              lean(g.sin_coeffs, dp.sin_coeffs))
+
     def _profile_extrema(self):
         """((min, max), (argmin, argmax)) of the asymptotic profile over one period."""
-        raise NotImplementedError
+        if self._profile is not None:
+            return self._profile.extrema_with_args()
+        # trapezoid: g + g'/n is linear on each open piece, so its extremes
+        # sit at one-sided piece ends; the arguments are nudged inward so
+        # evaluation picks the correct piece (the corner value itself
+        # belongs to the neighbor)
+        nudge = 1e-9
+        ends, inward = [], []
+        for start, width, v, rise in self.g.pieces:
+            slope = rise / width
+            lean = slope / self._n
+            ends += [v + lean, v + rise + lean]
+            inward += [(v + slope * nudge + lean, start + nudge),
+                       (v + rise - slope * nudge + lean, start + width - nudge)]
+        lowest = min(inward, key=lambda pair: pair[0])
+        highest = max(inward, key=lambda pair: pair[0])
+        return (min(ends), max(ends)), (lowest[1], highest[1])
 
     def band(self):
         return self._profile_extrema()[0]
+
+    def sup_abs(self):
+        g = self.g
+        if isinstance(g, TrigPolynomial):  # g' has no weight in PeriodicOfLog
+            return g.abs_max() + (g.derivative_poly().abs_max() / self._n if self._slope else 0.0)
+        return max(g.v_max, -g.v_min) + self._steepest() / self._n
+
+    def _steepest(self):  # max |g'| of a trapezoid g
+        return max(abs(rise) / width for _start, width, _v, rise in self.g.pieces)
 
     def strip_bound(self):
         # with L = log(tau + 1), |Im L| <= |arg tau| and |tau / (tau + 1)| <= 1,
@@ -712,8 +752,7 @@ class _ProfileOfLog(InitialDataExpr):
         g = self.g
         if not isinstance(g, TrapezoidWave):
             return None
-        steep = max(abs(b) for (_t0, _t1, _a, b) in g.segments())
-        return (self.sup_abs() + steep * (2.0 * _STRIP - math.log(math.cos(_STRIP))),
+        return (self.sup_abs() + self._steepest() * (2.0 * _STRIP - math.log(math.cos(_STRIP))),
                 tuple(sorted(set(g.breakpoints[:-1]))))
 
     def slow_frequency(self):
@@ -750,55 +789,12 @@ class SlowFromPeriodic(_ProfileOfLog):
         check_dimension(self.n)
 
     @property
-    def _slope(self):
-        return 1.0 / self.n
+    def _n(self):
+        return self.n
 
     def _values(self, tau):
         x = np.log1p(tau)
         return self.g.value(x) + (tau / (self.n * (tau + 1.0))) * self.g.derivative(x)
-
-    @cached_property
-    def _profile(self) -> TrigPolynomial | None:
-        """The asymptotic profile g + g'/n of phi for a trig-polynomial g."""
-        g = self.g
-        if not isinstance(g, TrigPolynomial):
-            return None
-        dp = g.derivative_poly()
-        j_max = max(len(g.cos_coeffs), len(g.sin_coeffs), 1)
-
-        def coeff(seq, j):
-            return seq[j] if j < len(seq) else 0.0
-
-        return TrigPolynomial(
-            g.const,
-            tuple(coeff(g.cos_coeffs, j) + coeff(dp.cos_coeffs, j) / self.n
-                  for j in range(j_max)),
-            tuple(coeff(g.sin_coeffs, j) + coeff(dp.sin_coeffs, j) / self.n
-                  for j in range(j_max)))
-
-    def _profile_extrema(self):
-        if self._profile is not None:
-            return self._profile.extrema_with_args()
-        # trapezoid: g + g'/n is linear on each open segment, so its extremes
-        # sit at one-sided segment endpoints; the arguments are nudged inward
-        # so evaluation picks the correct piece (the corner value itself
-        # belongs to the neighbor)
-        nudge = 1e-9
-        ends, inward = [], []
-        for (t0, t1, a, b) in self.g.segments():
-            for th, th_in in ((t0, t0 + nudge), (t1, t1 - nudge)):
-                ends.append(a + b * th + b / self.n)
-                inward.append((a + b * th_in + b / self.n, th_in))
-        lowest = min(inward, key=lambda pair: pair[0])
-        highest = max(inward, key=lambda pair: pair[0])
-        return (min(ends), max(ends)), (lowest[1], highest[1])
-
-    def sup_abs(self):
-        g = self.g
-        if isinstance(g, TrigPolynomial):
-            return g.abs_max() + g.derivative_poly().abs_max() / self.n
-        slopes = [abs(b) for (_t0, _t1, _a, b) in g.segments()]
-        return max(g.v_max, -g.v_min) + max(slopes) / self.n
 
 
 @dataclass(frozen=True)
@@ -809,15 +805,6 @@ class PeriodicOfLog(_ProfileOfLog):
 
     def _values(self, tau):
         return self.g.value(np.log1p(tau))
-
-    def _profile_extrema(self):
-        if isinstance(self.g, TrigPolynomial):
-            return self.g.extrema_with_args()
-        return self.g.extrema(), self.g.extremizer_args()
-
-    def sup_abs(self):
-        lo, hi = self.g.extrema()
-        return max(abs(lo), abs(hi))
 
 
 @dataclass(frozen=True)
@@ -992,7 +979,8 @@ def phi_from_H(h_expr: InitialDataExpr, n: int) -> InitialDataExpr:
 # the integrand stays analytic: a trapezoid sum on x = log z for u, a
 # Gauss-Legendre sum on s = log(r / tau) for H.  Trapezoid profiles of
 # log(tau + 1), analytic only between their corners, take the Gauss layout
-# split at the corners, for either kernel.  2 pi periodic waves and bump
+# split at the corners, radius by radius, for either kernel, beside the
+# analytic leaves' own rule (in H tol/2 each).  2 pi periodic waves and bump
 # trains would alias under fixed panels; both are linear in tau piece by
 # piece, a bump train above its baseline, which joins the constants.  One
 # Gauss rule on those pieces, in coordinates local to each, serves both
@@ -1050,8 +1038,9 @@ class _Leaves:
     bump trains above their baselines, both linear piece by piece
     (_linear_pieces); kinked holds the leaves with a _piece_bound (trapezoid
     profiles of log(tau + 1)), which the Gauss routes split at their
-    corners, with their piece masses summed in kink_mass and their corner
-    phases, sorted, in phases.  analytic + kinked are the slow leaves.
+    corners, apart from the analytic leaves, with their piece masses summed
+    in kink_mass and their corner phases, sorted, in phases.  analytic +
+    kinked are the slow leaves.
     """
 
     constant: float
@@ -1136,11 +1125,12 @@ def _split_gauss(lo: float, h: float, panels: int, radius: float, phases):
     return nodes, (widths[:, None] * GL_WEIGHTS).ravel(), gap <= 16.0 * _EPS * (ell + 1.0)
 
 
-def _split_gauss_sum(pairs, leaves: _Leaves, radius: float, layout,
-                     kernel) -> tuple[float, float]:
-    """(value, error bound) for int_{-D}^0 K(s) phi(radius e^s) ds, phi the
-    signed sum of pairs, by the Gauss layout (D, P, bound) of
-    _log_gauss_panels split at the corners of leaves.kinked.
+def _split_gauss_sum(leaves: _Leaves, radii: np.ndarray, layout,
+                     kernel) -> tuple[np.ndarray, np.ndarray]:
+    """(values, error bounds) of int_{-D}^0 K(s) phi(radius e^s) ds at each
+    radius of the 1-D array radii, phi the signed sum of leaves.kinked, by
+    the Gauss layout (D, P, bound) of _log_gauss_panels split at their
+    corners, which move with the radius, so radius by radius.
 
     kernel(s) gives K at the nodes and factors c_i with K_i right to 4 c_i eps
     relative.  The terms are summed exactly by math.fsum; the bound adds to
@@ -1148,13 +1138,17 @@ def _split_gauss_sum(pairs, leaves: _Leaves, radius: float, layout,
     2 kink_mass w_i K_i for each node near a corner.
     """
     depth, panels, bound = layout
-    s, w, near = _split_gauss(-depth, depth / panels, panels, radius, leaves.phases)
-    k_vals, cond = kernel(s)
-    weights = w * k_vals
-    terms = weights * _phi_on(_signed_sum(pairs), radius * np.exp(s))
-    rounding = 4.0 * _EPS * float(np.sum(np.abs(terms) * cond))
-    return math.fsum(terms), (bound + rounding
-                              + 2.0 * leaves.kink_mass * float(np.sum(weights[near])))
+    expr = _signed_sum(leaves.kinked)
+    values, bounds = np.empty(radii.size), np.empty(radii.size)
+    for i, radius in enumerate(radii.tolist()):
+        s, w, near = _split_gauss(-depth, depth / panels, panels, radius, leaves.phases)
+        k_vals, cond = kernel(s)
+        weights = w * k_vals
+        terms = weights * _phi_on(expr, radius * np.exp(s))
+        rounding = 4.0 * _EPS * float(np.sum(np.abs(terms) * cond))
+        values[i] = math.fsum(terms)
+        bounds[i] = bound + rounding + 2.0 * leaves.kink_mass * float(np.sum(weights[near]))
+    return values, bounds
 
 
 @lru_cache(maxsize=64)
@@ -1335,12 +1329,13 @@ def numeric_H(expr: InitialDataExpr, n: int, tau, tol: float = 1e-8):
 
     tau is a radius (giving a float) or an array of radii (giving an array
     of its shape); a bad radius anywhere raises DomainError.  Each signed
-    leaf of expr takes its route (see Leaf routes): profiles of log tau one
+    leaf of expr takes its route (see Leaf routes): profiles of log tau a
     fixed Gauss-Legendre sum on s = log(r / tau), where
     H(tau) = n int_{-inf}^0 phi(tau e^s) e^{ns} ds, whose a-priori bound keeps
-    the error below tol at every tau; a wave from four periods on its
-    integration-by-parts sum, and bump trains and nearer waves a Gauss rule
-    on each linear piece, exact for the kernel r^(n-1).
+    the error below tol at every tau (analytic and trapezoid profiles, split
+    at their corners, share tol, tol/2 each); a wave from four periods on
+    its integration-by-parts sum, and bump trains and nearer waves a Gauss
+    rule on each linear piece, exact for the kernel r^(n-1).
 
     tol must be a positive finite real.  Too fine a tol for the analytic
     leaves raises ConvergenceError, a non-finite data value EvaluationError.
@@ -1360,10 +1355,10 @@ def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
     """(H, error bound) at each radius of the 1-D array taus, which
     numeric_H has checked.
 
-    The bound adds the a-priori bound of the Gauss sum, with 2 mass |w_i|
-    for each node that rounding may evaluate on the wrong side of a corner,
-    and the bounds of the wave and bump routes; the rest of the rounding in
-    evaluating phi itself is not counted.
+    The bound adds the a-priori bounds of the Gauss sums, with
+    2 kink_mass |w_i| for each node that rounding may evaluate on the wrong
+    side of a corner, and the bounds of the wave and bump routes; the rest
+    of the rounding in evaluating phi itself is not counted.
     """
     check_dimension(n)
     check_finite(tol=tol)
@@ -1379,17 +1374,18 @@ def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
 
     leaves = _split_leaves(expr)
     value, bound = np.full(taus.size, leaves.constant), np.zeros(taus.size)
-    if leaves.kinked:  # the layout for the summed mass, split at the corners
-        layout = _log_gauss_panels(n, leaves.mass + leaves.kink_mass, leaves.omega, tol)
-        parts = np.array([_split_gauss_sum(leaves.analytic + leaves.kinked, leaves, tau, layout,
-                                           lambda s: (n * np.exp(s) ** n, 2.0 + n))
-                          for tau in taus.tolist()])
-        value += parts[:, 0]
-        bound += parts[:, 1]
-    elif leaves.analytic:
-        scale, weights, rule_bound = _log_gauss_rule(n, leaves.mass, leaves.omega, tol)
+    # analytic and kinked leaves together share tol, tol/2 each
+    share = 0.5 * tol if leaves.analytic and leaves.kinked else tol
+    if leaves.analytic:
+        scale, weights, rule_bound = _log_gauss_rule(n, leaves.mass, leaves.omega, share)
         value += _fixed_sums(leaves.analytic, taus, scale, weights)
         bound += rule_bound
+    if leaves.kinked:
+        part, part_bound = _split_gauss_sum(leaves, taus,
+                                            _log_gauss_panels(n, leaves.kink_mass, 0.0, share),
+                                            lambda s: (n * np.exp(s) ** n, 2.0 + n))
+        value += part
+        bound += part_bound
     for sign, leaf in leaves.waves:
         part, part_bound = _wave_radial_integral(leaf, n, taus)
         value += sign * n * part
@@ -1450,10 +1446,9 @@ def _weighted_value(expr, k: int, roots, spec: QuadratureSpec,
 
         layout = _log_gauss_panels(k + 1, leaves.kink_mass * z_max ** (k + 1) / (k + 1),
                                    0.0, 0.5 * spec.abs_tol)
-        for i, root in enumerate(roots.tolist()):
-            part, part_bound = _split_gauss_sum(leaves.kinked, leaves, root * z_max, layout, kernel)
-            value[i] += part
-            bound[i] += part_bound + leaves.kink_mass * gaussian_power_tail(k, z_max)
+        part, part_bound = _split_gauss_sum(leaves, roots * z_max, layout, kernel)
+        value += part
+        bound += part_bound + leaves.kink_mass * gaussian_power_tail(k, z_max)
     for sign, leaf in leaves.waves:
         part, part_bound = _wave_weighted_integral(leaf, k, roots, spec.z_max,
                                                    spec.abs_tol, spec.max_panels)
@@ -1517,8 +1512,7 @@ def _linear_pieces(leaf, tau_max: float):
         offsets = leaf.centers.representable_centers()
         offsets = offsets[:np.searchsorted(offsets, tau_max + half)]
     else:
-        bp, kv = np.asarray(leaf.wave.breakpoints), np.asarray(leaf.wave.knot_values)
-        block = np.array([bp[:-1], np.diff(bp), kv[:-1], np.diff(kv)])[:, np.diff(bp) > 0]
+        block = np.array(leaf.wave.pieces).T
         offsets = TWO_PI * np.arange(math.floor(tau_max / TWO_PI) + 1)
     pieces = np.empty((4, offsets.size, block.shape[1]))
     pieces[:] = block[:, None]
@@ -1641,8 +1635,10 @@ def _wave_primitives(trap: TrapezoidWave):
     """(mean, jump, at, at_zero), the model of a trapezoid wave w in both
     kernels' integration-by-parts routes.  mean is the mean of w over its
     period T = TWO_PI, exact from the knots (zero up to the rounding of the
-    plateau lengths).  w - mean is linear between its corners theta_i, where
-    its slope jumps by ds_i, and jump = sum_i |ds_i|.  Its zero-mean
+    plateau lengths): the model reads the breakpoints and knots as Fractions,
+    not the rounded widths and rises of w.pieces, so that the mean and each
+    jump are rounded once.  w - mean is linear between its corners theta_i,
+    where its slope jumps by ds_i, and jump = sum_i |ds_i|.  Its zero-mean
     primitives, W_j' = W_{j-1} with W_0 = w - mean, follow from the Fourier
     series of w'' = sum_i ds_i delta(theta - theta_i):
 
@@ -1663,8 +1659,7 @@ def _wave_primitives(trap: TrapezoidWave):
     steps err by eps/2 T each.
     """
     bp, kv = trap.breakpoints, trap.knot_values
-    # (theta_i, width, v_i, rise) of each piece, exact, so that the mean and
-    # the jumps are each rounded once
+    # (theta_i, width, v_i, rise) of each piece, exact
     pieces = [(Fraction(bp[i]), Fraction(bp[i + 1]) - Fraction(bp[i]),
                Fraction(kv[i]), Fraction(kv[i + 1]) - Fraction(kv[i]))
               for i in range(len(bp) - 1) if bp[i + 1] > bp[i]]
@@ -1769,9 +1764,10 @@ def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, roots, z_cut: float,
     near = roots[~series]
     if near.size:
         # the node guard, before the pieces, whose count grows with root
-        widest = float(np.max(np.diff(expr.wave.breakpoints)))
+        pieces = expr.wave.pieces
+        widest = max(width for _start, width, _v, _rise in pieces)
         for root in near.tolist():
-            nodes = (len(expr.wave.segments()) * (math.floor(z_cut * root / TWO_PI) + 1)
+            nodes = (len(pieces) * (math.floor(z_cut * root / TWO_PI) + 1)
                      * _piece_panels(widest, root, z_cut) * GL_NODES.size)
             if nodes > max_nodes:
                 raise ConvergenceError(f"wave pieces need {nodes:.3g} nodes at "

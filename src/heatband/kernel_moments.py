@@ -183,6 +183,7 @@ def solve_m(n: int, ratio: float, flavor: KernelFlavor,
     only in the degenerate m -> 0 limit and never vanishes at finite m.
     """
     check_dimension(n)
+    check_finite(ratio=ratio, root_tol=root_tol)
     if not (0.0 < ratio < 1.0):
         raise DomainError(
             f"ratio must lie strictly inside (0, 1), got {ratio!r}; the "

@@ -277,7 +277,8 @@ def integrate_log_oscillatory(F: Callable, m: float, trig,
     """
     if spec is None:
         spec = QuadratureSpec()
-    if not (math.isfinite(m) and m > 0):
+    check_finite(m=m)
+    if not m > 0:
         raise DomainError(f"oscillation frequency m must be positive, got {m!r}")
     if m > MAX_OSCILLATION_FREQUENCY:
         raise ConvergenceError(

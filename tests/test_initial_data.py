@@ -136,6 +136,34 @@ class TestTrapezoidWave:
         assert float(w.value(arg_lo)) == pytest.approx(-0.35, abs=1e-14)
         assert float(w.value(arg_hi)) == pytest.approx(1.35, abs=1e-14)
 
+    def test_empty_plateau_has_no_piece(self):
+        # v_max = 13, v_min = -1 leave the upper plateau zero long
+        w = TrapezoidWave(13.0, -1.0)
+        assert w.breakpoints[1] == w.breakpoints[2]
+        assert len(w.pieces) == 5
+        assert all(width > 0.0 for _start, width, _v, _rise in w.pieces)
+
+    def test_derivative_of_empty_plateau_is_its_pieces_slopes(self):
+        # a RuntimeWarning from 0/0 would fail here, as the pytest settings
+        # make it an error
+        w = TrapezoidWave(13.0, -1.0)
+        assert np.all(np.isfinite(w.derivative(np.linspace(0.0, TWO_PI, 64))))
+        for start, width, _v, rise in w.pieces:
+            theta = np.array([start, start + 0.5 * width])
+            assert np.array_equal(w.derivative(theta), np.full(2, rise / width))
+        assert np.all(np.isfinite(eval_phi(SlowFromPeriodic(w, 2), np.geomspace(1.0, 1e6, 50))))
+
+    @pytest.mark.parametrize("wave", [TrapezoidWave(13.0, -1.0), TrapezoidWave(1.35, -0.35),
+                                      TrapezoidWave(1.0, -0.5, 0.4)])
+    def test_linear_pieces_of_a_wave_read_its_pieces(self, wave):
+        bp, kv = np.asarray(wave.breakpoints), np.asarray(wave.knot_values)
+        block = np.array([bp[:-1], np.diff(bp), kv[:-1], np.diff(kv)])[:, np.diff(bp) > 0]
+        pieces = _linear_pieces(PeriodicZeroMean(wave.v_max, wave.v_min, wave.ramp_width),
+                                30.0)[0]
+        want = np.concatenate([block + [[TWO_PI * q], [0.0], [0.0], [0.0]] for q in range(5)],
+                              axis=1)
+        assert np.array_equal(pieces, want)
+
     @given(v_max=st.floats(0.1, 5.0), v_min=st.floats(-5.0, -0.1))
     @settings(max_examples=40, deadline=None)
     def test_mean_zero_property(self, v_max, v_min):
@@ -144,10 +172,10 @@ class TestTrapezoidWave:
         p_plus = (-ramp * (v_max + v_min) - v_min * length) / (v_max - v_min)
         assume(0.0 < p_plus < length)
         w = TrapezoidWave(v_max, v_min, ramp)
-        # exact mean from the segment decomposition, computed independently
+        # exact mean from the piece decomposition, computed independently
         total = 0.0
-        for (t0, t1, a, b) in w.segments():
-            total += a * (t1 - t0) + 0.5 * b * (t1 * t1 - t0 * t0)
+        for (_start, width, v, rise) in w.pieces:
+            total += width * (v + 0.5 * rise)
         assert abs(total) < 1e-12
 
 
@@ -710,6 +738,20 @@ class TestLogGaussAverage:
                     for w, r in zip(weights.tolist(), (tau * scale).tolist()))
                 assert abs(got - want) <= bound, tol
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_mixed_sum_is_the_sum_of_its_parts(self, n):
+        # analytic leaves keep their own rule beside kinked ones; at m = 300
+        # the kinked leaves' fixed strip pi/8 needed over 1e5 nodes in n = 1
+        taus, tol = np.geomspace(1e2, 1e8, 21), 1e-8
+        profile = TrapezoidWave(1.0, -0.5, 0.4)
+        for analytic, kinked in ((LogSine(1.0, 300.0), PeriodicOfLog(profile)),
+                                 (LogSine(0.7, 2.0, 0.1), negate(SlowFromPeriodic(profile, n)))):
+            total, bound = _ball_average(Sum((analytic, kinked)), n, taus, tol)
+            part_a, bound_a = _ball_average(analytic, n, taus, tol)
+            part_k, bound_k = _ball_average(kinked, n, taus, tol)
+            assert np.all(np.abs(total - (part_a + part_k)) <= bound + bound_a + bound_k)
+            assert np.all(bound <= tol)
+
     def test_wide_strip_needs_few_nodes(self):
         # data-single-mode, n = 1; the strip pi/8 took 272 nodes
         assert _log_gauss_rule(1, 0.612, 1.354, 1e-8)[0].size <= 120
@@ -962,7 +1004,7 @@ class TestAnalyticBands:
         expr = SlowFromPeriodic(wave, 2)
         lo, hi = analytic_band_phi(expr)
         # on the ramps the derivative term adds slope / n
-        slope = max(abs(b) for (_t0, _t1, _a, b) in wave.segments())
+        slope = max(abs(rise) / width for (_start, width, _v, rise) in wave.pieces)
         assert hi == pytest.approx(1.0 + slope / 2.0, abs=1e-12)
         assert lo == pytest.approx(-1.0 - slope / 2.0, abs=1e-12)
 

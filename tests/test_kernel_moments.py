@@ -152,6 +152,19 @@ class TestSolveM:
         with pytest.raises(DomainError):
             solve_m(1, ratio, KernelFlavor.AVERAGE)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"root_tol": True}, "root_tol"),
+        ({"root_tol": "1e-10"}, "root_tol"),
+        ({"root_tol": math.nan}, "root_tol"),
+        ({"ratio": "0.5"}, "ratio"),
+        ({"ratio": np.array([0.5])}, "ratio"),
+        ({"ratio": math.nan}, "ratio"),
+    ])
+    def test_rejects_malformed_reals(self, kwargs, name):
+        args = {"ratio": 0.5, **kwargs}
+        with pytest.raises(DomainError, match=f"{name} must be a finite real"):
+            solve_m(1, flavor=KernelFlavor.AVERAGE, **args)
+
     def test_unreachable_ratio_fails_searching(self):
         # norm(1e-3) is around 1 - 1e-7; a ratio above it has no bracket
         with pytest.raises(SearchFailure):

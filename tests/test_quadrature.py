@@ -156,6 +156,12 @@ class TestLogOscillatory:
         with pytest.raises(DomainError):
             integrate_log_oscillatory(F, -2.0, "cos")
 
+    @pytest.mark.parametrize("m", [True, np.array([2.0]), "2", None, math.nan, math.inf])
+    def test_rejects_malformed_m(self, m):
+        F = lambda x: np.exp(-np.exp(2.0 * x) + 3.0 * x)
+        with pytest.raises(DomainError, match="m must be a finite real"):
+            integrate_log_oscillatory(F, m, "cos")
+
     def test_refuses_extreme_frequency(self):
         F = lambda x: np.exp(-np.exp(2.0 * x) + 3.0 * x)
         with pytest.raises(ConvergenceError):

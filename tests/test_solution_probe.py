@@ -931,10 +931,10 @@ def mp_split_profile(slope, radius, weight, s_hi):
         radius = mpmath.mpf(radius)
         ell_hi = mpmath.log1p(radius * mpmath.exp(s_hi))
         period = mpmath.mpf(2.0 * math.pi)  # the float period the wave uses
-        segments = TRAPEZOID.segments()
-        corners = sorted(period * q + seg[0]
-                         for q in range(int(ell_hi / period) + 1) for seg in segments
-                         if 0 < period * q + seg[0] < ell_hi)
+        pieces = TRAPEZOID.pieces
+        corners = sorted(period * q + piece[0]
+                         for q in range(int(ell_hi / period) + 1) for piece in pieces
+                         if 0 < period * q + piece[0] < ell_hi)
         cuts = ([-mpmath.inf] + [mpmath.log(mpmath.expm1(c) / radius) for c in corners]
                 + [mpmath.mpf(s_hi)])
         ells = [mpmath.mpf(0)] + corners + [ell_hi]
@@ -942,13 +942,14 @@ def mp_split_profile(slope, radius, weight, s_hi):
         for i in range(len(cuts) - 1):
             mid = (ells[i] + ells[i + 1]) / 2
             q = mpmath.floor(mid / period)
-            t0, _t1, a, b = next(seg for seg in segments
-                                 if seg[0] <= mid - period * q <= seg[1])
+            start, width, v, rise = next(piece for piece in pieces
+                                         if piece[0] <= mid - period * q <= piece[0] + piece[1])
+            b = mpmath.mpf(rise) / width
 
-            def f(s, q=q, a=a, b=b):
+            def f(s, q=q, start=start, v=v, b=b):
                 r = radius * mpmath.exp(s)
                 ell = mpmath.log1p(r)
-                return weight(s) * (a + b * (ell - period * q) + slope * b * r / (r + 1))
+                return weight(s) * (v + b * (ell - period * q - start) + slope * b * r / (r + 1))
             total += mpmath.quad(f, [cuts[i], cuts[i + 1]])
         return float(total)
 
