@@ -203,77 +203,58 @@ def u_offcenter_1d(expr, x: float, t: float,
 # Band estimation
 
 
-# A band_estimate sweep refines each band end by at most 48 steps; an end
-# stops once its bracket is no wider than 48 golden-section steps would leave
-# it (0.618^48 of the grid bracket), or once its samples agree to rounding.
-_REFINE_STEPS = 48
-_GOLDEN_SHRINK = ((math.sqrt(5.0) - 1.0) / 2.0) ** _REFINE_STEPS
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+# A band_estimate sweep reads its trial points off a degree-8 interpolant
+# through the 9 grid samples nearest each candidate: row o of _STENCILS is the
+# inverse Vandermonde matrix of the nodes -o .. 8 - o, in grid steps from the
+# candidate, so its monomial coefficients are _STENCILS[o] @ samples.
+_STENCIL = 9
+_POWERS = np.arange(_STENCIL)
+_STENCILS = np.linalg.inv((_POWERS - _POWERS[:, None])[:, :, None] ** _POWERS)
+# Newton converges quadratically from the candidate, at most a cell from the
+# vertex; the fourth step already lands within about 1e-10 of a cell
+_NEWTON_STEPS = 5
 _EPS = float(np.finfo(float).eps)
 
 
-class _BrentEnd:
-    """Brent's search for the least of sign * f about the grid extremum
-    (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5).
+def _vertex_trials(us, vals, covered: float) -> np.ndarray:
+    """Trial points of both band ends, in the grid's uniform coordinate us.
 
-    The bracket [a, c] holds the best sample x; w and v are the second best
-    and the one before it, and every bracket end is a sample (the grid
-    neighbours of x at first).  A step goes to the vertex of the parabola
-    through x, w and v when that lies strictly inside (a, c).  A vertex
-    closer to x than the x-tolerance (sqrt(eps) times the grid bracket)
-    gives a step of the x-tolerance into the larger side instead: Brent's
-    least step, which puts a sample within rounding of the best on that
-    side.  Any other step is a golden-section step into the larger side.
+    For each end (sign 1 for the least value, -1 for the greatest), the
+    candidates are the grid's local extremes of sign * vals, an edge sample
+    counting when it is no worse than its neighbour, and the best
+    ceil(covered) + 1 of them are kept, so that every period's extremum is
+    looked at.  Newton steps on p', from the candidate and where sign * p is
+    convex, find the vertex of the interpolant p, clipped to the cells
+    beside the candidate and to the window; the vertex is a trial point
+    when p there beats the candidate's sample.  An end whose best sample
+    agrees with its neighbours to rounding is flat and takes none.
     """
-
-    def __init__(self, xs, vals, sign: float):
-        fs = sign * vals
-        i = int(np.argmin(fs))
-        lo, hi = max(i - 1, 0), min(i + 1, xs.size - 1)
-        self.sign = sign
-        self.a, self.fa = float(xs[lo]), float(fs[lo])
-        self.c, self.fc = float(xs[hi]), float(fs[hi])
-        self.x, self.fx = float(xs[i]), float(fs[i])
-        self.w, self.fw, self.v, self.fv = self.a, self.fa, self.c, self.fc
-        self.width = (self.c - self.a) * _GOLDEN_SHRINK
-        self.tol = (self.c - self.a) * math.sqrt(_EPS)
-
-    def done(self) -> bool:
-        # outer samples within rounding of the best carry no parabola
-        flat = 8.0 * _EPS * max(1.0, abs(self.fx))
-        return (self.c - self.a <= self.width
-                or max(self.fa, self.fc) - self.fx <= flat)
-
-    def trial(self) -> float:
-        x, w, v, fx = self.x, self.w, self.v, self.fx
-        far = self.a if x - self.a > self.c - x else self.c
-        r, q = (x - w) * (fx - self.fv), (x - v) * (fx - self.fw)
-        if r != q:
-            u = x + ((x - v) * q - (x - w) * r) / (2.0 * (r - q))
-            if self.a < u < self.c:
-                if abs(u - x) > self.tol:
-                    return u
-                if abs(far - x) > self.tol:
-                    return x + math.copysign(self.tol, far - x)
-        return x + _GOLDEN * (far - x)
-
-    def update(self, u: float, fu: float) -> None:
-        if fu <= self.fx:
-            if u < self.x:
-                self.c, self.fc = self.x, self.fx
-            else:
-                self.a, self.fa = self.x, self.fx
-            self.v, self.fv, self.w, self.fw = self.w, self.fw, self.x, self.fx
-            self.x, self.fx = u, fu
-            return
-        if u < self.x:
-            self.a, self.fa = u, fu
-        else:
-            self.c, self.fc = u, fu
-        if fu <= self.fw or self.w == self.x:
-            self.v, self.fv, self.w, self.fw = self.w, self.fw, u, fu
-        elif fu <= self.fv or self.v == self.x or self.v == self.w:
-            self.v, self.fv = u, fu
+    size, keep = us.size, max(math.ceil(covered), 0) + 1
+    padded = np.full((2, size + 2), np.inf)
+    padded[0, 1:-1], padded[1, 1:-1] = vals, -vals
+    fs, ends = padded[:, 1:-1], np.arange(2)[:, None]
+    ranked = np.where((fs <= padded[:, :-2]) & (fs <= padded[:, 2:]), fs, np.inf)
+    order = np.argsort(ranked, axis=1, kind="stable")[:, :keep]
+    best = order[:, :1]
+    least = fs[ends, best]
+    near = np.maximum(fs[ends, np.maximum(best - 1, 0)], fs[ends, np.minimum(best + 1, size - 1)])
+    flat = near - least <= 8.0 * _EPS * np.maximum(1.0, np.abs(least))
+    end, rank = np.nonzero(np.isfinite(ranked[ends, order]) & ~flat)
+    index, signs = order[end, rank], 1.0 - 2.0 * end
+    start = np.clip(index - _STENCIL // 2, 0, size - _STENCIL)
+    coef = np.einsum("cjk,ck->cj", _STENCILS[index - start], vals[start[:, None] + _POWERS])
+    # rows p' and p'' of each candidate, by powers 0 .. 7 of s
+    derivs = np.zeros((index.size, 2, _STENCIL - 1))
+    derivs[:, 0] = coef[:, 1:] * _POWERS[1:]
+    derivs[:, 1, :-1] = derivs[:, 0, 1:] * _POWERS[1:-1]
+    lo, hi = np.where(index > 0, -1.0, 0.0), np.where(index < size - 1, 1.0, 0.0)
+    s = np.zeros(index.size)
+    for _ in range(_NEWTON_STEPS):
+        d1, d2 = (derivs @ (s[:, None] ** _POWERS[:-1])[:, :, None])[:, :, 0].T
+        s = np.minimum(np.maximum(s - d1 / np.where(signs * d2 > 0.0, d2, np.inf), lo), hi)
+    at_s = np.einsum("cj,cj->c", coef, s[:, None] ** _POWERS)
+    better = (signs * at_s < signs * vals[index]) & (s != 0.0)
+    return us[index[better]] + s[better] * ((us[-1] - us[0]) / (size - 1))
 
 
 def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
@@ -285,20 +266,19 @@ def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
     there, an array of that shape (a scalar broadcasts).  For a numeric
     m_hint the grid, one evaluator call, is uniform in x = log sqrt(4t)
     with points_per_period samples per period 2 pi / m_hint, spanning
-    min_periods periods from t_anchor.  Brent searches (parabolic steps
-    safeguarded by golden-section steps, see _BrentEnd) about the lowest and
-    the highest grid value refine both ends in lockstep, one call of at most
-    two points per step.  An end stops once its bracket is as narrow as 48
-    golden-section steps would leave it or its samples agree to rounding,
-    after 48 steps at most, so a sweep makes at most 49 calls.  Each end is
-    the least or greatest of the grid and every refinement sample.
+    min_periods periods from t_anchor.  One more call evaluates the trial
+    points that _vertex_trials reads off the grid: the vertices of its
+    degree-8 interpolant beside the best ceil(periods) + 1 local extremes of
+    each end, none for an end flat to rounding.  So a sweep makes at most 2
+    calls, 1 when both ends are flat.  Each end is the least or greatest
+    sample of the grid and that call, never an interpolated value.
     verify_certificate's evaluator (_OriginSweep) takes the grid call as the
     grid itself, x0, the far end and the count, so that the analytic leaves
     of its data take one correlation on a lattice that all grid points share.
-    m_hint = "log-log" sweeps y = log log sqrt(4t) instead; double
-    precision runs out long before 3 such periods, so that mode always
-    raises PartialBandError carrying the covered sub-band.  A non-finite
-    value raises EvaluationError.
+    m_hint = "log-log" sweeps a grid uniform in y = log log sqrt(4t)
+    instead, and interpolates in y; double precision runs out long before 3
+    such periods, so that mode always raises PartialBandError carrying the
+    covered sub-band.  A non-finite value raises EvaluationError.
     """
     if not callable(evaluator):
         raise DomainError("evaluator must be callable")
@@ -323,7 +303,8 @@ def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
         y1 = min(y0 + min_periods * TWO_PI, math.log(_X_CAP))
         covered = (y1 - y0) / TWO_PI
         npts = max(int(math.ceil(points_per_period * covered)) + 1, 9)
-        xs, grid = np.exp(np.linspace(y0, y1, npts)), None
+        us, grid = np.linspace(y0, y1, npts), None
+        xs = np.exp(us)
     else:
         check_finite(m_hint=m_hint)
         m = float(m_hint)
@@ -337,7 +318,7 @@ def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
         if x1 > _X_CAP:
             x1, covered = _X_CAP, (_X_CAP - x0) / period
         grid = (x0, x1, max(int(math.ceil(points_per_period * covered)) + 1, 9))
-        xs = np.linspace(*grid)
+        us = xs = np.linspace(*grid)
 
     def at_x(x, log_grid=None):
         # the evaluator at t = e^{2x} / 4, in one call for the array x; with
@@ -348,21 +329,10 @@ def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
                        "evaluator", "t")
 
     vals = at_x(xs, grid if isinstance(evaluator, _OriginSweep) else None)
-    # Brent searches for the least of sign * f about the grid minimum (sign 1)
-    # and maximum (sign -1), in lockstep: one call a step for the trial
-    # points of the ends still open
-    ends = [_BrentEnd(xs, vals, sign) for sign in (1.0, -1.0)]
-    samples = [vals]
-    for _ in range(_REFINE_STEPS):
-        open_ends = [end for end in ends if not end.done()]
-        if not open_ends:
-            break
-        trials = np.array([end.trial() for end in open_ends])
-        samples.append(at_x(trials))
-        for end, u, fu in zip(open_ends, trials, samples[-1]):
-            end.update(float(u), float(end.sign * fu))
-    samples = np.concatenate(samples)
-    lower, upper = float(samples.min()), float(samples.max())
+    trials = _vertex_trials(us, vals, covered)
+    if trials.size:
+        vals = np.concatenate([vals, at_x(np.exp(trials) if grid is None else trials)])
+    lower, upper = float(vals.min()), float(vals.max())
 
     band = OscillationBand(
         lower_est=lower, upper_est=upper,
