@@ -39,6 +39,7 @@ from .kernel_moments import KernelFlavor, check_dimension, kernel_moments
 from .quadrature import (
     GL_NODES,
     GL_WEIGHTS,
+    MAX_OSCILLATION_FREQUENCY,
     QuadratureSpec,
     gaussian_power_tail,
     integrate_weighted,
@@ -169,7 +170,12 @@ class TrapezoidWave(PeriodicFunction):
 
 @dataclass(frozen=True)
 class TrigPolynomial(PeriodicFunction):
-    """const + sum_j cos_coeffs[j-1] cos(j theta) + sin_coeffs[j-1] sin(j theta)."""
+    """const + sum_j cos_coeffs[j-1] cos(j theta) + sin_coeffs[j-1] sin(j theta).
+
+    Its extremes are its values at the roots of its derivative, found as
+    the eigenvalues of one companion matrix (_critical_points); above a
+    highest nonzero harmonic of MAX_OSCILLATION_FREQUENCY they are refused.
+    """
 
     const: float = 0.0
     cos_coeffs: tuple[float, ...] = ()
@@ -194,59 +200,46 @@ class TrigPolynomial(PeriodicFunction):
         return out
 
     def derivative(self, theta):
-        th = np.asarray(theta, dtype=float)
-        out = np.zeros_like(th)
-        for j, c in enumerate(self.cos_coeffs, start=1):
-            if c:
-                out = out - c * j * np.sin(j * th)
-        for j, s in enumerate(self.sin_coeffs, start=1):
-            if s:
-                out = out + s * j * np.cos(j * th)
-        return out
+        return self.derivative_poly().value(theta)
 
     def mean(self) -> float:
         return self.const
 
     def derivative_poly(self) -> "TrigPolynomial":
-        j_max = max(len(self.cos_coeffs), len(self.sin_coeffs))
-        cos = [0.0] * j_max
-        sin = [0.0] * j_max
-        for j in range(1, j_max + 1):
-            c = self.cos_coeffs[j - 1] if j <= len(self.cos_coeffs) else 0.0
-            s = self.sin_coeffs[j - 1] if j <= len(self.sin_coeffs) else 0.0
-            cos[j - 1] = s * j
-            sin[j - 1] = -c * j
-        return TrigPolynomial(0.0, tuple(cos), tuple(sin))
+        pairs = itertools.zip_longest(self.cos_coeffs, self.sin_coeffs, fillvalue=0.0)
+        slopes = [(s * j, -c * j) for j, (c, s) in enumerate(pairs, start=1)]
+        return TrigPolynomial(0.0, tuple(a for a, _b in slopes), tuple(b for _a, b in slopes))
 
     def _critical_points(self) -> np.ndarray:
-        """Zeros of the derivative over [0, 2 pi), bisected to ~1e-15.
+        """Angles in [0, 2 pi) of the 2J roots of z^J p'(theta), z = e^{i theta},
+        J the highest nonzero harmonic, in ascending order.
 
-        A cell of the 4096-cell grid gives its left end when the derivative
-        vanishes there, and otherwise, when its ends differ in sign (a zero
-        right end counting as negative), the midpoint of its bracket after
-        60 bisections; all such cells are bisected together.  A midpoint
-        where the derivative vanishes closes its bracket.  Once every
-        midpoint rounds to an end of its bracket, no later bisection moves
-        it, so the loop stops there (after 43 to 45 steps on the sample
-        polynomials of the tests) with the same roots.
+        A harmonic a cos j theta + b sin j theta of p' is
+        ((a - ib) z^j + (a + ib) z^-j) / 2, so z^J p' is a polynomial of
+        degree 2J whose unit-circle roots are the zeros of p', solved by one
+        companion-matrix eigenvalue call (Boyd, J. Eng. Math. 56, 2006).  The
+        angle of every root is kept: an off-circle one is just one more
+        sample of p, which cannot move its min or max past rounding.  A J
+        above MAX_OSCILLATION_FREQUENCY is refused with ConvergenceError
+        before the O(J^3) solve.
         """
-        grid = np.linspace(0.0, TWO_PI, 4097)
-        dv = self.derivative(grid)
-        left, right = dv[:-1], dv[1:]
-        exact = left == 0.0
-        cells = ~exact & ((left > 0) != (right > 0))
-        a, b, rising = grid[:-1][cells], grid[1:][cells], left[cells] > 0
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            if np.all((mid == a) | (mid == b)):
-                break
-            fm = self.derivative(mid)
-            same = (fm > 0) == rising
-            a = np.where(same | (fm == 0.0), mid, a)
-            b = np.where(~same | (fm == 0.0), mid, b)
-        roots = grid[:-1].copy()
-        roots[cells] = 0.5 * (a + b)
-        return roots[exact | cells]
+        dp = self.derivative_poly()
+        harmonics = [j for j, (a, b) in enumerate(zip(dp.cos_coeffs, dp.sin_coeffs), start=1)
+                     if a or b]
+        if not harmonics:
+            return np.empty(0)
+        top = harmonics[-1]
+        if top > MAX_OSCILLATION_FREQUENCY:
+            raise ConvergenceError(
+                f"harmonic {top} exceeds the refusal threshold "
+                f"{MAX_OSCILLATION_FREQUENCY}; its critical points need a "
+                f"{2 * top} x {2 * top} eigenvalue problem")
+        a = np.array(dp.cos_coeffs[:top])
+        b = np.array(dp.sin_coeffs[:top])
+        coeffs = np.zeros(2 * top + 1, dtype=complex)  # coeffs[k] multiplies z^(2 top - k)
+        coeffs[top - 1::-1] = 0.5 * (a - 1j * b)
+        coeffs[top + 1:] = 0.5 * (a + 1j * b)
+        return np.sort(np.mod(np.angle(np.roots(coeffs)), TWO_PI))
 
     def extrema(self) -> tuple[float, float]:
         lo, hi = self.extrema_with_args()[0]

@@ -56,16 +56,20 @@ _LEFT_EDGE = 1e-300
 class QuadratureSpec:
     """Error targets and truncation window of the u(0, t) integrals.
 
-    abs_tol, z_max and max_panels drive both the fixed rules of the
-    expression leaves (the log-axis trapezoid sum, the split Gauss sum and
-    the Gauss rule on the linear pieces of bump trains and waves) and the
-    adaptive engine of plain callables; rel_tol and x_min only the adaptive
-    engine.  Where the wave route's integration-by-parts series reaches
-    abs_tol / 2, which it does from a root of about 15 to 30 on, it runs to
-    infinity and neither z_max nor max_panels enters.  x_min defaults to -40 so
-    that every amplitude exp((k+1) x) supported by the kernel-moment
-    integrals (k >= 0) is below 1e-17 at the cut; use for_power to tighten
-    the window for a known weight power.
+    abs_tol sizes the fixed rules of the expression leaves (the log-axis
+    trapezoid sum, the split Gauss sum and the wave's integration-by-parts
+    series), and z_max cuts them and the Gauss rule on the linear pieces of
+    bump trains and waves, whose panels follow from the piece widths alone.
+    max_panels caps the nodes of the log-axis trapezoid sum and of the
+    wave's piece fallback; _H_MAX_NODES in initial_data caps the split Gauss
+    sum, and a bump train's nodes have no cap beyond its count of centres.
+    abs_tol, z_max and max_panels also drive the adaptive engine of plain
+    callables, and rel_tol and x_min only that engine.  Where the wave's
+    series reaches abs_tol / 2, which it does from a root of about 15 to 30
+    on, it runs to infinity and neither z_max nor max_panels enters.  x_min
+    defaults to -40 so that every amplitude exp((k+1) x) supported by the
+    kernel-moment integrals (k >= 0) is below 1e-17 at the cut; use
+    for_power to tighten the window for a known weight power.
     """
 
     rel_tol: float = 1e-11

@@ -397,6 +397,16 @@ def _witness_taus(expr) -> np.ndarray:
     return np.concatenate([lo_w, hi_w]) if lo_w.size + hi_w.size else np.array([1.0])
 
 
+def _measured_band(taus: np.ndarray, vals: np.ndarray) -> OscillationBand:
+    """Band of vals on the radii taus, 64 points a period; every window of
+    verify's data and H probes counts as the nominal 3 periods (see
+    OscillationBand)."""
+    return OscillationBand(
+        lower_est=float(np.min(vals)), upper_est=float(np.max(vals)),
+        grid_lo=float(np.min(taus[taus > 0])), grid_hi=float(np.max(taus)),
+        points_per_period=64, periods_covered=3.0)
+
+
 def _measure_phi_band(expr, slow_m: float | None, loglog: bool) -> OscillationBand:
     taus = [_witness_taus(expr), np.geomspace(1e2, 1e12, 513)]
     if slow_m is not None:
@@ -406,11 +416,7 @@ def _measure_phi_band(expr, slow_m: float | None, loglog: bool) -> OscillationBa
         taus.append(np.exp(np.exp(ys)) - 2.0)
     tau = np.unique(np.concatenate(taus))
     tau = tau[(tau >= 0) & np.isfinite(tau)]
-    vals = eval_phi(expr, tau)
-    return OscillationBand(
-        lower_est=float(np.min(vals)), upper_est=float(np.max(vals)),
-        grid_lo=float(np.min(tau[tau > 0])), grid_hi=float(np.max(tau)),
-        points_per_period=64, periods_covered=3.0)
+    return _measured_band(tau, eval_phi(expr, tau))
 
 
 def _measure_H_band(expr, n: int, slow_m: float | None, loglog: bool,
@@ -419,18 +425,11 @@ def _measure_H_band(expr, n: int, slow_m: float | None, loglog: bool,
         # both extremizers of the doubly-log phase fit below tau ~ 1e79
         ys = np.linspace(1.2, 5.2, 129)
         taus = np.exp(np.exp(ys)) - 2.0
-        covered = 3.0  # extremizer-pinned window, see OscillationBand note
     elif slow_m is not None:
         taus = _slow_taus(slow_m)
-        covered = 3.0
     else:
-        taus = np.geomspace(1e4, 1e8, 129)
-        covered = 3.0  # content averages to a constant; window nominal
-    vals = numeric_H(expr, n, taus, tol=min(1e-6, spec.abs_tol * 1e6))
-    return OscillationBand(
-        lower_est=float(np.min(vals)), upper_est=float(np.max(vals)),
-        grid_lo=float(taus[0]), grid_hi=float(taus[-1]),
-        points_per_period=64, periods_covered=covered)
+        taus = np.geomspace(1e4, 1e8, 129)  # content averages to a constant
+    return _measured_band(taus, numeric_H(expr, n, taus, tol=min(1e-6, spec.abs_tol * 1e6)))
 
 
 def verify_certificate(cert: PrescriptionCertificate,

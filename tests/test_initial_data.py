@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -56,12 +57,67 @@ from heatband.initial_data import (
     to_json,
 )
 from heatband.kernel_moments import KernelFlavor, kernel_moments
-from heatband.prescriber import prescribe_data
+from heatband.prescriber import lemma_not_example, prescribe_data
 
 # np.trapezoid is the NumPy 2.0 name of np.trapz; NumPy 2.4 removed np.trapz.
 trapezoid_rule = getattr(np, "trapezoid", None) or np.trapz
 
 TWO_PI = 2.0 * math.pi
+
+
+def _trig_polys(seed):
+    """Fixed trig polynomials (a zero derivative on grid points, a zero top
+    harmonic, no harmonics) and 12 random ones drawn from seed."""
+    rng = np.random.default_rng(seed)
+    polys = [TrigPolynomial(0.0, (), (1.0, 1.0)),
+             TrigPolynomial(0.3, (0.4, -0.2, 0.05), (0.9, 0.0, 0.3)),
+             TrigPolynomial(0.1, (0.5, 0.2), (0.7,)),
+             TrigPolynomial(0.5, (0.2,), (0.85, 0.1)),
+             TrigPolynomial(0.1, (0.3, 0.0, 0.2), (0.5,)),
+             TrigPolynomial(0.0, (1.0,)), TrigPolynomial(0.0, (0.0, 1.0), (0.0, 0.5)),
+             TrigPolynomial(0.2), TrigPolynomial(0.0, (1.0, 0.0)),
+             TrigPolynomial(0.7, (0.0,), (0.0,))]
+    for _ in range(12):
+        size = int(rng.integers(1, 6))
+        polys.append(TrigPolynomial(
+            float(rng.normal()),
+            tuple(rng.normal(size=size) * (rng.random(size) < 0.7)),
+            tuple(rng.normal(size=size) * (rng.random(size) < 0.7))))
+    return polys
+
+
+def _reference_extrema(poly):
+    """(min, max) of poly to 40 digits, independently of its root call: p at
+    0 and at each sign change of p' on a 65,537-point grid, solved in its
+    cell by mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        terms = [(j, mpmath.mpf(c), mpmath.mpf(s)) for j, (c, s) in enumerate(
+            itertools.zip_longest(poly.cos_coeffs, poly.sin_coeffs, fillvalue=0.0), start=1)]
+
+        def p(t):
+            return mpmath.mpf(poly.const) + mpmath.fsum(
+                c * mpmath.cos(j * t) + s * mpmath.sin(j * t) for j, c, s in terms)
+
+        def dp(t):
+            return mpmath.fsum(j * (s * mpmath.cos(j * t) - c * mpmath.sin(j * t))
+                               for j, c, s in terms)
+
+        grid = np.linspace(0.0, TWO_PI, 65_537)
+        dv = poly.derivative(grid)
+        vals = [p(mpmath.mpf(0.0))]
+        for i in np.flatnonzero((dv[:-1] > 0) != (dv[1:] > 0)).tolist():
+            bracket = (mpmath.mpf(grid[i]), mpmath.mpf(grid[i + 1]))
+            vals.append(p(mpmath.findroot(dp, bracket, solver="anderson")))
+        return min(vals), max(vals)
+
+
+def _assert_extrema_near_reference(extrema, poly):
+    lo, hi = _reference_extrema(poly)
+    scale = abs(poly.const) + sum(map(abs, poly.cos_coeffs)) + sum(map(abs, poly.sin_coeffs))
+    tol = 4.0 * np.finfo(float).eps * scale
+    assert abs(extrema[0] - float(lo)) <= tol and abs(extrema[1] - float(hi)) <= tol, \
+        (poly, extrema, float(lo), float(hi))
 
 
 def logsine_average_1d(a: float, m: float, c: float, tau: float) -> float:
@@ -206,88 +262,55 @@ class TestTrigPolynomial:
         assert np.allclose(poly.derivative(theta), fd, atol=1e-8)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_critical_points_are_the_scalar_bisection(self, seed):
-        # the cell-by-cell bisection that the batched one replaced, same
-        # midpoints and comparisons; the polynomials with a zero derivative
-        # on grid points take its exact branch
-        def scalar_bisection(poly):
-            grid = np.linspace(0.0, TWO_PI, 4097)
+    def test_every_sign_change_of_the_derivative_has_a_critical_point(self, seed):
+        # z^J p' has degree 2J, J the highest nonzero harmonic, and each
+        # sign change of p' on a fine grid has a root angle within a cell
+        grid = np.linspace(0.0, TWO_PI, 65_537)
+        h = grid[1]
+        for poly in _trig_polys(seed):
+            crits = poly._critical_points()
+            top = max((j for j, (c, s) in enumerate(itertools.zip_longest(
+                poly.cos_coeffs, poly.sin_coeffs, fillvalue=0.0), start=1) if c or s),
+                default=0)
+            assert crits.shape == (2 * top,), poly
+            assert np.all((crits >= 0.0) & (crits <= TWO_PI)), poly
             dv = poly.derivative(grid)
-            roots = []
-            for i in range(len(grid) - 1):
-                a, b, fa, fb = grid[i], grid[i + 1], dv[i], dv[i + 1]
-                if fa == 0.0:
-                    roots.append(a)
-                    continue
-                if (fa > 0) == (fb > 0):
-                    continue
-                for _ in range(60):
-                    mid = 0.5 * (a + b)
-                    fm = float(poly.derivative(mid))
-                    if fm == 0.0:
-                        a = b = mid
-                        break
-                    if (fm > 0) == (fa > 0):
-                        a, fa = mid, fm
-                    else:
-                        b = mid
-                roots.append(0.5 * (a + b))
-            return np.asarray(roots)
+            cells = (dv[:-1] > 0) != (dv[1:] > 0)
+            mids = (grid[:-1] + 0.5 * h)[cells]
+            gaps = np.abs((crits - mids[:, None] + math.pi) % TWO_PI - math.pi)
+            assert np.all(gaps.min(axis=1, initial=math.inf) <= 1.5 * h), poly
 
-        rng = np.random.default_rng(seed)
-        polys = [TrigPolynomial(0.0, (1.0,)), TrigPolynomial(0.0, (0.0, 1.0), (0.0, 0.5)),
-                 TrigPolynomial(0.2)]
-        for _ in range(12):
-            size = int(rng.integers(1, 6))
-            polys.append(TrigPolynomial(
-                float(rng.normal()),
-                tuple(rng.normal(size=size) * (rng.random(size) < 0.7)),
-                tuple(rng.normal(size=size) * (rng.random(size) < 0.7))))
-        for poly in polys:
-            want = scalar_bisection(poly)
-            got = poly._critical_points()
-            assert got.shape == want.shape and np.array_equal(got, want), poly
+    @pytest.mark.parametrize("seed", range(4))
+    def test_extrema_match_40_digit_reference(self, seed):
+        for poly in _trig_polys(seed):
+            _assert_extrema_near_reference(poly.extrema(), poly)
 
-    def test_early_stop_keeps_the_roots_of_all_60_steps(self, monkeypatch):
-        # the batched loop before it stopped once every bracket had collapsed
-        def full_bisection(poly):
-            grid = np.linspace(0.0, TWO_PI, 4097)
-            dv = poly.derivative(grid)
-            left, right = dv[:-1], dv[1:]
-            exact = left == 0.0
-            cells = ~exact & ((left > 0) != (right > 0))
-            a, b, rising = grid[:-1][cells], grid[1:][cells], left[cells] > 0
-            for _ in range(60):
-                mid = 0.5 * (a + b)
-                fm = poly.derivative(mid)
-                same = (fm > 0) == rising
-                a = np.where(same | (fm == 0.0), mid, a)
-                b = np.where(~same | (fm == 0.0), mid, b)
-            roots = grid[:-1].copy()
-            roots[cells] = 0.5 * (a + b)
-            return roots[exact | cells]
+    def test_two_mode_example_bands_match_40_digit_reference(self):
+        cert = lemma_not_example()
+        mom1 = kernel_moments(1, 1.0, KernelFlavor.AVERAGE)
+        mom2 = kernel_moments(1, 2.0, KernelFlavor.AVERAGE)
+        envelope = TrigPolynomial(0.0, (mom1.b_value, mom2.b_value),
+                                  (mom1.a_value, mom2.a_value))
+        # the phi profile: sum_j sin(j x) + (j / n) cos(j x), n = 1
+        profile = TrigPolynomial(0.0, (1.0, 2.0), (1.0, 1.0))
+        for band, poly in ((cert.expected_H_band, TrigPolynomial(0.0, (), (1.0, 1.0))),
+                           (cert.expected_u_band, envelope),
+                           (cert.expected_phi_band, profile)):
+            assert tuple(band) == poly.extrema()
+            _assert_extrema_near_reference(band, poly)
 
-        polys = [TrigPolynomial(0.0, (), (1.0, 1.0)),
-                 TrigPolynomial(0.3, (0.4, -0.2, 0.05), (0.9, 0.0, 0.3)),
-                 TrigPolynomial(0.1, (0.5, 0.2), (0.7,)),
-                 TrigPolynomial(0.5, (0.2,), (0.85, 0.1)),
-                 TrigPolynomial(0.1, (0.3, 0.0, 0.2), (0.5,)),
-                 TrigPolynomial(0.0, (1.0,)), TrigPolynomial(0.0, (0.0, 1.0), (0.0, 0.5)),
-                 TrigPolynomial(0.2)]
-        derivative, steps = TrigPolynomial.derivative, []
+    def test_refuses_a_harmonic_above_the_threshold_before_solving(self, monkeypatch):
+        def no_solve(*_args):
+            raise AssertionError("eigenvalue solve reached")
 
-        def counted(self, theta):
-            steps.append(1)
-            return derivative(self, theta)
-
-        for poly in polys:
-            want = full_bisection(poly)
-            steps.clear()
-            monkeypatch.setattr(TrigPolynomial, "derivative", counted)
-            got = poly._critical_points()
-            monkeypatch.setattr(TrigPolynomial, "derivative", derivative)
-            assert got.shape == want.shape and np.array_equal(got, want), poly
-            assert len(steps) - 1 < 60, poly  # the grid, then the bisections
+        monkeypatch.setattr(np, "roots", no_solve)
+        monkeypatch.setattr(np.linalg, "eigvals", no_solve)
+        poly = TrigPolynomial(0.0, (0.0,) * 500 + (1.0,))
+        with pytest.raises(ConvergenceError, match="501"):
+            poly.extrema()
+        monkeypatch.undo()
+        # trailing zero harmonics do not count toward the threshold
+        assert TrigPolynomial(0.0, (1.0,) + (0.0,) * 600).extrema() == (-1.0, 1.0)
 
     def test_constant_polynomial(self):
         poly = TrigPolynomial(0.7)
