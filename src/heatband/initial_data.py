@@ -989,7 +989,9 @@ def phi_from_H(h_expr: InitialDataExpr, n: int) -> InitialDataExpr:
 # over them.  A grid uniform in x = log root, given as the grid itself (the
 # grid call of verify's sweep), shares its trapezoid nodes: its sums are one
 # correlation of phi on a lattice that all grid points share (_lattice_sums).
-# Only plain callables take adaptive quadrature.
+# Every fixed rule refuses, before it lays any, more nodes at a point than the
+# one budget QuadratureSpec.max_panels (_check_nodes; numeric_H reads its
+# default).  Only plain callables take adaptive quadrature.
 
 # Half-width a of the strip |Im s| < a around a log-radius axis inside which
 # _piece_bound bounds the kinked leaves.  The rules of the analytic leaves
@@ -998,10 +1000,6 @@ _STRIP = math.pi / 8.0
 
 # Most values of phi in one block of rows of a batch's outer product
 _BLOCK = 1 << 20
-
-# Most nodes the log-radius Gauss rule may use; a larger need raises
-# ConvergenceError.
-_H_MAX_NODES = 100_000
 
 # Most terms of the integration-by-parts series of a wave; where they cannot
 # reach abs_tol / 2 (root below about 15 to 30, the more the larger k), the
@@ -1086,6 +1084,13 @@ def _phi_on(expr: InitialDataExpr, tau: np.ndarray) -> np.ndarray:
     return _finite(eval_phi(expr, tau), tau, "initial data", "tau")
 
 
+def _check_nodes(nodes, budget: int) -> None:
+    """Refuse more than budget nodes at a point, or nan, with ConvergenceError."""
+    if not nodes <= budget:
+        raise ConvergenceError(f"fixed rule needs at least {nodes:.6g} nodes a point, "
+                               f"exceeding max_panels={budget}")
+
+
 def _fixed_sums(pairs, radii, scale, weights) -> np.ndarray:
     """sum_j weights_j phi(radii_i scale_j) for each radius, phi the signed
     sum of pairs, in blocks of rows of at most _BLOCK values."""
@@ -1145,7 +1150,8 @@ def _split_gauss_sum(leaves: _Leaves, radii: np.ndarray, layout,
 
 
 @lru_cache(maxsize=64)
-def _log_gauss_panels(n: int, mass: float, omega: float, tol: float, free: bool = False):
+def _log_gauss_panels(n: int, mass: float, omega: float, tol: float, budget: int,
+                      free: bool = False):
     """(D, P, error bound) of the Gauss rule of H(tau) on s = log(r / tau).
 
     phi is a sum of leaves whose strip masses sum to mass and whose
@@ -1172,8 +1178,8 @@ def _log_gauss_panels(n: int, mass: float, omega: float, tol: float, free: bool 
 
     The bound returned is E(h, a) + mass e^{-nD}; panels split at corners
     keep it, being narrower, as e^{ns} is convex.  Nothing depends on tau,
-    so the layout is found once per (n, mass, omega, tol).  More than
-    _H_MAX_NODES nodes raise ConvergenceError.
+    so the layout is found once per (n, mass, omega, tol, budget).  More than
+    budget nodes, before the corners split any panel, raise ConvergenceError.
     """
     order = len(GL_NODES)
     depth = math.log(max(2.0 * mass / tol, math.e)) / n
@@ -1194,13 +1200,10 @@ def _log_gauss_panels(n: int, mass: float, omega: float, tol: float, free: bool 
     def fits(panels):
         return mass == 0.0 or log_error(panels) <= target
 
-    top, hi = _H_MAX_NODES // order, 1
+    hi = 1
     while not fits(hi):  # double the count, then bisect
-        if hi == top:
-            raise ConvergenceError(
-                f"log-radius Gauss rule needs more than {_H_MAX_NODES} nodes for "
-                f"tol = {tol!r} at frequency {omega!r}")
-        hi = min(2 * hi, top)
+        _check_nodes(order * (hi + 1), budget)  # the least count that may fit
+        hi *= 2
     lo = hi // 2  # fits(hi) holds; fits(lo) fails or lo = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -1208,6 +1211,7 @@ def _log_gauss_panels(n: int, mass: float, omega: float, tol: float, free: bool 
             hi = mid
         else:
             lo = mid
+    _check_nodes(order * hi, budget)
     quad = math.exp(log_error(hi)) if mass > 0.0 else 0.0
     return depth, hi, quad + mass * math.exp(-n * depth)
 
@@ -1216,9 +1220,9 @@ def _log_gauss_panels(n: int, mass: float, omega: float, tol: float, free: bool 
 def _log_gauss_rule(n: int, mass: float, omega: float, tol: float):
     """(e^{s_i}, w_i, error bound) with H(tau) ~ sum_i w_i phi(tau e^{s_i})
     for analytic leaves: the panels of _log_gauss_panels in the strip that
-    needs fewest, the same for every tau, and their bound plus the rounding
-    of the weighted sum."""
-    depth, panels, bound = _log_gauss_panels(n, mass, omega, tol, True)
+    needs fewest, the same for every tau, within the default budget, and
+    their bound plus the rounding of the weighted sum."""
+    depth, panels, bound = _log_gauss_panels(n, mass, omega, tol, QuadratureSpec.max_panels, True)
     h = depth / panels
     s = -depth + h * (np.arange(panels)[:, None] + GL_NODES).ravel()
     scale = np.exp(s)
@@ -1252,7 +1256,7 @@ def _log_trapezoid_rule(k: int, mass: float, omega: float, spec: QuadratureSpec)
     of length L.  Keeping only those nodes adds at most
     mass (e^{-40} / (k+1) + G_k(z_max)), G_k the Gaussian power tail.  The
     bound returned is the sum of the two.  More than max_panels nodes raise
-    ConvergenceError.
+    ConvergenceError, and so do more in the lattice of _lattice_sums.
     """
     # log(4 mass M_k / abs_tol); mass is floored at abs_tol, which only shrinks h
     log_mass = math.log(4.0 * max(mass, spec.abs_tol) * gaussian_power_tail(k, 0.0)
@@ -1266,11 +1270,9 @@ def _log_trapezoid_rule(k: int, mass: float, omega: float, spec: QuadratureSpec)
     x_lo, x_hi = -40.0 / (k + 1), math.log(spec.z_max)
     steps = ((x_hi - x_lo) * (log_ratio + math.log1p(2.0 * math.exp(-log_ratio)))
              / (2.0 * math.pi * lo))
-    if not steps < spec.max_panels:
-        raise ConvergenceError(
-            f"log-axis trapezoid needs {steps:.3g} nodes, exceeding "
-            f"max_panels={spec.max_panels}")
-    count = int(steps) + 2
+    nodes = steps // 1.0 + 2.0  # int(steps) + 2; nan, so refused, for steps = inf
+    _check_nodes(nodes, spec.max_panels)
+    count = int(nodes)
     h = (x_hi - x_lo) / (count - 1)
     x = x_hi - h * np.arange(count)
     scale, kernel = np.exp(x), np.exp((k + 1) * x - np.exp(2.0 * x))
@@ -1279,7 +1281,7 @@ def _log_trapezoid_rule(k: int, mass: float, omega: float, spec: QuadratureSpec)
     return scale, kernel, h, 0.5 * spec.abs_tol + tails
 
 
-def _lattice_sums(pairs, k: int, h: float, z_max: float, log_grid) -> np.ndarray:
+def _lattice_sums(pairs, k: int, h: float, spec: QuadratureSpec, log_grid) -> np.ndarray:
     """The log-axis trapezoid sums of _log_trapezoid_rule, whose step is h,
     at every root e^{x_i} of the grid x = np.linspace(x0, x1, N),
     log_grid = (x0, x1, N), phi the signed sum of pairs: one correlation of
@@ -1291,16 +1293,18 @@ def _lattice_sums(pairs, k: int, h: float, z_max: float, log_grid) -> np.ndarray
     -40/(k+1), so every node of every grid point lies on
     sigma_r = x0 + log z_max - r g, and phi is evaluated once at each
     e^{sigma_r}.  As h' <= h and the nodes cover the same window, the rule's
-    bound holds as it is.  The sums are one strided matrix-vector product,
-    in blocks of rows of at most _BLOCK values.
+    bound holds as it is; as h' > h/2, the budget is checked again.  The sums
+    are one strided matrix-vector product, in blocks of rows of at most
+    _BLOCK values.
     """
     x0, x1, count = log_grid
     step = (x1 - x0) / (count - 1) if count > 1 else h  # numpy's linspace step
     q = math.ceil(step / h)
     g = step / q
     p = max(1, int(h / g))
-    x_hi = math.log(z_max)
+    x_hi = math.log(spec.z_max)
     nodes = math.ceil((x_hi + 40.0 / (k + 1)) / (p * g)) + 1
+    _check_nodes(nodes, spec.max_panels)
     x = x_hi - p * g * np.arange(nodes)
     kernel = np.exp((k + 1) * x - np.exp(2.0 * x))[::-1]  # ascending in x
     # sigma ascending: grid point i reads entries i q + j p, j = 0 .. nodes - 1
@@ -1374,8 +1378,8 @@ def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
         value += _fixed_sums(leaves.analytic, taus, scale, weights)
         bound += rule_bound
     if leaves.kinked:
-        part, part_bound = _split_gauss_sum(leaves, taus,
-                                            _log_gauss_panels(n, leaves.kink_mass, 0.0, share),
+        layout = _log_gauss_panels(n, leaves.kink_mass, 0.0, share, QuadratureSpec.max_panels)
+        part, part_bound = _split_gauss_sum(leaves, taus, layout,
                                             lambda s: (n * np.exp(s) ** n, 2.0 + n))
         value += part
         bound += part_bound
@@ -1384,7 +1388,8 @@ def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
         value += sign * n * part
         bound += n * part_bound
     for sign, leaf in leaves.bumps:
-        part, part_bound = _pieces_radial(*_linear_pieces(leaf, taus.max())[:2], n, taus)
+        pieces, sup, _steep = _linear_pieces(leaf, taus.max(), QuadratureSpec.max_panels)
+        part, part_bound = _pieces_radial(pieces, sup, n, taus)
         value += sign * n * part
         bound += n * part_bound
     values[live], bounds[live] = value, bound
@@ -1424,7 +1429,7 @@ def _weighted_value(expr, k: int, roots, spec: QuadratureSpec,
         if log_grid is None:
             value += h * _fixed_sums(leaves.analytic, roots, scale, weights)
         else:
-            value += _lattice_sums(leaves.analytic, k, h, spec.z_max, log_grid)
+            value += _lattice_sums(leaves.analytic, k, h, spec, log_grid)
         bound += rule_bound
     if leaves.kinked:
         # on s = log(z / z_max) the kernel z^(k+1) e^{-z^2} is at most
@@ -1438,18 +1443,17 @@ def _weighted_value(expr, k: int, roots, spec: QuadratureSpec,
             return z ** (k + 1) * np.exp(-z * z), 2.0 + k + z * z
 
         layout = _log_gauss_panels(k + 1, leaves.kink_mass * z_max ** (k + 1) / (k + 1),
-                                   0.0, 0.5 * spec.abs_tol)
+                                   0.0, 0.5 * spec.abs_tol, spec.max_panels)
         part, part_bound = _split_gauss_sum(leaves, roots * z_max, layout, kernel)
         value += part
         bound += part_bound + leaves.kink_mass * gaussian_power_tail(k, z_max)
     for sign, leaf in leaves.waves:
-        part, part_bound = _wave_weighted_integral(leaf, k, roots, spec.z_max,
-                                                   spec.abs_tol, spec.max_panels)
+        part, part_bound = _wave_weighted_integral(leaf, k, roots, spec)
         value += sign * part
         bound += part_bound
     for sign, leaf in leaves.bumps:
-        part, part_bound = _pieces_weighted(
-            *_linear_pieces(leaf, spec.z_max * roots.max(initial=0.0)), k, roots, spec.z_max)
+        pieces = _linear_pieces(leaf, spec.z_max * roots.max(initial=0.0), spec.max_panels)
+        part, part_bound = _pieces_weighted(*pieces, k, roots, spec)
         value += sign * part
         bound += part_bound
     return value, bound
@@ -1491,22 +1495,25 @@ def _panel_rule_bound(h, sup, slope, kernel_reach):
         * (sup + slope * (a - 0.5 * h + _PANEL_ELLIPSE)) * kernel_reach(a)
 
 
-def _linear_pieces(leaf, tau_max: float):
+def _linear_pieces(leaf, tau_max: float, budget: int):
     """(pieces, sup, steep) for a bump train above its baseline or a wave:
     pieces has rows start, width, v, rise, one column for each linear piece
     in tau that starts below tau_max (and a few beyond), sorted by start,
     with the leaf v + rise s at fraction s of the piece; sup bounds
     |v + rise s| and steep |rise| / width on every piece of the leaf.  A
     bump train repeats a rising and a falling piece at each representable
-    centre, a wave its pieces at each period."""
+    centre, a wave its pieces at each period.  More than budget nodes, one
+    8-node Gauss panel a piece, raise ConvergenceError before any is listed."""
     if isinstance(leaf, BumpTrain):
         half, height = leaf.half_width, leaf.height
         block = np.array([[-half, 0.0], [half, half], [0.0, height], [height, -height]])
-        offsets = leaf.centers.representable_centers()
-        offsets = offsets[:np.searchsorted(offsets, tau_max + half)]
+        centers = leaf.centers.representable_centers()
+        count = int(np.searchsorted(centers, tau_max + half))
     else:
         block = np.array(leaf.wave.pieces).T
-        offsets = TWO_PI * np.arange(math.floor(tau_max / TWO_PI) + 1)
+        count = math.floor(tau_max / TWO_PI) + 1
+    _check_nodes(GL_NODES.size * block.shape[1] * count, budget)
+    offsets = centers[:count] if isinstance(leaf, BumpTrain) else TWO_PI * np.arange(count)
     pieces = np.empty((4, offsets.size, block.shape[1]))
     pieces[:] = block[:, None]
     pieces[0] += offsets[:, None]
@@ -1555,17 +1562,13 @@ def _row_sums(terms: np.ndarray, extra: np.ndarray | None = None) -> list[float]
     return [math.fsum(row) for row in rows.tolist()]
 
 
-def _piece_panels(widest: float, root: float, z_cut: float) -> int:
-    """Panels a piece of the u route takes, each at most _PIECE_PANEL wide in z."""
-    return max(1, math.ceil(min(widest, z_cut * root) / (root * _PIECE_PANEL)))
-
-
 def _pieces_weighted(pieces, sup: float, steep: float, k: int, roots: np.ndarray,
-                     z_cut: float) -> tuple[np.ndarray, np.ndarray]:
+                     spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """(values, error bounds) of int_0^inf z^k e^{-z^2} v(root z) dz at each
     root of the 1-D array roots, v the linear pieces of _linear_pieces, by the
-    Gauss rule of _piece_layout up to z = z_cut on _piece_panels panels a
-    piece, one layout for the roots of one panel count, in blocks of at most
+    Gauss rule of _piece_layout up to z = z_cut = spec.z_max on panels at
+    most _PIECE_PANEL wide in z, as many on each piece, within the node
+    budget, one layout for the roots of one panel count, in blocks of at most
     about _BLOCK nodes, and the terms summed by _row_sums.  The bound adds
     * the rule's error, panel by panel (_panel_rule_bound), with |v'| <= steep
       and |z^k e^{-z^2}| <= hypot(c + a, b)^k e^{b^2 - max(0, c - a)^2} on
@@ -1575,9 +1578,12 @@ def _pieces_weighted(pieces, sup: float, steep: float, k: int, roots: np.ndarray
       z^k e^{-z^2} by 5 eps |k - 2 z^2| of itself;
     * sup G_k(z_cut) for the cut.
     """
+    z_cut = spec.z_max
     values, bounds = np.empty(roots.size), np.empty(roots.size)
     widest = float(pieces[1].max(initial=0.0))
-    counts = np.array([_piece_panels(widest, root, z_cut) for root in roots.tolist()])
+    counts = np.ceil(np.minimum(widest, z_cut * roots) / (roots * _PIECE_PANEL)).clip(1).astype(int)
+    used = np.searchsorted(pieces[0], z_cut * roots)  # pieces that start below the cut
+    _check_nodes(GL_NODES.size * int(np.max(counts * used, initial=0)), spec.max_panels)
     for panels in set(counts.tolist()):
         todo = np.flatnonzero(counts == panels)
         step = max(1, _BLOCK // max(1, pieces.shape[1] * panels * GL_NODES.size))
@@ -1711,9 +1717,7 @@ def _gauss_derivatives(k: int):
     return coeffs, np.log(0.5 * np.array(norms) * zeta(_IBP_ORDERS + 2.0) / math.pi)
 
 
-def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, roots, z_cut: float,
-                            abs_tol: float = QuadratureSpec.abs_tol,
-                            max_nodes: int = QuadratureSpec.max_panels):
+def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, roots, spec: QuadratureSpec):
     """(values, error bounds) of int_0^inf f(z) w(root z) dz, f(z) = z^k e^{-z^2}
     and w the wave of expr, at each root of the 1-D array roots.
 
@@ -1726,12 +1730,12 @@ def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, roots, z_cut: float,
     M_k = int_0^inf f, with every table cached per wave and per k
     (Iserles & Norsett, Proc. R. Soc. A 461, 2005).  The route takes, per
     root, the least P <= _IBP_TERMS whose bound on r_P is at most
-    abs_tol / 2, at a cost that does not depend on root, and returns that
-    bound plus the rounding of the terms, which are summed exactly by
+    spec.abs_tol / 2, at a cost that does not depend on root, and returns
+    that bound plus the rounding of the terms, which are summed exactly by
     math.fsum.  The remainder table and the terms of every root are one
     array expression.  Where no P reaches abs_tol / 2, the Gauss rule on the
-    wave's pieces up to z_cut serves instead (_pieces_weighted); more than
-    max_nodes nodes there raise ConvergenceError.
+    wave's pieces up to spec.z_max serves instead (_pieces_weighted), within
+    its node budget.
     """
     mean, jump, _at, (w0, w_err) = _wave_primitives(expr.wave)
     coeffs, log_norms = _gauss_derivatives(k)
@@ -1739,7 +1743,7 @@ def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, roots, z_cut: float,
     # a count P on the threshold would move
     log_root = np.array([math.log(root) for root in roots.tolist()])
     log_rem = (log_norms + math.log(jump)) - _IBP_ORDERS * log_root[:, None]
-    fits = log_rem <= math.log(0.5 * abs_tol)
+    fits = log_rem <= math.log(0.5 * spec.abs_tol)
     series = fits.any(axis=1)
     counts = np.where(series, fits.argmax(axis=1) + 1, 0)
     # powers only for the series roots: a small root would overflow root^-60
@@ -1756,17 +1760,8 @@ def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, roots, z_cut: float,
             bounds[i] = math.exp(log_rem[i, p - 1]) + rounding[i]
     near = roots[~series]
     if near.size:
-        # the node guard, before the pieces, whose count grows with root
-        pieces = expr.wave.pieces
-        widest = max(width for _start, width, _v, _rise in pieces)
-        for root in near.tolist():
-            nodes = (len(pieces) * (math.floor(z_cut * root / TWO_PI) + 1)
-                     * _piece_panels(widest, root, z_cut) * GL_NODES.size)
-            if nodes > max_nodes:
-                raise ConvergenceError(f"wave pieces need {nodes:.3g} nodes at "
-                                       f"root = {root!r}, exceeding {max_nodes}")
-        values[~series], bounds[~series] = _pieces_weighted(
-            *_linear_pieces(expr, z_cut * near.max()), k, near, z_cut)
+        pieces = _linear_pieces(expr, spec.z_max * near.max(), spec.max_panels)
+        values[~series], bounds[~series] = _pieces_weighted(*pieces, k, near, spec)
     return values, bounds
 
 
@@ -1798,7 +1793,7 @@ def _wave_radial_integral(expr: PeriodicZeroMean, n: int, taus: np.ndarray):
                    + (n + 3) * _EPS * (np.abs(terms).sum(axis=1) + abs(mean / n)))
     if not far.all():
         near = taus[~far]
-        pieces, sup, _steep = _linear_pieces(expr, near.max())
+        pieces, sup, _steep = _linear_pieces(expr, near.max(), QuadratureSpec.max_panels)
         values[~far], bounds[~far] = _pieces_radial(pieces, sup, n, near)
     return values, bounds
 
@@ -1942,11 +1937,16 @@ def _signed_witnesses(sign, leaf, tau_lo, tau_hi):
 
 
 def _phase_taus(m, phase, tau_lo, tau_hi):
-    """tau = exp((phase + 2 k pi)/m) - 1 inside [tau_lo, tau_hi]."""
+    """tau = exp((phase + 2 k pi)/m) - 1 inside [tau_lo, tau_hi], or if none
+    lies there (m < 0.304 for [1e3, 1e12]) the nearest on m log(tau + 1): the
+    last below if its tau >= 0, else the first above."""
     x_lo = math.log1p(tau_lo) * m
     x_hi = math.log1p(min(tau_hi, _FLOAT_MAX / 4)) * m
     k_lo = math.ceil((x_lo - phase) / TWO_PI)
     k_hi = math.floor((x_hi - phase) / TWO_PI)
+    if k_lo > k_hi:  # k_hi is the last below, k_lo = k_hi + 1 the first above
+        below, above = phase + TWO_PI * k_hi, phase + TWO_PI * k_lo
+        k_lo = k_hi = k_hi if below >= 0 and x_lo - below <= above - x_hi else k_lo
     ks = np.arange(k_lo, k_hi + 1, dtype=float)
     if ks.size > 64:
         ks = ks[np.linspace(0, ks.size - 1, 64).astype(int)]

@@ -54,22 +54,21 @@ _LEFT_EDGE = 1e-300
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error targets and truncation window of the u(0, t) integrals.
+    """Error targets, truncation window and node budget of the u(0, t) integrals.
 
     abs_tol sizes the fixed rules of the expression leaves (the log-axis
     trapezoid sum, the split Gauss sum and the wave's integration-by-parts
     series), and z_max cuts them and the Gauss rule on the linear pieces of
-    bump trains and waves, whose panels follow from the piece widths alone.
-    max_panels caps the nodes of the log-axis trapezoid sum and of the
-    wave's piece fallback; _H_MAX_NODES in initial_data caps the split Gauss
-    sum, and a bump train's nodes have no cap beyond its count of centres.
-    abs_tol, z_max and max_panels also drive the adaptive engine of plain
-    callables, and rel_tol and x_min only that engine.  Where the wave's
-    series reaches abs_tol / 2, which it does from a root of about 15 to 30
-    on, it runs to infinity and neither z_max nor max_panels enters.  x_min
-    defaults to -40 so that every amplitude exp((k+1) x) supported by the
-    kernel-moment integrals (k >= 0) is below 1e-17 at the cut; use
-    for_power to tighten the window for a known weight power.
+    bump trains and waves.  max_panels is the one node budget of every fixed
+    rule: one that would lay more nodes at a point raises ConvergenceError
+    before it lays any (numeric_H, which takes no spec, reads the default).
+    Where the wave's series reaches abs_tol / 2, from a root of about 15 to
+    30 on, neither z_max nor max_panels enters.  The adaptive engine of plain
+    callables starts at _LEFT_EDGE and reads rel_tol, abs_tol, z_max and
+    max_panels as its panel budget.  Only integrate_log_oscillatory reads
+    x_min; its default -40 puts every amplitude exp((k+1) x) of the
+    kernel-moment integrals (k >= 0) below 1e-17 at the cut, and for_power
+    tightens it for a known weight power.
     """
 
     rel_tol: float = 1e-11

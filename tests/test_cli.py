@@ -306,6 +306,20 @@ class TestVerify:
         assert "Traceback" not in capsys.readouterr().err
         assert json.loads(report.read_text())["measured_H_band"]["grid_hi"] > 1e78
 
+    def test_bump_train_past_the_node_budget_exits_three(self, tmp_path, capsys):
+        # a hand-written data-sparse-bumps certificate whose 355,246 centres
+        # lie 0.2 % apart: the far points of verify need more than
+        # max_panels Gauss nodes (at most 221,264), and it is refused
+        cert = tmp_path / "cert.json"
+        assert run_cli(["prescribe", "--data", "0", "0", "0", "1", "--n", "2",
+                        "--out", str(cert)]) == 0
+        doc = json.loads(cert.read_text())
+        doc["data"]["expr"].update(half_width=1e-3, centers={"base": 1.002, "law": "geometric"})
+        cert.write_text(json.dumps(doc, sort_keys=True))
+        code = run_cli(["verify", "--cert", str(cert), "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert "exceeding max_panels=200000" in capsys.readouterr().err
+
     def test_convergence_failure_exits_three(self, tmp_path, average_cert_file,
                                              capsys, monkeypatch):
         def explode(*args, **kwargs):

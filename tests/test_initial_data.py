@@ -38,6 +38,7 @@ from heatband.initial_data import (
     _linear_pieces,
     _log_gauss_panels,
     _log_gauss_rule,
+    _phase_taus,
     _pieces_radial,
     _signed_leaves,
     _signed_sum,
@@ -58,6 +59,7 @@ from heatband.initial_data import (
 )
 from heatband.kernel_moments import KernelFlavor, kernel_moments
 from heatband.prescriber import lemma_not_example, prescribe_data
+from heatband.quadrature import QuadratureSpec
 
 # np.trapezoid is the NumPy 2.0 name of np.trapz; NumPy 2.4 removed np.trapz.
 trapezoid_rule = getattr(np, "trapezoid", None) or np.trapz
@@ -215,7 +217,7 @@ class TestTrapezoidWave:
         bp, kv = np.asarray(wave.breakpoints), np.asarray(wave.knot_values)
         block = np.array([bp[:-1], np.diff(bp), kv[:-1], np.diff(kv)])[:, np.diff(bp) > 0]
         pieces = _linear_pieces(PeriodicZeroMean(wave.v_max, wave.v_min, wave.ramp_width),
-                                30.0)[0]
+                                30.0, QuadratureSpec.max_panels)[0]
         want = np.concatenate([block + [[TWO_PI * q], [0.0], [0.0], [0.0]] for q in range(5)],
                               axis=1)
         assert np.array_equal(pieces, want)
@@ -856,31 +858,40 @@ def mp_wave_radial(trap: TrapezoidWave, n: int, tau: float) -> float:
         return float(total / tau ** n)
 
 
-def mp_bump_radial(train: BumpTrain, n: int, tau: float) -> float:
-    """(1/tau^n) int_0^tau (train - baseline)(r) r^(n-1) dr, the bumps alone,
-    whose baseline joins the constants; each bump by mpmath.quad in
-    the offset s = r - c from its centre, with r^(n-1) / tau^n formed as
-    ((c + s) / c)^(n-1) times (c / tau)^(n-1) / tau in 30-digit arithmetic,
-    so that the integrand quad sees is near 1 however far out tau lies
-    (its stopping test is absolute)."""
+def mp_bump_radial(train: BumpTrain, tau: float) -> list[float]:
+    """(1/tau^n) int_0^tau (train - baseline)(r) r^(n-1) dr for n = 1 .. 10,
+    the bumps alone, whose baseline joins the constants, in closed form at 30
+    digits.  In the offset s = r - c from a centre c, with x = s / c,
+    r^(n-1) / tau^n = (c / tau)^(n-1) / tau sum_i C(n-1, i) x^i, and on
+    either side of s = 0 the hat 1 - |s| / w times x^i integrates to
+    c [x^(i+1) / (i+1) -+ (c / w) x^(i+2) / (i+2)], - for s >= 0, between the
+    ends: powers of |x| <= max(w / c, 1), so no term outgrows the integral by
+    more than a few digits however far out tau lies."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         w, tau_mp = mpmath.mpf(train.half_width), mpmath.mpf(tau)
-        total = mpmath.mpf(0)
+        totals = [mpmath.mpf(0)] * 10
         for c in train.centers.representable_centers():
             if c - train.half_width >= tau:
                 break
             c = mpmath.mpf(c)
             lo, hi = max(-w, -c), min(w, tau_mp - c)
-            cuts = [lo, mpmath.mpf(0), hi] if lo < 0 < hi else [lo, hi]
-            total += mpmath.quad(lambda s: (1 - abs(s) / w) * ((c + s) / c) ** (n - 1), cuts) \
-                * (c / tau_mp) ** (n - 1) / tau_mp
-        return float(train.height * total)
+            moments = [mpmath.mpf(0)] * 10  # int of the hat times x^i over [lo, hi]
+            for a, b, sign in ((lo, min(hi, 0), -1), (0, hi, 1)):
+                if a < b:
+                    for i in range(10):
+                        def primitive(x, i=i, sign=sign):
+                            return x ** (i + 1) / (i + 1) - sign * (c / w) * x ** (i + 2) / (i + 2)
+                        moments[i] += c * (primitive(b / c) - primitive(a / c))
+            for n in range(1, 11):
+                totals[n - 1] += (mpmath.fsum(math.comb(n - 1, i) * moments[i] for i in range(n))
+                                  * (c / tau_mp) ** (n - 1) / tau_mp)
+        return [float(train.height * total) for total in totals]
 
 
 def bump_radial(train: BumpTrain, n: int, tau: float) -> tuple[float, float]:
     """(value, bound) of the piece route for the bumps of train at one radius."""
-    pieces, sup, _steep = _linear_pieces(train, tau)
+    pieces, sup, _steep = _linear_pieces(train, tau, QuadratureSpec.max_panels)
     values, bounds = _pieces_radial(pieces, sup, n, np.array([tau]))
     return float(values[0]), float(bounds[0])
 
@@ -935,9 +946,10 @@ class TestExactRoutesFarOut:
     @pytest.mark.parametrize("tau", [5.0, 121.0, 1e4, 5.3e78, 1e300])
     def test_bumps_against_mpmath(self, tau):
         for train in self.BUMPS:
+            reference = mp_bump_radial(train, tau)
             for n in range(1, 11):
                 value, bound = bump_radial(train, n, tau)
-                error = abs(value - mp_bump_radial(train, n, tau))
+                error = abs(value - reference[n - 1])
                 assert error <= bound <= 1e-14, (train, n, error, bound)
 
 
@@ -1184,6 +1196,21 @@ class TestBandWitnesses:
         assert float(v_hi.max()) >= hi - 1e-3 * max(width, 1.0)
         assert float(v_lo.min()) >= lo - 1e-9
         assert float(v_hi.max()) <= hi + 1e-9
+
+    @pytest.mark.parametrize("m", [0.0552, 0.15, 0.2765, 0.3, 0.304, 0.5])
+    def test_phase_with_no_solution_inside_takes_the_nearest_outside(self, m):
+        # [1e3, 1e12] spans 20.7 m radians of phase, so below m ~ 0.304 some
+        # phases have no solution inside; the one nearest outside on
+        # m log(tau + 1), at tau >= 0, then stands in
+        x_lo, x_hi = m * math.log1p(1e3), m * math.log1p(1e12)
+        for phase in np.linspace(0.0, TWO_PI, 97)[:-1].tolist():
+            xs = [phase + TWO_PI * k for k in range(4)]
+            inside = [x for x in xs if x_lo <= x <= x_hi]
+            if m >= 0.304:
+                assert inside, phase
+            want = inside or [min(xs, key=lambda x: max(x_lo - x, x - x_hi))]
+            got = _phase_taus(m, phase, 1e3, 1e12)
+            assert got == pytest.approx(np.expm1(np.array(want) / m), rel=1e-12), phase
 
     def test_loglog_witnesses_are_the_known_turning_points(self):
         lo_w, hi_w = band_witnesses(LogLogSine(0.5, 0.5))

@@ -210,9 +210,9 @@ class TestOscillationBand:
 # Exact wave route
 
 
-def wave_at_root(wave, k, root, *args):
+def wave_at_root(wave, k, root, spec=QuadratureSpec()):
     """(value, bound) of the wave route at one root."""
-    values, bounds = _wave_weighted_integral(wave, k, np.array([root]), *args)
+    values, bounds = _wave_weighted_integral(wave, k, np.array([root]), spec)
     return float(values[0]), float(bounds[0])
 
 
@@ -221,7 +221,7 @@ class TestWaveWeightedIntegral:
     @pytest.mark.parametrize("root", [2.0, 20.0])
     def test_agrees_with_adaptive_quadrature(self, k, root):
         spec = QuadratureSpec()
-        exact, err = wave_at_root(STANDARD_WAVE, k, root, spec.z_max)
+        exact, err = wave_at_root(STANDARD_WAVE, k, root, spec)
         adaptive = integrate_weighted(
             lambda z: eval_phi(STANDARD_WAVE, root * z), k, spec).value
         assert exact == pytest.approx(adaptive, abs=1e-10)
@@ -230,7 +230,7 @@ class TestWaveWeightedIntegral:
     def test_symmetric_wave_odd_moment_vanishes(self):
         # For k = 1 the weight z e^{-z^2} varies slowly across each period
         # at moderate root, so the zero-mean wave nearly cancels.
-        exact, _ = wave_at_root(STANDARD_WAVE, 1, 20.0, 12.0)
+        exact, _ = wave_at_root(STANDARD_WAVE, 1, 20.0)
         assert abs(exact) < 1e-10
 
     @pytest.mark.parametrize("root", [2e3, 2e4])
@@ -238,7 +238,7 @@ class TestWaveWeightedIntegral:
         # Integration by parts gives mean(W) / root + O(root^-2) for k = 0,
         # W the running integral of the wave.
         w_mean = primitive_mean_oracle(STANDARD_WAVE.wave)
-        exact, _ = wave_at_root(STANDARD_WAVE, 0, root, 12.0)
+        exact, _ = wave_at_root(STANDARD_WAVE, 0, root)
         assert exact == pytest.approx(w_mean / root, rel=2e-3)
 
     @pytest.mark.parametrize("wave", [STANDARD_WAVE, LOPSIDED_WAVE], ids=["standard", "lopsided"])
@@ -265,14 +265,14 @@ class TestWaveWeightedIntegral:
         abs_tol = QuadratureSpec().abs_tol
         reference = mp_wave_weighted(wave, root)
         for k in WAVE_POWERS:
-            value, bound = wave_at_root(wave, k, root, 12.0)
+            value, bound = wave_at_root(wave, k, root)
             assert abs(value - float(reference[k])) <= bound, (k, value, bound)
             assert bound <= (abs_tol if k < 11 or root > 20.0 else 1e-12), (k, bound)
 
     def test_cancellation_at_root_200_is_inside_the_bound(self):
         # the segment sums of the old route erred here by 5.1e-13 while
         # returning a bound of about 1e-62
-        value, bound = wave_at_root(STANDARD_WAVE, 4, 200.0, 12.0)
+        value, bound = wave_at_root(STANDARD_WAVE, 4, 200.0)
         error = abs(value - float(mp_wave_weighted(STANDARD_WAVE, 200.0)[4]))
         assert error <= bound <= QuadratureSpec().abs_tol
 
@@ -282,7 +282,7 @@ class TestWaveWeightedIntegral:
         # route read -1.18e-10 at t = 1e8, against -3.8e-13 on the t^(-3/2) trend
         wave = TEST_WAVES[2]
         root = math.sqrt(4.0 * t)
-        value, bound = wave_at_root(wave, 2, root, 12.0)
+        value, bound = wave_at_root(wave, 2, root)
         assert abs(value - float(mp_wave_weighted(wave, root)[2])) <= bound
         assert bound <= QuadratureSpec().abs_tol
 
@@ -306,15 +306,14 @@ class TestWaveWeightedIntegral:
 
         monkeypatch.setattr(initial_data, "_pieces_weighted", counted)
         for root in (60.0, 200.0, 2e4, 2e8, 2e150):
-            wave_at_root(STANDARD_WAVE, k, root, 12.0)
+            wave_at_root(STANDARD_WAVE, k, root)
         assert calls == []
-        wave_at_root(STANDARD_WAVE, k, 2.0, 12.0)
+        wave_at_root(STANDARD_WAVE, k, 2.0)
         assert len(calls) == 1
 
     def test_too_fine_tolerance_raises_instead_of_allocating(self):
         spec = QuadratureSpec(abs_tol=1e-300)
-        assert wave_at_root(STANDARD_WAVE, 0, 2.0, spec.z_max, spec.abs_tol,
-                                       spec.max_panels)[1] > spec.abs_tol
+        assert wave_at_root(STANDARD_WAVE, 0, 2.0, spec)[1] > spec.abs_tol
         with pytest.raises(ConvergenceError):
             u_origin(STANDARD_WAVE, 1, 1e8, spec)
 
@@ -342,9 +341,10 @@ def mp_bump_weighted(train, k: int, root: float):
         return total
 
 
-def bump_at_root(train, k: int, root: float, z_cut: float) -> tuple[float, float]:
+def bump_at_root(train, k: int, root: float, spec=QuadratureSpec()) -> tuple[float, float]:
     """(value, bound) of the piece route for the bumps of train at one root."""
-    values, bounds = _pieces_weighted(*_linear_pieces(train, z_cut * root), k, np.array([root]), z_cut)
+    pieces = _linear_pieces(train, spec.z_max * root, spec.max_panels)
+    values, bounds = _pieces_weighted(*pieces, k, np.array([root]), spec)
     return float(values[0]), float(bounds[0])
 
 
@@ -362,7 +362,7 @@ class TestBumpWeightedIntegral:
         # half_width / root while its error does not
         abs_tol = QuadratureSpec().abs_tol
         for k in (0, 1, 2):
-            value, bound = bump_at_root(train, k, root, 12.0)
+            value, bound = bump_at_root(train, k, root)
             error = abs(value - float(mp_bump_weighted(train, k, root)))
             assert error <= bound <= abs_tol, (k, error, bound)
 
@@ -383,8 +383,8 @@ class TestBumpWeightedIntegral:
     def test_downward_bumps_lower_the_integral(self):
         up = BumpTrain(1.0, 0.5, 0.0, GeometricCenters(math.e))
         down = BumpTrain(-1.0, 0.5, 0.0, GeometricCenters(math.e))
-        v_up, _ = bump_at_root(up, 0, 5.0, 12.0)
-        v_down, _ = bump_at_root(down, 0, 5.0, 12.0)
+        v_up, _ = bump_at_root(up, 0, 5.0)
+        v_down, _ = bump_at_root(down, 0, 5.0)
         assert v_up > 0
         assert v_down == pytest.approx(-v_up, rel=1e-12)
 
@@ -1044,6 +1044,39 @@ class TestBumpTrainFarOut:
         assert got == pytest.approx(mpmath_bump_u(2, t), rel=1e-10, abs=1e-300)
 
 
+class TestNodeBudget:
+    """QuadratureSpec.max_panels is the one node budget of every fixed rule,
+    checked at each point before any node is laid."""
+
+    # 355,246 centres 0.2 % apart: 10,094 linear pieces, so 80,752 Gauss
+    # nodes, for one u point at t = 1e6, and 26,230 pieces at t = 1e20
+    FINE_BUMPS = BumpTrain(1.0, 1e-3, 0.0, GeometricCenters(1.002))
+
+    def test_kinked_u_route_reads_the_spec(self):
+        # its corner-split layout took 1,304 nodes under max_panels = 16
+        spec = QuadratureSpec(max_panels=16)
+        with pytest.raises(ConvergenceError, match="max_panels=16"):
+            u_origin(hb.PeriodicOfLog(TRAPEZOID), 1, 1e6, spec)
+        with pytest.raises(ConvergenceError, match="max_panels=16"):
+            u_origin(LogSine(1.0, 1.0), 1, 1e6, spec)
+
+    def test_bump_train_past_the_budget_raises_before_any_layout(self, monkeypatch):
+        import heatband.initial_data as idata
+
+        # unchanged below the budget (up to SIMD rounding of exp)
+        assert u_origin(self.FINE_BUMPS, 1, 1e6) == pytest.approx(0.0020645402441245827,
+                                                                  rel=1e-14)
+        monkeypatch.setattr(idata, "_piece_layout", None)
+        with pytest.raises(ConvergenceError, match="209840 nodes"):
+            u_origin(self.FINE_BUMPS, 1, 1e20)
+
+    def test_bump_train_ball_average_past_the_budget_raises(self):
+        assert numeric_H(self.FINE_BUMPS, 1, 1e8) == pytest.approx(9.219e-08, rel=1e-14)
+        # 27,658 pieces below tau = 1e12, one 8-node panel each
+        with pytest.raises(ConvergenceError, match="221264 nodes"):
+            numeric_H(self.FINE_BUMPS, 1, 1e12)
+
+
 # ---------------------------------------------------------------------------
 # Layering
 
@@ -1601,6 +1634,18 @@ class TestVerifyCertificate:
     def test_wave_certificates_verify(self, quad, tag, n):
         cert = prescribe_data(*quad, n=n)
         assert cert.construction_tag == tag
+        assert verify_certificate(cert).chain_ok
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("quad", [(-0.65, -0.2, 1.93, 1.94), (-1.82, -1.73, 0.34, 2.06),
+                                      (-0.69, 1.25, 2.84, 2.86), (-1.27, -1.23, 0.01, 1.28)])
+    def test_slow_mode_plus_wave_certificates_verify(self, quad, n):
+        # at n = 5, 1, 2 and 1 the modes (m = 0.277, 0.266, 0.247, 0.229)
+        # have no phase of one band end in the witness window [1e3, 1e12],
+        # and the phi band missed the wave's plateau there by 0.06 to 1.3
+        # until the nearest phase outside stood in
+        cert = prescribe_data(*quad, n=n)
+        assert cert.construction_tag.startswith("data-mode-plus-wave")
         assert verify_certificate(cert).chain_ok
 
     @pytest.mark.parametrize("kwargs", [
