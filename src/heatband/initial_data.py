@@ -64,6 +64,7 @@ TWO_PI = 2.0 * math.pi
 # Largest double; centers or tau beyond this are not representable.
 _FLOAT_MAX = float(np.finfo(float).max)
 _LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
+_FLOAT_TINY = float(np.finfo(float).tiny)  # least normal double
 _EPS = float(np.finfo(float).eps)
 
 # ---------------------------------------------------------------------------
@@ -366,6 +367,10 @@ class InitialDataExpr:
       limit_u(y, n)      limit of u(0, t) in dimension n at y = log sqrt(4t)
     """
 
+    @cached_property
+    def _leaves(self) -> _Leaves:  # see _split_leaves
+        return _Leaves.of(self)
+
     def _values(self, tau: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -415,13 +420,13 @@ class Constant(InitialDataExpr):
         return self.c
 
 
-@dataclass(frozen=True)
-class LogSine(InitialDataExpr):
-    """amplitude * sin(m log(tau + 1)) + offset."""
+class _ModeOfLog(InitialDataExpr):
+    """Shared rules of the log modes amplitude [sin(m L) + (tau / (tau + 1))
+    q cos(m L)] + offset, L = log(tau + 1), q = m / _n: _n is the dimension n
+    of LogSineAvgPreimage and inf for LogSine.  The mode tends to
+    amplitude sqrt(1 + q^2) sin(m L + atan(q)) + offset."""
 
-    amplitude: float
-    m: float
-    offset: float = 0.0
+    _n = math.inf
 
     def __post_init__(self):
         check_finite(amplitude=self.amplitude, m=self.m, offset=self.offset)
@@ -430,34 +435,34 @@ class LogSine(InitialDataExpr):
         if not self.m > 0:
             raise DomainError(f"m must be positive, got {self.m!r}")
 
-    def _values(self, tau):
-        return self.amplitude * np.sin(self.m * np.log1p(tau)) + self.offset
+    def band_halfwidth(self) -> float:
+        return self.amplitude * math.sqrt(1.0 + (self.m / self._n) ** 2)
 
     def band(self):
-        return (self.offset - self.amplitude, self.offset + self.amplitude)
+        h = self.band_halfwidth()
+        return (self.offset - h, self.offset + h)
 
     def sup_abs(self):
-        return abs(self.offset) + self.amplitude
+        return abs(self.offset) + self.band_halfwidth()
 
     def strip_bound(self):
-        return self.amplitude + abs(self.offset), self.m
+        return self.amplitude * (1.0 + self.m / self._n) + abs(self.offset), self.m
 
     def slow_frequency(self):
         return float(self.m)
 
     def witnesses(self, tau_lo, tau_hi):
-        return (_phase_taus(self.m, 1.5 * math.pi, tau_lo, tau_hi),
-                _phase_taus(self.m, 0.5 * math.pi, tau_lo, tau_hi))
+        # asymptotic extremal phase of sin th + q cos th
+        th = math.atan2(1.0, self.m / self._n)
+        return (_phase_taus(self.m, th + math.pi, tau_lo, tau_hi),
+                _phase_taus(self.m, th, tau_lo, tau_hi))
 
     def limit_u(self, y, n):
-        return _mode_limit(self.amplitude, self.m, self.offset, 0.0, y, n)
-
-
-def _mode_limit(amplitude, m, offset, q, y, n) -> float:
-    """Limit of u(0, t) for amplitude [sin(m log tau) + q cos(m log tau)] + offset:
-    amplitude (a' sin(m y) + b' cos(m y)) + offset, a' + i b' = (a + i b)(1 + i q)."""
-    a, b = _data_moments(n, m)
-    return amplitude * ((a - q * b) * math.sin(m * y) + (b + q * a) * math.cos(m * y)) + offset
+        # amplitude (a' sin(m y) + b' cos(m y)) + offset, a' + i b' = (a + i b)(1 + i q)
+        a, b = _data_moments(n, self.m)
+        q = self.m / self._n
+        return self.amplitude * ((a - q * b) * math.sin(self.m * y)
+                                 + (b + q * a) * math.cos(self.m * y)) + self.offset
 
 
 @lru_cache(maxsize=64, typed=True)  # a probe asks for the same pair at every t
@@ -467,7 +472,19 @@ def _data_moments(n: int, m: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class LogSineAvgPreimage(InitialDataExpr):
+class LogSine(_ModeOfLog):
+    """amplitude * sin(m log(tau + 1)) + offset."""
+
+    amplitude: float
+    m: float
+    offset: float = 0.0
+
+    def _values(self, tau):
+        return self.amplitude * np.sin(self.m * np.log1p(tau)) + self.offset
+
+
+@dataclass(frozen=True)
+class LogSineAvgPreimage(_ModeOfLog):
     """The initial data whose ball average is exactly a log sine.
 
     amplitude * [ sin(m log(tau+1)) + (m tau / (n (tau+1))) cos(m log(tau+1)) ]
@@ -481,43 +498,17 @@ class LogSineAvgPreimage(InitialDataExpr):
     n: int
 
     def __post_init__(self):
-        check_finite(amplitude=self.amplitude, m=self.m, offset=self.offset)
-        if not self.amplitude > 0:
-            raise DomainError(f"amplitude must be positive, got {self.amplitude!r}")
-        if not self.m > 0:
-            raise DomainError(f"m must be positive, got {self.m!r}")
+        super().__post_init__()
         check_dimension(self.n)
+
+    @property
+    def _n(self):
+        return self.n
 
     def _values(self, tau):
         theta = self.m * np.log1p(tau)
         lam = self.m * tau / (self.n * (tau + 1.0))
         return self.amplitude * (np.sin(theta) + lam * np.cos(theta)) + self.offset
-
-    def band_halfwidth(self) -> float:
-        return self.amplitude * math.sqrt(1.0 + (self.m / self.n) ** 2)
-
-    def band(self):
-        h = self.band_halfwidth()
-        return (self.offset - h, self.offset + h)
-
-    def sup_abs(self):
-        return abs(self.offset) + self.band_halfwidth()
-
-    def strip_bound(self):
-        return self.amplitude * (1.0 + self.m / self.n) + abs(self.offset), self.m
-
-    def slow_frequency(self):
-        return float(self.m)
-
-    def witnesses(self, tau_lo, tau_hi):
-        # asymptotic extremal phase of sin th + (m/n) cos th
-        th = math.atan2(1.0, self.m / self.n)
-        return (_phase_taus(self.m, th + math.pi, tau_lo, tau_hi),
-                _phase_taus(self.m, th, tau_lo, tau_hi))
-
-    def limit_u(self, y, n):
-        # the weight m tau / (n (tau + 1)) of the cosine tends to m / n
-        return _mode_limit(self.amplitude, self.m, self.offset, self.m / self.n, y, n)
 
 
 @dataclass(frozen=True)
@@ -849,14 +840,12 @@ def _signed_leaves(expr: InitialDataExpr, sign: float = 1.0,
     """The leaves of expr under Sum and Negate as (sign, leaf), depth first.
 
     This is the one walk through expression structure outside negate, the
-    closed_H / phi_from_H map and the idexpr/1 codec; sign and out carry its
-    state down the recursion, and only the root is checked, as Sum and Negate
-    check their children.  Chains of Negate unwrap in a loop, so only nested
-    sums cost stack depth.
+    closed_H / phi_from_H map and the idexpr/1 codec, made once per
+    expression by _split_leaves; sign and out carry its state down the
+    recursion.  Chains of Negate unwrap in a loop, so only nested sums cost
+    stack depth.
     """
     if out is None:
-        if not isinstance(expr, InitialDataExpr):
-            raise DomainError(f"expr must be an InitialDataExpr, got {type(expr).__name__}")
         out = []
     while isinstance(expr, Negate):
         expr, sign = expr.term, -sign
@@ -1022,18 +1011,20 @@ class _Leaves:
     """The signed leaves of an expression under Sum and Negate by kind, each
     kind in leaf order: the one place that decides a leaf's kind.
 
-    Every leaf is a (sign, leaf) pair.  constant is the sum of the signed
-    constants and bump-train baselines; analytic holds the leaves with a
-    strip_bound, with their strip masses summed in mass and their top log
-    frequency in omega; waves holds the 2 pi periodic waves and bumps the
-    bump trains above their baselines, both linear piece by piece
-    (_linear_pieces); kinked holds the leaves with a _piece_bound (trapezoid
-    profiles of log(tau + 1)), which the Gauss routes split at their
-    corners, apart from the analytic leaves, with their piece masses summed
-    in kink_mass and their corner phases, sorted, in phases.  analytic +
-    kinked are the slow leaves.
+    Every leaf is a (sign, leaf) pair, and signed holds them all in leaf
+    order.  constant is the sum of the signed constants and bump-train
+    baselines; analytic holds the leaves with a strip_bound, with their strip
+    masses summed in mass and their top log frequency in omega; waves holds
+    the 2 pi periodic waves and bumps the bump trains above their baselines,
+    both linear piece by piece (_linear_pieces); kinked holds the leaves with
+    a _piece_bound (trapezoid profiles of log(tau + 1)), which the Gauss
+    routes split at their corners, apart from the analytic leaves, with their
+    piece masses summed in kink_mass and their corner phases, sorted, in
+    phases.  analytic + kinked are the slow leaves, and loglog says whether
+    one of them is a doubly-log sine.
     """
 
+    signed: tuple[tuple[float, InitialDataExpr], ...]
     constant: float
     analytic: tuple[tuple[float, InitialDataExpr], ...]
     mass: float
@@ -1043,34 +1034,43 @@ class _Leaves:
     kinked: tuple[tuple[float, InitialDataExpr], ...]
     kink_mass: float
     phases: tuple[float, ...]
+    loglog: bool
+
+    @classmethod
+    def of(cls, expr: InitialDataExpr) -> _Leaves:
+        """Sort the leaves of expr; a leaf with no route raises UnsupportedExpression."""
+        signed = tuple(_signed_leaves(expr))
+        constant, mass, omega, kink_mass = 0.0, 0.0, 0.0, 0.0
+        analytic, waves, bumps, kinked, phases = [], [], [], [], set()
+        for sign, leaf in signed:
+            if isinstance(leaf, Constant):
+                constant += sign * leaf.c
+            elif isinstance(leaf, PeriodicZeroMean):
+                waves.append((sign, leaf))
+            elif isinstance(leaf, BumpTrain):
+                constant += sign * leaf.baseline
+                bumps.append((sign, leaf))
+            elif (bound := leaf.strip_bound()) is not None:
+                analytic.append((sign, leaf))
+                mass += bound[0]
+                omega = max(omega, bound[1])
+            elif (pieces := leaf._piece_bound()) is not None:
+                kinked.append((sign, leaf))
+                kink_mass += pieces[0]
+                phases.update(pieces[1])
+            else:
+                raise UnsupportedExpression(
+                    f"no integration route for {type(leaf).__name__}")
+        return cls(signed, constant, tuple(analytic), mass, omega, tuple(waves), tuple(bumps),
+                   tuple(kinked), kink_mass, tuple(sorted(phases)),
+                   any(isinstance(leaf, LogLogSine) for _sign, leaf in analytic))
 
 
 def _split_leaves(expr: InitialDataExpr) -> _Leaves:
-    """Sort the signed leaves of expr into their routes; a leaf with none
-    raises UnsupportedExpression."""
-    constant, mass, omega, kink_mass = 0.0, 0.0, 0.0, 0.0
-    analytic, waves, bumps, kinked, phases = [], [], [], [], set()
-    for sign, leaf in _signed_leaves(expr):
-        if isinstance(leaf, Constant):
-            constant += sign * leaf.c
-        elif isinstance(leaf, PeriodicZeroMean):
-            waves.append((sign, leaf))
-        elif isinstance(leaf, BumpTrain):
-            constant += sign * leaf.baseline
-            bumps.append((sign, leaf))
-        elif (bound := leaf.strip_bound()) is not None:
-            analytic.append((sign, leaf))
-            mass += bound[0]
-            omega = max(omega, bound[1])
-        elif (pieces := leaf._piece_bound()) is not None:
-            kinked.append((sign, leaf))
-            kink_mass += pieces[0]
-            phases.update(pieces[1])
-        else:
-            raise UnsupportedExpression(
-                f"no integration route for {type(leaf).__name__}")
-    return _Leaves(constant, tuple(analytic), mass, omega, tuple(waves), tuple(bumps),
-                   tuple(kinked), kink_mass, tuple(sorted(phases)))
+    """The leaves of expr by kind (_Leaves), split once per expression object."""
+    if not isinstance(expr, InitialDataExpr):
+        raise DomainError(f"expr must be an InitialDataExpr, got {type(expr).__name__}")
+    return expr._leaves
 
 
 def _signed_sum(pairs) -> InitialDataExpr:
@@ -1082,6 +1082,15 @@ def _signed_sum(pairs) -> InitialDataExpr:
 def _phi_on(expr: InitialDataExpr, tau: np.ndarray) -> np.ndarray:
     """phi at the radii tau; a non-finite value raises EvaluationError."""
     return _finite(eval_phi(expr, tau), tau, "initial data", "tau")
+
+
+def _log_quotient(num: float, den: float) -> float:
+    """log(num / den), num >= 0 and den > 0: of the quotient where it is a
+    normal double, else the difference of the logs (-inf for num = 0)."""
+    ratio = num / den
+    if _FLOAT_TINY <= ratio < math.inf:
+        return math.log(ratio)
+    return math.log(num) - math.log(den) if num > 0.0 else -math.inf
 
 
 def _check_nodes(nodes, budget: int) -> None:
@@ -1102,18 +1111,21 @@ def _fixed_sums(pairs, radii, scale, weights) -> np.ndarray:
     return out
 
 
-def _split_gauss(lo: float, h: float, panels: int, radius: float, phases):
+def _split_gauss(lo: float, h: float, panels: int, radius: float, phases, budget: int):
     """(s_i, w_i, near) of the 8-node Gauss-Legendre rule on `panels` panels
     of width h from s = lo, s = log(r / radius), each panel split where
     L = log(r + 1) crosses a corner theta + 2 pi q, theta in phases.  near
     marks the nodes whose L lies within rounding of a corner, where
-    evaluation may take the neighbouring piece's formula.
+    evaluation may take the neighbouring piece's formula.  Each corner adds
+    at most one panel; more than budget nodes in all raise ConvergenceError
+    before any node is laid.
     """
     edges = lo + h * np.arange(panels + 1)
     ell_lo, ell_hi = np.log1p(radius * np.exp(edges[[0, -1]]))
     q = np.arange(math.floor(ell_lo / TWO_PI), math.floor(ell_hi / TWO_PI) + 1)
     corners = (TWO_PI * q[:, None] + np.asarray(phases)).ravel()
     corners = corners[(corners > ell_lo) & (corners < ell_hi)]
+    _check_nodes(GL_NODES.size * (panels + corners.size), budget)
     # s = log(e^L - 1) - log radius, without overflow at large L
     edges = np.union1d(edges, corners + np.log(-np.expm1(-corners)) - math.log(radius))
     widths = np.diff(edges)
@@ -1123,12 +1135,13 @@ def _split_gauss(lo: float, h: float, panels: int, radius: float, phases):
     return nodes, (widths[:, None] * GL_WEIGHTS).ravel(), gap <= 16.0 * _EPS * (ell + 1.0)
 
 
-def _split_gauss_sum(leaves: _Leaves, radii: np.ndarray, layout,
+def _split_gauss_sum(leaves: _Leaves, radii: np.ndarray, layout, budget: int,
                      kernel) -> tuple[np.ndarray, np.ndarray]:
     """(values, error bounds) of int_{-D}^0 K(s) phi(radius e^s) ds at each
     radius of the 1-D array radii, phi the signed sum of leaves.kinked, by
     the Gauss layout (D, P, bound) of _log_gauss_panels split at their
-    corners, which move with the radius, so radius by radius.
+    corners, which move with the radius, so radius by radius, within budget
+    nodes a radius.
 
     kernel(s) gives K at the nodes and factors c_i with K_i right to 4 c_i eps
     relative.  The terms are summed exactly by math.fsum; the bound adds to
@@ -1139,7 +1152,7 @@ def _split_gauss_sum(leaves: _Leaves, radii: np.ndarray, layout,
     expr = _signed_sum(leaves.kinked)
     values, bounds = np.empty(radii.size), np.empty(radii.size)
     for i, radius in enumerate(radii.tolist()):
-        s, w, near = _split_gauss(-depth, depth / panels, panels, radius, leaves.phases)
+        s, w, near = _split_gauss(-depth, depth / panels, panels, radius, leaves.phases, budget)
         k_vals, cond = kernel(s)
         weights = w * k_vals
         terms = weights * _phi_on(expr, radius * np.exp(s))
@@ -1179,11 +1192,13 @@ def _log_gauss_panels(n: int, mass: float, omega: float, tol: float, budget: int
     The bound returned is E(h, a) + mass e^{-nD}; panels split at corners
     keep it, being narrower, as e^{ns} is convex.  Nothing depends on tau,
     so the layout is found once per (n, mass, omega, tol, budget).  More than
-    budget nodes, before the corners split any panel, raise ConvergenceError.
+    budget nodes raise ConvergenceError; _split_gauss counts the corners.  D
+    and tol/2 are logs of quotients (_log_quotient), so no tol is too fine.
     """
     order = len(GL_NODES)
-    depth = math.log(max(2.0 * mass / tol, math.e)) / n
-    target = math.log(0.5 * tol)
+    tol = max(tol, math.ulp(0.0))  # a halved tolerance may round to 0
+    depth = max(_log_quotient(2.0 * mass, tol), 1.0) / n
+    target = _log_quotient(tol, 2.0)
 
     def log_error(panels):
         h, a = depth / panels, _STRIP
@@ -1259,8 +1274,8 @@ def _log_trapezoid_rule(k: int, mass: float, omega: float, spec: QuadratureSpec)
     ConvergenceError, and so do more in the lattice of _lattice_sums.
     """
     # log(4 mass M_k / abs_tol); mass is floored at abs_tol, which only shrinks h
-    log_mass = math.log(4.0 * max(mass, spec.abs_tol) * gaussian_power_tail(k, 0.0)
-                        / spec.abs_tol)
+    log_mass = _log_quotient(4.0 * max(mass, spec.abs_tol) * gaussian_power_tail(k, 0.0),
+                             spec.abs_tol)
     lo, hi = 0.0, 0.25 * math.pi
     for _ in range(24):
         a = 0.5 * (lo + hi)
@@ -1379,7 +1394,7 @@ def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
         bound += rule_bound
     if leaves.kinked:
         layout = _log_gauss_panels(n, leaves.kink_mass, 0.0, share, QuadratureSpec.max_panels)
-        part, part_bound = _split_gauss_sum(leaves, taus, layout,
+        part, part_bound = _split_gauss_sum(leaves, taus, layout, QuadratureSpec.max_panels,
                                             lambda s: (n * np.exp(s) ** n, 2.0 + n))
         value += part
         bound += part_bound
@@ -1444,7 +1459,8 @@ def _weighted_value(expr, k: int, roots, spec: QuadratureSpec,
 
         layout = _log_gauss_panels(k + 1, leaves.kink_mass * z_max ** (k + 1) / (k + 1),
                                    0.0, 0.5 * spec.abs_tol, spec.max_panels)
-        part, part_bound = _split_gauss_sum(leaves, roots * z_max, layout, kernel)
+        part, part_bound = _split_gauss_sum(leaves, roots * z_max, layout, spec.max_panels,
+                                            kernel)
         value += part
         bound += part_bound + leaves.kink_mass * gaussian_power_tail(k, z_max)
     for sign, leaf in leaves.waves:
@@ -1743,7 +1759,7 @@ def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, roots, spec: Quadrat
     # a count P on the threshold would move
     log_root = np.array([math.log(root) for root in roots.tolist()])
     log_rem = (log_norms + math.log(jump)) - _IBP_ORDERS * log_root[:, None]
-    fits = log_rem <= math.log(0.5 * spec.abs_tol)
+    fits = log_rem <= _log_quotient(spec.abs_tol, 2.0)
     series = fits.any(axis=1)
     counts = np.where(series, fits.argmax(axis=1) + 1, 0)
     # powers only for the series roots: a small root would overflow root^-60
@@ -1805,17 +1821,13 @@ def _wave_radial_integral(expr: PeriodicZeroMean, n: int, taus: np.ndarray):
 def analytic_band_phi(expr: InitialDataExpr) -> tuple[float, float]:
     """Exact (liminf, limsup) of phi as tau -> infinity.
 
-    A lone signed leaf has its own band.  In a sum the slow content is
-    either a single leaf or a set of integer-frequency log sines (whose
-    joint asymptotic profile is a trig polynomial); constants, 2 pi periodic
-    waves and sparse bump trains add their own extremes on top because
-    their phases decouple from the slow phase.  The parts are added in a
-    fixed order: constants and bump baselines, the slow part, the waves,
-    the bump heights.
+    The slow content is either a single leaf or a set of integer-frequency
+    log sines (whose joint asymptotic profile is a trig polynomial);
+    constants, 2 pi periodic waves and sparse bump trains add their own
+    extremes on top because their phases decouple from the slow phase.  The
+    parts are added in a fixed order: constants and bump baselines, the slow
+    part, the waves, the bump heights.
     """
-    leaves = _signed_leaves(expr)
-    if len(leaves) == 1:
-        return _signed_band(*leaves[0])
     split = _split_leaves(expr)
     level, slows = split.constant, split.analytic + split.kinked
     wave_lo = wave_hi = bump_lo = bump_hi = 0.0
@@ -1847,15 +1859,14 @@ def _commensurate_profile(slows) -> TrigPolynomial:
     cos: dict[int, float] = {}
     sin: dict[int, float] = {}
     for sign, t in slows:
-        j = _as_integer(t.m) if isinstance(t, (LogSine, LogSineAvgPreimage)) else None
-        if j is None:
+        j = round(t.m) if isinstance(t, _ModeOfLog) else 0
+        if j < 1 or abs(t.m - j) > 1e-12 * max(1.0, abs(t.m)):
             raise UnsupportedExpression(
                 "band of a multi-mode sum needs every slow term to be a log sine "
                 "with integer frequency; mixed or incommensurate slow terms have "
                 "no product-form band")
         sin[j] = sin.get(j, 0.0) + sign * t.amplitude
-        if isinstance(t, LogSineAvgPreimage):
-            cos[j] = cos.get(j, 0.0) + sign * t.amplitude * t.m / t.n
+        cos[j] = cos.get(j, 0.0) + sign * t.amplitude * t.m / t._n
         const += sign * t.offset
     j_max = max(list(cos) + list(sin))
     return TrigPolynomial(
@@ -1865,20 +1876,13 @@ def _commensurate_profile(slows) -> TrigPolynomial:
     )
 
 
-def _as_integer(m: float) -> int | None:
-    j = round(m)
-    if j >= 1 and abs(m - j) <= 1e-12 * max(1.0, abs(m)):
-        return int(j)
-    return None
-
-
 def sup_abs_phi(expr: InitialDataExpr) -> float:
     """Upper bound for sup |phi| over all of [0, infinity).
 
     Exact for a lone leaf; subadditive (so possibly loose) for sums.
     This is the M in the maximum principle |u| <= M.
     """
-    return sum(leaf.sup_abs() for _, leaf in _signed_leaves(expr))
+    return sum(leaf.sup_abs() for _, leaf in _split_leaves(expr).signed)
 
 
 # ---------------------------------------------------------------------------
@@ -1894,13 +1898,12 @@ def band_witnesses(expr: InitialDataExpr, tau_lo: float = 1e3,
     slow term's long extremal stretches when both occur), bump centers and
     gap midpoints for trains.  Values are clipped to representable range.
     """
-    leaves = _signed_leaves(expr)
-    if len(leaves) == 1:
-        lo_w, hi_w = _signed_witnesses(*leaves[0], tau_lo, tau_hi)
+    split = _split_leaves(expr)
+    if len(split.signed) == 1:
+        lo_w, hi_w = _signed_witnesses(*split.signed[0], tau_lo, tau_hi)
     else:
         # a sum: the witnesses of its slow content, each shifted onto the
         # extremal plateau of every wave, plus the centers of every bump train
-        split = _split_leaves(expr)
         slows = split.analytic + split.kinked
         if len(slows) > 1:
             (_l, _h), (a_lo, a_hi) = _commensurate_profile(slows).extrema_with_args()

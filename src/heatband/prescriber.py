@@ -34,7 +34,7 @@ from .initial_data import (
     PeriodicZeroMean,
     Sum,
     TrigPolynomial,
-    _signed_leaves,
+    _split_leaves,
     analytic_band_phi,
     from_json as expr_from_json,
     negate,
@@ -398,20 +398,14 @@ def envelope_u(cert: PrescriptionCertificate, t: float) -> float:
     """
     check_time(t)
     y, n = 0.5 * math.log(4.0 * t), cert.target.n
-    # the one reader of leaf kinds besides initial_data._split_leaves: it
-    # runs once per probe row, and the split costs more than this loop
-    value, slow_seen, bumps_seen = 0.0, False, False
-    for sign, leaf in _signed_leaves(cert.data):
-        value += sign * leaf.limit_u(y, n)
-        if isinstance(leaf, BumpTrain):
-            bumps_seen = True
-        elif not isinstance(leaf, (Constant, PeriodicZeroMean)):
-            slow_seen = True
-
-    if bumps_seen and not slow_seen:
+    leaves = _split_leaves(cert.data)
+    if leaves.bumps and not (leaves.analytic or leaves.kinked):
         raise UnsupportedExpression(
             "certificate's oscillating content is bump trains alone; their "
             "origin-solution spikes have no closed envelope formula")
+    value = 0.0
+    for sign, leaf in leaves.signed:
+        value += sign * leaf.limit_u(y, n)
     return float(value)
 
 

@@ -30,7 +30,6 @@ from .errors import (
 )
 from .initial_data import (
     InitialDataExpr,
-    LogLogSine,
     _split_leaves,
     _weighted_value,
     band_witnesses,
@@ -377,12 +376,10 @@ class _OriginSweep:
 def _slow_content(expr) -> tuple[float | None, bool]:
     """(lowest log frequency of the slow leaves or None, whether a
     doubly-log sine is present): what the sweeps of verify need."""
-    split, freqs, loglog = _split_leaves(expr), [], False
-    for _sign, leaf in split.analytic + split.kinked:
-        if (freq := leaf.slow_frequency()) is not None:
-            freqs.append(freq)
-        loglog = loglog or isinstance(leaf, LogLogSine)
-    return (min(freqs) if freqs else None), loglog
+    split = _split_leaves(expr)
+    freqs = [freq for _sign, leaf in split.analytic + split.kinked
+             if (freq := leaf.slow_frequency()) is not None]
+    return (min(freqs) if freqs else None), split.loglog
 
 
 def _slow_taus(m: float) -> np.ndarray:
@@ -440,7 +437,7 @@ def verify_certificate(cert: PrescriptionCertificate,
                        points_per_period: int = 64,
                        min_periods: float = _SWEEP_PERIODS,
                        ) -> VerificationReport:
-    """Measure phi, H, and u bands for a certificate and compare.
+    """Measure the phi, u and H bands of a certificate, in that order, and compare.
 
     phi is sampled at its analytic extremizer witnesses plus dense log
     grids; H through numeric ball averages on a log-tau grid; u through
@@ -462,7 +459,6 @@ def verify_certificate(cert: PrescriptionCertificate,
     notes: list[str] = []
 
     phi_band = _measure_phi_band(cert.data, slow_m, loglog)
-    h_band = _measure_H_band(cert.data, n, slow_m, loglog, spec)
 
     u_at = _OriginSweep(cert.data, n, spec)
     sweep_kwargs = dict(points_per_period=points_per_period,
@@ -487,6 +483,8 @@ def verify_certificate(cert: PrescriptionCertificate,
         u_band = band_estimate(u_at, m_hint, t_anchor, **sweep_kwargs)
 
     u_gaps = u_at(np.array(gap_times, dtype=float)).tolist()
+    # H last: its window costs the most, and a u route may refuse first
+    h_band = _measure_H_band(cert.data, n, slow_m, loglog, spec)
     max_abs_u = max([abs(u_band.lower_est), abs(u_band.upper_est)]
                     + [abs(u_val) for u_val in u_gaps])
     gaps, refused = [], []

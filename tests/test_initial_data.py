@@ -1063,6 +1063,23 @@ class TestLimitU:
                           + mom.b_value * math.cos(1.5 * y)) - 0.2
         assert LogSine(0.4, 1.5, -0.2).limit_u(y, 3) == expected
 
+    @pytest.mark.parametrize("amplitude, m, offset",
+                             [(1.0, 1.0, 0.0), (0.85, 3.7, 0.2), (2.5, 0.3, -1.25)])
+    def test_log_sine_rules_are_their_closed_formulas(self, amplitude, m, offset):
+        # LogSine shares its rules with the average preimage, with cosine
+        # weight m / inf = 0: each must still be its own formula to the bit
+        leaf = LogSine(amplitude, m, offset)
+        assert leaf.band() == (offset - amplitude, offset + amplitude)
+        assert leaf.sup_abs() == abs(offset) + amplitude
+        assert leaf.strip_bound() == (amplitude + abs(offset), m)
+        lo_w, hi_w = leaf.witnesses(1e3, 1e12)
+        assert np.array_equal(lo_w, _phase_taus(m, 1.5 * math.pi, 1e3, 1e12))
+        assert np.array_equal(hi_w, _phase_taus(m, 0.5 * math.pi, 1e3, 1e12))
+        for n, y in ((1, 2.0), (3, 11.0)):
+            mom = kernel_moments(n, m, KernelFlavor.DATA)
+            assert leaf.limit_u(y, n) == amplitude * (
+                mom.a_value * math.sin(m * y) + mom.b_value * math.cos(m * y)) + offset
+
     def test_cached_moments_still_check_the_dimension(self):
         leaf = LogSine(0.4, 1.5)
         leaf.limit_u(1.0, 1)

@@ -767,3 +767,45 @@ PINNED_CERTS = {
 @pytest.mark.parametrize("quad", list(PINNED_CERTS))
 def test_frequency_free_certificates_keep_their_bytes(quad):
     assert cert_dumps(prescribe_data(*quad, 2)) == PINNED_CERTS[quad]
+
+
+# Every construction tag: eleven data-side targets in n = 1 to 3, the
+# average-side single mode in n = 1 to 3 and the two-mode example
+_CORPUS = """
+from heatband.prescriber import (cert_dumps, lemma_not_example, prescribe_average,
+                                 prescribe_data)
+quads = [(0.3, 0.3, 0.3, 0.3), (-1, -1, 1, 1), (0, 0, 0, 1), (-1, 0, 0, 0), (0, 0, 1, 2),
+         (-2, -1, 0, 0), (-1, 0, 0, 2), (-2, 0, 0, 1), (-1, -0.3, 0.3, 1),
+         (-1, -0.5, 0.5, 1.5), (-1.5, -0.5, 0.5, 1)]
+certs = [prescribe_data(*quad, n=n) for quad in quads for n in (1, 2, 3)]
+certs += [prescribe_average(-1, -0.3, 0.3, 1, n=n) for n in (1, 2, 3)]
+certs.append(lemma_not_example())
+tags = {cert.construction_tag for cert in certs}
+out = "\\n".join(cert_dumps(cert) for cert in certs)
+"""
+
+
+def test_cert_bytes_do_not_depend_on_numpy_simd_dispatch():
+    # cert/1 holds only closed forms and solve_m's roots, so its bytes must
+    # not move when NumPy dispatches narrower SIMD kernels; report/1 may
+    import os
+    import subprocess
+    import sys
+
+    import heatband
+
+    here: dict = {}
+    exec(_CORPUS, here)
+    assert len(here["tags"]) == 13
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=os.pathsep.join(
+                   [os.path.dirname(os.path.dirname(heatband.__file__)),
+                    os.environ.get("PYTHONPATH", "")]))
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                           capture_output=True, text=True)
+    if probe.returncode != 0:
+        pytest.skip(f"NumPy does not start with the features off: {probe.stderr.strip()}")
+    child = subprocess.run(
+        [sys.executable, "-c", _CORPUS + "import sys\nsys.stdout.write(out)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert child.stdout == here["out"]

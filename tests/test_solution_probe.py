@@ -1000,7 +1000,8 @@ class TestTrapezoidProfiles:
     @pytest.mark.parametrize("radius", [2.3, 1e4, 1e12])
     def test_panels_split_at_every_corner(self, radius):
         phases = hb.PeriodicOfLog(TRAPEZOID)._piece_bound()[1]
-        nodes, weights, near = _split_gauss(-20.0, 0.5, 44, radius, phases)
+        nodes, weights, near = _split_gauss(-20.0, 0.5, 44, radius, phases,
+                                            QuadratureSpec.max_panels)
         ell = np.log1p(radius * np.exp(nodes))
         # index of the piece each node lies on, counted along the L axis
         piece = (np.searchsorted(phases, np.mod(ell, 2.0 * math.pi), side="right")
@@ -1060,6 +1061,47 @@ class TestNodeBudget:
         with pytest.raises(ConvergenceError, match="max_panels=16"):
             u_origin(LogSine(1.0, 1.0), 1, 1e6, spec)
 
+    def test_corner_panels_count_against_the_budget(self):
+        # 163 panels and the 10 corners inside the window that split them
+        profile = hb.PeriodicOfLog(TRAPEZOID)
+        with pytest.raises(ConvergenceError, match="1384 nodes"):
+            u_origin(profile, 1, 1e6, QuadratureSpec(max_panels=1304))
+        value = u_origin(profile, 1, 1e6, QuadratureSpec(max_panels=1384))
+        assert value == u_origin(profile, 1, 1e6)
+        assert value == pytest.approx(0.5210266875205081, rel=1e-14)
+
+    @pytest.mark.parametrize("integral", ["H", "u"])
+    @pytest.mark.parametrize("leaf", [LogSine(1.0, 1.0), hb.PeriodicOfLog(TRAPEZOID)],
+                             ids=["analytic", "kinked"])
+    @pytest.mark.parametrize("tol", [1e-308, 1e-320, 5e-324])
+    def test_too_fine_a_tolerance_is_refused_or_met(self, integral, leaf, tol):
+        # the windows and targets are taken in log space, so neither
+        # 2 mass / tol overflows nor tol / 2 rounds to 0 into a bare error
+        try:
+            if integral == "H":
+                value = numeric_H(leaf, 1, 10.0, tol=tol)
+            else:
+                value = u_origin(leaf, 1, 10.0, QuadratureSpec(abs_tol=tol))
+        except ConvergenceError as exc:
+            assert math.isfinite(float(str(exc).split("needs at least ")[1].split()[0]))
+        else:
+            assert math.isfinite(value)
+
+    def test_verify_refuses_before_it_measures_the_H_window(self, monkeypatch):
+        import dataclasses
+
+        import heatband.initial_data as idata
+
+        cert = dataclasses.replace(prescribe_data(0.0, 0.0, 0.0, 1.0, n=2), data=self.FINE_BUMPS)
+        assert cert.construction_tag == "data-sparse-bumps"
+
+        def no_ball_average(*args):
+            raise AssertionError("the H window was measured before the u sweep")
+
+        monkeypatch.setattr(idata, "_ball_average", no_ball_average)
+        with pytest.raises(ConvergenceError, match="exceeding max_panels"):
+            verify_certificate(cert)
+
     def test_bump_train_past_the_budget_raises_before_any_layout(self, monkeypatch):
         import heatband.initial_data as idata
 
@@ -1091,6 +1133,34 @@ def test_solution_probe_imports_only_the_router_from_initial_data():
                and (node.module or "").split(".")[-1] == "initial_data"
                for alias in node.names if alias.name.startswith("_")}
     assert private <= {"_weighted_value", "_split_leaves"}
+
+
+def test_one_verify_splits_its_data_once(monkeypatch):
+    # every reader of leaf kinds (routers, bands, witnesses, verify's slow
+    # content, envelope_u) reads the split kept on the expression object
+    import heatband.initial_data as idata
+
+    cert = hb.cert_loads(hb.cert_dumps(prescribe_data(-1.0, -0.5, 0.5, 1.5, n=2)))
+    assert cert.construction_tag == "data-mode-plus-wave"
+    splits, walks = [], []
+    split, walk = idata._Leaves.of, idata._signed_leaves
+
+    def counted_split(expr):
+        splits.append(expr)
+        return split(expr)
+
+    def counted_walk(expr, sign=1.0, out=None):
+        if out is None:
+            walks.append(expr)
+        return walk(expr, sign, out)
+
+    monkeypatch.setattr(idata._Leaves, "of", counted_split)
+    monkeypatch.setattr(idata, "_signed_leaves", counted_walk)
+    verify_certificate(cert)
+    assert splits == [cert.data] and walks == [cert.data]
+    for t in np.geomspace(1e2, 1e10, 49).tolist():
+        hb.envelope_u(cert, t)
+    assert len(splits) == 1 and len(walks) == 1
 
 
 def test_probe_and_cli_call_the_integrals_once_per_grid():

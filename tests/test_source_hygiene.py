@@ -85,3 +85,20 @@ def test_every_private_constant_is_read():
         if isinstance(target, ast.Name) and target.id.startswith("_")
         and not target.id.startswith("__") and target.id not in read]
     assert not unread, f"unread private constants: {unread}"
+
+
+def test_only_initial_data_tests_a_leaf_class():
+    # a leaf's kind is decided in one place, initial_data._Leaves.of; the
+    # other modules read the split (and may still tell an expression from a
+    # plain callable)
+    leaves = {cls.__name__ for cls in vars(heatband.initial_data).values()
+              if isinstance(cls, type) and issubclass(cls, heatband.InitialDataExpr)
+              and cls is not heatband.InitialDataExpr}
+    tests = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items() if name != "initial_data.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        and leaves & {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+    ]
+    assert not tests, f"leaf classes tested outside initial_data at {tests}"
