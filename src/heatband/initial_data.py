@@ -1001,9 +1001,9 @@ _IBP_ORDERS = np.arange(1, _IBP_TERMS + 1)
 _WAVE_SERIES_FROM = 4.0 * TWO_PI
 
 # Widest z-panel of the Gauss-Legendre rule on linear pieces in u, and the
-# half-height of the Bernstein ellipse about each panel in its bound
+# constant (8!)^4 / (17 (16!)^3) of that 8-node rule's remainder
 _PIECE_PANEL = 0.125
-_PANEL_ELLIPSE = 0.5
+_GAUSS_REMAINDER = math.factorial(8) ** 4 / (17 * math.factorial(16) ** 3)
 
 
 @dataclass(frozen=True)
@@ -1267,10 +1267,9 @@ def _log_trapezoid_rule(k: int, mass: float, omega: float, spec: QuadratureSpec)
     (k+1) (a tan 2a + log(cos 2a) / 2) = log(4 mass M_k / abs_tol), whose
     left side grows from 0 to infinity on (0, pi/4); a is the lower end of
     its bracket after 24 bisections.  The rule takes
-    h = L / (floor(L / h_max) + 1), J - 1 steps over [-40/(k+1), log z_max]
-    of length L.  Keeping only those nodes adds at most
-    mass (e^{-40} / (k+1) + G_k(z_max)), G_k the Gaussian power tail.  The
-    bound returned is the sum of the two.  More than max_panels nodes raise
+    h = L / (floor(L / h_max) + 1), J - 1 steps over the window of
+    _log_window, of length L, whose cuts add at most its tails.  The bound
+    returned is the sum of the two.  More than max_panels nodes raise
     ConvergenceError, and so do more in the lattice of _lattice_sums.
     """
     # log(4 mass M_k / abs_tol); mass is floored at abs_tol, which only shrinks h
@@ -1282,7 +1281,7 @@ def _log_trapezoid_rule(k: int, mass: float, omega: float, spec: QuadratureSpec)
         below = (k + 1) * (a * math.tan(2.0 * a) + 0.5 * math.log(math.cos(2.0 * a))) < log_mass
         lo, hi = (a, hi) if below else (lo, a)
     log_ratio = omega * lo + log_mass - 0.5 * (k + 1) * math.log(math.cos(2.0 * lo))
-    x_lo, x_hi = -40.0 / (k + 1), math.log(spec.z_max)
+    x_lo, x_hi, tails = _log_window(k, mass, spec)
     steps = ((x_hi - x_lo) * (log_ratio + math.log1p(2.0 * math.exp(-log_ratio)))
              / (2.0 * math.pi * lo))
     nodes = steps // 1.0 + 2.0  # int(steps) + 2; nan, so refused, for steps = inf
@@ -1292,20 +1291,32 @@ def _log_trapezoid_rule(k: int, mass: float, omega: float, spec: QuadratureSpec)
     x = x_hi - h * np.arange(count)
     scale, kernel = np.exp(x), np.exp((k + 1) * x - np.exp(2.0 * x))
     scale.flags.writeable = kernel.flags.writeable = False
-    tails = mass * (math.exp(-40.0) / (k + 1) + gaussian_power_tail(k, spec.z_max))
     return scale, kernel, h, 0.5 * spec.abs_tol + tails
 
 
-def _lattice_sums(pairs, k: int, h: float, spec: QuadratureSpec, log_grid) -> np.ndarray:
+def _log_window(k: int, mass: float, spec: QuadratureSpec) -> tuple[float, float, float]:
+    """(x_lo, log z_max, tails): the window of the log-axis trapezoid rule
+    for analytic leaves of strip mass mass, and the most its two cuts drop,
+    mass (e^{(k+1) x_lo} / (k+1) + G_k(z_max)), G_k the Gaussian power tail.
+    (k+1) x_lo is the lesser of -40 and log((k+1) abs_tol / (4 mass)), a log
+    of a quotient (_log_quotient), so the left cut drops at most abs_tol / 4
+    at any mass, and no abs_tol is too fine."""
+    depth = min(-40.0, _log_quotient((k + 1) * spec.abs_tol, 4.0 * max(mass, spec.abs_tol)))
+    tails = mass * (math.exp(depth) / (k + 1) + gaussian_power_tail(k, spec.z_max))
+    return depth / (k + 1), math.log(spec.z_max), tails
+
+
+def _lattice_sums(leaves: _Leaves, k: int, h: float, spec: QuadratureSpec,
+                  log_grid) -> np.ndarray:
     """The log-axis trapezoid sums of _log_trapezoid_rule, whose step is h,
     at every root e^{x_i} of the grid x = np.linspace(x0, x1, N),
-    log_grid = (x0, x1, N), phi the signed sum of pairs: one correlation of
-    phi with the kernel on a lattice that all grid points share.
+    log_grid = (x0, x1, N), phi the signed sum of leaves.analytic: one
+    correlation of phi with the kernel on a lattice that all grid points share.
 
     With the grid step D = (x1 - x0) / (N - 1), the lattice step is
     g = D / q, q = ceil(D / h), and the node step h' = p g,
-    p = floor(h / g) >= 1.  The nodes log z_max - j h' run down past
-    -40/(k+1), so every node of every grid point lies on
+    p = floor(h / g) >= 1.  The nodes log z_max - j h' run down past the
+    window of _log_window, so every node of every grid point lies on
     sigma_r = x0 + log z_max - r g, and phi is evaluated once at each
     e^{sigma_r}.  As h' <= h and the nodes cover the same window, the rule's
     bound holds as it is; as h' > h/2, the budget is checked again.  The sums
@@ -1317,14 +1328,14 @@ def _lattice_sums(pairs, k: int, h: float, spec: QuadratureSpec, log_grid) -> np
     q = math.ceil(step / h)
     g = step / q
     p = max(1, int(h / g))
-    x_hi = math.log(spec.z_max)
-    nodes = math.ceil((x_hi + 40.0 / (k + 1)) / (p * g)) + 1
+    x_lo, x_hi, _tails = _log_window(k, leaves.mass, spec)
+    nodes = math.ceil((x_hi - x_lo) / (p * g)) + 1
     _check_nodes(nodes, spec.max_panels)
     x = x_hi - p * g * np.arange(nodes)
     kernel = np.exp((k + 1) * x - np.exp(2.0 * x))[::-1]  # ascending in x
     # sigma ascending: grid point i reads entries i q + j p, j = 0 .. nodes - 1
     r = np.arange((count - 1) * q + (nodes - 1) * p + 1) - (nodes - 1) * p
-    phi = _phi_on(_signed_sum(pairs), np.exp((x0 + x_hi) + g * r))
+    phi = _phi_on(_signed_sum(leaves.analytic), np.exp((x0 + x_hi) + g * r))
     rows = sliding_window_view(phi, (nodes - 1) * p + 1)[::q, ::p]
     out, block = np.empty(count), max(1, _BLOCK // nodes)
     for i in range(0, count, block):
@@ -1444,7 +1455,7 @@ def _weighted_value(expr, k: int, roots, spec: QuadratureSpec,
         if log_grid is None:
             value += h * _fixed_sums(leaves.analytic, roots, scale, weights)
         else:
-            value += _lattice_sums(leaves.analytic, k, h, spec, log_grid)
+            value += _lattice_sums(leaves, k, h, spec, log_grid)
         bound += rule_bound
     if leaves.kinked:
         # on s = log(z / z_max) the kernel z^(k+1) e^{-z^2} is at most
@@ -1490,27 +1501,6 @@ def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _panel_rule_bound(h, sup, slope, kernel_reach):
-    """Error bound of the 8-node Gauss-Legendre rule on a panel of z-width h
-    for v(z) f(z), v linear on the panel with |v| <= sup there and
-    |v'| <= slope, where kernel_reach(a) bounds |f| on the panel's Bernstein
-    ellipse.
-
-    The ellipse E_rho of half-height b = _PANEL_ELLIPSE,
-    (h/4)(rho - 1/rho) = b, reaches a = sqrt(h^2/4 + b^2) along the axis,
-    where |v| <= sup + slope (a - h/2 + b), and the panel errs by at most
-    h/2 * 64/15 * max|v f| * rho^-16 / (rho^2 - 1) (Trefethen, ATAP,
-    Theorem 19.3); 1/rho = h / (2b + hypot(2b, h)) keeps an empty panel,
-    h = 0, at 0.  Up to h = 1/8 the bound grows with h: rho^-18 ~ (h/2b)^18
-    outweighs the fall of a - h/2.  h, sup and slope may be floats or
-    arrays; kernel_reach takes and returns the same.
-    """
-    r = h / (2.0 * _PANEL_ELLIPSE + (4.0 * _PANEL_ELLIPSE ** 2 + h * h) ** 0.5)
-    a = (0.25 * h * h + _PANEL_ELLIPSE ** 2) ** 0.5
-    return 32.0 / 15.0 * h * r ** 18 / (1.0 - r * r) \
-        * (sup + slope * (a - 0.5 * h + _PANEL_ELLIPSE)) * kernel_reach(a)
-
-
 def _linear_pieces(leaf, tau_max: float, budget: int):
     """(pieces, sup, steep) for a bump train above its baseline or a wave:
     pieces has rows start, width, v, rise, one column for each linear piece
@@ -1539,10 +1529,10 @@ def _linear_pieces(leaf, tau_max: float, budget: int):
 
 
 def _piece_layout(pieces, scales, cut: float, panels: int):
-    """(x, weights, vals, lo, span) of the 8-node Gauss-Legendre rule on
-    `panels` equal panels of each linear piece of _linear_pieces clipped to
+    """(x, weights, vals) of the 8-node Gauss-Legendre rule on `panels`
+    equal panels of each linear piece of _linear_pieces clipped to
     [0, cut scale], in x = tau / scale, at each scale of the 1-D array scales:
-    shape (scales, pieces, nodes a piece), and lo and span, in tau, per piece.
+    shape (scales, pieces, nodes a piece).
 
     A piece that starts below cut scale keeps its part from lo = max(start, 0)
     of length span = min(width, start + width, cut scale - start, cut scale):
@@ -1562,20 +1552,17 @@ def _piece_layout(pieces, scales, cut: float, panels: int):
     s = (np.maximum(lo - start, 0.0) / width)[..., None] + (span / width)[..., None] * u
     scale = scales[:, None, None]
     return ((lo[..., None] + span[..., None] * u) / scale, span[..., None] / scale * w,
-            v[:, None] + rise[:, None] * s, lo, span)
+            v[:, None] + rise[:, None] * s)
 
 
-def _row_sums(terms: np.ndarray, extra: np.ndarray | None = None) -> list[float]:
+def _row_sums(terms: np.ndarray) -> list[float]:
     """Sum of each row of terms, shape (rows, pieces, nodes a piece): the 8
     terms of each panel added pairwise, within 1.5 eps of their absolute sum,
-    and the panel sums, with the row of extra, exactly by math.fsum, so no
-    row depends on the others or on the pieces beyond its window."""
+    and the panel sums exactly by math.fsum, so no row depends on the others
+    or on the pieces beyond its window."""
     for _ in range(3):
         terms = terms[..., 0::2] + terms[..., 1::2]
-    rows = terms.reshape(terms.shape[0], -1)
-    if extra is not None:
-        rows = np.concatenate([rows, extra.reshape(rows.shape[0], -1)], axis=1)
-    return [math.fsum(row) for row in rows.tolist()]
+    return [math.fsum(row) for row in terms.reshape(terms.shape[0], -1).tolist()]
 
 
 def _pieces_weighted(pieces, sup: float, steep: float, k: int, roots: np.ndarray,
@@ -1586,41 +1573,38 @@ def _pieces_weighted(pieces, sup: float, steep: float, k: int, roots: np.ndarray
     most _PIECE_PANEL wide in z, as many on each piece, within the node
     budget, one layout for the roots of one panel count, in blocks of at most
     about _BLOCK nodes, and the terms summed by _row_sums.  The bound adds
-    * the rule's error, panel by panel (_panel_rule_bound), with |v'| <= steep
-      and |z^k e^{-z^2}| <= hypot(c + a, b)^k e^{b^2 - max(0, c - a)^2} on
-      the ellipse about a panel of centre c;
+    * the rule's error: on a panel of z-width h the rule errs by at most
+      c h^17 max |(v f)^(16)|, c = _GAUSS_REMAINDER and f(z) = z^k e^{-z^2}
+      (Abramowitz & Stegun 25.4.30), where (v f)^(16) = v f^(16) +
+      16 v' f^(15) as v is linear on the panel, |v'| <= steep root in z; with
+      S_j >= sup |f^(j)| (_gauss_derivatives), panels at most
+      H = min(widest, z_cut root) / (root panels) wide and at most z_cut long
+      in all, the rule errs by at most c z_cut H^16 (sup S_16 + 16 steep root S_15);
     * the rounding, eps (|v| (5 |k - 2 z^2| + z^2 + 8) + 6 sup) times
       each node's weight w_i z^k e^{-z^2}: a node off by 5 eps z moves
       z^k e^{-z^2} by 5 eps |k - 2 z^2| of itself;
     * sup G_k(z_cut) for the cut.
     """
     z_cut = spec.z_max
+    sups = _gauss_derivatives(k)[2]
     values, bounds = np.empty(roots.size), np.empty(roots.size)
-    widest = float(pieces[1].max(initial=0.0))
-    counts = np.ceil(np.minimum(widest, z_cut * roots) / (roots * _PIECE_PANEL)).clip(1).astype(int)
+    reach = np.minimum(float(pieces[1].max(initial=0.0)), z_cut * roots)
+    counts = np.ceil(reach / (roots * _PIECE_PANEL)).clip(1).astype(int)
     used = np.searchsorted(pieces[0], z_cut * roots)  # pieces that start below the cut
     _check_nodes(GL_NODES.size * int(np.max(counts * used, initial=0)), spec.max_panels)
     for panels in set(counts.tolist()):
         todo = np.flatnonzero(counts == panels)
         step = max(1, _BLOCK // max(1, pieces.shape[1] * panels * GL_NODES.size))
         for rows in np.split(todo, range(step, todo.size, step)):
-            z, weights, vals, lo, span = _piece_layout(pieces, roots[rows], z_cut, panels)
-            root = roots[rows][:, None, None]
+            z, weights, vals = _piece_layout(pieces, roots[rows], z_cut, panels)
             zz = z * z
             weights = weights * z ** k * np.exp(-zz)
-            centre = (lo[..., None] + span[..., None] * ((np.arange(panels) + 0.5) / panels)) / root
-
-            def reach(a):
-                # |z^k e^{-z^2}| on the ellipse about each panel
-                return np.hypot(centre + a, _PANEL_ELLIPSE) ** k \
-                    * np.exp(_PANEL_ELLIPSE ** 2 - np.maximum(0.0, centre - a) ** 2)
-
             values[rows] = _row_sums(weights * vals)
             bounds[rows] = _row_sums(
-                _EPS * weights * (np.abs(vals) * (5.0 * np.abs(k - 2.0 * zz) + zz + 8.0) + 6.0 * sup),
-                _panel_rule_bound((span / (root[..., 0] * panels))[..., None], sup, steep * root,
-                                  reach))
-    return values, bounds + sup * gaussian_power_tail(k, z_cut)
+                _EPS * weights * (np.abs(vals) * (5.0 * np.abs(k - 2.0 * zz) + zz + 8.0) + 6.0 * sup))
+    rule = _GAUSS_REMAINDER * z_cut * (reach / (roots * counts)) ** 16 \
+        * (sup * sups[15] + 16.0 * steep * sups[14] * roots)
+    return values, bounds + rule + sup * gaussian_power_tail(k, z_cut)
 
 
 def _pieces_radial(pieces, sup: float, n: int, taus: np.ndarray):
@@ -1638,7 +1622,7 @@ def _pieces_radial(pieces, sup: float, n: int, taus: np.ndarray):
     values, bounds = np.empty(taus.size), np.empty(taus.size)
     step = max(1, _BLOCK // max(1, pieces.shape[1] * GL_NODES.size))
     for rows in np.split(np.arange(taus.size), range(step, taus.size, step)):
-        x, weights, vals, _lo, _span = _piece_layout(pieces, taus[rows], 1.0, 1)
+        x, weights, vals = _piece_layout(pieces, taus[rows], 1.0, 1)
         weights = weights * x ** (n - 1)
         values[rows] = _row_sums(weights * vals)
         bounds[rows] = _row_sums(_EPS * weights * ((3 * n + 6) * np.abs(vals) + 5.0 * sup))
@@ -1707,21 +1691,23 @@ def _wave_primitives(trap: TrapezoidWave):
 
 @lru_cache(maxsize=64)
 def _gauss_derivatives(k: int):
-    """(c, log_norms) for f(z) = z^k e^{-z^2}: c[j-1] = (-1)^j f^(j-1)(0)
-    and log_norms[P-1] = log(zeta(P+2) N_P / pi), for j, P = 1 .. _IBP_TERMS,
-    with N_P >= ||f^(P)||_1 on (0, inf).
+    """(c, log_norms, sups) for f(z) = z^k e^{-z^2}: c[j-1] = (-1)^j f^(j-1)(0),
+    log_norms[P-1] = log(zeta(P+2) N_P / pi) and sups[P-1] = S_P, for
+    j, P = 1 .. _IBP_TERMS, with N_P >= ||f^(P)||_1 and S_P >= sup |f^(P)|
+    on (0, inf).
 
     f = sum_m (-1)^m z^(k+2m) / m!, so f^(j)(0) = j! (-1)^m / m! for j = k + 2m
     and 0 otherwise.  f^(P) = p_P(z) e^{-z^2} with p_0 = z^k and
     p_{P+1} = p_P' - 2 z p_P, whose integer coefficients a_i are kept exact,
-    and N_P = sum_i |a_i| Gamma((i+1)/2) / 2.
+    N_P = sum_i |a_i| Gamma((i+1)/2) / 2 and, as z^i e^{-z^2} peaks at
+    z^2 = i/2, S_P = sum_i |a_i| (i/2)^(i/2) e^{-i/2}.
     """
     coeffs = np.zeros(_IBP_TERMS)
     for j in range(k, _IBP_TERMS, 2):
         m = (j - k) // 2
         coeffs[j] = (-1) ** (m + j + 1) * (math.factorial(j) // math.factorial(m))
     poly = [0] * k + [1]
-    norms = []
+    norms, sups = [], []
     for _ in range(_IBP_TERMS):
         nxt = [0] * (len(poly) + 1)
         for i, a in enumerate(poly):
@@ -1730,7 +1716,9 @@ def _gauss_derivatives(k: int):
             nxt[i + 1] -= 2 * a
         poly = nxt
         norms.append(sum(abs(a) * math.gamma(0.5 * (i + 1)) for i, a in enumerate(poly) if a))
-    return coeffs, np.log(0.5 * np.array(norms) * zeta(_IBP_ORDERS + 2.0) / math.pi)
+        sups.append(sum(abs(a) * (0.5 * i) ** (0.5 * i) * math.exp(-0.5 * i)
+                        for i, a in enumerate(poly) if a))
+    return coeffs, np.log(0.5 * np.array(norms) * zeta(_IBP_ORDERS + 2.0) / math.pi), tuple(sups)
 
 
 def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, roots, spec: QuadratureSpec):
@@ -1754,7 +1742,7 @@ def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, roots, spec: Quadrat
     its node budget.
     """
     mean, jump, _at, (w0, w_err) = _wave_primitives(expr.wave)
-    coeffs, log_norms = _gauss_derivatives(k)
+    coeffs, log_norms, _sups = _gauss_derivatives(k)
     # math.log per root: np.log may round differently in the last bit, and
     # a count P on the threshold would move
     log_root = np.array([math.log(root) for root in roots.tolist()])

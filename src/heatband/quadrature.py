@@ -51,6 +51,10 @@ GL_WEIGHTS = 0.5 * GL_WEIGHTS
 # cos(m log z) are undefined at exactly 0 but fine at any positive double.
 _LEFT_EDGE = 1e-300
 
+# Left end of the log-axis window of integrate_log_oscillatory: a kernel
+# amplitude exp((k+1) x) is at most e^{-40} there for every power k >= 0.
+_LOG_LEFT_EDGE = -40.0
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -65,44 +69,25 @@ class QuadratureSpec:
     Where the wave's series reaches abs_tol / 2, from a root of about 15 to
     30 on, neither z_max nor max_panels enters.  The adaptive engine of plain
     callables starts at _LEFT_EDGE and reads rel_tol, abs_tol, z_max and
-    max_panels as its panel budget.  Only integrate_log_oscillatory reads
-    x_min; its default -40 puts every amplitude exp((k+1) x) of the
-    kernel-moment integrals (k >= 0) below 1e-17 at the cut, and for_power
-    tightens it for a known weight power.
+    max_panels as its panel budget.
     """
 
     rel_tol: float = 1e-11
     abs_tol: float = 1e-13
     z_max: float = 12.0
-    x_min: float = -40.0
     max_panels: int = 200_000
 
     def __post_init__(self):
-        check_finite(rel_tol=self.rel_tol, abs_tol=self.abs_tol, z_max=self.z_max,
-                     x_min=self.x_min)
+        check_finite(rel_tol=self.rel_tol, abs_tol=self.abs_tol, z_max=self.z_max)
         if not self.rel_tol > 0:
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
         if not self.abs_tol > 0:
             raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
         if not self.z_max > 1:
             raise DomainError(f"z_max must exceed 1, got {self.z_max}")
-        if not self.x_min < 0:
-            raise DomainError(f"x_min must be negative, got {self.x_min}")
         check_integer(max_panels=self.max_panels)
         if self.max_panels < 16:
             raise DomainError(f"max_panels must be at least 16, got {self.max_panels}")
-
-    @classmethod
-    def for_power(cls, power: int, **overrides) -> "QuadratureSpec":
-        """Spec with x_min scaled so exp((power+1) x_min) < 1e-17.
-
-        power is the z exponent of the weighted integrand; the log-axis
-        amplitude decays like exp((power+1) x) as x -> -inf.
-        """
-        if power < 0:
-            raise DomainError(f"power must be >= 0, got {power}")
-        overrides.setdefault("x_min", -40.0 / (power + 1))
-        return cls(**overrides)
 
 
 @dataclass(frozen=True)
@@ -269,7 +254,7 @@ def integrate_weighted(f: Callable, k: int, spec: QuadratureSpec | None = None) 
 
 def integrate_log_oscillatory(F: Callable, m: float, trig,
                               spec: QuadratureSpec | None = None) -> IntegralResult:
-    """Integrate F(x) trig(m x) over [x_min, log z_max] on the log axis.
+    """Integrate F(x) trig(m x) over [_LOG_LEFT_EDGE, log z_max] on the log axis.
 
     This is the substitution x = log z applied to a weighted oscillatory
     integral: the infinitely many oscillations of trig(m log z) near z = 0
@@ -289,13 +274,9 @@ def integrate_log_oscillatory(F: Callable, m: float, trig,
             "the result would be below double-precision noise while the panel "
             "cap forces an unbounded grid")
     trig_fn = _normalize_trig(trig)
-    x_hi = math.log(spec.z_max)
-    if spec.x_min >= x_hi:
-        raise DomainError(f"x_min = {spec.x_min} must lie below log z_max = {x_hi}")
-
     cap = (2.0 * math.pi / m) / PANELS_PER_PERIOD
     value, err, counter = _adaptive_simpson(
-        F, spec.x_min, x_hi, rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
+        F, _LOG_LEFT_EDGE, math.log(spec.z_max), rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
         max_panels=spec.max_panels, max_width=cap, weight=lambda x: trig_fn(m * x))
     # the precondition grants that both unseen tails are below abs_tol
     return IntegralResult(value, err + spec.abs_tol, counter.n)

@@ -50,6 +50,7 @@ from heatband import (
 )
 from heatband.initial_data import (
     _ball_average,
+    _gauss_derivatives,
     _linear_pieces,
     _pieces_weighted,
     _split_gauss,
@@ -387,6 +388,36 @@ class TestBumpWeightedIntegral:
         v_down, _ = bump_at_root(down, 0, 5.0)
         assert v_up > 0
         assert v_down == pytest.approx(-v_up, rel=1e-12)
+
+
+class TestPieceRule:
+    @pytest.mark.parametrize("root", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("leaf", [
+        PeriodicZeroMean(50.0, -0.05, balanced_ramp_width(50.0, -0.05)),
+        BumpTrain(1.0, 1e-3, 0.0, GeometricCenters(math.e))], ids=["tall-wave", "narrow-bumps"])
+    def test_bound_covers_steep_pieces(self, leaf, root):
+        # steep pieces at small roots, where the rule's remainder
+        # c z_cut H^16 (sup S_16 + 16 steep root S_15) is largest
+        spec = QuadratureSpec()
+        pieces = _linear_pieces(leaf, spec.z_max * root, spec.max_panels)
+        for k in (0, 2, 11):
+            values, bounds = _pieces_weighted(*pieces, k, np.array([root]), spec)
+            want = (mp_wave_weighted(leaf, root)[k] if isinstance(leaf, PeriodicZeroMean)
+                    else mp_bump_weighted(leaf, k, root))
+            assert abs(values[0] - float(want)) <= bounds[0], k
+
+    @pytest.mark.parametrize("k", range(12))
+    def test_sups_bound_the_kernel_derivatives(self, k):
+        # f = z^k e^{-z^2}: by Leibniz and the Hermite polynomials H_m,
+        # f^(j) = sum_i C(j, i) k!/(k-i)! z^(k-i) (-1)^(j-i) H_(j-i)(z) e^{-z^2}
+        from numpy.polynomial.hermite import hermval
+
+        sups = _gauss_derivatives(k)[2]
+        z = np.linspace(0.0, 12.0, 24_001)
+        for j in (15, 16):
+            poly = sum(math.comb(j, i) * math.perm(k, i) * (-1) ** (j - i) * z ** (k - i)
+                       * hermval(z, [0] * (j - i) + [1]) for i in range(min(j, k) + 1))
+            assert sups[j - 1] >= np.max(np.abs(poly * np.exp(-z * z))), j
 
 
 class TestSplitFastTerms:
@@ -757,6 +788,16 @@ class TestLogAxisRoute:
                                       zip(weights.tolist(), (math.sqrt(4.0 * t) * scale).tolist()))
                 assert abs(got - want) <= bound, abs_tol
 
+    @pytest.mark.parametrize("amplitude,abs_tol", [(1e5, 1e-13), (1e8, 1e-13), (1.0, 1e-20)])
+    def test_bound_meets_abs_tol_at_any_amplitude(self, amplitude, abs_tol):
+        # the window reaches down until the mass it cuts off is abs_tol / 4;
+        # at -40/(k+1) alone the k = 0 bounds were 4.7e-13, 4.2e-10 and 4.25e-18
+        expr, spec = LogSine(amplitude, 1.0), QuadratureSpec(abs_tol=abs_tol)
+        for k in (0, 11):
+            batch = _weighted_value(expr, k, [2.0], spec)[1]
+            lattice = _weighted_value(expr, k, None, spec, log_grid=(SWEEP_X0, SWEEP_X0 + 3.0, 31))[1]
+            assert batch[0] <= abs_tol and np.all(lattice <= abs_tol), k
+
     @pytest.mark.xfail(strict=True, reason="the bound leaves out the rounding of phi itself, "
                        "which grows like m log(tau) eps (ROADMAP direction 5)")
     def test_bound_covers_the_rounding_of_phi(self):
@@ -804,9 +845,11 @@ class TestLatticeRoute:
     @pytest.mark.parametrize("n", [1, 2, 3, 10])
     def test_agrees_with_the_batch_route(self, n):
         # weighted units (u = coeff * value); phi rounds by about
-        # mass omega sigma eps at log radius sigma, which neither bound counts
+        # mass omega sigma eps at log radius sigma, which neither bound counts;
+        # the tall log sine's window reaches below -40/(k+1)
         k, eps = n - 1, float(np.finfo(float).eps)
-        for label, expr, _, omega in log_analytic_cases(n):
+        tall = ("tall log-sine", LogSine(1e5, 0.7, 0.2), None, 0.7)
+        for label, expr, _, omega in log_analytic_cases(n) + [tall]:
             for grid in lattice_grids(expr, k, count=193):
                 (lat, lat_bound), (batch, batch_bound) = lattice_and_batch(expr, k, grid)
                 sigma = grid[1] + math.log(QuadratureSpec().z_max)
