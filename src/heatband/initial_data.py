@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -41,6 +42,7 @@ from .quadrature import (
     GL_WEIGHTS,
     MAX_OSCILLATION_FREQUENCY,
     QuadratureSpec,
+    _Z_MAX,
     gaussian_power_tail,
     integrate_weighted,
 )
@@ -359,9 +361,9 @@ class InitialDataExpr:
       strip_bound()      (mass, omega) with |leaf(tau)| <= mass e^{omega a}
                          for |arg tau| <= a, for every a < pi/2, for leaves
                          analytic in log tau; None for the rest
-      _piece_bound()     (mass, phases) for leaves linear in L = log(tau + 1)
-                         between corners theta + 2 pi q, theta in phases
-                         (see _split_gauss); None for the rest
+      _piece_bound()     (sup, steep, phases) for leaves linear in L =
+                         log(tau + 1) between corners theta + 2 pi q, theta
+                         in phases (see _split_gauss); None for the rest
       slow_frequency()   lowest frequency on the log(tau + 1) axis, or None
       witnesses(lo, hi)  tau values approaching the liminf and the limsup
       limit_u(y, n)      limit of u(0, t) in dimension n at y = log sqrt(4t)
@@ -383,7 +385,7 @@ class InitialDataExpr:
     def strip_bound(self) -> tuple[float, float] | None:
         return None
 
-    def _piece_bound(self) -> tuple[float, tuple[float, ...]] | None:
+    def _piece_bound(self) -> tuple[float, float, tuple[float, ...]] | None:
         return None
 
     def slow_frequency(self) -> float | None:
@@ -729,15 +731,13 @@ class _ProfileOfLog(InitialDataExpr):
         return mass, float(max(len(g.cos_coeffs), len(g.sin_coeffs), 1))
 
     def _piece_bound(self):
-        # a trapezoid g is linear in L between corners; over the ellipse of
-        # a Gauss panel inside |Im s| <= a, |Im L| <= a and Re L overshoots
-        # the panel's piece by at most a - log cos a, so the piece's formula,
-        # continued, stays below sup|phi| + max|g'| (2a - log cos a)
+        # a trapezoid g is linear in L between corners; over the ellipse of a Gauss
+        # panel inside |Im s| <= a < pi/2, |Im L| <= a and Re L overshoots the panel's piece
+        # by at most a - log cos a, so its formula stays below sup|phi| + max|g'| (2a - log cos a)
         g = self.g
         if not isinstance(g, TrapezoidWave):
             return None
-        return (self.sup_abs() + self._steepest() * (2.0 * _STRIP - math.log(math.cos(_STRIP))),
-                tuple(sorted(set(g.breakpoints[:-1]))))
+        return self.sup_abs(), self._steepest(), tuple(sorted(set(g.breakpoints[:-1])))
 
     def slow_frequency(self):
         g = self.g
@@ -982,11 +982,6 @@ def phi_from_H(h_expr: InitialDataExpr, n: int) -> InitialDataExpr:
 # one budget QuadratureSpec.max_panels (_check_nodes; numeric_H reads its
 # default).  Only plain callables take adaptive quadrature.
 
-# Half-width a of the strip |Im s| < a around a log-radius axis inside which
-# _piece_bound bounds the kinked leaves.  The rules of the analytic leaves
-# pick their own a, since strip_bound holds for every a < pi/2.
-_STRIP = math.pi / 8.0
-
 # Most values of phi in one block of rows of a batch's outer product
 _BLOCK = 1 << 20
 
@@ -1019,9 +1014,9 @@ class _Leaves:
     both linear piece by piece (_linear_pieces); kinked holds the leaves with
     a _piece_bound (trapezoid profiles of log(tau + 1)), which the Gauss
     routes split at their corners, apart from the analytic leaves, with their
-    piece masses summed in kink_mass and their corner phases, sorted, in
-    phases.  analytic + kinked are the slow leaves, and loglog says whether
-    one of them is a doubly-log sine.
+    sups summed in kink_sup, their steepest slopes in kink_steep and their
+    corner phases, sorted, in phases.  analytic + kinked are the slow
+    leaves, and loglog says whether one of them is a doubly-log sine.
     """
 
     signed: tuple[tuple[float, InitialDataExpr], ...]
@@ -1032,7 +1027,8 @@ class _Leaves:
     waves: tuple[tuple[float, InitialDataExpr], ...]
     bumps: tuple[tuple[float, InitialDataExpr], ...]
     kinked: tuple[tuple[float, InitialDataExpr], ...]
-    kink_mass: float
+    kink_sup: float
+    kink_steep: float
     phases: tuple[float, ...]
     loglog: bool
 
@@ -1040,7 +1036,7 @@ class _Leaves:
     def of(cls, expr: InitialDataExpr) -> _Leaves:
         """Sort the leaves of expr; a leaf with no route raises UnsupportedExpression."""
         signed = tuple(_signed_leaves(expr))
-        constant, mass, omega, kink_mass = 0.0, 0.0, 0.0, 0.0
+        constant, mass, omega, kink_sup, kink_steep = 0.0, 0.0, 0.0, 0.0, 0.0
         analytic, waves, bumps, kinked, phases = [], [], [], [], set()
         for sign, leaf in signed:
             if isinstance(leaf, Constant):
@@ -1056,13 +1052,13 @@ class _Leaves:
                 omega = max(omega, bound[1])
             elif (pieces := leaf._piece_bound()) is not None:
                 kinked.append((sign, leaf))
-                kink_mass += pieces[0]
-                phases.update(pieces[1])
+                kink_sup, kink_steep = kink_sup + pieces[0], kink_steep + pieces[1]
+                phases.update(pieces[2])
             else:
                 raise UnsupportedExpression(
                     f"no integration route for {type(leaf).__name__}")
         return cls(signed, constant, tuple(analytic), mass, omega, tuple(waves), tuple(bumps),
-                   tuple(kinked), kink_mass, tuple(sorted(phases)),
+                   tuple(kinked), kink_sup, kink_steep, tuple(sorted(phases)),
                    any(isinstance(leaf, LogLogSine) for _sign, leaf in analytic))
 
 
@@ -1146,10 +1142,11 @@ def _split_gauss_sum(leaves: _Leaves, radii: np.ndarray, layout, budget: int,
     kernel(s) gives K at the nodes and factors c_i with K_i right to 4 c_i eps
     relative.  The terms are summed exactly by math.fsum; the bound adds to
     the layout's their rounding, 4 eps sum_i c_i |term_i|, and
-    2 kink_mass w_i K_i for each node near a corner.
+    2 (kink_sup + kink_steep) w_i K_i for each node near a corner, where
+    both pieces' formulas stay within kink_sup + kink_steep of 0.
     """
     depth, panels, bound = layout
-    expr = _signed_sum(leaves.kinked)
+    expr, near_bound = _signed_sum(leaves.kinked), 2.0 * (leaves.kink_sup + leaves.kink_steep)
     values, bounds = np.empty(radii.size), np.empty(radii.size)
     for i, radius in enumerate(radii.tolist()):
         s, w, near = _split_gauss(-depth, depth / panels, panels, radius, leaves.phases, budget)
@@ -1158,20 +1155,19 @@ def _split_gauss_sum(leaves: _Leaves, radii: np.ndarray, layout, budget: int,
         terms = weights * _phi_on(expr, radius * np.exp(s))
         rounding = 4.0 * _EPS * float(np.sum(np.abs(terms) * cond))
         values[i] = math.fsum(terms)
-        bounds[i] = bound + rounding + 2.0 * leaves.kink_mass * float(np.sum(weights[near]))
+        bounds[i] = bound + rounding + near_bound * float(np.sum(weights[near]))
     return values, bounds
 
 
 @lru_cache(maxsize=64)
 def _log_gauss_panels(n: int, mass: float, omega: float, tol: float, budget: int,
-                      free: bool = False):
-    """(D, P, error bound) of the Gauss rule of H(tau) on s = log(r / tau).
-
-    phi is a sum of leaves whose strip masses sum to mass and whose
-    frequencies are at most omega, so |phi(tau e^s)| <= mass e^{omega a} for
-    |Im s| < a, whatever tau: for a = _STRIP piece by piece for kinked
-    leaves (see _piece_bound), and, with free set, for any a <= pi/2 for
-    analytic leaves.  The rule
+                      steep: float = 0.0, reach: float = 0.5 * math.pi):
+    """(D, P, error bound) of the Gauss rule of n int_{-inf}^0 K(s) phi(tau e^s) ds
+    on s = log(r / tau), |K(s)| <= e^{n Re s} for |Im s| <= reach (pi/2 for
+    H's K = e^{ns}, pi/4 for the heat kernel).  |phi(tau e^s)| <= M(a) =
+    mass e^{omega a} + steep (2a - log cos a) for |Im s| < a < pi/2, whatever
+    tau, and <= mass on the real axis: steep = 0 for analytic leaves
+    (strip_bound), omega = 0 for kinked ones, piece by piece (_piece_bound).  The rule
 
     * cuts the window at s = -D with D = log(2 mass / tol) / n, which drops
       at most mass e^{-nD} = tol / 2 of n int phi(tau e^s) e^{ns} ds;
@@ -1179,37 +1175,41 @@ def _log_gauss_panels(n: int, mass: float, omega: float, tol: float, budget: int
       Gauss-Legendre rule.  On a panel with centre c the Bernstein ellipse
       E_rho with (h/4)(rho - 1/rho) = a fits in the strip and reaches
       Re s = c + r, r = sqrt(h^2/4 + a^2), so the integrand is at most
-      n mass e^{omega a + n c + n r} there, and the panel errs by at most
+      n M(a) e^{n c + n r} there, and the panel errs by at most
       h/2 * 64/15 * that * rho^-16 / (rho^2 - 1) (Trefethen, Approximation
       Theory and Approximation Practice, Theorem 19.3).  As
       sum_c (h/2) e^{nc} <= 1/(2n), all panels together err by at most
-          E(h, a) = (32/15) mass e^{omega a + n r} rho^-16 / (rho^2 - 1),
-      which grows with h.  With free set, a is the minimiser over (0, pi/2]
-      of log E, which is convex in a with derivative omega + (n a - 17) / r
-      - 1 / a, by 12 bisections of its sign change; P is the least panel
-      count with E(D / P, a) <= tol/2.
+          E(h, a) = (32/15) M(a) e^{n r} rho^-16 / (rho^2 - 1),
+      which grows with h.  a is where 12 bisections over (0, reach] find
+      log E, with derivative (log M)'(a) + (n a - 17) / r - 1 / a, turn up:
+      its minimiser for steep = 0, where log E is convex in a, and a valid
+      bound for any a.  P is the least count with E(D / P, a) <= tol/2.
 
     The bound returned is E(h, a) + mass e^{-nD}; panels split at corners
-    keep it, being narrower, as e^{ns} is convex.  Nothing depends on tau,
-    so the layout is found once per (n, mass, omega, tol, budget).  More than
-    budget nodes raise ConvergenceError; _split_gauss counts the corners.  D
-    and tol/2 are logs of quotients (_log_quotient), so no tol is too fine.
+    keep it, being narrower, as e^{ns} is convex.  More than budget nodes
+    raise ConvergenceError (_split_gauss counts the corners); D and tol/2
+    are logs of quotients (_log_quotient), so no tol is too fine.
     """
     order = len(GL_NODES)
     tol = max(tol, math.ulp(0.0))  # a halved tolerance may round to 0
     depth = max(_log_quotient(2.0 * mass, tol), 1.0) / n
     target = _log_quotient(tol, 2.0)
 
+    def strip(a):  # log((32/15) M(a)) and (log M)'(a); steep = 0 forms no e^{omega a}
+        if not steep:
+            return math.log(32.0 / 15.0 * mass) + omega * a, omega
+        grown = mass * math.exp(omega * a)
+        bound = grown + steep * (2.0 * a - math.log(math.cos(a)))
+        return math.log(32.0 / 15.0 * bound), (omega * grown + steep * (2.0 + math.tan(a))) / bound
+
     def log_error(panels):
-        h, a = depth / panels, _STRIP
-        if free:
-            lo, a = 0.0, 0.5 * math.pi
-            for _ in range(12):
-                mid = 0.5 * (lo + a)
-                rising = omega + (n * mid - 2 * order - 1) / math.hypot(0.5 * h, mid) > 1.0 / mid
-                lo, a = (lo, mid) if rising else (mid, a)
+        h, lo, a = depth / panels, 0.0, reach
+        for _ in range(12):
+            mid = 0.5 * (lo + a)
+            slope = strip(mid)[1] + (n * mid - 2 * order - 1) / math.hypot(0.5 * h, mid)
+            lo, a = (lo, mid) if slope > 1.0 / mid else (mid, a)
         rho = 2.0 * a / h + math.hypot(2.0 * a / h, 1.0)
-        return (math.log(32.0 / 15.0 * mass) + omega * a + n * math.hypot(0.5 * h, a)
+        return (strip(a)[0] + n * math.hypot(0.5 * h, a)
                 - 2 * order * math.log(rho) - math.log(rho * rho - 1.0))
 
     def fits(panels):
@@ -1222,10 +1222,7 @@ def _log_gauss_panels(n: int, mass: float, omega: float, tol: float, budget: int
     lo = hi // 2  # fits(hi) holds; fits(lo) fails or lo = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
     _check_nodes(order * hi, budget)
     quad = math.exp(log_error(hi)) if mass > 0.0 else 0.0
     return depth, hi, quad + mass * math.exp(-n * depth)
@@ -1237,7 +1234,7 @@ def _log_gauss_rule(n: int, mass: float, omega: float, tol: float):
     for analytic leaves: the panels of _log_gauss_panels in the strip that
     needs fewest, the same for every tau, within the default budget, and
     their bound plus the rounding of the weighted sum."""
-    depth, panels, bound = _log_gauss_panels(n, mass, omega, tol, QuadratureSpec.max_panels, True)
+    depth, panels, bound = _log_gauss_panels(n, mass, omega, tol, QuadratureSpec.max_panels)
     h = depth / panels
     s = -depth + h * (np.arange(panels)[:, None] + GL_NODES).ravel()
     scale = np.exp(s)
@@ -1300,10 +1297,14 @@ def _log_window(k: int, mass: float, spec: QuadratureSpec) -> tuple[float, float
     mass (e^{(k+1) x_lo} / (k+1) + G_k(z_max)), G_k the Gaussian power tail.
     (k+1) x_lo is the lesser of -40 and log((k+1) abs_tol / (4 mass)), a log
     of a quotient (_log_quotient), so the left cut drops at most abs_tol / 4
-    at any mass, and no abs_tol is too fine."""
+    at any mass; the fixed right cut refuses an abs_tol below 4 mass G_k(z_max)."""
+    cut = mass * gaussian_power_tail(k, _Z_MAX)
+    if cut > 0.25 * spec.abs_tol:
+        raise ConvergenceError(f"the cut at z = {_Z_MAX:g} drops up to {cut:.6g}: abs_tol "
+                               f"needs at least {4.0 * cut:.6g} to be met, got {spec.abs_tol!r}")
     depth = min(-40.0, _log_quotient((k + 1) * spec.abs_tol, 4.0 * max(mass, spec.abs_tol)))
-    tails = mass * (math.exp(depth) / (k + 1) + gaussian_power_tail(k, spec.z_max))
-    return depth / (k + 1), math.log(spec.z_max), tails
+    tails = mass * (math.exp(depth) / (k + 1) + gaussian_power_tail(k, _Z_MAX))
+    return depth / (k + 1), math.log(_Z_MAX), tails
 
 
 def _lattice_sums(leaves: _Leaves, k: int, h: float, spec: QuadratureSpec,
@@ -1378,10 +1379,9 @@ def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
     """(H, error bound) at each radius of the 1-D array taus, which
     numeric_H has checked.
 
-    The bound adds the a-priori bounds of the Gauss sums, with
-    2 kink_mass |w_i| for each node that rounding may evaluate on the wrong
-    side of a corner, and the bounds of the wave and bump routes; the rest
-    of the rounding in evaluating phi itself is not counted.
+    The bound adds the a-priori bounds of the Gauss sums, with 2 (kink_sup + kink_steep) |w_i|
+    for each node that rounding may evaluate on the wrong side of a corner, and the bounds of
+    the wave and bump routes; the rest of the rounding in evaluating phi itself is not counted.
     """
     check_dimension(n)
     check_finite(tol=tol)
@@ -1404,7 +1404,8 @@ def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
         value += _fixed_sums(leaves.analytic, taus, scale, weights)
         bound += rule_bound
     if leaves.kinked:
-        layout = _log_gauss_panels(n, leaves.kink_mass, 0.0, share, QuadratureSpec.max_panels)
+        layout = _log_gauss_panels(n, leaves.kink_sup, 0.0, share, QuadratureSpec.max_panels,
+                                   leaves.kink_steep)
         part, part_bound = _split_gauss_sum(leaves, taus, layout, QuadratureSpec.max_panels,
                                             lambda s: (n * np.exp(s) ** n, 2.0 + n))
         value += part
@@ -1458,28 +1459,27 @@ def _weighted_value(expr, k: int, roots, spec: QuadratureSpec,
             value += _lattice_sums(leaves, k, h, spec, log_grid)
         bound += rule_bound
     if leaves.kinked:
-        # on s = log(z / z_max) the kernel z^(k+1) e^{-z^2} is at most
-        # z_max^(k+1) e^{(k+1) Re s} for |Im s| <= _STRIP, so the layout for
-        # n = k + 1, mass z_max^(k+1) kink_mass / (k + 1) and tol abs_tol / 2
-        # applies; the cut at z_max adds kink_mass G_k(z_max)
-        z_max = spec.z_max
+        # on s = log(z / z_max) the kernel z^(k+1) e^{-z^2} is at most z_max^(k+1) e^{(k+1) Re s}
+        # for |Im s| <= pi/4: the layout of n = k + 1, kink_sup and kink_steep times
+        # z_max^(k+1) / (k + 1) and tol abs_tol / 2; the cut at z_max adds kink_sup G_k(z_max)
+        scale = _Z_MAX ** (k + 1) / (k + 1)
 
         def kernel(s):
-            z = z_max * np.exp(s)
+            z = _Z_MAX * np.exp(s)
             return z ** (k + 1) * np.exp(-z * z), 2.0 + k + z * z
 
-        layout = _log_gauss_panels(k + 1, leaves.kink_mass * z_max ** (k + 1) / (k + 1),
-                                   0.0, 0.5 * spec.abs_tol, spec.max_panels)
-        part, part_bound = _split_gauss_sum(leaves, roots * z_max, layout, spec.max_panels,
+        layout = _log_gauss_panels(k + 1, leaves.kink_sup * scale, 0.0, 0.5 * spec.abs_tol,
+                                   spec.max_panels, leaves.kink_steep * scale, 0.25 * math.pi)
+        part, part_bound = _split_gauss_sum(leaves, roots * _Z_MAX, layout, spec.max_panels,
                                             kernel)
         value += part
-        bound += part_bound + leaves.kink_mass * gaussian_power_tail(k, z_max)
+        bound += part_bound + leaves.kink_sup * gaussian_power_tail(k, _Z_MAX)
     for sign, leaf in leaves.waves:
         part, part_bound = _wave_weighted_integral(leaf, k, roots, spec)
         value += sign * part
         bound += part_bound
     for sign, leaf in leaves.bumps:
-        pieces = _linear_pieces(leaf, spec.z_max * roots.max(initial=0.0), spec.max_panels)
+        pieces = _linear_pieces(leaf, _Z_MAX * roots.max(initial=0.0), spec.max_panels)
         part, part_bound = _pieces_weighted(*pieces, k, roots, spec)
         value += sign * part
         bound += part_bound
@@ -1569,8 +1569,8 @@ def _pieces_weighted(pieces, sup: float, steep: float, k: int, roots: np.ndarray
                      spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """(values, error bounds) of int_0^inf z^k e^{-z^2} v(root z) dz at each
     root of the 1-D array roots, v the linear pieces of _linear_pieces, by the
-    Gauss rule of _piece_layout up to z = z_cut = spec.z_max on panels at
-    most _PIECE_PANEL wide in z, as many on each piece, within the node
+    Gauss rule of _piece_layout up to z = _Z_MAX on panels at most
+    _PIECE_PANEL wide in z, as many on each piece, within the node
     budget, one layout for the roots of one panel count, in blocks of at most
     about _BLOCK nodes, and the terms summed by _row_sums.  The bound adds
     * the rule's error: on a panel of z-width h the rule errs by at most
@@ -1578,33 +1578,32 @@ def _pieces_weighted(pieces, sup: float, steep: float, k: int, roots: np.ndarray
       (Abramowitz & Stegun 25.4.30), where (v f)^(16) = v f^(16) +
       16 v' f^(15) as v is linear on the panel, |v'| <= steep root in z; with
       S_j >= sup |f^(j)| (_gauss_derivatives), panels at most
-      H = min(widest, z_cut root) / (root panels) wide and at most z_cut long
-      in all, the rule errs by at most c z_cut H^16 (sup S_16 + 16 steep root S_15);
+      H = min(widest, _Z_MAX root) / (root panels) wide and at most _Z_MAX long
+      in all, the rule errs by at most c _Z_MAX H^16 (sup S_16 + 16 steep root S_15);
     * the rounding, eps (|v| (5 |k - 2 z^2| + z^2 + 8) + 6 sup) times
       each node's weight w_i z^k e^{-z^2}: a node off by 5 eps z moves
       z^k e^{-z^2} by 5 eps |k - 2 z^2| of itself;
-    * sup G_k(z_cut) for the cut.
+    * sup G_k(_Z_MAX) for the cut.
     """
-    z_cut = spec.z_max
     sups = _gauss_derivatives(k)[2]
     values, bounds = np.empty(roots.size), np.empty(roots.size)
-    reach = np.minimum(float(pieces[1].max(initial=0.0)), z_cut * roots)
+    reach = np.minimum(float(pieces[1].max(initial=0.0)), _Z_MAX * roots)
     counts = np.ceil(reach / (roots * _PIECE_PANEL)).clip(1).astype(int)
-    used = np.searchsorted(pieces[0], z_cut * roots)  # pieces that start below the cut
+    used = np.searchsorted(pieces[0], _Z_MAX * roots)  # pieces that start below the cut
     _check_nodes(GL_NODES.size * int(np.max(counts * used, initial=0)), spec.max_panels)
     for panels in set(counts.tolist()):
         todo = np.flatnonzero(counts == panels)
         step = max(1, _BLOCK // max(1, pieces.shape[1] * panels * GL_NODES.size))
         for rows in np.split(todo, range(step, todo.size, step)):
-            z, weights, vals = _piece_layout(pieces, roots[rows], z_cut, panels)
+            z, weights, vals = _piece_layout(pieces, roots[rows], _Z_MAX, panels)
             zz = z * z
             weights = weights * z ** k * np.exp(-zz)
             values[rows] = _row_sums(weights * vals)
             bounds[rows] = _row_sums(
                 _EPS * weights * (np.abs(vals) * (5.0 * np.abs(k - 2.0 * zz) + zz + 8.0) + 6.0 * sup))
-    rule = _GAUSS_REMAINDER * z_cut * (reach / (roots * counts)) ** 16 \
+    rule = _GAUSS_REMAINDER * _Z_MAX * (reach / (roots * counts)) ** 16 \
         * (sup * sups[15] + 16.0 * steep * sups[14] * roots)
-    return values, bounds + rule + sup * gaussian_power_tail(k, z_cut)
+    return values, bounds + rule + sup * gaussian_power_tail(k, _Z_MAX)
 
 
 def _pieces_radial(pieces, sup: float, n: int, taus: np.ndarray):
@@ -1738,8 +1737,9 @@ def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, roots, spec: Quadrat
     that bound plus the rounding of the terms, which are summed exactly by
     math.fsum.  The remainder table and the terms of every root are one
     array expression.  Where no P reaches abs_tol / 2, the Gauss rule on the
-    wave's pieces up to spec.z_max serves instead (_pieces_weighted), within
-    its node budget.
+    wave's pieces up to _Z_MAX serves instead (_pieces_weighted), within
+    its node budget; so does it, root by root, where the series' rounding,
+    which grows with jump, takes its bound past abs_tol and the rule fits.
     """
     mean, jump, _at, (w0, w_err) = _wave_primitives(expr.wave)
     coeffs, log_norms, _sups = _gauss_derivatives(k)
@@ -1764,8 +1764,13 @@ def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, roots, spec: Quadrat
             bounds[i] = math.exp(log_rem[i, p - 1]) + rounding[i]
     near = roots[~series]
     if near.size:
-        pieces = _linear_pieces(expr, spec.z_max * near.max(), spec.max_panels)
+        pieces = _linear_pieces(expr, _Z_MAX * near.max(), spec.max_panels)
         values[~series], bounds[~series] = _pieces_weighted(*pieces, k, near, spec)
+    over = [i for i, p in enumerate(counts.tolist()) if p and bounds[i] > spec.abs_tol]
+    for i in over:
+        with suppress(ConvergenceError):  # beyond the budget the series stays
+            pieces = _linear_pieces(expr, _Z_MAX * roots[i], spec.max_panels)
+            values[i:i + 1], bounds[i:i + 1] = _pieces_weighted(*pieces, k, roots[i:i + 1], spec)
     return values, bounds
 
 

@@ -62,6 +62,9 @@ MAX_DIMENSION = 10
 SCAN_GRID_LO = 1e-3
 SCAN_GRID_HI = 1e2
 
+# Largest |moment_norm(m) - ratio| that solve_m accepts at its root
+_ROOT_TOL = 1e-10
+
 _EPS = sys.float_info.epsilon
 
 # The u sweep of verify (solution_probe.band_estimate at its defaults) runs
@@ -170,26 +173,23 @@ def moment_norm(n: int, m: float, flavor: KernelFlavor) -> float:
     return kernel_moments(n, m, flavor).norm()
 
 
-def solve_m(n: int, ratio: float, flavor: KernelFlavor,
-            root_tol: float = 1e-10) -> float:
+def solve_m(n: int, ratio: float, flavor: KernelFlavor) -> float:
     """The m in [SCAN_GRID_LO, SCAN_GRID_HI] with moment_norm(n, m, flavor) = ratio.
 
     The norm is strictly decreasing in m (DLMF 5.8.3), so the root is
     unique.  Bisection on log norm as a function of log m halves the
     bracket until its width reaches rounding level (about 55 steps); the
-    result must then satisfy |moment_norm(m) - ratio| <= root_tol.  A ratio
+    result must then satisfy |moment_norm(m) - ratio| <= _ROOT_TOL.  A ratio
     outside [norm(SCAN_GRID_HI), norm(SCAN_GRID_LO)] raises SearchFailure.
     The open-interval requirement on ratio is structural: the norm equals 1
     only in the degenerate m -> 0 limit and never vanishes at finite m.
     """
     check_dimension(n)
-    check_finite(ratio=ratio, root_tol=root_tol)
+    check_finite(ratio=ratio)
     if not (0.0 < ratio < 1.0):
         raise DomainError(
             f"ratio must lie strictly inside (0, 1), got {ratio!r}; the "
             "moment norm only attains (0, 1) at positive frequencies")
-    if not (root_tol > 0):
-        raise DomainError(f"root_tol must be positive, got {root_tol!r}")
     s = 0.5 * (flavor.power(n) + 1)
     log_ratio = math.log(ratio)
 
@@ -211,7 +211,7 @@ def solve_m(n: int, ratio: float, flavor: KernelFlavor,
             hi = mu
     m = math.exp(0.5 * (lo + hi))
     residual = moment_norm(n, m, flavor) - ratio
-    if abs(residual) > root_tol:
+    if abs(residual) > _ROOT_TOL:
         raise SearchFailure(
-            f"root search stalled: residual {residual:.3e} above root_tol {root_tol}")
+            f"root search stalled: residual {residual:.3e} above {_ROOT_TOL}")
     return m

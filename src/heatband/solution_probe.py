@@ -48,7 +48,7 @@ from .prescriber import (
     cert_to_json,
     envelope_u,
 )
-from .quadrature import QuadratureSpec, integrate_weighted
+from .quadrature import QuadratureSpec, _Z_MAX, integrate_weighted
 
 __all__ = [
     "OscillationBand",
@@ -68,6 +68,9 @@ REPORT_SCHEMA_ID = "report/1"
 # the spec of calls that pass none: frozen, so one instance serves them all,
 # and each u_origin call skips validating a fresh one
 _DEFAULT_SPEC = QuadratureSpec()
+
+# Times of verify's envelope gaps, where every envelope holds (doubly-log: t > 0.25)
+_GAP_TIMES = (1e2, 1e4, 1e8, 1e16)
 
 TWO_PI = 2.0 * math.pi
 
@@ -180,7 +183,7 @@ def u_offcenter_1d(expr, x: float, t: float,
     check_time(t)
     check_finite(x=x)
     root = math.sqrt(4.0 * t)
-    if abs(x) + root * spec.z_max > 1e308:
+    if abs(x) + root * _Z_MAX > 1e308:
         raise RangeError(
             f"|x| + sqrt(4t) z_max overflows double precision at x = {x}, t = {t}")
 
@@ -433,7 +436,6 @@ def verify_certificate(cert: PrescriptionCertificate,
                        spec: QuadratureSpec | None = None,
                        tol_band: float = 0.02, *,
                        t_anchor: float = _SWEEP_T_ANCHOR,
-                       gap_times: tuple[float, ...] = (1e2, 1e4, 1e8, 1e16),
                        points_per_period: int = 64,
                        min_periods: float = _SWEEP_PERIODS,
                        ) -> VerificationReport:
@@ -443,8 +445,8 @@ def verify_certificate(cert: PrescriptionCertificate,
     grids; H through numeric ball averages on a log-tau grid; u through
     band_estimate driven by u_origin.  Certificates with doubly-log content
     get a partial u band (the sweep cannot cover 3 periods in double
-    precision) plus per-time envelope gaps as the convergence signal; a note
-    names each gap time where the envelope is undefined (bumps alone: none).
+    precision) plus the envelope gaps at _GAP_TIMES as the convergence
+    signal; a note says when there is no envelope formula (bumps alone).
     """
     if spec is None:
         spec = _DEFAULT_SPEC
@@ -452,8 +454,6 @@ def verify_certificate(cert: PrescriptionCertificate,
     check_finite(tol_band=tol_band)
     if not tol_band > 0:
         raise DomainError(f"tol_band must be positive, got {tol_band!r}")
-    for t in gap_times:
-        check_time(t)
 
     slow_m, loglog = _slow_content(cert.data)
     notes: list[str] = []
@@ -482,25 +482,20 @@ def verify_certificate(cert: PrescriptionCertificate,
             notes.append("envelope is constant; sweep frequency 1.0 is nominal")
         u_band = band_estimate(u_at, m_hint, t_anchor, **sweep_kwargs)
 
-    u_gaps = u_at(np.array(gap_times, dtype=float)).tolist()
+    u_gaps = u_at(np.array(_GAP_TIMES)).tolist()
     # H last: its window costs the most, and a u route may refuse first
     h_band = _measure_H_band(cert.data, n, slow_m, loglog, spec)
     max_abs_u = max([abs(u_band.lower_est), abs(u_band.upper_est)]
                     + [abs(u_val) for u_val in u_gaps])
-    gaps, refused = [], []
-    for t, u_val in zip(gap_times, u_gaps):
+    gaps = []
+    for t, u_val in zip(_GAP_TIMES, u_gaps):
         try:
             env = envelope_u(cert, t)
         except UnsupportedExpression:
             notes.append("no envelope formula for this construction; gaps omitted")
             gaps = None
             break
-        except DomainError:
-            refused.append(repr(float(t)))
-            continue
-        gaps.append((float(t), abs(u_val - env)))
-    if refused:
-        notes.append(f"no envelope at t = {', '.join(refused)}; those gaps omitted")
+        gaps.append((t, abs(u_val - env)))
 
     def endpoints_match(band: OscillationBand, expected) -> bool:
         return (abs(band.lower_est - expected[0]) <= tol_band

@@ -59,7 +59,7 @@ from heatband.initial_data import (
 )
 from heatband.kernel_moments import KernelFlavor, kernel_moments
 from heatband.prescriber import lemma_not_example, prescribe_data
-from heatband.quadrature import QuadratureSpec
+from heatband.quadrature import QuadratureSpec, _Z_MAX
 
 # np.trapezoid is the NumPy 2.0 name of np.trapz; NumPy 2.4 removed np.trapz.
 trapezoid_rule = getattr(np, "trapezoid", None) or np.trapz
@@ -766,7 +766,7 @@ class TestLogGaussAverage:
     @pytest.mark.parametrize("n", [1, 3])
     def test_mixed_sum_is_the_sum_of_its_parts(self, n):
         # analytic leaves keep their own rule beside kinked ones; at m = 300
-        # the kinked leaves' fixed strip pi/8 needed over 1e5 nodes in n = 1
+        # a strip shared with the kinked leaves needed over 1e5 nodes in n = 1
         taus, tol = np.geomspace(1e2, 1e8, 21), 1e-8
         profile = TrapezoidWave(1.0, -0.5, 0.4)
         for analytic, kinked in ((LogSine(1.0, 300.0), PeriodicOfLog(profile)),
@@ -787,6 +787,31 @@ class TestLogGaussAverage:
         _log_gauss_panels.cache_clear()
         _log_gauss_rule.__wrapped__(3, 0.7, 2.5, 1e-9)
         assert _log_gauss_panels.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("args,layout", [
+        ((1, 0.612, 1.354, 1e-8), ("0x1.29f7024cdbaecp+4", 11, "0x1.a9b7608a957a7p-28")),
+        ((3, 0.7, 2.5, 1e-9), ("0x1.c1463fe15bb63p+2", 6, "0x1.0cf8f66151bcap-30")),
+        ((2, 1.5, 2.0, 1e-8), ("0x1.384f063602546p+3", 7, "0x1.d2dc2d517d313p-28")),
+        ((1, 1.0, 300.0, 5e-9), ("0x1.3ce95eba4f8b4p+4", 697, "0x1.5420dc7617f90p-28")),
+        ((10, 0.7, 20.0, 1e-4), ("0x1.e8cbfb72fe45dp-1", 2, "0x1.21c4ff104660cp-14")),
+    ], ids=["data-single-mode", "n3", "n2", "m300", "n10"])
+    def test_analytic_layouts_are_pinned(self, args, layout):
+        # with steep = 0 the strip search does the analytic leaves' own
+        # arithmetic, so their layouts (D, P, bound) keep every bit they had
+        # before the kinked leaves shared the search
+        n, mass, omega, tol = args
+        depth, panels, bound = _log_gauss_panels(n, mass, omega, tol, QuadratureSpec.max_panels)
+        assert (depth.hex(), panels, bound.hex()) == layout
+
+    def test_kinked_layouts_search_their_strip(self):
+        # PeriodicOfLog(TrapezoidWave(1, -0.5, 0.4)) in H (n = 1, tol 1e-8)
+        # and in u (k = 0: mass and steep times z_max, tol abs_tol / 2, reach
+        # pi/4); the fixed strip pi/8 took 39 and 163 panels
+        leaves = _split_leaves(PeriodicOfLog(TrapezoidWave(1.0, -0.5, 0.4)))
+        sup, steep, budget = leaves.kink_sup, leaves.kink_steep, QuadratureSpec.max_panels
+        assert _log_gauss_panels(1, sup, 0.0, 1e-8, budget, steep)[1] <= 14
+        assert _log_gauss_panels(1, _Z_MAX * sup, 0.0, 0.5e-13, budget, _Z_MAX * steep,
+                                 0.25 * math.pi)[1] <= 90
 
 
 class TestStripBound:

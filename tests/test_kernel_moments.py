@@ -152,9 +152,6 @@ class TestSolveM:
             solve_m(1, ratio, KernelFlavor.AVERAGE)
 
     @pytest.mark.parametrize("kwargs,name", [
-        ({"root_tol": True}, "root_tol"),
-        ({"root_tol": "1e-10"}, "root_tol"),
-        ({"root_tol": math.nan}, "root_tol"),
         ({"ratio": "0.5"}, "ratio"),
         ({"ratio": np.array([0.5])}, "ratio"),
         ({"ratio": math.nan}, "ratio"),
