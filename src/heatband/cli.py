@@ -7,10 +7,14 @@ Four subcommands cover the workflow end to end:
   verify      measure the bands of a stored certificate and judge the chain
   reproduce   recompute the reference constants of the two-mode example
 
+verify measures on the one window that the prescriber's mode floor
+assumes, so its band tolerance is the only setting of the measurement.
+
 The front-end holds no validator of its own.  argparse checks the
 subcommand, the types and the choices; every value then goes to the library,
 whose checks refuse it with DomainError.  The one exception is the probe
-grid, which no library function takes, and _log_grid checks it.
+grid, which no library function takes, and _log_grid checks it, at most
+MAX_GRID_POINTS points a grid.
 
 Artifacts are deterministic: fixed grids, floats in shortest round-trip
 decimal, JSON with sorted keys.  Exit status 0 means success, 1 a failed
@@ -50,6 +54,9 @@ from .prescriber import (
 from .solution_probe import report_dumps, u_origin, verify_certificate
 
 OUT_DIR_ENV = "HEATBAND_OUT_DIR"
+
+# most points of one probe grid; a larger count is refused before any array is made
+MAX_GRID_POINTS = 2 ** 20
 
 # reference values for the two-mode example constants, printed by reproduce
 REFERENCE_CONSTANTS = (
@@ -135,6 +142,8 @@ def _load_cert(path: str):
             text = fh.read()
     except OSError as exc:
         raise DomainError(f"cannot read certificate file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"certificate file {path} is not UTF-8 text: {exc}") from exc
     try:
         return cert_loads(text)
     except json.JSONDecodeError as exc:
@@ -145,12 +154,12 @@ def _load_cert(path: str):
 
 def _log_grid(name: str, lo: float, hi: float, count: float) -> np.ndarray:
     """The log-spaced probe grid of --t-range or --tau-range: finite
-    bounds 0 < lo <= hi and a whole number of at least 2 points."""
+    bounds 0 < lo <= hi and a whole number of 2 to MAX_GRID_POINTS points."""
     check_finite(**{f"{name} start": lo, f"{name} end": hi, f"{name} count": count})
-    if not 0 < lo <= hi or count < 2 or count != int(count):
+    if not (0 < lo <= hi and 2 <= count <= MAX_GRID_POINTS and count == int(count)):
         raise DomainError(
-            f"{name} needs bounds 0 < lo <= hi and a whole number of at least 2 "
-            f"points, got ({lo!r}, {hi!r}, {count!r})")
+            f"{name} needs bounds 0 < lo <= hi and a whole number of 2 to "
+            f"{MAX_GRID_POINTS} points, got ({lo!r}, {hi!r}, {count!r})")
     return np.geomspace(lo, hi, int(count))
 
 
@@ -218,13 +227,7 @@ def _cmd_probe(ns: argparse.Namespace) -> int:
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
     cert = _load_cert(ns.cert)
-    report = verify_certificate(
-        cert,
-        tol_band=ns.tol_band,
-        t_anchor=ns.t_anchor,
-        points_per_period=ns.points_per_period,
-        min_periods=ns.periods,
-    )
+    report = verify_certificate(cert, tol_band=ns.tol_band)
     path = _out_path(ns, "report.json")
     _write_text(path, report_dumps(report) + "\n")
 
@@ -332,12 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--cert", required=True, help="certificate JSON file")
     ver.add_argument("--tol-band", type=float, default=0.02,
                      help="band tolerance (default 0.02)")
-    ver.add_argument("--t-anchor", type=float, default=1e6,
-                     help="start of the solution sweep window (default 1e6)")
-    ver.add_argument("--points-per-period", type=int, default=64,
-                     help="sweep sampling density (default 64)")
-    ver.add_argument("--periods", type=float, default=3.0,
-                     help="sweep length in periods (default 3)")
     ver.add_argument("--out", help="report path (default OUT_DIR/report.json)")
     ver.add_argument("--out-dir", help="output directory (default $HEATBAND_OUT_DIR or .)")
     ver.set_defaults(run=_cmd_verify)

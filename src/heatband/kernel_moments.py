@@ -67,10 +67,10 @@ _ROOT_TOL = 1e-10
 
 _EPS = sys.float_info.epsilon
 
-# The u sweep of verify (solution_probe.band_estimate at its defaults) runs
-# on x = log sqrt(4t) from t = _SWEEP_T_ANCHOR up to _X_CAP, past which t
-# stops being a double (exp(700) ~ 1e304), and must cover _SWEEP_PERIODS
-# periods 2 pi / m; constructions refuse m below _M_FLOOR, about 0.0551.
+# The u sweep of verify (solution_probe.band_estimate) runs on the one window
+# x = log sqrt(4t) from t = _SWEEP_T_ANCHOR up to _X_CAP, past which t stops
+# being a double (exp(700) ~ 1e304), and must cover _SWEEP_PERIODS periods
+# 2 pi / m; constructions refuse m below _M_FLOOR, about 0.0551.
 _X_CAP, _SWEEP_T_ANCHOR, _SWEEP_PERIODS = 350.0, 1e6, 3.0
 _M_FLOOR = _SWEEP_PERIODS * 2.0 * math.pi / (_X_CAP - 0.5 * math.log(4.0 * _SWEEP_T_ANCHOR))
 

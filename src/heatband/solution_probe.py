@@ -26,7 +26,6 @@ from .errors import (
     _json_real,
     _points,
     check_finite,
-    check_integer,
 )
 from .initial_data import (
     InitialDataExpr,
@@ -71,6 +70,9 @@ _DEFAULT_SPEC = QuadratureSpec()
 
 # Times of verify's envelope gaps, where every envelope holds (doubly-log: t > 0.25)
 _GAP_TIMES = (1e2, 1e4, 1e8, 1e16)
+
+# Sampling density of every verify window: the u sweep, the data and H probes
+_POINTS_PER_PERIOD = 64
 
 TWO_PI = 2.0 * math.pi
 
@@ -259,16 +261,17 @@ def _vertex_trials(us, vals, covered: float) -> np.ndarray:
     return us[index[better]] + s[better] * ((us[-1] - us[0]) / (size - 1))
 
 
-def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
-                  points_per_period: int = 64,
-                  min_periods: float = _SWEEP_PERIODS) -> OscillationBand:
-    """Oscillation band of evaluator(t) over a log-time window.
+def band_estimate(evaluator, m_hint) -> OscillationBand:
+    """Oscillation band of evaluator(t) over verify's log-time window.
 
-    evaluator receives a 1-D float array of times and returns its values
-    there, an array of that shape (a scalar broadcasts).  For a numeric
-    m_hint the grid, one evaluator call, is uniform in x = log sqrt(4t)
-    with points_per_period samples per period 2 pi / m_hint, spanning
-    min_periods periods from t_anchor.  One more call evaluates the trial
+    The window is the one the prescriber's mode floor _M_FLOOR assumes:
+    _SWEEP_PERIODS periods from t = _SWEEP_T_ANCHOR, cut at x = _X_CAP, with
+    _POINTS_PER_PERIOD samples a period.  evaluator receives a 1-D float
+    array of times and returns its values there, an array of that shape (a
+    scalar broadcasts).  For a numeric m_hint the grid, one evaluator call,
+    is uniform in x = log sqrt(4t) with periods 2 pi / m_hint; a frequency
+    below _M_FLOOR covers fewer than _SWEEP_PERIODS periods before the cap
+    and raises PartialBandError.  One more call evaluates the trial
     points that _vertex_trials reads off the grid: the vertices of its
     degree-8 interpolant beside the best ceil(periods) + 1 local extremes of
     each end, none for an end flat to rounding.  So a sweep makes at most 2
@@ -284,27 +287,15 @@ def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
     """
     if not callable(evaluator):
         raise DomainError("evaluator must be callable")
-    check_integer(points_per_period=points_per_period)
-    if points_per_period < 64:
-        raise DomainError(
-            f"points_per_period must be an integer of at least 64, got {points_per_period!r}")
-    check_finite(min_periods=min_periods)
-    if min_periods < 3.0:
-        raise DomainError(f"min_periods must be at least 3, got {min_periods}")
-    check_time(t_anchor)
-    x0 = 0.5 * math.log(4.0 * t_anchor)
+    x0 = 0.5 * math.log(4.0 * _SWEEP_T_ANCHOR)
 
     if isinstance(m_hint, str):
         if m_hint != "log-log":
             raise DomainError(f"m_hint must be a frequency or 'log-log', got {m_hint!r}")
-        if x0 <= 1.0:
-            raise DomainError(
-                f"t_anchor = {t_anchor} is too small for a log-log sweep; "
-                "need log sqrt(4t) > 1")
         y0 = math.log(x0)
-        y1 = min(y0 + min_periods * TWO_PI, math.log(_X_CAP))
+        y1 = min(y0 + _SWEEP_PERIODS * TWO_PI, math.log(_X_CAP))
         covered = (y1 - y0) / TWO_PI
-        npts = max(int(math.ceil(points_per_period * covered)) + 1, 9)
+        npts = max(int(math.ceil(_POINTS_PER_PERIOD * covered)) + 1, 9)
         us, grid = np.linspace(y0, y1, npts), None
         xs = np.exp(us)
     else:
@@ -312,14 +303,11 @@ def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
         m = float(m_hint)
         if not m > 0:
             raise DomainError(f"m_hint must be positive, got {m_hint!r}")
-        if x0 <= 0.0:
-            raise DomainError(
-                f"t_anchor = {t_anchor} is too small; need log sqrt(4t) > 0")
         period = TWO_PI / m
-        x1, covered = x0 + min_periods * period, float(min_periods)
+        x1, covered = x0 + _SWEEP_PERIODS * period, _SWEEP_PERIODS
         if x1 > _X_CAP:
             x1, covered = _X_CAP, (_X_CAP - x0) / period
-        grid = (x0, x1, max(int(math.ceil(points_per_period * covered)) + 1, 9))
+        grid = (x0, x1, max(int(math.ceil(_POINTS_PER_PERIOD * covered)) + 1, 9))
         us = xs = np.linspace(*grid)
 
     def at_x(x, log_grid=None):
@@ -340,13 +328,13 @@ def band_estimate(evaluator, m_hint, t_anchor: float = _SWEEP_T_ANCHOR, *,
         lower_est=lower, upper_est=upper,
         grid_lo=float(math.exp(2.0 * xs[0]) / 4.0),
         grid_hi=float(math.exp(2.0 * xs[-1]) / 4.0),
-        points_per_period=points_per_period,
+        points_per_period=_POINTS_PER_PERIOD,
         periods_covered=covered,
     )
-    if covered < min_periods - 1e-12:
+    if covered < _SWEEP_PERIODS - 1e-12:
         raise PartialBandError(
             f"probe window exhausted double precision after {covered:.3f} of "
-            f"{min_periods:g} required periods; partial band attached", band)
+            f"{_SWEEP_PERIODS:g} required periods; partial band attached", band)
     return band
 
 
@@ -365,15 +353,14 @@ class _OriginSweep:
 
     expr: InitialDataExpr
     n: int
-    spec: QuadratureSpec
 
     def __call__(self, t):
-        return u_origin(self.expr, self.n, t, self.spec)
+        return u_origin(self.expr, self.n, t)
 
     def on_log_grid(self, x0: float, x1: float, count: int) -> np.ndarray:
         flavor = KernelFlavor.DATA
         return flavor.coefficient(self.n) * _weighted_value(
-            self.expr, flavor.power(self.n), None, self.spec, log_grid=(x0, x1, count))[0]
+            self.expr, flavor.power(self.n), None, _DEFAULT_SPEC, log_grid=(x0, x1, count))[0]
 
 
 def _slow_content(expr) -> tuple[float | None, bool]:
@@ -387,8 +374,9 @@ def _slow_content(expr) -> tuple[float | None, bool]:
 
 def _slow_taus(m: float) -> np.ndarray:
     """tau grid of 3 periods of frequency m on the log(tau + 1) axis from
-    tau ~ 1e4, 64 points a period."""
-    x = np.linspace(math.log(1e4), math.log(1e4) + 3.0 * TWO_PI / m, int(64 * 3) + 1)
+    tau ~ 1e4, _POINTS_PER_PERIOD points a period."""
+    x = np.linspace(math.log(1e4), math.log(1e4) + 3.0 * TWO_PI / m,
+                    _POINTS_PER_PERIOD * 3 + 1)
     return np.expm1(x)
 
 
@@ -398,13 +386,13 @@ def _witness_taus(expr) -> np.ndarray:
 
 
 def _measured_band(taus: np.ndarray, vals: np.ndarray) -> OscillationBand:
-    """Band of vals on the radii taus, 64 points a period; every window of
-    verify's data and H probes counts as the nominal 3 periods (see
-    OscillationBand)."""
+    """Band of vals on the radii taus, _POINTS_PER_PERIOD points a period;
+    every window of verify's data and H probes counts as the nominal 3
+    periods (see OscillationBand)."""
     return OscillationBand(
         lower_est=float(np.min(vals)), upper_est=float(np.max(vals)),
         grid_lo=float(np.min(taus[taus > 0])), grid_hi=float(np.max(taus)),
-        points_per_period=64, periods_covered=3.0)
+        points_per_period=_POINTS_PER_PERIOD, periods_covered=3.0)
 
 
 def _measure_phi_band(expr, slow_m: float | None, loglog: bool) -> OscillationBand:
@@ -419,8 +407,7 @@ def _measure_phi_band(expr, slow_m: float | None, loglog: bool) -> OscillationBa
     return _measured_band(tau, eval_phi(expr, tau))
 
 
-def _measure_H_band(expr, n: int, slow_m: float | None, loglog: bool,
-                    spec: QuadratureSpec) -> OscillationBand:
+def _measure_H_band(expr, n: int, slow_m: float | None, loglog: bool) -> OscillationBand:
     if loglog:
         # both extremizers of the doubly-log phase fit below tau ~ 1e79
         ys = np.linspace(1.2, 5.2, 129)
@@ -429,27 +416,23 @@ def _measure_H_band(expr, n: int, slow_m: float | None, loglog: bool,
         taus = _slow_taus(slow_m)
     else:
         taus = np.geomspace(1e4, 1e8, 129)  # content averages to a constant
-    return _measured_band(taus, numeric_H(expr, n, taus, tol=min(1e-6, spec.abs_tol * 1e6)))
+    return _measured_band(taus, numeric_H(expr, n, taus, tol=_DEFAULT_SPEC.abs_tol * 1e6))
 
 
 def verify_certificate(cert: PrescriptionCertificate,
-                       spec: QuadratureSpec | None = None,
-                       tol_band: float = 0.02, *,
-                       t_anchor: float = _SWEEP_T_ANCHOR,
-                       points_per_period: int = 64,
-                       min_periods: float = _SWEEP_PERIODS,
-                       ) -> VerificationReport:
+                       tol_band: float = 0.02) -> VerificationReport:
     """Measure the phi, u and H bands of a certificate, in that order, and compare.
 
     phi is sampled at its analytic extremizer witnesses plus dense log
     grids; H through numeric ball averages on a log-tau grid; u through
-    band_estimate driven by u_origin.  Certificates with doubly-log content
-    get a partial u band (the sweep cannot cover 3 periods in double
-    precision) plus the envelope gaps at _GAP_TIMES as the convergence
-    signal; a note says when there is no envelope formula (bumps alone).
+    band_estimate driven by u_origin, on the one window that the
+    prescriber's mode floor assumes, so every certificate it builds covers
+    its periods.  Certificates with doubly-log content get a partial u band
+    (the sweep cannot cover 3 periods in double precision) plus the envelope
+    gaps at _GAP_TIMES as the convergence signal; a note says when there is
+    no envelope formula (bumps alone).  The quadrature is the default
+    QuadratureSpec, whose tolerances the report records.
     """
-    if spec is None:
-        spec = _DEFAULT_SPEC
     n = cert.target.n
     check_finite(tol_band=tol_band)
     if not tol_band > 0:
@@ -460,19 +443,17 @@ def verify_certificate(cert: PrescriptionCertificate,
 
     phi_band = _measure_phi_band(cert.data, slow_m, loglog)
 
-    u_at = _OriginSweep(cert.data, n, spec)
-    sweep_kwargs = dict(points_per_period=points_per_period,
-                        min_periods=min_periods)
+    u_at = _OriginSweep(cert.data, n)
     u_partial = False
     if loglog:
         try:
-            u_band = band_estimate(u_at, "log-log", t_anchor, **sweep_kwargs)
+            u_band = band_estimate(u_at, "log-log")
         except PartialBandError as err:
             u_band = err.band
             u_partial = True
             notes.append(
                 f"u sweep covered {u_band.periods_covered:.3f} of "
-                f"{min_periods:g} doubly-log periods before the "
+                f"{_SWEEP_PERIODS:g} doubly-log periods before the "
                 "double-precision cap; endpoint match relaxed to containment")
     else:
         if slow_m is not None:
@@ -480,11 +461,11 @@ def verify_certificate(cert: PrescriptionCertificate,
         else:
             m_hint = 1.0
             notes.append("envelope is constant; sweep frequency 1.0 is nominal")
-        u_band = band_estimate(u_at, m_hint, t_anchor, **sweep_kwargs)
+        u_band = band_estimate(u_at, m_hint)
 
     u_gaps = u_at(np.array(_GAP_TIMES)).tolist()
     # H last: its window costs the most, and a u route may refuse first
-    h_band = _measure_H_band(cert.data, n, slow_m, loglog, spec)
+    h_band = _measure_H_band(cert.data, n, slow_m, loglog)
     max_abs_u = max([abs(u_band.lower_est), abs(u_band.upper_est)]
                     + [abs(u_val) for u_val in u_gaps])
     gaps = []
@@ -528,8 +509,8 @@ def verify_certificate(cert: PrescriptionCertificate,
         u_partial=u_partial,
         envelope_gaps=None if gaps is None else tuple(gaps),
         notes=tuple(notes),
-        quad_rel_tol=spec.rel_tol,
-        quad_abs_tol=spec.abs_tol,
+        quad_rel_tol=_DEFAULT_SPEC.rel_tol,
+        quad_abs_tol=_DEFAULT_SPEC.abs_tol,
     )
 
 

@@ -102,7 +102,7 @@ def test_criterion_04_average_prescription_end_to_end():
     start = time.monotonic()
     for n in (1, 2):
         cert = prescribe_average(-1.0, -0.3, 0.3, 1.0, n=n)
-        report = verify_certificate(cert, tol_band=0.02, t_anchor=1e6)
+        report = verify_certificate(cert, tol_band=0.02)
         assert report.chain_ok
 
         # independent average sweep over tau in [1e2, 1e10] with the
@@ -121,7 +121,7 @@ def test_criterion_04_average_prescription_end_to_end():
 def test_criterion_05_data_prescription_end_to_end():
     """Data-band certificate (-2, -0.3, 0.3, 1) verifies in dimension 1."""
     cert = prescribe_data(-2.0, -0.3, 0.3, 1.0, n=1)
-    report = verify_certificate(cert, tol_band=0.02, t_anchor=1e6)
+    report = verify_certificate(cert, tol_band=0.02)
     phi = report.measured_phi_band
     assert phi.lower_est == pytest.approx(-2.0, abs=1e-3)
     assert phi.upper_est == pytest.approx(1.0, abs=1e-3)

@@ -66,19 +66,27 @@ _AVERAGE = ["--average", "-1", "-0.3", "0.3", "1"]
     (["probe", "--cert", "{cert}", "--t-range", "1e2", "1e4", "2.9"], "t-range"),
     (["probe", "--cert", "{cert}", "--tau-range", "1e2", "1e4", "2.5"], "tau-range"),
     (["probe", "--cert", "{cert}", "--format", "xml"], "invalid choice"),
+    # the grid is refused before it is made: 1e15 points would not fit in memory
+    (["probe", "--cert", "{cert}", "--t-range", "1e2", "1e10", "1e15"], "t-range"),
+    (["probe", "--cert", "{cert}", "--tau-range", "1e2", "1e4", "1048577"], "tau-range"),
+    (["probe", "--cert", "{utf16}"], "not UTF-8"),
+    (["verify", "--cert", "{utf16}"], "not UTF-8"),
     (["verify", "--cert", "{cert}", "--tol-band", "0"], "tol_band"),
-    (["verify", "--cert", "{cert}", "--periods", "nan"], "min_periods"),
-    (["verify", "--cert", "{cert}", "--periods", "inf"], "min_periods"),
-    (["verify", "--cert", "{cert}", "--periods", "2"], "min_periods"),
-    (["verify", "--cert", "{cert}", "--t-anchor", "nan"], "finite real"),
-    (["verify", "--cert", "{cert}", "--t-anchor", "1e-9"], "t_anchor"),
+    # the sweep window is the one the mode floor assumes, not an option
+    (["verify", "--cert", "{cert}", "--periods", "4"], "unrecognized arguments"),
+    (["verify", "--cert", "{cert}", "--t-anchor", "1e100"], "unrecognized arguments"),
+    (["verify", "--cert", "{cert}", "--points-per-period", "100000000"],
+     "unrecognized arguments"),
 ])
 def test_refused_arguments_exit_two_and_write_nothing(tmp_path, capsys, args, says):
     cert = tmp_path / "cert.json"
-    cert.write_text(cert_dumps(prescribe_average(-1.0, -0.3, 0.3, 1.0, n=2)) + "\n")
+    text = cert_dumps(prescribe_average(-1.0, -0.3, 0.3, 1.0, n=2)) + "\n"
+    cert.write_text(text)
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(text.encode("utf-16"))  # starts with the bytes ff fe
     out = tmp_path / "out"
     out.mkdir()
-    argv = [a.replace("{cert}", str(cert)) for a in args]
+    argv = [a.replace("{cert}", str(cert)).replace("{utf16}", str(utf16)) for a in args]
     if argv[0] != "analyse":
         argv += ["--out-dir", str(out)]
     assert run_cli(argv) == 2
