@@ -76,7 +76,6 @@ from .solution_probe import (
 )
 from .quadrature import (
     IntegralResult,
-    QuadratureSpec,
     integrate_interval,
     integrate_log_oscillatory,
     integrate_weighted,

@@ -41,7 +41,8 @@ from .quadrature import (
     GL_NODES,
     GL_WEIGHTS,
     MAX_OSCILLATION_FREQUENCY,
-    QuadratureSpec,
+    _ABS_TOL,
+    _MAX_NODES,
     _Z_MAX,
     gaussian_power_tail,
     integrate_weighted,
@@ -365,7 +366,8 @@ class InitialDataExpr:
                          log(tau + 1) between corners theta + 2 pi q, theta
                          in phases (see _split_gauss); None for the rest
       slow_frequency()   lowest frequency on the log(tau + 1) axis, or None
-      witnesses(lo, hi)  tau values approaching the liminf and the limsup
+      witnesses()        tau values approaching the liminf and the limsup,
+                         looked for in _WITNESS_WINDOW first
       limit_u(y, n)      limit of u(0, t) in dimension n at y = log sqrt(4t)
     """
 
@@ -391,7 +393,7 @@ class InitialDataExpr:
     def slow_frequency(self) -> float | None:
         return None
 
-    def witnesses(self, tau_lo: float, tau_hi: float):
+    def witnesses(self):
         raise UnsupportedExpression(f"no witnesses for {type(self).__name__}")
 
     def limit_u(self, y: float, n: int) -> float:
@@ -414,8 +416,8 @@ class Constant(InitialDataExpr):
     def sup_abs(self):
         return abs(self.c)
 
-    def witnesses(self, tau_lo, tau_hi):
-        mid = 0.5 * (tau_lo + tau_hi)
+    def witnesses(self):
+        mid = 0.5 * (_WITNESS_WINDOW[0] + _WITNESS_WINDOW[1])
         return [mid], [mid]
 
     def limit_u(self, y, n):
@@ -453,11 +455,10 @@ class _ModeOfLog(InitialDataExpr):
     def slow_frequency(self):
         return float(self.m)
 
-    def witnesses(self, tau_lo, tau_hi):
+    def witnesses(self):
         # asymptotic extremal phase of sin th + q cos th
         th = math.atan2(1.0, self.m / self._n)
-        return (_phase_taus(self.m, th + math.pi, tau_lo, tau_hi),
-                _phase_taus(self.m, th, tau_lo, tau_hi))
+        return _phase_taus(self.m, th + math.pi), _phase_taus(self.m, th)
 
     def limit_u(self, y, n):
         # amplitude (a' sin(m y) + b' cos(m y)) + offset, a' + i b' = (a + i b)(1 + i q)
@@ -538,7 +539,7 @@ class LogLogSine(InitialDataExpr):
         # the phase log log(tau + 2) has |Im| <= a / log 2 for |arg tau| <= a
         return self.amplitude + abs(self.offset), 1.0 / math.log(2.0)
 
-    def witnesses(self, tau_lo, tau_hi):
+    def witnesses(self):
         # only the first peak/trough of each parity fits in a double
         peaks = DoubleExpCenters("peak").representable_centers()
         troughs = DoubleExpCenters("trough").representable_centers()
@@ -575,10 +576,10 @@ class PeriodicZeroMean(InitialDataExpr):
     def sup_abs(self):
         return max(self.v_max, -self.v_min)
 
-    def witnesses(self, tau_lo, tau_hi):
+    def witnesses(self):
         arg_lo, arg_hi = self.wave.extremizer_args()
-        base = TWO_PI * np.arange(math.ceil(tau_lo / TWO_PI),
-                                  math.ceil(tau_lo / TWO_PI) + 40)
+        first = math.ceil(_WITNESS_WINDOW[0] / TWO_PI)
+        base = TWO_PI * np.arange(first, first + 40)
         return list(base + arg_lo), list(base + arg_hi)
 
     def limit_u(self, y, n):
@@ -636,9 +637,9 @@ class BumpTrain(InitialDataExpr):
     def sup_abs(self):
         return max(abs(self.baseline), abs(self.baseline + self.height))
 
-    def witnesses(self, tau_lo, tau_hi):
+    def witnesses(self):
         cs = self.centers.representable_centers()
-        cs = cs[(cs >= tau_lo) & (cs <= tau_hi)]
+        cs = cs[(cs >= _WITNESS_WINDOW[0]) & (cs <= _WITNESS_WINDOW[1])]
         if cs.size == 0:
             cs = self.centers.representable_centers()[-1:]
         gaps = np.sqrt(cs[:-1] * cs[1:]) if cs.size > 1 else cs * 7.0
@@ -749,10 +750,9 @@ class _ProfileOfLog(InitialDataExpr):
                 return float(j)
         return None
 
-    def witnesses(self, tau_lo, tau_hi):
+    def witnesses(self):
         a_lo, a_hi = self._profile_extrema()[1]
-        return (_phase_taus(1.0, a_lo, tau_lo, tau_hi),
-                _phase_taus(1.0, a_hi, tau_lo, tau_hi))
+        return _phase_taus(1.0, a_lo), _phase_taus(1.0, a_hi)
 
 
 @dataclass(frozen=True)
@@ -866,15 +866,24 @@ def _signed_band(sign: float, leaf: InitialDataExpr) -> tuple[float, float]:
 # Evaluation
 
 
+def _check_expr(expr) -> None:
+    if not isinstance(expr, InitialDataExpr):
+        raise DomainError(f"expr must be an InitialDataExpr, got {type(expr).__name__}")
+
+
 def eval_phi(expr: InitialDataExpr, tau):
     """Evaluate phi at tau (scalar or array), tau >= 0 and finite.
 
-    Non-finite tau is rejected with a range error: bands at tau -> infinity
-    come from analytic_band_phi, never from evaluating at a fake infinity.
+    A tau that is not an integer or float, or an array of them (a bool, a
+    string, None, a complex number), raises DomainError.  Non-finite tau is
+    rejected with a range error: bands at tau -> infinity come from
+    analytic_band_phi, never from evaluating at a fake infinity.
     """
-    if not isinstance(expr, InitialDataExpr):
-        raise DomainError(f"expr must be an InitialDataExpr, got {type(expr).__name__}")
-    arr = np.asarray(tau, dtype=float)
+    _check_expr(expr)
+    arr = np.asarray(tau)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"tau must be a real or an array of reals, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
         raise RangeError(
             "tau is not representable; use analytic_band_phi for the "
@@ -894,6 +903,7 @@ def eval_phi(expr: InitialDataExpr, tau):
 def _map_leaves(expr: InitialDataExpr, rule) -> InitialDataExpr | None:
     """expr with every leaf replaced by rule(leaf), keeping its Sum and
     Negate nodes; None as soon as rule returns None for a leaf."""
+    _check_expr(expr)
     if isinstance(expr, Sum):
         terms = tuple(_map_leaves(t, rule) for t in expr.terms)
         return None if any(t is None for t in terms) else Sum(terms)
@@ -979,8 +989,8 @@ def phi_from_H(h_expr: InitialDataExpr, n: int) -> InitialDataExpr:
 # grid call of verify's sweep), shares its trapezoid nodes: its sums are one
 # correlation of phi on a lattice that all grid points share (_lattice_sums).
 # Every fixed rule refuses, before it lays any, more nodes at a point than the
-# one budget QuadratureSpec.max_panels (_check_nodes; numeric_H reads its
-# default).  Only plain callables take adaptive quadrature.
+# one node budget _MAX_NODES (_check_nodes), and every u(0, t) rule is sized
+# by the one tolerance _ABS_TOL.  Only plain callables take adaptive quadrature.
 
 # Most values of phi in one block of rows of a batch's outer product
 _BLOCK = 1 << 20
@@ -1064,8 +1074,7 @@ class _Leaves:
 
 def _split_leaves(expr: InitialDataExpr) -> _Leaves:
     """The leaves of expr by kind (_Leaves), split once per expression object."""
-    if not isinstance(expr, InitialDataExpr):
-        raise DomainError(f"expr must be an InitialDataExpr, got {type(expr).__name__}")
+    _check_expr(expr)
     return expr._leaves
 
 
@@ -1089,11 +1098,11 @@ def _log_quotient(num: float, den: float) -> float:
     return math.log(num) - math.log(den) if num > 0.0 else -math.inf
 
 
-def _check_nodes(nodes, budget: int) -> None:
-    """Refuse more than budget nodes at a point, or nan, with ConvergenceError."""
-    if not nodes <= budget:
+def _check_nodes(nodes) -> None:
+    """Refuse more than _MAX_NODES nodes at a point, or nan, with ConvergenceError."""
+    if not nodes <= _MAX_NODES:
         raise ConvergenceError(f"fixed rule needs at least {nodes:.6g} nodes a point, "
-                               f"exceeding max_panels={budget}")
+                               f"exceeding the node budget {_MAX_NODES}")
 
 
 def _fixed_sums(pairs, radii, scale, weights) -> np.ndarray:
@@ -1107,21 +1116,21 @@ def _fixed_sums(pairs, radii, scale, weights) -> np.ndarray:
     return out
 
 
-def _split_gauss(lo: float, h: float, panels: int, radius: float, phases, budget: int):
+def _split_gauss(lo: float, h: float, panels: int, radius: float, phases):
     """(s_i, w_i, near) of the 8-node Gauss-Legendre rule on `panels` panels
     of width h from s = lo, s = log(r / radius), each panel split where
     L = log(r + 1) crosses a corner theta + 2 pi q, theta in phases.  near
     marks the nodes whose L lies within rounding of a corner, where
     evaluation may take the neighbouring piece's formula.  Each corner adds
-    at most one panel; more than budget nodes in all raise ConvergenceError
-    before any node is laid.
+    at most one panel; more than _MAX_NODES nodes in all raise
+    ConvergenceError before any node is laid.
     """
     edges = lo + h * np.arange(panels + 1)
     ell_lo, ell_hi = np.log1p(radius * np.exp(edges[[0, -1]]))
     q = np.arange(math.floor(ell_lo / TWO_PI), math.floor(ell_hi / TWO_PI) + 1)
     corners = (TWO_PI * q[:, None] + np.asarray(phases)).ravel()
     corners = corners[(corners > ell_lo) & (corners < ell_hi)]
-    _check_nodes(GL_NODES.size * (panels + corners.size), budget)
+    _check_nodes(GL_NODES.size * (panels + corners.size))
     # s = log(e^L - 1) - log radius, without overflow at large L
     edges = np.union1d(edges, corners + np.log(-np.expm1(-corners)) - math.log(radius))
     widths = np.diff(edges)
@@ -1131,13 +1140,13 @@ def _split_gauss(lo: float, h: float, panels: int, radius: float, phases, budget
     return nodes, (widths[:, None] * GL_WEIGHTS).ravel(), gap <= 16.0 * _EPS * (ell + 1.0)
 
 
-def _split_gauss_sum(leaves: _Leaves, radii: np.ndarray, layout, budget: int,
+def _split_gauss_sum(leaves: _Leaves, radii: np.ndarray, layout,
                      kernel) -> tuple[np.ndarray, np.ndarray]:
     """(values, error bounds) of int_{-D}^0 K(s) phi(radius e^s) ds at each
     radius of the 1-D array radii, phi the signed sum of leaves.kinked, by
     the Gauss layout (D, P, bound) of _log_gauss_panels split at their
-    corners, which move with the radius, so radius by radius, within budget
-    nodes a radius.
+    corners, which move with the radius, so radius by radius, within the node
+    budget at each radius.
 
     kernel(s) gives K at the nodes and factors c_i with K_i right to 4 c_i eps
     relative.  The terms are summed exactly by math.fsum; the bound adds to
@@ -1149,7 +1158,7 @@ def _split_gauss_sum(leaves: _Leaves, radii: np.ndarray, layout, budget: int,
     expr, near_bound = _signed_sum(leaves.kinked), 2.0 * (leaves.kink_sup + leaves.kink_steep)
     values, bounds = np.empty(radii.size), np.empty(radii.size)
     for i, radius in enumerate(radii.tolist()):
-        s, w, near = _split_gauss(-depth, depth / panels, panels, radius, leaves.phases, budget)
+        s, w, near = _split_gauss(-depth, depth / panels, panels, radius, leaves.phases)
         k_vals, cond = kernel(s)
         weights = w * k_vals
         terms = weights * _phi_on(expr, radius * np.exp(s))
@@ -1160,7 +1169,7 @@ def _split_gauss_sum(leaves: _Leaves, radii: np.ndarray, layout, budget: int,
 
 
 @lru_cache(maxsize=64)
-def _log_gauss_panels(n: int, mass: float, omega: float, tol: float, budget: int,
+def _log_gauss_panels(n: int, mass: float, omega: float, tol: float,
                       steep: float = 0.0, reach: float = 0.5 * math.pi):
     """(D, P, error bound) of the Gauss rule of n int_{-inf}^0 K(s) phi(tau e^s) ds
     on s = log(r / tau), |K(s)| <= e^{n Re s} for |Im s| <= reach (pi/2 for
@@ -1186,7 +1195,7 @@ def _log_gauss_panels(n: int, mass: float, omega: float, tol: float, budget: int
       bound for any a.  P is the least count with E(D / P, a) <= tol/2.
 
     The bound returned is E(h, a) + mass e^{-nD}; panels split at corners
-    keep it, being narrower, as e^{ns} is convex.  More than budget nodes
+    keep it, being narrower, as e^{ns} is convex.  More than _MAX_NODES nodes
     raise ConvergenceError (_split_gauss counts the corners); D and tol/2
     are logs of quotients (_log_quotient), so no tol is too fine.
     """
@@ -1217,13 +1226,13 @@ def _log_gauss_panels(n: int, mass: float, omega: float, tol: float, budget: int
 
     hi = 1
     while not fits(hi):  # double the count, then bisect
-        _check_nodes(order * (hi + 1), budget)  # the least count that may fit
+        _check_nodes(order * (hi + 1))  # the least count that may fit
         hi *= 2
     lo = hi // 2  # fits(hi) holds; fits(lo) fails or lo = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if fits(mid) else (mid, hi)
-    _check_nodes(order * hi, budget)
+    _check_nodes(order * hi)
     quad = math.exp(log_error(hi)) if mass > 0.0 else 0.0
     return depth, hi, quad + mass * math.exp(-n * depth)
 
@@ -1232,9 +1241,9 @@ def _log_gauss_panels(n: int, mass: float, omega: float, tol: float, budget: int
 def _log_gauss_rule(n: int, mass: float, omega: float, tol: float):
     """(e^{s_i}, w_i, error bound) with H(tau) ~ sum_i w_i phi(tau e^{s_i})
     for analytic leaves: the panels of _log_gauss_panels in the strip that
-    needs fewest, the same for every tau, within the default budget, and
+    needs fewest, the same for every tau, within the node budget, and
     their bound plus the rounding of the weighted sum."""
-    depth, panels, bound = _log_gauss_panels(n, mass, omega, tol, QuadratureSpec.max_panels)
+    depth, panels, bound = _log_gauss_panels(n, mass, omega, tol)
     h = depth / panels
     s = -depth + h * (np.arange(panels)[:, None] + GL_NODES).ravel()
     scale = np.exp(s)
@@ -1245,7 +1254,7 @@ def _log_gauss_rule(n: int, mass: float, omega: float, tol: float):
 
 
 @lru_cache(maxsize=64)
-def _log_trapezoid_rule(k: int, mass: float, omega: float, spec: QuadratureSpec):
+def _log_trapezoid_rule(k: int, mass: float, omega: float):
     """(e^{x_j}, w_j, h, error bound) with w_j = e^{(k+1) x_j - e^{2 x_j}} and
     int_0^inf z^k e^{-z^2} phi(root z) dz ~ h sum_j w_j phi(root e^{x_j})
     for analytic leaves, on nodes x_j = log z_max - h j, j = 0 .. J - 1, the
@@ -1259,56 +1268,54 @@ def _log_trapezoid_rule(k: int, mass: float, omega: float, spec: QuadratureSpec)
     M_k = int_0^inf z^k e^{-z^2} dz.
     The trapezoid rule with step h on the whole line then errs by at most
     2 M / (e^{2 pi a / h} - 1) (Trefethen & Weideman, SIAM Rev. 56, 2014,
-    Theorem 5.1); any h <= h_max = 2 pi a / log(2 + 4 M / abs_tol) keeps that
-    below abs_tol / 2.  Up to the 2, log(4 M / abs_tol) / a is least where
-    (k+1) (a tan 2a + log(cos 2a) / 2) = log(4 mass M_k / abs_tol), whose
+    Theorem 5.1); any h <= h_max = 2 pi a / log(2 + 4 M / _ABS_TOL) keeps that
+    below _ABS_TOL / 2.  Up to the 2, log(4 M / _ABS_TOL) / a is least where
+    (k+1) (a tan 2a + log(cos 2a) / 2) = log(4 mass M_k / _ABS_TOL), whose
     left side grows from 0 to infinity on (0, pi/4); a is the lower end of
     its bracket after 24 bisections.  The rule takes
     h = L / (floor(L / h_max) + 1), J - 1 steps over the window of
     _log_window, of length L, whose cuts add at most its tails.  The bound
-    returned is the sum of the two.  More than max_panels nodes raise
+    returned is the sum of the two.  More than _MAX_NODES nodes raise
     ConvergenceError, and so do more in the lattice of _lattice_sums.
     """
-    # log(4 mass M_k / abs_tol); mass is floored at abs_tol, which only shrinks h
-    log_mass = _log_quotient(4.0 * max(mass, spec.abs_tol) * gaussian_power_tail(k, 0.0),
-                             spec.abs_tol)
+    # log(4 mass M_k / _ABS_TOL); mass is floored at _ABS_TOL, which only shrinks h
+    log_mass = _log_quotient(4.0 * max(mass, _ABS_TOL) * gaussian_power_tail(k, 0.0), _ABS_TOL)
     lo, hi = 0.0, 0.25 * math.pi
     for _ in range(24):
         a = 0.5 * (lo + hi)
         below = (k + 1) * (a * math.tan(2.0 * a) + 0.5 * math.log(math.cos(2.0 * a))) < log_mass
         lo, hi = (a, hi) if below else (lo, a)
     log_ratio = omega * lo + log_mass - 0.5 * (k + 1) * math.log(math.cos(2.0 * lo))
-    x_lo, x_hi, tails = _log_window(k, mass, spec)
+    x_lo, x_hi, tails = _log_window(k, mass)
     steps = ((x_hi - x_lo) * (log_ratio + math.log1p(2.0 * math.exp(-log_ratio)))
              / (2.0 * math.pi * lo))
     nodes = steps // 1.0 + 2.0  # int(steps) + 2; nan, so refused, for steps = inf
-    _check_nodes(nodes, spec.max_panels)
+    _check_nodes(nodes)
     count = int(nodes)
     h = (x_hi - x_lo) / (count - 1)
     x = x_hi - h * np.arange(count)
     scale, kernel = np.exp(x), np.exp((k + 1) * x - np.exp(2.0 * x))
     scale.flags.writeable = kernel.flags.writeable = False
-    return scale, kernel, h, 0.5 * spec.abs_tol + tails
+    return scale, kernel, h, 0.5 * _ABS_TOL + tails
 
 
-def _log_window(k: int, mass: float, spec: QuadratureSpec) -> tuple[float, float, float]:
+def _log_window(k: int, mass: float) -> tuple[float, float, float]:
     """(x_lo, log z_max, tails): the window of the log-axis trapezoid rule
     for analytic leaves of strip mass mass, and the most its two cuts drop,
     mass (e^{(k+1) x_lo} / (k+1) + G_k(z_max)), G_k the Gaussian power tail.
-    (k+1) x_lo is the lesser of -40 and log((k+1) abs_tol / (4 mass)), a log
-    of a quotient (_log_quotient), so the left cut drops at most abs_tol / 4
-    at any mass; the fixed right cut refuses an abs_tol below 4 mass G_k(z_max)."""
+    (k+1) x_lo is the lesser of -40 and log((k+1) _ABS_TOL / (4 mass)), a log
+    of a quotient (_log_quotient), so the left cut drops at most _ABS_TOL / 4
+    at any mass; the fixed right cut refuses an _ABS_TOL below 4 mass G_k(z_max)."""
     cut = mass * gaussian_power_tail(k, _Z_MAX)
-    if cut > 0.25 * spec.abs_tol:
+    if cut > 0.25 * _ABS_TOL:
         raise ConvergenceError(f"the cut at z = {_Z_MAX:g} drops up to {cut:.6g}: abs_tol "
-                               f"needs at least {4.0 * cut:.6g} to be met, got {spec.abs_tol!r}")
-    depth = min(-40.0, _log_quotient((k + 1) * spec.abs_tol, 4.0 * max(mass, spec.abs_tol)))
+                               f"needs at least {4.0 * cut:.6g} to be met, got {_ABS_TOL!r}")
+    depth = min(-40.0, _log_quotient((k + 1) * _ABS_TOL, 4.0 * max(mass, _ABS_TOL)))
     tails = mass * (math.exp(depth) / (k + 1) + gaussian_power_tail(k, _Z_MAX))
     return depth / (k + 1), math.log(_Z_MAX), tails
 
 
-def _lattice_sums(leaves: _Leaves, k: int, h: float, spec: QuadratureSpec,
-                  log_grid) -> np.ndarray:
+def _lattice_sums(leaves: _Leaves, k: int, h: float, log_grid) -> np.ndarray:
     """The log-axis trapezoid sums of _log_trapezoid_rule, whose step is h,
     at every root e^{x_i} of the grid x = np.linspace(x0, x1, N),
     log_grid = (x0, x1, N), phi the signed sum of leaves.analytic: one
@@ -1329,9 +1336,9 @@ def _lattice_sums(leaves: _Leaves, k: int, h: float, spec: QuadratureSpec,
     q = math.ceil(step / h)
     g = step / q
     p = max(1, int(h / g))
-    x_lo, x_hi, _tails = _log_window(k, leaves.mass, spec)
+    x_lo, x_hi, _tails = _log_window(k, leaves.mass)
     nodes = math.ceil((x_hi - x_lo) / (p * g)) + 1
-    _check_nodes(nodes, spec.max_panels)
+    _check_nodes(nodes)
     x = x_hi - p * g * np.arange(nodes)
     kernel = np.exp((k + 1) * x - np.exp(2.0 * x))[::-1]  # ascending in x
     # sigma ascending: grid point i reads entries i q + j p, j = 0 .. nodes - 1
@@ -1404,9 +1411,8 @@ def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
         value += _fixed_sums(leaves.analytic, taus, scale, weights)
         bound += rule_bound
     if leaves.kinked:
-        layout = _log_gauss_panels(n, leaves.kink_sup, 0.0, share, QuadratureSpec.max_panels,
-                                   leaves.kink_steep)
-        part, part_bound = _split_gauss_sum(leaves, taus, layout, QuadratureSpec.max_panels,
+        layout = _log_gauss_panels(n, leaves.kink_sup, 0.0, share, leaves.kink_steep)
+        part, part_bound = _split_gauss_sum(leaves, taus, layout,
                                             lambda s: (n * np.exp(s) ** n, 2.0 + n))
         value += part
         bound += part_bound
@@ -1415,7 +1421,7 @@ def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
         value += sign * n * part
         bound += n * part_bound
     for sign, leaf in leaves.bumps:
-        pieces, sup, _steep = _linear_pieces(leaf, taus.max(), QuadratureSpec.max_panels)
+        pieces, sup, _steep = _linear_pieces(leaf, taus.max())
         part, part_bound = _pieces_radial(pieces, sup, n, taus)
         value += sign * n * part
         bound += n * part_bound
@@ -1423,8 +1429,7 @@ def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
     return values, bounds
 
 
-def _weighted_value(expr, k: int, roots, spec: QuadratureSpec,
-                    log_grid=None) -> tuple[np.ndarray, np.ndarray]:
+def _weighted_value(expr, k: int, roots, log_grid=None) -> tuple[np.ndarray, np.ndarray]:
     """(values, error bounds) of int_0^inf z^k e^{-z^2} expr(root z) dz at
     each root of the 1-D array roots.
 
@@ -1443,7 +1448,7 @@ def _weighted_value(expr, k: int, roots, spec: QuadratureSpec,
         if not callable(expr):
             raise DomainError(
                 f"expr must be an InitialDataExpr or a callable, got {type(expr).__name__}")
-        results = [integrate_weighted(lambda z: expr(root * z), k, spec)
+        results = [integrate_weighted(lambda z: expr(root * z), k)
                    for root in roots.tolist()]
         return np.array([(r.value, r.abs_error_est) for r in results]).reshape(-1, 2).T
 
@@ -1452,35 +1457,34 @@ def _weighted_value(expr, k: int, roots, spec: QuadratureSpec,
     value = np.full(roots.size, leaves.constant * gaussian_power_tail(k, 0.0))
     bound = (k + 4) * _EPS * np.abs(value)
     if leaves.analytic:
-        scale, weights, h, rule_bound = _log_trapezoid_rule(k, leaves.mass, leaves.omega, spec)
+        scale, weights, h, rule_bound = _log_trapezoid_rule(k, leaves.mass, leaves.omega)
         if log_grid is None:
             value += h * _fixed_sums(leaves.analytic, roots, scale, weights)
         else:
-            value += _lattice_sums(leaves, k, h, spec, log_grid)
+            value += _lattice_sums(leaves, k, h, log_grid)
         bound += rule_bound
     if leaves.kinked:
         # on s = log(z / z_max) the kernel z^(k+1) e^{-z^2} is at most z_max^(k+1) e^{(k+1) Re s}
         # for |Im s| <= pi/4: the layout of n = k + 1, kink_sup and kink_steep times
-        # z_max^(k+1) / (k + 1) and tol abs_tol / 2; the cut at z_max adds kink_sup G_k(z_max)
+        # z_max^(k+1) / (k + 1) and tol _ABS_TOL / 2; the cut at z_max adds kink_sup G_k(z_max)
         scale = _Z_MAX ** (k + 1) / (k + 1)
 
         def kernel(s):
             z = _Z_MAX * np.exp(s)
             return z ** (k + 1) * np.exp(-z * z), 2.0 + k + z * z
 
-        layout = _log_gauss_panels(k + 1, leaves.kink_sup * scale, 0.0, 0.5 * spec.abs_tol,
-                                   spec.max_panels, leaves.kink_steep * scale, 0.25 * math.pi)
-        part, part_bound = _split_gauss_sum(leaves, roots * _Z_MAX, layout, spec.max_panels,
-                                            kernel)
+        layout = _log_gauss_panels(k + 1, leaves.kink_sup * scale, 0.0, 0.5 * _ABS_TOL,
+                                   leaves.kink_steep * scale, 0.25 * math.pi)
+        part, part_bound = _split_gauss_sum(leaves, roots * _Z_MAX, layout, kernel)
         value += part
         bound += part_bound + leaves.kink_sup * gaussian_power_tail(k, _Z_MAX)
     for sign, leaf in leaves.waves:
-        part, part_bound = _wave_weighted_integral(leaf, k, roots, spec)
+        part, part_bound = _wave_weighted_integral(leaf, k, roots)
         value += sign * part
         bound += part_bound
     for sign, leaf in leaves.bumps:
-        pieces = _linear_pieces(leaf, _Z_MAX * roots.max(initial=0.0), spec.max_panels)
-        part, part_bound = _pieces_weighted(*pieces, k, roots, spec)
+        pieces = _linear_pieces(leaf, _Z_MAX * roots.max(initial=0.0))
+        part, part_bound = _pieces_weighted(*pieces, k, roots)
         value += sign * part
         bound += part_bound
     return value, bound
@@ -1501,15 +1505,15 @@ def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _linear_pieces(leaf, tau_max: float, budget: int):
+def _linear_pieces(leaf, tau_max: float):
     """(pieces, sup, steep) for a bump train above its baseline or a wave:
     pieces has rows start, width, v, rise, one column for each linear piece
     in tau that starts below tau_max (and a few beyond), sorted by start,
     with the leaf v + rise s at fraction s of the piece; sup bounds
     |v + rise s| and steep |rise| / width on every piece of the leaf.  A
     bump train repeats a rising and a falling piece at each representable
-    centre, a wave its pieces at each period.  More than budget nodes, one
-    8-node Gauss panel a piece, raise ConvergenceError before any is listed."""
+    centre, a wave its pieces at each period.  More than _MAX_NODES nodes,
+    one 8-node Gauss panel a piece, raise ConvergenceError before any is listed."""
     if isinstance(leaf, BumpTrain):
         half, height = leaf.half_width, leaf.height
         block = np.array([[-half, 0.0], [half, half], [0.0, height], [height, -height]])
@@ -1518,7 +1522,7 @@ def _linear_pieces(leaf, tau_max: float, budget: int):
     else:
         block = np.array(leaf.wave.pieces).T
         count = math.floor(tau_max / TWO_PI) + 1
-    _check_nodes(GL_NODES.size * block.shape[1] * count, budget)
+    _check_nodes(GL_NODES.size * block.shape[1] * count)
     offsets = centers[:count] if isinstance(leaf, BumpTrain) else TWO_PI * np.arange(count)
     pieces = np.empty((4, offsets.size, block.shape[1]))
     pieces[:] = block[:, None]
@@ -1565,8 +1569,8 @@ def _row_sums(terms: np.ndarray) -> list[float]:
     return [math.fsum(row) for row in terms.reshape(terms.shape[0], -1).tolist()]
 
 
-def _pieces_weighted(pieces, sup: float, steep: float, k: int, roots: np.ndarray,
-                     spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+def _pieces_weighted(pieces, sup: float, steep: float, k: int,
+                     roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, error bounds) of int_0^inf z^k e^{-z^2} v(root z) dz at each
     root of the 1-D array roots, v the linear pieces of _linear_pieces, by the
     Gauss rule of _piece_layout up to z = _Z_MAX on panels at most
@@ -1590,7 +1594,7 @@ def _pieces_weighted(pieces, sup: float, steep: float, k: int, roots: np.ndarray
     reach = np.minimum(float(pieces[1].max(initial=0.0)), _Z_MAX * roots)
     counts = np.ceil(reach / (roots * _PIECE_PANEL)).clip(1).astype(int)
     used = np.searchsorted(pieces[0], _Z_MAX * roots)  # pieces that start below the cut
-    _check_nodes(GL_NODES.size * int(np.max(counts * used, initial=0)), spec.max_panels)
+    _check_nodes(GL_NODES.size * int(np.max(counts * used, initial=0)))
     for panels in set(counts.tolist()):
         todo = np.flatnonzero(counts == panels)
         step = max(1, _BLOCK // max(1, pieces.shape[1] * panels * GL_NODES.size))
@@ -1720,7 +1724,7 @@ def _gauss_derivatives(k: int):
     return coeffs, np.log(0.5 * np.array(norms) * zeta(_IBP_ORDERS + 2.0) / math.pi), tuple(sups)
 
 
-def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, roots, spec: QuadratureSpec):
+def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, roots):
     """(values, error bounds) of int_0^inf f(z) w(root z) dz, f(z) = z^k e^{-z^2}
     and w the wave of expr, at each root of the 1-D array roots.
 
@@ -1733,13 +1737,13 @@ def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, roots, spec: Quadrat
     M_k = int_0^inf f, with every table cached per wave and per k
     (Iserles & Norsett, Proc. R. Soc. A 461, 2005).  The route takes, per
     root, the least P <= _IBP_TERMS whose bound on r_P is at most
-    spec.abs_tol / 2, at a cost that does not depend on root, and returns
+    _ABS_TOL / 2, at a cost that does not depend on root, and returns
     that bound plus the rounding of the terms, which are summed exactly by
     math.fsum.  The remainder table and the terms of every root are one
-    array expression.  Where no P reaches abs_tol / 2, the Gauss rule on the
+    array expression.  Where no P reaches _ABS_TOL / 2, the Gauss rule on the
     wave's pieces up to _Z_MAX serves instead (_pieces_weighted), within
     its node budget; so does it, root by root, where the series' rounding,
-    which grows with jump, takes its bound past abs_tol and the rule fits.
+    which grows with jump, takes its bound past _ABS_TOL and the rule fits.
     """
     mean, jump, _at, (w0, w_err) = _wave_primitives(expr.wave)
     coeffs, log_norms, _sups = _gauss_derivatives(k)
@@ -1747,7 +1751,7 @@ def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, roots, spec: Quadrat
     # a count P on the threshold would move
     log_root = np.array([math.log(root) for root in roots.tolist()])
     log_rem = (log_norms + math.log(jump)) - _IBP_ORDERS * log_root[:, None]
-    fits = log_rem <= _log_quotient(spec.abs_tol, 2.0)
+    fits = log_rem <= _log_quotient(_ABS_TOL, 2.0)
     series = fits.any(axis=1)
     counts = np.where(series, fits.argmax(axis=1) + 1, 0)
     # powers only for the series roots: a small root would overflow root^-60
@@ -1764,13 +1768,13 @@ def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, roots, spec: Quadrat
             bounds[i] = math.exp(log_rem[i, p - 1]) + rounding[i]
     near = roots[~series]
     if near.size:
-        pieces = _linear_pieces(expr, _Z_MAX * near.max(), spec.max_panels)
-        values[~series], bounds[~series] = _pieces_weighted(*pieces, k, near, spec)
-    over = [i for i, p in enumerate(counts.tolist()) if p and bounds[i] > spec.abs_tol]
+        pieces = _linear_pieces(expr, _Z_MAX * near.max())
+        values[~series], bounds[~series] = _pieces_weighted(*pieces, k, near)
+    over = [i for i, p in enumerate(counts.tolist()) if p and bounds[i] > _ABS_TOL]
     for i in over:
         with suppress(ConvergenceError):  # beyond the budget the series stays
-            pieces = _linear_pieces(expr, _Z_MAX * roots[i], spec.max_panels)
-            values[i:i + 1], bounds[i:i + 1] = _pieces_weighted(*pieces, k, roots[i:i + 1], spec)
+            pieces = _linear_pieces(expr, _Z_MAX * roots[i])
+            values[i:i + 1], bounds[i:i + 1] = _pieces_weighted(*pieces, k, roots[i:i + 1])
     return values, bounds
 
 
@@ -1802,7 +1806,7 @@ def _wave_radial_integral(expr: PeriodicZeroMean, n: int, taus: np.ndarray):
                    + (n + 3) * _EPS * (np.abs(terms).sum(axis=1) + abs(mean / n)))
     if not far.all():
         near = taus[~far]
-        pieces, sup, _steep = _linear_pieces(expr, near.max(), QuadratureSpec.max_panels)
+        pieces, sup, _steep = _linear_pieces(expr, near.max())
         values[~far], bounds[~far] = _pieces_radial(pieces, sup, n, near)
     return values, bounds
 
@@ -1882,30 +1886,33 @@ def sup_abs_phi(expr: InitialDataExpr) -> float:
 # Band witnesses: tau values where phi provably comes within o(1) of its band
 
 
-def band_witnesses(expr: InitialDataExpr, tau_lo: float = 1e3,
-                   tau_hi: float = 1e12) -> tuple[np.ndarray, np.ndarray]:
+# The tau window of the witnesses, where every leaf rule looks for them first
+_WITNESS_WINDOW = (1e3, 1e12)
+
+
+def band_witnesses(expr: InitialDataExpr) -> tuple[np.ndarray, np.ndarray]:
     """(tau values approaching liminf, tau values approaching limsup).
 
-    These are the analytic extremizer locations: exact phase solutions for
-    the slow terms, plateau centers for periodic waves (aligned inside the
-    slow term's long extremal stretches when both occur), bump centers and
-    gap midpoints for trains.  Values are clipped to representable range.
+    These are the analytic extremizer locations, inside _WITNESS_WINDOW
+    where it holds any: exact phase solutions for the slow terms, plateau
+    centers for periodic waves (aligned inside the slow term's long extremal
+    stretches when both occur), bump centers and gap midpoints for trains.
+    Values are clipped to representable range.
     """
     split = _split_leaves(expr)
     if len(split.signed) == 1:
-        lo_w, hi_w = _signed_witnesses(*split.signed[0], tau_lo, tau_hi)
+        lo_w, hi_w = _signed_witnesses(*split.signed[0])
     else:
         # a sum: the witnesses of its slow content, each shifted onto the
         # extremal plateau of every wave, plus the centers of every bump train
         slows = split.analytic + split.kinked
         if len(slows) > 1:
             (_l, _h), (a_lo, a_hi) = _commensurate_profile(slows).extrema_with_args()
-            lo_w = _phase_taus(1.0, a_lo, tau_lo, tau_hi)
-            hi_w = _phase_taus(1.0, a_hi, tau_lo, tau_hi)
+            lo_w, hi_w = _phase_taus(1.0, a_lo), _phase_taus(1.0, a_hi)
         elif slows:
-            lo_w, hi_w = _signed_witnesses(*slows[0], tau_lo, tau_hi)
+            lo_w, hi_w = _signed_witnesses(*slows[0])
         else:
-            lo_w = hi_w = np.asarray([0.5 * (tau_lo + tau_hi)])
+            lo_w = hi_w = np.asarray([0.5 * (_WITNESS_WINDOW[0] + _WITNESS_WINDOW[1])])
         lo_w, hi_w = np.asarray(lo_w, dtype=float), np.asarray(hi_w, dtype=float)
         for sign, leaf in split.waves:
             # the slow phase is frozen over a shift of at most 2 pi in tau
@@ -1927,17 +1934,18 @@ def band_witnesses(expr: InitialDataExpr, tau_lo: float = 1e3,
     return lo, hi
 
 
-def _signed_witnesses(sign, leaf, tau_lo, tau_hi):
-    lo_w, hi_w = leaf.witnesses(tau_lo, tau_hi)
+def _signed_witnesses(sign, leaf):
+    lo_w, hi_w = leaf.witnesses()
     return (lo_w, hi_w) if sign > 0 else (hi_w, lo_w)
 
 
-def _phase_taus(m, phase, tau_lo, tau_hi):
-    """tau = exp((phase + 2 k pi)/m) - 1 inside [tau_lo, tau_hi], or if none
-    lies there (m < 0.304 for [1e3, 1e12]) the nearest on m log(tau + 1): the
-    last below if its tau >= 0, else the first above."""
+def _phase_taus(m, phase):
+    """tau = exp((phase + 2 k pi)/m) - 1 inside [tau_lo, tau_hi] =
+    _WITNESS_WINDOW, or if none lies there (m < 0.304) the nearest on
+    m log(tau + 1): the last below if its tau >= 0, else the first above."""
+    tau_lo, tau_hi = _WITNESS_WINDOW
     x_lo = math.log1p(tau_lo) * m
-    x_hi = math.log1p(min(tau_hi, _FLOAT_MAX / 4)) * m
+    x_hi = math.log1p(tau_hi) * m
     k_lo = math.ceil((x_lo - phase) / TWO_PI)
     k_hi = math.floor((x_hi - phase) / TWO_PI)
     if k_lo > k_hi:  # k_hi is the last below, k_lo = k_hi + 1 the first above

@@ -348,6 +348,7 @@ def balanced_ramp_width(v_max: float, v_min: float) -> float:
     w <= 2 pi v_max / (3 v_max - v_min).  Half the tighter bound keeps both
     strictly positive.
     """
+    check_finite(v_max=v_max, v_min=v_min)
     if not (v_max > 0 > v_min):
         raise DomainError(f"need v_max > 0 > v_min, got ({v_max}, {v_min})")
     w_plus = TWO_PI * (-v_min) / (v_max - 3.0 * v_min)

@@ -1,6 +1,7 @@
-"""Adaptive quadrature for plain callables, and exact Gaussian moments.
+"""Adaptive quadrature for plain callables, exact Gaussian moments, and the
+package's one u(0, t) tolerance and one node budget.
 
-  integrate_weighted(f, k, spec)        ~  int_0^inf exp(-z^2) z^k f(z) dz
+  integrate_weighted(f, k)        ~  int_0^inf exp(-z^2) z^k f(z) dz
 
 serves the plain callables of u_origin and the off-centre probe; every
 expression leaf of the package integrates by a fixed rule with an a-priori
@@ -9,6 +10,13 @@ panels per period) and integrate_interval run the same batched adaptive
 Simpson core with per-panel Richardson error estimates but have no caller
 in the package.  The semi-infinite tail beyond _Z_MAX is bounded
 analytically, never sampled.
+
+_ABS_TOL sizes the fixed rules of the expression leaves (the log-axis
+trapezoid sum, the split Gauss sum and the wave's integration-by-parts
+series); _MAX_NODES is the one node budget of every fixed rule, which
+refuses with ConvergenceError, before it lays any, more nodes at a point.
+The adaptive engine of plain callables reads _REL_TOL, _ABS_TOL and
+_MAX_NODES as its panel budget.
 """
 
 from __future__ import annotations
@@ -20,10 +28,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, _finite, check_finite, check_integer
+from .errors import ConvergenceError, DomainError, _finite, check_finite
 
 __all__ = [
-    "QuadratureSpec",
     "IntegralResult",
     "integrate_weighted",
     "integrate_log_oscillatory",
@@ -59,35 +66,11 @@ _LEFT_EDGE = 1e-300
 # amplitude exp((k+1) x) is at most e^{-40} there for every power k >= 0.
 _LOG_LEFT_EDGE = -40.0
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Error targets and node budget of the u(0, t) integrals.
-
-    abs_tol sizes the fixed rules of the expression leaves (the log-axis
-    trapezoid sum, the split Gauss sum and the wave's integration-by-parts
-    series).  max_panels is the one node budget of every fixed rule: one
-    that would lay more nodes at a point raises ConvergenceError before it
-    lays any (numeric_H, which takes no spec, reads the default).  Where the
-    wave's series reaches abs_tol / 2, from a root of about 15 to 30 on,
-    max_panels does not enter.  The adaptive engine of plain callables reads
-    rel_tol, abs_tol and max_panels as its panel budget.  Every u(0, t)
-    integral is cut at z = _Z_MAX.
-    """
-
-    rel_tol: float = 1e-11
-    abs_tol: float = 1e-13
-    max_panels: int = 200_000
-
-    def __post_init__(self):
-        check_finite(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
-        if not self.rel_tol > 0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if not self.abs_tol > 0:
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        check_integer(max_panels=self.max_panels)
-        if self.max_panels < 16:
-            raise DomainError(f"max_panels must be at least 16, got {self.max_panels}")
+# Error targets of the u(0, t) integrals, which verify's report records, and
+# the node budget of every fixed rule and of the adaptive engine's panels
+_REL_TOL = 1e-11
+_ABS_TOL = 1e-13
+_MAX_NODES = 200_000
 
 
 @dataclass(frozen=True)
@@ -228,7 +211,7 @@ def _adaptive_simpson(f: Callable, a: float, b: float, *, rel_tol: float,
     return value, err_total, counter
 
 
-def integrate_weighted(f: Callable, k: int, spec: QuadratureSpec | None = None) -> IntegralResult:
+def integrate_weighted(f: Callable, k: int) -> IntegralResult:
     """Integrate exp(-z^2) z^k f(z) over (0, inf).
 
     f must be bounded on (0, _Z_MAX] and is called with numpy arrays of
@@ -239,32 +222,27 @@ def integrate_weighted(f: Callable, k: int, spec: QuadratureSpec | None = None) 
     f may oscillate only where the weight damps it; integrands oscillating
     without bound as z -> 0+ at k = 0 belong on the log axis instead.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise DomainError(f"weight power k must be a nonnegative integer, got {k!r}")
 
     value, err, counter = _adaptive_simpson(
-        f, _LEFT_EDGE, _Z_MAX, rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
-        max_panels=spec.max_panels, weight=lambda z: np.exp(-z * z) * z ** k)
+        f, _LEFT_EDGE, _Z_MAX, rel_tol=_REL_TOL, abs_tol=_ABS_TOL,
+        max_panels=_MAX_NODES, weight=lambda z: np.exp(-z * z) * z ** k)
     tail = counter.f_max * gaussian_power_tail(k, _Z_MAX)
     left_edge = counter.f_max * _LEFT_EDGE ** (k + 1) / (k + 1)
     return IntegralResult(value, err + tail + left_edge, counter.n)
 
 
-def integrate_log_oscillatory(F: Callable, m: float, trig,
-                              spec: QuadratureSpec | None = None) -> IntegralResult:
+def integrate_log_oscillatory(F: Callable, m: float, trig) -> IntegralResult:
     """Integrate F(x) trig(m x) over [_LOG_LEFT_EDGE, log _Z_MAX] on the log axis.
 
     This is the substitution x = log z applied to a weighted oscillatory
     integral: the infinitely many oscillations of trig(m log z) near z = 0
     become the uniform frequency m in x, and panels are capped at 1/8 of the
     period 2 pi / m.  F must decay fast enough that both tails beyond the
-    window are below abs_tol (true for the kernel amplitudes, which die like
+    window are below _ABS_TOL (true for the kernel amplitudes, which die like
     exp((power+1) x) on the left and exp(-e^{2x}) on the right).
     """
-    if spec is None:
-        spec = QuadratureSpec()
     check_finite(m=m)
     if not m > 0:
         raise DomainError(f"oscillation frequency m must be positive, got {m!r}")
@@ -276,10 +254,10 @@ def integrate_log_oscillatory(F: Callable, m: float, trig,
     trig_fn = _normalize_trig(trig)
     cap = (2.0 * math.pi / m) / PANELS_PER_PERIOD
     value, err, counter = _adaptive_simpson(
-        F, _LOG_LEFT_EDGE, math.log(_Z_MAX), rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
-        max_panels=spec.max_panels, max_width=cap, weight=lambda x: trig_fn(m * x))
-    # the precondition grants that both unseen tails are below abs_tol
-    return IntegralResult(value, err + spec.abs_tol, counter.n)
+        F, _LOG_LEFT_EDGE, math.log(_Z_MAX), rel_tol=_REL_TOL, abs_tol=_ABS_TOL,
+        max_panels=_MAX_NODES, max_width=cap, weight=lambda x: trig_fn(m * x))
+    # the precondition grants that both unseen tails are below _ABS_TOL
+    return IntegralResult(value, err + _ABS_TOL, counter.n)
 
 
 def _normalize_trig(trig):

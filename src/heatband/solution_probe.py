@@ -47,7 +47,7 @@ from .prescriber import (
     cert_to_json,
     envelope_u,
 )
-from .quadrature import QuadratureSpec, _Z_MAX, integrate_weighted
+from .quadrature import _ABS_TOL, _REL_TOL, _Z_MAX, integrate_weighted
 
 __all__ = [
     "OscillationBand",
@@ -63,10 +63,6 @@ __all__ = [
 ]
 
 REPORT_SCHEMA_ID = "report/1"
-
-# the spec of calls that pass none: frozen, so one instance serves them all,
-# and each u_origin call skips validating a fresh one
-_DEFAULT_SPEC = QuadratureSpec()
 
 # Times of verify's envelope gaps, where every envelope holds (doubly-log: t > 0.25)
 _GAP_TIMES = (1e2, 1e4, 1e8, 1e16)
@@ -138,7 +134,7 @@ class VerificationReport:
 # Solution values
 
 
-def u_origin(expr, n: int, t, spec: QuadratureSpec | None = None):
+def u_origin(expr, n: int, t):
     """u(0, t) = (n omega_n / pi^{n/2}) int_0^inf e^{-z^2} z^{n-1} phi(sqrt(4t) z) dz.
 
     t is a time (giving a float) or an array of times (giving an array of
@@ -149,30 +145,27 @@ def u_origin(expr, n: int, t, spec: QuadratureSpec | None = None):
     an integration-by-parts series in 1/sqrt(4t), whose cost does not grow
     with t, bump trains and waves at small t a Gauss rule on each piece.
     """
-    return _u_at_origin(expr, n, t, spec, KernelFlavor.DATA)
+    return _u_at_origin(expr, n, t, KernelFlavor.DATA)
 
 
-def u_origin_from_H(h_expr, n: int, t, spec: QuadratureSpec | None = None):
+def u_origin_from_H(h_expr, n: int, t):
     """u(0, t) = (2 omega_n / pi^{n/2}) int_0^inf e^{-z^2} z^{n+1} H(sqrt(4t) z) dz.
 
     The dual route to u_origin: it consumes the ball average instead of the
     data and must agree with u_origin(phi_from_H(H, n), n, t) within the
     combined quadrature tolerances.  t is a time or an array, as for u_origin.
     """
-    return _u_at_origin(h_expr, n, t, spec, KernelFlavor.AVERAGE)
+    return _u_at_origin(h_expr, n, t, KernelFlavor.AVERAGE)
 
 
-def _u_at_origin(expr, n, t, spec, flavor: KernelFlavor):
+def _u_at_origin(expr, n, t, flavor: KernelFlavor):
     coeff = flavor.coefficient(n)  # checks n
     ts, shape = _points(t, check_time)
-    if spec is None:
-        spec = _DEFAULT_SPEC
-    values = coeff * _weighted_value(expr, flavor.power(n), np.sqrt(4.0 * ts), spec)[0]
+    values = coeff * _weighted_value(expr, flavor.power(n), np.sqrt(4.0 * ts))[0]
     return float(values[0]) if shape is None else values.reshape(shape)
 
 
-def u_offcenter_1d(expr, x: float, t: float,
-                   spec: QuadratureSpec | None = None) -> float:
+def u_offcenter_1d(expr, x: float, t: float) -> float:
     """u(x, t) in dimension one: convolution of phi(|.|) with the heat kernel.
 
     Splits the two-sided integral into the two half-lines,
@@ -180,8 +173,6 @@ def u_offcenter_1d(expr, x: float, t: float,
     with s = sqrt(4t).  Intended for slow (log-scale) data; fast periodic
     content would need the wave route that u_origin applies.
     """
-    if spec is None:
-        spec = _DEFAULT_SPEC
     check_time(t)
     check_finite(x=x)
     root = math.sqrt(4.0 * t)
@@ -198,8 +189,8 @@ def u_offcenter_1d(expr, x: float, t: float,
         raise DomainError(
             f"expr must be an InitialDataExpr or a callable, got {type(expr).__name__}")
 
-    plus = integrate_weighted(lambda z: f(np.abs(x + root * z)), 0, spec)
-    minus = integrate_weighted(lambda z: f(np.abs(x - root * z)), 0, spec)
+    plus = integrate_weighted(lambda z: f(np.abs(x + root * z)), 0)
+    minus = integrate_weighted(lambda z: f(np.abs(x - root * z)), 0)
     return (plus.value + minus.value) / math.sqrt(math.pi)
 
 
@@ -360,7 +351,7 @@ class _OriginSweep:
     def on_log_grid(self, x0: float, x1: float, count: int) -> np.ndarray:
         flavor = KernelFlavor.DATA
         return flavor.coefficient(self.n) * _weighted_value(
-            self.expr, flavor.power(self.n), None, _DEFAULT_SPEC, log_grid=(x0, x1, count))[0]
+            self.expr, flavor.power(self.n), None, log_grid=(x0, x1, count))[0]
 
 
 def _slow_content(expr) -> tuple[float | None, bool]:
@@ -416,7 +407,8 @@ def _measure_H_band(expr, n: int, slow_m: float | None, loglog: bool) -> Oscilla
         taus = _slow_taus(slow_m)
     else:
         taus = np.geomspace(1e4, 1e8, 129)  # content averages to a constant
-    return _measured_band(taus, numeric_H(expr, n, taus, tol=_DEFAULT_SPEC.abs_tol * 1e6))
+    # _ABS_TOL * 1e6, 1.0000000000000001e-07, keys the cached H layout; 1e-7 is another double
+    return _measured_band(taus, numeric_H(expr, n, taus, tol=_ABS_TOL * 1e6))
 
 
 def verify_certificate(cert: PrescriptionCertificate,
@@ -430,8 +422,8 @@ def verify_certificate(cert: PrescriptionCertificate,
     its periods.  Certificates with doubly-log content get a partial u band
     (the sweep cannot cover 3 periods in double precision) plus the envelope
     gaps at _GAP_TIMES as the convergence signal; a note says when there is
-    no envelope formula (bumps alone).  The quadrature is the default
-    QuadratureSpec, whose tolerances the report records.
+    no envelope formula (bumps alone).  The report records the tolerances
+    of the u(0, t) integrals, quadrature's _REL_TOL and _ABS_TOL.
     """
     n = cert.target.n
     check_finite(tol_band=tol_band)
@@ -509,8 +501,8 @@ def verify_certificate(cert: PrescriptionCertificate,
         u_partial=u_partial,
         envelope_gaps=None if gaps is None else tuple(gaps),
         notes=tuple(notes),
-        quad_rel_tol=_DEFAULT_SPEC.rel_tol,
-        quad_abs_tol=_DEFAULT_SPEC.abs_tol,
+        quad_rel_tol=_REL_TOL,
+        quad_abs_tol=_ABS_TOL,
     )
 
 

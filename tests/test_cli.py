@@ -11,6 +11,7 @@ import copy
 import importlib
 import json
 import math
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -316,8 +317,8 @@ class TestVerify:
 
     def test_bump_train_past_the_node_budget_exits_three(self, tmp_path, capsys):
         # a hand-written data-sparse-bumps certificate whose 355,246 centres
-        # lie 0.2 % apart: the far points of verify need more than
-        # max_panels Gauss nodes (at most 221,264), and it is refused
+        # lie 0.2 % apart: the far points of verify need more Gauss nodes
+        # (at most 221,264) than the budget of 200,000, and it is refused
         cert = tmp_path / "cert.json"
         assert run_cli(["prescribe", "--data", "0", "0", "0", "1", "--n", "2",
                         "--out", str(cert)]) == 0
@@ -326,7 +327,8 @@ class TestVerify:
         cert.write_text(json.dumps(doc, sort_keys=True))
         code = run_cli(["verify", "--cert", str(cert), "--out-dir", str(tmp_path)])
         assert code == 3
-        assert "exceeding max_panels=200000" in capsys.readouterr().err
+        assert re.search(r"needs at least \d+ nodes a point, exceeding the node budget 200000",
+                         capsys.readouterr().err)
 
     def test_convergence_failure_exits_three(self, tmp_path, average_cert_file,
                                              capsys, monkeypatch):

@@ -59,7 +59,7 @@ from heatband.initial_data import (
 )
 from heatband.kernel_moments import KernelFlavor, kernel_moments
 from heatband.prescriber import lemma_not_example, prescribe_data
-from heatband.quadrature import QuadratureSpec, _Z_MAX
+from heatband.quadrature import _Z_MAX
 
 # np.trapezoid is the NumPy 2.0 name of np.trapz; NumPy 2.4 removed np.trapz.
 trapezoid_rule = getattr(np, "trapezoid", None) or np.trapz
@@ -217,7 +217,7 @@ class TestTrapezoidWave:
         bp, kv = np.asarray(wave.breakpoints), np.asarray(wave.knot_values)
         block = np.array([bp[:-1], np.diff(bp), kv[:-1], np.diff(kv)])[:, np.diff(bp) > 0]
         pieces = _linear_pieces(PeriodicZeroMean(wave.v_max, wave.v_min, wave.ramp_width),
-                                30.0, QuadratureSpec.max_panels)[0]
+                                30.0)[0]
         want = np.concatenate([block + [[TWO_PI * q], [0.0], [0.0], [0.0]] for q in range(5)],
                               axis=1)
         assert np.array_equal(pieces, want)
@@ -399,6 +399,18 @@ class TestEvalPhi:
     def test_unrepresentable_points_at_band_api(self, bad):
         with pytest.raises(RangeError, match="analytic_band_phi"):
             eval_phi(LogSine(1.0, 1.0), bad)
+
+    @pytest.mark.parametrize("bad", ["2", True, [True, False], None, 1j, np.array([1.0 + 0j])])
+    def test_rejects_points_that_are_not_reals(self, bad):
+        # numeric_H refuses the same points (errors._points); none may be
+        # read as a number, nor end in a RangeError or a bare TypeError
+        with pytest.raises(DomainError, match="tau must be a real"):
+            eval_phi(LogSine(1.0, 1.0), bad)
+
+    def test_integer_points_are_reals(self):
+        expr = LogSine(1.0, 1.0)
+        assert eval_phi(expr, 2) == eval_phi(expr, 2.0)
+        assert np.array_equal(eval_phi(expr, np.array([0, 3])), eval_phi(expr, np.array([0.0, 3.0])))
 
     def test_log_sine_peak_value(self):
         m = 2.5
@@ -800,7 +812,7 @@ class TestLogGaussAverage:
         # arithmetic, so their layouts (D, P, bound) keep every bit they had
         # before the kinked leaves shared the search
         n, mass, omega, tol = args
-        depth, panels, bound = _log_gauss_panels(n, mass, omega, tol, QuadratureSpec.max_panels)
+        depth, panels, bound = _log_gauss_panels(n, mass, omega, tol)
         assert (depth.hex(), panels, bound.hex()) == layout
 
     def test_kinked_layouts_search_their_strip(self):
@@ -808,9 +820,9 @@ class TestLogGaussAverage:
         # and in u (k = 0: mass and steep times z_max, tol abs_tol / 2, reach
         # pi/4); the fixed strip pi/8 took 39 and 163 panels
         leaves = _split_leaves(PeriodicOfLog(TrapezoidWave(1.0, -0.5, 0.4)))
-        sup, steep, budget = leaves.kink_sup, leaves.kink_steep, QuadratureSpec.max_panels
-        assert _log_gauss_panels(1, sup, 0.0, 1e-8, budget, steep)[1] <= 14
-        assert _log_gauss_panels(1, _Z_MAX * sup, 0.0, 0.5e-13, budget, _Z_MAX * steep,
+        sup, steep = leaves.kink_sup, leaves.kink_steep
+        assert _log_gauss_panels(1, sup, 0.0, 1e-8, steep)[1] <= 14
+        assert _log_gauss_panels(1, _Z_MAX * sup, 0.0, 0.5e-13, _Z_MAX * steep,
                                  0.25 * math.pi)[1] <= 90
 
 
@@ -916,7 +928,7 @@ def mp_bump_radial(train: BumpTrain, tau: float) -> list[float]:
 
 def bump_radial(train: BumpTrain, n: int, tau: float) -> tuple[float, float]:
     """(value, bound) of the piece route for the bumps of train at one radius."""
-    pieces, sup, _steep = _linear_pieces(train, tau, QuadratureSpec.max_panels)
+    pieces, sup, _steep = _linear_pieces(train, tau)
     values, bounds = _pieces_radial(pieces, sup, n, np.array([tau]))
     return float(values[0]), float(bounds[0])
 
@@ -1097,9 +1109,9 @@ class TestLimitU:
         assert leaf.band() == (offset - amplitude, offset + amplitude)
         assert leaf.sup_abs() == abs(offset) + amplitude
         assert leaf.strip_bound() == (amplitude + abs(offset), m)
-        lo_w, hi_w = leaf.witnesses(1e3, 1e12)
-        assert np.array_equal(lo_w, _phase_taus(m, 1.5 * math.pi, 1e3, 1e12))
-        assert np.array_equal(hi_w, _phase_taus(m, 0.5 * math.pi, 1e3, 1e12))
+        lo_w, hi_w = leaf.witnesses()
+        assert np.array_equal(lo_w, _phase_taus(m, 1.5 * math.pi))
+        assert np.array_equal(hi_w, _phase_taus(m, 0.5 * math.pi))
         for n, y in ((1, 2.0), (3, 11.0)):
             mom = kernel_moments(n, m, KernelFlavor.DATA)
             assert leaf.limit_u(y, n) == amplitude * (
@@ -1143,7 +1155,7 @@ class TestSignedLeaves:
         assert analytic_band_phi(self.NESTED) == (-2.25, 1.75)
 
     def test_nested_wave_still_aligns_the_slow_witnesses(self):
-        lo_w, hi_w = band_witnesses(self.NESTED, 1e6, 1e12)
+        lo_w, hi_w = band_witnesses(self.NESTED)
         # each witness is shifted onto the plateau where the negated wave
         # takes the matching extreme, so phi reaches both band ends there
         lo, hi = analytic_band_phi(self.NESTED)
@@ -1156,6 +1168,8 @@ class TestSignedLeaves:
         lambda: analytic_band_phi(np.cos),
         lambda: band_witnesses(np.cos),
         lambda: sup_abs_phi(np.cos),
+        lambda: closed_H(np.cos, 1),
+        lambda: phi_from_H(np.cos, 1),
     ])
     def test_a_plain_callable_is_refused(self, call):
         with pytest.raises(DomainError, match="InitialDataExpr"):
@@ -1204,8 +1218,8 @@ def test_nested_trees_match_their_flat_signed_form(tree):
     assert _outcome(analytic_band_phi, tree) == _outcome(analytic_band_phi, flat)
     assert sup_abs_phi(tree) == sup_abs_phi(flat)
     assert _split_leaves(tree) == _split_leaves(flat)
-    nested_w = _outcome(band_witnesses, tree, 1e3, 1e12)
-    flat_w = _outcome(band_witnesses, flat, 1e3, 1e12)
+    nested_w = _outcome(band_witnesses, tree)
+    flat_w = _outcome(band_witnesses, flat)
     if isinstance(nested_w, tuple):
         assert all(np.array_equal(a, b) for a, b in zip(nested_w, flat_w))
     else:
@@ -1229,7 +1243,7 @@ class TestBandWitnesses:
     ])
     def test_witnesses_touch_the_band(self, expr):
         lo, hi = analytic_band_phi(expr)
-        lo_w, hi_w = band_witnesses(expr, 1e6, 1e12)
+        lo_w, hi_w = band_witnesses(expr)
         assert lo_w.size > 0 and hi_w.size > 0
         v_lo = eval_phi(expr, lo_w)
         v_hi = eval_phi(expr, hi_w)
@@ -1251,7 +1265,7 @@ class TestBandWitnesses:
             if m >= 0.304:
                 assert inside, phase
             want = inside or [min(xs, key=lambda x: max(x_lo - x, x - x_hi))]
-            got = _phase_taus(m, phase, 1e3, 1e12)
+            got = _phase_taus(m, phase)
             assert got == pytest.approx(np.expm1(np.array(want) / m), rel=1e-12), phase
 
     def test_loglog_witnesses_are_the_known_turning_points(self):

@@ -24,7 +24,6 @@ from heatband.kernel_moments import (
     solve_m,
     unit_ball_volume,
 )
-from heatband.quadrature import QuadratureSpec
 
 REF_A1 = 0.892253317
 REF_B1 = 0.030945895
@@ -60,7 +59,7 @@ class TestNormalization:
         from heatband.quadrature import integrate_weighted
 
         power = flavor.power(n)
-        r = integrate_weighted(lambda z: np.ones_like(z), power, QuadratureSpec())
+        r = integrate_weighted(lambda z: np.ones_like(z), power)
         assert flavor.coefficient(n) * r.value == pytest.approx(1.0, abs=1e-10)
 
     def test_flavor_powers(self):

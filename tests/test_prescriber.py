@@ -416,6 +416,10 @@ class TestBalancedRampWidth:
             balanced_ramp_width(-1.0, -2.0)
         with pytest.raises(DomainError):
             balanced_ramp_width(1.0, 0.0)
+        with pytest.raises(DomainError, match="v_max must be a finite real"):
+            balanced_ramp_width("1", -1.0)
+        with pytest.raises(DomainError, match="v_max must be a finite real"):
+            balanced_ramp_width(math.inf, -1.0)
 
     @given(v_max=st.floats(min_value=1e-3, max_value=1e6),
            v_min=st.floats(min_value=-1e6, max_value=-1e-3))

@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 from heatband.errors import ConvergenceError, DomainError, EvaluationError
 from heatband.quadrature import (
     IntegralResult,
-    QuadratureSpec,
+    _ABS_TOL,
+    _LEFT_EDGE,
     _Z_MAX,
     gaussian_power_tail,
+    integrate_interval,
     integrate_log_oscillatory,
     integrate_weighted,
 )
@@ -87,20 +89,20 @@ class TestWeighted:
         assert repr(exc.value.point) in str(exc.value)
 
     def test_budget_exhaustion_carries_best_value(self):
-        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_panels=16)
+        # integrate_weighted's engine and window, at a budget of its first 16 panels
         with pytest.raises(ConvergenceError) as exc:
-            integrate_weighted(lambda z: np.cos(5 * z) / (1 + z), 0, spec)
+            integrate_interval(lambda z: np.cos(5 * z) / (1 + z) * np.exp(-z * z),
+                               _LEFT_EDGE, _Z_MAX, rel_tol=1e-15, abs_tol=1e-300,
+                               max_panels=16)
         assert exc.value.best_value is not None
         assert math.isfinite(exc.value.best_value)
 
     def test_truncation_soundness(self):
         """Halving the tolerances never moves the value by more than the
-        previous error estimate."""
-        f = lambda z: np.sin(z) / (1 + z * z)
-        loose = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10)
-        tight = QuadratureSpec(rel_tol=5e-9, abs_tol=5e-11)
-        r1 = integrate_weighted(f, 1, loose)
-        r2 = integrate_weighted(f, 1, tight)
+        previous error estimate (integrate_weighted's engine and window, k = 1)."""
+        f = lambda z: np.sin(z) / (1 + z * z) * z * np.exp(-z * z)
+        r1 = integrate_interval(f, _LEFT_EDGE, _Z_MAX, rel_tol=1e-8, abs_tol=1e-10)
+        r2 = integrate_interval(f, _LEFT_EDGE, _Z_MAX, rel_tol=5e-9, abs_tol=5e-11)
         assert abs(r1.value - r2.value) <= r1.abs_error_est
 
     @given(a=st.floats(-5, 5, allow_nan=False), b=st.floats(-5, 5, allow_nan=False))
@@ -122,12 +124,12 @@ class TestLogOscillatory:
 
     def test_riemann_lebesgue_at_m200(self):
         F = lambda x: np.exp(-np.exp(2.0 * x) + 3.0 * x)
-        r = integrate_log_oscillatory(F, 200.0, "cos", QuadratureSpec())
+        r = integrate_log_oscillatory(F, 200.0, "cos")
         assert abs(r.value) < 1e-3
 
     def test_change_of_variables_m1(self):
         F = lambda x: np.exp(-np.exp(2.0 * x) + 3.0 * x)
-        r_log = integrate_log_oscillatory(F, 1.0, "cos", QuadratureSpec())
+        r_log = integrate_log_oscillatory(F, 1.0, "cos")
         r_z = integrate_weighted(lambda z: np.cos(np.log(z)), 2)
         assert abs(r_log.value - r_z.value) <= r_log.abs_error_est + r_z.abs_error_est
 
@@ -138,7 +140,7 @@ class TestLogOscillatory:
         """Both quadrature routes to the same kernel moment agree."""
         power = n + 1
         F = lambda x: np.exp(-np.exp(2.0 * x) + (power + 1) * x)
-        r_log = integrate_log_oscillatory(F, m, trig, QuadratureSpec())
+        r_log = integrate_log_oscillatory(F, m, trig)
         tr = np.cos if trig == "cos" else np.sin
         r_z = integrate_weighted(lambda z: tr(m * np.log(z)), power)
         assert abs(r_log.value - r_z.value) <= r_log.abs_error_est + r_z.abs_error_est
@@ -146,7 +148,7 @@ class TestLogOscillatory:
     @pytest.mark.parametrize("m", [0.7, 3.0])
     def test_against_dense_oracle(self, m):
         F = lambda x: np.exp(-np.exp(2.0 * x) + 4.0 * x)
-        r = integrate_log_oscillatory(F, m, "sin", QuadratureSpec())
+        r = integrate_log_oscillatory(F, m, "sin")
         oracle = log_axis_trapezoid_oracle(3, m, "sin", x_lo=-10.0)
         assert r.value == pytest.approx(oracle, abs=1e-8)
 
@@ -175,22 +177,9 @@ class TestLogOscillatory:
 
 
 class TestSpecValidation:
-    @pytest.mark.parametrize("kwargs", [
-        {"rel_tol": 0.0},
-        {"abs_tol": -1e-10},
-        {"max_panels": 15},
-        {"abs_tol": True},
-        {"max_panels": 1e300},
-        {"max_panels": 16.5},
-    ])
-    def test_invalid_spec_fields(self, kwargs):
-        with pytest.raises(DomainError):
-            QuadratureSpec(**kwargs)
-
     def test_z_max_keeps_weight_below_abs_tol(self):
-        spec = QuadratureSpec()
         for k in range(0, 13):
-            assert math.exp(-_Z_MAX**2) * _Z_MAX**k <= spec.abs_tol
+            assert math.exp(-_Z_MAX**2) * _Z_MAX**k <= _ABS_TOL
 
 
 class TestGaussianPowerTail:

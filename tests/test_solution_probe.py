@@ -62,12 +62,36 @@ from heatband.initial_data import (
 from heatband.prescriber import balanced_ramp_width
 from heatband.quadrature import (
     GL_WEIGHTS,
-    QuadratureSpec,
+    _ABS_TOL,
+    _REL_TOL,
     _Z_MAX,
     gaussian_power_tail,
     integrate_weighted,
 )
 from heatband.solution_probe import REPORT_SCHEMA_ID
+
+
+@pytest.fixture
+def quad_constants(monkeypatch):
+    """Sets quadrature's _ABS_TOL or _MAX_NODES in every module that reads
+    it, with the cached layouts cleared before and after, so that a rule
+    can be checked at another tolerance or node budget."""
+    from heatband import initial_data, quadrature, solution_probe
+
+    caches = (initial_data._log_trapezoid_rule, initial_data._log_gauss_panels,
+              initial_data._log_gauss_rule)
+
+    def set_constants(**values):
+        for cache in caches:
+            cache.cache_clear()
+        for name, value in values.items():
+            for module in (quadrature, initial_data, solution_probe):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, value)
+
+    yield set_constants
+    for cache in caches:
+        cache.cache_clear()
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -212,9 +236,9 @@ class TestOscillationBand:
 # Exact wave route
 
 
-def wave_at_root(wave, k, root, spec=QuadratureSpec()):
+def wave_at_root(wave, k, root):
     """(value, bound) of the wave route at one root."""
-    values, bounds = _wave_weighted_integral(wave, k, np.array([root]), spec)
+    values, bounds = _wave_weighted_integral(wave, k, np.array([root]))
     return float(values[0]), float(bounds[0])
 
 
@@ -222,10 +246,9 @@ class TestWaveWeightedIntegral:
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("root", [2.0, 20.0])
     def test_agrees_with_adaptive_quadrature(self, k, root):
-        spec = QuadratureSpec()
-        exact, err = wave_at_root(STANDARD_WAVE, k, root, spec)
+        exact, err = wave_at_root(STANDARD_WAVE, k, root)
         adaptive = integrate_weighted(
-            lambda z: eval_phi(STANDARD_WAVE, root * z), k, spec).value
+            lambda z: eval_phi(STANDARD_WAVE, root * z), k).value
         assert exact == pytest.approx(adaptive, abs=1e-10)
         assert err >= 0
 
@@ -264,19 +287,18 @@ class TestWaveWeightedIntegral:
         # |error| <= bound <= abs_tol; at k = 11 the piecewise route, which
         # serves root <= 20 there, rounds terms of total size near
         # M_11 = 60, and its honest bound reaches about 5e-13
-        abs_tol = QuadratureSpec().abs_tol
         reference = mp_wave_weighted(wave, root)
         for k in WAVE_POWERS:
             value, bound = wave_at_root(wave, k, root)
             assert abs(value - float(reference[k])) <= bound, (k, value, bound)
-            assert bound <= (abs_tol if k < 11 or root > 20.0 else 1e-12), (k, bound)
+            assert bound <= (_ABS_TOL if k < 11 or root > 20.0 else 1e-12), (k, bound)
 
     def test_cancellation_at_root_200_is_inside_the_bound(self):
         # the segment sums of the old route erred here by 5.1e-13 while
         # returning a bound of about 1e-62
         value, bound = wave_at_root(STANDARD_WAVE, 4, 200.0)
         error = abs(value - float(mp_wave_weighted(STANDARD_WAVE, 200.0)[4]))
-        assert error <= bound <= QuadratureSpec().abs_tol
+        assert error <= bound <= _ABS_TOL
 
     @pytest.mark.parametrize("t", [1e2, 1e4, 1e6, 1e8, 1e10])
     def test_wave_plus_constant_wave_in_dimension_three(self, t):
@@ -286,7 +308,7 @@ class TestWaveWeightedIntegral:
         root = math.sqrt(4.0 * t)
         value, bound = wave_at_root(wave, 2, root)
         assert abs(value - float(mp_wave_weighted(wave, root)[2])) <= bound
-        assert bound <= QuadratureSpec().abs_tol
+        assert bound <= _ABS_TOL
 
     def test_mpmath_references_agree(self):
         # the piecewise and the series reference, independent of each other
@@ -323,13 +345,13 @@ class TestWaveWeightedIntegral:
         wave = PeriodicZeroMean(50.0, -0.05, balanced_ramp_width(50.0, -0.05))
         value, bound = wave_at_root(wave, 0, root)
         assert abs(value - float(mp_wave_weighted(wave, root)[0])) <= bound
-        assert (bound <= QuadratureSpec().abs_tol) == (root < 1e3)
+        assert (bound <= _ABS_TOL) == (root < 1e3)
 
-    def test_too_fine_tolerance_raises_instead_of_allocating(self):
-        spec = QuadratureSpec(abs_tol=1e-300)
-        assert wave_at_root(STANDARD_WAVE, 0, 2.0, spec)[1] > spec.abs_tol
+    def test_too_fine_tolerance_raises_instead_of_allocating(self, quad_constants):
+        quad_constants(_ABS_TOL=1e-300)
+        assert wave_at_root(STANDARD_WAVE, 0, 2.0)[1] > 1e-300
         with pytest.raises(ConvergenceError):
-            u_origin(STANDARD_WAVE, 1, 1e8, spec)
+            u_origin(STANDARD_WAVE, 1, 1e8)
 
 
 def mp_bump_weighted(train, k: int, root: float):
@@ -355,10 +377,10 @@ def mp_bump_weighted(train, k: int, root: float):
         return total
 
 
-def bump_at_root(train, k: int, root: float, spec=QuadratureSpec()) -> tuple[float, float]:
+def bump_at_root(train, k: int, root: float) -> tuple[float, float]:
     """(value, bound) of the piece route for the bumps of train at one root."""
-    pieces = _linear_pieces(train, _Z_MAX * root, spec.max_panels)
-    values, bounds = _pieces_weighted(*pieces, k, np.array([root]), spec)
+    pieces = _linear_pieces(train, _Z_MAX * root)
+    values, bounds = _pieces_weighted(*pieces, k, np.array([root]))
     return float(values[0]), float(bounds[0])
 
 
@@ -374,24 +396,22 @@ class TestBumpWeightedIntegral:
         # cover the 2.8e-17 that the rule's rounding errs by there; the wide
         # bump reaches below tau = 0, and its bound must not grow with
         # half_width / root while its error does not
-        abs_tol = QuadratureSpec().abs_tol
         for k in (0, 1, 2):
             value, bound = bump_at_root(train, k, root)
             error = abs(value - float(mp_bump_weighted(train, k, root)))
-            assert error <= bound <= abs_tol, (k, error, bound)
+            assert error <= bound <= _ABS_TOL, (k, error, bound)
 
     @pytest.mark.parametrize("k", [0, 2])
     @pytest.mark.parametrize("root", [2.0, 50.0])
     def test_agrees_with_adaptive_quadrature(self, k, root):
-        spec = QuadratureSpec()
-        exact, err = (float(a[0]) for a in _weighted_value(self.BUMPS, k, np.array([root]), spec))
+        exact, err = (float(a[0]) for a in _weighted_value(self.BUMPS, k, np.array([root])))
         adaptive = integrate_weighted(
-            lambda z: eval_phi(self.BUMPS, root * z), k, spec).value
+            lambda z: eval_phi(self.BUMPS, root * z), k).value
         assert exact == pytest.approx(adaptive, abs=1e-12)
         assert err >= 0
 
     def test_window_below_first_center_gives_baseline_only(self):
-        exact = float(_weighted_value(self.BUMPS, 0, np.array([0.1]), QuadratureSpec())[0][0])
+        exact = float(_weighted_value(self.BUMPS, 0, np.array([0.1]))[0][0])
         assert exact == pytest.approx(0.2 * gaussian_power_tail(0, 0.0), rel=1e-12)
 
     def test_downward_bumps_lower_the_integral(self):
@@ -411,10 +431,9 @@ class TestPieceRule:
     def test_bound_covers_steep_pieces(self, leaf, root):
         # steep pieces at small roots, where the rule's remainder
         # c z_cut H^16 (sup S_16 + 16 steep root S_15) is largest
-        spec = QuadratureSpec()
-        pieces = _linear_pieces(leaf, _Z_MAX * root, spec.max_panels)
+        pieces = _linear_pieces(leaf, _Z_MAX * root)
         for k in (0, 2, 11):
-            values, bounds = _pieces_weighted(*pieces, k, np.array([root]), spec)
+            values, bounds = _pieces_weighted(*pieces, k, np.array([root]))
             want = (mp_wave_weighted(leaf, root)[k] if isinstance(leaf, PeriodicZeroMean)
                     else mp_bump_weighted(leaf, k, root))
             assert abs(values[0] - float(want)) <= bounds[0], k
@@ -686,26 +705,24 @@ class TestLogAxisRoute:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("t", [1e-2, 1.0, 1e4, 1e12, 1e30])
     def test_agrees_with_adaptive_route(self, n, t):
-        spec = QuadratureSpec()
         root = math.sqrt(4.0 * t)
         for route, (k, coeff) in u_coefficients(n).items():
             for label, expr, _, _ in log_analytic_cases(n):
                 adaptive = coeff * integrate_weighted(
-                    lambda z: eval_phi(expr, root * z), k, spec).value
+                    lambda z: eval_phi(expr, root * z), k).value
                 assert route(expr, n, t) == pytest.approx(adaptive, abs=1e-10), label
 
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_error_bound_covers_mpmath(self, k):
         expr = LogSineAvgPreimage(0.6, 2.3, -0.1, 2)
-        spec = QuadratureSpec()
-        value, bound = _weighted_value(expr, k, 2e3, spec)
+        value, bound = _weighted_value(expr, k, 2e3)
         want = mpmath_weighted(mp_avg_preimage(0.6, 2.3, -0.1, 2), k, 1e6, 2.3)
         assert abs(value - want) <= bound
         assert bound < 1e-12
 
     def test_constant_is_exact(self):
         for k in range(6):
-            assert _weighted_value(Constant(0.3), k, 7.0, QuadratureSpec())[0] \
+            assert _weighted_value(Constant(0.3), k, 7.0)[0] \
                 == 0.3 * gaussian_power_tail(k, 0.0)
 
     def test_routing(self):
@@ -731,9 +748,9 @@ class TestLogAxisRoute:
         # a in (0, pi/4) with (k+1)(a tan 2a + log(cos 2a) / 2) = log(4 mass M_k / abs_tol),
         # here to full precision
         leaf = LogSineAvgPreimage(0.6, 2.3, -0.1, n)
-        spec, k = QuadratureSpec(), n - 1
+        k = n - 1
         mass, omega = leaf.strip_bound()
-        log_mass = math.log(4.0 * mass * gaussian_power_tail(k, 0.0) / spec.abs_tol)
+        log_mass = math.log(4.0 * mass * gaussian_power_tail(k, 0.0) / _ABS_TOL)
         lo, hi = 0.0, math.pi / 4.0
         while hi - lo > 1e-15:
             a = 0.5 * (lo + hi)
@@ -745,7 +762,7 @@ class TestLogAxisRoute:
         big_m = (mass * math.exp(omega * a) * gaussian_power_tail(k, 0.0)
                  * math.cos(2.0 * a) ** (-(k + 1) / 2.0))
         x_lo, x_hi = -40.0 / (k + 1), math.log(_Z_MAX)
-        count = int((x_hi - x_lo) * math.log(2.0 + 4.0 * big_m / spec.abs_tol)
+        count = int((x_hi - x_lo) * math.log(2.0 + 4.0 * big_m / _ABS_TOL)
                     / (2.0 * math.pi * a)) + 2
         h = (x_hi - x_lo) / (count - 1)
         x = x_hi - h * np.arange(count)
@@ -782,11 +799,11 @@ class TestLogAxisRoute:
         # data-single-mode, n = 1; the strip pi/8 took 542 nodes
         from heatband.initial_data import _log_trapezoid_rule
 
-        assert _log_trapezoid_rule(0, 0.612, 1.354, QuadratureSpec())[0].size <= 320
+        assert _log_trapezoid_rule(0, 0.612, 1.354)[0].size <= 320
 
     @pytest.mark.parametrize("k", range(10))
     @pytest.mark.parametrize("omega", [0.06, 1.7, 20.0])
-    def test_rule_on_exact_phi_is_within_its_bound(self, k, omega):
+    def test_rule_on_exact_phi_is_within_its_bound(self, k, omega, quad_constants):
         # phi in 25 digits at the rule's own nodes, so that only the rule errs
         from heatband.initial_data import _log_trapezoid_rule
 
@@ -794,35 +811,37 @@ class TestLogAxisRoute:
         leaf, phi, t = LogSine(0.7, omega, 0.2), mp_log_sine(0.7, omega, 0.2), 1e6
         want = mpmath_weighted(phi, k, t, omega, dps=25)
         for abs_tol in (1e-13, 1e-6):
-            scale, weights, h, bound = _log_trapezoid_rule(
-                k, *leaf.strip_bound(), QuadratureSpec(abs_tol=abs_tol))
+            quad_constants(_ABS_TOL=abs_tol)
+            scale, weights, h, bound = _log_trapezoid_rule(k, *leaf.strip_bound())
             with mpmath.workdps(25):
                 got = h * mpmath.fsum(w * phi(mpmath.mpf(tau)) for w, tau in
                                       zip(weights.tolist(), (math.sqrt(4.0 * t) * scale).tolist()))
                 assert abs(got - want) <= bound, abs_tol
 
     @pytest.mark.parametrize("amplitude,abs_tol", [(1e5, 1e-13), (1e8, 1e-13), (1.0, 1e-20)])
-    def test_bound_meets_abs_tol_at_any_amplitude(self, amplitude, abs_tol):
+    def test_bound_meets_abs_tol_at_any_amplitude(self, amplitude, abs_tol, quad_constants):
         # the window reaches down until the mass it cuts off is abs_tol / 4;
         # at -40/(k+1) alone the k = 0 bounds were 4.7e-13, 4.2e-10 and 4.25e-18
-        expr, spec = LogSine(amplitude, 1.0), QuadratureSpec(abs_tol=abs_tol)
+        expr = LogSine(amplitude, 1.0)
+        quad_constants(_ABS_TOL=abs_tol)
         for k in (0, 11):
-            batch = _weighted_value(expr, k, [2.0], spec)[1]
-            lattice = _weighted_value(expr, k, None, spec, log_grid=(SWEEP_X0, SWEEP_X0 + 3.0, 31))[1]
+            batch = _weighted_value(expr, k, [2.0])[1]
+            lattice = _weighted_value(expr, k, None, log_grid=(SWEEP_X0, SWEEP_X0 + 3.0, 31))[1]
             assert batch[0] <= abs_tol and np.all(lattice <= abs_tol), k
 
     @pytest.mark.parametrize("abs_tol", [1e-60, 1e-70, 1e-100])
-    def test_fixed_cut_meets_abs_tol_or_refuses(self, abs_tol):
+    def test_fixed_cut_meets_abs_tol_or_refuses(self, abs_tol, quad_constants):
         # the cut at z_max = 12 drops up to G_0(12) = 1.2e-64 of LogSine(1, 1),
         # which both routes returned as their bound at 1e-70 and 1e-100
-        expr, spec = LogSine(1.0, 1.0), QuadratureSpec(abs_tol=abs_tol)
+        expr = LogSine(1.0, 1.0)
+        quad_constants(_ABS_TOL=abs_tol)
         for grid in (None, (SWEEP_X0, SWEEP_X0 + 3.0, 31)):
             roots = [2.0] if grid is None else None
             if abs_tol >= 1e-60:
-                assert np.all(_weighted_value(expr, 0, roots, spec, log_grid=grid)[1] <= abs_tol)
+                assert np.all(_weighted_value(expr, 0, roots, log_grid=grid)[1] <= abs_tol)
             else:
                 with pytest.raises(ConvergenceError, match="cut at z = 12"):
-                    _weighted_value(expr, 0, roots, spec, log_grid=grid)
+                    _weighted_value(expr, 0, roots, log_grid=grid)
 
     @pytest.mark.xfail(strict=True, reason="the bound leaves out the rounding of phi itself, "
                        "which grows like m log(tau) eps (ROADMAP direction 5)")
@@ -830,8 +849,7 @@ class TestLogAxisRoute:
         # k = 9 (n = 10): the rule on 25-digit phi errs by at most 9e-15, but
         # sin and cos of 5 log1p(tau) at tau up to 1e11 round by up to about 1e-13
         k, roots = 9, np.logspace(3.0, 10.0, 16)
-        values, bounds = _weighted_value(LogSineAvgPreimage(0.6, 5.0, 0.05, 1), k, roots,
-                                         QuadratureSpec())
+        values, bounds = _weighted_value(LogSineAvgPreimage(0.6, 5.0, 0.05, 1), k, roots)
         want = [mpmath_weighted(mp_avg_preimage(0.6, 5.0, 0.05, 1), k, root * root / 4.0, 5.0,
                                 dps=25) for root in roots.tolist()]
         assert np.all(np.abs(values - np.array(want)) <= bounds)
@@ -844,18 +862,18 @@ class TestLogAxisRoute:
 SWEEP_X0 = 0.5 * math.log(4e6)  # x = log sqrt(4t) at the sweep anchor t = 1e6
 
 
-def trapezoid_step(expr, k, spec=QuadratureSpec()):
+def trapezoid_step(expr, k):
     from heatband.initial_data import _log_trapezoid_rule
 
     leaves = _split_leaves(expr)
-    return _log_trapezoid_rule(k, leaves.mass, leaves.omega, spec)[2]
+    return _log_trapezoid_rule(k, leaves.mass, leaves.omega)[2]
 
 
-def lattice_and_batch(expr, k, grid, spec=QuadratureSpec()):
+def lattice_and_batch(expr, k, grid):
     """((values, bounds) on the lattice, (values, bounds) of the batch route)
     at the roots e^x, x = np.linspace(*grid)."""
-    return (_weighted_value(expr, k, None, spec, log_grid=grid),
-            _weighted_value(expr, k, np.exp(np.linspace(*grid)), spec))
+    return (_weighted_value(expr, k, None, log_grid=grid),
+            _weighted_value(expr, k, np.exp(np.linspace(*grid))))
 
 
 def lattice_grids(expr, k, count=25):
@@ -888,7 +906,7 @@ class TestLatticeRoute:
         k = n - 1
         for label, expr, phi, omega in log_analytic_cases(n):
             for grid in lattice_grids(expr, k):
-                values, bounds = _weighted_value(expr, k, None, QuadratureSpec(), log_grid=grid)
+                values, bounds = _weighted_value(expr, k, None, log_grid=grid)
                 xs = np.linspace(*grid)
                 for i in (0, grid[2] // 2, grid[2] - 1):
                     want = mpmath_weighted(phi, k, math.exp(2.0 * xs[i]) / 4.0, omega)
@@ -907,8 +925,7 @@ class TestLatticeRoute:
 
         monkeypatch.setattr(idata, "eval_phi", poisoned)
         with pytest.raises(EvaluationError) as err:
-            _weighted_value(LogSine(1.0, 1.0, 0.0), 0, None, QuadratureSpec(),
-                            log_grid=(SWEEP_X0, SWEEP_X0 + 3.0, 13))
+            _weighted_value(LogSine(1.0, 1.0, 0.0), 0, None, log_grid=(SWEEP_X0, SWEEP_X0 + 3.0, 13))
         lattice = seen[-1]
         assert lattice.ndim == 1 and np.all(np.diff(lattice) > 0)
         bad = float(lattice[lattice > cut][0])
@@ -920,9 +937,9 @@ class TestLatticeRoute:
         import heatband.initial_data as idata
 
         expr, grid = LogSineAvgPreimage(0.6, 2.3, -0.1, 2), (SWEEP_X0, SWEEP_X0 + 9.0, 31)
-        want = _weighted_value(expr, 1, None, QuadratureSpec(), log_grid=grid)
+        want = _weighted_value(expr, 1, None, log_grid=grid)
         monkeypatch.setattr(idata, "_BLOCK", 1)
-        got = _weighted_value(expr, 1, None, QuadratureSpec(), log_grid=grid)
+        got = _weighted_value(expr, 1, None, log_grid=grid)
         _agree(got[0], want[0], hb.sup_abs_phi(expr))
         assert np.array_equal(got[1], want[1])
 
@@ -1029,14 +1046,13 @@ class TestTrapezoidProfiles:
     def test_u_against_mpmath(self, n, t):
         import mpmath
 
-        spec = QuadratureSpec()
         k, coeff = n - 1, 2.0 / math.gamma(n / 2.0)
         root = math.sqrt(4.0 * t)
         for label, leaf, slope in trapezoid_cases(n):
             want = coeff * mp_split_profile(
                 slope, root, lambda x: mpmath.exp((k + 1) * x - mpmath.exp(2 * x)), 4)
-            value, bound = _weighted_value(leaf, k, root, spec)
-            assert bound <= spec.abs_tol, label
+            value, bound = _weighted_value(leaf, k, root)
+            assert bound <= _ABS_TOL, label
             assert abs(coeff * value - want) <= coeff * bound, label
             assert abs(u_origin(leaf, n, t) - want) <= coeff * bound, label
 
@@ -1069,8 +1085,7 @@ class TestTrapezoidProfiles:
     @pytest.mark.parametrize("radius", [2.3, 1e4, 1e12])
     def test_panels_split_at_every_corner(self, radius):
         phases = hb.PeriodicOfLog(TRAPEZOID)._piece_bound()[-1]
-        nodes, weights, near = _split_gauss(-20.0, 0.5, 44, radius, phases,
-                                            QuadratureSpec.max_panels)
+        nodes, weights, near = _split_gauss(-20.0, 0.5, 44, radius, phases)
         ell = np.log1p(radius * np.exp(nodes))
         # index of the piece each node lies on, counted along the L axis
         piece = (np.searchsorted(phases, np.mod(ell, 2.0 * math.pi), side="right")
@@ -1115,43 +1130,47 @@ class TestBumpTrainFarOut:
 
 
 class TestNodeBudget:
-    """QuadratureSpec.max_panels is the one node budget of every fixed rule,
+    """_MAX_NODES is the one node budget of every fixed rule,
     checked at each point before any node is laid."""
 
     # 355,246 centres 0.2 % apart: 10,094 linear pieces, so 80,752 Gauss
     # nodes, for one u point at t = 1e6, and 26,230 pieces at t = 1e20
     FINE_BUMPS = BumpTrain(1.0, 1e-3, 0.0, GeometricCenters(1.002))
 
-    def test_kinked_u_route_reads_the_spec(self):
+    def test_kinked_u_route_reads_the_budget(self, quad_constants):
         # its corner-split layout takes 752 nodes at t = 1e6 (its 84 panels
-        # and the corners inside the window), refused under max_panels = 16
-        spec = QuadratureSpec(max_panels=16)
-        with pytest.raises(ConvergenceError, match="max_panels=16"):
-            u_origin(hb.PeriodicOfLog(TRAPEZOID), 1, 1e6, spec)
-        with pytest.raises(ConvergenceError, match="max_panels=16"):
-            u_origin(LogSine(1.0, 1.0), 1, 1e6, spec)
+        # and the corners inside the window), refused under a budget of 16
+        quad_constants(_MAX_NODES=16)
+        with pytest.raises(ConvergenceError, match="node budget 16"):
+            u_origin(hb.PeriodicOfLog(TRAPEZOID), 1, 1e6)
+        with pytest.raises(ConvergenceError, match="node budget 16"):
+            u_origin(LogSine(1.0, 1.0), 1, 1e6)
 
-    def test_corner_panels_count_against_the_budget(self):
+    def test_corner_panels_count_against_the_budget(self, quad_constants):
         # 84 panels and the 10 corners inside the window that split them
         profile = hb.PeriodicOfLog(TRAPEZOID)
+        default = u_origin(profile, 1, 1e6)
+        quad_constants(_MAX_NODES=672)
         with pytest.raises(ConvergenceError, match="752 nodes"):
-            u_origin(profile, 1, 1e6, QuadratureSpec(max_panels=672))
-        value = u_origin(profile, 1, 1e6, QuadratureSpec(max_panels=752))
-        assert value == u_origin(profile, 1, 1e6)
+            u_origin(profile, 1, 1e6)
+        quad_constants(_MAX_NODES=752)
+        value = u_origin(profile, 1, 1e6)
+        assert value == default
         assert value == pytest.approx(0.5210266875205084, rel=1e-14)
 
     @pytest.mark.parametrize("integral", ["H", "u"])
     @pytest.mark.parametrize("leaf", [LogSine(1.0, 1.0), hb.PeriodicOfLog(TRAPEZOID)],
                              ids=["analytic", "kinked"])
     @pytest.mark.parametrize("tol", [1e-308, 1e-320, 5e-324])
-    def test_too_fine_a_tolerance_is_refused_or_met(self, integral, leaf, tol):
+    def test_too_fine_a_tolerance_is_refused_or_met(self, integral, leaf, tol, quad_constants):
         # the windows and targets are taken in log space, so neither
         # 2 mass / tol overflows nor tol / 2 rounds to 0 into a bare error
         try:
             if integral == "H":
                 value = numeric_H(leaf, 1, 10.0, tol=tol)
             else:
-                value = u_origin(leaf, 1, 10.0, QuadratureSpec(abs_tol=tol))
+                quad_constants(_ABS_TOL=tol)
+                value = u_origin(leaf, 1, 10.0)
         except ConvergenceError as exc:
             assert math.isfinite(float(str(exc).split("needs at least ")[1].split()[0]))
         else:
@@ -1169,7 +1188,7 @@ class TestNodeBudget:
             raise AssertionError("the H window was measured before the u sweep")
 
         monkeypatch.setattr(idata, "_ball_average", no_ball_average)
-        with pytest.raises(ConvergenceError, match="exceeding max_panels"):
+        with pytest.raises(ConvergenceError, match="exceeding the node budget 200000"):
             verify_certificate(cert)
 
     def test_bump_train_past_the_budget_raises_before_any_layout(self, monkeypatch):
@@ -1769,9 +1788,8 @@ class TestVerifyCertificate:
             verify_certificate(cert, **kwargs)
 
     def test_quadrature_settings_recorded(self, average_report):
-        spec = QuadratureSpec()
-        assert average_report.quad_rel_tol == spec.rel_tol
-        assert average_report.quad_abs_tol == spec.abs_tol
+        assert average_report.quad_rel_tol == _REL_TOL == 1e-11
+        assert average_report.quad_abs_tol == _ABS_TOL == 1e-13
 
     @pytest.mark.xfail(
         strict=True,
