@@ -186,6 +186,11 @@ class TrigPolynomial(PeriodicFunction):
     sin_coeffs: tuple[float, ...] = ()
 
     def __post_init__(self):
+        for name in ("cos_coeffs", "sin_coeffs"):
+            coeffs = getattr(self, name)
+            if not (isinstance(coeffs, (tuple, list))
+                    or isinstance(coeffs, np.ndarray) and coeffs.ndim == 1):
+                raise DomainError(f"{name} must be a sequence of reals, got {coeffs!r}")
         cos, sin = tuple(self.cos_coeffs), tuple(self.sin_coeffs)
         for c in (self.const, *cos, *sin):
             check_finite(**{"trig polynomial coefficient": c})
@@ -323,7 +328,7 @@ class DoubleExpCenters(CenterLaw):
     parity: str = "peak"
 
     def __post_init__(self):
-        if self.parity not in ("peak", "trough"):
+        if not isinstance(self.parity, str) or self.parity not in ("peak", "trough"):
             raise DomainError(f"parity must be 'peak' or 'trough', got {self.parity!r}")
 
     def inner_exponent(self, k: int) -> float:
@@ -796,6 +801,8 @@ class Sum(InitialDataExpr):
     terms: tuple[InitialDataExpr, ...]
 
     def __post_init__(self):
+        if not isinstance(self.terms, (tuple, list)):
+            raise DomainError(f"Sum terms must be a tuple of expressions, got {self.terms!r}")
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise DomainError("Sum needs at least one term")

@@ -119,6 +119,11 @@ def check_dimension(n: int) -> None:
         raise DomainError(f"dimension n must be at most {MAX_DIMENSION}")
 
 
+def _check_flavor(flavor) -> None:
+    if not isinstance(flavor, KernelFlavor):
+        raise DomainError(f"flavor must be a KernelFlavor, got {flavor!r}")
+
+
 def check_time(t) -> None:
     """t must be a positive finite real with sqrt(4t) a double."""
     check_finite(t=t)
@@ -150,6 +155,7 @@ def kernel_moments(n: int, m: float, flavor: KernelFlavor) -> MomentPair:
     are refused with ConvergenceError, as for every oscillatory integral of
     the package.
     """
+    _check_flavor(flavor)
     power = flavor.power(n)  # checks n
     check_finite(m=m)
     if not m > 0:
@@ -185,6 +191,7 @@ def solve_m(n: int, ratio: float, flavor: KernelFlavor) -> float:
     only in the degenerate m -> 0 limit and never vanishes at finite m.
     """
     check_dimension(n)
+    _check_flavor(flavor)
     check_finite(ratio=ratio)
     if not (0.0 < ratio < 1.0):
         raise DomainError(

@@ -193,6 +193,11 @@ class PrescriptionCertificate:
                     f"(chain {chain})")
 
 
+def _check_cert(cert) -> None:
+    if not isinstance(cert, PrescriptionCertificate):
+        raise DomainError(f"cert must be a PrescriptionCertificate, got {type(cert).__name__}")
+
+
 def _checked_band(band, name) -> tuple[float, float]:
     try:
         lo, hi = band
@@ -397,6 +402,7 @@ def envelope_u(cert: PrescriptionCertificate, t: float) -> float:
     y = log sqrt(4t) in the certificate's dimension.  A certificate whose
     oscillating content is bump trains alone has no envelope formula.
     """
+    _check_cert(cert)
     check_time(t)
     y, n = 0.5 * math.log(4.0 * t), cert.target.n
     leaves = _split_leaves(cert.data)
@@ -421,6 +427,7 @@ _TARGET_FIELDS = {
 
 
 def cert_to_json(cert: PrescriptionCertificate) -> dict:
+    _check_cert(cert)
     quad = cert.target.kind
     kind, keys = next((kind, keys) for kind, (cls, keys) in _TARGET_FIELDS.items()
                       if isinstance(quad, cls))

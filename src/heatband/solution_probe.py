@@ -44,6 +44,7 @@ from .kernel_moments import (
 )
 from .prescriber import (
     PrescriptionCertificate,
+    _check_cert,
     cert_to_json,
     envelope_u,
 )
@@ -425,6 +426,7 @@ def verify_certificate(cert: PrescriptionCertificate,
     no envelope formula (bumps alone).  The report records the tolerances
     of the u(0, t) integrals, quadrature's _REL_TOL and _ABS_TOL.
     """
+    _check_cert(cert)
     n = cert.target.n
     check_finite(tol_band=tol_band)
     if not tol_band > 0:
@@ -511,6 +513,8 @@ def verify_certificate(cert: PrescriptionCertificate,
 
 
 def report_to_json(report: VerificationReport) -> dict:
+    if not isinstance(report, VerificationReport):
+        raise DomainError(f"report must be a VerificationReport, got {type(report).__name__}")
     return {
         "schema": REPORT_SCHEMA_ID,
         "cert": cert_to_json(report.cert),

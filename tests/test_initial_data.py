@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 
@@ -60,6 +59,7 @@ from heatband.initial_data import (
 from heatband.kernel_moments import KernelFlavor, kernel_moments
 from heatband.prescriber import lemma_not_example, prescribe_data
 from heatband.quadrature import _Z_MAX
+from reference import ref_H
 
 # np.trapezoid is the NumPy 2.0 name of np.trapz; NumPy 2.4 removed np.trapz.
 trapezoid_rule = getattr(np, "trapezoid", None) or np.trapz
@@ -120,21 +120,6 @@ def _assert_extrema_near_reference(extrema, poly):
     tol = 4.0 * np.finfo(float).eps * scale
     assert abs(extrema[0] - float(lo)) <= tol and abs(extrema[1] - float(hi)) <= tol, \
         (poly, extrema, float(lo), float(hi))
-
-
-def logsine_average_1d(a: float, m: float, c: float, tau: float) -> float:
-    """Independent closed form for the n = 1 ball average of
-    a sin(m log(tau+1)) + c, from the antiderivative
-    int sin(mu) e^u du = e^u (sin(mu) - m cos(mu)) / (1 + m^2)."""
-    theta = m * math.log1p(tau)
-    num = (tau + 1.0) * (math.sin(theta) - m * math.cos(theta)) + m
-    return c + a * num / (tau * (1.0 + m * m))
-
-
-def dense_average_oracle(expr, n, tau, points=2_000_001):
-    """Brute-force H(tau) by trapezoid rule on a uniform radial grid."""
-    r = np.linspace(0.0, tau, points)[1:]
-    return (n / tau**n) * trapezoid_rule(eval_phi(expr, r) * r ** (n - 1), r)
 
 
 class TestTrapezoidWave:
@@ -352,8 +337,16 @@ class TestValidation:
         lambda: GeometricCenters(0.5),
         lambda: GeometricCenters(10**400),
         lambda: DoubleExpCenters("sideways"),
+        lambda: DoubleExpCenters(np.array([1.0, 2.0])),
         lambda: Sum(()),
         lambda: Sum((1.0, 2.0)),
+        lambda: Sum(None),
+        lambda: Sum(5),
+        lambda: TrigPolynomial(0.0, None),
+        lambda: TrigPolynomial(0.0, True),
+        lambda: TrigPolynomial(0.0, 1j),
+        lambda: TrigPolynomial(0.0, math.nan),
+        lambda: TrigPolynomial(0.0, (), None),
         lambda: Negate("x"),
         lambda: SlowFromPeriodic(TrigPolynomial(0.0, (), (1.0,)), 0),
     ])
@@ -560,32 +553,29 @@ class TestNumericH:
 
     @pytest.mark.parametrize("tau", [0.7, 3.0, 97.0, 1e5])
     def test_log_sine_matches_independent_closed_form(self, tau):
-        a, m, c = 0.9, 2.6, 0.15
-        expected = logsine_average_1d(a, m, c, tau)
-        assert numeric_H(LogSine(a, m, c), 1, tau, tol=1e-10) == pytest.approx(
-            expected, abs=1e-9)
+        expr = LogSine(0.9, 2.6, 0.15)
+        assert numeric_H(expr, 1, tau, tol=1e-10) == pytest.approx(
+            ref_H(expr, 1, tau), abs=1e-9)
 
     def test_constant_average_is_constant(self):
         assert numeric_H(Constant(0.8), 5, 123.4) == pytest.approx(0.8, abs=1e-14)
 
     @pytest.mark.parametrize("n,tau", [(1, 3.0), (2, 50.0), (4, 11.0)])
-    def test_periodic_wave_exact_route_vs_dense(self, n, tau):
+    def test_periodic_wave_exact_route_vs_reference(self, n, tau):
         pzm = PeriodicZeroMean(1.35, -0.35)
-        dense = dense_average_oracle(pzm, n, tau)
-        assert numeric_H(pzm, n, tau) == pytest.approx(dense, abs=1e-7)
+        assert numeric_H(pzm, n, tau) == pytest.approx(ref_H(pzm, n, tau), abs=1e-7)
 
     @pytest.mark.parametrize("n,tau", [(1, 5.0), (3, 100.0)])
-    def test_bump_train_exact_route_vs_dense(self, n, tau):
+    def test_bump_train_exact_route_vs_reference(self, n, tau):
         bt = BumpTrain(0.7, 0.3, 0.2, GeometricCenters(math.e))
-        dense = dense_average_oracle(bt, n, tau, points=6_000_001)
-        assert numeric_H(bt, n, tau) == pytest.approx(dense, abs=1e-6)
+        assert numeric_H(bt, n, tau) == pytest.approx(ref_H(bt, n, tau), abs=1e-6)
 
-    def test_generic_route_vs_dense(self):
-        # the trapezoid profile jumps in slope, so it stays on adaptive
-        # quadrature next to the Gauss sum of the doubly-log sine
+    def test_kinked_route_vs_reference(self):
+        # the trapezoid profile jumps in slope, so it takes the Gauss layout
+        # split at its corners next to the Gauss sum of the doubly-log sine
         expr = Sum((LogLogSine(0.5, 0.5), PeriodicOfLog(TrapezoidWave(1.0, -1.0))))
-        dense = dense_average_oracle(expr, 3, 50.0)
-        assert numeric_H(expr, 3, 50.0, tol=1e-10) == pytest.approx(dense, abs=1e-8)
+        assert numeric_H(expr, 3, 50.0, tol=1e-10) == pytest.approx(
+            ref_H(expr, 3, 50.0), abs=1e-8)
 
     def test_periodic_wave_average_decays(self):
         # zero mean forces H = O(1/tau); the exact route must not lose this
@@ -601,8 +591,7 @@ class TestNumericH:
     def test_tau_inside_a_bump_is_clipped_exactly(self):
         bt = BumpTrain(0.7, 0.3, 0.2, GeometricCenters(math.e))
         c = float(math.e**3)
-        dense = dense_average_oracle(bt, 2, c, points=6_000_001)
-        assert numeric_H(bt, 2, c) == pytest.approx(dense, abs=1e-6)
+        assert numeric_H(bt, 2, c) == pytest.approx(ref_H(bt, 2, c), abs=1e-6)
 
     def test_sum_and_negate_are_linear(self):
         a = LogSine(0.6, 1.3, 0.1)
@@ -616,9 +605,8 @@ class TestNumericH:
            c=st.floats(-1.0, 1.0), tau=st.floats(0.5, 50.0))
     @settings(max_examples=25, deadline=None)
     def test_log_sine_average_property(self, a, m, c, tau):
-        expected = logsine_average_1d(a, m, c, tau)
         got = numeric_H(LogSine(a, m, c), 1, tau, tol=1e-9)
-        assert got == pytest.approx(expected, abs=1e-7)
+        assert got == pytest.approx(ref_H(LogSine(a, m, c), 1, tau), abs=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -640,57 +628,6 @@ def log_gauss_cases(n):
     ]
 
 
-@functools.lru_cache(maxsize=None)
-def mp_ball_average(kind: str, n: int, tau: float) -> float:
-    """H(tau) of the log_gauss_cases(n) entry labelled kind, by mpmath.
-
-    With L = log(r + 1), the averages of e^{i mu L} and of
-    (r / (r + 1)) e^{i mu L} are Euler integrals (DLMF 15.6.1):
-        n int_0^1 t^(n-1) (1 + tau t)^(i mu) dt = 2F1(-i mu, n; n + 1; -tau),
-        n tau int_0^1 t^n (1 + tau t)^(i mu - 1) dt
-            = n tau / (n + 1) 2F1(1 - i mu, n + 1; n + 2; -tau),
-    which cover every log-periodic leaf.  The doubly-log sine has no such
-    form; it is integrated by mpmath quadrature on s = log(r / tau),
-    H = n int_{-inf}^0 phi(tau e^s) e^{ns} ds.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        t = mpmath.mpf(tau)
-
-        def plain(mu):
-            return mpmath.hyp2f1(-1j * mu, n, n + 1, -t)
-
-        def damped(mu):
-            return n * t / (n + 1) * mpmath.hyp2f1(1 - 1j * mu, n + 1, n + 2, -t)
-
-        def profile(slope):
-            # g(L) + slope (r / (r + 1)) g'(L), g = 0.1 + 0.3 cos L + 0.2 cos 3L + 0.5 sin L
-            out = 0.1
-            for j, c, s in ((1, 0.3, 0.5), (3, 0.2, 0.0)):
-                out += c * mpmath.re(plain(j)) + s * mpmath.im(plain(j))
-                out += slope * j * (s * mpmath.re(damped(j)) - c * mpmath.im(damped(j)))
-            return out
-
-        def log_log():
-            def f(s):
-                return (0.5 * mpmath.sin(mpmath.log(mpmath.log(t * mpmath.exp(s) + 2)))
-                        + 0.1) * mpmath.exp(n * s)
-            return n * mpmath.quad(f, mpmath.linspace(-70.0 / n, 0, 9))
-
-        def preimage():
-            return 0.6 * (mpmath.im(plain(2.3)) + 2.3 / n * mpmath.re(damped(2.3))) - 0.1
-
-        value = {
-            "log-sine": lambda: 0.8 * mpmath.im(plain(0.7)) + 0.2,
-            "preimage": preimage,
-            "doubly-log": log_log,
-            "profile": lambda: profile(0.0),
-            "slow-profile": lambda: profile(1.0 / n),
-            "sum": lambda: preimage() - log_log(),
-        }[kind]()
-        return float(value)
-
-
 class TestLogGaussAverage:
     TAUS = (1e-6, 2.3, 1e4, 1e12)
 
@@ -698,7 +635,7 @@ class TestLogGaussAverage:
     @pytest.mark.parametrize("tau", TAUS)
     def test_against_mpmath(self, n, tau):
         for label, expr in log_gauss_cases(n):
-            want = mp_ball_average(label, n, tau)
+            want = ref_H(expr, n, tau, dps=30)
             assert numeric_H(expr, n, tau, tol=1e-11) == pytest.approx(
                 want, abs=1e-10), label
 
@@ -706,7 +643,7 @@ class TestLogGaussAverage:
     @pytest.mark.parametrize("tau", TAUS)
     def test_bound_covers_observed_error(self, n, tau):
         for label, expr in log_gauss_cases(n):
-            want = mp_ball_average(label, n, tau)
+            want = ref_H(expr, n, tau, dps=30)
             for tol in (1e-5, 1e-8, 1e-11):
                 value, bound = _ball_average(expr, n, tau, tol)
                 assert abs(value - want) <= bound, (label, tol)
@@ -718,7 +655,7 @@ class TestLogGaussAverage:
     @pytest.mark.parametrize("tau", [2.3, 1e4, 1e8])
     def test_agrees_with_adaptive_route(self, n, tau):
         for label, expr in log_gauss_cases(n):
-            want = mp_ball_average(label, n, tau)
+            want = ref_H(expr, n, tau, dps=30)
             for tol in (1e-6, 1e-8, 1e-10):
                 assert abs(numeric_H(expr, n, tau, tol=tol) - want) <= tol, \
                     (label, tol)
@@ -762,12 +699,11 @@ class TestLogGaussAverage:
     @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("omega", [0.06, 1.7, 20.0])
     def test_rule_on_exact_phi_is_within_its_bound(self, n, omega):
-        # phi in 30 digits at the rule's own nodes, so that only the rule
-        # errs; the average of sin(omega L) is Im 2F1(-i omega, n; n + 1; -tau)
+        # phi in 30 digits at the rule's own nodes, so that only the rule errs
         mpmath = pytest.importorskip("mpmath")
         leaf, tau = LogSine(0.7, omega, 0.2), 1e4
+        want = ref_H(leaf, n, tau, dps=30)
         with mpmath.workdps(30):
-            want = 0.7 * mpmath.im(mpmath.hyp2f1(-1j * omega, n, n + 1, -mpmath.mpf(tau))) + 0.2
             for tol in (1e-8, 1e-4):
                 scale, weights, bound = _log_gauss_rule(n, *leaf.strip_bound(), tol)
                 got = mpmath.fsum(
@@ -860,72 +796,6 @@ class TestStripBound:
         assert np.all(np.abs(values) <= mass * np.exp(omega * np.abs(self.Y)) * (1.0 + 1e-12))
 
 
-def mp_wave_radial(trap: TrapezoidWave, n: int, tau: float) -> float:
-    """(1/tau^n) int_0^tau wave(r) r^(n-1) dr in 60-digit arithmetic.
-
-    The wave is the float wave: linear between its float knots, with the
-    float period 2 pi of TrapezoidWave.  Each linear piece's integral over
-    period q is a polynomial in q, summed over the N full periods by
-    mpmath's Bernoulli polynomials; the partial period follows.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(60):
-        period, tau = mpmath.mpf(TWO_PI), mpmath.mpf(tau)
-        full = mpmath.floor(tau / period)
-        rem = tau - full * period
-        total = mpmath.mpf(0)
-        knots = [(mpmath.mpf(t), mpmath.mpf(v))
-                 for t, v in zip(trap.breakpoints, trap.knot_values)]
-        for (t0, v0), (t1, v1) in zip(knots, knots[1:]):
-            if t1 == t0:
-                continue
-            b = (v1 - v0) / (t1 - t0)
-            a = v0 - b * t0
-
-            def moment(i, lo, hi):  # int_lo^hi (a + b y) y^i dy
-                return (a * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
-                        + b * (hi ** (i + 2) - lo ** (i + 2)) / (i + 2))
-            for i in range(n):
-                p = n - 1 - i
-                power_sum = (mpmath.bernpoly(p + 1, full) - mpmath.bernpoly(p + 1, 0)) / (p + 1)
-                total += math.comb(n - 1, i) * moment(i, t0, t1) * period ** p * power_sum
-                if min(t1, rem) > t0:
-                    total += (math.comb(n - 1, i) * moment(i, t0, min(t1, rem))
-                              * (full * period) ** p)
-        return float(total / tau ** n)
-
-
-def mp_bump_radial(train: BumpTrain, tau: float) -> list[float]:
-    """(1/tau^n) int_0^tau (train - baseline)(r) r^(n-1) dr for n = 1 .. 10,
-    the bumps alone, whose baseline joins the constants, in closed form at 30
-    digits.  In the offset s = r - c from a centre c, with x = s / c,
-    r^(n-1) / tau^n = (c / tau)^(n-1) / tau sum_i C(n-1, i) x^i, and on
-    either side of s = 0 the hat 1 - |s| / w times x^i integrates to
-    c [x^(i+1) / (i+1) -+ (c / w) x^(i+2) / (i+2)], - for s >= 0, between the
-    ends: powers of |x| <= max(w / c, 1), so no term outgrows the integral by
-    more than a few digits however far out tau lies."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        w, tau_mp = mpmath.mpf(train.half_width), mpmath.mpf(tau)
-        totals = [mpmath.mpf(0)] * 10
-        for c in train.centers.representable_centers():
-            if c - train.half_width >= tau:
-                break
-            c = mpmath.mpf(c)
-            lo, hi = max(-w, -c), min(w, tau_mp - c)
-            moments = [mpmath.mpf(0)] * 10  # int of the hat times x^i over [lo, hi]
-            for a, b, sign in ((lo, min(hi, 0), -1), (0, hi, 1)):
-                if a < b:
-                    for i in range(10):
-                        def primitive(x, i=i, sign=sign):
-                            return x ** (i + 1) / (i + 1) - sign * (c / w) * x ** (i + 2) / (i + 2)
-                        moments[i] += c * (primitive(b / c) - primitive(a / c))
-            for n in range(1, 11):
-                totals[n - 1] += (mpmath.fsum(math.comb(n - 1, i) * moments[i] for i in range(n))
-                                  * (c / tau_mp) ** (n - 1) / tau_mp)
-        return [float(train.height * total) for total in totals]
-
-
 def bump_radial(train: BumpTrain, n: int, tau: float) -> tuple[float, float]:
     """(value, bound) of the piece route for the bumps of train at one radius."""
     pieces, sup, _steep = _linear_pieces(train, tau)
@@ -955,7 +825,7 @@ class TestExactRoutesFarOut:
         # order 1 (up to 3.2e-13 for n = 10), and the pieces serve
         for wave in self.WAVES:
             value, bound = _wave_radial_integral(wave, n, np.array([tau]))
-            error = abs(float(value[0]) - mp_wave_radial(wave.wave, n, tau))
+            error = abs(float(value[0]) - ref_H(wave, n, tau, dps=60) / n)
             assert error <= min(float(bound[0]), 1e-14), (wave, error, bound)
             assert bound[0] <= 1e-14, (wave, bound)
 
@@ -968,7 +838,7 @@ class TestExactRoutesFarOut:
             wave_plus_constant = prescribe_data(-1.0, 0.0, 0.0, 2.0, n).data
             for wave in (PeriodicZeroMean(2.0, -0.5, 0.3), wave_plus_constant.terms[0]):
                 value, bound = _wave_radial_integral(wave, n, np.array([tau]))
-                error = abs(float(value[0]) - mp_wave_radial(wave.wave, n, tau))
+                error = abs(float(value[0]) - ref_H(wave, n, tau, dps=60) / n)
                 assert error <= float(bound[0]), (wave, n, error, bound)
 
     def test_wave_batch_matches_single_radii(self):
@@ -982,11 +852,12 @@ class TestExactRoutesFarOut:
 
     @pytest.mark.parametrize("tau", [5.0, 121.0, 1e4, 5.3e78, 1e300])
     def test_bumps_against_mpmath(self, tau):
+        # the bumps alone: the piece route leaves the baseline to the constants
         for train in self.BUMPS:
-            reference = mp_bump_radial(train, tau)
+            bumps = dataclasses.replace(train, baseline=0.0)
             for n in range(1, 11):
                 value, bound = bump_radial(train, n, tau)
-                error = abs(value - reference[n - 1])
+                error = abs(value - ref_H(bumps, n, tau, dps=30) / n)
                 assert error <= bound <= 1e-14, (train, n, error, bound)
 
 

@@ -160,6 +160,15 @@ class TestSolveM:
         with pytest.raises(DomainError, match=f"{name} must be a finite real"):
             solve_m(1, flavor=KernelFlavor.AVERAGE, **args)
 
+    @pytest.mark.parametrize("call", [
+        lambda: kernel_moments(1, 1.0, "data"),
+        lambda: solve_m(1, 0.5, "data"),
+        lambda: moment_norm(1, 1.0, None),
+    ])
+    def test_rejects_a_flavor_that_is_not_a_kernel_flavor(self, call):
+        with pytest.raises(DomainError, match="flavor must be a KernelFlavor"):
+            call()
+
     def test_unreachable_ratio_fails_searching(self):
         # norm(1e-3) is around 1 - 1e-7; a ratio above it has no bracket
         with pytest.raises(SearchFailure):

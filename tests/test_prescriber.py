@@ -578,6 +578,8 @@ class TestEnvelopeU:
             envelope_u(cert, True)
         with pytest.raises(DomainError):
             envelope_u(cert, 10**400)
+        with pytest.raises(DomainError, match="PrescriptionCertificate"):
+            envelope_u(None, 1.0)
         with pytest.raises(RangeError):
             envelope_u(cert, 1e308)
 
@@ -641,6 +643,11 @@ class TestCertSerialization:
         assert doc["target"] == {"kind": "average", "avg_lower": -1.0,
                                  "sol_lower": -0.3, "sol_upper": 0.3,
                                  "avg_upper": 1.0, "n": 2}
+
+    @pytest.mark.parametrize("call", [cert_dumps, cert_to_json])
+    def test_what_is_not_a_certificate_is_refused(self, call):
+        with pytest.raises(DomainError, match="PrescriptionCertificate"):
+            call(None)
 
     def test_unknown_schema_rejected(self):
         doc = cert_to_json(prescribe_data(0.0, 1.0, 2.0, 3.0, 1))

@@ -26,6 +26,7 @@ from heatband.quadrature import (
     integrate_log_oscillatory,
     integrate_weighted,
 )
+from reference import ref_gaussian_tail
 
 
 def log_axis_trapezoid_oracle(power, m, trig, x_lo=-40.0, x_hi=math.log(12.0),
@@ -195,13 +196,10 @@ class TestGaussianPowerTail:
     @pytest.mark.parametrize("k", range(9))
     @pytest.mark.parametrize("z_cut", [0.0, 0.5, 3.0, 8.0])
     def test_matches_the_incomplete_gamma_function(self, k, z_cut):
-        # Gamma((k+1)/2) Q((k+1)/2, z_cut^2) / 2 with SciPy's regularized
-        # upper incomplete gamma Q, independent of the recurrence
-        from scipy.special import gamma, gammaincc
-
-        a = 0.5 * (k + 1)
-        want = 0.5 * gamma(a) * gammaincc(a, z_cut * z_cut)
-        assert gaussian_power_tail(k, z_cut) == pytest.approx(want, rel=1e-12, abs=1e-300)
+        # Gamma((k+1)/2, z_cut^2) / 2 with mpmath's upper incomplete gamma
+        # at 30 digits, independent of the recurrence
+        assert gaussian_power_tail(k, z_cut) == pytest.approx(
+            ref_gaussian_tail(k, z_cut, dps=30), rel=1e-12, abs=1e-300)
 
     def test_complements_to_full_moment(self, monkeypatch):
         # int_0^inf z^4 e^{-z^2} = 3 sqrt(pi) / 8

@@ -1,14 +1,16 @@
 """Tests for heat solution probing: point values, bands, verification.
 
-Oracles come first.  The exact wave and bump routes are checked against
-adaptive quadrature where both converge and against an integration-by-parts
-prediction where only the exact route survives, and point solutions against
-the classical closed form for cosine data.
+The high-precision references of u(0, t) and H(tau) come from
+tests/reference.py; the dense-scan oracles of the wave primitives come first
+here.  The exact wave and bump routes are also checked against adaptive
+quadrature where both converge and against an integration-by-parts prediction
+where only the exact route survives, and point solutions against the
+classical closed form for cosine data.
 """
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import json
 import math
 
@@ -69,6 +71,7 @@ from heatband.quadrature import (
     integrate_weighted,
 )
 from heatband.solution_probe import REPORT_SCHEMA_ID
+from reference import ref_H, ref_u
 
 
 @pytest.fixture
@@ -128,67 +131,6 @@ def primitives_dense_oracle(trap, count: int, points: int = 200_001):
         rows.append(level)
         level = np.concatenate(([0.0], np.cumsum(0.5 * (level[1:] + level[:-1]) * dth)))
     return thetas, np.asarray(rows[1:])
-
-
-def mp_wave_weighted(wave, root: float, series: bool = False) -> dict:
-    """{k: int_0^inf z^k e^{-z^2} w(root z) dz} for k in WAVE_POWERS, in
-    40-digit arithmetic, w the float wave: linear between its float knots,
-    with the float period T = 2 pi.
-
-    Up to root 200 (and whenever series is false) piece by piece to z = 9.5,
-    where the rest is below 1e-29, each piece by its exact Gaussian moments.
-    Beyond it (or when series is true) by 40 terms of the integration-by-parts
-    series mean M_k + sum_j (-1)^j f^(j-1)(0) W_j(0) / root^j, with
-    W_j(0) = -T^(j+1) / (j+2)! sum_i ds_i B_{j+2}(frac(-theta_i / T)) from
-    mpmath's Bernoulli polynomials; its remainder is below 1e-40 there.
-    """
-    return _mp_wave_weighted(wave, float(root), series or root > 200.0)
-
-
-@functools.lru_cache(maxsize=None)
-def _mp_wave_weighted(wave, root, series):
-    mpmath = pytest.importorskip("mpmath")
-    trap = wave.wave
-    with mpmath.workdps(40):
-        bp = [mpmath.mpf(b) for b in trap.breakpoints]
-        kv = [mpmath.mpf(v) for v in trap.knot_values]
-        period, big = mpmath.mpf(2.0 * math.pi), mpmath.mpf(root)
-        top = max(WAVE_POWERS) + 1
-        pieces = [i for i in range(len(bp) - 1) if bp[i + 1] > bp[i]]
-        if series:
-            mean = sum((kv[i] + kv[i + 1]) * (bp[i + 1] - bp[i]) for i in pieces) / (2 * period)
-            slopes = [(kv[i + 1] - kv[i]) / (bp[i + 1] - bp[i]) for i in pieces]
-            jumps = [(bp[i], slopes[n] - slopes[n - 1]) for n, i in enumerate(pieces)]
-            out = {}
-            for k in WAVE_POWERS:
-                total = mean * mpmath.gamma(mpmath.mpf(k + 1) / 2) / 2
-                for j in range(1, 41):
-                    d = j - 1 - k
-                    if d < 0 or d % 2:
-                        continue
-                    deriv = mpmath.factorial(j - 1) * (-1) ** (d // 2) / mpmath.factorial(d // 2)
-                    w_j = -period ** (j + 1) / mpmath.factorial(j + 2) * sum(
-                        ds * mpmath.bernpoly(j + 2, mpmath.frac(-theta / period))
-                        for theta, ds in jumps)
-                    total += (-1) ** j * deriv * w_j / big ** j
-                out[k] = total
-            return out
-        totals = [mpmath.mpf(0)] * top
-        half_pi = mpmath.sqrt(mpmath.pi) / 2
-        for q in range(int(9.5 * root / (2.0 * math.pi)) + 1):
-            for i in pieces:
-                t0, t1 = q * period + bp[i], q * period + bp[i + 1]
-                lo, hi = t0 / big, t1 / big
-                slope = (kv[i + 1] - kv[i]) / (bp[i + 1] - bp[i])
-                c0, c1 = kv[i] - slope * t0, slope * big  # w = c0 + c1 z
-                e_lo, e_hi = mpmath.exp(-lo * lo), mpmath.exp(-hi * hi)
-                moments = [half_pi * (mpmath.erf(hi) - mpmath.erf(lo)), (e_lo - e_hi) / 2]
-                for j in range(2, top + 1):
-                    moments.append((j - 1) * moments[j - 2] / 2
-                                   + (lo ** (j - 1) * e_lo - hi ** (j - 1) * e_hi) / 2)
-                for k in range(top):
-                    totals[k] += c0 * moments[k] + c1 * moments[k + 1]
-        return {k: totals[k] for k in WAVE_POWERS}
 
 
 STANDARD_WAVE = PeriodicZeroMean(1.0, -1.0)
@@ -270,7 +212,7 @@ class TestWaveWeightedIntegral:
     def test_primitives_against_dense_scan(self, wave):
         # W_1 .. W_P at 0 and at every phase of the scan, and their
         # a-priori sup bound zeta(j+2) jump / pi
-        from scipy.special import zeta
+        import mpmath
 
         _mean, jump, at, (w0, _err) = _wave_primitives(wave.wave)
         thetas, dense = primitives_dense_oracle(wave.wave, w0.size)
@@ -278,7 +220,8 @@ class TestWaveWeightedIntegral:
         for lo in range(0, thetas.size, 10_000):
             got = at(thetas[lo:lo + 10_000], w0.size)[0]
             assert np.max(np.abs(got - dense[:, lo:lo + 10_000].T)) <= 1e-8, lo
-        bound = zeta(np.arange(1, w0.size + 1) + 2.0) * jump / math.pi
+        zeta = np.array([float(mpmath.zeta(j + 2)) for j in range(1, w0.size + 1)])
+        bound = zeta * jump / math.pi
         assert np.all(np.max(np.abs(dense), axis=1) <= bound + 1e-8)
 
     @pytest.mark.parametrize("root", [2.0, 10.0, 20.0, 60.0, 200.0, 2e4, 2e8])
@@ -287,17 +230,16 @@ class TestWaveWeightedIntegral:
         # |error| <= bound <= abs_tol; at k = 11 the piecewise route, which
         # serves root <= 20 there, rounds terms of total size near
         # M_11 = 60, and its honest bound reaches about 5e-13
-        reference = mp_wave_weighted(wave, root)
         for k in WAVE_POWERS:
             value, bound = wave_at_root(wave, k, root)
-            assert abs(value - float(reference[k])) <= bound, (k, value, bound)
+            assert abs(value - ref_u(wave, k, root, dps=40)) <= bound, (k, value, bound)
             assert bound <= (_ABS_TOL if k < 11 or root > 20.0 else 1e-12), (k, bound)
 
     def test_cancellation_at_root_200_is_inside_the_bound(self):
         # the segment sums of the old route erred here by 5.1e-13 while
         # returning a bound of about 1e-62
         value, bound = wave_at_root(STANDARD_WAVE, 4, 200.0)
-        error = abs(value - float(mp_wave_weighted(STANDARD_WAVE, 200.0)[4]))
+        error = abs(value - ref_u(STANDARD_WAVE, 4, 200.0, dps=40))
         assert error <= bound <= _ABS_TOL
 
     @pytest.mark.parametrize("t", [1e2, 1e4, 1e6, 1e8, 1e10])
@@ -307,15 +249,8 @@ class TestWaveWeightedIntegral:
         wave = TEST_WAVES[2]
         root = math.sqrt(4.0 * t)
         value, bound = wave_at_root(wave, 2, root)
-        assert abs(value - float(mp_wave_weighted(wave, root)[2])) <= bound
+        assert abs(value - ref_u(wave, 2, root, dps=40)) <= bound
         assert bound <= _ABS_TOL
-
-    def test_mpmath_references_agree(self):
-        # the piecewise and the series reference, independent of each other
-        pieces = mp_wave_weighted(LOPSIDED_WAVE, 60.0)
-        series = mp_wave_weighted(LOPSIDED_WAVE, 60.0, series=True)
-        for k in WAVE_POWERS:
-            assert abs(pieces[k] - series[k]) < 1e-30
 
     @pytest.mark.parametrize("k", [0, 11])
     def test_series_enumerates_no_piece(self, k, monkeypatch):
@@ -344,7 +279,7 @@ class TestWaveWeightedIntegral:
         # exceed the budget, and the series keeps its bound of 1.1e-13
         wave = PeriodicZeroMean(50.0, -0.05, balanced_ramp_width(50.0, -0.05))
         value, bound = wave_at_root(wave, 0, root)
-        assert abs(value - float(mp_wave_weighted(wave, root)[0])) <= bound
+        assert abs(value - ref_u(wave, 0, root, dps=40)) <= bound
         assert (bound <= _ABS_TOL) == (root < 1e3)
 
     def test_too_fine_tolerance_raises_instead_of_allocating(self, quad_constants):
@@ -352,29 +287,6 @@ class TestWaveWeightedIntegral:
         assert wave_at_root(STANDARD_WAVE, 0, 2.0)[1] > 1e-300
         with pytest.raises(ConvergenceError):
             u_origin(STANDARD_WAVE, 1, 1e8)
-
-
-def mp_bump_weighted(train, k: int, root: float):
-    """int_0^inf z^k e^{-z^2} (train - baseline)(root z) dz, the bumps alone,
-    whose baseline joins the constants, by 40-digit mpmath, piece by piece in
-    local coordinates, over every bump below z = 40.  A rising piece that
-    starts below 0 counts from 0 on: its fraction s runs from 1 - c / hw."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        big, hw = mpmath.mpf(root), mpmath.mpf(train.half_width)
-        total = mpmath.mpf(0)
-        for c in train.centers.representable_centers():
-            c = mpmath.mpf(float(c))
-            if c - hw > 40 * big:
-                break
-            for sign in (-1, 1):  # rising piece, then falling piece
-                s_lo = max(1 - c / hw, 0) if sign < 0 else 0
-
-                def piece(s, c=c, sign=sign):
-                    z = (c + sign * (1 - s) * hw) / big
-                    return s * mpmath.exp(-z * z) * z ** k
-                total += mpmath.mpf(train.height) * hw / big * mpmath.quad(piece, [s_lo, 1])
-        return total
 
 
 def bump_at_root(train, k: int, root: float) -> tuple[float, float]:
@@ -395,10 +307,12 @@ class TestBumpWeightedIntegral:
         # the Gaussian tail alone, about 1e-64 at root 2 and k = 0, does not
         # cover the 2.8e-17 that the rule's rounding errs by there; the wide
         # bump reaches below tau = 0, and its bound must not grow with
-        # half_width / root while its error does not
+        # half_width / root while its error does not; the piece route leaves
+        # the baseline to the constants
+        bumps = dataclasses.replace(train, baseline=0.0)
         for k in (0, 1, 2):
             value, bound = bump_at_root(train, k, root)
-            error = abs(value - float(mp_bump_weighted(train, k, root)))
+            error = abs(value - ref_u(bumps, k, root, dps=40))
             assert error <= bound <= _ABS_TOL, (k, error, bound)
 
     @pytest.mark.parametrize("k", [0, 2])
@@ -434,9 +348,7 @@ class TestPieceRule:
         pieces = _linear_pieces(leaf, _Z_MAX * root)
         for k in (0, 2, 11):
             values, bounds = _pieces_weighted(*pieces, k, np.array([root]))
-            want = (mp_wave_weighted(leaf, root)[k] if isinstance(leaf, PeriodicZeroMean)
-                    else mp_bump_weighted(leaf, k, root))
-            assert abs(values[0] - float(want)) <= bounds[0], k
+            assert abs(values[0] - ref_u(leaf, k, root, dps=40)) <= bounds[0], k
 
     @pytest.mark.parametrize("k", range(12))
     def test_sups_bound_the_kernel_derivatives(self, k):
@@ -618,65 +530,16 @@ class TestPeriodicAveraging:
 # Log-axis trapezoid route against mpmath
 
 
-def mpmath_weighted(phi, k: int, t: float, omega: float, dps: int = 20) -> float:
-    """int_0^inf z^k e^{-z^2} phi(sqrt(4t) z) dz by mpmath.quad on x = log z,
-    in dps digits.
-
-    phi takes and returns mpmath numbers.  The x range is cut into pieces
-    shorter than a third of the period 2 pi / omega.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(dps):
-        root = mpmath.sqrt(4 * mpmath.mpf(t))
-        lo, hi = -50.0 / (k + 1), 3.0
-        pieces = max(8, math.ceil((hi - lo) * omega / 2.0))
-        cuts = [lo + (hi - lo) * j / pieces for j in range(pieces + 1)]
-        return float(mpmath.quad(
-            lambda x: mpmath.exp((k + 1) * x - mpmath.exp(2 * x)) * phi(root * mpmath.exp(x)),
-            cuts, method="gauss-legendre"))
-
-
-def mp_log_sine(amp, m, off):
-    def phi(tau):
-        import mpmath
-        return amp * mpmath.sin(m * mpmath.log1p(tau)) + off
-    return phi
-
-
-def mp_avg_preimage(amp, m, off, n):
-    def phi(tau):
-        import mpmath
-        theta = m * mpmath.log1p(tau)
-        return amp * (mpmath.sin(theta) + m * tau / (n * (tau + 1)) * mpmath.cos(theta)) + off
-    return phi
-
-
-def mp_log_log_sine(amp, off):
-    def phi(tau):
-        import mpmath
-        return amp * mpmath.sin(mpmath.log(mpmath.log(tau + 2))) + off
-    return phi
-
-
-def mp_negated_profile(tau):
-    """-(0.1 + 0.3 cos L + 0.2 cos 3L + 0.5 sin L), L = log(tau + 1)."""
-    import mpmath
-    x = mpmath.log1p(tau)
-    return -(0.1 + 0.3 * mpmath.cos(x) + 0.2 * mpmath.cos(3 * x) + 0.5 * mpmath.sin(x))
-
-
 def log_analytic_cases(n):
-    """(label, expression, mpmath phi, top log frequency) for dimension n."""
-    two_mode = (mp_avg_preimage(1.0, 1.0, 0.0, n), mp_avg_preimage(1.0, 2.0, 0.0, n))
+    """(label, expression, top log frequency) for dimension n."""
     trig = hb.TrigPolynomial(0.1, (0.3, 0.0, 0.2), (0.5,))
     return [
-        ("log-sine", LogSine(0.8, 0.7, 0.2), mp_log_sine(0.8, 0.7, 0.2), 0.7),
-        ("preimage", LogSineAvgPreimage(0.6, 2.3, -0.1, n),
-         mp_avg_preimage(0.6, 2.3, -0.1, n), 2.3),
-        ("doubly-log", hb.LogLogSine(0.5, 0.1), mp_log_log_sine(0.5, 0.1), 1.5),
+        ("log-sine", LogSine(0.8, 0.7, 0.2), 0.7),
+        ("preimage", LogSineAvgPreimage(0.6, 2.3, -0.1, n), 2.3),
+        ("doubly-log", hb.LogLogSine(0.5, 0.1), 1.5),
         ("two-mode", hb.phi_from_H(Sum((LogSine(1.0, 1.0, 0.0), LogSine(1.0, 2.0, 0.0))), n),
-         lambda tau: two_mode[0](tau) + two_mode[1](tau), 2.0),
-        ("trig-profile", Negate(hb.PeriodicOfLog(trig)), mp_negated_profile, 3.0),
+         2.0),
+        ("trig-profile", Negate(hb.PeriodicOfLog(trig)), 3.0),
     ]
 
 
@@ -692,14 +555,14 @@ class TestLogAxisRoute:
     @pytest.mark.parametrize("t", [1e-2, 1e6, 1e30])
     def test_against_mpmath(self, n, route, t):
         k, coeff = u_coefficients(n)[route]
-        for label, expr, phi, omega in log_analytic_cases(n):
-            want = coeff * mpmath_weighted(phi, k, t, omega)
+        for label, expr, _ in log_analytic_cases(n):
+            want = coeff * ref_u(expr, k, math.sqrt(4.0 * t))
             assert route(expr, n, t) == pytest.approx(want, abs=1e-12), label
 
     @pytest.mark.parametrize("n,route,t", [(2, u_origin, 1e6), (2, u_origin_from_H, 1e30)])
     def test_high_frequency_against_mpmath(self, n, route, t):
         k, coeff = u_coefficients(n)[route]
-        want = coeff * mpmath_weighted(mp_log_sine(1.0, 100.0, 0.3), k, t, 100.0)
+        want = coeff * ref_u(LogSine(1.0, 100.0, 0.3), k, math.sqrt(4.0 * t))
         assert route(LogSine(1.0, 100.0, 0.3), n, t) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -707,7 +570,7 @@ class TestLogAxisRoute:
     def test_agrees_with_adaptive_route(self, n, t):
         root = math.sqrt(4.0 * t)
         for route, (k, coeff) in u_coefficients(n).items():
-            for label, expr, _, _ in log_analytic_cases(n):
+            for label, expr, _ in log_analytic_cases(n):
                 adaptive = coeff * integrate_weighted(
                     lambda z: eval_phi(expr, root * z), k).value
                 assert route(expr, n, t) == pytest.approx(adaptive, abs=1e-10), label
@@ -716,7 +579,7 @@ class TestLogAxisRoute:
     def test_error_bound_covers_mpmath(self, k):
         expr = LogSineAvgPreimage(0.6, 2.3, -0.1, 2)
         value, bound = _weighted_value(expr, k, 2e3)
-        want = mpmath_weighted(mp_avg_preimage(0.6, 2.3, -0.1, 2), k, 1e6, 2.3)
+        want = ref_u(expr, k, 2e3)
         assert abs(value - want) <= bound
         assert bound < 1e-12
 
@@ -808,14 +671,18 @@ class TestLogAxisRoute:
         from heatband.initial_data import _log_trapezoid_rule
 
         mpmath = pytest.importorskip("mpmath")
-        leaf, phi, t = LogSine(0.7, omega, 0.2), mp_log_sine(0.7, omega, 0.2), 1e6
-        want = mpmath_weighted(phi, k, t, omega, dps=25)
+        leaf, root = LogSine(0.7, omega, 0.2), 2e3
+        want = ref_u(leaf, k, root, dps=25)
+
+        def phi(tau):
+            return 0.7 * mpmath.sin(omega * mpmath.log1p(tau)) + 0.2
+
         for abs_tol in (1e-13, 1e-6):
             quad_constants(_ABS_TOL=abs_tol)
             scale, weights, h, bound = _log_trapezoid_rule(k, *leaf.strip_bound())
             with mpmath.workdps(25):
                 got = h * mpmath.fsum(w * phi(mpmath.mpf(tau)) for w, tau in
-                                      zip(weights.tolist(), (math.sqrt(4.0 * t) * scale).tolist()))
+                                      zip(weights.tolist(), (root * scale).tolist()))
                 assert abs(got - want) <= bound, abs_tol
 
     @pytest.mark.parametrize("amplitude,abs_tol", [(1e5, 1e-13), (1e8, 1e-13), (1.0, 1e-20)])
@@ -848,10 +715,9 @@ class TestLogAxisRoute:
     def test_bound_covers_the_rounding_of_phi(self):
         # k = 9 (n = 10): the rule on 25-digit phi errs by at most 9e-15, but
         # sin and cos of 5 log1p(tau) at tau up to 1e11 round by up to about 1e-13
-        k, roots = 9, np.logspace(3.0, 10.0, 16)
-        values, bounds = _weighted_value(LogSineAvgPreimage(0.6, 5.0, 0.05, 1), k, roots)
-        want = [mpmath_weighted(mp_avg_preimage(0.6, 5.0, 0.05, 1), k, root * root / 4.0, 5.0,
-                                dps=25) for root in roots.tolist()]
+        k, roots, expr = 9, np.logspace(3.0, 10.0, 16), LogSineAvgPreimage(0.6, 5.0, 0.05, 1)
+        values, bounds = _weighted_value(expr, k, roots)
+        want = [ref_u(expr, k, root, dps=25) for root in roots.tolist()]
         assert np.all(np.abs(values - np.array(want)) <= bounds)
 
 
@@ -892,8 +758,8 @@ class TestLatticeRoute:
         # mass omega sigma eps at log radius sigma, which neither bound counts;
         # the tall log sine's window reaches below -40/(k+1)
         k, eps = n - 1, float(np.finfo(float).eps)
-        tall = ("tall log-sine", LogSine(1e5, 0.7, 0.2), None, 0.7)
-        for label, expr, _, omega in log_analytic_cases(n) + [tall]:
+        tall = ("tall log-sine", LogSine(1e5, 0.7, 0.2), 0.7)
+        for label, expr, omega in log_analytic_cases(n) + [tall]:
             for grid in lattice_grids(expr, k, count=193):
                 (lat, lat_bound), (batch, batch_bound) = lattice_and_batch(expr, k, grid)
                 sigma = grid[1] + math.log(_Z_MAX)
@@ -904,12 +770,12 @@ class TestLatticeRoute:
     @pytest.mark.parametrize("n", [1, 2, 3, 10])
     def test_error_bound_covers_mpmath(self, n):
         k = n - 1
-        for label, expr, phi, omega in log_analytic_cases(n):
+        for label, expr, _ in log_analytic_cases(n):
             for grid in lattice_grids(expr, k):
                 values, bounds = _weighted_value(expr, k, None, log_grid=grid)
                 xs = np.linspace(*grid)
                 for i in (0, grid[2] // 2, grid[2] - 1):
-                    want = mpmath_weighted(phi, k, math.exp(2.0 * xs[i]) / 4.0, omega)
+                    want = ref_u(expr, k, math.exp(xs[i]))
                     assert abs(values[i] - want) <= bounds[i], (label, i)
 
     def test_non_finite_phi_names_its_tau(self, monkeypatch):
@@ -999,58 +865,19 @@ TRAPEZOID = hb.TrapezoidWave(1.0, -0.5, 0.4)
 
 
 def trapezoid_cases(n):
-    """(label, leaf, weight of r / (r + 1) g'(L) in phi) for dimension n."""
-    return [("profile", hb.PeriodicOfLog(TRAPEZOID), 0.0),
-            ("slow-profile", hb.SlowFromPeriodic(TRAPEZOID, n), 1.0 / n)]
-
-
-def mp_split_profile(slope, radius, weight, s_hi):
-    """int_{-inf}^{s_hi} weight(s) psi(radius e^s) ds by mpmath, cut at corners.
-
-    psi = g(L) + slope (r / (r + 1)) g'(L) with L = log(r + 1) and g the
-    trapezoid TRAPEZOID.  The s axis is cut wherever L crosses a corner
-    theta + 2 pi q of g, and on each piece psi is written out from that
-    piece's linear formula, so mpmath integrates analytic functions only.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(20):
-        radius = mpmath.mpf(radius)
-        ell_hi = mpmath.log1p(radius * mpmath.exp(s_hi))
-        period = mpmath.mpf(2.0 * math.pi)  # the float period the wave uses
-        pieces = TRAPEZOID.pieces
-        corners = sorted(period * q + piece[0]
-                         for q in range(int(ell_hi / period) + 1) for piece in pieces
-                         if 0 < period * q + piece[0] < ell_hi)
-        cuts = ([-mpmath.inf] + [mpmath.log(mpmath.expm1(c) / radius) for c in corners]
-                + [mpmath.mpf(s_hi)])
-        ells = [mpmath.mpf(0)] + corners + [ell_hi]
-        total = mpmath.mpf(0)
-        for i in range(len(cuts) - 1):
-            mid = (ells[i] + ells[i + 1]) / 2
-            q = mpmath.floor(mid / period)
-            start, width, v, rise = next(piece for piece in pieces
-                                         if piece[0] <= mid - period * q <= piece[0] + piece[1])
-            b = mpmath.mpf(rise) / width
-
-            def f(s, q=q, start=start, v=v, b=b):
-                r = radius * mpmath.exp(s)
-                ell = mpmath.log1p(r)
-                return weight(s) * (v + b * (ell - period * q - start) + slope * b * r / (r + 1))
-            total += mpmath.quad(f, [cuts[i], cuts[i + 1]])
-        return float(total)
+    """(label, leaf) for dimension n."""
+    return [("profile", hb.PeriodicOfLog(TRAPEZOID)),
+            ("slow-profile", hb.SlowFromPeriodic(TRAPEZOID, n))]
 
 
 class TestTrapezoidProfiles:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("t", [1.0, 1e3, 1e9, 1e20])
     def test_u_against_mpmath(self, n, t):
-        import mpmath
-
         k, coeff = n - 1, 2.0 / math.gamma(n / 2.0)
         root = math.sqrt(4.0 * t)
-        for label, leaf, slope in trapezoid_cases(n):
-            want = coeff * mp_split_profile(
-                slope, root, lambda x: mpmath.exp((k + 1) * x - mpmath.exp(2 * x)), 4)
+        for label, leaf in trapezoid_cases(n):
+            want = coeff * ref_u(leaf, k, root)
             value, bound = _weighted_value(leaf, k, root)
             assert bound <= _ABS_TOL, label
             assert abs(coeff * value - want) <= coeff * bound, label
@@ -1059,10 +886,8 @@ class TestTrapezoidProfiles:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("tau", [2.3, 1e4, 1e8, 1e12])
     def test_ball_average_against_mpmath(self, n, tau):
-        import mpmath
-
-        for label, leaf, slope in trapezoid_cases(n):
-            want = mp_split_profile(slope, tau, lambda s: n * mpmath.exp(n * s), 0)
+        for label, leaf in trapezoid_cases(n):
+            want = ref_H(leaf, n, tau)
             for tol in (1e-5, 1e-8, 1e-11):
                 value, bound = _ball_average(leaf, n, tau, tol)
                 assert abs(value - want) <= bound, (label, tol)
@@ -1111,22 +936,15 @@ class TestTrapezoidProfiles:
 # Bump trains far out, against mpmath
 
 
-def mpmath_bump_u(n: int, t: float) -> float:
-    """u(0, t) of BumpTrain(1, 0.5, 0, GeometricCenters(e)) by mpmath, per bump."""
-    mpmath = pytest.importorskip("mpmath")
-    train = BumpTrain(1.0, 0.5, 0.0, GeometricCenters(math.e))
-    weighted = mp_bump_weighted(train, n - 1, math.sqrt(4.0 * t))
-    return float(2 / mpmath.gamma(mpmath.mpf(n) / 2) * weighted)
-
-
 class TestBumpTrainFarOut:
     BUMPS = BumpTrain(1.0, 0.5, 0.0, GeometricCenters(math.e))
 
     @pytest.mark.parametrize("t", [3.2e11, 1e21, 1e30])
     def test_against_mpmath(self, t):
         got = u_origin(self.BUMPS, 2, t)
+        want = 2.0 * ref_u(self.BUMPS, 1, math.sqrt(4.0 * t), dps=40)  # n = 2: 2 / Gamma(1)
         assert 0.0 <= got <= 1.0
-        assert got == pytest.approx(mpmath_bump_u(2, t), rel=1e-10, abs=1e-300)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
 
 
 class TestNodeBudget:
@@ -1786,6 +1604,13 @@ class TestVerifyCertificate:
         cert = prescribe_average(-1.0, -0.3, 0.3, 1.0, n=2)
         with pytest.raises(DomainError):
             verify_certificate(cert, **kwargs)
+
+    @pytest.mark.parametrize("call,expected", [
+        (verify_certificate, "PrescriptionCertificate"), (report_dumps, "VerificationReport"),
+        (report_to_json, "VerificationReport")])
+    def test_what_is_not_a_certificate_or_report_is_refused(self, call, expected):
+        with pytest.raises(DomainError, match=expected):
+            call(None)
 
     def test_quadrature_settings_recorded(self, average_report):
         assert average_report.quad_rel_tol == _REL_TOL == 1e-11
