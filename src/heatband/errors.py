@@ -1,15 +1,16 @@
-"""Exception hierarchy for heatband, and its one check of reals and of integers.
+"""Exception hierarchy for heatband, and its one check of each kind of input.
 
 Every error raised on purpose by this package derives from HeatbandError,
-so callers can catch the package's failures without swallowing bugs.
-check_finite and check_integer sit here, below every other module, so that
-each of them, quadrature included, can refuse a malformed number with
-DomainError, _finite refuses a non-finite evaluation with EvaluationError,
-and _json_real writes the NumPy reals it admits into the JSON artifacts.
+so callers can catch the package's failures without swallowing bugs.  The
+checks sit here, below every other module, so that each of them,
+quadrature included, refuses malformed input with DomainError: _finite
+checks the values a function returns, _loads reads JSON text, and
+_json_real writes the NumPy reals that check_finite admits.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 
@@ -103,6 +104,14 @@ def check_finite(**named) -> None:
             raise DomainError(f"{name} must be a finite real, got {value!r}")
 
 
+def check_positive(**named) -> None:
+    """check_finite, and each value above 0: the one check of positive parameters."""
+    check_finite(**named)
+    for name, value in named.items():
+        if not value > 0:
+            raise DomainError(f"{name} must be a positive finite real, got {value!r}")
+
+
 def check_integer(**named) -> None:
     """The package's one check of integer parameters: each value must be a
     Python or NumPy integer, not a bool.  Ranges stay with the callers."""
@@ -111,15 +120,21 @@ def check_integer(**named) -> None:
             raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
-def _finite(values: np.ndarray, points: np.ndarray, source: str, name: str) -> np.ndarray:
-    """values, the values of source at points (arrays of one shape), when all
-    are finite: the package's one refusal of a non-finite evaluation, which
-    raises EvaluationError at the first point whose value is not finite."""
-    if not np.all(np.isfinite(values)):
-        point = float(points[~np.isfinite(values)].flat[0])
+def _finite(values, points: np.ndarray, source: str, name: str) -> np.ndarray:
+    """values, what source returned at points, as a float array of the
+    points' shape: the package's one check of a function's values.  Values
+    other than bools, integers or floats of the points' shape or one scalar,
+    which broadcasts, raise DomainError, a non-finite value EvaluationError."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf" or arr.ndim and arr.shape != points.shape:
+        raise DomainError(f"{source} must return reals of the shape {points.shape} "
+                          f"or one real, got {arr.dtype} values of shape {arr.shape}")
+    arr = arr.astype(float, copy=False) if arr.ndim else np.full(points.shape, float(arr))
+    if not np.isfinite(arr).all():
+        point = float(points[~np.isfinite(arr)].flat[0])
         raise EvaluationError(
             f"{source} returned a non-finite value at {name} = {point!r}", point=point)
-    return values
+    return arr
 
 
 def _points(values, check) -> tuple[np.ndarray, tuple[int, ...] | None]:
@@ -139,6 +154,13 @@ def _points(values, check) -> tuple[np.ndarray, tuple[int, ...] | None]:
         check(float(flat.min()))
         check(float(flat.max()))
     return flat, arr.shape or None
+
+
+def _loads(text, schema: str):
+    """json.loads of text, which must be a str: the one reader of JSON artifacts."""
+    if not isinstance(text, str):
+        raise DomainError(f"{schema} text must be a str, got {type(text).__name__}")
+    return json.loads(text)
 
 
 def _json_real(value):

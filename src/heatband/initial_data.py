@@ -33,8 +33,10 @@ from .errors import (
     UnsupportedExpression,
     _finite,
     _json_real,
+    _loads,
     _points,
     check_finite,
+    check_positive,
 )
 from .kernel_moments import KernelFlavor, check_dimension, kernel_moments
 from .quadrature import (
@@ -109,9 +111,8 @@ class TrapezoidWave(PeriodicFunction):
     ramp_width: float = math.pi / 8.0
 
     def __post_init__(self):
-        check_finite(v_max=self.v_max, v_min=self.v_min, ramp_width=self.ramp_width)
-        if not self.v_max > 0:
-            raise DomainError(f"v_max must be positive, got {self.v_max!r}")
+        check_positive(v_max=self.v_max)
+        check_finite(v_min=self.v_min, ramp_width=self.ramp_width)
         if not self.v_min < 0:
             raise DomainError(f"v_min must be negative, got {self.v_min!r}")
         if not (0.0 < self.ramp_width < math.pi / 4.0):
@@ -438,11 +439,8 @@ class _ModeOfLog(InitialDataExpr):
     _n = math.inf
 
     def __post_init__(self):
-        check_finite(amplitude=self.amplitude, m=self.m, offset=self.offset)
-        if not self.amplitude > 0:
-            raise DomainError(f"amplitude must be positive, got {self.amplitude!r}")
-        if not self.m > 0:
-            raise DomainError(f"m must be positive, got {self.m!r}")
+        check_positive(amplitude=self.amplitude, m=self.m)
+        check_finite(offset=self.offset)
 
     def band_halfwidth(self) -> float:
         return self.amplitude * math.sqrt(1.0 + (self.m / self._n) ** 2)
@@ -527,9 +525,8 @@ class LogLogSine(InitialDataExpr):
     offset: float = 0.0
 
     def __post_init__(self):
-        check_finite(amplitude=self.amplitude, offset=self.offset)
-        if not self.amplitude > 0:
-            raise DomainError(f"amplitude must be positive, got {self.amplitude!r}")
+        check_positive(amplitude=self.amplitude)
+        check_finite(offset=self.offset)
 
     def _values(self, tau):
         return self.amplitude * np.sin(np.log(np.log(tau + 2.0))) + self.offset
@@ -605,11 +602,10 @@ class BumpTrain(InitialDataExpr):
     centers: CenterLaw
 
     def __post_init__(self):
-        check_finite(height=self.height, half_width=self.half_width, baseline=self.baseline)
+        check_finite(height=self.height, baseline=self.baseline)
+        check_positive(half_width=self.half_width)
         if self.height == 0:
             raise DomainError("height must be nonzero")
-        if not self.half_width > 0:
-            raise DomainError(f"half_width must be positive, got {self.half_width!r}")
         if not isinstance(self.centers, CenterLaw):
             raise DomainError(f"centers must be a CenterLaw, got {self.centers!r}")
         cs = self.centers.representable_centers()
@@ -1398,9 +1394,7 @@ def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
     the wave and bump routes; the rest of the rounding in evaluating phi itself is not counted.
     """
     check_dimension(n)
-    check_finite(tol=tol)
-    if not tol > 0:
-        raise DomainError(f"tol must be a positive finite real, got {tol!r}")
+    check_positive(tol=tol)
     taus, tol = np.asarray(taus, dtype=float).reshape(-1), float(tol)
     values, bounds, live = np.zeros(taus.size), np.zeros(taus.size), taus > 0.0
     if not live.all():
@@ -2028,7 +2022,7 @@ def dumps(expr: InitialDataExpr) -> str:
 
 
 def loads(text: str) -> InitialDataExpr:
-    return from_json(json.loads(text))
+    return from_json(_loads(text, SCHEMA_ID))
 
 
 def _to_doc(node) -> dict:

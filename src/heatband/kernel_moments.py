@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 from scipy.special import loggamma
 
-from .errors import (ConvergenceError, DomainError, RangeError, SearchFailure, check_finite,
-                     check_integer)
-from .quadrature import MAX_OSCILLATION_FREQUENCY
+from .errors import (DomainError, RangeError, SearchFailure, check_finite, check_integer,
+                     check_positive)
+from .quadrature import check_frequency
 
 __all__ = [
     "KernelFlavor",
@@ -80,6 +80,10 @@ class KernelFlavor(enum.Enum):
 
     AVERAGE = "average"
     DATA = "data"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"flavor must be 'average' or 'data', got {value!r}")
 
     def power(self, n: int) -> int:
         """Exponent of z in the weighted integrand."""
@@ -126,9 +130,7 @@ def _check_flavor(flavor) -> None:
 
 def check_time(t) -> None:
     """t must be a positive finite real with sqrt(4t) a double."""
-    check_finite(t=t)
-    if not t > 0:
-        raise DomainError(f"t must be a positive finite real, got {t!r}")
+    check_positive(t=t)
     if 4.0 * t > 1e308:
         raise RangeError(
             f"t = {t} puts sqrt(4t) outside double precision; use the "
@@ -157,13 +159,7 @@ def kernel_moments(n: int, m: float, flavor: KernelFlavor) -> MomentPair:
     """
     _check_flavor(flavor)
     power = flavor.power(n)  # checks n
-    check_finite(m=m)
-    if not m > 0:
-        raise DomainError(f"frequency m must be positive, got {m!r}")
-    if m > MAX_OSCILLATION_FREQUENCY:
-        raise ConvergenceError(
-            f"m = {m} exceeds the refusal threshold {MAX_OSCILLATION_FREQUENCY}; "
-            "the moments are below double-precision noise there")
+    check_frequency(m)
     log_pair = _log_moment(0.5 * (power + 1), m)
     pair = cmath.exp(log_pair)
     return MomentPair(

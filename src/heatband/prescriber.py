@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, UnsupportedExpression, _json_real, check_finite
+from .errors import DomainError, UnsupportedExpression, _json_real, _loads, check_finite
 from .initial_data import (
     BumpTrain,
     Constant,
@@ -166,6 +166,10 @@ class PrescriptionCertificate:
     expected_u_band: tuple[float, float]
 
     def __post_init__(self):
+        for name, cls in (("target", PrescriptionTarget), ("data", InitialDataExpr),
+                          ("construction_tag", str)):
+            if not isinstance(value := getattr(self, name), cls):
+                raise DomainError(f"{name} must be a {cls.__name__}, got {value!r}")
         if self.m_used is not None:
             check_finite(m_used=self.m_used)
         object.__setattr__(self, "expected_phi_band",
@@ -471,14 +475,11 @@ def cert_from_json(doc) -> PrescriptionCertificate:
     if not isinstance(kind, str) or kind not in _TARGET_FIELDS:
         raise DomainError(f"unknown target kind {kind!r}")
     quad_cls, keys = _TARGET_FIELDS[kind]
-    tag = _field(doc, "construction_tag", "certificate")
-    if not isinstance(tag, str):
-        raise DomainError(f"construction_tag must be a string, got {tag!r}")
     return PrescriptionCertificate(
         target=PrescriptionTarget(quad_cls(*(_field(tdoc, key, "target") for key in keys)),
                                   _field(tdoc, "n", "target")),
         data=expr_from_json(_field(doc, "data", "certificate")),
-        construction_tag=tag,
+        construction_tag=_field(doc, "construction_tag", "certificate"),
         m_used=_field(doc, "m_used", "certificate"),
         expected_phi_band=_field(doc, "expected_phi_band", "certificate"),
         expected_H_band=_field(doc, "expected_H_band", "certificate"),
@@ -491,4 +492,4 @@ def cert_dumps(cert: PrescriptionCertificate) -> str:
 
 
 def cert_loads(text: str) -> PrescriptionCertificate:
-    return cert_from_json(json.loads(text))
+    return cert_from_json(_loads(text, CERT_SCHEMA_ID))

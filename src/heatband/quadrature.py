@@ -28,7 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, _finite, check_finite
+from .errors import (ConvergenceError, DomainError, _finite, check_finite, check_integer,
+                     check_positive)
 
 __all__ = [
     "IntegralResult",
@@ -47,6 +48,16 @@ PANELS_PER_PERIOD = 8
 # the integral indistinguishable from zero in double precision long before
 # m = 500, while the panel cap would keep burning panels linearly in m.
 MAX_OSCILLATION_FREQUENCY = 500.0
+
+
+def check_frequency(m) -> None:
+    """The one check of a log frequency m: positive, and at most the ceiling."""
+    check_positive(m=m)
+    if m > MAX_OSCILLATION_FREQUENCY:
+        raise ConvergenceError(
+            f"m = {m} exceeds the refusal threshold {MAX_OSCILLATION_FREQUENCY}; "
+            "the oscillatory integral is below double-precision noise there")
+
 
 # 8-point Gauss-Legendre rule on [0, 1]: the fixed panel rule of the linear
 # pieces of bump trains and waves and of the log-radius ball averages
@@ -82,13 +93,15 @@ class IntegralResult:
     evaluations: int
 
     def __post_init__(self):
+        check_finite(value=self.value, abs_error_est=self.abs_error_est)
+        check_integer(evaluations=self.evaluations)
         if not (self.abs_error_est >= 0):
             raise DomainError("abs_error_est must be nonnegative")
         if self.evaluations < 1:
             raise DomainError("evaluations must be at least 1")
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def gaussian_power_tail(k: int, z_cut: float) -> float:
     """Exact value of int_{z_cut}^inf z^k exp(-z^2) dz for integer k >= 0.
 
@@ -96,6 +109,8 @@ def gaussian_power_tail(k: int, z_cut: float) -> float:
     upward recurrence I_j = ((j-1)/2) I_{j-2} + z_cut^{j-1} exp(-z_cut^2) / 2
     adds positive terms only, so it is stable.
     """
+    check_integer(k=k)
+    check_finite(z_cut=z_cut)
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
     lo = float(z_cut)
@@ -116,17 +131,11 @@ class _Counter:
 
 def _checked_eval(f: Callable, x: np.ndarray, counter: _Counter,
                   weight: Callable | None) -> np.ndarray:
-    """f at the points x, times weight(x) when a weight is given.
-
-    A non-finite f value raises EvaluationError naming its point (see
-    errors._finite).  counter tallies the evaluations and the largest |f|
-    seen, which bounds the unsampled tail.
-    """
-    vals = np.asarray(f(x), dtype=float)
-    if vals.shape != x.shape:
-        vals = np.broadcast_to(vals, x.shape).astype(float)
+    """f at the points x, checked by errors._finite, times weight(x) when a
+    weight is given; counter tallies the evaluations and the largest |f|
+    seen, which bounds the unsampled tail."""
+    vals = _finite(f(x), x, "integrand", "x")
     counter.n += x.size
-    _finite(vals, x, "integrand", "x")
     if vals.size:
         counter.f_max = max(counter.f_max, float(np.max(np.abs(vals))))
     return vals if weight is None else vals * weight(x)
@@ -222,13 +231,11 @@ def integrate_weighted(f: Callable, k: int) -> IntegralResult:
     f may oscillate only where the weight damps it; integrands oscillating
     without bound as z -> 0+ at k = 0 belong on the log axis instead.
     """
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise DomainError(f"weight power k must be a nonnegative integer, got {k!r}")
-
+    tail_mass = gaussian_power_tail(k, _Z_MAX)  # checks k
     value, err, counter = _adaptive_simpson(
         f, _LEFT_EDGE, _Z_MAX, rel_tol=_REL_TOL, abs_tol=_ABS_TOL,
         max_panels=_MAX_NODES, weight=lambda z: np.exp(-z * z) * z ** k)
-    tail = counter.f_max * gaussian_power_tail(k, _Z_MAX)
+    tail = counter.f_max * tail_mass
     left_edge = counter.f_max * _LEFT_EDGE ** (k + 1) / (k + 1)
     return IntegralResult(value, err + tail + left_edge, counter.n)
 
@@ -243,14 +250,7 @@ def integrate_log_oscillatory(F: Callable, m: float, trig) -> IntegralResult:
     window are below _ABS_TOL (true for the kernel amplitudes, which die like
     exp((power+1) x) on the left and exp(-e^{2x}) on the right).
     """
-    check_finite(m=m)
-    if not m > 0:
-        raise DomainError(f"oscillation frequency m must be positive, got {m!r}")
-    if m > MAX_OSCILLATION_FREQUENCY:
-        raise ConvergenceError(
-            f"m = {m} exceeds the refusal threshold {MAX_OSCILLATION_FREQUENCY}; "
-            "the result would be below double-precision noise while the panel "
-            "cap forces an unbounded grid")
+    check_frequency(m)
     trig_fn = _normalize_trig(trig)
     cap = (2.0 * math.pi / m) / PANELS_PER_PERIOD
     value, err, counter = _adaptive_simpson(

@@ -11,6 +11,7 @@ initial_data (see its Leaf routes); every sweep hands it a whole grid at once.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -26,6 +27,8 @@ from .errors import (
     _json_real,
     _points,
     check_finite,
+    check_integer,
+    check_positive,
 )
 from .initial_data import (
     InitialDataExpr,
@@ -92,8 +95,11 @@ class OscillationBand:
     periods_covered: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lower_est) and math.isfinite(self.upper_est)
-                and self.lower_est <= self.upper_est):
+        check_finite(lower_est=self.lower_est, upper_est=self.upper_est,
+                     grid_lo=self.grid_lo, grid_hi=self.grid_hi,
+                     periods_covered=self.periods_covered)
+        check_integer(points_per_period=self.points_per_period)
+        if not self.lower_est <= self.upper_est:
             raise DomainError(
                 f"band estimates must be ordered finite reals, got "
                 f"({self.lower_est}, {self.upper_est})")
@@ -103,7 +109,7 @@ class OscillationBand:
                 f"({self.grid_lo}, {self.grid_hi})")
         if self.points_per_period < 1:
             raise DomainError("points_per_period must be at least 1")
-        if not (math.isfinite(self.periods_covered) and self.periods_covered >= 0):
+        if not self.periods_covered >= 0:
             raise DomainError("periods_covered must be a nonnegative real")
 
 
@@ -181,12 +187,8 @@ def u_offcenter_1d(expr, x: float, t: float) -> float:
         raise RangeError(
             f"|x| + sqrt(4t) z_max overflows double precision at x = {x}, t = {t}")
 
-    if isinstance(expr, InitialDataExpr):
-        def f(tau):
-            return eval_phi(expr, tau)
-    elif callable(expr):
-        f = expr
-    else:
+    f = functools.partial(eval_phi, expr) if isinstance(expr, InitialDataExpr) else expr
+    if not callable(f):
         raise DomainError(
             f"expr must be an InitialDataExpr or a callable, got {type(expr).__name__}")
 
@@ -269,16 +271,21 @@ def band_estimate(evaluator, m_hint) -> OscillationBand:
     each end, none for an end flat to rounding.  So a sweep makes at most 2
     calls, 1 when both ends are flat.  Each end is the least or greatest
     sample of the grid and that call, never an interpolated value.
-    verify_certificate's evaluator (_OriginSweep) takes the grid call as the
-    grid itself, x0, the far end and the count, so that the analytic leaves
-    of its data take one correlation on a lattice that all grid points share.
     m_hint = "log-log" sweeps a grid uniform in y = log log sqrt(4t)
     instead, and interpolates in y; double precision runs out long before 3
     such periods, so that mode always raises PartialBandError carrying the
-    covered sub-band.  A non-finite value raises EvaluationError.
+    covered sub-band.  Values that are not reals of the times' shape raise
+    DomainError, a non-finite value EvaluationError.
     """
     if not callable(evaluator):
         raise DomainError("evaluator must be callable")
+    return _sweep(evaluator, m_hint)
+
+
+def _sweep(evaluator, m_hint, on_grid=None) -> OscillationBand:
+    """band_estimate's sweep; on_grid, if given, makes the grid call of a
+    numeric m_hint from the grid x = np.linspace(x0, x1, count) itself, so
+    that verify's data take one lattice that all grid points share."""
     x0 = 0.5 * math.log(4.0 * _SWEEP_T_ANCHOR)
 
     if isinstance(m_hint, str):
@@ -291,29 +298,23 @@ def band_estimate(evaluator, m_hint) -> OscillationBand:
         us, grid = np.linspace(y0, y1, npts), None
         xs = np.exp(us)
     else:
-        check_finite(m_hint=m_hint)
-        m = float(m_hint)
-        if not m > 0:
-            raise DomainError(f"m_hint must be positive, got {m_hint!r}")
-        period = TWO_PI / m
+        check_positive(m_hint=m_hint)
+        period = TWO_PI / float(m_hint)
         x1, covered = x0 + _SWEEP_PERIODS * period, _SWEEP_PERIODS
         if x1 > _X_CAP:
             x1, covered = _X_CAP, (_X_CAP - x0) / period
         grid = (x0, x1, max(int(math.ceil(_POINTS_PER_PERIOD * covered)) + 1, 9))
         us = xs = np.linspace(*grid)
 
-    def at_x(x, log_grid=None):
-        # the evaluator at t = e^{2x} / 4, in one call for the array x; with
-        # log_grid, verify's sweep on x = np.linspace(*log_grid) as one grid
-        t = np.exp(2.0 * x) / 4.0
-        vals = evaluator(t) if log_grid is None else evaluator.on_log_grid(*log_grid)
-        return _finite(np.broadcast_to(np.asarray(vals, dtype=float), t.shape), t,
-                       "evaluator", "t")
+    def at_x(x, call):
+        t = np.exp(2.0 * x) / 4.0  # one call for the times of the array x
+        return _finite(call(t), t, "evaluator", "t")
 
-    vals = at_x(xs, grid if isinstance(evaluator, _OriginSweep) else None)
+    vals = at_x(xs, evaluator if on_grid is None else lambda t: on_grid(*grid))
     trials = _vertex_trials(us, vals, covered)
     if trials.size:
-        vals = np.concatenate([vals, at_x(np.exp(trials) if grid is None else trials)])
+        vals = np.concatenate([vals, at_x(np.exp(trials) if grid is None else trials,
+                                          evaluator)])
     lower, upper = float(vals.min()), float(vals.max())
 
     band = OscillationBand(
@@ -332,27 +333,6 @@ def band_estimate(evaluator, m_hint) -> OscillationBand:
 
 # ---------------------------------------------------------------------------
 # Certificate verification
-
-
-@dataclass(frozen=True)
-class _OriginSweep:
-    """u(0, t) of one data expression, the evaluator of verify's sweep.
-
-    Called on an array of times it is u_origin there.  band_estimate hands
-    on_log_grid its own grid x = np.linspace(x0, x1, count) in
-    x = log sqrt(4t), which the router integrates as one lattice.
-    """
-
-    expr: InitialDataExpr
-    n: int
-
-    def __call__(self, t):
-        return u_origin(self.expr, self.n, t)
-
-    def on_log_grid(self, x0: float, x1: float, count: int) -> np.ndarray:
-        flavor = KernelFlavor.DATA
-        return flavor.coefficient(self.n) * _weighted_value(
-            self.expr, flavor.power(self.n), None, log_grid=(x0, x1, count))[0]
 
 
 def _slow_content(expr) -> tuple[float | None, bool]:
@@ -428,20 +408,25 @@ def verify_certificate(cert: PrescriptionCertificate,
     """
     _check_cert(cert)
     n = cert.target.n
-    check_finite(tol_band=tol_band)
-    if not tol_band > 0:
-        raise DomainError(f"tol_band must be positive, got {tol_band!r}")
+    check_positive(tol_band=tol_band)
 
     slow_m, loglog = _slow_content(cert.data)
     notes: list[str] = []
 
     phi_band = _measure_phi_band(cert.data, slow_m, loglog)
 
-    u_at = _OriginSweep(cert.data, n)
+    coeff = KernelFlavor.DATA.coefficient(n)
+
+    def u_at(t):
+        return u_origin(cert.data, n, t)
+
+    def on_grid(*log_grid):  # u(0, t) on the sweep grid, one lattice for all its points
+        return coeff * _weighted_value(cert.data, n - 1, None, log_grid=log_grid)[0]
+
     u_partial = False
     if loglog:
         try:
-            u_band = band_estimate(u_at, "log-log")
+            u_band = _sweep(u_at, "log-log")
         except PartialBandError as err:
             u_band = err.band
             u_partial = True
@@ -455,7 +440,7 @@ def verify_certificate(cert: PrescriptionCertificate,
         else:
             m_hint = 1.0
             notes.append("envelope is constant; sweep frequency 1.0 is nominal")
-        u_band = band_estimate(u_at, m_hint)
+        u_band = _sweep(u_at, m_hint, on_grid)
 
     u_gaps = u_at(np.array(_GAP_TIMES)).tolist()
     # H last: its window costs the most, and a u route may refuse first

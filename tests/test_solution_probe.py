@@ -840,6 +840,11 @@ class TestLatticeRoute:
         from heatband.initial_data import _log_trapezoid_rule
 
         cert = prescribe_average(-1.0, -0.3, 0.3, 1.0, n=2)
+        sweeps, sweep = [], probe._sweep
+        monkeypatch.setattr(probe, "_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+        verify_certificate(cert)
+        evaluator, m_hint, on_grid = sweeps[0]
+        assert m_hint == cert.m_used
         calls = []
 
         def counted(*args):
@@ -848,7 +853,7 @@ class TestLatticeRoute:
 
         monkeypatch.setattr(probe, "u_origin", counted)
         _log_trapezoid_rule.cache_clear()
-        band = band_estimate(probe._OriginSweep(cert.data, 2), cert.m_used)
+        band = sweep(evaluator, m_hint, on_grid)
         info = _log_trapezoid_rule.cache_info()
         assert info.misses == 1
         assert info.hits == len(calls) == 1 and calls[0] <= 8
