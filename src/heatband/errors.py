@@ -16,7 +16,10 @@ import sys
 
 import numpy as np
 
+# float constants that several modules share
+TWO_PI = 2.0 * math.pi
 _FLOAT_MAX = sys.float_info.max
+_EPS = sys.float_info.epsilon
 
 
 class HeatbandError(Exception):

@@ -19,14 +19,14 @@ import json
 import math
 from contextlib import suppress
 from dataclasses import dataclass, fields
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import zeta
 
 from .errors import (
+    _EPS,
+    _FLOAT_MAX,
+    TWO_PI,
     ConvergenceError,
     DomainError,
     RangeError,
@@ -41,13 +41,21 @@ from .errors import (
 from .kernel_moments import KernelFlavor, check_dimension, kernel_moments
 from .quadrature import (
     GL_NODES,
-    GL_WEIGHTS,
     MAX_OSCILLATION_FREQUENCY,
     _ABS_TOL,
-    _MAX_NODES,
     _Z_MAX,
+    _check_nodes,
+    _fixed_sums,
+    _lattice_sums,
+    _log_gauss_panels,
+    _log_gauss_rule,
+    _log_trapezoid_rule,
+    _pieces_radial,
+    _pieces_weighted,
+    _split_gauss_sum,
+    _wave_radial_series,
+    _wave_weighted_series,
     gaussian_power_tail,
-    integrate_weighted,
 )
 
 __all__ = [
@@ -64,13 +72,8 @@ __all__ = [
 
 SCHEMA_ID = "idexpr/1"
 
-TWO_PI = 2.0 * math.pi
-
-# Largest double; centers or tau beyond this are not representable.
-_FLOAT_MAX = float(np.finfo(float).max)
+# Log of the largest double, past which a centre or tau is not representable
 _LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
-_FLOAT_TINY = float(np.finfo(float).tiny)  # least normal double
-_EPS = float(np.finfo(float).eps)
 
 # ---------------------------------------------------------------------------
 # 2 pi periodic building blocks
@@ -961,57 +964,7 @@ def phi_from_H(h_expr: InitialDataExpr, n: int) -> InitialDataExpr:
 
 
 # ---------------------------------------------------------------------------
-# Leaf routes
-#
-# Both integrals of the data, u(0, t) against the heat kernel (_weighted_value)
-# and the ball average H(tau) (_ball_average), are routed per signed leaf by
-# its kind, which _split_leaves alone decides (see _Leaves); the bands and
-# witnesses of a sum and verify's sweeps read the same split, and each route
-# adds its leaves in leaf order, waves before bumps.  Constants are closed
-# forms.  Leaves analytic in log tau (log sines, their average preimages, the
-# doubly-log sine, trig-polynomial profiles of log(tau + 1)) share one fixed
-# sum on a log-radius axis, with an a-priori bound through the strip where
-# the integrand stays analytic: a trapezoid sum on x = log z for u, a
-# Gauss-Legendre sum on s = log(r / tau) for H.  Trapezoid profiles of
-# log(tau + 1), analytic only between their corners, take the Gauss layout
-# split at the corners, radius by radius, for either kernel, beside the
-# analytic leaves' own rule (in H tol/2 each).  2 pi periodic waves and bump
-# trains would alias under fixed panels; both are linear in tau piece by
-# piece, a bump train above its baseline, which joins the constants.  One
-# Gauss rule on those pieces, in coordinates local to each, serves both
-# kernels: every bump train, and a wave below four periods in H and at roots
-# too small for its series in u.  Elsewhere a wave integrates by parts
-# against the primitives of one cached model: H ends after n steps, one
-# array expression over the radii, and u is a series whose remainder bound
-# picks its length, so no cost grows with tau or t.  Each fixed rule is a
-# cached read-only layout, the same nodes at every t or tau, so a batch of
-# points is one evaluation of phi on the outer product of radii and nodes and
-# one matrix-vector product; the wave's series are array expressions over the
-# points, the piece rule one layout a block of points, and kinked leaves loop
-# over them.  A grid uniform in x = log root, given as the grid itself (the
-# grid call of verify's sweep), shares its trapezoid nodes: its sums are one
-# correlation of phi on a lattice that all grid points share (_lattice_sums).
-# Every fixed rule refuses, before it lays any, more nodes at a point than the
-# one node budget _MAX_NODES (_check_nodes), and every u(0, t) rule is sized
-# by the one tolerance _ABS_TOL.  Only plain callables take adaptive quadrature.
-
-# Most values of phi in one block of rows of a batch's outer product
-_BLOCK = 1 << 20
-
-# Most terms of the integration-by-parts series of a wave; where they cannot
-# reach abs_tol / 2 (root below about 15 to 30, the more the larger k), the
-# wave route integrates the wave piece by piece instead.
-_IBP_TERMS = 60
-_IBP_ORDERS = np.arange(1, _IBP_TERMS + 1)
-
-# Least radius, four periods, of the integration-by-parts ball average of a
-# wave; nearer 2 pi the Gauss rule on its pieces has the tighter bound.
-_WAVE_SERIES_FROM = 4.0 * TWO_PI
-
-# Widest z-panel of the Gauss-Legendre rule on linear pieces in u, and the
-# constant (8!)^4 / (17 (16!)^3) of that 8-node rule's remainder
-_PIECE_PANEL = 0.125
-_GAUSS_REMAINDER = math.factorial(8) ** 4 / (17 * math.factorial(16) ** 3)
+# Leaf kinds
 
 
 @dataclass(frozen=True)
@@ -1092,270 +1045,42 @@ def _phi_on(expr: InitialDataExpr, tau: np.ndarray) -> np.ndarray:
     return _finite(eval_phi(expr, tau), tau, "initial data", "tau")
 
 
-def _log_quotient(num: float, den: float) -> float:
-    """log(num / den), num >= 0 and den > 0: of the quotient where it is a
-    normal double, else the difference of the logs (-inf for num = 0)."""
-    ratio = num / den
-    if _FLOAT_TINY <= ratio < math.inf:
-        return math.log(ratio)
-    return math.log(num) - math.log(den) if num > 0.0 else -math.inf
-
-
-def _check_nodes(nodes) -> None:
-    """Refuse more than _MAX_NODES nodes at a point, or nan, with ConvergenceError."""
-    if not nodes <= _MAX_NODES:
-        raise ConvergenceError(f"fixed rule needs at least {nodes:.6g} nodes a point, "
-                               f"exceeding the node budget {_MAX_NODES}")
-
-
-def _fixed_sums(pairs, radii, scale, weights) -> np.ndarray:
-    """sum_j weights_j phi(radii_i scale_j) for each radius, phi the signed
-    sum of pairs, in blocks of rows of at most _BLOCK values."""
-    expr, rows = _signed_sum(pairs), max(1, _BLOCK // scale.size)
-    out = np.empty(radii.size)
-    for i in range(0, radii.size, rows):
-        out[i:i + rows] = np.dot(_phi_on(expr, np.multiply.outer(radii[i:i + rows], scale)),
-                                 weights)
-    return out
-
-
-def _split_gauss(lo: float, h: float, panels: int, radius: float, phases):
-    """(s_i, w_i, near) of the 8-node Gauss-Legendre rule on `panels` panels
-    of width h from s = lo, s = log(r / radius), each panel split where
-    L = log(r + 1) crosses a corner theta + 2 pi q, theta in phases.  near
-    marks the nodes whose L lies within rounding of a corner, where
-    evaluation may take the neighbouring piece's formula.  Each corner adds
-    at most one panel; more than _MAX_NODES nodes in all raise
-    ConvergenceError before any node is laid.
-    """
-    edges = lo + h * np.arange(panels + 1)
-    ell_lo, ell_hi = np.log1p(radius * np.exp(edges[[0, -1]]))
-    q = np.arange(math.floor(ell_lo / TWO_PI), math.floor(ell_hi / TWO_PI) + 1)
-    corners = (TWO_PI * q[:, None] + np.asarray(phases)).ravel()
-    corners = corners[(corners > ell_lo) & (corners < ell_hi)]
-    _check_nodes(GL_NODES.size * (panels + corners.size))
-    # s = log(e^L - 1) - log radius, without overflow at large L
-    edges = np.union1d(edges, corners + np.log(-np.expm1(-corners)) - math.log(radius))
-    widths = np.diff(edges)
-    nodes = (edges[:-1, None] + widths[:, None] * GL_NODES).ravel()
-    ell = np.log1p(radius * np.exp(nodes))
-    gap = np.abs(ell[:, None] - corners).min(axis=1, initial=np.inf)
-    return nodes, (widths[:, None] * GL_WEIGHTS).ravel(), gap <= 16.0 * _EPS * (ell + 1.0)
-
-
-def _split_gauss_sum(leaves: _Leaves, radii: np.ndarray, layout,
-                     kernel) -> tuple[np.ndarray, np.ndarray]:
-    """(values, error bounds) of int_{-D}^0 K(s) phi(radius e^s) ds at each
-    radius of the 1-D array radii, phi the signed sum of leaves.kinked, by
-    the Gauss layout (D, P, bound) of _log_gauss_panels split at their
-    corners, which move with the radius, so radius by radius, within the node
-    budget at each radius.
-
-    kernel(s) gives K at the nodes and factors c_i with K_i right to 4 c_i eps
-    relative.  The terms are summed exactly by math.fsum; the bound adds to
-    the layout's their rounding, 4 eps sum_i c_i |term_i|, and
-    2 (kink_sup + kink_steep) w_i K_i for each node near a corner, where
-    both pieces' formulas stay within kink_sup + kink_steep of 0.
-    """
-    depth, panels, bound = layout
-    expr, near_bound = _signed_sum(leaves.kinked), 2.0 * (leaves.kink_sup + leaves.kink_steep)
-    values, bounds = np.empty(radii.size), np.empty(radii.size)
-    for i, radius in enumerate(radii.tolist()):
-        s, w, near = _split_gauss(-depth, depth / panels, panels, radius, leaves.phases)
-        k_vals, cond = kernel(s)
-        weights = w * k_vals
-        terms = weights * _phi_on(expr, radius * np.exp(s))
-        rounding = 4.0 * _EPS * float(np.sum(np.abs(terms) * cond))
-        values[i] = math.fsum(terms)
-        bounds[i] = bound + rounding + near_bound * float(np.sum(weights[near]))
-    return values, bounds
-
-
-@lru_cache(maxsize=64)
-def _log_gauss_panels(n: int, mass: float, omega: float, tol: float,
-                      steep: float = 0.0, reach: float = 0.5 * math.pi):
-    """(D, P, error bound) of the Gauss rule of n int_{-inf}^0 K(s) phi(tau e^s) ds
-    on s = log(r / tau), |K(s)| <= e^{n Re s} for |Im s| <= reach (pi/2 for
-    H's K = e^{ns}, pi/4 for the heat kernel).  |phi(tau e^s)| <= M(a) =
-    mass e^{omega a} + steep (2a - log cos a) for |Im s| < a < pi/2, whatever
-    tau, and <= mass on the real axis: steep = 0 for analytic leaves
-    (strip_bound), omega = 0 for kinked ones, piece by piece (_piece_bound).  The rule
-
-    * cuts the window at s = -D with D = log(2 mass / tol) / n, which drops
-      at most mass e^{-nD} = tol / 2 of n int phi(tau e^s) e^{ns} ds;
-    * covers [-D, 0] with P panels of width h = D / P carrying the 8-point
-      Gauss-Legendre rule.  On a panel with centre c the Bernstein ellipse
-      E_rho with (h/4)(rho - 1/rho) = a fits in the strip and reaches
-      Re s = c + r, r = sqrt(h^2/4 + a^2), so the integrand is at most
-      n M(a) e^{n c + n r} there, and the panel errs by at most
-      h/2 * 64/15 * that * rho^-16 / (rho^2 - 1) (Trefethen, Approximation
-      Theory and Approximation Practice, Theorem 19.3).  As
-      sum_c (h/2) e^{nc} <= 1/(2n), all panels together err by at most
-          E(h, a) = (32/15) M(a) e^{n r} rho^-16 / (rho^2 - 1),
-      which grows with h.  a is where 12 bisections over (0, reach] find
-      log E, with derivative (log M)'(a) + (n a - 17) / r - 1 / a, turn up:
-      its minimiser for steep = 0, where log E is convex in a, and a valid
-      bound for any a.  P is the least count with E(D / P, a) <= tol/2.
-
-    The bound returned is E(h, a) + mass e^{-nD}; panels split at corners
-    keep it, being narrower, as e^{ns} is convex.  More than _MAX_NODES nodes
-    raise ConvergenceError (_split_gauss counts the corners); D and tol/2
-    are logs of quotients (_log_quotient), so no tol is too fine.
-    """
-    order = len(GL_NODES)
-    tol = max(tol, math.ulp(0.0))  # a halved tolerance may round to 0
-    depth = max(_log_quotient(2.0 * mass, tol), 1.0) / n
-    target = _log_quotient(tol, 2.0)
-
-    def strip(a):  # log((32/15) M(a)) and (log M)'(a); steep = 0 forms no e^{omega a}
-        if not steep:
-            return math.log(32.0 / 15.0 * mass) + omega * a, omega
-        grown = mass * math.exp(omega * a)
-        bound = grown + steep * (2.0 * a - math.log(math.cos(a)))
-        return math.log(32.0 / 15.0 * bound), (omega * grown + steep * (2.0 + math.tan(a))) / bound
-
-    def log_error(panels):
-        h, lo, a = depth / panels, 0.0, reach
-        for _ in range(12):
-            mid = 0.5 * (lo + a)
-            slope = strip(mid)[1] + (n * mid - 2 * order - 1) / math.hypot(0.5 * h, mid)
-            lo, a = (lo, mid) if slope > 1.0 / mid else (mid, a)
-        rho = 2.0 * a / h + math.hypot(2.0 * a / h, 1.0)
-        return (strip(a)[0] + n * math.hypot(0.5 * h, a)
-                - 2 * order * math.log(rho) - math.log(rho * rho - 1.0))
-
-    def fits(panels):
-        return mass == 0.0 or log_error(panels) <= target
-
-    hi = 1
-    while not fits(hi):  # double the count, then bisect
-        _check_nodes(order * (hi + 1))  # the least count that may fit
-        hi *= 2
-    lo = hi // 2  # fits(hi) holds; fits(lo) fails or lo = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
-    _check_nodes(order * hi)
-    quad = math.exp(log_error(hi)) if mass > 0.0 else 0.0
-    return depth, hi, quad + mass * math.exp(-n * depth)
-
-
-@lru_cache(maxsize=64)
-def _log_gauss_rule(n: int, mass: float, omega: float, tol: float):
-    """(e^{s_i}, w_i, error bound) with H(tau) ~ sum_i w_i phi(tau e^{s_i})
-    for analytic leaves: the panels of _log_gauss_panels in the strip that
-    needs fewest, the same for every tau, within the node budget, and
-    their bound plus the rounding of the weighted sum."""
-    depth, panels, bound = _log_gauss_panels(n, mass, omega, tol)
-    h = depth / panels
-    s = -depth + h * (np.arange(panels)[:, None] + GL_NODES).ravel()
-    scale = np.exp(s)
-    weights = n * h * np.tile(GL_WEIGHTS, panels) * scale ** n
-    rounding = weights.size * _EPS * mass * float(np.sum(weights))
-    scale.flags.writeable = weights.flags.writeable = False
-    return scale, weights, bound + rounding
-
-
-@lru_cache(maxsize=64)
-def _log_trapezoid_rule(k: int, mass: float, omega: float):
-    """(e^{x_j}, w_j, h, error bound) with w_j = e^{(k+1) x_j - e^{2 x_j}} and
-    int_0^inf z^k e^{-z^2} phi(root z) dz ~ h sum_j w_j phi(root e^{x_j})
-    for analytic leaves, on nodes x_j = log z_max - h j, j = 0 .. J - 1, the
-    same for every root.
-
-    phi is a sum of leaves whose strip masses sum to mass and whose
-    frequencies are at most omega.  On the x = log z axis the integrand
-    f(x) = exp((k+1) x - e^{2x}) phi(root e^x) is analytic in the strip
-    |Im x| < a for any a < pi/4, and there the integral of |f(x + iy)| over
-    x is at most M = mass e^{omega a} M_k cos(2a)^(-(k+1)/2), with
-    M_k = int_0^inf z^k e^{-z^2} dz.
-    The trapezoid rule with step h on the whole line then errs by at most
-    2 M / (e^{2 pi a / h} - 1) (Trefethen & Weideman, SIAM Rev. 56, 2014,
-    Theorem 5.1); any h <= h_max = 2 pi a / log(2 + 4 M / _ABS_TOL) keeps that
-    below _ABS_TOL / 2.  Up to the 2, log(4 M / _ABS_TOL) / a is least where
-    (k+1) (a tan 2a + log(cos 2a) / 2) = log(4 mass M_k / _ABS_TOL), whose
-    left side grows from 0 to infinity on (0, pi/4); a is the lower end of
-    its bracket after 24 bisections.  The rule takes
-    h = L / (floor(L / h_max) + 1), J - 1 steps over the window of
-    _log_window, of length L, whose cuts add at most its tails.  The bound
-    returned is the sum of the two.  More than _MAX_NODES nodes raise
-    ConvergenceError, and so do more in the lattice of _lattice_sums.
-    """
-    # log(4 mass M_k / _ABS_TOL); mass is floored at _ABS_TOL, which only shrinks h
-    log_mass = _log_quotient(4.0 * max(mass, _ABS_TOL) * gaussian_power_tail(k, 0.0), _ABS_TOL)
-    lo, hi = 0.0, 0.25 * math.pi
-    for _ in range(24):
-        a = 0.5 * (lo + hi)
-        below = (k + 1) * (a * math.tan(2.0 * a) + 0.5 * math.log(math.cos(2.0 * a))) < log_mass
-        lo, hi = (a, hi) if below else (lo, a)
-    log_ratio = omega * lo + log_mass - 0.5 * (k + 1) * math.log(math.cos(2.0 * lo))
-    x_lo, x_hi, tails = _log_window(k, mass)
-    steps = ((x_hi - x_lo) * (log_ratio + math.log1p(2.0 * math.exp(-log_ratio)))
-             / (2.0 * math.pi * lo))
-    nodes = steps // 1.0 + 2.0  # int(steps) + 2; nan, so refused, for steps = inf
-    _check_nodes(nodes)
-    count = int(nodes)
-    h = (x_hi - x_lo) / (count - 1)
-    x = x_hi - h * np.arange(count)
-    scale, kernel = np.exp(x), np.exp((k + 1) * x - np.exp(2.0 * x))
-    scale.flags.writeable = kernel.flags.writeable = False
-    return scale, kernel, h, 0.5 * _ABS_TOL + tails
-
-
-def _log_window(k: int, mass: float) -> tuple[float, float, float]:
-    """(x_lo, log z_max, tails): the window of the log-axis trapezoid rule
-    for analytic leaves of strip mass mass, and the most its two cuts drop,
-    mass (e^{(k+1) x_lo} / (k+1) + G_k(z_max)), G_k the Gaussian power tail.
-    (k+1) x_lo is the lesser of -40 and log((k+1) _ABS_TOL / (4 mass)), a log
-    of a quotient (_log_quotient), so the left cut drops at most _ABS_TOL / 4
-    at any mass; the fixed right cut refuses an _ABS_TOL below 4 mass G_k(z_max)."""
-    cut = mass * gaussian_power_tail(k, _Z_MAX)
-    if cut > 0.25 * _ABS_TOL:
-        raise ConvergenceError(f"the cut at z = {_Z_MAX:g} drops up to {cut:.6g}: abs_tol "
-                               f"needs at least {4.0 * cut:.6g} to be met, got {_ABS_TOL!r}")
-    depth = min(-40.0, _log_quotient((k + 1) * _ABS_TOL, 4.0 * max(mass, _ABS_TOL)))
-    tails = mass * (math.exp(depth) / (k + 1) + gaussian_power_tail(k, _Z_MAX))
-    return depth / (k + 1), math.log(_Z_MAX), tails
-
-
-def _lattice_sums(leaves: _Leaves, k: int, h: float, log_grid) -> np.ndarray:
-    """The log-axis trapezoid sums of _log_trapezoid_rule, whose step is h,
-    at every root e^{x_i} of the grid x = np.linspace(x0, x1, N),
-    log_grid = (x0, x1, N), phi the signed sum of leaves.analytic: one
-    correlation of phi with the kernel on a lattice that all grid points share.
-
-    With the grid step D = (x1 - x0) / (N - 1), the lattice step is
-    g = D / q, q = ceil(D / h), and the node step h' = p g,
-    p = floor(h / g) >= 1.  The nodes log z_max - j h' run down past the
-    window of _log_window, so every node of every grid point lies on
-    sigma_r = x0 + log z_max - r g, and phi is evaluated once at each
-    e^{sigma_r}.  As h' <= h and the nodes cover the same window, the rule's
-    bound holds as it is; as h' > h/2, the budget is checked again.  The sums
-    are one strided matrix-vector product, in blocks of rows of at most
-    _BLOCK values.
-    """
-    x0, x1, count = log_grid
-    step = (x1 - x0) / (count - 1) if count > 1 else h  # numpy's linspace step
-    q = math.ceil(step / h)
-    g = step / q
-    p = max(1, int(h / g))
-    x_lo, x_hi, _tails = _log_window(k, leaves.mass)
-    nodes = math.ceil((x_hi - x_lo) / (p * g)) + 1
-    _check_nodes(nodes)
-    x = x_hi - p * g * np.arange(nodes)
-    kernel = np.exp((k + 1) * x - np.exp(2.0 * x))[::-1]  # ascending in x
-    # sigma ascending: grid point i reads entries i q + j p, j = 0 .. nodes - 1
-    r = np.arange((count - 1) * q + (nodes - 1) * p + 1) - (nodes - 1) * p
-    phi = _phi_on(_signed_sum(leaves.analytic), np.exp((x0 + x_hi) + g * r))
-    rows = sliding_window_view(phi, (nodes - 1) * p + 1)[::q, ::p]
-    out, block = np.empty(count), max(1, _BLOCK // nodes)
-    for i in range(0, count, block):
-        out[i:i + block] = np.dot(rows[i:i + block], kernel)
-    return p * g * out
+def _linear_pieces(leaf, tau_max: float):
+    """(pieces, sup, steep) for a bump train above its baseline or a wave:
+    pieces has rows start, width, v, rise, one column for each linear piece
+    in tau that starts below tau_max (and a few beyond), sorted by start,
+    with the leaf v + rise s at fraction s of the piece; sup bounds
+    |v + rise s| and steep |rise| / width on every piece of the leaf.  A
+    bump train repeats a rising and a falling piece at each representable
+    centre, a wave its pieces at each period.  More than _MAX_NODES nodes,
+    one 8-node Gauss panel a piece, raise ConvergenceError before any is listed."""
+    if isinstance(leaf, BumpTrain):
+        half, height = leaf.half_width, leaf.height
+        block = np.array([[-half, 0.0], [half, half], [0.0, height], [height, -height]])
+        centers = leaf.centers.representable_centers()
+        count = int(np.searchsorted(centers, tau_max + half))
+    else:
+        block = np.array(leaf.wave.pieces).T
+        count = math.floor(tau_max / TWO_PI) + 1
+    _check_nodes(GL_NODES.size * block.shape[1] * count)
+    offsets = centers[:count] if isinstance(leaf, BumpTrain) else TWO_PI * np.arange(count)
+    pieces = np.empty((4, offsets.size, block.shape[1]))
+    pieces[:] = block[:, None]
+    pieces[0] += offsets[:, None]
+    _start, width, v, rise = block.tolist()
+    return (pieces.reshape(4, -1), max(max(abs(a), abs(a + b)) for a, b in zip(v, rise)),
+            max(abs(b) / w for b, w in zip(rise, width)))
 
 
 # ---------------------------------------------------------------------------
 # The two integrals: ball average and u(0, t)
+# The routers _ball_average and _weighted_value route each signed leaf, by its
+# kind (_split_leaves), to a rule of quadrature, and decide the points each
+# rule serves; each adds its leaves in leaf order, waves before bumps.
+
+# Least radius, four periods, of the integration-by-parts ball average of a
+# wave; nearer 2 pi the Gauss rule on its pieces has the tighter bound.
+_WAVE_SERIES_FROM = 4.0 * TWO_PI
 
 
 def numeric_H(expr: InitialDataExpr, n: int, tau, tol: float = 1e-8):
@@ -1363,13 +1088,11 @@ def numeric_H(expr: InitialDataExpr, n: int, tau, tol: float = 1e-8):
 
     tau is a radius (giving a float) or an array of radii (giving an array
     of its shape); a bad radius anywhere raises DomainError.  Each signed
-    leaf of expr takes its route (see Leaf routes): profiles of log tau a
-    fixed Gauss-Legendre sum on s = log(r / tau), where
-    H(tau) = n int_{-inf}^0 phi(tau e^s) e^{ns} ds, whose a-priori bound keeps
-    the error below tol at every tau (analytic and trapezoid profiles, split
-    at their corners, share tol, tol/2 each); a wave from four periods on
-    its integration-by-parts sum, and bump trains and nearer waves a Gauss
-    rule on each linear piece, exact for the kernel r^(n-1).
+    leaf of expr takes its route (_ball_average): profiles of log tau a fixed
+    Gauss-Legendre sum on s = log(r / tau) whose a-priori bound keeps the
+    error below tol at every tau (analytic and trapezoid profiles share tol,
+    tol/2 each); a wave from four periods on its integration-by-parts sum,
+    and bump trains and nearer waves a Gauss rule on each linear piece.
 
     tol must be a positive finite real.  Too fine a tol for the analytic
     leaves raises ConvergenceError, a non-finite data value EvaluationError.
@@ -1409,16 +1132,22 @@ def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
     share = 0.5 * tol if leaves.analytic and leaves.kinked else tol
     if leaves.analytic:
         scale, weights, rule_bound = _log_gauss_rule(n, leaves.mass, leaves.omega, share)
-        value += _fixed_sums(leaves.analytic, taus, scale, weights)
+        value += _fixed_sums(partial(_phi_on, _signed_sum(leaves.analytic)), taus, scale, weights)
         bound += rule_bound
     if leaves.kinked:
         layout = _log_gauss_panels(n, leaves.kink_sup, 0.0, share, leaves.kink_steep)
-        part, part_bound = _split_gauss_sum(leaves, taus, layout,
-                                            lambda s: (n * np.exp(s) ** n, 2.0 + n))
+        part, part_bound = _split_gauss_sum(
+            partial(_phi_on, _signed_sum(leaves.kinked)), leaves.kink_sup, leaves.kink_steep,
+            leaves.phases, taus, layout, lambda s: (n * np.exp(s) ** n, 2.0 + n))
         value += part
         bound += part_bound
+    far = taus >= _WAVE_SERIES_FROM
     for sign, leaf in leaves.waves:
-        part, part_bound = _wave_radial_integral(leaf, n, taus)
+        part, part_bound = np.empty((2, taus.size))
+        part[far], part_bound[far] = _wave_radial_series(leaf.wave, n, taus[far])
+        if not far.all():
+            pieces, sup, _steep = _linear_pieces(leaf, taus[~far].max())
+            part[~far], part_bound[~far] = _pieces_radial(pieces, sup, n, taus[~far])
         value += sign * n * part
         bound += n * part_bound
     for sign, leaf in leaves.bumps:
@@ -1438,31 +1167,23 @@ def _weighted_value(expr, k: int, roots, log_grid=None) -> tuple[np.ndarray, np.
     x = np.linspace(x0, x1, N), and the analytic leaves take one correlation
     on a lattice that all its points share (_lattice_sums) instead of the
     batch route; every other leaf takes its route at the roots e^x.
-    A plain callable goes through adaptive quadrature, root by root; an
-    expression is routed per signed leaf (see Leaf routes), split once for
-    all roots, and the bound adds the bounds of its routes.
+    expr is routed per signed leaf, split once for all roots, and the bound
+    adds the bounds of its routes.
     """
     if log_grid is not None:
         roots = np.exp(np.linspace(*log_grid))
     roots = np.asarray(roots, dtype=float).reshape(-1)
-    if not isinstance(expr, InitialDataExpr):
-        if not callable(expr):
-            raise DomainError(
-                f"expr must be an InitialDataExpr or a callable, got {type(expr).__name__}")
-        results = [integrate_weighted(lambda z: expr(root * z), k)
-                   for root in roots.tolist()]
-        return np.array([(r.value, r.abs_error_est) for r in results]).reshape(-1, 2).T
-
     # the constants and bump baselines c: c M_k, M_k within (k + 2) eps
     leaves = _split_leaves(expr)
     value = np.full(roots.size, leaves.constant * gaussian_power_tail(k, 0.0))
     bound = (k + 4) * _EPS * np.abs(value)
     if leaves.analytic:
         scale, weights, h, rule_bound = _log_trapezoid_rule(k, leaves.mass, leaves.omega)
+        phi = partial(_phi_on, _signed_sum(leaves.analytic))
         if log_grid is None:
-            value += h * _fixed_sums(leaves.analytic, roots, scale, weights)
+            value += h * _fixed_sums(phi, roots, scale, weights)
         else:
-            value += _lattice_sums(leaves, k, h, log_grid)
+            value += _lattice_sums(phi, leaves.mass, k, h, log_grid)
         bound += rule_bound
     if leaves.kinked:
         # on s = log(z / z_max) the kernel z^(k+1) e^{-z^2} is at most z_max^(k+1) e^{(k+1) Re s}
@@ -1476,11 +1197,23 @@ def _weighted_value(expr, k: int, roots, log_grid=None) -> tuple[np.ndarray, np.
 
         layout = _log_gauss_panels(k + 1, leaves.kink_sup * scale, 0.0, 0.5 * _ABS_TOL,
                                    leaves.kink_steep * scale, 0.25 * math.pi)
-        part, part_bound = _split_gauss_sum(leaves, roots * _Z_MAX, layout, kernel)
+        part, part_bound = _split_gauss_sum(
+            partial(_phi_on, _signed_sum(leaves.kinked)), leaves.kink_sup, leaves.kink_steep,
+            leaves.phases, roots * _Z_MAX, layout, kernel)
         value += part
         bound += part_bound + leaves.kink_sup * gaussian_power_tail(k, _Z_MAX)
     for sign, leaf in leaves.waves:
-        part, part_bound = _wave_weighted_integral(leaf, k, roots)
+        part, part_bound, series = _wave_weighted_series(leaf.wave, k, roots)
+        near = roots[~series]
+        if near.size:
+            pieces = _linear_pieces(leaf, _Z_MAX * near.max())
+            part[~series], part_bound[~series] = _pieces_weighted(*pieces, k, near)
+        # where the series' rounding, which grows with the slope jumps, takes
+        # its bound past _ABS_TOL, the pieces serve if they fit the budget
+        for i in np.flatnonzero(series & (part_bound > _ABS_TOL)).tolist():
+            with suppress(ConvergenceError):  # beyond the budget the series stays
+                pieces = _linear_pieces(leaf, _Z_MAX * roots[i])
+                part[i:i + 1], part_bound[i:i + 1] = _pieces_weighted(*pieces, k, roots[i:i + 1])
         value += sign * part
         bound += part_bound
     for sign, leaf in leaves.bumps:
@@ -1489,327 +1222,6 @@ def _weighted_value(expr, k: int, roots, log_grid=None) -> tuple[np.ndarray, np.
         value += sign * part
         bound += part_bound
     return value, bound
-
-
-# ---------------------------------------------------------------------------
-# Waves and bump trains: one Gauss rule on their linear pieces, and the
-# wave's integration-by-parts sums
-
-
-@lru_cache(maxsize=64)
-def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, weights) of the 8-node Gauss-Legendre rule on `panels` equal
-    panels of [0, 1], read-only."""
-    nodes = (np.arange(panels)[:, None] + GL_NODES).ravel() / panels
-    weights = np.tile(GL_WEIGHTS, panels) / panels
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-def _linear_pieces(leaf, tau_max: float):
-    """(pieces, sup, steep) for a bump train above its baseline or a wave:
-    pieces has rows start, width, v, rise, one column for each linear piece
-    in tau that starts below tau_max (and a few beyond), sorted by start,
-    with the leaf v + rise s at fraction s of the piece; sup bounds
-    |v + rise s| and steep |rise| / width on every piece of the leaf.  A
-    bump train repeats a rising and a falling piece at each representable
-    centre, a wave its pieces at each period.  More than _MAX_NODES nodes,
-    one 8-node Gauss panel a piece, raise ConvergenceError before any is listed."""
-    if isinstance(leaf, BumpTrain):
-        half, height = leaf.half_width, leaf.height
-        block = np.array([[-half, 0.0], [half, half], [0.0, height], [height, -height]])
-        centers = leaf.centers.representable_centers()
-        count = int(np.searchsorted(centers, tau_max + half))
-    else:
-        block = np.array(leaf.wave.pieces).T
-        count = math.floor(tau_max / TWO_PI) + 1
-    _check_nodes(GL_NODES.size * block.shape[1] * count)
-    offsets = centers[:count] if isinstance(leaf, BumpTrain) else TWO_PI * np.arange(count)
-    pieces = np.empty((4, offsets.size, block.shape[1]))
-    pieces[:] = block[:, None]
-    pieces[0] += offsets[:, None]
-    _start, width, v, rise = block.tolist()
-    return (pieces.reshape(4, -1), max(max(abs(a), abs(a + b)) for a, b in zip(v, rise)),
-            max(abs(b) / w for b, w in zip(rise, width)))
-
-
-def _piece_layout(pieces, scales, cut: float, panels: int):
-    """(x, weights, vals) of the 8-node Gauss-Legendre rule on `panels`
-    equal panels of each linear piece of _linear_pieces clipped to
-    [0, cut scale], in x = tau / scale, at each scale of the 1-D array scales:
-    shape (scales, pieces, nodes a piece).
-
-    A piece that starts below cut scale keeps its part from lo = max(start, 0)
-    of length span = min(width, start + width, cut scale - start, cut scale):
-    width itself inside the window, and one rounding from the clipped length
-    otherwise.  Its nodes lie at (lo + span u_j) / scale, sums of nonnegative
-    terms, within 3 eps of their place relative, and vals holds the leaf
-    there, v + rise s, with the fraction s = (lo - start) / width +
-    (span / width) u_j of the piece within 3 eps: local coordinates, so no
-    large coefficient cancels however far out a piece lies.  A piece beyond
-    a window keeps no part of it: span and weights 0, nodes at x = cut."""
-    tau_max = cut * scales[:, None]
-    start, width, v, rise = pieces[:, :np.searchsorted(pieces[0], tau_max.max(initial=0.0))]
-    lo = np.minimum(np.maximum(start, 0.0), tau_max)
-    span = np.maximum(np.minimum(np.minimum(width, start + width),
-                                 np.minimum(tau_max - start, tau_max)), 0.0)
-    u, w = _panel_rule(panels)
-    s = (np.maximum(lo - start, 0.0) / width)[..., None] + (span / width)[..., None] * u
-    scale = scales[:, None, None]
-    return ((lo[..., None] + span[..., None] * u) / scale, span[..., None] / scale * w,
-            v[:, None] + rise[:, None] * s)
-
-
-def _row_sums(terms: np.ndarray) -> list[float]:
-    """Sum of each row of terms, shape (rows, pieces, nodes a piece): the 8
-    terms of each panel added pairwise, within 1.5 eps of their absolute sum,
-    and the panel sums exactly by math.fsum, so no row depends on the others
-    or on the pieces beyond its window."""
-    for _ in range(3):
-        terms = terms[..., 0::2] + terms[..., 1::2]
-    return [math.fsum(row) for row in terms.reshape(terms.shape[0], -1).tolist()]
-
-
-def _pieces_weighted(pieces, sup: float, steep: float, k: int,
-                     roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, error bounds) of int_0^inf z^k e^{-z^2} v(root z) dz at each
-    root of the 1-D array roots, v the linear pieces of _linear_pieces, by the
-    Gauss rule of _piece_layout up to z = _Z_MAX on panels at most
-    _PIECE_PANEL wide in z, as many on each piece, within the node
-    budget, one layout for the roots of one panel count, in blocks of at most
-    about _BLOCK nodes, and the terms summed by _row_sums.  The bound adds
-    * the rule's error: on a panel of z-width h the rule errs by at most
-      c h^17 max |(v f)^(16)|, c = _GAUSS_REMAINDER and f(z) = z^k e^{-z^2}
-      (Abramowitz & Stegun 25.4.30), where (v f)^(16) = v f^(16) +
-      16 v' f^(15) as v is linear on the panel, |v'| <= steep root in z; with
-      S_j >= sup |f^(j)| (_gauss_derivatives), panels at most
-      H = min(widest, _Z_MAX root) / (root panels) wide and at most _Z_MAX long
-      in all, the rule errs by at most c _Z_MAX H^16 (sup S_16 + 16 steep root S_15);
-    * the rounding, eps (|v| (5 |k - 2 z^2| + z^2 + 8) + 6 sup) times
-      each node's weight w_i z^k e^{-z^2}: a node off by 5 eps z moves
-      z^k e^{-z^2} by 5 eps |k - 2 z^2| of itself;
-    * sup G_k(_Z_MAX) for the cut.
-    """
-    sups = _gauss_derivatives(k)[2]
-    values, bounds = np.empty(roots.size), np.empty(roots.size)
-    reach = np.minimum(float(pieces[1].max(initial=0.0)), _Z_MAX * roots)
-    counts = np.ceil(reach / (roots * _PIECE_PANEL)).clip(1).astype(int)
-    used = np.searchsorted(pieces[0], _Z_MAX * roots)  # pieces that start below the cut
-    _check_nodes(GL_NODES.size * int(np.max(counts * used, initial=0)))
-    for panels in set(counts.tolist()):
-        todo = np.flatnonzero(counts == panels)
-        step = max(1, _BLOCK // max(1, pieces.shape[1] * panels * GL_NODES.size))
-        for rows in np.split(todo, range(step, todo.size, step)):
-            z, weights, vals = _piece_layout(pieces, roots[rows], _Z_MAX, panels)
-            zz = z * z
-            weights = weights * z ** k * np.exp(-zz)
-            values[rows] = _row_sums(weights * vals)
-            bounds[rows] = _row_sums(
-                _EPS * weights * (np.abs(vals) * (5.0 * np.abs(k - 2.0 * zz) + zz + 8.0) + 6.0 * sup))
-    rule = _GAUSS_REMAINDER * _Z_MAX * (reach / (roots * counts)) ** 16 \
-        * (sup * sups[15] + 16.0 * steep * sups[14] * roots)
-    return values, bounds + rule + sup * gaussian_power_tail(k, _Z_MAX)
-
-
-def _pieces_radial(pieces, sup: float, n: int, taus: np.ndarray):
-    """(values, error bounds) of (1/tau^n) int_0^tau v(r) r^(n-1) dr at each
-    radius of the 1-D array taus > 0, v the linear pieces of _linear_pieces,
-    by the Gauss rule of _piece_layout on x = r / tau, one panel a piece,
-    exact for v x^(n-1) of degree n <= 15, one layout a block of radii of at
-    most about _BLOCK nodes, and the terms summed by _row_sums.
-
-    A node within 3 eps x of its place moves x^(n-1) by (3n - 2) eps, the
-    weight errs by 2 eps, the value by 4 eps sup, the products by eps and
-    the sum by 1.5 eps, so the bound is eps ((3n + 6) |v| + 5 sup) times each
-    node's weight w_i x_i^(n-1), and 2 eps sup for the clipped ends.
-    """
-    values, bounds = np.empty(taus.size), np.empty(taus.size)
-    step = max(1, _BLOCK // max(1, pieces.shape[1] * GL_NODES.size))
-    for rows in np.split(np.arange(taus.size), range(step, taus.size, step)):
-        x, weights, vals = _piece_layout(pieces, taus[rows], 1.0, 1)
-        weights = weights * x ** (n - 1)
-        values[rows] = _row_sums(weights * vals)
-        bounds[rows] = _row_sums(_EPS * weights * ((3 * n + 6) * np.abs(vals) + 5.0 * sup))
-    return values, bounds + 2.0 * _EPS * sup
-
-
-@lru_cache(maxsize=64)
-def _wave_primitives(trap: TrapezoidWave):
-    """(mean, jump, at, at_zero), the model of a trapezoid wave w in both
-    kernels' integration-by-parts routes.  mean is the mean of w over its
-    period T = TWO_PI, exact from the knots (zero up to the rounding of the
-    plateau lengths): the model reads the breakpoints and knots as Fractions,
-    not the rounded widths and rises of w.pieces, so that the mean and each
-    jump are rounded once.  w - mean is linear between its corners theta_i,
-    where its slope jumps by ds_i, and jump = sum_i |ds_i|.  Its zero-mean
-    primitives, W_j' = W_{j-1} with W_0 = w - mean, follow from the Fourier
-    series of w'' = sum_i ds_i delta(theta - theta_i):
-
-        W_j(theta) = -(1/T) sum_i ds_i beta_{j+2}(frac((theta - theta_i) / T)),
-        beta_n(x) = T^n B_n(x) / n!,
-
-    B_n the Bernoulli polynomial, so that sup |W_j| <= zeta(j+2) jump / pi.
-    About x = 1/2, beta_n(x) = sum_r b_{n-r} y^r / r! with
-    y = T (x - 1/2) = T/2 - ((theta_i - theta) mod T), and
-    b_m = 2 (-1)^(m/2) eta(m) for even m (eta the Dirichlet eta function,
-    b_0 = 1; exact for period 2 pi, within m eps / 4 for T), 0 for odd m.
-    Every term is at most 2 pi^r / r!, so the sum is stable at every
-    degree, where the monomial form of B_n is not.  at(theta, count) gives
-    W[i, j-1] = W_j(theta_i) within W_err[i, j-1], j <= count <= _IBP_TERMS,
-    theta in [0, T), and at_zero is at(0, _IBP_TERMS).  T W_err_j / eps is
-    sum_r s_r |b_{j+2-r}| (3r + j + 22), s_r = sum_i |ds_i| |y_i|^r / r!,
-    for the sum, and 2 T zeta(j+1) jump = T^2 sup|W_{j-1}| for y, whose two
-    steps err by eps/2 T each.
-    """
-    bp, kv = trap.breakpoints, trap.knot_values
-    # (theta_i, width, v_i, rise) of each piece, exact
-    pieces = [(Fraction(bp[i]), Fraction(bp[i + 1]) - Fraction(bp[i]),
-               Fraction(kv[i]), Fraction(kv[i + 1]) - Fraction(kv[i]))
-              for i in range(len(bp) - 1) if bp[i + 1] > bp[i]]
-    mean = float(sum(d * (2 * v + r) for _t, d, v, r in pieces) / (2 * Fraction(TWO_PI)))
-    slopes = [r / d for _t, d, _v, r in pieces]
-    ds = np.array([float(slopes[i] - slopes[i - 1]) for i in range(len(slopes))])
-    corners, jump = np.array([float(t) for t, _d, _v, _r in pieces]), float(np.sum(np.abs(ds)))
-    orders = np.arange(_IBP_TERMS + 3)
-    b = np.zeros(orders.size)
-    b[0] = 1.0
-    even = orders[2::2]
-    b[even] = 2.0 * (-1.0) ** (even // 2) * (1.0 - 0.5 ** (even - 1.0)) * zeta(even)
-    gap = orders[3:] - orders[:, None]      # j + 2 - r, row r, column j - 1
-    weights = np.abs(b)[np.maximum(gap, 0)] * (gap >= 0) * (3 * orders[:, None] + orders[3:] + 20)
-    weights[0] += 2.0 * TWO_PI * zeta(orders[2:-1])     # y, as s_0 = jump
-
-    def at(theta, count):
-        y = 0.5 * TWO_PI - np.mod(corners - theta[:, None], TWO_PI)
-        powers = np.cumprod(np.concatenate(
-            [np.ones((1,) + y.shape), y / orders[1:count + 3, None, None]]), axis=0)
-        powers = powers.reshape(-1, ds.size)    # row (r, phase): y_i^r / r!
-        moments = (powers @ ds).reshape(count + 3, -1)      # m_r = sum_i ds_i y_i^r / r!
-        sizes = (np.abs(powers) @ np.abs(ds)).reshape(count + 3, -1)
-        w = np.array([b[j + 2::-1] @ moments[:j + 3] for j in range(1, count + 1)]).T
-        return w / -TWO_PI, _EPS / TWO_PI * (sizes.T @ weights[:count + 3, :count])
-
-    w0, w0_err = at(np.zeros(1), _IBP_TERMS)
-    return mean, jump, at, (w0[0], w0_err[0])
-
-
-@lru_cache(maxsize=64)
-def _gauss_derivatives(k: int):
-    """(c, log_norms, sups) for f(z) = z^k e^{-z^2}: c[j-1] = (-1)^j f^(j-1)(0),
-    log_norms[P-1] = log(zeta(P+2) N_P / pi) and sups[P-1] = S_P, for
-    j, P = 1 .. _IBP_TERMS, with N_P >= ||f^(P)||_1 and S_P >= sup |f^(P)|
-    on (0, inf).
-
-    f = sum_m (-1)^m z^(k+2m) / m!, so f^(j)(0) = j! (-1)^m / m! for j = k + 2m
-    and 0 otherwise.  f^(P) = p_P(z) e^{-z^2} with p_0 = z^k and
-    p_{P+1} = p_P' - 2 z p_P, whose integer coefficients a_i are kept exact,
-    N_P = sum_i |a_i| Gamma((i+1)/2) / 2 and, as z^i e^{-z^2} peaks at
-    z^2 = i/2, S_P = sum_i |a_i| (i/2)^(i/2) e^{-i/2}.
-    """
-    coeffs = np.zeros(_IBP_TERMS)
-    for j in range(k, _IBP_TERMS, 2):
-        m = (j - k) // 2
-        coeffs[j] = (-1) ** (m + j + 1) * (math.factorial(j) // math.factorial(m))
-    poly = [0] * k + [1]
-    norms, sups = [], []
-    for _ in range(_IBP_TERMS):
-        nxt = [0] * (len(poly) + 1)
-        for i, a in enumerate(poly):
-            if i:
-                nxt[i - 1] += i * a
-            nxt[i + 1] -= 2 * a
-        poly = nxt
-        norms.append(sum(abs(a) * math.gamma(0.5 * (i + 1)) for i, a in enumerate(poly) if a))
-        sups.append(sum(abs(a) * (0.5 * i) ** (0.5 * i) * math.exp(-0.5 * i)
-                        for i, a in enumerate(poly) if a))
-    return coeffs, np.log(0.5 * np.array(norms) * zeta(_IBP_ORDERS + 2.0) / math.pi), tuple(sups)
-
-
-def _wave_weighted_integral(expr: PeriodicZeroMean, k: int, roots):
-    """(values, error bounds) of int_0^inf f(z) w(root z) dz, f(z) = z^k e^{-z^2}
-    and w the wave of expr, at each root of the 1-D array roots.
-
-    Integrating by parts P times against the zero-mean primitives W_j of
-    w - mean (see _wave_primitives) gives
-
-        mean M_k + sum_{j=1}^{P} (-1)^j f^(j-1)(0) W_j(0) / root^j + r_P,
-        |r_P| <= sup|W_P| ||f^(P)||_1 / root^P,
-
-    M_k = int_0^inf f, with every table cached per wave and per k
-    (Iserles & Norsett, Proc. R. Soc. A 461, 2005).  The route takes, per
-    root, the least P <= _IBP_TERMS whose bound on r_P is at most
-    _ABS_TOL / 2, at a cost that does not depend on root, and returns
-    that bound plus the rounding of the terms, which are summed exactly by
-    math.fsum.  The remainder table and the terms of every root are one
-    array expression.  Where no P reaches _ABS_TOL / 2, the Gauss rule on the
-    wave's pieces up to _Z_MAX serves instead (_pieces_weighted), within
-    its node budget; so does it, root by root, where the series' rounding,
-    which grows with jump, takes its bound past _ABS_TOL and the rule fits.
-    """
-    mean, jump, _at, (w0, w_err) = _wave_primitives(expr.wave)
-    coeffs, log_norms, _sups = _gauss_derivatives(k)
-    # math.log per root: np.log may round differently in the last bit, and
-    # a count P on the threshold would move
-    log_root = np.array([math.log(root) for root in roots.tolist()])
-    log_rem = (log_norms + math.log(jump)) - _IBP_ORDERS * log_root[:, None]
-    fits = log_rem <= _log_quotient(_ABS_TOL, 2.0)
-    series = fits.any(axis=1)
-    counts = np.where(series, fits.argmax(axis=1) + 1, 0)
-    # powers only for the series roots: a small root would overflow root^-60
-    scaled = np.zeros(log_rem.shape)
-    scaled[series] = coeffs * roots[series, None] ** -_IBP_ORDERS.astype(float)
-    scaled[_IBP_ORDERS > counts[:, None]] = 0.0
-    terms = scaled * w0
-    mean_term = mean * gaussian_power_tail(k, 0.0)
-    rounding = np.abs(scaled) @ w_err + 8.0 * _EPS * (np.abs(terms).sum(axis=1) + abs(mean_term))
-    values, bounds = np.empty(roots.size), np.empty(roots.size)
-    for i, p in enumerate(counts.tolist()):
-        if p:
-            values[i] = math.fsum([*terms[i, :p].tolist(), mean_term])
-            bounds[i] = math.exp(log_rem[i, p - 1]) + rounding[i]
-    near = roots[~series]
-    if near.size:
-        pieces = _linear_pieces(expr, _Z_MAX * near.max())
-        values[~series], bounds[~series] = _pieces_weighted(*pieces, k, near)
-    over = [i for i, p in enumerate(counts.tolist()) if p and bounds[i] > _ABS_TOL]
-    for i in over:
-        with suppress(ConvergenceError):  # beyond the budget the series stays
-            pieces = _linear_pieces(expr, _Z_MAX * roots[i])
-            values[i:i + 1], bounds[i:i + 1] = _pieces_weighted(*pieces, k, roots[i:i + 1])
-    return values, bounds
-
-
-def _wave_radial_integral(expr: PeriodicZeroMean, n: int, taus: np.ndarray):
-    """(values, error bounds) of (1/tau^n) int_0^tau w(r) r^(n-1) dr at each
-    radius of the 1-D array taus > 0, w the wave of expr.
-
-    As (r^(n-1))^(n) = 0, n integrations by parts against the primitives W_j
-    of w - mean (_wave_primitives) end exactly, theta = tau mod T exact:
-
-        mean / n + sum_{j=1}^{n} (-1)^(j-1) (n-1)!/(n-j)! W_j(theta) / tau^j
-                 - (-1)^(n-1) (n-1)! W_n(0) / tau^n,
-
-    from tau = _WAVE_SERIES_FROM on one array expression with powers
-    (1/tau)^j, bounded by the rounding of each W_j times its weight and
-    (n + 3) eps sum |terms|.  Below it the terms cancel and their weights
-    are near 1, and the Gauss rule on the pieces serves (_pieces_radial).
-    """
-    mean, _jump, at, (w0, w0_err) = _wave_primitives(expr.wave)
-    values, bounds = np.empty(taus.size), np.empty(taus.size)
-    far = taus >= _WAVE_SERIES_FROM
-    coeffs = np.array([(-1) ** j * math.perm(n - 1, j) for j in range(n)], dtype=float)
-    w, w_err = at(np.mod(taus[far], TWO_PI), n)
-    powers = (1.0 / taus[far])[:, None] ** np.arange(1, n + 1)
-    last = math.factorial(n - 1) * powers[:, -1]
-    terms = np.column_stack([coeffs * w * powers, (-1) ** n * w0[n - 1] * last])
-    values[far] = terms.sum(axis=1) + mean / n
-    bounds[far] = ((np.abs(coeffs) * w_err * powers).sum(axis=1) + w0_err[n - 1] * last
-                   + (n + 3) * _EPS * (np.abs(terms).sum(axis=1) + abs(mean / n)))
-    if not far.all():
-        near = taus[~far]
-        pieces, sup, _steep = _linear_pieces(expr, near.max())
-        values[~far], bounds[~far] = _pieces_radial(pieces, sup, n, near)
-    return values, bounds
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,12 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import sys
 from dataclasses import dataclass
 
 from scipy.special import loggamma
 
-from .errors import (DomainError, RangeError, SearchFailure, check_finite, check_integer,
-                     check_positive)
+from .errors import (_EPS, DomainError, RangeError, SearchFailure, check_finite,
+                     check_integer, check_positive)
 from .quadrature import check_frequency
 
 __all__ = [
@@ -64,8 +63,6 @@ SCAN_GRID_HI = 1e2
 
 # Largest |moment_norm(m) - ratio| that solve_m accepts at its root
 _ROOT_TOL = 1e-10
-
-_EPS = sys.float_info.epsilon
 
 # The u sweep of verify (solution_probe.band_estimate) runs on the one window
 # x = log sqrt(4t) from t = _SWEEP_T_ANCHOR up to _X_CAP, past which t stops

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, UnsupportedExpression, _json_real, _loads, check_finite
+from .errors import TWO_PI, DomainError, UnsupportedExpression, _json_real, _loads, check_finite
 from .initial_data import (
     BumpTrain,
     Constant,
@@ -74,8 +74,6 @@ CERT_SCHEMA_ID = "cert/1"
 
 # equality of prescribed values is decided at this relative scale
 _EQ_TOL = 1e-12
-
-TWO_PI = 2.0 * math.pi
 
 
 def _sweepable_m(n: int, ratio: float, flavor: KernelFlavor) -> float:

@@ -1,35 +1,53 @@
-"""Adaptive quadrature for plain callables, exact Gaussian moments, and the
-package's one u(0, t) tolerance and one node budget.
+"""Every integration rule of the package with its a-priori bound, and the
+package's one u(0, t) tolerance _ABS_TOL and one node budget _MAX_NODES.
 
-  integrate_weighted(f, k)        ~  int_0^inf exp(-z^2) z^k f(z) dz
+u(0, t) is a multiple of int_0^inf z^k e^{-z^2} phi(root z) dz, root =
+sqrt(4t), and H(tau) = n int_{-inf}^0 phi(tau e^s) e^{ns} ds.  The rules take
+phi as an evaluator of radii, a table of linear pieces or a trapezoid wave,
+never an expression: which rule serves which leaf and which point, only the
+routers of initial_data (_weighted_value, _ball_average) decide.
 
-serves the plain callables of u_origin and the off-centre probe; every
-expression leaf of the package integrates by a fixed rule with an a-priori
-bound instead.  integrate_log_oscillatory (on the log axis, at least 8
-panels per period) and integrate_interval run the same batched adaptive
-Simpson core with per-panel Richardson error estimates but have no caller
-in the package.  The semi-infinite tail beyond _Z_MAX is bounded
+Leaves analytic in log tau take one fixed sum on a log-radius axis, bounded
+through the strip where the integrand stays analytic: a trapezoid sum on
+x = log z for u (_log_trapezoid_rule, _log_window), Gauss-Legendre on
+s = log(r / tau) for H (_log_gauss_rule).  Trapezoid profiles of
+log(tau + 1) take the Gauss layout split at their corners, radius by radius,
+in either kernel (_split_gauss_sum); one strip search (_log_gauss_panels)
+sizes both Gauss layouts.  Waves and bump trains, which would alias under
+fixed panels, are linear piece by piece, and one Gauss rule on the pieces,
+in coordinates local to each, serves both kernels (_pieces_weighted,
+_pieces_radial).  Far enough out a wave integrates by parts against one
+cached model (_wave_primitives): in H after n steps (_wave_radial_series),
+in u by a series whose remainder picks its length (_wave_weighted_series).
+A batch of points is one evaluation of phi on the outer product of points
+and the nodes of a cached read-only layout, and one matrix-vector product
+(_fixed_sums); a grid uniform in x = log root shares one lattice
+(_lattice_sums).  Every fixed rule refuses with ConvergenceError, before it
+lays any, more nodes at a point than _MAX_NODES (_check_nodes).
+
+integrate_weighted(f, k) ~ int_0^inf exp(-z^2) z^k f(z) dz serves the plain
+callables of u_origin and the off-centre probe by batched adaptive Simpson
+with per-panel Richardson error estimates, within _REL_TOL, _ABS_TOL and
+_MAX_NODES panels; integrate_log_oscillatory (on the log axis, at least 8
+panels per period) and integrate_interval run the same engine but have no
+caller in the package.  The tail of u beyond _Z_MAX is bounded
 analytically, never sampled.
-
-_ABS_TOL sizes the fixed rules of the expression leaves (the log-axis
-trapezoid sum, the split Gauss sum and the wave's integration-by-parts
-series); _MAX_NODES is the one node budget of every fixed rule, which
-refuses with ConvergenceError, before it lays any, more nodes at a point.
-The adaptive engine of plain callables reads _REL_TOL, _ABS_TOL and
-_MAX_NODES as its panel budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import zeta
 
-from .errors import (ConvergenceError, DomainError, _finite, check_finite, check_integer,
-                     check_positive)
+from .errors import (TWO_PI, _EPS, ConvergenceError, DomainError, _finite, check_finite,
+                     check_integer, check_positive)
 
 __all__ = [
     "IntegralResult",
@@ -151,7 +169,11 @@ def _adaptive_simpson(f: Callable, a: float, b: float, *, rel_tol: float,
     Relative tolerance is applied against an L1 estimate of the integrand so
     that oscillatory cancellation does not force unbounded refinement.
     Returns (value, error_estimate, counter of evaluations and max |f|).
+    A non-callable f raises DomainError: the one check of the integrand of
+    the three entry points.
     """
+    if not callable(f):
+        raise DomainError(f"the integrand must be callable, got {type(f).__name__}")
     if not b > a:
         raise DomainError(f"empty integration interval [{a}, {b}]")
     span = b - a
@@ -252,7 +274,7 @@ def integrate_log_oscillatory(F: Callable, m: float, trig) -> IntegralResult:
     """
     check_frequency(m)
     trig_fn = _normalize_trig(trig)
-    cap = (2.0 * math.pi / m) / PANELS_PER_PERIOD
+    cap = (TWO_PI / m) / PANELS_PER_PERIOD
     value, err, counter = _adaptive_simpson(
         F, _LOG_LEFT_EDGE, math.log(_Z_MAX), rel_tol=_REL_TOL, abs_tol=_ABS_TOL,
         max_panels=_MAX_NODES, max_width=cap, weight=lambda x: trig_fn(m * x))
@@ -276,9 +298,567 @@ def integrate_interval(f: Callable, a: float, b: float, *,
 
     Same engine as the weighted entry points, exposed for finite-range work
     such as ball averages.  f receives a float array and must return one of
-    the same shape.
+    the same shape.  rel_tol, abs_tol and max_width (or None) are positive.
     """
+    check_finite(a=a, b=b)
+    check_positive(rel_tol=rel_tol, abs_tol=abs_tol)
+    check_integer(max_panels=max_panels)
+    if max_width is not None:
+        check_positive(max_width=max_width)
     value, err, counter = _adaptive_simpson(
         f, a, b, rel_tol=rel_tol, abs_tol=abs_tol, max_panels=max_panels,
         max_width=max_width)
     return IntegralResult(value, err, counter.n)
+
+
+# ---------------------------------------------------------------------------
+# Fixed rules of the expression leaves, each with its a-priori bound
+
+# Most values of phi in one block of rows of a batch's outer product
+_BLOCK = 1 << 20
+
+# Most terms of the integration-by-parts series of a wave; where they cannot
+# reach abs_tol / 2 (root below about 15 to 30, the more the larger k), the
+# router integrates the wave piece by piece instead.
+_IBP_TERMS = 60
+_IBP_ORDERS = np.arange(1, _IBP_TERMS + 1)
+
+# Widest z-panel of the Gauss-Legendre rule on linear pieces in u, and the
+# constant (8!)^4 / (17 (16!)^3) of that 8-node rule's remainder
+_PIECE_PANEL = 0.125
+_GAUSS_REMAINDER = math.factorial(8) ** 4 / (17 * math.factorial(16) ** 3)
+
+_FLOAT_TINY = float(np.finfo(float).tiny)  # least normal double
+
+
+def _log_quotient(num: float, den: float) -> float:
+    """log(num / den), num >= 0 and den > 0: of the quotient where it is a
+    normal double, else the difference of the logs (-inf for num = 0)."""
+    ratio = num / den
+    if _FLOAT_TINY <= ratio < math.inf:
+        return math.log(ratio)
+    return math.log(num) - math.log(den) if num > 0.0 else -math.inf
+
+
+def _check_nodes(nodes) -> None:
+    """Refuse more than _MAX_NODES nodes at a point, or nan, with ConvergenceError."""
+    if not nodes <= _MAX_NODES:
+        raise ConvergenceError(f"fixed rule needs at least {nodes:.6g} nodes a point, "
+                               f"exceeding the node budget {_MAX_NODES}")
+
+
+def _fixed_sums(phi, radii, scale, weights) -> np.ndarray:
+    """sum_j weights_j phi(radii_i scale_j) for each radius, phi an evaluator
+    of arrays of radii, in blocks of rows of at most _BLOCK values."""
+    rows = max(1, _BLOCK // scale.size)
+    out = np.empty(radii.size)
+    for i in range(0, radii.size, rows):
+        out[i:i + rows] = np.dot(phi(np.multiply.outer(radii[i:i + rows], scale)), weights)
+    return out
+
+
+def _split_gauss(lo: float, h: float, panels: int, radius: float, phases):
+    """(s_i, w_i, near) of the 8-node Gauss-Legendre rule on `panels` panels
+    of width h from s = lo, s = log(r / radius), each panel split where
+    L = log(r + 1) crosses a corner theta + 2 pi q, theta in phases.  near
+    marks the nodes whose L lies within rounding of a corner, where
+    evaluation may take the neighbouring piece's formula.  Each corner adds
+    at most one panel; more than _MAX_NODES nodes in all raise
+    ConvergenceError before any node is laid.
+    """
+    edges = lo + h * np.arange(panels + 1)
+    ell_lo, ell_hi = np.log1p(radius * np.exp(edges[[0, -1]]))
+    q = np.arange(math.floor(ell_lo / TWO_PI), math.floor(ell_hi / TWO_PI) + 1)
+    corners = (TWO_PI * q[:, None] + np.asarray(phases)).ravel()
+    corners = corners[(corners > ell_lo) & (corners < ell_hi)]
+    _check_nodes(GL_NODES.size * (panels + corners.size))
+    # s = log(e^L - 1) - log radius, without overflow at large L
+    edges = np.union1d(edges, corners + np.log(-np.expm1(-corners)) - math.log(radius))
+    widths = np.diff(edges)
+    nodes = (edges[:-1, None] + widths[:, None] * GL_NODES).ravel()
+    ell = np.log1p(radius * np.exp(nodes))
+    gap = np.abs(ell[:, None] - corners).min(axis=1, initial=np.inf)
+    return nodes, (widths[:, None] * GL_WEIGHTS).ravel(), gap <= 16.0 * _EPS * (ell + 1.0)
+
+
+def _split_gauss_sum(phi, sup: float, steep: float, phases, radii: np.ndarray, layout,
+                     kernel) -> tuple[np.ndarray, np.ndarray]:
+    """(values, error bounds) of int_{-D}^0 K(s) phi(radius e^s) ds at each
+    radius of the 1-D array radii, phi a profile of log(r + 1) at most sup
+    and steep in slope, kinked at the phases (mod 2 pi), by the Gauss layout
+    (D, P, bound) of _log_gauss_panels split at its corners, which move with
+    the radius, so radius by radius, within the node budget at each radius.
+
+    kernel(s) gives K at the nodes and factors c_i with K_i right to 4 c_i eps
+    relative.  The terms are summed exactly by math.fsum; the bound adds to
+    the layout's their rounding, 4 eps sum_i c_i |term_i|, and
+    2 (sup + steep) w_i K_i for each node near a corner, where both pieces'
+    formulas stay within sup + steep of 0.
+    """
+    depth, panels, bound = layout
+    near_bound = 2.0 * (sup + steep)
+    values, bounds = np.empty(radii.size), np.empty(radii.size)
+    for i, radius in enumerate(radii.tolist()):
+        s, w, near = _split_gauss(-depth, depth / panels, panels, radius, phases)
+        k_vals, cond = kernel(s)
+        weights = w * k_vals
+        terms = weights * phi(radius * np.exp(s))
+        rounding = 4.0 * _EPS * float(np.sum(np.abs(terms) * cond))
+        values[i] = math.fsum(terms)
+        bounds[i] = bound + rounding + near_bound * float(np.sum(weights[near]))
+    return values, bounds
+
+
+@lru_cache(maxsize=64)
+def _log_gauss_panels(n: int, mass: float, omega: float, tol: float,
+                      steep: float = 0.0, reach: float = 0.5 * math.pi):
+    """(D, P, error bound) of the Gauss rule of n int_{-inf}^0 K(s) phi(tau e^s) ds
+    on s = log(r / tau), |K(s)| <= e^{n Re s} for |Im s| <= reach (pi/2 for
+    H's K = e^{ns}, pi/4 for the heat kernel).  |phi(tau e^s)| <= M(a) =
+    mass e^{omega a} + steep (2a - log cos a) for |Im s| < a < pi/2, whatever
+    tau, and <= mass on the real axis: steep = 0 for analytic leaves
+    (strip_bound), omega = 0 for kinked ones, piece by piece (_piece_bound).  The rule
+
+    * cuts the window at s = -D with D = log(2 mass / tol) / n, which drops
+      at most mass e^{-nD} = tol / 2 of n int phi(tau e^s) e^{ns} ds;
+    * covers [-D, 0] with P panels of width h = D / P carrying the 8-point
+      Gauss-Legendre rule.  On a panel with centre c the Bernstein ellipse
+      E_rho with (h/4)(rho - 1/rho) = a fits in the strip and reaches
+      Re s = c + r, r = sqrt(h^2/4 + a^2), so the integrand is at most
+      n M(a) e^{n c + n r} there, and the panel errs by at most
+      h/2 * 64/15 * that * rho^-16 / (rho^2 - 1) (Trefethen, Approximation
+      Theory and Approximation Practice, Theorem 19.3).  As
+      sum_c (h/2) e^{nc} <= 1/(2n), all panels together err by at most
+          E(h, a) = (32/15) M(a) e^{n r} rho^-16 / (rho^2 - 1),
+      which grows with h.  a is where 12 bisections over (0, reach] find
+      log E, with derivative (log M)'(a) + (n a - 17) / r - 1 / a, turn up:
+      its minimiser for steep = 0, where log E is convex in a, and a valid
+      bound for any a.  P is the least count with E(D / P, a) <= tol/2.
+
+    The bound returned is E(h, a) + mass e^{-nD}; panels split at corners
+    keep it, being narrower, as e^{ns} is convex.  More than _MAX_NODES nodes
+    raise ConvergenceError (_split_gauss counts the corners); D and tol/2
+    are logs of quotients (_log_quotient), so no tol is too fine.
+    """
+    order = len(GL_NODES)
+    tol = max(tol, math.ulp(0.0))  # a halved tolerance may round to 0
+    depth = max(_log_quotient(2.0 * mass, tol), 1.0) / n
+    target = _log_quotient(tol, 2.0)
+
+    def strip(a):  # log((32/15) M(a)) and (log M)'(a); steep = 0 forms no e^{omega a}
+        if not steep:
+            return math.log(32.0 / 15.0 * mass) + omega * a, omega
+        grown = mass * math.exp(omega * a)
+        bound = grown + steep * (2.0 * a - math.log(math.cos(a)))
+        return math.log(32.0 / 15.0 * bound), (omega * grown + steep * (2.0 + math.tan(a))) / bound
+
+    def log_error(panels):
+        h, lo, a = depth / panels, 0.0, reach
+        for _ in range(12):
+            mid = 0.5 * (lo + a)
+            slope = strip(mid)[1] + (n * mid - 2 * order - 1) / math.hypot(0.5 * h, mid)
+            lo, a = (lo, mid) if slope > 1.0 / mid else (mid, a)
+        rho = 2.0 * a / h + math.hypot(2.0 * a / h, 1.0)
+        return (strip(a)[0] + n * math.hypot(0.5 * h, a)
+                - 2 * order * math.log(rho) - math.log(rho * rho - 1.0))
+
+    def fits(panels):
+        return mass == 0.0 or log_error(panels) <= target
+
+    hi = 1
+    while not fits(hi):  # double the count, then bisect
+        _check_nodes(order * (hi + 1))  # the least count that may fit
+        hi *= 2
+    lo = hi // 2  # fits(hi) holds; fits(lo) fails or lo = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    _check_nodes(order * hi)
+    quad = math.exp(log_error(hi)) if mass > 0.0 else 0.0
+    return depth, hi, quad + mass * math.exp(-n * depth)
+
+
+@lru_cache(maxsize=64)
+def _log_gauss_rule(n: int, mass: float, omega: float, tol: float):
+    """(e^{s_i}, w_i, error bound) with H(tau) ~ sum_i w_i phi(tau e^{s_i})
+    for analytic leaves: the panels of _log_gauss_panels in the strip that
+    needs fewest, the same for every tau, within the node budget, and
+    their bound plus the rounding of the weighted sum."""
+    depth, panels, bound = _log_gauss_panels(n, mass, omega, tol)
+    h = depth / panels
+    s = -depth + h * (np.arange(panels)[:, None] + GL_NODES).ravel()
+    scale = np.exp(s)
+    weights = n * h * np.tile(GL_WEIGHTS, panels) * scale ** n
+    rounding = weights.size * _EPS * mass * float(np.sum(weights))
+    scale.flags.writeable = weights.flags.writeable = False
+    return scale, weights, bound + rounding
+
+
+@lru_cache(maxsize=64)
+def _log_trapezoid_rule(k: int, mass: float, omega: float):
+    """(e^{x_j}, w_j, h, error bound) with w_j = e^{(k+1) x_j - e^{2 x_j}} and
+    int_0^inf z^k e^{-z^2} phi(root z) dz ~ h sum_j w_j phi(root e^{x_j})
+    for analytic leaves, on nodes x_j = log z_max - h j, j = 0 .. J - 1, the
+    same for every root.
+
+    phi is a sum of leaves whose strip masses sum to mass and whose
+    frequencies are at most omega.  On the x = log z axis the integrand
+    f(x) = exp((k+1) x - e^{2x}) phi(root e^x) is analytic in the strip
+    |Im x| < a for any a < pi/4, and there the integral of |f(x + iy)| over
+    x is at most M = mass e^{omega a} M_k cos(2a)^(-(k+1)/2), with
+    M_k = int_0^inf z^k e^{-z^2} dz.
+    The trapezoid rule with step h on the whole line then errs by at most
+    2 M / (e^{2 pi a / h} - 1) (Trefethen & Weideman, SIAM Rev. 56, 2014,
+    Theorem 5.1); any h <= h_max = 2 pi a / log(2 + 4 M / _ABS_TOL) keeps that
+    below _ABS_TOL / 2.  Up to the 2, log(4 M / _ABS_TOL) / a is least where
+    (k+1) (a tan 2a + log(cos 2a) / 2) = log(4 mass M_k / _ABS_TOL), whose
+    left side grows from 0 to infinity on (0, pi/4); a is the lower end of
+    its bracket after 24 bisections.  The rule takes
+    h = L / (floor(L / h_max) + 1), J - 1 steps over the window of
+    _log_window, of length L, whose cuts add at most its tails.  The bound
+    returned is the sum of the two.  More than _MAX_NODES nodes raise
+    ConvergenceError, and so do more in the lattice of _lattice_sums.
+    """
+    # log(4 mass M_k / _ABS_TOL); mass is floored at _ABS_TOL, which only shrinks h
+    log_mass = _log_quotient(4.0 * max(mass, _ABS_TOL) * gaussian_power_tail(k, 0.0), _ABS_TOL)
+    lo, hi = 0.0, 0.25 * math.pi
+    for _ in range(24):
+        a = 0.5 * (lo + hi)
+        below = (k + 1) * (a * math.tan(2.0 * a) + 0.5 * math.log(math.cos(2.0 * a))) < log_mass
+        lo, hi = (a, hi) if below else (lo, a)
+    log_ratio = omega * lo + log_mass - 0.5 * (k + 1) * math.log(math.cos(2.0 * lo))
+    x_lo, x_hi, tails = _log_window(k, mass)
+    steps = ((x_hi - x_lo) * (log_ratio + math.log1p(2.0 * math.exp(-log_ratio)))
+             / (TWO_PI * lo))
+    nodes = steps // 1.0 + 2.0  # int(steps) + 2; nan, so refused, for steps = inf
+    _check_nodes(nodes)
+    count = int(nodes)
+    h = (x_hi - x_lo) / (count - 1)
+    x = x_hi - h * np.arange(count)
+    scale, kernel = np.exp(x), np.exp((k + 1) * x - np.exp(2.0 * x))
+    scale.flags.writeable = kernel.flags.writeable = False
+    return scale, kernel, h, 0.5 * _ABS_TOL + tails
+
+
+def _log_window(k: int, mass: float) -> tuple[float, float, float]:
+    """(x_lo, log z_max, tails): the window of the log-axis trapezoid rule
+    for analytic leaves of strip mass mass, and the most its two cuts drop,
+    mass (e^{(k+1) x_lo} / (k+1) + G_k(z_max)), G_k the Gaussian power tail.
+    (k+1) x_lo is the lesser of -40 and log((k+1) _ABS_TOL / (4 mass)), a log
+    of a quotient (_log_quotient), so the left cut drops at most _ABS_TOL / 4
+    at any mass; the fixed right cut refuses an _ABS_TOL below 4 mass G_k(z_max)."""
+    cut = mass * gaussian_power_tail(k, _Z_MAX)
+    if cut > 0.25 * _ABS_TOL:
+        raise ConvergenceError(f"the cut at z = {_Z_MAX:g} drops up to {cut:.6g}: abs_tol "
+                               f"needs at least {4.0 * cut:.6g} to be met, got {_ABS_TOL!r}")
+    depth = min(-40.0, _log_quotient((k + 1) * _ABS_TOL, 4.0 * max(mass, _ABS_TOL)))
+    tails = mass * (math.exp(depth) / (k + 1) + gaussian_power_tail(k, _Z_MAX))
+    return depth / (k + 1), math.log(_Z_MAX), tails
+
+
+def _lattice_sums(phi, mass: float, k: int, h: float, log_grid) -> np.ndarray:
+    """The log-axis trapezoid sums of _log_trapezoid_rule, whose step is h,
+    at every root e^{x_i} of the grid x = np.linspace(x0, x1, N),
+    log_grid = (x0, x1, N), phi an evaluator of analytic leaves of strip
+    mass mass: one correlation of phi with the kernel on a lattice that all
+    grid points share.
+
+    With the grid step D = (x1 - x0) / (N - 1), the lattice step is
+    g = D / q, q = ceil(D / h), and the node step h' = p g,
+    p = floor(h / g) >= 1.  The nodes log z_max - j h' run down past the
+    window of _log_window, so every node of every grid point lies on
+    sigma_r = x0 + log z_max - r g, and phi is evaluated once at each
+    e^{sigma_r}.  As h' <= h and the nodes cover the same window, the rule's
+    bound holds as it is; as h' > h/2, the budget is checked again.  The sums
+    are one strided matrix-vector product, in blocks of rows of at most
+    _BLOCK values.
+    """
+    x0, x1, count = log_grid
+    step = (x1 - x0) / (count - 1) if count > 1 else h  # numpy's linspace step
+    q = math.ceil(step / h)
+    g = step / q
+    p = max(1, int(h / g))
+    x_lo, x_hi, _tails = _log_window(k, mass)
+    nodes = math.ceil((x_hi - x_lo) / (p * g)) + 1
+    _check_nodes(nodes)
+    x = x_hi - p * g * np.arange(nodes)
+    kernel = np.exp((k + 1) * x - np.exp(2.0 * x))[::-1]  # ascending in x
+    # sigma ascending: grid point i reads entries i q + j p, j = 0 .. nodes - 1
+    r = np.arange((count - 1) * q + (nodes - 1) * p + 1) - (nodes - 1) * p
+    rows = sliding_window_view(phi(np.exp((x0 + x_hi) + g * r)), (nodes - 1) * p + 1)[::q, ::p]
+    out, block = np.empty(count), max(1, _BLOCK // nodes)
+    for i in range(0, count, block):
+        out[i:i + block] = np.dot(rows[i:i + block], kernel)
+    return p * g * out
+
+
+@lru_cache(maxsize=64)
+def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the 8-node Gauss-Legendre rule on `panels` equal
+    panels of [0, 1], read-only."""
+    nodes = (np.arange(panels)[:, None] + GL_NODES).ravel() / panels
+    weights = np.tile(GL_WEIGHTS, panels) / panels
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _piece_layout(pieces, scales, cut: float, panels: int):
+    """(x, weights, vals) of the 8-node Gauss-Legendre rule on `panels`
+    equal panels of each piece of the table pieces (initial_data._linear_pieces)
+    clipped to [0, cut scale], in x = tau / scale, at each scale of the 1-D
+    array scales: shape (scales, pieces, nodes a piece).
+
+    A piece that starts below cut scale keeps its part from lo = max(start, 0)
+    of length span = min(width, start + width, cut scale - start, cut scale):
+    width itself inside the window, and one rounding from the clipped length
+    otherwise.  Its nodes lie at (lo + span u_j) / scale, sums of nonnegative
+    terms, within 3 eps of their place relative, and vals holds the leaf
+    there, v + rise s, with the fraction s = (lo - start) / width +
+    (span / width) u_j of the piece within 3 eps: local coordinates, so no
+    large coefficient cancels however far out a piece lies.  A piece beyond
+    a window keeps no part of it: span and weights 0, nodes at x = cut."""
+    tau_max = cut * scales[:, None]
+    start, width, v, rise = pieces[:, :np.searchsorted(pieces[0], tau_max.max(initial=0.0))]
+    lo = np.minimum(np.maximum(start, 0.0), tau_max)
+    span = np.maximum(np.minimum(np.minimum(width, start + width),
+                                 np.minimum(tau_max - start, tau_max)), 0.0)
+    u, w = _panel_rule(panels)
+    s = (np.maximum(lo - start, 0.0) / width)[..., None] + (span / width)[..., None] * u
+    scale = scales[:, None, None]
+    return ((lo[..., None] + span[..., None] * u) / scale, span[..., None] / scale * w,
+            v[:, None] + rise[:, None] * s)
+
+
+def _row_sums(terms: np.ndarray) -> list[float]:
+    """Sum of each row of terms, shape (rows, pieces, nodes a piece): the 8
+    terms of each panel added pairwise, within 1.5 eps of their absolute sum,
+    and the panel sums exactly by math.fsum, so no row depends on the others
+    or on the pieces beyond its window."""
+    for _ in range(3):
+        terms = terms[..., 0::2] + terms[..., 1::2]
+    return [math.fsum(row) for row in terms.reshape(terms.shape[0], -1).tolist()]
+
+
+def _pieces_weighted(pieces, sup: float, steep: float, k: int,
+                     roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, error bounds) of int_0^inf z^k e^{-z^2} v(root z) dz at each
+    root of the 1-D array roots, v the linear pieces of the table, by the
+    Gauss rule of _piece_layout up to z = _Z_MAX on panels at most
+    _PIECE_PANEL wide in z, as many on each piece, within the node
+    budget, one layout for the roots of one panel count, in blocks of at most
+    about _BLOCK nodes, and the terms summed by _row_sums.  The bound adds
+    * the rule's error: on a panel of z-width h the rule errs by at most
+      c h^17 max |(v f)^(16)|, c = _GAUSS_REMAINDER and f(z) = z^k e^{-z^2}
+      (Abramowitz & Stegun 25.4.30), where (v f)^(16) = v f^(16) +
+      16 v' f^(15) as v is linear on the panel, |v'| <= steep root in z; with
+      S_j >= sup |f^(j)| (_gauss_derivatives), panels at most
+      H = min(widest, _Z_MAX root) / (root panels) wide and at most _Z_MAX long
+      in all, the rule errs by at most c _Z_MAX H^16 (sup S_16 + 16 steep root S_15);
+    * the rounding, eps (|v| (5 |k - 2 z^2| + z^2 + 8) + 6 sup) times
+      each node's weight w_i z^k e^{-z^2}: a node off by 5 eps z moves
+      z^k e^{-z^2} by 5 eps |k - 2 z^2| of itself;
+    * sup G_k(_Z_MAX) for the cut.
+    """
+    sups = _gauss_derivatives(k)[2]
+    values, bounds = np.empty(roots.size), np.empty(roots.size)
+    reach = np.minimum(float(pieces[1].max(initial=0.0)), _Z_MAX * roots)
+    counts = np.ceil(reach / (roots * _PIECE_PANEL)).clip(1).astype(int)
+    used = np.searchsorted(pieces[0], _Z_MAX * roots)  # pieces that start below the cut
+    _check_nodes(GL_NODES.size * int(np.max(counts * used, initial=0)))
+    for panels in set(counts.tolist()):
+        todo = np.flatnonzero(counts == panels)
+        step = max(1, _BLOCK // max(1, pieces.shape[1] * panels * GL_NODES.size))
+        for rows in np.split(todo, range(step, todo.size, step)):
+            z, weights, vals = _piece_layout(pieces, roots[rows], _Z_MAX, panels)
+            zz = z * z
+            weights = weights * z ** k * np.exp(-zz)
+            values[rows] = _row_sums(weights * vals)
+            bounds[rows] = _row_sums(
+                _EPS * weights * (np.abs(vals) * (5.0 * np.abs(k - 2.0 * zz) + zz + 8.0) + 6.0 * sup))
+    rule = _GAUSS_REMAINDER * _Z_MAX * (reach / (roots * counts)) ** 16 \
+        * (sup * sups[15] + 16.0 * steep * sups[14] * roots)
+    return values, bounds + rule + sup * gaussian_power_tail(k, _Z_MAX)
+
+
+def _pieces_radial(pieces, sup: float, n: int, taus: np.ndarray):
+    """(values, error bounds) of (1/tau^n) int_0^tau v(r) r^(n-1) dr at each
+    radius of the 1-D array taus > 0, v the linear pieces of the table,
+    by the Gauss rule of _piece_layout on x = r / tau, one panel a piece,
+    exact for v x^(n-1) of degree n <= 15, one layout a block of radii of at
+    most about _BLOCK nodes, and the terms summed by _row_sums.
+
+    A node within 3 eps x of its place moves x^(n-1) by (3n - 2) eps, the
+    weight errs by 2 eps, the value by 4 eps sup, the products by eps and
+    the sum by 1.5 eps, so the bound is eps ((3n + 6) |v| + 5 sup) times each
+    node's weight w_i x_i^(n-1), and 2 eps sup for the clipped ends.
+    """
+    values, bounds = np.empty(taus.size), np.empty(taus.size)
+    step = max(1, _BLOCK // max(1, pieces.shape[1] * GL_NODES.size))
+    for rows in np.split(np.arange(taus.size), range(step, taus.size, step)):
+        x, weights, vals = _piece_layout(pieces, taus[rows], 1.0, 1)
+        weights = weights * x ** (n - 1)
+        values[rows] = _row_sums(weights * vals)
+        bounds[rows] = _row_sums(_EPS * weights * ((3 * n + 6) * np.abs(vals) + 5.0 * sup))
+    return values, bounds + 2.0 * _EPS * sup
+
+
+@lru_cache(maxsize=64)
+def _wave_primitives(trap):
+    """(mean, jump, at, at_zero), the model of a trapezoid wave w (read
+    through its breakpoints and knot_values) in both kernels'
+    integration-by-parts series.  mean is the mean of w over its
+    period T = TWO_PI, exact from the knots (zero up to the rounding of the
+    plateau lengths): the model reads the breakpoints and knots as Fractions,
+    not the rounded widths and rises of w.pieces, so that the mean and each
+    jump are rounded once.  w - mean is linear between its corners theta_i,
+    where its slope jumps by ds_i, and jump = sum_i |ds_i|.  Its zero-mean
+    primitives, W_j' = W_{j-1} with W_0 = w - mean, follow from the Fourier
+    series of w'' = sum_i ds_i delta(theta - theta_i):
+
+        W_j(theta) = -(1/T) sum_i ds_i beta_{j+2}(frac((theta - theta_i) / T)),
+        beta_n(x) = T^n B_n(x) / n!,
+
+    B_n the Bernoulli polynomial, so that sup |W_j| <= zeta(j+2) jump / pi.
+    About x = 1/2, beta_n(x) = sum_r b_{n-r} y^r / r! with
+    y = T (x - 1/2) = T/2 - ((theta_i - theta) mod T), and
+    b_m = 2 (-1)^(m/2) eta(m) for even m (eta the Dirichlet eta function,
+    b_0 = 1; exact for period 2 pi, within m eps / 4 for T), 0 for odd m.
+    Every term is at most 2 pi^r / r!, so the sum is stable at every
+    degree, where the monomial form of B_n is not.  at(theta, count) gives
+    W[i, j-1] = W_j(theta_i) within W_err[i, j-1], j <= count <= _IBP_TERMS,
+    theta in [0, T), and at_zero is at(0, _IBP_TERMS).  T W_err_j / eps is
+    sum_r s_r |b_{j+2-r}| (3r + j + 22), s_r = sum_i |ds_i| |y_i|^r / r!,
+    for the sum, and 2 T zeta(j+1) jump = T^2 sup|W_{j-1}| for y, whose two
+    steps err by eps/2 T each.
+    """
+    bp, kv = trap.breakpoints, trap.knot_values
+    # (theta_i, width, v_i, rise) of each piece, exact
+    pieces = [(Fraction(bp[i]), Fraction(bp[i + 1]) - Fraction(bp[i]),
+               Fraction(kv[i]), Fraction(kv[i + 1]) - Fraction(kv[i]))
+              for i in range(len(bp) - 1) if bp[i + 1] > bp[i]]
+    mean = float(sum(d * (2 * v + r) for _t, d, v, r in pieces) / (2 * Fraction(TWO_PI)))
+    slopes = [r / d for _t, d, _v, r in pieces]
+    ds = np.array([float(slopes[i] - slopes[i - 1]) for i in range(len(slopes))])
+    corners, jump = np.array([float(t) for t, _d, _v, _r in pieces]), float(np.sum(np.abs(ds)))
+    orders = np.arange(_IBP_TERMS + 3)
+    b = np.zeros(orders.size)
+    b[0] = 1.0
+    even = orders[2::2]
+    b[even] = 2.0 * (-1.0) ** (even // 2) * (1.0 - 0.5 ** (even - 1.0)) * zeta(even)
+    gap = orders[3:] - orders[:, None]      # j + 2 - r, row r, column j - 1
+    weights = np.abs(b)[np.maximum(gap, 0)] * (gap >= 0) * (3 * orders[:, None] + orders[3:] + 20)
+    weights[0] += 2.0 * TWO_PI * zeta(orders[2:-1])     # y, as s_0 = jump
+
+    def at(theta, count):
+        y = 0.5 * TWO_PI - np.mod(corners - theta[:, None], TWO_PI)
+        powers = np.cumprod(np.concatenate(
+            [np.ones((1,) + y.shape), y / orders[1:count + 3, None, None]]), axis=0)
+        powers = powers.reshape(-1, ds.size)    # row (r, phase): y_i^r / r!
+        moments = (powers @ ds).reshape(count + 3, -1)      # m_r = sum_i ds_i y_i^r / r!
+        sizes = (np.abs(powers) @ np.abs(ds)).reshape(count + 3, -1)
+        w = np.array([b[j + 2::-1] @ moments[:j + 3] for j in range(1, count + 1)]).T
+        return w / -TWO_PI, _EPS / TWO_PI * (sizes.T @ weights[:count + 3, :count])
+
+    w0, w0_err = at(np.zeros(1), _IBP_TERMS)
+    return mean, jump, at, (w0[0], w0_err[0])
+
+
+@lru_cache(maxsize=64)
+def _gauss_derivatives(k: int):
+    """(c, log_norms, sups) for f(z) = z^k e^{-z^2}: c[j-1] = (-1)^j f^(j-1)(0),
+    log_norms[P-1] = log(zeta(P+2) N_P / pi) and sups[P-1] = S_P, for
+    j, P = 1 .. _IBP_TERMS, with N_P >= ||f^(P)||_1 and S_P >= sup |f^(P)|
+    on (0, inf).
+
+    f = sum_m (-1)^m z^(k+2m) / m!, so f^(j)(0) = j! (-1)^m / m! for j = k + 2m
+    and 0 otherwise.  f^(P) = p_P(z) e^{-z^2} with p_0 = z^k and
+    p_{P+1} = p_P' - 2 z p_P, whose integer coefficients a_i are kept exact,
+    N_P = sum_i |a_i| Gamma((i+1)/2) / 2 and, as z^i e^{-z^2} peaks at
+    z^2 = i/2, S_P = sum_i |a_i| (i/2)^(i/2) e^{-i/2}.
+    """
+    coeffs = np.zeros(_IBP_TERMS)
+    for j in range(k, _IBP_TERMS, 2):
+        m = (j - k) // 2
+        coeffs[j] = (-1) ** (m + j + 1) * (math.factorial(j) // math.factorial(m))
+    poly = [0] * k + [1]
+    norms, sups = [], []
+    for _ in range(_IBP_TERMS):
+        nxt = [0] * (len(poly) + 1)
+        for i, a in enumerate(poly):
+            if i:
+                nxt[i - 1] += i * a
+            nxt[i + 1] -= 2 * a
+        poly = nxt
+        norms.append(sum(abs(a) * math.gamma(0.5 * (i + 1)) for i, a in enumerate(poly) if a))
+        sups.append(sum(abs(a) * (0.5 * i) ** (0.5 * i) * math.exp(-0.5 * i)
+                        for i, a in enumerate(poly) if a))
+    return coeffs, np.log(0.5 * np.array(norms) * zeta(_IBP_ORDERS + 2.0) / math.pi), tuple(sups)
+
+
+def _wave_weighted_series(trap, k: int, roots):
+    """(values, error bounds, series) of int_0^inf f(z) w(root z) dz,
+    f(z) = z^k e^{-z^2} and w the trapezoid wave trap, at each root of the
+    1-D array roots where series is True, the roots the series serves.
+
+    Integrating by parts P times against the zero-mean primitives W_j of
+    w - mean (see _wave_primitives) gives
+
+        mean M_k + sum_{j=1}^{P} (-1)^j f^(j-1)(0) W_j(0) / root^j + r_P,
+        |r_P| <= sup|W_P| ||f^(P)||_1 / root^P,
+
+    M_k = int_0^inf f, with every table cached per wave and per k
+    (Iserles & Norsett, Proc. R. Soc. A 461, 2005).  The series takes, per
+    root, the least P <= _IBP_TERMS whose bound on r_P is at most
+    _ABS_TOL / 2, at a cost that does not depend on root, and returns
+    that bound plus the rounding of the terms, which are summed exactly by
+    math.fsum; a root where no P reaches _ABS_TOL / 2 is not served.  The
+    remainder table and the terms of every root are one array expression.
+    """
+    mean, jump, _at, (w0, w_err) = _wave_primitives(trap)
+    coeffs, log_norms, _sups = _gauss_derivatives(k)
+    # math.log per root: np.log may round differently in the last bit, and
+    # a count P on the threshold would move
+    log_root = np.array([math.log(root) for root in roots.tolist()])
+    log_rem = (log_norms + math.log(jump)) - _IBP_ORDERS * log_root[:, None]
+    fits = log_rem <= _log_quotient(_ABS_TOL, 2.0)
+    series = fits.any(axis=1)
+    counts = np.where(series, fits.argmax(axis=1) + 1, 0)
+    # powers only for the series roots: a small root would overflow root^-60
+    scaled = np.zeros(log_rem.shape)
+    scaled[series] = coeffs * roots[series, None] ** -_IBP_ORDERS.astype(float)
+    scaled[_IBP_ORDERS > counts[:, None]] = 0.0
+    terms = scaled * w0
+    mean_term = mean * gaussian_power_tail(k, 0.0)
+    rounding = np.abs(scaled) @ w_err + 8.0 * _EPS * (np.abs(terms).sum(axis=1) + abs(mean_term))
+    values, bounds = np.empty(roots.size), np.empty(roots.size)
+    for i, p in enumerate(counts.tolist()):
+        if p:
+            values[i] = math.fsum([*terms[i, :p].tolist(), mean_term])
+            bounds[i] = math.exp(log_rem[i, p - 1]) + rounding[i]
+    return values, bounds, series
+
+
+def _wave_radial_series(trap, n: int, taus: np.ndarray):
+    """(values, error bounds) of (1/tau^n) int_0^tau w(r) r^(n-1) dr at each
+    radius of the 1-D array taus > 0, w the trapezoid wave trap.
+
+    As (r^(n-1))^(n) = 0, n integrations by parts against the primitives W_j
+    of w - mean (_wave_primitives) end exactly, theta = tau mod T exact:
+
+        mean / n + sum_{j=1}^{n} (-1)^(j-1) (n-1)!/(n-j)! W_j(theta) / tau^j
+                 - (-1)^(n-1) (n-1)! W_n(0) / tau^n,
+
+    one array expression with powers (1/tau)^j, bounded by the rounding of
+    each W_j times its weight and (n + 3) eps sum |terms|.  Near 2 pi the
+    terms cancel and their weights are near 1, so the router keeps this sum
+    for tau of four periods and more.
+    """
+    mean, _jump, at, (w0, w0_err) = _wave_primitives(trap)
+    coeffs = np.array([(-1) ** j * math.perm(n - 1, j) for j in range(n)], dtype=float)
+    w, w_err = at(np.mod(taus, TWO_PI), n)
+    powers = (1.0 / taus)[:, None] ** np.arange(1, n + 1)
+    last = math.factorial(n - 1) * powers[:, -1]
+    terms = np.column_stack([coeffs * w * powers, (-1) ** n * w0[n - 1] * last])
+    return (terms.sum(axis=1) + mean / n,
+            (np.abs(coeffs) * w_err * powers).sum(axis=1) + w0_err[n - 1] * last
+            + (n + 3) * _EPS * (np.abs(terms).sum(axis=1) + abs(mean / n)))

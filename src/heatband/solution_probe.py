@@ -5,8 +5,8 @@ phi(sqrt(4t) z); u_origin_from_H does the same through the ball average.
 band_estimate sweeps log-spaced time grids to estimate oscillation bands,
 verify_certificate runs all three measurements against a certificate's
 analytic bands, and u_offcenter_1d probes u(x, t) away from the origin in
-dimension one.  The weighted integral is routed per leaf of the data in
-initial_data (see its Leaf routes); every sweep hands it a whole grid at once.
+dimension one.  The weighted integral of an expression is routed per leaf
+by initial_data._weighted_value; every sweep hands it a whole grid at once.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import (
+    _EPS,
+    TWO_PI,
     DomainError,
     PartialBandError,
     RangeError,
@@ -73,8 +75,6 @@ _GAP_TIMES = (1e2, 1e4, 1e8, 1e16)
 
 # Sampling density of every verify window: the u sweep, the data and H probes
 _POINTS_PER_PERIOD = 64
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -147,10 +147,10 @@ def u_origin(expr, n: int, t):
     t is a time (giving a float) or an array of times (giving an array of
     its shape, in one call); a bad time anywhere raises what check_time
     raises for it.  expr may be an InitialDataExpr or a plain vectorized
-    callable of tau.
-    Each leaf takes its route in initial_data (see its Leaf routes): a wave
-    an integration-by-parts series in 1/sqrt(4t), whose cost does not grow
-    with t, bump trains and waves at small t a Gauss rule on each piece.
+    callable of tau, which takes adaptive quadrature, time by time.
+    Each leaf of an expression takes its route (initial_data._weighted_value):
+    a wave an integration-by-parts series in 1/sqrt(4t), whose cost does not
+    grow with t, bump trains and waves at small t a Gauss rule on each piece.
     """
     return _u_at_origin(expr, n, t, KernelFlavor.DATA)
 
@@ -168,8 +168,22 @@ def u_origin_from_H(h_expr, n: int, t):
 def _u_at_origin(expr, n, t, flavor: KernelFlavor):
     coeff = flavor.coefficient(n)  # checks n
     ts, shape = _points(t, check_time)
-    values = coeff * _weighted_value(expr, flavor.power(n), np.sqrt(4.0 * ts))[0]
+    k, roots = flavor.power(n), np.sqrt(4.0 * ts)
+    if _is_expression(expr):
+        values = coeff * _weighted_value(expr, k, roots)[0]
+    else:
+        values = coeff * np.array([integrate_weighted(lambda z: expr(root * z), k).value
+                                   for root in roots.tolist()])
     return float(values[0]) if shape is None else values.reshape(shape)
+
+
+def _is_expression(expr) -> bool:
+    """True for an InitialDataExpr, False for a plain callable, DomainError for
+    anything else: the one check of the data of u_origin and u_offcenter_1d."""
+    if not (isinstance(expr, InitialDataExpr) or callable(expr)):
+        raise DomainError(
+            f"expr must be an InitialDataExpr or a callable, got {type(expr).__name__}")
+    return isinstance(expr, InitialDataExpr)
 
 
 def u_offcenter_1d(expr, x: float, t: float) -> float:
@@ -187,10 +201,7 @@ def u_offcenter_1d(expr, x: float, t: float) -> float:
         raise RangeError(
             f"|x| + sqrt(4t) z_max overflows double precision at x = {x}, t = {t}")
 
-    f = functools.partial(eval_phi, expr) if isinstance(expr, InitialDataExpr) else expr
-    if not callable(f):
-        raise DomainError(
-            f"expr must be an InitialDataExpr or a callable, got {type(expr).__name__}")
+    f = functools.partial(eval_phi, expr) if _is_expression(expr) else expr
 
     plus = integrate_weighted(lambda z: f(np.abs(x + root * z)), 0)
     minus = integrate_weighted(lambda z: f(np.abs(x - root * z)), 0)
@@ -211,7 +222,6 @@ _STENCILS = np.linalg.inv((_POWERS - _POWERS[:, None])[:, :, None] ** _POWERS)
 # Newton converges quadratically from the candidate, at most a cell from the
 # vertex; the fourth step already lands within about 1e-10 of a cell
 _NEWTON_STEPS = 5
-_EPS = float(np.finfo(float).eps)
 
 
 def _vertex_trials(us, vals, covered: float) -> np.ndarray:

@@ -35,14 +35,10 @@ from heatband.initial_data import (
     TrigPolynomial,
     _ball_average,
     _linear_pieces,
-    _log_gauss_panels,
-    _log_gauss_rule,
     _phase_taus,
-    _pieces_radial,
     _signed_leaves,
     _signed_sum,
     _split_leaves,
-    _wave_radial_integral,
     analytic_band_phi,
     band_witnesses,
     closed_H,
@@ -58,7 +54,7 @@ from heatband.initial_data import (
 )
 from heatband.kernel_moments import KernelFlavor, kernel_moments
 from heatband.prescriber import lemma_not_example, prescribe_data
-from heatband.quadrature import _Z_MAX
+from heatband.quadrature import _Z_MAX, _log_gauss_panels, _log_gauss_rule, _pieces_radial
 from reference import ref_H
 
 # np.trapezoid is the NumPy 2.0 name of np.trapz; NumPy 2.4 removed np.trapz.
@@ -819,35 +815,36 @@ class TestExactRoutesFarOut:
                                      37.0, 1e6, 8.5e169, 1e300])
     @pytest.mark.parametrize("n", range(1, 11))
     def test_wave_against_mpmath(self, n, tau):
-        # |error| <= bound <= 1e-14 on both sides of the switch at four
-        # periods: nearer 2 pi the integration-by-parts sum would carry the
-        # rounding bounds of W_1 .. W_n at weights (n-1)!/(n-j)! / tau^j of
-        # order 1 (up to 3.2e-13 for n = 10), and the pieces serve
+        # |error| <= bound <= n 1e-14 in H on both sides of the router's
+        # switch at four periods: nearer 2 pi the integration-by-parts sum
+        # would carry the rounding bounds of W_1 .. W_n at weights
+        # (n-1)!/(n-j)! / tau^j of order 1 (up to 3.2e-13 for n = 10), and
+        # the pieces serve
         for wave in self.WAVES:
-            value, bound = _wave_radial_integral(wave, n, np.array([tau]))
-            error = abs(float(value[0]) - ref_H(wave, n, tau, dps=60) / n)
-            assert error <= min(float(bound[0]), 1e-14), (wave, error, bound)
-            assert bound[0] <= 1e-14, (wave, bound)
+            value, bound = _ball_average(wave, n, np.array([tau]), 1e-8)
+            error = abs(float(value[0]) - ref_H(wave, n, tau, dps=60))
+            assert error <= min(float(bound[0]), n * 1e-14), (wave, error, bound)
+            assert bound[0] <= n * 1e-14, (wave, bound)
 
     @pytest.mark.parametrize("tau", [8.0 * math.pi, 26.0, 31.0, 40.0, 47.5, 59.0, 60.0])
     def test_amplitude_two_waves_within_their_bound(self, tau):
         # from four periods to about 60 the series bound of a wave of
-        # amplitude 2 passes 1e-14 (the rounding bounds of W_j scale with its
-        # jump), so only error <= bound is asserted: the bound is real
+        # amplitude 2 passes n 1e-14 (the rounding bounds of W_j scale with
+        # its jump), so only error <= bound is asserted: the bound is real
         for n in range(1, 11):
             wave_plus_constant = prescribe_data(-1.0, 0.0, 0.0, 2.0, n).data
             for wave in (PeriodicZeroMean(2.0, -0.5, 0.3), wave_plus_constant.terms[0]):
-                value, bound = _wave_radial_integral(wave, n, np.array([tau]))
-                error = abs(float(value[0]) - ref_H(wave, n, tau, dps=60) / n)
+                value, bound = _ball_average(wave, n, np.array([tau]), 1e-8)
+                error = abs(float(value[0]) - ref_H(wave, n, tau, dps=60))
                 assert error <= float(bound[0]), (wave, n, error, bound)
 
     def test_wave_batch_matches_single_radii(self):
         # both sides of the switch in one array give the values of single calls
         taus = np.array([0.3, 1e3, 6.0, TWO_PI, 1e300])
         for n in (1, 4, 10):
-            values, bounds = _wave_radial_integral(self.WAVES[1], n, taus)
+            values, bounds = _ball_average(self.WAVES[1], n, taus, 1e-8)
             for tau, value, bound in zip(taus, values, bounds):
-                single = _wave_radial_integral(self.WAVES[1], n, np.array([tau]))
+                single = _ball_average(self.WAVES[1], n, np.array([tau]), 1e-8)
                 assert (value, bound) == (single[0][0], single[1][0])
 
     @pytest.mark.parametrize("tau", [5.0, 121.0, 1e4, 5.3e78, 1e300])

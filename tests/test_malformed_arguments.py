@@ -108,22 +108,6 @@ CALLS = [
     ("quadrature.gaussian_power_tail", quadrature.gaussian_power_tail, (2, 1.5), {}),
 ]
 
-# The adaptive entry points still let these arguments escape as a bare
-# TypeError; nothing in the package calls them, and they go with adaptive
-# Simpson (CHANGES.md, the FOUND line on wrong-typed arguments of the
-# adaptive entry points).
-ADAPTIVE_ESCAPES = {
-    ("integrate_weighted", 0),
-    ("integrate_log_oscillatory", 0),
-    ("integrate_interval", 0),
-    ("integrate_interval", 1),
-    ("integrate_interval", 2),
-    ("integrate_interval", "rel_tol"),
-    ("integrate_interval", "abs_tol"),
-    ("integrate_interval", "max_panels"),
-    ("integrate_interval", "max_width"),
-}
-
 
 def test_every_public_callable_is_in_the_table():
     public = {name for name in dir(hb)
@@ -136,8 +120,6 @@ def test_malformed_argument_returns_or_raises_heatband_error(label, fn, args, kw
     fn(*args, **kwargs)
     positions = [*range(len(args)), *kwargs]
     for position in positions:
-        if (label, position) in ADAPTIVE_ESCAPES:
-            continue
         for bad in BAD:
             bad_args, bad_kwargs = list(args), dict(kwargs)
             if isinstance(position, int):

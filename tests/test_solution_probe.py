@@ -52,13 +52,8 @@ from heatband import (
 )
 from heatband.initial_data import (
     _ball_average,
-    _gauss_derivatives,
     _linear_pieces,
-    _pieces_weighted,
-    _split_gauss,
     _split_leaves,
-    _wave_primitives,
-    _wave_weighted_integral,
     _weighted_value,
 )
 from heatband.prescriber import balanced_ramp_width
@@ -67,6 +62,12 @@ from heatband.quadrature import (
     _ABS_TOL,
     _REL_TOL,
     _Z_MAX,
+    _gauss_derivatives,
+    _log_gauss_rule,
+    _log_trapezoid_rule,
+    _pieces_weighted,
+    _split_gauss,
+    _wave_primitives,
     gaussian_power_tail,
     integrate_weighted,
 )
@@ -81,8 +82,8 @@ def quad_constants(monkeypatch):
     can be checked at another tolerance or node budget."""
     from heatband import initial_data, quadrature, solution_probe
 
-    caches = (initial_data._log_trapezoid_rule, initial_data._log_gauss_panels,
-              initial_data._log_gauss_rule)
+    caches = (quadrature._log_trapezoid_rule, quadrature._log_gauss_panels,
+              quadrature._log_gauss_rule)
 
     def set_constants(**values):
         for cache in caches:
@@ -179,8 +180,9 @@ class TestOscillationBand:
 
 
 def wave_at_root(wave, k, root):
-    """(value, bound) of the wave route at one root."""
-    values, bounds = _wave_weighted_integral(wave, k, np.array([root]))
+    """(value, bound) of the router's wave route at one root: the series, or
+    the pieces where the series does not serve."""
+    values, bounds = _weighted_value(wave, k, np.array([root]))
     return float(values[0]), float(bounds[0])
 
 
@@ -635,8 +637,6 @@ class TestLogAxisRoute:
         assert u_origin(leaf, n, t) == want
 
     def test_one_sweep_builds_the_layout_once(self):
-        from heatband.initial_data import _log_trapezoid_rule
-
         _log_trapezoid_rule.cache_clear()
         cert = prescribe_average(-1.0, -0.3, 0.3, 1.0, n=2)
         calls = []
@@ -652,24 +652,18 @@ class TestLogAxisRoute:
         assert info.hits == len(calls) - 1 > 0
 
     def test_one_verify_builds_the_H_layout_once(self):
-        from heatband.initial_data import _log_gauss_rule
-
         _log_gauss_rule.cache_clear()
         assert verify_certificate(prescribe_average(-1.0, -0.3, 0.3, 1.0, n=2)).chain_ok
         assert _log_gauss_rule.cache_info().misses == 1
 
     def test_wide_strip_needs_few_nodes(self):
         # data-single-mode, n = 1; the strip pi/8 took 542 nodes
-        from heatband.initial_data import _log_trapezoid_rule
-
         assert _log_trapezoid_rule(0, 0.612, 1.354)[0].size <= 320
 
     @pytest.mark.parametrize("k", range(10))
     @pytest.mark.parametrize("omega", [0.06, 1.7, 20.0])
     def test_rule_on_exact_phi_is_within_its_bound(self, k, omega, quad_constants):
         # phi in 25 digits at the rule's own nodes, so that only the rule errs
-        from heatband.initial_data import _log_trapezoid_rule
-
         mpmath = pytest.importorskip("mpmath")
         leaf, root = LogSine(0.7, omega, 0.2), 2e3
         want = ref_u(leaf, k, root, dps=25)
@@ -729,8 +723,6 @@ SWEEP_X0 = 0.5 * math.log(4e6)  # x = log sqrt(4t) at the sweep anchor t = 1e6
 
 
 def trapezoid_step(expr, k):
-    from heatband.initial_data import _log_trapezoid_rule
-
     leaves = _split_leaves(expr)
     return _log_trapezoid_rule(k, leaves.mass, leaves.omega)[2]
 
@@ -800,11 +792,11 @@ class TestLatticeRoute:
 
     def test_one_value_blocks_give_the_same_sums(self, monkeypatch):
         # one row a block changes the order of summation only
-        import heatband.initial_data as idata
+        from heatband import quadrature
 
         expr, grid = LogSineAvgPreimage(0.6, 2.3, -0.1, 2), (SWEEP_X0, SWEEP_X0 + 9.0, 31)
         want = _weighted_value(expr, 1, None, log_grid=grid)
-        monkeypatch.setattr(idata, "_BLOCK", 1)
+        monkeypatch.setattr(quadrature, "_BLOCK", 1)
         got = _weighted_value(expr, 1, None, log_grid=grid)
         _agree(got[0], want[0], hb.sup_abs_phi(expr))
         assert np.array_equal(got[1], want[1])
@@ -827,7 +819,7 @@ class TestLatticeRoute:
                     BumpTrain(0.7, 0.5, 0.1, GeometricCenters(3.0)), Constant(0.2)))
         grid = (1.0, 8.0, 57)
         monkeypatch.setattr(idata, "_lattice_sums", lambda *args: np.zeros(args[-1][2]))
-        monkeypatch.setattr(idata, "_fixed_sums", lambda _pairs, radii, *_: np.zeros(radii.size))
+        monkeypatch.setattr(idata, "_fixed_sums", lambda _phi, radii, *_: np.zeros(radii.size))
         monkeypatch.setattr(idata, "_log_trapezoid_rule", lambda *args: (None, None, 1.0, 0.0))
         (lat, lat_bound), (batch, batch_bound) = lattice_and_batch(expr, 0, grid)
         assert np.array_equal(lat, batch) and np.array_equal(lat_bound, batch_bound)
@@ -837,7 +829,6 @@ class TestLatticeRoute:
         # the grid call reads the rule once, on the lattice, and not through
         # u_origin; the one trial call after it reads the cached rule
         import heatband.solution_probe as probe
-        from heatband.initial_data import _log_trapezoid_rule
 
         cert = prescribe_average(-1.0, -0.3, 0.3, 1.0, n=2)
         sweeps, sweep = [], probe._sweep
@@ -1015,12 +1006,12 @@ class TestNodeBudget:
             verify_certificate(cert)
 
     def test_bump_train_past_the_budget_raises_before_any_layout(self, monkeypatch):
-        import heatband.initial_data as idata
+        from heatband import quadrature
 
         # unchanged below the budget (up to SIMD rounding of exp)
         assert u_origin(self.FINE_BUMPS, 1, 1e6) == pytest.approx(0.0020645402441245827,
                                                                   rel=1e-14)
-        monkeypatch.setattr(idata, "_piece_layout", None)
+        monkeypatch.setattr(quadrature, "_piece_layout", None)
         with pytest.raises(ConvergenceError, match="209840 nodes"):
             u_origin(self.FINE_BUMPS, 1, 1e20)
 
@@ -1045,6 +1036,20 @@ def test_solution_probe_imports_only_the_router_from_initial_data():
                and (node.module or "").split(".")[-1] == "initial_data"
                for alias in node.names if alias.name.startswith("_")}
     assert private <= {"_weighted_value", "_split_leaves"}
+
+
+def test_quadrature_imports_no_module_above_it():
+    # the rules take evaluators, piece tables and wave models; a rule that
+    # routed a leaf kind itself would need initial_data or a module above it
+    import ast
+    import pathlib
+
+    tree = ast.parse(pathlib.Path(hb.quadrature.__file__).read_text())
+    modules = {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    above = {"initial_data", "prescriber", "solution_probe", "cli"}
+    assert not {module.split(".")[-1] for module in modules} & above
 
 
 def test_one_verify_splits_its_data_once(monkeypatch):
@@ -1198,14 +1203,14 @@ class TestBatchedPoints:
         monkeypatch.setattr(idata, "eval_phi", broken)
         with pytest.raises(EvaluationError) as err:
             numeric_H(LogSine(1.0, 1.0, 0.0), 1, np.array([10.0, 20.0]))
-        assert err.value.point == 20.0 * idata._log_gauss_rule(1, 1.0, 1.0, 1e-8)[0][-1]
+        assert err.value.point == 20.0 * _log_gauss_rule(1, 1.0, 1.0, 1e-8)[0][-1]
 
     def test_row_blocks_give_the_same_sums(self, monkeypatch):
-        import heatband.initial_data as idata
+        from heatband import quadrature
 
         expr = _batched_cases(2)[1][1]
         whole = u_origin(expr, 2, BATCH_TIMES)
-        monkeypatch.setattr(idata, "_BLOCK", 1)
+        monkeypatch.setattr(quadrature, "_BLOCK", 1)
         _agree(u_origin(expr, 2, BATCH_TIMES), whole, hb.sup_abs_phi(expr))
 
 
