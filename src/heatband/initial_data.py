@@ -46,13 +46,12 @@ from .quadrature import (
     _Z_MAX,
     _check_nodes,
     _fixed_sums,
-    _lattice_sums,
-    _log_gauss_panels,
     _log_gauss_rule,
-    _log_trapezoid_rule,
+    _log_trapezoid_sums,
     _pieces_radial,
     _pieces_weighted,
-    _split_gauss_sum,
+    _split_gauss_radial,
+    _split_gauss_weighted,
     _wave_radial_series,
     _wave_weighted_series,
     gaussian_power_tail,
@@ -1110,11 +1109,8 @@ def _check_radius(tau) -> None:
 
 def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
     """(H, error bound) at each radius of the 1-D array taus, which
-    numeric_H has checked.
-
-    The bound adds the a-priori bounds of the Gauss sums, with 2 (kink_sup + kink_steep) |w_i|
-    for each node that rounding may evaluate on the wrong side of a corner, and the bounds of
-    the wave and bump routes; the rest of the rounding in evaluating phi itself is not counted.
+    numeric_H has checked.  The bound adds the bounds of its routes; the
+    rest of the rounding in evaluating phi itself is not counted.
     """
     check_dimension(n)
     check_positive(tol=tol)
@@ -1135,10 +1131,9 @@ def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
         value += _fixed_sums(partial(_phi_on, _signed_sum(leaves.analytic)), taus, scale, weights)
         bound += rule_bound
     if leaves.kinked:
-        layout = _log_gauss_panels(n, leaves.kink_sup, 0.0, share, leaves.kink_steep)
-        part, part_bound = _split_gauss_sum(
+        part, part_bound = _split_gauss_radial(
             partial(_phi_on, _signed_sum(leaves.kinked)), leaves.kink_sup, leaves.kink_steep,
-            leaves.phases, taus, layout, lambda s: (n * np.exp(s) ** n, 2.0 + n))
+            leaves.phases, n, taus, share)
         value += part
         bound += part_bound
     far = taus >= _WAVE_SERIES_FROM
@@ -1159,49 +1154,29 @@ def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
     return values, bounds
 
 
-def _weighted_value(expr, k: int, roots, log_grid=None) -> tuple[np.ndarray, np.ndarray]:
+def _weighted_value(expr, k: int, roots) -> tuple[np.ndarray, np.ndarray]:
     """(values, error bounds) of int_0^inf z^k e^{-z^2} expr(root z) dz at
-    each root of the 1-D array roots.
-
-    With roots None, log_grid = (x0, x1, N) gives the roots e^x on the grid
-    x = np.linspace(x0, x1, N), and the analytic leaves take one correlation
-    on a lattice that all its points share (_lattice_sums) instead of the
-    batch route; every other leaf takes its route at the roots e^x.
-    expr is routed per signed leaf, split once for all roots, and the bound
-    adds the bounds of its routes.
+    each root > 0 of the 1-D array roots, expr routed per signed leaf, split
+    once for all roots; the bound adds the bounds of its routes.  The analytic
+    leaves' sums choose their lattice from the roots (_log_trapezoid_sums), so
+    a sweep's grid shares one.
     """
-    if log_grid is not None:
-        roots = np.exp(np.linspace(*log_grid))
     roots = np.asarray(roots, dtype=float).reshape(-1)
     # the constants and bump baselines c: c M_k, M_k within (k + 2) eps
     leaves = _split_leaves(expr)
     value = np.full(roots.size, leaves.constant * gaussian_power_tail(k, 0.0))
     bound = (k + 4) * _EPS * np.abs(value)
     if leaves.analytic:
-        scale, weights, h, rule_bound = _log_trapezoid_rule(k, leaves.mass, leaves.omega)
-        phi = partial(_phi_on, _signed_sum(leaves.analytic))
-        if log_grid is None:
-            value += h * _fixed_sums(phi, roots, scale, weights)
-        else:
-            value += _lattice_sums(phi, leaves.mass, k, h, log_grid)
-        bound += rule_bound
-    if leaves.kinked:
-        # on s = log(z / z_max) the kernel z^(k+1) e^{-z^2} is at most z_max^(k+1) e^{(k+1) Re s}
-        # for |Im s| <= pi/4: the layout of n = k + 1, kink_sup and kink_steep times
-        # z_max^(k+1) / (k + 1) and tol _ABS_TOL / 2; the cut at z_max adds kink_sup G_k(z_max)
-        scale = _Z_MAX ** (k + 1) / (k + 1)
-
-        def kernel(s):
-            z = _Z_MAX * np.exp(s)
-            return z ** (k + 1) * np.exp(-z * z), 2.0 + k + z * z
-
-        layout = _log_gauss_panels(k + 1, leaves.kink_sup * scale, 0.0, 0.5 * _ABS_TOL,
-                                   leaves.kink_steep * scale, 0.25 * math.pi)
-        part, part_bound = _split_gauss_sum(
-            partial(_phi_on, _signed_sum(leaves.kinked)), leaves.kink_sup, leaves.kink_steep,
-            leaves.phases, roots * _Z_MAX, layout, kernel)
+        part, part_bound = _log_trapezoid_sums(
+            partial(_phi_on, _signed_sum(leaves.analytic)), leaves.mass, leaves.omega, k, roots)
         value += part
-        bound += part_bound + leaves.kink_sup * gaussian_power_tail(k, _Z_MAX)
+        bound += part_bound
+    if leaves.kinked:
+        part, part_bound = _split_gauss_weighted(
+            partial(_phi_on, _signed_sum(leaves.kinked)), leaves.kink_sup, leaves.kink_steep,
+            leaves.phases, k, roots)
+        value += part
+        bound += part_bound
     for sign, leaf in leaves.waves:
         part, part_bound, series = _wave_weighted_series(leaf.wave, k, roots)
         near = roots[~series]

@@ -12,18 +12,20 @@ through the strip where the integrand stays analytic: a trapezoid sum on
 x = log z for u (_log_trapezoid_rule, _log_window), Gauss-Legendre on
 s = log(r / tau) for H (_log_gauss_rule).  Trapezoid profiles of
 log(tau + 1) take the Gauss layout split at their corners, radius by radius,
-in either kernel (_split_gauss_sum); one strip search (_log_gauss_panels)
-sizes both Gauss layouts.  Waves and bump trains, which would alias under
-fixed panels, are linear piece by piece, and one Gauss rule on the pieces,
-in coordinates local to each, serves both kernels (_pieces_weighted,
-_pieces_radial).  Far enough out a wave integrates by parts against one
-cached model (_wave_primitives): in H after n steps (_wave_radial_series),
-in u by a series whose remainder picks its length (_wave_weighted_series).
-A batch of points is one evaluation of phi on the outer product of points
-and the nodes of a cached read-only layout, and one matrix-vector product
-(_fixed_sums); a grid uniform in x = log root shares one lattice
-(_lattice_sums).  Every fixed rule refuses with ConvergenceError, before it
-lays any, more nodes at a point than _MAX_NODES (_check_nodes).
+in either kernel (_split_gauss_weighted, _split_gauss_radial); one strip
+search (_log_gauss_panels) sizes both Gauss layouts.  Waves and bump trains,
+which would alias under fixed panels, are linear piece by piece, and one
+Gauss rule on the pieces, in coordinates local to each, serves both kernels
+(_pieces_weighted, _pieces_radial).  Far enough out a wave integrates by
+parts against one cached model (_wave_primitives): in H after n steps
+(_wave_radial_series), in u by a series whose remainder picks its length
+(_wave_weighted_series).  A batch of points is one evaluation of phi on the
+outer product of points and the nodes of a cached read-only layout, and one
+matrix-vector product (_fixed_sums); u's trapezoid sums choose their lattice
+from the roots, and roots uniform in x = log root to the last bit share one
+where that is cheaper (_log_trapezoid_sums, _lattice_sums).  Every fixed
+rule refuses with ConvergenceError, before it lays any, more nodes at a
+point than _MAX_NODES (_check_nodes).
 
 integrate_weighted(f, k) ~ int_0^inf exp(-z^2) z^k f(z) dz serves the plain
 callables of u_origin and the off-centre probe by batched adaptive Simpson
@@ -409,6 +411,34 @@ def _split_gauss_sum(phi, sup: float, steep: float, phases, radii: np.ndarray, l
     return values, bounds
 
 
+def _split_gauss_weighted(phi, sup: float, steep: float, phases, k: int,
+                          roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, error bounds) of int_0^inf z^k e^{-z^2} phi(root z) dz at each root
+    of the 1-D array roots, phi as for _split_gauss_sum, on s = log(z / z_max):
+    the kernel z^(k+1) e^{-z^2} is at most z_max^(k+1) e^{(k+1) Re s} for |Im s|
+    <= pi/4, so the layout is that of n = k + 1, sup and steep times
+    z_max^(k+1) / (k + 1) and tol _ABS_TOL / 2; the cut adds sup G_k(z_max)."""
+    scale = _Z_MAX ** (k + 1) / (k + 1)
+
+    def kernel(s):
+        z = _Z_MAX * np.exp(s)
+        return z ** (k + 1) * np.exp(-z * z), 2.0 + k + z * z
+
+    layout = _log_gauss_panels(k + 1, sup * scale, 0.0, 0.5 * _ABS_TOL, steep * scale,
+                               0.25 * math.pi)
+    values, bounds = _split_gauss_sum(phi, sup, steep, phases, roots * _Z_MAX, layout, kernel)
+    return values, bounds + sup * gaussian_power_tail(k, _Z_MAX)
+
+
+def _split_gauss_radial(phi, sup: float, steep: float, phases, n: int, taus: np.ndarray,
+                        tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(values, error bounds) of n int_{-inf}^0 e^{ns} phi(tau e^s) ds at each radius
+    of the 1-D array taus > 0 within tol, phi as for _split_gauss_sum."""
+    layout = _log_gauss_panels(n, sup, 0.0, tol, steep)
+    return _split_gauss_sum(phi, sup, steep, phases, taus, layout,
+                            lambda s: (n * np.exp(s) ** n, 2.0 + n))
+
+
 @lru_cache(maxsize=64)
 def _log_gauss_panels(n: int, mass: float, omega: float, tol: float,
                       steep: float = 0.0, reach: float = 0.5 * math.pi):
@@ -556,38 +586,53 @@ def _log_window(k: int, mass: float) -> tuple[float, float, float]:
     return depth / (k + 1), math.log(_Z_MAX), tails
 
 
-def _lattice_sums(phi, mass: float, k: int, h: float, log_grid) -> np.ndarray:
-    """The log-axis trapezoid sums of _log_trapezoid_rule, whose step is h,
-    at every root e^{x_i} of the grid x = np.linspace(x0, x1, N),
-    log_grid = (x0, x1, N), phi an evaluator of analytic leaves of strip
-    mass mass: one correlation of phi with the kernel on a lattice that all
-    grid points share.
+def _log_trapezoid_sums(phi, mass: float, omega: float, k: int, roots) -> tuple[np.ndarray, float]:
+    """(values, bound) of _log_trapezoid_rule at each root > 0 of the 1-D array
+    roots, phi analytic leaves of strip mass mass and top frequency omega: at
+    least 3 roots whose logs x ascend and equal np.linspace(x[0], x[-1], N) bit
+    for bit take _lattice_sums where it evaluates phi at fewer points than the
+    batch route (_fixed_sums), which every other batch takes; no tolerance."""
+    scale, weights, h, bound = _log_trapezoid_rule(k, mass, omega)
+    x = np.log(roots)
+    if roots.size >= 3 and x[0] < x[-1] and np.array_equal(x, np.linspace(x[0], x[-1], x.size)):
+        values = _lattice_sums(phi, mass, k, h, x, roots.size * scale.size)
+        if values is not None:
+            return values, bound
+    return h * _fixed_sums(phi, roots, scale, weights), bound
 
-    With the grid step D = (x1 - x0) / (N - 1), the lattice step is
-    g = D / q, q = ceil(D / h), and the node step h' = p g,
-    p = floor(h / g) >= 1.  The nodes log z_max - j h' run down past the
-    window of _log_window, so every node of every grid point lies on
-    sigma_r = x0 + log z_max - r g, and phi is evaluated once at each
-    e^{sigma_r}.  As h' <= h and the nodes cover the same window, the rule's
-    bound holds as it is; as h' > h/2, the budget is checked again.  The sums
-    are one strided matrix-vector product, in blocks of rows of at most
-    _BLOCK values.
+
+def _lattice_sums(phi, mass: float, k: int, h: float, x: np.ndarray, most: int):
+    """The sums of _log_trapezoid_rule, of step h, at every root e^{x_i} of the
+    grid x = np.linspace(x[0], x[-1], N), N > 1, phi analytic leaves of strip
+    mass mass: one correlation of phi with the kernel on a lattice that all
+    grid points share, or None where it holds `most` values of phi or more.
+
+    With the grid step D = (x[-1] - x[0]) / (N - 1), the lattice step is g = D / q,
+    q = ceil(D / h), and the node step h' = p g, p = floor(h / g) >= 1.  The nodes
+    log z_max - j h' run down past the window of _log_window, so every node of
+    every grid point lies on sigma_r = x[0] + log z_max - r g, and phi is
+    evaluated once at each e^{sigma_r}.  As h' <= h and the nodes cover the same
+    window, the rule's bound holds as it is; as h' > h/2, the budget is checked
+    again.  The sums are one strided matrix-vector product, in blocks of rows
+    of at most _BLOCK values.
     """
-    x0, x1, count = log_grid
-    step = (x1 - x0) / (count - 1) if count > 1 else h  # numpy's linspace step
+    step = (x[-1] - x[0]) / (x.size - 1)  # numpy's linspace step
     q = math.ceil(step / h)
     g = step / q
     p = max(1, int(h / g))
     x_lo, x_hi, _tails = _log_window(k, mass)
     nodes = math.ceil((x_hi - x_lo) / (p * g)) + 1
+    size = (x.size - 1) * q + (nodes - 1) * p + 1
+    if size >= most:
+        return None
     _check_nodes(nodes)
-    x = x_hi - p * g * np.arange(nodes)
-    kernel = np.exp((k + 1) * x - np.exp(2.0 * x))[::-1]  # ascending in x
+    nodes_x = x_hi - p * g * np.arange(nodes)
+    kernel = np.exp((k + 1) * nodes_x - np.exp(2.0 * nodes_x))[::-1]  # ascending in x
     # sigma ascending: grid point i reads entries i q + j p, j = 0 .. nodes - 1
-    r = np.arange((count - 1) * q + (nodes - 1) * p + 1) - (nodes - 1) * p
-    rows = sliding_window_view(phi(np.exp((x0 + x_hi) + g * r)), (nodes - 1) * p + 1)[::q, ::p]
-    out, block = np.empty(count), max(1, _BLOCK // nodes)
-    for i in range(0, count, block):
+    r = np.arange(size) - (nodes - 1) * p
+    rows = sliding_window_view(phi(np.exp((x[0] + x_hi) + g * r)), (nodes - 1) * p + 1)[::q, ::p]
+    out, block = np.empty(x.size), max(1, _BLOCK // nodes)
+    for i in range(0, x.size, block):
         out[i:i + block] = np.dot(rows[i:i + block], kernel)
     return p * g * out
 

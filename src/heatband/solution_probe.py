@@ -6,7 +6,7 @@ band_estimate sweeps log-spaced time grids to estimate oscillation bands,
 verify_certificate runs all three measurements against a certificate's
 analytic bands, and u_offcenter_1d probes u(x, t) away from the origin in
 dimension one.  The weighted integral of an expression is routed per leaf
-by initial_data._weighted_value; every sweep hands it a whole grid at once.
+by initial_data._weighted_value; a sweep hands it a whole grid at once.
 """
 
 from __future__ import annotations
@@ -149,8 +149,9 @@ def u_origin(expr, n: int, t):
     raises for it.  expr may be an InitialDataExpr or a plain vectorized
     callable of tau, which takes adaptive quadrature, time by time.
     Each leaf of an expression takes its route (initial_data._weighted_value):
-    a wave an integration-by-parts series in 1/sqrt(4t), whose cost does not
-    grow with t, bump trains and waves at small t a Gauss rule on each piece.
+    analytic leaves a trapezoid sum in log z, on one lattice for times uniform
+    in log t to the last bit (band_estimate's grid); a wave its series by parts
+    in 1/sqrt(4t); bump trains and waves at small t a Gauss rule on each piece.
     """
     return _u_at_origin(expr, n, t, KernelFlavor.DATA)
 
@@ -273,14 +274,14 @@ def band_estimate(evaluator, m_hint) -> OscillationBand:
     _POINTS_PER_PERIOD samples a period.  evaluator receives a 1-D float
     array of times and returns its values there, an array of that shape (a
     scalar broadcasts).  For a numeric m_hint the grid, one evaluator call,
-    is uniform in x = log sqrt(4t) with periods 2 pi / m_hint; a frequency
-    below _M_FLOOR covers fewer than _SWEEP_PERIODS periods before the cap
-    and raises PartialBandError.  One more call evaluates the trial
-    points that _vertex_trials reads off the grid: the vertices of its
-    degree-8 interpolant beside the best ceil(periods) + 1 local extremes of
-    each end, none for an end flat to rounding.  So a sweep makes at most 2
-    calls, 1 when both ends are flat.  Each end is the least or greatest
-    sample of the grid and that call, never an interpolated value.
+    is uniform in x = log sqrt(4t) with periods 2 pi / m_hint, so u_origin
+    takes one lattice for it; a frequency below _M_FLOOR covers fewer than
+    _SWEEP_PERIODS periods before the cap and raises PartialBandError.  One
+    more call evaluates the trial points that _vertex_trials reads off the
+    grid: the vertices of its degree-8 interpolant beside the best
+    ceil(periods) + 1 local extremes of each end, none for an end flat to
+    rounding, so a sweep makes 1 or 2 calls.  Each end is the least or
+    greatest sample of the grid and that call, never an interpolated value.
     m_hint = "log-log" sweeps a grid uniform in y = log log sqrt(4t)
     instead, and interpolates in y; double precision runs out long before 3
     such periods, so that mode always raises PartialBandError carrying the
@@ -289,42 +290,31 @@ def band_estimate(evaluator, m_hint) -> OscillationBand:
     """
     if not callable(evaluator):
         raise DomainError("evaluator must be callable")
-    return _sweep(evaluator, m_hint)
-
-
-def _sweep(evaluator, m_hint, on_grid=None) -> OscillationBand:
-    """band_estimate's sweep; on_grid, if given, makes the grid call of a
-    numeric m_hint from the grid x = np.linspace(x0, x1, count) itself, so
-    that verify's data take one lattice that all grid points share."""
     x0 = 0.5 * math.log(4.0 * _SWEEP_T_ANCHOR)
-
-    if isinstance(m_hint, str):
+    loglog = isinstance(m_hint, str)
+    if loglog:
         if m_hint != "log-log":
             raise DomainError(f"m_hint must be a frequency or 'log-log', got {m_hint!r}")
-        y0 = math.log(x0)
-        y1 = min(y0 + _SWEEP_PERIODS * TWO_PI, math.log(_X_CAP))
-        covered = (y1 - y0) / TWO_PI
-        npts = max(int(math.ceil(_POINTS_PER_PERIOD * covered)) + 1, 9)
-        us, grid = np.linspace(y0, y1, npts), None
-        xs = np.exp(us)
+        u0 = math.log(x0)
+        u1 = min(u0 + _SWEEP_PERIODS * TWO_PI, math.log(_X_CAP))
+        covered = (u1 - u0) / TWO_PI
     else:
         check_positive(m_hint=m_hint)
         period = TWO_PI / float(m_hint)
-        x1, covered = x0 + _SWEEP_PERIODS * period, _SWEEP_PERIODS
-        if x1 > _X_CAP:
-            x1, covered = _X_CAP, (_X_CAP - x0) / period
-        grid = (x0, x1, max(int(math.ceil(_POINTS_PER_PERIOD * covered)) + 1, 9))
-        us = xs = np.linspace(*grid)
+        u0, u1, covered = x0, x0 + _SWEEP_PERIODS * period, _SWEEP_PERIODS
+        if u1 > _X_CAP:
+            u1, covered = _X_CAP, (_X_CAP - x0) / period
+    us = np.linspace(u0, u1, max(int(math.ceil(_POINTS_PER_PERIOD * covered)) + 1, 9))
+    xs = np.exp(us) if loglog else us
 
-    def at_x(x, call):
+    def at_x(x):
         t = np.exp(2.0 * x) / 4.0  # one call for the times of the array x
-        return _finite(call(t), t, "evaluator", "t")
+        return _finite(evaluator(t), t, "evaluator", "t")
 
-    vals = at_x(xs, evaluator if on_grid is None else lambda t: on_grid(*grid))
+    vals = at_x(xs)
     trials = _vertex_trials(us, vals, covered)
     if trials.size:
-        vals = np.concatenate([vals, at_x(np.exp(trials) if grid is None else trials,
-                                          evaluator)])
+        vals = np.concatenate([vals, at_x(np.exp(trials) if loglog else trials)])
     lower, upper = float(vals.min()), float(vals.max())
 
     band = OscillationBand(
@@ -425,18 +415,11 @@ def verify_certificate(cert: PrescriptionCertificate,
 
     phi_band = _measure_phi_band(cert.data, slow_m, loglog)
 
-    coeff = KernelFlavor.DATA.coefficient(n)
-
-    def u_at(t):
-        return u_origin(cert.data, n, t)
-
-    def on_grid(*log_grid):  # u(0, t) on the sweep grid, one lattice for all its points
-        return coeff * _weighted_value(cert.data, n - 1, None, log_grid=log_grid)[0]
-
+    u_at = functools.partial(u_origin, cert.data, n)
     u_partial = False
     if loglog:
         try:
-            u_band = _sweep(u_at, "log-log")
+            u_band = band_estimate(u_at, "log-log")
         except PartialBandError as err:
             u_band = err.band
             u_partial = True
@@ -445,12 +428,9 @@ def verify_certificate(cert: PrescriptionCertificate,
                 f"{_SWEEP_PERIODS:g} doubly-log periods before the "
                 "double-precision cap; endpoint match relaxed to containment")
     else:
-        if slow_m is not None:
-            m_hint = slow_m
-        else:
-            m_hint = 1.0
+        if slow_m is None:
             notes.append("envelope is constant; sweep frequency 1.0 is nominal")
-        u_band = _sweep(u_at, m_hint, on_grid)
+        u_band = band_estimate(u_at, 1.0 if slow_m is None else slow_m)
 
     u_gaps = u_at(np.array(_GAP_TIMES)).tolist()
     # H last: its window costs the most, and a u route may refuse first

@@ -10,6 +10,7 @@ classical closed form for cosine data.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -96,6 +97,24 @@ def quad_constants(monkeypatch):
     yield set_constants
     for cache in caches:
         cache.cache_clear()
+
+
+@pytest.fixture
+def lattice_spy(monkeypatch):
+    """One entry per call of quadrature._lattice_sums: True where the lattice
+    served the sums, False where it declined for the batch route.  Batches
+    that are no grid never reach it, so `True not in spy` means the batch."""
+    from heatband import quadrature
+
+    served, real = [], quadrature._lattice_sums
+
+    def spy(*args):
+        out = real(*args)
+        served.append(out is not None)
+        return out
+
+    monkeypatch.setattr(quadrature, "_lattice_sums", spy)
+    return served
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -680,29 +699,32 @@ class TestLogAxisRoute:
                 assert abs(got - want) <= bound, abs_tol
 
     @pytest.mark.parametrize("amplitude,abs_tol", [(1e5, 1e-13), (1e8, 1e-13), (1.0, 1e-20)])
-    def test_bound_meets_abs_tol_at_any_amplitude(self, amplitude, abs_tol, quad_constants):
+    def test_bound_meets_abs_tol_at_any_amplitude(self, amplitude, abs_tol, quad_constants,
+                                                  lattice_spy):
         # the window reaches down until the mass it cuts off is abs_tol / 4;
         # at -40/(k+1) alone the k = 0 bounds were 4.7e-13, 4.2e-10 and 4.25e-18
         expr = LogSine(amplitude, 1.0)
         quad_constants(_ABS_TOL=abs_tol)
         for k in (0, 11):
             batch = _weighted_value(expr, k, [2.0])[1]
-            lattice = _weighted_value(expr, k, None, log_grid=(SWEEP_X0, SWEEP_X0 + 3.0, 31))[1]
+            lattice = _weighted_value(expr, k, sweep_roots((SWEEP_X0, SWEEP_X0 + 3.0, 31)))[1]
             assert batch[0] <= abs_tol and np.all(lattice <= abs_tol), k
+        assert lattice_spy == [True, True]
 
     @pytest.mark.parametrize("abs_tol", [1e-60, 1e-70, 1e-100])
-    def test_fixed_cut_meets_abs_tol_or_refuses(self, abs_tol, quad_constants):
+    def test_fixed_cut_meets_abs_tol_or_refuses(self, abs_tol, quad_constants, lattice_spy):
         # the cut at z_max = 12 drops up to G_0(12) = 1.2e-64 of LogSine(1, 1),
         # which both routes returned as their bound at 1e-70 and 1e-100
         expr = LogSine(1.0, 1.0)
         quad_constants(_ABS_TOL=abs_tol)
-        for grid in (None, (SWEEP_X0, SWEEP_X0 + 3.0, 31)):
-            roots = [2.0] if grid is None else None
+        for roots in ([2.0], sweep_roots((SWEEP_X0, SWEEP_X0 + 3.0, 31))):
             if abs_tol >= 1e-60:
-                assert np.all(_weighted_value(expr, 0, roots, log_grid=grid)[1] <= abs_tol)
+                assert np.all(_weighted_value(expr, 0, roots)[1] <= abs_tol)
             else:
                 with pytest.raises(ConvergenceError, match="cut at z = 12"):
-                    _weighted_value(expr, 0, roots, log_grid=grid)
+                    _weighted_value(expr, 0, roots)
+        # the rule refuses before either route is chosen
+        assert lattice_spy == ([True] if abs_tol >= 1e-60 else [])
 
     @pytest.mark.xfail(strict=True, reason="the bound leaves out the rounding of phi itself, "
                        "which grows like m log(tau) eps (ROADMAP direction 5)")
@@ -716,10 +738,17 @@ class TestLogAxisRoute:
 
 
 # ---------------------------------------------------------------------------
-# The lattice of a log grid: band_estimate's grid call in verify
+# The lattice of a log grid: the sums choose it from the roots
 
 
 SWEEP_X0 = 0.5 * math.log(4e6)  # x = log sqrt(4t) at the sweep anchor t = 1e6
+
+
+def sweep_roots(grid):
+    """The roots sqrt(4t) that u_origin takes for the times t = e^{2x} / 4 of
+    x = np.linspace(*grid), as band_estimate builds them: their logs give
+    back x bit for bit."""
+    return np.sqrt(4.0 * (np.exp(2.0 * np.linspace(*grid)) / 4.0))
 
 
 def trapezoid_step(expr, k):
@@ -727,11 +756,18 @@ def trapezoid_step(expr, k):
     return _log_trapezoid_rule(k, leaves.mass, leaves.omega)[2]
 
 
-def lattice_and_batch(expr, k, grid):
+def lattice_and_batch(expr, k, grid, served):
     """((values, bounds) on the lattice, (values, bounds) of the batch route)
-    at the roots e^x, x = np.linspace(*grid)."""
-    return (_weighted_value(expr, k, None, log_grid=grid),
-            _weighted_value(expr, k, np.exp(np.linspace(*grid))))
+    at the roots of sweep_roots(grid): the batch side takes the same roots
+    descending, which is no grid; served is the lattice_spy, which shows
+    which route served each side."""
+    roots = sweep_roots(grid)
+    lattice = _weighted_value(expr, k, roots)
+    assert served[-1:] == [True]
+    calls = len(served)
+    values, bounds = _weighted_value(expr, k, roots[::-1])
+    assert len(served) == calls
+    return lattice, (values[::-1], bounds[::-1])
 
 
 def lattice_grids(expr, k, count=25):
@@ -745,7 +781,7 @@ def lattice_grids(expr, k, count=25):
 
 class TestLatticeRoute:
     @pytest.mark.parametrize("n", [1, 2, 3, 10])
-    def test_agrees_with_the_batch_route(self, n):
+    def test_agrees_with_the_batch_route(self, n, lattice_spy):
         # weighted units (u = coeff * value); phi rounds by about
         # mass omega sigma eps at log radius sigma, which neither bound counts;
         # the tall log sine's window reaches below -40/(k+1)
@@ -753,21 +789,23 @@ class TestLatticeRoute:
         tall = ("tall log-sine", LogSine(1e5, 0.7, 0.2), 0.7)
         for label, expr, omega in log_analytic_cases(n) + [tall]:
             for grid in lattice_grids(expr, k, count=193):
-                (lat, lat_bound), (batch, batch_bound) = lattice_and_batch(expr, k, grid)
+                (lat, lat_bound), (batch, batch_bound) = lattice_and_batch(
+                    expr, k, grid, lattice_spy)
                 sigma = grid[1] + math.log(_Z_MAX)
                 rounding = 16.0 * eps * _split_leaves(expr).mass * (1.0 + omega * sigma)
                 assert lat.shape == (193,)
                 assert np.all(np.abs(lat - batch) <= lat_bound + batch_bound + rounding), label
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10])
-    def test_error_bound_covers_mpmath(self, n):
+    def test_error_bound_covers_mpmath(self, n, lattice_spy):
         k = n - 1
         for label, expr, _ in log_analytic_cases(n):
             for grid in lattice_grids(expr, k):
-                values, bounds = _weighted_value(expr, k, None, log_grid=grid)
-                xs = np.linspace(*grid)
+                roots = sweep_roots(grid)
+                values, bounds = _weighted_value(expr, k, roots)
+                assert lattice_spy[-1], label
                 for i in (0, grid[2] // 2, grid[2] - 1):
-                    want = ref_u(expr, k, math.exp(xs[i]))
+                    want = ref_u(expr, k, float(roots[i]))
                     assert abs(values[i] - want) <= bounds[i], (label, i)
 
     def test_non_finite_phi_names_its_tau(self, monkeypatch):
@@ -783,74 +821,151 @@ class TestLatticeRoute:
 
         monkeypatch.setattr(idata, "eval_phi", poisoned)
         with pytest.raises(EvaluationError) as err:
-            _weighted_value(LogSine(1.0, 1.0, 0.0), 0, None, log_grid=(SWEEP_X0, SWEEP_X0 + 3.0, 13))
+            _weighted_value(LogSine(1.0, 1.0, 0.0), 0, sweep_roots((SWEEP_X0, SWEEP_X0 + 3.0, 13)))
+        # one ascending lattice, not the batch route's outer product
         lattice = seen[-1]
         assert lattice.ndim == 1 and np.all(np.diff(lattice) > 0)
         bad = float(lattice[lattice > cut][0])
         assert err.value.point == bad
         assert repr(bad) in str(err.value)
 
-    def test_one_value_blocks_give_the_same_sums(self, monkeypatch):
+    def test_one_value_blocks_give_the_same_sums(self, monkeypatch, lattice_spy):
         # one row a block changes the order of summation only
         from heatband import quadrature
 
-        expr, grid = LogSineAvgPreimage(0.6, 2.3, -0.1, 2), (SWEEP_X0, SWEEP_X0 + 9.0, 31)
-        want = _weighted_value(expr, 1, None, log_grid=grid)
+        expr = LogSineAvgPreimage(0.6, 2.3, -0.1, 2)
+        roots = sweep_roots((SWEEP_X0, SWEEP_X0 + 9.0, 31))
+        want = _weighted_value(expr, 1, roots)
         monkeypatch.setattr(quadrature, "_BLOCK", 1)
-        got = _weighted_value(expr, 1, None, log_grid=grid)
+        got = _weighted_value(expr, 1, roots)
+        assert lattice_spy == [True, True]
         _agree(got[0], want[0], hb.sup_abs_phi(expr))
         assert np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("count", [1, 2])
-    def test_grids_of_one_and_two_points(self, count):
+    def test_grids_of_one_and_two_points(self, count, lattice_spy):
+        # too few roots to be a grid: the batch route, one root or all at once
         expr = LogSine(0.8, 0.7, 0.2)
-        (lat, lat_bound), (batch, batch_bound) = lattice_and_batch(
-            expr, 0, (SWEEP_X0, SWEEP_X0 + 1.0, count))
-        assert lat.shape == batch.shape == (count,)
-        assert np.all(np.abs(lat - batch) <= lat_bound + batch_bound)
+        roots = sweep_roots((SWEEP_X0, SWEEP_X0 + 1.0, count))
+        batch, batch_bound = _weighted_value(expr, 0, roots)
+        ones = [_weighted_value(expr, 0, roots[i:i + 1]) for i in range(count)]
+        assert lattice_spy == []
+        assert batch.shape == (count,)
+        for i, (one, one_bound) in enumerate(ones):
+            assert abs(batch[i] - one[0]) <= batch_bound[i] + one_bound[0]
 
-    def test_other_leaves_take_their_routes_at_the_same_roots(self, monkeypatch):
-        # with the log sine's sums set to zero, what is left is the constant,
-        # the wave (pieces at small roots, its series further out) and the
-        # bump train, which must be the batch route's to the last bit
-        import heatband.initial_data as idata
+    def test_other_leaves_take_their_routes_at_the_same_roots(self, monkeypatch, lattice_spy):
+        # with the log sine's sums set to zero on both routes, what is left is
+        # the constant, the wave (pieces at small roots, its series further
+        # out) and the bump train, which must be the batch route's to the last bit
+        from heatband import quadrature
 
         expr = Sum((LogSine(0.5, 0.7, 0.1), PeriodicZeroMean(1.0, -0.5, 0.3),
                     BumpTrain(0.7, 0.5, 0.1, GeometricCenters(3.0)), Constant(0.2)))
         grid = (1.0, 8.0, 57)
-        monkeypatch.setattr(idata, "_lattice_sums", lambda *args: np.zeros(args[-1][2]))
-        monkeypatch.setattr(idata, "_fixed_sums", lambda _phi, radii, *_: np.zeros(radii.size))
-        monkeypatch.setattr(idata, "_log_trapezoid_rule", lambda *args: (None, None, 1.0, 0.0))
-        (lat, lat_bound), (batch, batch_bound) = lattice_and_batch(expr, 0, grid)
+        spied = quadrature._lattice_sums  # records the route, then zeroes the sums
+        monkeypatch.setattr(quadrature, "_lattice_sums",
+                            lambda *args: None if spied(*args) is None else np.zeros(args[4].size))
+        monkeypatch.setattr(quadrature, "_fixed_sums", lambda _phi, radii, *_: np.zeros(radii.size))
+        (lat, lat_bound), (batch, batch_bound) = lattice_and_batch(expr, 0, grid, lattice_spy)
         assert np.array_equal(lat, batch) and np.array_equal(lat_bound, batch_bound)
         assert np.any(lat != 0.2 * gaussian_power_tail(0, 0.0))
 
-    def test_verify_sweep_builds_the_layout_once(self, monkeypatch):
-        # the grid call reads the rule once, on the lattice, and not through
+    @pytest.mark.parametrize("m", np.geomspace(0.0552, 60.0, 25).tolist())
+    def test_sweep_roots_take_the_lattice(self, m, lattice_spy):
+        # band_estimate's grid reaches u_origin as times, and their roots give
+        # back the grid bit for bit, from the lowest mode to the highest
+        times = []
+
+        def evaluator(t):
+            times.append(t)
+            return u_origin(LogSine(1.0, 0.7), 2, t)
+
+        with contextlib.suppress(PartialBandError):
+            band_estimate(evaluator, m)
+        x = np.log(np.sqrt(4.0 * times[0]))
+        assert np.array_equal(x, np.linspace(x[0], x[-1], x.size))
+        assert lattice_spy == [True]
+
+    def test_verify_sweep_takes_the_lattice(self, lattice_spy):
+        # every corpus certificate with analytic leaves and a log-periodic
+        # sweep: its grid call takes the lattice, the trial call and the gap
+        # times the batch route, and one verify builds the rule once
+        from test_prescriber import _CORPUS
+
+        scope: dict = {}
+        exec(_CORPUS, scope)
+        swept = 0
+        for cert in scope["certs"]:
+            leaves = _split_leaves(cert.data)
+            if not leaves.analytic or leaves.loglog:
+                continue
+            lattice_spy.clear()
+            _log_trapezoid_rule.cache_clear()
+            verify_certificate(cert)
+            assert lattice_spy == [True], cert.construction_tag
+            assert _log_trapezoid_rule.cache_info().misses == 1, cert.construction_tag
+            swept += 1
+        assert swept == 13  # single modes, modes plus waves, the two-mode example
+
+    def test_verify_sweep_builds_the_layout_once(self, monkeypatch, lattice_spy):
+        # the grid call reads the rule once, on the lattice, through
         # u_origin; the one trial call after it reads the cached rule
         import heatband.solution_probe as probe
 
         cert = prescribe_average(-1.0, -0.3, 0.3, 1.0, n=2)
-        sweeps, sweep = [], probe._sweep
-        monkeypatch.setattr(probe, "_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+        sweeps, sweep = [], probe.band_estimate
+        monkeypatch.setattr(probe, "band_estimate",
+                            lambda *args: sweeps.append(args) or sweep(*args))
         verify_certificate(cert)
-        evaluator, m_hint, on_grid = sweeps[0]
+        evaluator, m_hint = sweeps[0]
         assert m_hint == cert.m_used
         calls = []
 
-        def counted(*args):
-            calls.append(args[2].size)
-            return u_origin(*args)
+        def counted(t):
+            calls.append(t.size)
+            return evaluator(t)
 
-        monkeypatch.setattr(probe, "u_origin", counted)
         _log_trapezoid_rule.cache_clear()
-        band = sweep(evaluator, m_hint, on_grid)
+        lattice_spy.clear()
+        band = sweep(counted, m_hint)
         info = _log_trapezoid_rule.cache_info()
-        assert info.misses == 1
-        assert info.hits == len(calls) == 1 and calls[0] <= 8
+        assert info.misses == 1 and lattice_spy == [True]
+        assert info.hits == len(calls) - 1 == 1 and calls[1] <= 8
         plain = band_estimate(lambda t: u_origin(cert.data, 2, t), cert.m_used)
         assert band.lower_est == pytest.approx(plain.lower_est, abs=1e-14)
         assert band.upper_est == pytest.approx(plain.upper_est, abs=1e-14)
+
+
+class TestLatticeChoice:
+    """Batches that are no exact log grid, or whose lattice costs more than
+    the batch, take the batch route, as the spy on the lattice shows."""
+
+    EXPR = LogSine(0.8, 0.7, 0.2)
+
+    @pytest.mark.parametrize("roots", [
+        np.geomspace(20.0, 2e8, 25),  # a probe grid: not exact in log root
+        np.sqrt(4.0 * np.geomspace(1e2, 1e16, 9)),
+        sweep_roots((SWEEP_X0, SWEEP_X0 + 3.0, 31))[::-1],  # descending
+        np.array([2.0, 3.0, 5.0, 8.0]),  # ascending, not uniform
+        np.sqrt(4.0 * np.array(hb.solution_probe._GAP_TIMES)),
+    ], ids=["geomspace", "geomspace-times", "descending", "non-uniform", "gap-times"])
+    def test_batches_that_are_no_grid_take_the_batch_route(self, roots, lattice_spy):
+        values, bounds = _weighted_value(self.EXPR, 0, roots)
+        assert True not in lattice_spy
+        for i in (0, roots.size - 1):
+            one, one_bound = _weighted_value(self.EXPR, 0, roots[i:i + 1])
+            assert abs(values[i] - one[0]) <= bounds[i] + one_bound[0]
+
+    def test_a_sparse_grid_whose_lattice_costs_more_takes_the_batch_route(self, lattice_spy):
+        # 3 roots 60 apart in log root: the lattice would fill the whole
+        # interval in steps of at most h, against 3 node sets of the batch
+        roots = sweep_roots((0.0, 120.0, 3))
+        assert np.array_equal(np.log(roots), np.linspace(0.0, 120.0, 3))
+        values, bounds = _weighted_value(self.EXPR, 0, roots)
+        assert lattice_spy == [False]
+        one, one_bound = _weighted_value(self.EXPR, 0, roots[1:2])
+        assert abs(values[1] - one[0]) <= bounds[1] + one_bound[0]
 
 
 # ---------------------------------------------------------------------------
