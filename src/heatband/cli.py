@@ -102,20 +102,14 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _print_chain(cert) -> None:
-    phi = cert.expected_phi_band
-    sol = cert.expected_u_band
-    avg = cert.expected_H_band
+    phi, sol, avg = cert.expected_phi_band, cert.expected_u_band, cert.expected_H_band
     print(f"initial data band  [{_table(phi[0])}, {_table(phi[1])}]")
     if avg is None:
         print("ball average band  not pinned by this construction")
     else:
         print(f"ball average band  [{_table(avg[0])}, {_table(avg[1])}]")
     print(f"solution band      [{_table(sol[0])}, {_table(sol[1])}]")
-    if avg is None:
-        chain = (phi[0], sol[0], sol[1], phi[1])
-    else:
-        chain = (phi[0], avg[0], sol[0], sol[1], avg[1], phi[1])
-    print("chain " + " <= ".join(_table(v) for v in chain))
+    print("chain " + " <= ".join(_table(v) for v in cert._expected_chain))
 
 
 def _cmd_prescribe(ns: argparse.Namespace) -> int:

@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 from contextlib import suppress
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
@@ -43,6 +43,7 @@ from .quadrature import (
     GL_NODES,
     MAX_OSCILLATION_FREQUENCY,
     _ABS_TOL,
+    _H_TOL,
     _Z_MAX,
     _check_nodes,
     _fixed_sums,
@@ -980,8 +981,10 @@ class _Leaves:
     a _piece_bound (trapezoid profiles of log(tau + 1)), which the Gauss
     routes split at their corners, apart from the analytic leaves, with their
     sups summed in kink_sup, their steepest slopes in kink_steep and their
-    corner phases, sorted, in phases.  analytic + kinked are the slow
-    leaves, and loglog says whether one of them is a doubly-log sine.
+    corner phases, sorted, in phases.  analytic_phi and kinked_phi evaluate
+    either group as one sum (_phi_on; None if empty).  slows = analytic +
+    kinked are the slow leaves, slow_m their lowest log frequency or None,
+    and loglog says whether one of them is a doubly-log sine.
     """
 
     signed: tuple[tuple[float, InitialDataExpr], ...]
@@ -995,6 +998,10 @@ class _Leaves:
     kink_sup: float
     kink_steep: float
     phases: tuple[float, ...]
+    analytic_phi: partial | None = field(compare=False)
+    kinked_phi: partial | None = field(compare=False)
+    slows: tuple[tuple[float, InitialDataExpr], ...]
+    slow_m: float | None
     loglog: bool
 
     @classmethod
@@ -1022,8 +1029,13 @@ class _Leaves:
             else:
                 raise UnsupportedExpression(
                     f"no integration route for {type(leaf).__name__}")
+        slows = tuple(analytic + kinked)
         return cls(signed, constant, tuple(analytic), mass, omega, tuple(waves), tuple(bumps),
                    tuple(kinked), kink_sup, kink_steep, tuple(sorted(phases)),
+                   partial(_phi_on, _signed_sum(analytic)) if analytic else None,
+                   partial(_phi_on, _signed_sum(kinked)) if kinked else None, slows,
+                   min((freq for _sign, leaf in slows
+                        if (freq := leaf.slow_frequency()) is not None), default=None),
                    any(isinstance(leaf, LogLogSine) for _sign, leaf in analytic))
 
 
@@ -1082,22 +1094,21 @@ def _linear_pieces(leaf, tau_max: float):
 _WAVE_SERIES_FROM = 4.0 * TWO_PI
 
 
-def numeric_H(expr: InitialDataExpr, n: int, tau, tol: float = 1e-8):
+def numeric_H(expr: InitialDataExpr, n: int, tau):
     """Ball average H(tau) = (n/tau^n) int_0^tau phi r^(n-1) dr, H(0) = phi(0).
 
     tau is a radius (giving a float) or an array of radii (giving an array
     of its shape); a bad radius anywhere raises DomainError.  Each signed
     leaf of expr takes its route (_ball_average): profiles of log tau a fixed
     Gauss-Legendre sum on s = log(r / tau) whose a-priori bound keeps the
-    error below tol at every tau (analytic and trapezoid profiles share tol,
-    tol/2 each); a wave from four periods on its integration-by-parts sum,
-    and bump trains and nearer waves a Gauss rule on each linear piece.
-
-    tol must be a positive finite real.  Too fine a tol for the analytic
-    leaves raises ConvergenceError, a non-finite data value EvaluationError.
+    error below the one H target quadrature._H_TOL = 1e-8 at every tau
+    (analytic and trapezoid profiles share it, half each); a wave from four
+    periods on its integration-by-parts sum, and bump trains and nearer
+    waves a Gauss rule on each linear piece.  A rule past the node budget
+    raises ConvergenceError, a non-finite data value EvaluationError.
     """
     taus, shape = _points(tau, _check_radius)
-    values = _ball_average(expr, n, taus, tol)[0]
+    values = _ball_average(expr, n, taus)[0]
     return float(values[0]) if shape is None else values.reshape(shape)
 
 
@@ -1107,14 +1118,13 @@ def _check_radius(tau) -> None:
         raise DomainError(f"tau must be finite and nonnegative, got {tau!r}")
 
 
-def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
+def _ball_average(expr, n, taus) -> tuple[np.ndarray, np.ndarray]:
     """(H, error bound) at each radius of the 1-D array taus, which
     numeric_H has checked.  The bound adds the bounds of its routes; the
     rest of the rounding in evaluating phi itself is not counted.
     """
     check_dimension(n)
-    check_positive(tol=tol)
-    taus, tol = np.asarray(taus, dtype=float).reshape(-1), float(tol)
+    taus = np.asarray(taus, dtype=float).reshape(-1)
     values, bounds, live = np.zeros(taus.size), np.zeros(taus.size), taus > 0.0
     if not live.all():
         values[~live] = eval_phi(expr, 0.0)
@@ -1124,16 +1134,15 @@ def _ball_average(expr, n, taus, tol) -> tuple[np.ndarray, np.ndarray]:
 
     leaves = _split_leaves(expr)
     value, bound = np.full(taus.size, leaves.constant), np.zeros(taus.size)
-    # analytic and kinked leaves together share tol, tol/2 each
-    share = 0.5 * tol if leaves.analytic and leaves.kinked else tol
+    # analytic and kinked leaves together share _H_TOL, half each
+    share = 0.5 * _H_TOL if leaves.analytic and leaves.kinked else _H_TOL
     if leaves.analytic:
         scale, weights, rule_bound = _log_gauss_rule(n, leaves.mass, leaves.omega, share)
-        value += _fixed_sums(partial(_phi_on, _signed_sum(leaves.analytic)), taus, scale, weights)
+        value += _fixed_sums(leaves.analytic_phi, taus, scale, weights)
         bound += rule_bound
     if leaves.kinked:
         part, part_bound = _split_gauss_radial(
-            partial(_phi_on, _signed_sum(leaves.kinked)), leaves.kink_sup, leaves.kink_steep,
-            leaves.phases, n, taus, share)
+            leaves.kinked_phi, leaves.kink_sup, leaves.kink_steep, leaves.phases, n, taus, share)
         value += part
         bound += part_bound
     far = taus >= _WAVE_SERIES_FROM
@@ -1168,13 +1177,12 @@ def _weighted_value(expr, k: int, roots) -> tuple[np.ndarray, np.ndarray]:
     bound = (k + 4) * _EPS * np.abs(value)
     if leaves.analytic:
         part, part_bound = _log_trapezoid_sums(
-            partial(_phi_on, _signed_sum(leaves.analytic)), leaves.mass, leaves.omega, k, roots)
+            leaves.analytic_phi, leaves.mass, leaves.omega, k, roots)
         value += part
         bound += part_bound
     if leaves.kinked:
         part, part_bound = _split_gauss_weighted(
-            partial(_phi_on, _signed_sum(leaves.kinked)), leaves.kink_sup, leaves.kink_steep,
-            leaves.phases, k, roots)
+            leaves.kinked_phi, leaves.kink_sup, leaves.kink_steep, leaves.phases, k, roots)
         value += part
         bound += part_bound
     for sign, leaf in leaves.waves:
@@ -1214,7 +1222,7 @@ def analytic_band_phi(expr: InitialDataExpr) -> tuple[float, float]:
     part, the waves, the bump heights.
     """
     split = _split_leaves(expr)
-    level, slows = split.constant, split.analytic + split.kinked
+    level, slows = split.constant, split.slows
     wave_lo = wave_hi = bump_lo = bump_hi = 0.0
     for sign, leaf in split.waves:
         lo, hi = _signed_band(sign, leaf)
@@ -1293,7 +1301,7 @@ def band_witnesses(expr: InitialDataExpr) -> tuple[np.ndarray, np.ndarray]:
     else:
         # a sum: the witnesses of its slow content, each shifted onto the
         # extremal plateau of every wave, plus the centers of every bump train
-        slows = split.analytic + split.kinked
+        slows = split.slows
         if len(slows) > 1:
             (_l, _h), (a_lo, a_hi) = _commensurate_profile(slows).extrema_with_args()
             lo_w, hi_w = _phase_taus(1.0, a_lo), _phase_taus(1.0, a_hi)

@@ -177,22 +177,23 @@ class PrescriptionCertificate:
         if self.expected_H_band is not None:
             object.__setattr__(self, "expected_H_band",
                                _checked_band(self.expected_H_band, "expected_H_band"))
-        self._check_chain()
-
-    def _check_chain(self):
-        """r <= p <= u_lo <= u_hi <= q <= s on all pinned bands."""
-        r, s = self.expected_phi_band
-        u_lo, u_hi = self.expected_u_band
-        chain = [r, u_lo, u_hi, s]
-        if self.expected_H_band is not None:
-            p, q = self.expected_H_band
-            chain = [r, p, u_lo, u_hi, q, s]
+        chain = self._expected_chain  # holds up to a relative slack of 1e-9
         slack = 1e-9 * _scale(*chain)
         for left, right in zip(chain, chain[1:]):
             if left > right + slack:
                 raise DomainError(
                     f"certificate band chain violated: {left} > {right} "
-                    f"(chain {chain})")
+                    f"(chain {list(chain)})")
+
+    @property
+    def _expected_chain(self) -> tuple[float, ...]:
+        """r <= p <= u_lo <= u_hi <= q <= s on the pinned bands: 4 values, or
+        6 when the ball average band is pinned."""
+        (r, s), (u_lo, u_hi) = self.expected_phi_band, self.expected_u_band
+        if self.expected_H_band is None:
+            return (r, u_lo, u_hi, s)
+        p, q = self.expected_H_band
+        return (r, p, u_lo, u_hi, q, s)
 
 
 def _check_cert(cert) -> None:
@@ -408,7 +409,7 @@ def envelope_u(cert: PrescriptionCertificate, t: float) -> float:
     check_time(t)
     y, n = 0.5 * math.log(4.0 * t), cert.target.n
     leaves = _split_leaves(cert.data)
-    if leaves.bumps and not (leaves.analytic or leaves.kinked):
+    if leaves.bumps and not leaves.slows:
         raise UnsupportedExpression(
             "certificate's oscillating content is bump trains alone; their "
             "origin-solution spikes have no closed envelope formula")

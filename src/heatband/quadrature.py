@@ -1,5 +1,6 @@
-"""Every integration rule of the package with its a-priori bound, and the
-package's one u(0, t) tolerance _ABS_TOL and one node budget _MAX_NODES.
+"""Every integration rule of the package with its a-priori bound, the one
+error target of each integral, _ABS_TOL for u(0, t) and _H_TOL for H(tau),
+and the one node budget _MAX_NODES.
 
 u(0, t) is a multiple of int_0^inf z^k e^{-z^2} phi(root z) dz, root =
 sqrt(4t), and H(tau) = n int_{-inf}^0 phi(tau e^s) e^{ns} ds.  The rules take
@@ -97,10 +98,12 @@ _LEFT_EDGE = 1e-300
 # amplitude exp((k+1) x) is at most e^{-40} there for every power k >= 0.
 _LOG_LEFT_EDGE = -40.0
 
-# Error targets of the u(0, t) integrals, which verify's report records, and
-# the node budget of every fixed rule and of the adaptive engine's panels
+# Error targets of the u(0, t) integrals, which verify's report records; the
+# one error target of every H(tau): numeric_H, verify's H window and the probe
+# table; the node budget of the fixed rules and of the adaptive engine's panels
 _REL_TOL = 1e-11
 _ABS_TOL = 1e-13
+_H_TOL = 1e-8
 _MAX_NODES = 200_000
 
 
@@ -293,8 +296,8 @@ def _normalize_trig(trig):
 
 
 def integrate_interval(f: Callable, a: float, b: float, *,
-                       rel_tol: float = 1e-11, abs_tol: float = 1e-13,
-                       max_panels: int = 200_000,
+                       rel_tol: float = _REL_TOL, abs_tol: float = _ABS_TOL,
+                       max_panels: int = _MAX_NODES,
                        max_width: float | None = None) -> IntegralResult:
     """Adaptive integral of a vectorized f over the finite interval [a, b].
 

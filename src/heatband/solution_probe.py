@@ -335,15 +335,6 @@ def band_estimate(evaluator, m_hint) -> OscillationBand:
 # Certificate verification
 
 
-def _slow_content(expr) -> tuple[float | None, bool]:
-    """(lowest log frequency of the slow leaves or None, whether a
-    doubly-log sine is present): what the sweeps of verify need."""
-    split = _split_leaves(expr)
-    freqs = [freq for _sign, leaf in split.analytic + split.kinked
-             if (freq := leaf.slow_frequency()) is not None]
-    return (min(freqs) if freqs else None), split.loglog
-
-
 def _slow_taus(m: float) -> np.ndarray:
     """tau grid of 3 periods of frequency m on the log(tau + 1) axis from
     tau ~ 1e4, _POINTS_PER_PERIOD points a period."""
@@ -388,8 +379,7 @@ def _measure_H_band(expr, n: int, slow_m: float | None, loglog: bool) -> Oscilla
         taus = _slow_taus(slow_m)
     else:
         taus = np.geomspace(1e4, 1e8, 129)  # content averages to a constant
-    # _ABS_TOL * 1e6, 1.0000000000000001e-07, keys the cached H layout; 1e-7 is another double
-    return _measured_band(taus, numeric_H(expr, n, taus, tol=_ABS_TOL * 1e6))
+    return _measured_band(taus, numeric_H(expr, n, taus))
 
 
 def verify_certificate(cert: PrescriptionCertificate,
@@ -410,7 +400,8 @@ def verify_certificate(cert: PrescriptionCertificate,
     n = cert.target.n
     check_positive(tol_band=tol_band)
 
-    slow_m, loglog = _slow_content(cert.data)
+    split = _split_leaves(cert.data)
+    slow_m, loglog = split.slow_m, split.loglog
     notes: list[str] = []
 
     phi_band = _measure_phi_band(cert.data, slow_m, loglog)

@@ -8,6 +8,11 @@ recomputes every entry and compares it with the file.  Rewrite the file
 only when a change is meant to move these values:
 
     PYTHONPATH=src python tests/golden/write_corpus.py
+
+Before it writes, the script compares the new entries with the file they
+replace and prints the largest |shift| of each numeric field that moved,
+naming its certificate, and every text, flag or None that changed.  A
+field is a key path in which a row index reads [] and a column index [j].
 """
 
 from __future__ import annotations
@@ -55,10 +60,54 @@ def entry(cert) -> dict:
     return json.loads(json.dumps(values, default=_json_real))
 
 
+def _changes(old, new, path: str, shifts: dict, texts: list) -> None:
+    """Collect numeric shifts by field into shifts and other changes into texts."""
+    if isinstance(old, dict) and isinstance(new, dict) and sorted(old) == sorted(new):
+        for key in sorted(old):
+            _changes(old[key], new[key], f"{path}.{key}" if path else key, shifts, texts)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        rows = any(isinstance(item, list) for item in old)
+        for j, (a, b) in enumerate(zip(old, new)):
+            _changes(a, b, f"{path}[]" if rows else f"{path}[{j}]", shifts, texts)
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)):
+        shifts.setdefault(path, []).append(abs(new - old))
+    elif old != new:
+        texts.append((path, old, new))
+
+
+def regeneration_report(old_entries: list, new_entries: list, tags: list) -> list[str]:
+    """Lines naming what the new entries move against the old ones: the
+    largest |shift| per field, with the certificates it moved, then every
+    changed text."""
+    lines = []
+    if len(old_entries) != len(new_entries):
+        lines.append(f"certificates: {len(old_entries)} -> {len(new_entries)}")
+    largest: dict = {}
+    for index, (old, new) in enumerate(zip(old_entries, new_entries)):
+        shifts, texts = {}, []
+        _changes(old, new, "", shifts, texts)
+        for field, values in shifts.items():
+            if max(values) > 0.0:
+                best, movers = largest.get(field, (0.0, []))
+                largest[field] = (max(best, max(values)), movers + [tags[index]])
+        lines.extend(f"text {tags[index]} {path}: {a!r} -> {b!r}" for path, a, b in texts)
+    for field in sorted(largest):
+        shift, movers = largest[field]
+        lines.append(f"shift {field}: {shift:.3g} in {len(movers)} certificates "
+                     f"({', '.join(movers)})")
+    return lines or ["no value moved"]
+
+
 def main() -> None:
-    entries = [json.dumps(entry(cert), sort_keys=True) for cert in corpus_certificates()]
-    CORPUS_JSON.write_text("[\n" + ",\n".join(entries) + "\n]\n", encoding="utf-8")
-    print(f"wrote {len(entries)} certificates to {CORPUS_JSON}")
+    certs = corpus_certificates()
+    entries = [entry(cert) for cert in certs]
+    if CORPUS_JSON.exists():
+        old_entries = json.loads(CORPUS_JSON.read_text(encoding="utf-8"))
+        tags = [f"{cert.construction_tag} n={cert.target.n}" for cert in certs]
+        print("\n".join(regeneration_report(old_entries, entries, tags)))
+    texts = [json.dumps(values, sort_keys=True) for values in entries]
+    CORPUS_JSON.write_text("[\n" + ",\n".join(texts) + "\n]\n", encoding="utf-8")
+    print(f"wrote {len(texts)} certificates to {CORPUS_JSON}")
 
 
 if __name__ == "__main__":

@@ -147,6 +147,11 @@ class TestPrescribe:
         assert "not pinned" in text
         stored = cert_loads(out.read_text())
         assert stored.expected_u_band == (-0.3, 0.3)
+        # the chain printed is the certificate's own: r <= alpha <= beta <= s
+        r, s = stored.expected_phi_band
+        assert stored._expected_chain == (r, -0.3, 0.3, s)
+        assert ("chain " + " <= ".join(cli._table(v) for v in (r, -0.3, 0.3, s))
+                in text.splitlines())
 
     def test_both_targets_rejected_by_parser(self, capsys):
         code = run_cli(["prescribe", "--average", "-1", "-0.3", "0.3", "1",

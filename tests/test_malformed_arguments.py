@@ -61,7 +61,7 @@ CALLS = [
     ("band_witnesses", hb.band_witnesses, (SLOW,), {}),
     ("closed_H", hb.closed_H, (SLOW, 2), {}),
     ("eval_phi", hb.eval_phi, (SLOW, 10.0), {}),
-    ("numeric_H", hb.numeric_H, (SLOW, 2, 10.0, 1e-8), {}),
+    ("numeric_H", hb.numeric_H, (SLOW, 2, 10.0), {}),
     ("phi_from_H", hb.phi_from_H, (SLOW, 2), {}),
     ("sup_abs_phi", hb.sup_abs_phi, (SLOW,), {}),
     ("KernelFlavor", hb.KernelFlavor, ("data",), {}),

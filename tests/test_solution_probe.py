@@ -77,29 +77,6 @@ from reference import ref_H, ref_u
 
 
 @pytest.fixture
-def quad_constants(monkeypatch):
-    """Sets quadrature's _ABS_TOL or _MAX_NODES in every module that reads
-    it, with the cached layouts cleared before and after, so that a rule
-    can be checked at another tolerance or node budget."""
-    from heatband import initial_data, quadrature, solution_probe
-
-    caches = (quadrature._log_trapezoid_rule, quadrature._log_gauss_panels,
-              quadrature._log_gauss_rule)
-
-    def set_constants(**values):
-        for cache in caches:
-            cache.cache_clear()
-        for name, value in values.items():
-            for module in (quadrature, initial_data, solution_probe):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, value)
-
-    yield set_constants
-    for cache in caches:
-        cache.cache_clear()
-
-
-@pytest.fixture
 def lattice_spy(monkeypatch):
     """One entry per call of quadrature._lattice_sums: True where the lattice
     served the sums, False where it declined for the batch route.  Batches
@@ -996,27 +973,28 @@ class TestTrapezoidProfiles:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("tau", [2.3, 1e4, 1e8, 1e12])
-    def test_ball_average_against_mpmath(self, n, tau):
+    def test_ball_average_against_mpmath(self, n, tau, quad_constants):
         for label, leaf in trapezoid_cases(n):
             want = ref_H(leaf, n, tau)
             for tol in (1e-5, 1e-8, 1e-11):
-                value, bound = _ball_average(leaf, n, tau, tol)
+                quad_constants(_H_TOL=tol)
+                value, bound = _ball_average(leaf, n, tau)
                 assert abs(value - want) <= bound, (label, tol)
                 # tol / 2 for the window, tol / 2 for the panels, and the
                 # rounding of a sum of at most two thousand terms
                 assert bound <= tol + 2e3 * 2.3e-16 * 6.0, (label, tol)
 
-    def test_mixed_with_analytic_leaves(self):
+    def test_mixed_with_analytic_leaves(self, quad_constants):
         slow = LogSine(0.8, 0.7, 0.2)
         profile = hb.PeriodicOfLog(TRAPEZOID)
         mixed = Sum((slow, Negate(profile)))
         for t in (1e3, 1e12):
             assert u_origin(mixed, 2, t) == pytest.approx(
                 u_origin(slow, 2, t) - u_origin(profile, 2, t), abs=1e-12)
+        quad_constants(_H_TOL=1e-10)
         for tau in (2.3, 1e6):
-            assert numeric_H(mixed, 2, tau, tol=1e-10) == pytest.approx(
-                numeric_H(slow, 2, tau, tol=1e-10) - numeric_H(profile, 2, tau, tol=1e-10),
-                abs=3e-10)
+            assert numeric_H(mixed, 2, tau) == pytest.approx(
+                numeric_H(slow, 2, tau) - numeric_H(profile, 2, tau), abs=3e-10)
 
     @pytest.mark.parametrize("radius", [2.3, 1e4, 1e12])
     def test_panels_split_at_every_corner(self, radius):
@@ -1096,7 +1074,8 @@ class TestNodeBudget:
         # 2 mass / tol overflows nor tol / 2 rounds to 0 into a bare error
         try:
             if integral == "H":
-                value = numeric_H(leaf, 1, 10.0, tol=tol)
+                quad_constants(_H_TOL=tol)
+                value = numeric_H(leaf, 1, 10.0)
             else:
                 quad_constants(_ABS_TOL=tol)
                 value = u_origin(leaf, 1, 10.0)
@@ -1193,6 +1172,56 @@ def test_one_verify_splits_its_data_once(monkeypatch):
     for t in np.geomspace(1e2, 1e10, 49).tolist():
         hb.envelope_u(cert, t)
     assert len(splits) == 1 and len(walks) == 1
+
+
+def test_routers_read_the_evaluators_of_the_split(monkeypatch):
+    # the analytic and kinked groups are summed into one evaluator each when
+    # the expression is split, never again at a call of either router
+    import heatband.initial_data as idata
+
+    expr = Sum((LogSine(0.7, 2.0, 0.1), hb.PeriodicOfLog(TRAPEZOID), Constant(0.3)))
+    leaves = _split_leaves(expr)
+    built = []
+    monkeypatch.setattr(idata, "_signed_sum", lambda pairs: built.append(pairs))
+    for _ in range(2):
+        _weighted_value(expr, 1, np.array([1.0, 30.0]))
+        _ball_average(expr, 2, np.array([5.0, 1e6]))
+    assert built == [] and _split_leaves(expr) is leaves
+    tau = np.geomspace(1.0, 1e6, 7)
+    assert np.array_equal(leaves.analytic_phi(tau), eval_phi(LogSine(0.7, 2.0, 0.1), tau))
+    assert np.array_equal(leaves.kinked_phi(tau), eval_phi(hb.PeriodicOfLog(TRAPEZOID), tau))
+    assert leaves.slows == leaves.analytic + leaves.kinked and leaves.slow_m == 1.0
+
+
+def _corpus_certificates():
+    from test_prescriber import _CORPUS
+
+    scope: dict = {}
+    exec(_CORPUS, scope)
+    return scope["certs"]
+
+
+CORPUS = _corpus_certificates()
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)),
+                         ids=[f"{c.construction_tag}-{c.target.n}" for c in CORPUS])
+def test_verify_H_band_is_numeric_H_on_its_window(index, monkeypatch):
+    # verify's H window meets the one H target, as the probe table does: its
+    # band ends are the least and the greatest numeric_H on its own radii
+    from heatband import solution_probe
+
+    cert, windows = CORPUS[index], []
+
+    def spy(expr, n, taus, *args, **kwargs):
+        windows.append(np.array(taus))
+        return numeric_H(expr, n, taus, *args, **kwargs)
+
+    monkeypatch.setattr(solution_probe, "numeric_H", spy)
+    band = verify_certificate(cert).measured_H_band
+    (taus,) = windows
+    values = numeric_H(cert.data, cert.target.n, taus)
+    assert (band.lower_est, band.upper_est) == (float(values.min()), float(values.max()))
 
 
 def test_probe_and_cli_call_the_integrals_once_per_grid():
@@ -1580,7 +1609,7 @@ class TestBandEstimate:
         }
         make, n = certs[which]
         cert = make()
-        m_hint = hb.solution_probe._slow_content(cert.data)[0]
+        m_hint = _split_leaves(cert.data).slow_m
 
         def u_at(t):
             return u_origin(cert.data, n, t)
