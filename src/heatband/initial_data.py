@@ -48,13 +48,17 @@ from .quadrature import (
     _check_nodes,
     _fixed_sums,
     _log_gauss_rule,
-    _log_trapezoid_sums,
+    _log_trapezoid_rule,
     _pieces_radial,
+    _power_series,
+    _power_sums,
+    _radial_terms,
     _pieces_weighted,
     _split_gauss_radial,
     _split_gauss_weighted,
     _wave_radial_series,
     _wave_weighted_series,
+    _weighted_terms,
     gaussian_power_tail,
 )
 
@@ -374,6 +378,7 @@ class InitialDataExpr:
       _piece_bound()     (sup, steep, phases) for leaves linear in L =
                          log(tau + 1) between corners theta + 2 pi q, theta
                          in phases (see _split_gauss); None for the rest
+      _powers()          (beta, a) pairs, leaf = Re sum beta (1 + tau)^a; or None
       slow_frequency()   lowest frequency on the log(tau + 1) axis, or None
       witnesses()        tau values approaching the liminf and the limsup,
                          looked for in _WITNESS_WINDOW first
@@ -397,6 +402,9 @@ class InitialDataExpr:
         return None
 
     def _piece_bound(self) -> tuple[float, float, tuple[float, ...]] | None:
+        return None
+
+    def _powers(self) -> tuple[tuple[complex, complex], ...] | None:
         return None
 
     def slow_frequency(self) -> float | None:
@@ -457,6 +465,12 @@ class _ModeOfLog(InitialDataExpr):
 
     def strip_bound(self):
         return self.amplitude * (1.0 + self.m / self._n) + abs(self.offset), self.m
+
+    def _powers(self):
+        # sin(m L) = Re(-i (1 + tau)^(im)) and tau / (tau + 1) = 1 - (1 + tau)^-1
+        q, a = self.m / self._n, complex(0.0, self.m)
+        return ((self.amplitude * complex(q, -1.0), a), (-self.amplitude * q, a - 1.0),
+                (self.offset, 0j))
 
     def slow_frequency(self):
         return float(self.m)
@@ -735,6 +749,18 @@ class _ProfileOfLog(InitialDataExpr):
             for j, c in enumerate(coeffs, start=1))
         return mass, float(max(len(g.cos_coeffs), len(g.sin_coeffs), 1))
 
+    def _powers(self):
+        # g = const + Re sum_j (c_j - i s_j) e^(ijL), g' = Re sum_j j (s_j + i c_j) e^(ijL)
+        g = self.g
+        if not isinstance(g, TrigPolynomial):
+            return None
+        pairs = [(g.const, 0j)]
+        for j, (c, s) in enumerate(itertools.zip_longest(
+                g.cos_coeffs, g.sin_coeffs, fillvalue=0.0), start=1):
+            lean = self._slope * j * complex(s, c)  # tau / (tau + 1) = 1 - (1 + tau)^-1
+            pairs += [(complex(c, -s) + lean, complex(0.0, j)), (-lean, complex(-1.0, j))]
+        return tuple(pairs)
+
     def _piece_bound(self):
         # a trapezoid g is linear in L between corners; over the ellipse of a Gauss
         # panel inside |Im s| <= a < pi/2, |Im L| <= a and Re L overshoots the panel's piece
@@ -982,8 +1008,9 @@ class _Leaves:
     routes split at their corners, apart from the analytic leaves, with their
     sups summed in kink_sup, their steepest slopes in kink_steep and their
     corner phases, sorted, in phases.  analytic_phi and kinked_phi evaluate
-    either group as one sum (_phi_on; None if empty).  slows = analytic +
-    kinked are the slow leaves, slow_m their lowest log frequency or None,
+    either group as one sum (_phi_on; None if empty), and powers as the
+    (beta, a) pairs of their _powers summed per a, or None.  slows = analytic
+    + kinked are the slow leaves, slow_m their lowest log frequency or None,
     and loglog says whether one of them is a doubly-log sine.
     """
 
@@ -1000,6 +1027,7 @@ class _Leaves:
     phases: tuple[float, ...]
     analytic_phi: partial | None = field(compare=False)
     kinked_phi: partial | None = field(compare=False)
+    powers: tuple[tuple[complex, complex], ...] | None
     slows: tuple[tuple[float, InitialDataExpr], ...]
     slow_m: float | None
     loglog: bool
@@ -1030,10 +1058,17 @@ class _Leaves:
                 raise UnsupportedExpression(
                     f"no integration route for {type(leaf).__name__}")
         slows = tuple(analytic + kinked)
+        declared, powers = [(sign, leaf._powers()) for sign, leaf in analytic], {}
+        for sign, pairs in declared:
+            for beta, a in pairs or ():
+                powers[a] = powers.get(a, 0.0) + sign * beta
+        if any(pairs is None for _sign, pairs in declared):
+            powers = {}
         return cls(signed, constant, tuple(analytic), mass, omega, tuple(waves), tuple(bumps),
                    tuple(kinked), kink_sup, kink_steep, tuple(sorted(phases)),
                    partial(_phi_on, _signed_sum(analytic)) if analytic else None,
-                   partial(_phi_on, _signed_sum(kinked)) if kinked else None, slows,
+                   partial(_phi_on, _signed_sum(kinked)) if kinked else None,
+                   tuple((beta, a) for a, beta in powers.items() if beta) or None, slows,
                    min((freq for _sign, leaf in slows
                         if (freq := leaf.slow_frequency()) is not None), default=None),
                    any(isinstance(leaf, LogLogSine) for _sign, leaf in analytic))
@@ -1099,7 +1134,9 @@ def numeric_H(expr: InitialDataExpr, n: int, tau):
 
     tau is a radius (giving a float) or an array of radii (giving an array
     of its shape); a bad radius anywhere raises DomainError.  Each signed
-    leaf of expr takes its route (_ball_average): profiles of log tau a fixed
+    leaf of expr takes its route (_ball_average): log modes and trig
+    profiles their residue series from about tau = 2 (m + n + 1) on; below it
+    profiles of log tau a fixed
     Gauss-Legendre sum on s = log(r / tau) whose a-priori bound keeps the
     error below the one H target quadrature._H_TOL = 1e-8 at every tau
     (analytic and trapezoid profiles share it, half each); a wave from four
@@ -1121,7 +1158,7 @@ def _check_radius(tau) -> None:
 def _ball_average(expr, n, taus) -> tuple[np.ndarray, np.ndarray]:
     """(H, error bound) at each radius of the 1-D array taus, which
     numeric_H has checked.  The bound adds the bounds of its routes; the
-    rest of the rounding in evaluating phi itself is not counted.
+    rules leave out the rounding in evaluating phi itself.
     """
     check_dimension(n)
     taus = np.asarray(taus, dtype=float).reshape(-1)
@@ -1137,9 +1174,13 @@ def _ball_average(expr, n, taus) -> tuple[np.ndarray, np.ndarray]:
     # analytic and kinked leaves together share _H_TOL, half each
     share = 0.5 * _H_TOL if leaves.analytic and leaves.kinked else _H_TOL
     if leaves.analytic:
-        scale, weights, rule_bound = _log_gauss_rule(n, leaves.mass, leaves.omega, share)
-        value += _fixed_sums(leaves.analytic_phi, taus, scale, weights)
-        bound += rule_bound
+        def rule(radii):
+            scale, weights, rule_bound = _log_gauss_rule(n, leaves.mass, leaves.omega, share)
+            return _fixed_sums(leaves.analytic_phi, radii, scale, weights), rule_bound
+
+        part, part_bound = _analytic_part(leaves, n, _radial_terms, taus, rule)
+        value += part
+        bound += part_bound
     if leaves.kinked:
         part, part_bound = _split_gauss_radial(
             leaves.kinked_phi, leaves.kink_sup, leaves.kink_steep, leaves.phases, n, taus, share)
@@ -1163,12 +1204,25 @@ def _ball_average(expr, n, taus) -> tuple[np.ndarray, np.ndarray]:
     return values, bounds
 
 
+def _analytic_part(leaves: _Leaves, p: int, terms, points: np.ndarray, rule):
+    """(values, error bounds) of the analytic leaves at each point of the 1-D
+    array points: their residue series (_power_series with p and terms) from
+    its reach on, which rests on p and each |a| only, else rule(points)."""
+    series = leaves.powers and _power_series(leaves.powers, p, terms)
+    far = points >= (series[0] if series else math.inf)
+    if series and far.all():
+        return _power_sums(series, points)
+    values, bounds = np.empty((2, points.size))
+    if far.any():
+        values[far], bounds[far] = _power_sums(series, points[far])
+    values[~far], bounds[~far] = rule(points[~far])
+    return values, bounds
+
+
 def _weighted_value(expr, k: int, roots) -> tuple[np.ndarray, np.ndarray]:
     """(values, error bounds) of int_0^inf z^k e^{-z^2} expr(root z) dz at
     each root > 0 of the 1-D array roots, expr routed per signed leaf, split
-    once for all roots; the bound adds the bounds of its routes.  The analytic
-    leaves' sums choose their lattice from the roots (_log_trapezoid_sums), so
-    a sweep's grid shares one.
+    once for all roots; the bound adds the bounds of its routes.
     """
     roots = np.asarray(roots, dtype=float).reshape(-1)
     # the constants and bump baselines c: c M_k, M_k within (k + 2) eps
@@ -1176,8 +1230,11 @@ def _weighted_value(expr, k: int, roots) -> tuple[np.ndarray, np.ndarray]:
     value = np.full(roots.size, leaves.constant * gaussian_power_tail(k, 0.0))
     bound = (k + 4) * _EPS * np.abs(value)
     if leaves.analytic:
-        part, part_bound = _log_trapezoid_sums(
-            leaves.analytic_phi, leaves.mass, leaves.omega, k, roots)
+        def rule(below):
+            scale, weights, h, rule_bound = _log_trapezoid_rule(k, leaves.mass, leaves.omega)
+            return h * _fixed_sums(leaves.analytic_phi, below, scale, weights), rule_bound
+
+        part, part_bound = _analytic_part(leaves, k + 1, _weighted_terms, roots, rule)
         value += part
         bound += part_bound
     if leaves.kinked:

@@ -8,10 +8,13 @@ phi as an evaluator of radii, a table of linear pieces or a trapezoid wave,
 never an expression: which rule serves which leaf and which point, only the
 routers of initial_data (_weighted_value, _ball_average) decide.
 
-Leaves analytic in log tau take one fixed sum on a log-radius axis, bounded
-through the strip where the integrand stays analytic: a trapezoid sum on
-x = log z for u (_log_trapezoid_rule, _log_window), Gauss-Legendre on
-s = log(r / tau) for H (_log_gauss_rule).  Trapezoid profiles of
+Leaves that are finite sums of powers (1 + tau)^a (the log modes and the
+trig profiles of log(tau + 1)) take two convergent residue series from
+their reach on, in either kernel (_power_series, _power_sums).  Below it,
+and for the doubly-log sine, leaves analytic in log tau take one fixed sum
+on a log-radius axis, bounded through the strip where the integrand stays
+analytic: a trapezoid sum on x = log z for u (_log_trapezoid_rule,
+_log_window), Gauss-Legendre on s = log(r / tau) for H (_log_gauss_rule).  Trapezoid profiles of
 log(tau + 1) take the Gauss layout split at their corners, radius by radius,
 in either kernel (_split_gauss_weighted, _split_gauss_radial); one strip
 search (_log_gauss_panels) sizes both Gauss layouts.  Waves and bump trains,
@@ -22,9 +25,7 @@ parts against one cached model (_wave_primitives): in H after n steps
 (_wave_radial_series), in u by a series whose remainder picks its length
 (_wave_weighted_series).  A batch of points is one evaluation of phi on the
 outer product of points and the nodes of a cached read-only layout, and one
-matrix-vector product (_fixed_sums); u's trapezoid sums choose their lattice
-from the roots, and roots uniform in x = log root to the last bit share one
-where that is cheaper (_log_trapezoid_sums, _lattice_sums).  Every fixed
+matrix-vector product (_fixed_sums).  Every fixed
 rule refuses with ConvergenceError, before it lays any, more nodes at a
 point than _MAX_NODES (_check_nodes).
 
@@ -39,6 +40,7 @@ analytically, never sampled.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,8 +48,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import zeta
+from scipy.special import loggamma, zeta
 
 from .errors import (TWO_PI, _EPS, ConvergenceError, DomainError, _finite, check_finite,
                      check_integer, check_positive)
@@ -550,7 +551,7 @@ def _log_trapezoid_rule(k: int, mass: float, omega: float):
     h = L / (floor(L / h_max) + 1), J - 1 steps over the window of
     _log_window, of length L, whose cuts add at most its tails.  The bound
     returned is the sum of the two.  More than _MAX_NODES nodes raise
-    ConvergenceError, and so do more in the lattice of _lattice_sums.
+    ConvergenceError.
     """
     # log(4 mass M_k / _ABS_TOL); mass is floored at _ABS_TOL, which only shrinks h
     log_mass = _log_quotient(4.0 * max(mass, _ABS_TOL) * gaussian_power_tail(k, 0.0), _ABS_TOL)
@@ -589,55 +590,126 @@ def _log_window(k: int, mass: float) -> tuple[float, float, float]:
     return depth / (k + 1), math.log(_Z_MAX), tails
 
 
-def _log_trapezoid_sums(phi, mass: float, omega: float, k: int, roots) -> tuple[np.ndarray, float]:
-    """(values, bound) of _log_trapezoid_rule at each root > 0 of the 1-D array
-    roots, phi analytic leaves of strip mass mass and top frequency omega: at
-    least 3 roots whose logs x ascend and equal np.linspace(x[0], x[-1], N) bit
-    for bit take _lattice_sums where it evaluates phi at fewer points than the
-    batch route (_fixed_sums), which every other batch takes; no tolerance."""
-    scale, weights, h, bound = _log_trapezoid_rule(k, mass, omega)
-    x = np.log(roots)
-    if roots.size >= 3 and x[0] < x[-1] and np.array_equal(x, np.linspace(x[0], x[-1], x.size)):
-        values = _lattice_sums(phi, mass, k, h, x, roots.size * scale.size)
-        if values is not None:
-            return values, bound
-    return h * _fixed_sums(phi, roots, scale, weights), bound
+# ---------------------------------------------------------------------------
+# Residue series of the powers (1 + tau)^a, -1 <= Re a <= 0
+
+# Most terms of one residue series; their bounds need fewer than 80
+_SERIES_TERMS = 200
 
 
-def _lattice_sums(phi, mass: float, k: int, h: float, x: np.ndarray, most: int):
-    """The sums of _log_trapezoid_rule, of step h, at every root e^{x_i} of the
-    grid x = np.linspace(x[0], x[-1], N), N > 1, phi analytic leaves of strip
-    mass mass: one correlation of phi with the kernel on a lattice that all
-    grid points share, or None where it holds `most` values of phi or more.
+def _weighted_terms(a: complex, p: int, x: float):
+    """(c, c_err, d, d_err) with int_0^inf z^k e^{-z^2} (1 + root z)^a dz =
+    root^a sum_j c_j x^j + sum_i d_i x^i, x = 1 / root, k = p - 1, within
+    root^(Re a) sum_j c_err_j x^j + sum_i d_err_i x^i below the given x:
+    the residues of a Mellin-Barnes integral (Bleistein & Handelsman, ch. 4),
+    c_j = C(a, j) Gamma((k + 1 + a - j) / 2) / 2 from two log-gammas and
+    Gamma(w) = Gamma(w + 1) / w, and d_i = (-1)^l / l! Gamma(i) Gamma(-a - i)
+    / Gamma(-a) at i = k + 1 + 2l, a finite product.  From j = k + 2 on,
+    |c_(j+2) / c_j| = |a - j| |a - j - 1| 2 / ((j + 1) (j + 2) |k - 1 + a - j|)
+    <= max(1, |a|^2) 2/3 <= x^-2 / 6, and |d_(i+2) / d_i| <= x^2 / (l + 1),
+    so each tail is at most twice its first omitted terms, which the errors
+    carry once they are below M_k eps / 8 at x; the errors also carry
+    16 eps (1 + |log Gamma|) for the log-gamma, as kernel_moments, and 4 eps
+    an operation after it.  a = 0 gives c = [M_k]."""
+    k = p - 1
+    scale = gaussian_power_tail(k, 0.0)
+    if a == 0:
+        return np.array([scale]), np.array([(k + 2) * _EPS * scale]), np.zeros(1), np.zeros(1)
+    logs = [complex(loggamma(0.5 * (k + 1 + a))), complex(loggamma(0.5 * (k + a)))]
+    gammas, c, binom = [cmath.exp(v) for v in logs], [], 1.0 + 0j
+    for j in range(_SERIES_TERMS):
+        if j >= 2:
+            gammas.append(gammas[j - 2] / (0.5 * (k + 1 + a - j)))
+        c.append(0.5 * binom * gammas[j])
+        binom *= (a - j) / (j + 1)
+        top = j - 1  # the first term left out
+        if top >= k + 2 and 2.0 * (abs(c[top]) + abs(c[j]) * x) * x ** (top - a.real) \
+                <= 0.125 * _EPS * scale:
+            break
+    c_err = 2.0 * np.abs(c)  # the tail at top and top + 1
+    c_err[:top] *= 0.5 * _EPS * (16.0 * (1.0 + np.abs(logs)[np.arange(top) % 2])
+                                 + 6.0 * np.arange(top) + 4.0)
+    d, d_err = np.zeros((2, k + 2 * _SERIES_TERMS + 3), dtype=complex)
+    term = math.factorial(k) / math.prod(-a - i for i in range(1, k + 2))
+    for l in range(_SERIES_TERMS):
+        i = k + 1 + 2 * l
+        d[i], d_err[i] = term, 4.0 * _EPS * (k + 2 + 5 * l) * abs(term)
+        term *= -i * (i + 1) / ((l + 1) * (a + i + 1) * (a + i + 2))
+        if 2.0 * abs(term) * x ** (i + 2) <= 0.125 * _EPS * scale:
+            break
+    d_err[i + 2] = 2.0 * abs(term)
+    return np.array(c[:top]), c_err, d[:i + 3], d_err[:i + 3].real
 
-    With the grid step D = (x[-1] - x[0]) / (N - 1), the lattice step is g = D / q,
-    q = ceil(D / h), and the node step h' = p g, p = floor(h / g) >= 1.  The nodes
-    log z_max - j h' run down past the window of _log_window, so every node of
-    every grid point lies on sigma_r = x[0] + log z_max - r g, and phi is
-    evaluated once at each e^{sigma_r}.  As h' <= h and the nodes cover the same
-    window, the rule's bound holds as it is; as h' > h/2, the budget is checked
-    again.  The sums are one strided matrix-vector product, in blocks of rows
-    of at most _BLOCK values.
-    """
-    step = (x[-1] - x[0]) / (x.size - 1)  # numpy's linspace step
-    q = math.ceil(step / h)
-    g = step / q
-    p = max(1, int(h / g))
-    x_lo, x_hi, _tails = _log_window(k, mass)
-    nodes = math.ceil((x_hi - x_lo) / (p * g)) + 1
-    size = (x.size - 1) * q + (nodes - 1) * p + 1
-    if size >= most:
-        return None
-    _check_nodes(nodes)
-    nodes_x = x_hi - p * g * np.arange(nodes)
-    kernel = np.exp((k + 1) * nodes_x - np.exp(2.0 * nodes_x))[::-1]  # ascending in x
-    # sigma ascending: grid point i reads entries i q + j p, j = 0 .. nodes - 1
-    r = np.arange(size) - (nodes - 1) * p
-    rows = sliding_window_view(phi(np.exp((x[0] + x_hi) + g * r)), (nodes - 1) * p + 1)[::q, ::p]
-    out, block = np.empty(x.size), max(1, _BLOCK // nodes)
-    for i in range(0, x.size, block):
-        out[i:i + block] = np.dot(rows[i:i + block], kernel)
-    return p * g * out
+
+def _radial_terms(a: complex, n: int, x: float):
+    """(e, e_err, f, f_err) as for _weighted_terms, of the ball average
+    n int_0^1 s^(n-1) (1 + tau s)^a ds = tau^a sum_j e_j x^j + f_n x^n,
+    x = 1 / tau: 2F1(-a, n; n + 1; -tau) (DLMF 15.8.2), e_j = C(a, j) n /
+    (n + a - j) and f_n = n! / prod_(i<=n) (-a - i).  From j = n + 1 on,
+    |e_(j+1) / e_j| <= max(1, |a|) <= 1 / (2x), so the tail is at most twice
+    its first omitted term, kept below eps / 8 at x."""
+    if a == 0:
+        return np.ones(1), np.zeros(1), np.zeros(1), np.zeros(1)
+    e, binom = [], 1.0 + 0j
+    for j in range(_SERIES_TERMS):
+        e.append(binom * n / (n + a - j))
+        binom *= (a - j) / (j + 1)
+        if j > n and 2.0 * abs(e[j]) * x ** (j - a.real) <= 0.125 * _EPS:
+            break
+    e_err = 2.0 * np.abs(e)
+    e_err[:j] *= 0.5 * _EPS * (4.0 * np.arange(j) + 6.0)
+    f = np.zeros(n + 1, dtype=complex)
+    f[n] = math.factorial(n) / math.prod(-a - i for i in range(1, n + 1))
+    return np.array(e[:j]), e_err, f, 4.0 * _EPS * (n + 1) * np.abs(f)
+
+
+@lru_cache(maxsize=64)
+def _power_series(powers, p: int, terms):
+    """(reach, a, weights) of the residue series of Re sum_q beta_q
+    (1 + tau)^(a_q), powers the pairs (beta_q, a_q), by terms (_weighted_terms,
+    p = k + 1, or _radial_terms, p = n).  The reach, the least point they
+    serve, is the largest 2 (|a| + p + 1), where the tails fall by half a
+    step, and |a + 1|^(-1/p), where the terms x^p / |a + 1| that cancel near
+    the pole a = -1 stay below 1.  Row j of weights multiplies x^j; its
+    column blocks, one column a power, are Re and Im beta c_j (turned by
+    point^a), 2 eps |a| |beta c_j| (the phase's rounding per |log point|), the
+    error weights plus (j + size + count + 10) eps |beta c_j| for the sums,
+    and last Re and the error weight of the terms no phase turns."""
+    reach = max(max(2.0 * (abs(a) + p + 1), min(1.0, abs(a + 1.0)) ** (-1.0 / p))
+                for _beta, a in powers)
+    rows = [terms(a, p, 1.0 / reach) for _beta, a in powers]
+    size, count = max(max(len(c_err), len(d)) for _c, c_err, d, _d_err in rows), len(powers)
+    weights = np.zeros((size, 4 * count + 2))
+    rounding = _EPS * (np.arange(size) + size + count + 10.0)
+    for q, ((beta, a), (c, c_err, d, d_err)) in enumerate(zip(powers, rows)):
+        turned, sizes, j, i = beta * c, abs(beta) * np.abs(c), c.size, d.size
+        weights[:j, q], weights[:j, count + q] = turned.real, turned.imag
+        weights[:j, 2 * count + q] = 2.0 * _EPS * abs(a) * sizes
+        weights[:c_err.size, 3 * count + q] = abs(beta) * c_err
+        weights[:j, 3 * count + q] += rounding[:j] * sizes
+        weights[:i, -2] += (beta * d).real
+        weights[:i, -1] += abs(beta) * (d_err + rounding[:i] * np.abs(d))
+    a = np.array([a for _beta, a in powers])
+    a.flags.writeable = weights.flags.writeable = False
+    return reach, a, weights
+
+
+def _power_sums(series, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, error bounds) of _power_series at each point of the 1-D array
+    points past its reach: the powers x^j = point^-j by products, one matrix
+    product and each point^a as |point^a| (cos + i sin)(Im a log point)."""
+    _reach, a, weights = series
+    count, logs = a.size, np.log(points)
+    powers = np.empty((weights.shape[0], points.size))
+    powers[0], powers[1:] = 1.0, 1.0 / points
+    for j in range(2, powers.shape[0]):
+        powers[j] *= powers[j - 1]
+    sums, turns = powers.T @ weights, np.multiply.outer(logs, a.imag)
+    sizes = np.exp(np.multiply.outer(logs, a.real))
+    values = sizes * (np.cos(turns) * sums[:, :count] - np.sin(turns) * sums[:, count:2 * count])
+    bounds = sizes * (np.abs(logs)[:, None] * sums[:, 2 * count:3 * count]
+                      + sums[:, 3 * count:4 * count])
+    return values.sum(axis=1) + sums[:, -2], bounds.sum(axis=1) + sums[:, -1]
 
 
 @lru_cache(maxsize=64)

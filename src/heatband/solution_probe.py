@@ -149,9 +149,10 @@ def u_origin(expr, n: int, t):
     raises for it.  expr may be an InitialDataExpr or a plain vectorized
     callable of tau, which takes adaptive quadrature, time by time.
     Each leaf of an expression takes its route (initial_data._weighted_value):
-    analytic leaves a trapezoid sum in log z, on one lattice for times uniform
-    in log t to the last bit (band_estimate's grid); a wave its series by parts
-    in 1/sqrt(4t); bump trains and waves at small t a Gauss rule on each piece.
+    log modes and trig profiles their residue series in 1/sqrt(4t) from its
+    reach on, other analytic leaves and smaller t a trapezoid sum in log z;
+    a wave its series by parts in 1/sqrt(4t); bump trains and waves at small
+    t a Gauss rule on each piece.
     """
     return _u_at_origin(expr, n, t, KernelFlavor.DATA)
 
@@ -221,8 +222,8 @@ _STENCIL = 9
 _POWERS = np.arange(_STENCIL)
 _STENCILS = np.linalg.inv((_POWERS - _POWERS[:, None])[:, :, None] ** _POWERS)
 # Newton converges quadratically from the candidate, at most a cell from the
-# vertex; the fourth step already lands within about 1e-10 of a cell
-_NEWTON_STEPS = 5
+# vertex; the third step lands where the fifth did on every corpus sweep
+_NEWTON_STEPS = 3
 
 
 def _vertex_trials(us, vals, covered: float) -> np.ndarray:
@@ -239,28 +240,35 @@ def _vertex_trials(us, vals, covered: float) -> np.ndarray:
     agrees with its neighbours to rounding is flat and takes none.
     """
     size, keep = us.size, max(math.ceil(covered), 0) + 1
-    padded = np.full((2, size + 2), np.inf)
-    padded[0, 1:-1], padded[1, 1:-1] = vals, -vals
-    fs, ends = padded[:, 1:-1], np.arange(2)[:, None]
-    ranked = np.where((fs <= padded[:, :-2]) & (fs <= padded[:, 2:]), fs, np.inf)
-    order = np.argsort(ranked, axis=1, kind="stable")[:, :keep]
-    best = order[:, :1]
-    least = fs[ends, best]
-    near = np.maximum(fs[ends, np.maximum(best - 1, 0)], fs[ends, np.minimum(best + 1, size - 1)])
-    flat = near - least <= 8.0 * _EPS * np.maximum(1.0, np.abs(least))
-    end, rank = np.nonzero(np.isfinite(ranked[ends, order]) & ~flat)
-    index, signs = order[end, rank], 1.0 - 2.0 * end
-    start = np.clip(index - _STENCIL // 2, 0, size - _STENCIL)
-    coef = np.einsum("cjk,ck->cj", _STENCILS[index - start], vals[start[:, None] + _POWERS])
+    rise = np.diff(vals)
+    down = np.concatenate(([True], rise <= 0.0, [True]))
+    up = np.concatenate(([True], rise >= 0.0, [True]))
+    index, signs = [], []
+    for sign, extreme in ((1.0, down[:-1] & up[1:]), (-1.0, up[:-1] & down[1:])):
+        found = np.flatnonzero(extreme)
+        ranked = found[np.argsort(sign * vals[found], kind="stable")[:keep]].tolist()
+        best = ranked[0]
+        least = sign * vals[best]
+        near = max(sign * vals[max(best - 1, 0)], sign * vals[min(best + 1, size - 1)])
+        if near - least > 8.0 * _EPS * max(1.0, abs(least)):
+            index += ranked
+            signs += [sign] * len(ranked)
+    if not index:
+        return np.empty(0)
+    start = [min(max(i - _STENCIL // 2, 0), size - _STENCIL) for i in index]
+    coef = np.einsum("cjk,ck->cj", _STENCILS[np.subtract(index, start)],
+                     vals[np.add.outer(start, _POWERS)])
+    lo, hi = np.array([[-(i > 0), i < size - 1] for i in index], dtype=float).T
+    index, signs = np.array(index), np.array(signs)
     # rows p' and p'' of each candidate, by powers 0 .. 7 of s
     derivs = np.zeros((index.size, 2, _STENCIL - 1))
     derivs[:, 0] = coef[:, 1:] * _POWERS[1:]
     derivs[:, 1, :-1] = derivs[:, 0, 1:] * _POWERS[1:-1]
-    lo, hi = np.where(index > 0, -1.0, 0.0), np.where(index < size - 1, 1.0, 0.0)
-    s = np.zeros(index.size)
-    for _ in range(_NEWTON_STEPS):
-        d1, d2 = (derivs @ (s[:, None] ** _POWERS[:-1])[:, :, None])[:, :, 0].T
+    s, (d1, d2) = np.zeros(index.size), derivs[:, :, 0].T  # at s = 0
+    for step in range(_NEWTON_STEPS):
         s = np.minimum(np.maximum(s - d1 / np.where(signs * d2 > 0.0, d2, np.inf), lo), hi)
+        if step < _NEWTON_STEPS - 1:
+            d1, d2 = (derivs @ (s[:, None] ** _POWERS[:-1])[:, :, None])[:, :, 0].T
     at_s = np.einsum("cj,cj->c", coef, s[:, None] ** _POWERS)
     better = (signs * at_s < signs * vals[index]) & (s != 0.0)
     return us[index[better]] + s[better] * ((us[-1] - us[0]) / (size - 1))
@@ -274,8 +282,8 @@ def band_estimate(evaluator, m_hint) -> OscillationBand:
     _POINTS_PER_PERIOD samples a period.  evaluator receives a 1-D float
     array of times and returns its values there, an array of that shape (a
     scalar broadcasts).  For a numeric m_hint the grid, one evaluator call,
-    is uniform in x = log sqrt(4t) with periods 2 pi / m_hint, so u_origin
-    takes one lattice for it; a frequency below _M_FLOOR covers fewer than
+    is uniform in x = log sqrt(4t) with periods 2 pi / m_hint; a frequency
+    below _M_FLOOR covers fewer than
     _SWEEP_PERIODS periods before the cap and raises PartialBandError.  One
     more call evaluates the trial points that _vertex_trials reads off the
     grid: the vertices of its degree-8 interpolant beside the best

@@ -67,6 +67,7 @@ from heatband.quadrature import (
     _log_gauss_rule,
     _log_trapezoid_rule,
     _pieces_weighted,
+    _power_series,
     _split_gauss,
     _wave_primitives,
     gaussian_power_tail,
@@ -75,23 +76,6 @@ from heatband.quadrature import (
 from heatband.solution_probe import REPORT_SCHEMA_ID
 from reference import ref_H, ref_u
 
-
-@pytest.fixture
-def lattice_spy(monkeypatch):
-    """One entry per call of quadrature._lattice_sums: True where the lattice
-    served the sums, False where it declined for the batch route.  Batches
-    that are no grid never reach it, so `True not in spy` means the batch."""
-    from heatband import quadrature
-
-    served, real = [], quadrature._lattice_sums
-
-    def spy(*args):
-        out = real(*args)
-        served.append(out is not None)
-        return out
-
-    monkeypatch.setattr(quadrature, "_lattice_sums", spy)
-    return served
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -602,8 +586,9 @@ class TestLogAxisRoute:
         with pytest.raises(hb.ConvergenceError):
             u_origin(LogSine(1.0, 1e6, 0.0), 1, 1.0)
 
-    @pytest.mark.parametrize("n,t", [(1, 1e-2), (2, 1e6), (3, 1e30)])
+    @pytest.mark.parametrize("n,t", [(1, 1e-2), (2, 1.0), (3, 10.0)])
     def test_is_the_documented_sum_to_the_last_bit(self, n, t):
+        # roots below the reach of the residue series (about 11 and 13 for n = 2, 3)
         # nodes x_j = log z_max - h j on [-40/(k+1), log z_max], with the
         # step count floor(L log(2 + 4M/abs_tol) / (2 pi a)) + 1 at the strip
         # a in (0, pi/4) with (k+1)(a tan 2a + log(cos 2a) / 2) = log(4 mass M_k / abs_tol),
@@ -632,8 +617,11 @@ class TestLogAxisRoute:
             h * float(np.dot(np.exp((k + 1) * x - np.exp(2.0 * x)), phi)))
         assert u_origin(leaf, n, t) == want
 
-    def test_one_sweep_builds_the_layout_once(self):
+    def test_one_sweep_builds_the_series_once(self):
+        # the sweep's roots lie past the reach of the residue series, which
+        # is built at the first call and read at the next; no rule is laid
         _log_trapezoid_rule.cache_clear()
+        _power_series.cache_clear()
         cert = prescribe_average(-1.0, -0.3, 0.3, 1.0, n=2)
         calls = []
 
@@ -642,15 +630,18 @@ class TestLogAxisRoute:
             return u_origin(cert.data, 2, t)
 
         band_estimate(evaluator, cert.m_used)
-        info = _log_trapezoid_rule.cache_info()
+        info = _power_series.cache_info()
         assert info.misses == 1
-        # every later call of the sweep reads the cached layout
         assert info.hits == len(calls) - 1 > 0
+        assert _log_trapezoid_rule.cache_info().misses == 0
 
-    def test_one_verify_builds_the_H_layout_once(self):
+    def test_one_verify_builds_the_H_series_once(self):
+        # one series for u and one for H; the Gauss rule of H is never laid
         _log_gauss_rule.cache_clear()
+        _power_series.cache_clear()
         assert verify_certificate(prescribe_average(-1.0, -0.3, 0.3, 1.0, n=2)).chain_ok
-        assert _log_gauss_rule.cache_info().misses == 1
+        assert _power_series.cache_info().misses == 2
+        assert _log_gauss_rule.cache_info().misses == 0
 
     def test_wide_strip_needs_few_nodes(self):
         # data-single-mode, n = 1; the strip pi/8 took 542 nodes
@@ -676,273 +667,35 @@ class TestLogAxisRoute:
                 assert abs(got - want) <= bound, abs_tol
 
     @pytest.mark.parametrize("amplitude,abs_tol", [(1e5, 1e-13), (1e8, 1e-13), (1.0, 1e-20)])
-    def test_bound_meets_abs_tol_at_any_amplitude(self, amplitude, abs_tol, quad_constants,
-                                                  lattice_spy):
+    def test_bound_meets_abs_tol_at_any_amplitude(self, amplitude, abs_tol, quad_constants):
         # the window reaches down until the mass it cuts off is abs_tol / 4;
         # at -40/(k+1) alone the k = 0 bounds were 4.7e-13, 4.2e-10 and 4.25e-18
         expr = LogSine(amplitude, 1.0)
         quad_constants(_ABS_TOL=abs_tol)
         for k in (0, 11):
-            batch = _weighted_value(expr, k, [2.0])[1]
-            lattice = _weighted_value(expr, k, sweep_roots((SWEEP_X0, SWEEP_X0 + 3.0, 31)))[1]
-            assert batch[0] <= abs_tol and np.all(lattice <= abs_tol), k
-        assert lattice_spy == [True, True]
+            assert _weighted_value(expr, k, [2.0])[1][0] <= abs_tol, k
 
     @pytest.mark.parametrize("abs_tol", [1e-60, 1e-70, 1e-100])
-    def test_fixed_cut_meets_abs_tol_or_refuses(self, abs_tol, quad_constants, lattice_spy):
+    def test_fixed_cut_meets_abs_tol_or_refuses(self, abs_tol, quad_constants):
         # the cut at z_max = 12 drops up to G_0(12) = 1.2e-64 of LogSine(1, 1),
-        # which both routes returned as their bound at 1e-70 and 1e-100
+        # which the rule returned as its bound at 1e-70 and 1e-100
         expr = LogSine(1.0, 1.0)
         quad_constants(_ABS_TOL=abs_tol)
-        for roots in ([2.0], sweep_roots((SWEEP_X0, SWEEP_X0 + 3.0, 31))):
-            if abs_tol >= 1e-60:
-                assert np.all(_weighted_value(expr, 0, roots)[1] <= abs_tol)
-            else:
-                with pytest.raises(ConvergenceError, match="cut at z = 12"):
-                    _weighted_value(expr, 0, roots)
-        # the rule refuses before either route is chosen
-        assert lattice_spy == ([True] if abs_tol >= 1e-60 else [])
+        if abs_tol >= 1e-60:
+            assert np.all(_weighted_value(expr, 0, [2.0])[1] <= abs_tol)
+        else:
+            with pytest.raises(ConvergenceError, match="cut at z = 12"):
+                _weighted_value(expr, 0, [2.0])
 
-    @pytest.mark.xfail(strict=True, reason="the bound leaves out the rounding of phi itself, "
-                       "which grows like m log(tau) eps (ROADMAP direction 5)")
     def test_bound_covers_the_rounding_of_phi(self):
-        # k = 9 (n = 10): the rule on 25-digit phi errs by at most 9e-15, but
-        # sin and cos of 5 log1p(tau) at tau up to 1e11 round by up to about 1e-13
+        # k = 9 (n = 10): the rule on 25-digit phi erred by at most 9e-15, but
+        # sin and cos of 5 log1p(tau) at tau up to 1e11 round by up to about
+        # 1e-13, which its bound left out; these roots take the residue
+        # series, whose bound counts the rounding of the phase m log root
         k, roots, expr = 9, np.logspace(3.0, 10.0, 16), LogSineAvgPreimage(0.6, 5.0, 0.05, 1)
         values, bounds = _weighted_value(expr, k, roots)
         want = [ref_u(expr, k, root, dps=25) for root in roots.tolist()]
         assert np.all(np.abs(values - np.array(want)) <= bounds)
-
-
-# ---------------------------------------------------------------------------
-# The lattice of a log grid: the sums choose it from the roots
-
-
-SWEEP_X0 = 0.5 * math.log(4e6)  # x = log sqrt(4t) at the sweep anchor t = 1e6
-
-
-def sweep_roots(grid):
-    """The roots sqrt(4t) that u_origin takes for the times t = e^{2x} / 4 of
-    x = np.linspace(*grid), as band_estimate builds them: their logs give
-    back x bit for bit."""
-    return np.sqrt(4.0 * (np.exp(2.0 * np.linspace(*grid)) / 4.0))
-
-
-def trapezoid_step(expr, k):
-    leaves = _split_leaves(expr)
-    return _log_trapezoid_rule(k, leaves.mass, leaves.omega)[2]
-
-
-def lattice_and_batch(expr, k, grid, served):
-    """((values, bounds) on the lattice, (values, bounds) of the batch route)
-    at the roots of sweep_roots(grid): the batch side takes the same roots
-    descending, which is no grid; served is the lattice_spy, which shows
-    which route served each side."""
-    roots = sweep_roots(grid)
-    lattice = _weighted_value(expr, k, roots)
-    assert served[-1:] == [True]
-    calls = len(served)
-    values, bounds = _weighted_value(expr, k, roots[::-1])
-    assert len(served) == calls
-    return lattice, (values[::-1], bounds[::-1])
-
-
-def lattice_grids(expr, k, count=25):
-    """A grid finer than the rule's step h (q = 1, p = 2) and one coarser
-    (step 0.6 > h, q > 1), both from the sweep anchor."""
-    h = trapezoid_step(expr, k)
-    assert 0.6 > h
-    return [(SWEEP_X0, SWEEP_X0 + 0.4 * h * (count - 1), count),
-            (SWEEP_X0, SWEEP_X0 + 0.6 * (count - 1), count)]
-
-
-class TestLatticeRoute:
-    @pytest.mark.parametrize("n", [1, 2, 3, 10])
-    def test_agrees_with_the_batch_route(self, n, lattice_spy):
-        # weighted units (u = coeff * value); phi rounds by about
-        # mass omega sigma eps at log radius sigma, which neither bound counts;
-        # the tall log sine's window reaches below -40/(k+1)
-        k, eps = n - 1, float(np.finfo(float).eps)
-        tall = ("tall log-sine", LogSine(1e5, 0.7, 0.2), 0.7)
-        for label, expr, omega in log_analytic_cases(n) + [tall]:
-            for grid in lattice_grids(expr, k, count=193):
-                (lat, lat_bound), (batch, batch_bound) = lattice_and_batch(
-                    expr, k, grid, lattice_spy)
-                sigma = grid[1] + math.log(_Z_MAX)
-                rounding = 16.0 * eps * _split_leaves(expr).mass * (1.0 + omega * sigma)
-                assert lat.shape == (193,)
-                assert np.all(np.abs(lat - batch) <= lat_bound + batch_bound + rounding), label
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 10])
-    def test_error_bound_covers_mpmath(self, n, lattice_spy):
-        k = n - 1
-        for label, expr, _ in log_analytic_cases(n):
-            for grid in lattice_grids(expr, k):
-                roots = sweep_roots(grid)
-                values, bounds = _weighted_value(expr, k, roots)
-                assert lattice_spy[-1], label
-                for i in (0, grid[2] // 2, grid[2] - 1):
-                    want = ref_u(expr, k, float(roots[i]))
-                    assert abs(values[i] - want) <= bounds[i], (label, i)
-
-    def test_non_finite_phi_names_its_tau(self, monkeypatch):
-        import heatband.initial_data as idata
-
-        real, seen, cut = idata.eval_phi, [], 1e5
-
-        def poisoned(expr, tau):
-            seen.append(np.array(tau, dtype=float))
-            vals = np.array(real(expr, tau), dtype=float)
-            vals[seen[-1] > cut] = np.nan
-            return vals
-
-        monkeypatch.setattr(idata, "eval_phi", poisoned)
-        with pytest.raises(EvaluationError) as err:
-            _weighted_value(LogSine(1.0, 1.0, 0.0), 0, sweep_roots((SWEEP_X0, SWEEP_X0 + 3.0, 13)))
-        # one ascending lattice, not the batch route's outer product
-        lattice = seen[-1]
-        assert lattice.ndim == 1 and np.all(np.diff(lattice) > 0)
-        bad = float(lattice[lattice > cut][0])
-        assert err.value.point == bad
-        assert repr(bad) in str(err.value)
-
-    def test_one_value_blocks_give_the_same_sums(self, monkeypatch, lattice_spy):
-        # one row a block changes the order of summation only
-        from heatband import quadrature
-
-        expr = LogSineAvgPreimage(0.6, 2.3, -0.1, 2)
-        roots = sweep_roots((SWEEP_X0, SWEEP_X0 + 9.0, 31))
-        want = _weighted_value(expr, 1, roots)
-        monkeypatch.setattr(quadrature, "_BLOCK", 1)
-        got = _weighted_value(expr, 1, roots)
-        assert lattice_spy == [True, True]
-        _agree(got[0], want[0], hb.sup_abs_phi(expr))
-        assert np.array_equal(got[1], want[1])
-
-    @pytest.mark.parametrize("count", [1, 2])
-    def test_grids_of_one_and_two_points(self, count, lattice_spy):
-        # too few roots to be a grid: the batch route, one root or all at once
-        expr = LogSine(0.8, 0.7, 0.2)
-        roots = sweep_roots((SWEEP_X0, SWEEP_X0 + 1.0, count))
-        batch, batch_bound = _weighted_value(expr, 0, roots)
-        ones = [_weighted_value(expr, 0, roots[i:i + 1]) for i in range(count)]
-        assert lattice_spy == []
-        assert batch.shape == (count,)
-        for i, (one, one_bound) in enumerate(ones):
-            assert abs(batch[i] - one[0]) <= batch_bound[i] + one_bound[0]
-
-    def test_other_leaves_take_their_routes_at_the_same_roots(self, monkeypatch, lattice_spy):
-        # with the log sine's sums set to zero on both routes, what is left is
-        # the constant, the wave (pieces at small roots, its series further
-        # out) and the bump train, which must be the batch route's to the last bit
-        from heatband import quadrature
-
-        expr = Sum((LogSine(0.5, 0.7, 0.1), PeriodicZeroMean(1.0, -0.5, 0.3),
-                    BumpTrain(0.7, 0.5, 0.1, GeometricCenters(3.0)), Constant(0.2)))
-        grid = (1.0, 8.0, 57)
-        spied = quadrature._lattice_sums  # records the route, then zeroes the sums
-        monkeypatch.setattr(quadrature, "_lattice_sums",
-                            lambda *args: None if spied(*args) is None else np.zeros(args[4].size))
-        monkeypatch.setattr(quadrature, "_fixed_sums", lambda _phi, radii, *_: np.zeros(radii.size))
-        (lat, lat_bound), (batch, batch_bound) = lattice_and_batch(expr, 0, grid, lattice_spy)
-        assert np.array_equal(lat, batch) and np.array_equal(lat_bound, batch_bound)
-        assert np.any(lat != 0.2 * gaussian_power_tail(0, 0.0))
-
-    @pytest.mark.parametrize("m", np.geomspace(0.0552, 60.0, 25).tolist())
-    def test_sweep_roots_take_the_lattice(self, m, lattice_spy):
-        # band_estimate's grid reaches u_origin as times, and their roots give
-        # back the grid bit for bit, from the lowest mode to the highest
-        times = []
-
-        def evaluator(t):
-            times.append(t)
-            return u_origin(LogSine(1.0, 0.7), 2, t)
-
-        with contextlib.suppress(PartialBandError):
-            band_estimate(evaluator, m)
-        x = np.log(np.sqrt(4.0 * times[0]))
-        assert np.array_equal(x, np.linspace(x[0], x[-1], x.size))
-        assert lattice_spy == [True]
-
-    def test_verify_sweep_takes_the_lattice(self, lattice_spy):
-        # every corpus certificate with analytic leaves and a log-periodic
-        # sweep: its grid call takes the lattice, the trial call and the gap
-        # times the batch route, and one verify builds the rule once
-        from test_prescriber import _CORPUS
-
-        scope: dict = {}
-        exec(_CORPUS, scope)
-        swept = 0
-        for cert in scope["certs"]:
-            leaves = _split_leaves(cert.data)
-            if not leaves.analytic or leaves.loglog:
-                continue
-            lattice_spy.clear()
-            _log_trapezoid_rule.cache_clear()
-            verify_certificate(cert)
-            assert lattice_spy == [True], cert.construction_tag
-            assert _log_trapezoid_rule.cache_info().misses == 1, cert.construction_tag
-            swept += 1
-        assert swept == 13  # single modes, modes plus waves, the two-mode example
-
-    def test_verify_sweep_builds_the_layout_once(self, monkeypatch, lattice_spy):
-        # the grid call reads the rule once, on the lattice, through
-        # u_origin; the one trial call after it reads the cached rule
-        import heatband.solution_probe as probe
-
-        cert = prescribe_average(-1.0, -0.3, 0.3, 1.0, n=2)
-        sweeps, sweep = [], probe.band_estimate
-        monkeypatch.setattr(probe, "band_estimate",
-                            lambda *args: sweeps.append(args) or sweep(*args))
-        verify_certificate(cert)
-        evaluator, m_hint = sweeps[0]
-        assert m_hint == cert.m_used
-        calls = []
-
-        def counted(t):
-            calls.append(t.size)
-            return evaluator(t)
-
-        _log_trapezoid_rule.cache_clear()
-        lattice_spy.clear()
-        band = sweep(counted, m_hint)
-        info = _log_trapezoid_rule.cache_info()
-        assert info.misses == 1 and lattice_spy == [True]
-        assert info.hits == len(calls) - 1 == 1 and calls[1] <= 8
-        plain = band_estimate(lambda t: u_origin(cert.data, 2, t), cert.m_used)
-        assert band.lower_est == pytest.approx(plain.lower_est, abs=1e-14)
-        assert band.upper_est == pytest.approx(plain.upper_est, abs=1e-14)
-
-
-class TestLatticeChoice:
-    """Batches that are no exact log grid, or whose lattice costs more than
-    the batch, take the batch route, as the spy on the lattice shows."""
-
-    EXPR = LogSine(0.8, 0.7, 0.2)
-
-    @pytest.mark.parametrize("roots", [
-        np.geomspace(20.0, 2e8, 25),  # a probe grid: not exact in log root
-        np.sqrt(4.0 * np.geomspace(1e2, 1e16, 9)),
-        sweep_roots((SWEEP_X0, SWEEP_X0 + 3.0, 31))[::-1],  # descending
-        np.array([2.0, 3.0, 5.0, 8.0]),  # ascending, not uniform
-        np.sqrt(4.0 * np.array(hb.solution_probe._GAP_TIMES)),
-    ], ids=["geomspace", "geomspace-times", "descending", "non-uniform", "gap-times"])
-    def test_batches_that_are_no_grid_take_the_batch_route(self, roots, lattice_spy):
-        values, bounds = _weighted_value(self.EXPR, 0, roots)
-        assert True not in lattice_spy
-        for i in (0, roots.size - 1):
-            one, one_bound = _weighted_value(self.EXPR, 0, roots[i:i + 1])
-            assert abs(values[i] - one[0]) <= bounds[i] + one_bound[0]
-
-    def test_a_sparse_grid_whose_lattice_costs_more_takes_the_batch_route(self, lattice_spy):
-        # 3 roots 60 apart in log root: the lattice would fill the whole
-        # interval in steps of at most h, against 3 node sets of the batch
-        roots = sweep_roots((0.0, 120.0, 3))
-        assert np.array_equal(np.log(roots), np.linspace(0.0, 120.0, 3))
-        values, bounds = _weighted_value(self.EXPR, 0, roots)
-        assert lattice_spy == [False]
-        one, one_bound = _weighted_value(self.EXPR, 0, roots[1:2])
-        assert abs(values[1] - one[0]) <= bounds[1] + one_bound[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1047,11 +800,12 @@ class TestNodeBudget:
     def test_kinked_u_route_reads_the_budget(self, quad_constants):
         # its corner-split layout takes 752 nodes at t = 1e6 (its 84 panels
         # and the corners inside the window), refused under a budget of 16
+        # and the log sine's trapezoid rule below the reach of its series
         quad_constants(_MAX_NODES=16)
         with pytest.raises(ConvergenceError, match="node budget 16"):
             u_origin(hb.PeriodicOfLog(TRAPEZOID), 1, 1e6)
         with pytest.raises(ConvergenceError, match="node budget 16"):
-            u_origin(LogSine(1.0, 1.0), 1, 1e6)
+            u_origin(LogSine(1.0, 1.0), 1, 1.0)
 
     def test_corner_panels_count_against_the_budget(self, quad_constants):
         # 84 panels and the 10 corners inside the window that split them
@@ -1345,9 +1099,10 @@ class TestBatchedPoints:
             return np.where(tau == tau.ravel()[-1], np.nan, vals)
 
         monkeypatch.setattr(idata, "eval_phi", broken)
+        # radii below the reach 6 of the log sine's series, which takes no phi
         with pytest.raises(EvaluationError) as err:
-            numeric_H(LogSine(1.0, 1.0, 0.0), 1, np.array([10.0, 20.0]))
-        assert err.value.point == 20.0 * _log_gauss_rule(1, 1.0, 1.0, 1e-8)[0][-1]
+            numeric_H(LogSine(1.0, 1.0, 0.0), 1, np.array([2.0, 4.0]))
+        assert err.value.point == 4.0 * _log_gauss_rule(1, 1.0, 1.0, 1e-8)[0][-1]
 
     def test_row_blocks_give_the_same_sums(self, monkeypatch):
         from heatband import quadrature
@@ -1412,7 +1167,56 @@ class TestUOffcenter1d:
 # Band estimation
 
 
+def newton_vertices(us, vals, covered, steps=5):
+    """The trial points of solution_probe._vertex_trials as it read them with
+    five Newton steps from each candidate: the reference its three steps
+    must meet.  Candidates: the local extremes of sign * vals (an edge one
+    no worse than its neighbour), the best ceil(covered) + 1 of each end, none
+    for an end flat to 8 eps."""
+    from heatband.solution_probe import _POWERS, _STENCIL, _STENCILS
+
+    eps, size = float(np.finfo(float).eps), us.size
+    out = []
+    for sign in (1.0, -1.0):
+        f = sign * vals
+        found = [i for i in range(size) if (i == 0 or f[i] <= f[i - 1])
+                 and (i == size - 1 or f[i] <= f[i + 1])]
+        found = sorted(found, key=lambda i: f[i])[:max(math.ceil(covered), 0) + 1]
+        best = found[0]
+        if max(f[max(best - 1, 0)], f[min(best + 1, size - 1)]) - f[best] \
+                <= 8.0 * eps * max(1.0, abs(f[best])):
+            continue
+        for i in found:
+            start = min(max(i - _STENCIL // 2, 0), size - _STENCIL)
+            coef = _STENCILS[i - start] @ vals[start:start + _STENCIL]
+            poly = np.polynomial.Polynomial(coef)
+            s = 0.0
+            for _ in range(steps):
+                if sign * poly.deriv(2)(s) > 0.0:
+                    s = min(max(s - poly.deriv(1)(s) / poly.deriv(2)(s), -(i > 0)), i < size - 1)
+            if sign * poly(s) < sign * vals[i] and s != 0.0:
+                out.append(us[i] + s * (us[-1] - us[0]) / (size - 1))
+    return np.sort(out)
+
+
 class TestBandEstimate:
+    def test_trial_points_are_the_five_step_vertices(self, monkeypatch):
+        # every corpus sweep: the three Newton steps land within 1e-10 of a
+        # cell of where five steps did
+        import heatband.solution_probe as probe
+
+        sweeps, trials = [], probe._vertex_trials
+        monkeypatch.setattr(probe, "_vertex_trials",
+                            lambda *args: sweeps.append(args) or trials(*args))
+        for cert in CORPUS:
+            verify_certificate(cert)
+        assert len(sweeps) == len(CORPUS)
+        for us, vals, covered in sweeps:
+            got, want = np.sort(trials(us, vals, covered)), newton_vertices(us, vals, covered)
+            cell = (us[-1] - us[0]) / (us.size - 1)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-10 * cell)
+
     def test_recovers_analytic_envelope(self):
         a, b = 0.21, -0.17
         off = 0.05
