@@ -65,11 +65,13 @@ from heatband.quadrature import (
     _Z_MAX,
     _gauss_derivatives,
     _log_gauss_rule,
+    _fixed_sums,
     _log_trapezoid_rule,
     _pieces_weighted,
     _power_series,
     _split_gauss,
     _wave_primitives,
+    _weighted_terms,
     gaussian_power_tail,
     integrate_weighted,
 )
@@ -696,6 +698,175 @@ class TestLogAxisRoute:
         values, bounds = _weighted_value(expr, k, roots)
         want = [ref_u(expr, k, root, dps=25) for root in roots.tolist()]
         assert np.all(np.abs(values - np.array(want)) <= bounds)
+
+
+# ---------------------------------------------------------------------------
+# The residue series of the log modes: the routers choose it per point
+
+
+SWEEP_X0 = 0.5 * math.log(4e6)  # x = log sqrt(4t) at the sweep anchor t = 1e6
+
+
+def sweep_roots(grid):
+    """The roots sqrt(4t) that u_origin takes for the times t = e^{2x} / 4 of
+    x = np.linspace(*grid), as band_estimate builds them."""
+    return np.sqrt(4.0 * (np.exp(2.0 * np.linspace(*grid)) / 4.0))
+
+
+def power_cases(n):
+    """The cases of log_analytic_cases(n) that are sums of powers (1 + tau)^a,
+    and a tall log sine: (label, expression, top log frequency)."""
+    cases = [case for case in log_analytic_cases(n) if _split_leaves(case[1]).powers]
+    return cases + [("tall log-sine", LogSine(1e5, 0.7, 0.2), 0.7)]
+
+
+def u_rule(expr, k, roots):
+    """(values, bound) of the analytic leaves of expr by the trapezoid rule at
+    every root, whichever route the router would choose."""
+    leaves = _split_leaves(expr)
+    scale, weights, h, bound = _log_trapezoid_rule(k, leaves.mass, leaves.omega)
+    return h * _fixed_sums(leaves.analytic_phi, roots, scale, weights), bound
+
+
+def H_rule(expr, n, taus):
+    """(values, bound) of the analytic leaves of expr by the Gauss rule of H
+    at every radius, whichever route the router would choose."""
+    import heatband.initial_data as idata
+
+    leaves = _split_leaves(expr)
+    scale, weights, bound = _log_gauss_rule(n, leaves.mass, leaves.omega, idata._H_TOL)
+    return _fixed_sums(leaves.analytic_phi, taus, scale, weights), bound
+
+
+@pytest.fixture
+def rule_spy(monkeypatch):
+    """One entry per fixed rule that the routers of u and H lay for the log
+    modes: an empty spy after a call means the series served every point."""
+    import heatband.initial_data as idata
+
+    laid = []
+    for name in ("_log_trapezoid_rule", "_log_gauss_rule"):
+        real = getattr(idata, name)
+        monkeypatch.setattr(idata, name,
+                            lambda *args, name=name, real=real: laid.append(name) or real(*args))
+    return laid
+
+
+class TestSeriesRoute:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_u_agrees_with_the_rule(self, n, rule_spy):
+        # weighted units (u = coeff * value) past the reach; phi rounds by
+        # about mass omega sigma eps at log radius sigma, which the rule's
+        # bound does not count
+        k, eps = n - 1, float(np.finfo(float).eps)
+        roots = sweep_roots((SWEEP_X0, SWEEP_X0 + 12.0, 193))
+        for label, expr, omega in power_cases(n):
+            series, series_bound = _weighted_value(expr, k, roots)
+            assert rule_spy == [], label
+            rule, rule_bound = u_rule(expr, k, roots)
+            sigma = np.log(roots) + math.log(_Z_MAX)
+            rounding = 16.0 * eps * _split_leaves(expr).mass * (1.0 + omega * sigma)
+            assert series.shape == (193,)
+            assert np.all(np.abs(series - rule) <= series_bound + rule_bound + rounding), label
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_H_agrees_with_the_rule(self, n, rule_spy):
+        # verify's H window starts at tau = 1e4
+        eps = float(np.finfo(float).eps)
+        taus = np.geomspace(1e4, 1e12, 97)
+        for label, expr, omega in power_cases(n):
+            series, series_bound = _ball_average(expr, n, taus)
+            assert rule_spy == [], label
+            rule, rule_bound = H_rule(expr, n, taus)
+            rounding = 16.0 * eps * _split_leaves(expr).mass * (1.0 + omega * np.log(taus))
+            assert np.all(np.abs(series - rule) <= series_bound + rule_bound + rounding), label
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_u_error_bound_covers_mpmath(self, n, rule_spy):
+        k = n - 1
+        roots = sweep_roots((SWEEP_X0, SWEEP_X0 + 12.0, 25))
+        # one root a case, from the first of the grid to its last
+        for i, (label, expr, _) in zip((0, 6, 12, 18, 24), power_cases(n)):
+            values, bounds = _weighted_value(expr, k, roots)
+            assert rule_spy == [], label
+            want = ref_u(expr, k, float(roots[i]))
+            assert abs(values[i] - want) <= bounds[i], (label, i)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_H_error_bound_covers_mpmath(self, n, rule_spy):
+        for label, expr, _ in power_cases(n):
+            for tau in (1e4, 1e8, 1e12):
+                (value,), (bound,) = _ball_average(expr, n, tau)
+                assert abs(value - ref_H(expr, n, tau)) <= bound, (label, tau)
+        assert rule_spy == []
+
+    def test_series_takes_no_phi(self, monkeypatch):
+        # past the reach no phi is evaluated; below it the rule names the
+        # tau whose phi is not finite
+        import heatband.initial_data as idata
+
+        real = idata.eval_phi
+        monkeypatch.setattr(idata, "eval_phi",
+                            lambda expr, tau: np.full_like(real(expr, tau), np.nan))
+        expr = LogSine(1.0, 1.0, 0.0)
+        values, bounds = _weighted_value(expr, 0, sweep_roots((SWEEP_X0, SWEEP_X0 + 3.0, 13)))
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(bounds))
+        assert np.all(np.isfinite(_ball_average(expr, 1, np.geomspace(1e4, 1e12, 9))[0]))
+        with pytest.raises(EvaluationError) as err:
+            _weighted_value(expr, 0, [2.0])
+        assert repr(err.value.point) in str(err.value)
+
+    @pytest.mark.parametrize("roots", [
+        np.geomspace(20.0, 2e8, 25),  # a probe grid
+        np.sqrt(4.0 * np.geomspace(1e2, 1e16, 9)),
+        sweep_roots((SWEEP_X0, SWEEP_X0 + 3.0, 31))[::-1],  # descending
+        np.array([2.0, 3.0, 5.0, 8.0]),  # both sides of the reach 5.4
+        np.sqrt(4.0 * np.array(hb.solution_probe._GAP_TIMES)),
+        sweep_roots((SWEEP_X0, SWEEP_X0 + 1.0, 1)),
+        sweep_roots((SWEEP_X0, SWEEP_X0 + 1.0, 2)),
+    ], ids=["geomspace", "geomspace-times", "descending", "both-sides", "gap-times",
+            "one-root", "two-roots"])
+    def test_batches_are_served_point_by_point(self, roots):
+        # the route of a root rests on the root alone: a batch agrees with
+        # its roots one at a time, in any order and count
+        expr = LogSine(0.8, 0.7, 0.2)
+        values, bounds = _weighted_value(expr, 0, roots)
+        assert values.shape == roots.shape
+        for i in range(roots.size):
+            one, one_bound = _weighted_value(expr, 0, roots[i:i + 1])
+            assert abs(values[i] - one[0]) <= bounds[i] + one_bound[0]
+
+    def test_other_leaves_take_their_routes_at_the_same_roots(self, monkeypatch):
+        # with the log sine's sums set to zero on both routes, what is left is
+        # the constant, the wave (pieces at small roots, its series further
+        # out) and the bump train, to the last bit of the sum without the sine
+        import heatband.initial_data as idata
+
+        others = (PeriodicZeroMean(1.0, -0.5, 0.3),
+                  BumpTrain(0.7, 0.5, 0.1, GeometricCenters(3.0)), Constant(0.2))
+        roots = sweep_roots((1.0, 8.0, 57))  # from 2.7, below the reach 5.4, to 3e3
+        want = _weighted_value(Sum(others), 0, roots)
+        monkeypatch.setattr(idata, "_power_sums", lambda _series, points: np.zeros((2, points.size)))
+        monkeypatch.setattr(idata, "_fixed_sums", lambda _phi, radii, *_: np.zeros(radii.size))
+        got = _weighted_value(Sum((LogSine(0.5, 0.7, 0.1),) + others), 0, roots)
+        assert np.array_equal(got[0], want[0]) and np.all(got[1] >= want[1])
+        assert np.any(got[0] != 0.2 * gaussian_power_tail(0, 0.0))
+
+    @pytest.mark.parametrize("m", np.geomspace(0.0552, 60.0, 25).tolist())
+    def test_sweep_roots_take_the_series(self, m, rule_spy):
+        # band_estimate's grid and trial roots, from the lowest mode to the
+        # highest, all lie past the reach of the mode's series
+        times = []
+
+        def evaluator(t):
+            times.append(t)
+            return u_origin(LogSine(1.0, m), 2, t)
+
+        with contextlib.suppress(PartialBandError):
+            band_estimate(evaluator, m)
+        assert times and rule_spy == []
+        reach = _power_series(_split_leaves(LogSine(1.0, m)).powers, 2, _weighted_terms)[0]
+        assert min(np.sqrt(4.0 * t).min() for t in times) >= reach
 
 
 # ---------------------------------------------------------------------------
