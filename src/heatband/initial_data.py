@@ -378,8 +378,8 @@ class InitialDataExpr:
       _piece_bound()     (sup, steep, phases) for leaves linear in L =
                          log(tau + 1) between corners theta + 2 pi q, theta
                          in phases (see _split_gauss); None for the rest
-      _powers()          (beta, a) pairs, leaf = Re sum beta (1 + tau)^a; or None
-      slow_frequency()   lowest frequency on the log(tau + 1) axis, or None
+      _powers()          (beta, a) pairs, leaf = Re sum beta (1 + tau)^a, or None;
+                         read by the series of u and H, _trig_profile and slow_m
       witnesses()        tau values approaching the liminf and the limsup,
                          looked for in _WITNESS_WINDOW first
       limit_u(y, n)      limit of u(0, t) in dimension n at y = log sqrt(4t)
@@ -405,9 +405,6 @@ class InitialDataExpr:
         return None
 
     def _powers(self) -> tuple[tuple[complex, complex], ...] | None:
-        return None
-
-    def slow_frequency(self) -> float | None:
         return None
 
     def witnesses(self):
@@ -471,9 +468,6 @@ class _ModeOfLog(InitialDataExpr):
         q, a = self.m / self._n, complex(0.0, self.m)
         return ((self.amplitude * complex(q, -1.0), a), (-self.amplitude * q, a - 1.0),
                 (self.offset, 0j))
-
-    def slow_frequency(self):
-        return float(self.m)
 
     def witnesses(self):
         # asymptotic extremal phase of sin th + q cos th
@@ -675,8 +669,9 @@ class _ProfileOfLog(InitialDataExpr):
     """Shared rules of the leaves phi = g(x) + (tau / (tau + 1)) g'(x) / _n
     on a 2 pi periodic profile g of x = log(tau + 1): _n is the dimension n
     of SlowFromPeriodic and inf for PeriodicOfLog, and _slope = 1 / _n.  The
-    asymptotic profile g + g'/_n gives the band and the witnesses; it divides
-    by _n, as phi does, since d (1/n) may round apart from d / n."""
+    asymptotic profile g + g'/_n gives the band and the witnesses: a trig g
+    reads it from _powers, which weigh g' by _slope as the series do (d (1/n)
+    may round apart from phi's d / n), a trapezoid g divides by _n."""
 
     _n = math.inf
 
@@ -689,25 +684,10 @@ class _ProfileOfLog(InitialDataExpr):
     def _slope(self):
         return 1.0 / self._n
 
-    @cached_property
-    def _profile(self) -> TrigPolynomial | None:
-        """The asymptotic profile g + g'/n of phi for a trig-polynomial g."""
-        g = self.g
-        if not isinstance(g, TrigPolynomial):
-            return None
-        dp = g.derivative_poly()
-
-        def lean(coeffs, slopes):
-            return tuple(c + d / self._n for c, d in
-                         itertools.zip_longest(coeffs, slopes, fillvalue=0.0))
-
-        return TrigPolynomial(g.const, lean(g.cos_coeffs, dp.cos_coeffs),
-                              lean(g.sin_coeffs, dp.sin_coeffs))
-
     def _profile_extrema(self):
         """((min, max), (argmin, argmax)) of the asymptotic profile over one period."""
-        if self._profile is not None:
-            return self._profile.extrema_with_args()
+        if (powers := self._powers()) is not None:
+            return _trig_profile(powers).extrema_with_args()
         # trapezoid: g + g'/n is linear on each open piece, so its extremes
         # sit at one-sided piece ends; the arguments are nudged inward so
         # evaluation picks the correct piece (the corner value itself
@@ -769,16 +749,6 @@ class _ProfileOfLog(InitialDataExpr):
         if not isinstance(g, TrapezoidWave):
             return None
         return self.sup_abs(), self._steepest(), tuple(sorted(set(g.breakpoints[:-1])))
-
-    def slow_frequency(self):
-        g = self.g
-        if not isinstance(g, TrigPolynomial):
-            return 1.0
-        for j, (c, s) in enumerate(itertools.zip_longest(
-                g.cos_coeffs, g.sin_coeffs, fillvalue=0.0), start=1):
-            if c != 0.0 or s != 0.0:
-                return float(j)
-        return None
 
     def witnesses(self):
         a_lo, a_hi = self._profile_extrema()[1]
@@ -1009,9 +979,11 @@ class _Leaves:
     sups summed in kink_sup, their steepest slopes in kink_steep and their
     corner phases, sorted, in phases.  analytic_phi and kinked_phi evaluate
     either group as one sum (_phi_on; None if empty), and powers as the
-    (beta, a) pairs of their _powers summed per a, or None.  slows = analytic
-    + kinked are the slow leaves, slow_m their lowest log frequency or None,
-    and loglog says whether one of them is a doubly-log sine.
+    (beta, a) pairs of their _powers summed per a, or None when one declares
+    none or every beta cancels.  slows = analytic + kinked are the slow
+    leaves, slow_m their lowest log frequency (the least nonzero Im a of a
+    declared beta != 0, and 1 for a trapezoid profile) or None, and loglog
+    says whether one of them is a doubly-log sine.
     """
 
     signed: tuple[tuple[float, InitialDataExpr], ...]
@@ -1064,13 +1036,13 @@ class _Leaves:
                 powers[a] = powers.get(a, 0.0) + sign * beta
         if any(pairs is None for _sign, pairs in declared):
             powers = {}
+        freqs = [a.imag for _sign, pairs in declared for beta, a in pairs or () if beta and a.imag]
         return cls(signed, constant, tuple(analytic), mass, omega, tuple(waves), tuple(bumps),
                    tuple(kinked), kink_sup, kink_steep, tuple(sorted(phases)),
                    partial(_phi_on, _signed_sum(analytic)) if analytic else None,
                    partial(_phi_on, _signed_sum(kinked)) if kinked else None,
                    tuple((beta, a) for a, beta in powers.items() if beta) or None, slows,
-                   min((freq for _sign, leaf in slows
-                        if (freq := leaf.slow_frequency()) is not None), default=None),
+                   min(freqs + ([1.0] if kinked else []), default=None),
                    any(isinstance(leaf, LogLogSine) for _sign, leaf in analytic))
 
 
@@ -1271,12 +1243,12 @@ def _weighted_value(expr, k: int, roots) -> tuple[np.ndarray, np.ndarray]:
 def analytic_band_phi(expr: InitialDataExpr) -> tuple[float, float]:
     """Exact (liminf, limsup) of phi as tau -> infinity.
 
-    The slow content is either a single leaf or a set of integer-frequency
-    log sines (whose joint asymptotic profile is a trig polynomial);
-    constants, 2 pi periodic waves and sparse bump trains add their own
-    extremes on top because their phases decouple from the slow phase.  The
-    parts are added in a fixed order: constants and bump baselines, the slow
-    part, the waves, the bump heights.
+    The slow content is either a single leaf or several log modes and trig
+    profiles of integer frequencies (whose joint asymptotic profile is the
+    trig polynomial of their powers); constants, 2 pi periodic waves and
+    sparse bump trains add their own extremes on top because their phases
+    decouple from the slow phase.  The parts are added in a fixed order:
+    constants and bump baselines, the slow part, the waves, the bump heights.
     """
     split = _split_leaves(expr)
     level, slows = split.constant, split.slows
@@ -1289,7 +1261,7 @@ def analytic_band_phi(expr: InitialDataExpr) -> tuple[float, float]:
         bump_lo += min(sign * leaf.height, 0.0)
         bump_hi += max(sign * leaf.height, 0.0)
     if len(slows) > 1:
-        s_lo, s_hi = _commensurate_profile(slows).extrema()
+        s_lo, s_hi = _joint_profile(split).extrema()
     elif slows:
         s_lo, s_hi = _signed_band(*slows[0])
     else:
@@ -1297,33 +1269,36 @@ def analytic_band_phi(expr: InitialDataExpr) -> tuple[float, float]:
     return (level + s_lo + wave_lo + bump_lo, level + s_hi + wave_hi + bump_hi)
 
 
-def _commensurate_profile(slows) -> TrigPolynomial:
-    """Joint asymptotic profile of several signed log sines sharing integer
-    frequencies.
+def _joint_profile(split: _Leaves) -> TrigPolynomial:
+    """The asymptotic profile of several slow leaves from their summed powers
+    (None also when every beta cancels), which these leaves must declare."""
+    if split.loglog or split.kinked:
+        raise UnsupportedExpression("a doubly-log sine or a trapezoid profile has "
+                                    "no joint band with other slow terms")
+    return _trig_profile(split.powers or ())
 
-    Their phases are all m_i log(tau+1), so the profile is the trig
-    polynomial sum_i a_i [sin(m_i x) + (m_i/n_i) cos(m_i x)] (no cosine for
-    a plain log sine), and the band is its range over one period.
-    """
-    const = 0.0
-    cos: dict[int, float] = {}
-    sin: dict[int, float] = {}
-    for sign, t in slows:
-        j = round(t.m) if isinstance(t, _ModeOfLog) else 0
-        if j < 1 or abs(t.m - j) > 1e-12 * max(1.0, abs(t.m)):
+
+def _trig_profile(pairs) -> TrigPolynomial:
+    """The trig polynomial in x = log(tau + 1) of the Re a = 0 terms of the
+    powers, one harmonic per integer Im a: their asymptotic profile, as terms
+    with Re a < 0 vanish.  A non-integer Im a raises UnsupportedExpression."""
+    const, harmonics = 0.0, {}
+    for beta, a in pairs:
+        if a.real:
+            continue
+        j = round(a.imag)
+        if abs(a.imag - j) > 1e-12 * max(1.0, abs(a.imag)):
             raise UnsupportedExpression(
                 "band of a multi-mode sum needs every slow term to be a log sine "
                 "with integer frequency; mixed or incommensurate slow terms have "
                 "no product-form band")
-        sin[j] = sin.get(j, 0.0) + sign * t.amplitude
-        cos[j] = cos.get(j, 0.0) + sign * t.amplitude * t.m / t._n
-        const += sign * t.offset
-    j_max = max(list(cos) + list(sin))
-    return TrigPolynomial(
-        const,
-        tuple(cos.get(j, 0.0) for j in range(1, j_max + 1)),
-        tuple(sin.get(j, 0.0) for j in range(1, j_max + 1)),
-    )
+        if j:  # Re beta e^(ijx) = Re beta cos(jx) - Im beta sin(jx)
+            harmonics[j] = harmonics.get(j, 0.0) + beta
+        else:
+            const += beta.real
+    top = range(1, max(harmonics, default=0) + 1)
+    return TrigPolynomial(const, tuple(harmonics.get(j, 0j).real for j in top),
+                          tuple(-harmonics.get(j, 0j).imag for j in top))
 
 
 def sup_abs_phi(expr: InitialDataExpr) -> float:
@@ -1347,10 +1322,11 @@ def band_witnesses(expr: InitialDataExpr) -> tuple[np.ndarray, np.ndarray]:
     """(tau values approaching liminf, tau values approaching limsup).
 
     These are the analytic extremizer locations, inside _WITNESS_WINDOW
-    where it holds any: exact phase solutions for the slow terms, plateau
-    centers for periodic waves (aligned inside the slow term's long extremal
-    stretches when both occur), bump centers and gap midpoints for trains.
-    Values are clipped to representable range.
+    where it holds any: exact phase solutions for the slow terms (of their
+    joint trig profile if several), plateau centers for periodic waves
+    (aligned inside the slow term's long extremal stretches when both occur),
+    bump centers and gap midpoints for trains.  Values are clipped to
+    representable range.
     """
     split = _split_leaves(expr)
     if len(split.signed) == 1:
@@ -1360,7 +1336,7 @@ def band_witnesses(expr: InitialDataExpr) -> tuple[np.ndarray, np.ndarray]:
         # extremal plateau of every wave, plus the centers of every bump train
         slows = split.slows
         if len(slows) > 1:
-            (_l, _h), (a_lo, a_hi) = _commensurate_profile(slows).extrema_with_args()
+            (_l, _h), (a_lo, a_hi) = _joint_profile(split).extrema_with_args()
             lo_w, hi_w = _phase_taus(1.0, a_lo), _phase_taus(1.0, a_hi)
         elif slows:
             lo_w, hi_w = _signed_witnesses(*slows[0])

@@ -376,12 +376,13 @@ def lemma_not_example() -> PrescriptionCertificate:
     band, but the origin solution's envelope mixes each mode with its own
     kernel phase shift, and the resulting band is measurably asymmetric:
     avg_lower + avg_upper = 0 while sol_lower + sol_upper is about -0.0412.
+    The average band is analytic_band_phi of H, the trig profile of its modes.
     """
     n = 1
     h_expr = Sum((LogSine(1.0, 1.0, 0.0), LogSine(1.0, 2.0, 0.0)))
     data = phi_from_H(h_expr, n)
 
-    h_lo, h_hi = TrigPolynomial(0.0, (), (1.0, 1.0)).extrema()
+    h_lo, h_hi = analytic_band_phi(h_expr)
 
     mom1 = kernel_moments(n, 1.0, KernelFlavor.AVERAGE)
     mom2 = kernel_moments(n, 2.0, KernelFlavor.AVERAGE)

@@ -150,9 +150,9 @@ def u_origin(expr, n: int, t):
     callable of tau, which takes adaptive quadrature, time by time.
     Each leaf of an expression takes its route (initial_data._weighted_value):
     log modes and trig profiles their residue series in 1/sqrt(4t) from its
-    reach on, other analytic leaves and smaller t a trapezoid sum in log z;
-    a wave its series by parts in 1/sqrt(4t); bump trains and waves at small
-    t a Gauss rule on each piece.
+    reach on, other analytic leaves and smaller t a trapezoid sum in log z,
+    trapezoid profiles a Gauss rule split at their corners; a wave its series
+    by parts in 1/sqrt(4t); bump trains and small-t waves a Gauss rule a piece.
     """
     return _u_at_origin(expr, n, t, KernelFlavor.DATA)
 

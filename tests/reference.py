@@ -11,8 +11,9 @@ exact method known for it: constants their closed forms; waves and bump
 trains, linear piece by piece, exact Gaussian moments in u (a wave above root
 200 its series by parts) and Bernoulli power sums or local hat moments in H;
 leaves analytic in log tau mpmath.quad on x = log z in u and Euler integrals
-of 2F1 in H (the doubly-log sine quad on s = log(r / tau)); trapezoid
-profiles mpmath.quad cut at their corners.
+of 2F1 in H (the doubly-log sine quad on s = log(r / tau)), each quad on
+phi / sup |phi| so that its absolute error control holds relative to the
+data however small; trapezoid profiles mpmath.quad cut at their corners.
 """
 
 from __future__ import annotations
@@ -74,11 +75,13 @@ def _leaf_u(expr, k, root, dps):
     if isinstance(getattr(expr, "g", None), TrapezoidWave):
         return _corner_split(expr, root, lambda x: mpmath.exp((k + 1) * x - mpmath.exp(2 * x)), 4)
     phi, omega = _analytic(expr)
-    # from e^{(k+1)x} = 1e-(dps+2) to x = 3, in pieces shorter than a third of a period
+    # from e^{(k+1)x} = 1e-(dps+2) to x = 3, in pieces shorter than a third of a period;
+    # mpmath.quad controls the absolute error, so it integrates phi / sup |phi|
     lo, hi = -math.log(10.0) * (dps + 2) / (k + 1), 3.0
     cuts = mpmath.linspace(lo, hi, max(8, math.ceil((hi - lo) * omega / 2)) + 1)
-    return mpmath.quad(lambda x: mpmath.exp((k + 1) * x - mpmath.exp(2 * x))
-                       * phi(root * mpmath.exp(x)), cuts, method="gauss-legendre")
+    scale = expr.sup_abs() or 1.0
+    return scale * mpmath.quad(lambda x: mpmath.exp((k + 1) * x - mpmath.exp(2 * x))
+                               * phi(root * mpmath.exp(x)) / scale, cuts, method="gauss-legendre")
 
 
 def _leaf_H(expr, n, tau, dps):
@@ -93,9 +96,9 @@ def _leaf_H(expr, n, tau, dps):
         return _corner_split(expr, tau, lambda s: n * mpmath.exp(n * s), 0)
     if isinstance(expr, LogLogSine):
         lo = -math.log(10.0) * (dps + 2) / n  # the tail below weighs e^{n lo}
-        phi = _analytic(expr)[0]
-        return n * mpmath.quad(lambda s: phi(t * mpmath.exp(s)) * mpmath.exp(n * s),
-                               mpmath.linspace(lo, 0, 9))
+        phi, scale = _analytic(expr)[0], expr.sup_abs()
+        return n * scale * mpmath.quad(lambda s: phi(t * mpmath.exp(s)) / scale
+                                       * mpmath.exp(n * s), mpmath.linspace(lo, 0, 9))
     # the averages of e^{i f L} and (r / (r + 1)) e^{i f L} are the Euler integrals (DLMF
     # 15.6.1) 2F1(-i f, n; n + 1; -tau) and n tau / (n + 1) 2F1(1 - i f, n + 1; n + 2; -tau)
     const, modes, slope = _modes(expr)

@@ -922,10 +922,44 @@ class TestAnalyticBands:
         with pytest.raises(UnsupportedExpression):
             analytic_band_phi(expr)
 
-    def test_mixed_slow_types_unsupported(self):
-        expr = Sum((LogSine(1.0, 1.0, 0.0), LogLogSine(1.0, 0.0)))
+    @pytest.mark.parametrize("expr", [
+        Sum((LogSine(1.0, 1.0, 0.0), LogLogSine(1.0, 0.0))),
+        Sum((LogLogSine(1.0, 0.0), PeriodicOfLog(TrigPolynomial(0.0, (0.5,))))),
+        Sum((LogSine(1.0, 1.0, 0.0), PeriodicOfLog(TrapezoidWave(1.0, -0.5, 0.4)))),
+        Sum((PeriodicOfLog(TrigPolynomial(0.0, (0.5,))),
+             Negate(SlowFromPeriodic(TrapezoidWave(1.0, -1.0), 2)))),
+    ], ids=repr)
+    def test_mixed_slow_types_unsupported(self, expr):
+        # a doubly-log sine or a trapezoid profile declares no powers, so a
+        # sum of several slow leaves with one of them has no joint profile
         with pytest.raises(UnsupportedExpression):
             analytic_band_phi(expr)
+        with pytest.raises(UnsupportedExpression):
+            band_witnesses(expr)
+
+    def test_cancelled_modes_keep_a_flat_band(self):
+        # every beta cancels, so the split keeps no powers; the joint profile
+        # is then the zero polynomial, not an undeclared one
+        expr = Sum((LogSine(1.0, 1.0), Negate(LogSine(1.0, 1.0))))
+        assert _split_leaves(expr).powers is None
+        assert analytic_band_phi(expr) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("expr, profile", [
+        (Sum((LogSine(0.6, 1.0, 0.1),
+              PeriodicOfLog(TrigPolynomial(0.2, (0.3, 0.0, 0.1), (0.0, 0.5))))),
+         lambda x: (0.1 + 0.6 * np.sin(x) + 0.2 + 0.3 * np.cos(x) + 0.1 * np.cos(3 * x)
+                    + 0.5 * np.sin(2 * x))),
+        (Sum((LogSineAvgPreimage(0.7, 2.0, -0.2, 2),
+              Negate(SlowFromPeriodic(TrigPolynomial(0.1, (0.4,), (0.0, 0.0, 0.3)), 2)))),
+         lambda x: (-0.2 + 0.7 * (np.sin(2 * x) + np.cos(2 * x))
+                    - (0.1 + 0.4 * np.cos(x) + 0.3 * np.sin(3 * x)
+                       + 0.5 * (-0.4 * np.sin(x) + 0.9 * np.cos(3 * x))))),
+    ])
+    def test_mode_plus_trig_profile_band_matches_dense_profile(self, expr, profile):
+        lo, hi = analytic_band_phi(expr)
+        prof = profile(np.linspace(0.0, TWO_PI, 4_000_001))
+        assert lo == pytest.approx(float(prof.min()), abs=1e-9)
+        assert hi == pytest.approx(float(prof.max()), abs=1e-9)
 
     def test_negate_swaps_band(self):
         expr = Sum((LogSine(0.6, 1.97, 0.1), PeriodicZeroMean(1.35, -0.35)))
@@ -1114,6 +1148,8 @@ class TestBandWitnesses:
         Sum((LogSineAvgPreimage(1.0, 1.0, 0.0, 1),
              LogSineAvgPreimage(1.0, 2.0, 0.0, 1))),
         SlowFromPeriodic(TrapezoidWave(1.0, -1.0), 2),
+        Sum((LogSine(0.6, 1.0, 0.1),
+             Negate(SlowFromPeriodic(TrigPolynomial(0.2, (0.3,), (0.0, 0.5)), 3)))),
     ])
     def test_witnesses_touch_the_band(self, expr):
         lo, hi = analytic_band_phi(expr)

@@ -41,6 +41,15 @@ def test_constant_u_is_its_gamma_moment(k):
         0.3 * math.gamma((k + 1) / 2) / 2, rel=1e-15)
 
 
+def test_tiny_analytic_data_keeps_its_relative_digits():
+    # mpmath.quad controls absolute error, so the reference integrates phi / sup |phi|
+    c = 1.1754943508222875e-38
+    got = ref_u(PeriodicOfLog(TrigPolynomial(c, (), (0.0,))), 0, 4.0)
+    assert got == pytest.approx(c * math.sqrt(math.pi) / 2, rel=1e-15, abs=0.0)
+    assert _H(LogLogSine(c, 0.0), 2, 1e3, 20) == pytest.approx(
+        c * _H(LogLogSine(1.0, 0.0), 2, 1e3, 20), rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 10])
 @pytest.mark.parametrize("tau", [1e-6, 2.3, 1e4, 1e12])
 def test_average_preimage_averages_to_its_log_sine(n, tau):

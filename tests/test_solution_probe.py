@@ -1118,6 +1118,35 @@ def test_routers_read_the_evaluators_of_the_split(monkeypatch):
     assert leaves.slows == leaves.analytic + leaves.kinked and leaves.slow_m == 1.0
 
 
+TRIG = hb.TrigPolynomial(0.1, (0.3,), (0.2,))
+
+
+@pytest.mark.parametrize("expr, slow_m", [
+    (LogSine(0.7, 2.5, 0.1), 2.5),
+    (LogSineAvgPreimage(0.7, 1.5, 0.1, 2), 1.5),
+    (hb.PeriodicOfLog(TRIG), 1.0),
+    (hb.SlowFromPeriodic(TRIG, 3), 1.0),
+    (hb.PeriodicOfLog(TRAPEZOID), 1.0),
+    (hb.SlowFromPeriodic(TRAPEZOID, 2), 1.0),
+    (hb.LogLogSine(0.5, 0.1), None),
+    (Constant(0.3), None),
+    (PeriodicZeroMean(1.0, -1.0), None),
+    (BumpTrain(0.7, 0.3, 0.2, GeometricCenters()), None),
+    # a mode beside a trapezoid profile: the lower of m and 1
+    (Sum((LogSine(0.7, 2.0, 0.1), hb.PeriodicOfLog(TRAPEZOID))), 1.0),
+    (Sum((LogSine(0.7, 0.4, 0.1), Negate(hb.PeriodicOfLog(TRAPEZOID)))), 0.4),
+    # a trig profile whose first harmonics are zero: its lowest nonzero one
+    (hb.PeriodicOfLog(hb.TrigPolynomial(0.1, (0.0, 0.0, 0.3), (0.0, 0.0, 0.0, 0.2))), 3.0),
+    (hb.SlowFromPeriodic(hb.TrigPolynomial(0.1, (0.0,), (0.0, -0.4)), 2), 2.0),
+    (hb.PeriodicOfLog(hb.TrigPolynomial(0.5, (0.0,), (0.0,))), None),
+    (Sum((hb.LogLogSine(0.5, 0.1), LogSine(1.0, 0.6))), 0.6),
+    # cancelled modes keep the frequency of each
+    (Sum((LogSine(1.0, 1.0), Negate(LogSine(1.0, 1.0)))), 1.0),
+], ids=repr)
+def test_slow_m_is_the_lowest_log_frequency(expr, slow_m):
+    assert _split_leaves(expr).slow_m == slow_m
+
+
 def _corpus_certificates():
     from test_prescriber import _CORPUS
 
