@@ -181,15 +181,8 @@ def _probe_phi_rows(cert, taus: np.ndarray) -> list[tuple]:
 
 
 def _csv_text(header: str, rows: list[tuple]) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join("" if v is None else _fmt(v) for v in row))
+    lines = [header] + [",".join("" if v is None else _fmt(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def _json_text(columns: Sequence[str], rows: list[tuple]) -> str:
-    doc = {"columns": list(columns), "rows": [list(row) for row in rows]}
-    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def _cmd_probe(ns: argparse.Namespace) -> int:
@@ -198,18 +191,10 @@ def _cmd_probe(ns: argparse.Namespace) -> int:
     cert = _load_cert(ns.cert)
     u_rows = _probe_u_rows(cert, ts)
     phi_rows = _probe_phi_rows(cert, taus)
-    ext = ns.format
-    out_dir = _out_dir(ns)
-    u_path = os.path.join(out_dir, f"probe_u.{ext}")
-    phi_path = os.path.join(out_dir, f"probe_phi.{ext}")
-    u_columns = ("t", "log_sqrt4t", "u_origin", "envelope", "abs_gap")
-    phi_columns = ("tau", "phi", "H_numeric", "H_closed")
-    if ext == "csv":
-        _write_text(u_path, _csv_text(",".join(u_columns), u_rows))
-        _write_text(phi_path, _csv_text(",".join(phi_columns), phi_rows))
-    else:
-        _write_text(u_path, _json_text(u_columns, u_rows))
-        _write_text(phi_path, _json_text(phi_columns, phi_rows))
+    u_path = os.path.join(_out_dir(ns), "probe_u.csv")
+    phi_path = os.path.join(_out_dir(ns), "probe_phi.csv")
+    _write_text(u_path, _csv_text("t,log_sqrt4t,u_origin,envelope,abs_gap", u_rows))
+    _write_text(phi_path, _csv_text("tau,phi,H_numeric,H_closed", phi_rows))
     print(f"wrote {len(u_rows)} solution rows to {u_path}")
     print(f"wrote {len(phi_rows)} data rows to {phi_path}")
     return 0
@@ -318,8 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tau-range", nargs=3, type=float, default=[1e2, 1e10, 33],
         metavar=("TAU0", "TAU1", "COUNT"),
         help="log-spaced data radius grid (default 1e2 1e10 33)")
-    probe.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="artifact format (default csv)")
     probe.add_argument("--out-dir", help="output directory (default $HEATBAND_OUT_DIR or .)")
     probe.set_defaults(run=_cmd_probe)
 

@@ -4,8 +4,8 @@ Every error raised on purpose by this package derives from HeatbandError,
 so callers can catch the package's failures without swallowing bugs.  The
 checks sit here, below every other module, so that each of them,
 quadrature included, refuses malformed input with DomainError: _finite
-checks the values a function returns, _loads reads JSON text, and
-_json_real writes the NumPy reals that check_finite admits.
+checks the values a function returns, _loads reads JSON text, and _dumps
+writes it, with the NumPy reals that check_finite admits (_json_real).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -175,3 +176,17 @@ def _json_real(value):
     if isinstance(value, np.floating):
         return float(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _dumps(doc) -> str:
+    """json.dumps of a document with sorted keys: the one writer of JSON artifacts."""
+    return json.dumps(doc, sort_keys=True, default=_json_real)
+
+
+def _plain(value):
+    """A dataclass as the object of its fields and a tuple as an array, recursively."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value

@@ -15,7 +15,6 @@ numerical probes always have an honest reference.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
@@ -31,8 +30,8 @@ from .errors import (
     DomainError,
     RangeError,
     UnsupportedExpression,
+    _dumps,
     _finite,
-    _json_real,
     _loads,
     _points,
     check_finite,
@@ -245,12 +244,7 @@ class TrigPolynomial(PeriodicFunction):
                      if a or b]
         if not harmonics:
             return np.empty(0)
-        top = harmonics[-1]
-        if top > MAX_OSCILLATION_FREQUENCY:
-            raise ConvergenceError(
-                f"harmonic {top} exceeds the refusal threshold "
-                f"{MAX_OSCILLATION_FREQUENCY}; its critical points need a "
-                f"{2 * top} x {2 * top} eigenvalue problem")
+        top = _check_harmonic(harmonics[-1])
         a = np.array(dp.cos_coeffs[:top])
         b = np.array(dp.sin_coeffs[:top])
         coeffs = np.zeros(2 * top + 1, dtype=complex)  # coeffs[k] multiplies z^(2 top - k)
@@ -1281,7 +1275,8 @@ def _joint_profile(split: _Leaves) -> TrigPolynomial:
 def _trig_profile(pairs) -> TrigPolynomial:
     """The trig polynomial in x = log(tau + 1) of the Re a = 0 terms of the
     powers, one harmonic per integer Im a: their asymptotic profile, as terms
-    with Re a < 0 vanish.  A non-integer Im a raises UnsupportedExpression."""
+    with Re a < 0 vanish.  A non-integer Im a raises UnsupportedExpression, and
+    a top nonzero harmonic above the threshold is refused before a tuple is laid."""
     const, harmonics = 0.0, {}
     for beta, a in pairs:
         if a.real:
@@ -1296,9 +1291,18 @@ def _trig_profile(pairs) -> TrigPolynomial:
             harmonics[j] = harmonics.get(j, 0.0) + beta
         else:
             const += beta.real
-    top = range(1, max(harmonics, default=0) + 1)
+    top = range(1, _check_harmonic(max((j for j, b in harmonics.items() if b), default=0)) + 1)
     return TrigPolynomial(const, tuple(harmonics.get(j, 0j).real for j in top),
                           tuple(-harmonics.get(j, 0j).imag for j in top))
+
+
+def _check_harmonic(top: int) -> int:
+    """top, a highest nonzero harmonic, refused above MAX_OSCILLATION_FREQUENCY."""
+    if top > MAX_OSCILLATION_FREQUENCY:
+        raise ConvergenceError(
+            f"harmonic {top} exceeds the refusal threshold {MAX_OSCILLATION_FREQUENCY}; "
+            f"its critical points need a {2 * top} x {2 * top} eigenvalue problem")
+    return top
 
 
 def sup_abs_phi(expr: InitialDataExpr) -> float:
@@ -1446,7 +1450,7 @@ def from_json(doc) -> InitialDataExpr:
 
 
 def dumps(expr: InitialDataExpr) -> str:
-    return json.dumps(to_json(expr), sort_keys=True, default=_json_real)
+    return _dumps(to_json(expr))
 
 
 def loads(text: str) -> InitialDataExpr:

@@ -17,11 +17,11 @@ from construction.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .errors import TWO_PI, DomainError, UnsupportedExpression, _json_real, _loads, check_finite
+from .errors import (TWO_PI, DomainError, UnsupportedExpression, _dumps, _loads, _plain,
+                     check_finite)
 from .initial_data import (
     BumpTrain,
     Constant,
@@ -424,30 +424,19 @@ def envelope_u(cert: PrescriptionCertificate, t: float) -> float:
 # Certificate serialization (schema cert/1)
 
 
-_TARGET_FIELDS = {
-    "average": (AverageQuad, ("avg_lower", "sol_lower", "sol_upper", "avg_upper")),
-    "data": (DataQuad, ("data_lower", "sol_lower", "sol_upper", "data_upper")),
-}
+_QUADS = {"average": AverageQuad, "data": DataQuad}
 
 
 def cert_to_json(cert: PrescriptionCertificate) -> dict:
+    """The cert/1 document: the fields, the data as idexpr/1 and the target flattened."""
     _check_cert(cert)
     quad = cert.target.kind
-    kind, keys = next((kind, keys) for kind, (cls, keys) in _TARGET_FIELDS.items()
-                      if isinstance(quad, cls))
-    target_doc = {"kind": kind, "n": cert.target.n}
-    target_doc.update((key, getattr(quad, key)) for key in keys)
-    return {
-        "schema": CERT_SCHEMA_ID,
-        "target": target_doc,
-        "construction_tag": cert.construction_tag,
-        "m_used": cert.m_used,
-        "data": expr_to_json(cert.data),
-        "expected_phi_band": list(cert.expected_phi_band),
-        "expected_H_band": (None if cert.expected_H_band is None
-                            else list(cert.expected_H_band)),
-        "expected_u_band": list(cert.expected_u_band),
-    }
+    kind = next(kind for kind, cls in _QUADS.items() if isinstance(quad, cls))
+    doc = {f.name: _plain(getattr(cert, f.name)) for f in fields(cert)
+           if f.name not in ("target", "data")}
+    doc.update(schema=CERT_SCHEMA_ID, data=expr_to_json(cert.data),
+               target={"kind": kind, "n": cert.target.n, **_plain(quad)})
+    return doc
 
 
 def _field(doc: dict, key: str, where: str):
@@ -472,23 +461,19 @@ def cert_from_json(doc) -> PrescriptionCertificate:
     if not isinstance(tdoc, dict):
         raise DomainError(f"certificate target must be an object, got {tdoc!r}")
     kind = tdoc.get("kind")
-    if not isinstance(kind, str) or kind not in _TARGET_FIELDS:
+    if not isinstance(kind, str) or kind not in _QUADS:
         raise DomainError(f"unknown target kind {kind!r}")
-    quad_cls, keys = _TARGET_FIELDS[kind]
-    return PrescriptionCertificate(
-        target=PrescriptionTarget(quad_cls(*(_field(tdoc, key, "target") for key in keys)),
-                                  _field(tdoc, "n", "target")),
-        data=expr_from_json(_field(doc, "data", "certificate")),
-        construction_tag=_field(doc, "construction_tag", "certificate"),
-        m_used=_field(doc, "m_used", "certificate"),
-        expected_phi_band=_field(doc, "expected_phi_band", "certificate"),
-        expected_H_band=_field(doc, "expected_H_band", "certificate"),
-        expected_u_band=_field(doc, "expected_u_band", "certificate"),
-    )
+    quad = _QUADS[kind](*(_field(tdoc, f.name, "target") for f in fields(_QUADS[kind])))
+    args = {"target": PrescriptionTarget(quad, _field(tdoc, "n", "target"))}
+    for f in fields(PrescriptionCertificate):
+        if f.name != "target":
+            value = _field(doc, f.name, "certificate")
+            args[f.name] = expr_from_json(value) if f.name == "data" else value
+    return PrescriptionCertificate(**args)
 
 
 def cert_dumps(cert: PrescriptionCertificate) -> str:
-    return json.dumps(cert_to_json(cert), sort_keys=True, default=_json_real)
+    return _dumps(cert_to_json(cert))
 
 
 def cert_loads(text: str) -> PrescriptionCertificate:

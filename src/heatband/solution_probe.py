@@ -12,9 +12,8 @@ by initial_data._weighted_value; a sweep hands it a whole grid at once.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,8 +24,9 @@ from .errors import (
     PartialBandError,
     RangeError,
     UnsupportedExpression,
+    _dumps,
     _finite,
-    _json_real,
+    _plain,
     _points,
     check_finite,
     check_integer,
@@ -401,8 +401,8 @@ def verify_certificate(cert: PrescriptionCertificate,
     its periods.  Certificates with doubly-log content get a partial u band
     (the sweep cannot cover 3 periods in double precision) plus the envelope
     gaps at _GAP_TIMES as the convergence signal; a note says when there is
-    no envelope formula (bumps alone).  The report records the tolerances
-    of the u(0, t) integrals, quadrature's _REL_TOL and _ABS_TOL.
+    no envelope formula (bumps alone).  The report records _ABS_TOL, the u
+    target, and keeps _REL_TOL, of an adaptive rule that verify never runs.
     """
     _check_cert(cert)
     n = cert.target.n
@@ -487,25 +487,13 @@ def verify_certificate(cert: PrescriptionCertificate,
 
 
 def report_to_json(report: VerificationReport) -> dict:
+    """The report/1 document: the fields, with the certificate as cert/1."""
     if not isinstance(report, VerificationReport):
         raise DomainError(f"report must be a VerificationReport, got {type(report).__name__}")
-    return {
-        "schema": REPORT_SCHEMA_ID,
-        "cert": cert_to_json(report.cert),
-        "measured_u_band": asdict(report.measured_u_band),
-        "measured_H_band": asdict(report.measured_H_band),
-        "measured_phi_band": asdict(report.measured_phi_band),
-        "max_abs_u": report.max_abs_u,
-        "chain_ok": report.chain_ok,
-        "tol_band": report.tol_band,
-        "u_partial": report.u_partial,
-        "envelope_gaps": (None if report.envelope_gaps is None
-                          else [[t, g] for t, g in report.envelope_gaps]),
-        "notes": list(report.notes),
-        "quad_rel_tol": report.quad_rel_tol,
-        "quad_abs_tol": report.quad_abs_tol,
-    }
+    doc = {f.name: _plain(getattr(report, f.name)) for f in fields(report) if f.name != "cert"}
+    doc.update(schema=REPORT_SCHEMA_ID, cert=cert_to_json(report.cert))
+    return doc
 
 
 def report_dumps(report: VerificationReport) -> str:
-    return json.dumps(report_to_json(report), sort_keys=True, default=_json_real)
+    return _dumps(report_to_json(report))

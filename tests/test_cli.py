@@ -66,7 +66,8 @@ _AVERAGE = ["--average", "-1", "-0.3", "0.3", "1"]
     (["probe", "--cert", "{cert}", "--tau-range", "1e2", "1e4", "1"], "tau-range"),
     (["probe", "--cert", "{cert}", "--t-range", "1e2", "1e4", "2.9"], "t-range"),
     (["probe", "--cert", "{cert}", "--tau-range", "1e2", "1e4", "2.5"], "tau-range"),
-    (["probe", "--cert", "{cert}", "--format", "xml"], "invalid choice"),
+    # the probe tables are written in CSV only
+    (["probe", "--cert", "{cert}", "--format", "json"], "unrecognized arguments"),
     # the grid is refused before it is made: 1e15 points would not fit in memory
     (["probe", "--cert", "{cert}", "--t-range", "1e2", "1e10", "1e15"], "t-range"),
     (["probe", "--cert", "{cert}", "--tau-range", "1e2", "1e4", "1048577"], "tau-range"),
@@ -237,17 +238,6 @@ class TestProbe:
         capsys.readouterr()
         for name in ("probe_u.csv", "probe_phi.csv"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
-
-    def test_json_format(self, tmp_path, average_cert_file, capsys):
-        code = run_cli(["probe", "--cert", str(average_cert_file),
-                        "--t-range", "1e2", "1e6", "5",
-                        "--tau-range", "1e2", "1e6", "5",
-                        "--format", "json", "--out-dir", str(tmp_path)])
-        assert code == 0
-        capsys.readouterr()
-        doc = json.loads((tmp_path / "probe_u.json").read_text())
-        assert doc["columns"] == ["t", "log_sqrt4t", "u_origin", "envelope", "abs_gap"]
-        assert len(doc["rows"]) == 5
 
     def test_unpriceable_envelope_leaves_fields_empty(self, tmp_path, capsys):
         cert_path = tmp_path / "bumps.json"

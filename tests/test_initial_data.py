@@ -944,6 +944,26 @@ class TestAnalyticBands:
         assert _split_leaves(expr).powers is None
         assert analytic_band_phi(expr) == (0.0, 0.0)
 
+    def test_top_harmonic_is_refused_before_the_profile_is_laid(self):
+        # a profile of harmonic 1e9 would take gigabytes of coefficient tuples
+        import tracemalloc
+
+        expr = Sum((LogSine(1.0, 1e9), LogSine(1.0, 1.0)))
+        tracemalloc.start()
+        try:
+            for call in (analytic_band_phi, band_witnesses):
+                with pytest.raises(ConvergenceError, match="harmonic 1000000000 exceeds"):
+                    call(expr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        # zero harmonics above the top one neither count nor move the band
+        padded = PeriodicOfLog(TrigPolynomial(0.0, (1.0,) + (0.0,) * 600))
+        assert analytic_band_phi(padded) == (-1.0, 1.0)
+        assert analytic_band_phi(Sum((padded, LogSine(1.0, 2.0)))) == (
+            -1.7601725930460868, 1.7601725930460868)
+
     @pytest.mark.parametrize("expr, profile", [
         (Sum((LogSine(0.6, 1.0, 0.1),
               PeriodicOfLog(TrigPolynomial(0.2, (0.3, 0.0, 0.1), (0.0, 0.5))))),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -660,6 +661,46 @@ class TestCertSerialization:
         doc["target"]["kind"] = "mystery"
         with pytest.raises(DomainError):
             cert_from_json(doc)
+
+    # the fields of a cert/1 document and of its targets in the order the decoder reads them
+    TOP_KEYS = ("target", "data", "construction_tag", "m_used",
+                "expected_phi_band", "expected_H_band", "expected_u_band")
+    TARGET_KEYS = {"average": ("avg_lower", "sol_lower", "sol_upper", "avg_upper", "n"),
+                   "data": ("data_lower", "sol_lower", "sol_upper", "data_upper", "n")}
+
+    @staticmethod
+    def _lacking(key):
+        return {"schema": "expected schema 'cert/1', got None",
+                "kind": "unknown target kind None"}.get(key, f"lacks the field {key!r}")
+
+    @pytest.mark.parametrize("make", [lambda: prescribe_average(-1.0, -0.3, 0.3, 1.0, 2),
+                                      lambda: prescribe_data(0.0, 1.0, 2.0, 3.0, 1)])
+    def test_each_missing_key_is_named(self, make):
+        valid = cert_to_json(make())
+        kind = valid["target"]["kind"]
+        assert sorted(valid) == sorted(("schema",) + self.TOP_KEYS)
+        assert sorted(valid["target"]) == sorted(("kind",) + self.TARGET_KEYS[kind])
+        for key in valid:
+            doc = json.loads(json.dumps(valid))
+            del doc[key]
+            with pytest.raises(DomainError, match=re.escape(self._lacking(key))):
+                cert_from_json(doc)
+        for key in valid["target"]:
+            doc = json.loads(json.dumps(valid))
+            del doc["target"][key]
+            with pytest.raises(DomainError, match=re.escape(self._lacking(key))):
+                cert_from_json(doc)
+        # without several keys, the first that the decoder reads is named
+        for i, key in enumerate(self.TOP_KEYS):
+            doc = {k: v for k, v in valid.items() if k not in self.TOP_KEYS[i:]}
+            with pytest.raises(DomainError, match=re.escape(self._lacking(key))):
+                cert_from_json(doc)
+        for i, key in enumerate(self.TARGET_KEYS[kind]):
+            doc = json.loads(json.dumps(valid))
+            doc["target"] = {k: v for k, v in valid["target"].items()
+                             if k not in self.TARGET_KEYS[kind][i:]}
+            with pytest.raises(DomainError, match=re.escape(self._lacking(key))):
+                cert_from_json(doc)
 
     def test_null_h_band_round_trips(self):
         cert = prescribe_data(0.0, 1.0, 2.0, 3.0, 2)
