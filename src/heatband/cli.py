@@ -158,18 +158,14 @@ def _log_grid(name: str, lo: float, hi: float, count: float) -> np.ndarray:
 
 
 def _probe_u_rows(cert, ts: np.ndarray) -> list[tuple]:
-    """One row per time; u(0, t) of the whole grid is one call."""
+    """One row per time; each column of the grid, the envelope too, is one call."""
     us = u_origin(cert.data, cert.target.n, ts).tolist()
-    rows = []
-    for t, u in zip(ts.tolist(), us):
-        try:
-            env = envelope_u(cert, t)
-            gap = abs(u - env)
-        except (UnsupportedExpression, DomainError):
-            env = None
-            gap = None
-        rows.append((t, 0.5 * math.log(4.0 * t), u, env, gap))
-    return rows
+    try:
+        envs = envelope_u(cert, ts).tolist()
+    except (UnsupportedExpression, DomainError):
+        envs = [None] * ts.size
+    return [(t, 0.5 * math.log(4.0 * t), u, env, None if env is None else abs(u - env))
+            for t, u, env in zip(ts.tolist(), us, envs)]
 
 
 def _probe_phi_rows(cert, taus: np.ndarray) -> list[tuple]:

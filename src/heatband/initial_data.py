@@ -18,7 +18,7 @@ import itertools
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .quadrature import (
     _fixed_sums,
     _log_gauss_rule,
     _log_trapezoid_rule,
+    _phi_rounding,
     _pieces_radial,
     _power_series,
     _power_sums,
@@ -376,7 +377,7 @@ class InitialDataExpr:
                          read by the series of u and H, _trig_profile and slow_m
       witnesses()        tau values approaching the liminf and the limsup,
                          looked for in _WITNESS_WINDOW first
-      limit_u(y, n)      limit of u(0, t) in dimension n at y = log sqrt(4t)
+      limit_u(y, n)      limit of u(0, t) in dimension n at y = log sqrt(4t), y an array too
     """
 
     @cached_property
@@ -404,8 +405,12 @@ class InitialDataExpr:
     def witnesses(self):
         raise UnsupportedExpression(f"no witnesses for {type(self).__name__}")
 
-    def limit_u(self, y: float, n: int) -> float:
-        raise UnsupportedExpression(f"no limit rule for {type(self).__name__}")
+    def limit_u(self, y, n: int):
+        # Re sum beta' e^(i Im(a) y) over the terms (beta', a) of _limit_powers
+        if (pairs := self._powers()) is None:
+            raise UnsupportedExpression(f"no limit rule for {type(self).__name__}")
+        return sum(beta.real * np.cos(a.imag * y) - beta.imag * np.sin(a.imag * y)
+                   for beta, a in _limit_powers(pairs, n, KernelFlavor.DATA))
 
 
 @dataclass(frozen=True)
@@ -429,7 +434,7 @@ class Constant(InitialDataExpr):
         return [mid], [mid]
 
     def limit_u(self, y, n):
-        return self.c
+        return self.c + 0.0 * y  # an array for an array y
 
 
 class _ModeOfLog(InitialDataExpr):
@@ -467,19 +472,6 @@ class _ModeOfLog(InitialDataExpr):
         # asymptotic extremal phase of sin th + q cos th
         th = math.atan2(1.0, self.m / self._n)
         return _phase_taus(self.m, th + math.pi), _phase_taus(self.m, th)
-
-    def limit_u(self, y, n):
-        # amplitude (a' sin(m y) + b' cos(m y)) + offset, a' + i b' = (a + i b)(1 + i q)
-        a, b = _data_moments(n, self.m)
-        q = self.m / self._n
-        return self.amplitude * ((a - q * b) * math.sin(self.m * y)
-                                 + (b + q * a) * math.cos(self.m * y)) + self.offset
-
-
-@lru_cache(maxsize=64, typed=True)  # a probe asks for the same pair at every t
-def _data_moments(n: int, m: float) -> tuple[float, float]:
-    mom = kernel_moments(n, m, KernelFlavor.DATA)
-    return mom.a_value, mom.b_value
 
 
 @dataclass(frozen=True)
@@ -553,10 +545,10 @@ class LogLogSine(InitialDataExpr):
         return list(troughs), list(peaks)
 
     def limit_u(self, y, n):
-        if y <= 0.0:
+        if np.any(y <= 0.0):
             raise DomainError("the doubly-log envelope needs log sqrt(4t) > 0, i.e. "
-                              f"t > 0.25; got log sqrt(4t) = {y}")
-        return self.amplitude * math.sin(math.log(y)) + self.offset
+                              f"t > 0.25; got log sqrt(4t) = {np.min(y)}")
+        return self.amplitude * np.sin(np.log(y)) + self.offset
 
 
 @dataclass(frozen=True)
@@ -590,7 +582,7 @@ class PeriodicZeroMean(InitialDataExpr):
         return list(base + arg_lo), list(base + arg_hi)
 
     def limit_u(self, y, n):
-        return 0.0
+        return 0.0 * y
 
 
 @dataclass(frozen=True)
@@ -656,7 +648,7 @@ class BumpTrain(InitialDataExpr):
 
     def limit_u(self, y, n):
         # the bumps' spikes have no closed limit; envelope_u refuses bumps alone
-        return self.baseline
+        return self.baseline + 0.0 * y
 
 
 class _ProfileOfLog(InitialDataExpr):
@@ -1123,8 +1115,8 @@ def _check_radius(tau) -> None:
 
 def _ball_average(expr, n, taus) -> tuple[np.ndarray, np.ndarray]:
     """(H, error bound) at each radius of the 1-D array taus, which
-    numeric_H has checked.  The bound adds the bounds of its routes; the
-    rules leave out the rounding in evaluating phi itself.
+    numeric_H has checked.  The bound adds the bounds of its routes, and the
+    analytic rule's counts the rounding of phi at its nodes (_phi_rounding).
     """
     check_dimension(n)
     taus = np.asarray(taus, dtype=float).reshape(-1)
@@ -1141,8 +1133,9 @@ def _ball_average(expr, n, taus) -> tuple[np.ndarray, np.ndarray]:
     share = 0.5 * _H_TOL if leaves.analytic and leaves.kinked else _H_TOL
     if leaves.analytic:
         def rule(radii):
-            scale, weights, rule_bound = _log_gauss_rule(n, leaves.mass, leaves.omega, share)
-            return _fixed_sums(leaves.analytic_phi, radii, scale, weights), rule_bound
+            scale, weights, rule_err = _log_gauss_rule(n, leaves.mass, leaves.omega, share)
+            rounding = _phi_rounding(1.0, leaves.mass, leaves.omega, radii)
+            return _fixed_sums(leaves.analytic_phi, radii, scale, weights), rule_err + rounding
 
         part, part_bound = _analytic_part(leaves, n, _radial_terms, taus, rule)
         value += part
@@ -1188,17 +1181,19 @@ def _analytic_part(leaves: _Leaves, p: int, terms, points: np.ndarray, rule):
 def _weighted_value(expr, k: int, roots) -> tuple[np.ndarray, np.ndarray]:
     """(values, error bounds) of int_0^inf z^k e^{-z^2} expr(root z) dz at
     each root > 0 of the 1-D array roots, expr routed per signed leaf, split
-    once for all roots; the bound adds the bounds of its routes.
+    once for all roots; the bound adds the bounds of its routes, and the
+    analytic rule's counts the rounding of phi at its nodes (_phi_rounding).
     """
     roots = np.asarray(roots, dtype=float).reshape(-1)
     # the constants and bump baselines c: c M_k, M_k within (k + 2) eps
-    leaves = _split_leaves(expr)
-    value = np.full(roots.size, leaves.constant * gaussian_power_tail(k, 0.0))
+    leaves, mass_k = _split_leaves(expr), gaussian_power_tail(k, 0.0)
+    value = np.full(roots.size, leaves.constant * mass_k)
     bound = (k + 4) * _EPS * np.abs(value)
     if leaves.analytic:
         def rule(below):
-            scale, weights, h, rule_bound = _log_trapezoid_rule(k, leaves.mass, leaves.omega)
-            return h * _fixed_sums(leaves.analytic_phi, below, scale, weights), rule_bound
+            scale, weights, h, rule_err = _log_trapezoid_rule(k, leaves.mass, leaves.omega)
+            rounding = _phi_rounding(mass_k, leaves.mass, leaves.omega, _Z_MAX * below)
+            return h * _fixed_sums(leaves.analytic_phi, below, scale, weights), rule_err + rounding
 
         part, part_bound = _analytic_part(leaves, k + 1, _weighted_terms, roots, rule)
         value += part
@@ -1294,6 +1289,16 @@ def _trig_profile(pairs) -> TrigPolynomial:
     top = range(1, _check_harmonic(max((j for j, b in harmonics.items() if b), default=0)) + 1)
     return TrigPolynomial(const, tuple(harmonics.get(j, 0j).real for j in top),
                           tuple(-harmonics.get(j, 0j).imag for j in top))
+
+
+def _limit_powers(pairs, n: int, flavor: KernelFlavor) -> tuple[tuple[complex, complex], ...]:
+    """(beta M(a), a) for each power (beta, a) with Re a = 0: Re sum beta (1 + tau)^a
+    against the kernel of flavor in dimension n tends to Re sum beta M(a) (4t)^(a/2),
+    M(a) = Gamma(s + a/2) / Gamma(s) = a + ib of kernel_moments at Im a, 1 at a = 0."""
+    def moment(a):
+        mom = kernel_moments(n, a.imag, flavor)
+        return complex(mom.a_value, mom.b_value)
+    return tuple((beta * moment(a) if a else beta, a) for beta, a in pairs if not a.real)
 
 
 def _check_harmonic(top: int) -> int:

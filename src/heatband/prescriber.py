@@ -20,8 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .errors import (TWO_PI, DomainError, UnsupportedExpression, _dumps, _loads, _plain,
-                     check_finite)
+                     _points, check_finite)
 from .initial_data import (
     BumpTrain,
     Constant,
@@ -33,8 +35,9 @@ from .initial_data import (
     LogSineAvgPreimage,
     PeriodicZeroMean,
     Sum,
-    TrigPolynomial,
+    _limit_powers,
     _split_leaves,
+    _trig_profile,
     analytic_band_phi,
     from_json as expr_from_json,
     negate,
@@ -49,7 +52,6 @@ from .kernel_moments import (
     _X_CAP,
     check_dimension,
     check_time,
-    kernel_moments,
     solve_m,
 )
 
@@ -384,12 +386,8 @@ def lemma_not_example() -> PrescriptionCertificate:
 
     h_lo, h_hi = analytic_band_phi(h_expr)
 
-    mom1 = kernel_moments(n, 1.0, KernelFlavor.AVERAGE)
-    mom2 = kernel_moments(n, 2.0, KernelFlavor.AVERAGE)
-    envelope = TrigPolynomial(0.0,
-                              (mom1.b_value, mom2.b_value),
-                              (mom1.a_value, mom2.a_value))
-    u_lo, u_hi = envelope.extrema()
+    powers = _limit_powers(_split_leaves(h_expr).powers, n, KernelFlavor.AVERAGE)
+    u_lo, u_hi = _trig_profile(powers).extrema()
 
     target = PrescriptionTarget(AverageQuad(h_lo, u_lo, u_hi, h_hi), n)
     return _certificate(target, "average-two-mode-example", data, (h_lo, h_hi))
@@ -399,25 +397,25 @@ def lemma_not_example() -> PrescriptionCertificate:
 # Asymptotic envelope of the origin solution
 
 
-def envelope_u(cert: PrescriptionCertificate, t: float) -> float:
+def envelope_u(cert: PrescriptionCertificate, t):
     """Asymptotic envelope of u(0, t) for a certificate's construction.
 
     The sum over the signed leaves of each leaf's limit rule limit_u at
-    y = log sqrt(4t) in the certificate's dimension.  A certificate whose
-    oscillating content is bump trains alone has no envelope formula.
+    y = log sqrt(4t) in the certificate's dimension, at a time t (giving a
+    float) or an array of times (one pass, giving an array of its shape); a
+    bad time or a doubly-log t <= 1/4 anywhere refuses the array.  A
+    certificate whose content is bump trains alone has no envelope formula.
     """
     _check_cert(cert)
-    check_time(t)
-    y, n = 0.5 * math.log(4.0 * t), cert.target.n
+    ts, shape = _points(t, check_time)
     leaves = _split_leaves(cert.data)
     if leaves.bumps and not leaves.slows:
         raise UnsupportedExpression(
             "certificate's oscillating content is bump trains alone; their "
             "origin-solution spikes have no closed envelope formula")
-    value = 0.0
-    for sign, leaf in leaves.signed:
-        value += sign * leaf.limit_u(y, n)
-    return float(value)
+    y = 0.5 * np.log(4.0 * ts)
+    value = sum(sign * leaf.limit_u(y, cert.target.n) for sign, leaf in leaves.signed)
+    return float(value[0]) if shape is None else value.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ their reach on, in either kernel (_power_series, _power_sums).  Below it,
 and for the doubly-log sine, leaves analytic in log tau take one fixed sum
 on a log-radius axis, bounded through the strip where the integrand stays
 analytic: a trapezoid sum on x = log z for u (_log_trapezoid_rule,
-_log_window), Gauss-Legendre on s = log(r / tau) for H (_log_gauss_rule).  Trapezoid profiles of
+_log_window), Gauss-Legendre on s = log(r / tau) for H (_log_gauss_rule),
+whose bounds the routers widen by the rounding of phi (_phi_rounding), which
+grows with the log of the radius.  Trapezoid profiles of
 log(tau + 1) take the Gauss layout split at their corners, radius by radius,
 in either kernel (_split_gauss_weighted, _split_gauss_radial); one strip
 search (_log_gauss_panels) sizes both Gauss layouts.  Waves and bump trains,
@@ -588,6 +590,18 @@ def _log_window(k: int, mass: float) -> tuple[float, float, float]:
     depth = min(-40.0, _log_quotient((k + 1) * _ABS_TOL, 4.0 * max(mass, _ABS_TOL)))
     tails = mass * (math.exp(depth) / (k + 1) + gaussian_power_tail(k, _Z_MAX))
     return depth / (k + 1), math.log(_Z_MAX), tails
+
+
+def _phi_rounding(kernel_mass: float, mass: float, omega: float, radii) -> np.ndarray:
+    """The most that rounding phi at the nodes moves a rule whose weights sum
+    to kernel_mass (the kernel's mass: M_k for u within the rule's tolerance,
+    and 1 for H, as the Gauss weights integrate e^{ns} from below), at each
+    point whose largest node radius is in radii, for analytic leaves of strip
+    mass mass and top log frequency omega: a phase omega log1p(r) rounds by
+    at most 2 eps omega (log1p(r) + 1), the rounding of the node r included,
+    and the arithmetic of the leaves and their sum adds 8 eps mass."""
+    size = kernel_mass * _EPS * mass
+    return 2.0 * omega * size * np.log1p(radii) + (2.0 * omega + 8.0) * size
 
 
 # ---------------------------------------------------------------------------

@@ -436,15 +436,13 @@ def verify_certificate(cert: PrescriptionCertificate,
     h_band = _measure_H_band(cert.data, n, slow_m, loglog)
     max_abs_u = max([abs(u_band.lower_est), abs(u_band.upper_est)]
                     + [abs(u_val) for u_val in u_gaps])
-    gaps = []
-    for t, u_val in zip(_GAP_TIMES, u_gaps):
-        try:
-            env = envelope_u(cert, t)
-        except UnsupportedExpression:
-            notes.append("no envelope formula for this construction; gaps omitted")
-            gaps = None
-            break
-        gaps.append((t, abs(u_val - env)))
+    try:
+        envs = envelope_u(cert, np.array(_GAP_TIMES)).tolist()
+    except UnsupportedExpression:
+        notes.append("no envelope formula for this construction; gaps omitted")
+        gaps = None
+    else:
+        gaps = tuple((t, abs(u_val - env)) for t, u_val, env in zip(_GAP_TIMES, u_gaps, envs))
 
     def endpoints_match(band: OscillationBand, expected) -> bool:
         return (abs(band.lower_est - expected[0]) <= tol_band
@@ -475,7 +473,7 @@ def verify_certificate(cert: PrescriptionCertificate,
         chain_ok=bool(ok),
         tol_band=tol_band,
         u_partial=u_partial,
-        envelope_gaps=None if gaps is None else tuple(gaps),
+        envelope_gaps=gaps,
         notes=tuple(notes),
         quad_rel_tol=_REL_TOL,
         quad_abs_tol=_ABS_TOL,

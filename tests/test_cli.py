@@ -255,6 +255,22 @@ class TestProbe:
             assert len(fields) == 5
             assert fields[3] == "" and fields[4] == ""
 
+    @pytest.mark.parametrize("t_range,filled", [(("1e-2", "1e2", "5"), False),
+                                                (("1e2", "1e6", "5"), True)])
+    def test_doubly_log_envelope_is_one_call_per_grid(self, tmp_path, capsys, t_range, filled):
+        # the doubly-log envelope needs t > 1/4; the column is one call, so a
+        # grid that reaches below 1/4 leaves the whole column and the gaps empty
+        cert_path = tmp_path / "slow.json"
+        assert run_cli(["prescribe", "--data", "0", "0", "1", "1",
+                        "--n", "2", "--out", str(cert_path)]) == 0
+        assert run_cli(["probe", "--cert", str(cert_path), "--t-range", *t_range,
+                        "--tau-range", "1e2", "1e4", "3", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rows = [line.split(",") for line in
+                (tmp_path / "probe_u.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 5 and all(row[2] != "" for row in rows)
+        assert all((row[3] != "", row[4] != "") == (filled, filled) for row in rows)
+
     def test_missing_certificate_file_exits_two(self, tmp_path, capsys):
         code = run_cli(["probe", "--cert", str(tmp_path / "nope.json"),
                         "--out-dir", str(tmp_path)])

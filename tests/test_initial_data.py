@@ -1040,12 +1040,16 @@ class TestLimitU:
         lo_w, hi_w = leaf.witnesses()
         assert np.array_equal(lo_w, _phase_taus(m, 1.5 * math.pi))
         assert np.array_equal(hi_w, _phase_taus(m, 0.5 * math.pi))
+        # the limit is read from the powers, as Re beta M(a) e^(imy) + offset,
+        # which rounds apart from the closed formula by a few eps
+        eps = float(np.finfo(float).eps)
         for n, y in ((1, 2.0), (3, 11.0)):
             mom = kernel_moments(n, m, KernelFlavor.DATA)
-            assert leaf.limit_u(y, n) == amplitude * (
-                mom.a_value * math.sin(m * y) + mom.b_value * math.cos(m * y)) + offset
+            assert leaf.limit_u(y, n) == pytest.approx(amplitude * (
+                mom.a_value * math.sin(m * y) + mom.b_value * math.cos(m * y)) + offset,
+                abs=4 * eps * (amplitude + abs(offset)))
 
-    def test_cached_moments_still_check_the_dimension(self):
+    def test_limit_checks_the_dimension(self):
         leaf = LogSine(0.4, 1.5)
         leaf.limit_u(1.0, 1)
         with pytest.raises(DomainError):
@@ -1056,15 +1060,52 @@ class TestLimitU:
         assert PeriodicZeroMean(1.0, -1.0).limit_u(3.0, 2) == 0.0
         assert BumpTrain(0.7, 0.3, 0.2, GeometricCenters()).limit_u(3.0, 2) == 0.2
 
+    @pytest.mark.parametrize("leaf", [
+        Constant(0.25), PeriodicZeroMean(1.0, -1.0), BumpTrain(0.7, 0.3, 0.2, GeometricCenters()),
+        LogLogSine(0.5, 0.1), LogSine(0.4, 1.5, -0.2), LogSineAvgPreimage(0.7, 2.5, 0.3, 2),
+        PeriodicOfLog(TrigPolynomial(0.1, (0.5, 0.0, 0.2), (0.3, 0.25))),
+        SlowFromPeriodic(TrigPolynomial(0.1, (0.5, 0.0, 0.2), (0.3, 0.25)), 3)])
+    def test_arrays_are_the_scalar_calls(self, leaf):
+        ys = np.array([[0.5, 2.0, 7.0], [11.0, 40.0, 300.0]])
+        got = leaf.limit_u(ys, 2)
+        assert got.shape == (2, 3)
+        assert got.ravel().tolist() == [float(leaf.limit_u(y, 2)) for y in ys.ravel().tolist()]
+
     def test_doubly_log_sine_needs_positive_y(self):
         assert LogLogSine(0.5, 0.1).limit_u(math.e, 1) == pytest.approx(
             0.5 * math.sin(1.0) + 0.1)
         with pytest.raises(DomainError):
             LogLogSine(0.5, 0.1).limit_u(0.0, 1)
+        with pytest.raises(DomainError, match="= -0.5"):  # one y <= 0 refuses the array
+            LogLogSine(0.5, 0.1).limit_u(np.array([3.0, -0.5, 1.0]), 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_trig_profiles_tend_to_their_limit(self, n):
+        # the j = 0 terms of the declared powers: u(0, t) approaches them
+        from heatband.solution_probe import u_origin
+
+        g = TrigPolynomial(0.1, (0.5, 0.0, 0.2), (0.3, 0.25))
+        ts = np.array([1e8, 1e12, 1e16])
+        for leaf in (PeriodicOfLog(g), SlowFromPeriodic(g, n)):
+            gaps = np.abs(u_origin(leaf, n, ts) - leaf.limit_u(0.5 * np.log(4.0 * ts), n))
+            assert gaps[0] > gaps[1] > gaps[2] and gaps[2] < 1e-8, leaf
 
     def test_other_leaves_have_no_rule(self):
-        with pytest.raises(UnsupportedExpression):
-            PeriodicOfLog(TrigPolynomial(0.0, (), (1.0,))).limit_u(3.0, 1)
+        # a trapezoid profile declares no powers
+        for leaf in (PeriodicOfLog(TrapezoidWave(1.0, -0.5, 0.4)),
+                     SlowFromPeriodic(TrapezoidWave(1.0, -0.5, 0.4), 2)):
+            with pytest.raises(UnsupportedExpression, match="no limit rule"):
+                leaf.limit_u(3.0, 1)
+
+
+def test_leaf_methods_that_no_path_calls():
+    # analytic_band_phi reads constants and bump heights from the split, and
+    # no route asks a wave for its extremes; these methods serve a caller of
+    # the leaf and PeriodicFunction protocols
+    assert Constant(-0.375).band() == (-0.375, -0.375)
+    assert BumpTrain(0.5, 0.3, 0.25, GeometricCenters()).band() == (0.25, 0.75)
+    assert BumpTrain(-0.5, 0.3, 0.25, GeometricCenters()).band() == (-0.25, 0.25)
+    assert TrapezoidWave(1.0, -0.5, 0.4).extrema() == (-0.5, 1.0)
 
 
 class TestSignedLeaves:

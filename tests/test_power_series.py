@@ -6,8 +6,9 @@ their series (quadrature._power_series) u(0, t) and H(tau) take two
 convergent residue series in place of the trapezoid and Gauss rules.  The
 audit draws leaves and small sums of them, points on both sides of the
 reach, and checks each value against tests/reference.py within its bound
-and which route served it; the sweep test checks that verify's log-mode
-sweeps never leave the series.
+and which route served it; the rounding test checks the rules' bounds, which
+count the rounding of phi, where that rounding is largest; the sweep test
+checks that verify's log-mode sweeps never leave the series.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ from heatband.initial_data import _ball_average, _split_leaves, _weighted_value
 from heatband.kernel_moments import _M_FLOOR
 from heatband.quadrature import (
     _H_TOL,
+    _Z_MAX,
     _fixed_sums,
     _log_gauss_rule,
     _log_trapezoid_rule,
+    _phi_rounding,
     _power_series,
     _power_sums,
     _radial_terms,
@@ -68,31 +71,61 @@ expressions = st.one_of(leaves, st.builds(lambda a, b, neg: Sum((a, Negate(b) if
 def test_series_values_are_within_their_bounds(expr, n, near, far):
     # one point below the reach, which the rule serves, and one above it, up
     # to 1e8 reaches, in both integrals: the router's (value, bound) is the
-    # rule's at the first and the series' at the second, and the series'
-    # value lies within its bound of the reference.  The rules' bounds leave
-    # out the rounding of phi, which reaches past them at large m and k
-    # (CHANGES.md), so only the route is checked below the reach
+    # rule's, widened by the rounding of phi, at the first and the series'
+    # at the second, and each value lies within its bound of the reference
     leaves, k = _split_leaves(expr), n - 1
     assume(leaves.powers is not None)
-    scale, weights, h_bound = _log_gauss_rule(n, leaves.mass, leaves.omega, _H_TOL)
-    trapezoid = _log_trapezoid_rule(k, leaves.mass, leaves.omega)
+    mass, omega = leaves.mass, leaves.omega
+    scale, weights, h_bound = _log_gauss_rule(n, mass, omega, _H_TOL)
+    trapezoid = _log_trapezoid_rule(k, mass, omega)
     for order, terms, integral, reference, rule in (
             (k, _weighted_terms, _weighted_value, ref_u,
              lambda r: (trapezoid[2] * _fixed_sums(leaves.analytic_phi, r, *trapezoid[:2]),
-                        trapezoid[3])),
+                        trapezoid[3] + _phi_rounding(gaussian_power_tail(k, 0.0), mass, omega,
+                                                     _Z_MAX * r))),
             (n, _radial_terms, _ball_average, ref_H,
-             lambda r: (_fixed_sums(leaves.analytic_phi, r, scale, weights), h_bound))):
+             lambda r: (_fixed_sums(leaves.analytic_phi, r, scale, weights),
+                        h_bound + _phi_rounding(1.0, mass, omega, r)))):
         series = _power_series(leaves.powers, n, terms)
         points = np.array([near * series[0], series[0] * 10.0 ** far])
         values, bounds = integral(expr, order, points)
         (r_val, r_bound), (s_val, s_bound) = rule(points[:1]), _power_sums(series, points[1:])
         assert values.tolist() == [r_val[0], s_val[0]]
-        assert bounds.tolist() == [r_bound, s_bound[0]]
+        assert bounds.tolist() == [r_bound[0], s_bound[0]]
         # the reference's 20 digits, on the scale of the kernel's mass: its
         # quadrature errs by 4e-5 relative on a constant 1.2e-38 (CHANGES.md)
         slack = 1e-18 * (gaussian_power_tail(k, 0.0) if order == k else 1.0)
-        want = reference(expr, order, float(points[1]))
-        assert abs(values[1] - want) <= bounds[1] + slack, (points[1], values[1] - want, bounds[1])
+        for point, value, bound in zip(points.tolist(), values.tolist(), bounds.tolist()):
+            want = reference(expr, order, point)
+            assert abs(value - want) <= bound + slack, (point, value - want, bound)
+
+
+# a log mode whose phase m log1p(r) reaches 260 at the rule's nodes below the
+# reach: in k = 9 the trapezoid rule erred by 1.19e-12 at root 59.5 and by
+# 2.32e-12 at root 100, against a bound of 5.0e-14 that left phi's rounding out
+FAULT = LogSineAvgPreimage(1.9357, 40.09, 0.0, 1)
+
+
+@pytest.mark.parametrize("k,leaf,roots", [
+    (0, LogSineAvgPreimage(1.9357, 12.0, 0.0, 1), (16.8, 28.6)),
+    (4, LogSineAvgPreimage(1.9357, 12.0, 0.0, 1), (21.6, 35.3, 36.7)),
+    (9, FAULT, (59.5, 100.0, 104.3))])
+def test_rule_bounds_count_the_rounding_of_phi(k, leaf, roots):
+    # roots on both sides of the reach, 28, 36 and 102.2
+    reach = _power_series(_split_leaves(leaf).powers, k + 1, _weighted_terms)[0]
+    assert min(roots) < reach < max(roots)
+    values, bounds = _weighted_value(leaf, k, np.array(roots))
+    for root, value, bound in zip(roots, values.tolist(), bounds.tolist()):
+        assert abs(value - ref_u(leaf, k, root, dps=25)) <= bound, root
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_H_rule_bound_counts_the_rounding_of_phi(n):
+    reach = _power_series(_split_leaves(FAULT).powers, n, _radial_terms)[0]
+    taus = np.array([0.3, 0.6, 0.98, 1.02]) * reach
+    values, bounds = _ball_average(FAULT, n, taus)
+    for tau, value, bound in zip(taus.tolist(), values.tolist(), bounds.tolist()):
+        assert abs(value - ref_H(FAULT, n, tau, dps=25)) <= bound, tau
 
 
 @pytest.mark.parametrize("leaf", [LogSine(0.8, 0.7, 0.2), LogSineAvgPreimage(0.6, 2.3, -0.1, 3),

@@ -584,6 +584,40 @@ class TestEnvelopeU:
         with pytest.raises(RangeError):
             envelope_u(cert, 1e308)
 
+    def test_arrays_are_the_scalar_calls(self):
+        # each corpus certificate with an envelope: one call on a (2, 3)
+        # array of times, on its flat copy or on a list is, to the bit, the
+        # scalar calls at each time, in the array's shape
+        scope: dict = {}
+        exec(_CORPUS, scope)
+        ts = np.geomspace(1e2, 1e16, 6).reshape(2, 3)
+        tags = set()
+        for cert in scope["certs"]:
+            try:
+                grid = envelope_u(cert, ts)
+            except UnsupportedExpression:  # bump trains alone
+                continue
+            tags.add(cert.construction_tag)
+            scalar = [envelope_u(cert, t) for t in ts.ravel().tolist()]
+            assert grid.shape == (2, 3) and grid.ravel().tolist() == scalar
+            assert envelope_u(cert, ts.ravel()).tolist() == scalar
+            assert envelope_u(cert, ts.ravel().tolist()).tolist() == scalar
+        assert len(tags) == 11
+
+    @pytest.mark.parametrize("bad", [0.0, math.inf, 1e308])
+    def test_one_bad_time_refuses_the_array(self, bad):
+        cert = prescribe_data(0.0, 1.0, 2.0, 3.0, 1)
+        with pytest.raises((DomainError, RangeError)) as scalar:
+            envelope_u(cert, bad)
+        with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
+            envelope_u(cert, np.array([1e2, bad, 1e4]))
+
+    def test_doubly_log_array_reaching_a_quarter_raises(self):
+        cert = prescribe_data(0.0, 0.0, 1.0, 1.0, 2)
+        assert envelope_u(cert, np.array([1e2, 1e4])).shape == (2,)
+        with pytest.raises(DomainError, match="t > 0.25"):
+            envelope_u(cert, np.array([1e2, 0.2, 1e4]))
+
     def test_preimage_built_for_another_dimension(self):
         # a hand-written certificate may hold an average preimage built for
         # n = 1 under an n = 3 target; its limit takes the n = 3 data kernel
